@@ -16,9 +16,8 @@ from . import content as content_mod
 from . import forest as forest_mod
 from . import pipeline as pipeline_mod
 from . import structural as structural_mod
-from .domains import registrable_domain
 from .filters import RuleSet, label_document, parse_overrides, parse_rules
-from .graph import GraphError, NodeKey, build_widegraph, load_graph, save_graph, stats
+from .graph import GraphError, build_widegraph, load_graph, save_graph, stats
 from .ingest import HarParseError, read_trees, write_trees
 from .pipeline import DataError, PipelineConfig
 from .synth import EcosystemConfig, generate
@@ -36,8 +35,8 @@ def _read_rules(paths) -> RuleSet:
 
 
 def _load_feature_files(paths):
-    """Join content (host-keyed) and structural (domain-keyed) tables into
-    per-document vectors ordered [keywords | engineered | structural]."""
+    """Read one content and one structural table and join them as run-all
+    does, into per-document vectors ordered [keywords | engineered | structural]."""
     content_part = None
     struct_part = None
     for path in paths:
@@ -52,11 +51,7 @@ def _load_feature_files(paths):
     if content_part is None or struct_part is None:
         raise DataError("need one content and one structural feature file")
     keys, _, values = content_part
-    vectors = {}
-    for i, (host, kind) in enumerate(keys):
-        parent = NodeKey(registrable_domain(host), kind)
-        vectors[(host, kind)] = np.concatenate([values[i], struct_part.row(parent)])
-    return vectors
+    return pipeline_mod.assemble_all_vectors(keys, values, struct_part)
 
 
 def cmd_ingest(args) -> int:
@@ -122,9 +117,8 @@ def cmd_features_content(args) -> int:
     vocabulary = content_mod.build_vocabulary(
         train_docs, k=args.vocab_size, rank_by=args.rank
     )
-    Path(args.out).write_bytes(
-        pipeline_mod.write_content_matrix(eligible, vocabulary, clamp_idf=args.clamp_idf)
-    )
+    table = content_mod.content_rows(eligible, vocabulary, clamp_idf=args.clamp_idf)
+    Path(args.out).write_bytes(pipeline_mod.write_content_matrix(*table))
     if args.vocab_out:
         Path(args.vocab_out).write_bytes(content_mod.save_vocabulary(vocabulary))
     print(
@@ -178,10 +172,13 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes())
     vectors = _load_feature_files(args.features)
-    rows = []
-    for (host, kind) in sorted(vectors):
-        pred, score = forest_mod.predict(model, vectors[(host, kind)])
-        rows.append((host, kind, pred, score, "full"))
+    keys = sorted(vectors)
+    X = np.vstack([vectors[k] for k in keys]) if keys else np.zeros((0, model.feature_count))
+    labels, scores = forest_mod.predict(model, X)
+    rows = [
+        (host, kind, int(pred), float(score), "full")
+        for (host, kind), pred, score in zip(keys, labels, scores)
+    ]
     Path(args.out).write_bytes(pipeline_mod.write_scores_file(rows))
     print(f"scored {len(rows)} documents")
     return 0
@@ -203,13 +200,13 @@ def cmd_evaluate(args) -> int:
     modes = ("biased", "unbiased") if args.mode == "both" else (args.mode,)
     out = {}
     for mode in modes:
-        report = pipeline_mod.evaluate_predictions(
+        report = pipeline_mod.evaluate(
             predictions, test_docs, labels, mode, weight_by=args.weight_by
         )
         out[mode] = report.to_dict()
         print(report.to_text())
         if overrides:
-            corrected = pipeline_mod.evaluate_predictions(
+            corrected = pipeline_mod.evaluate(
                 predictions, test_docs, labels, mode, overrides, args.weight_by
             )
             out[f"corrected_{mode}"] = corrected.to_dict()
@@ -241,27 +238,17 @@ def cmd_emit_rules(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    values = {}
-    if args.config:
-        for lineno, raw in enumerate(Path(args.config).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"bad synth config line {lineno}: {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
     config = EcosystemConfig(
-        n_sites=int(values.get("n_sites", args.sites)),
-        n_trackers=int(values.get("n_trackers", args.trackers)),
-        n_benign=int(values.get("n_benign", args.benign)),
-        tracker_embed_prob=float(
-            values.get("tracker_embed_prob", args.tracker_embed_prob)
-        ),
-        benign_embed_prob=float(values.get("benign_embed_prob", args.benign_embed_prob)),
-        bounce_prob=float(values.get("bounce_prob", args.bounce_prob)),
-        seed=int(values.get("seed", args.seed)),
+        n_sites=args.sites,
+        n_trackers=args.trackers,
+        n_benign=args.benign,
+        tracker_embed_prob=args.tracker_embed_prob,
+        benign_embed_prob=args.benign_embed_prob,
+        bounce_prob=args.bounce_prob,
+        seed=args.seed,
     )
+    if args.config:
+        config = pipeline_mod.load_config(EcosystemConfig, args.config, **vars(config))
     corpus = generate(config)
     paths = corpus.write(args.out_dir)
     print(

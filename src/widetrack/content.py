@@ -1,4 +1,4 @@
-"""URL tokenization, keyword weighting, and per-document feature assembly."""
+"""URL tokenization, keyword weighting, and per-document content rows."""
 
 from __future__ import annotations
 
@@ -143,20 +143,21 @@ def engineered(document: SubdomainDocument) -> list[float]:
     ]
 
 
-def assemble_vector(
-    document: SubdomainDocument,
+def content_rows(
+    documents: list[SubdomainDocument],
     vocabulary: Vocabulary,
-    struct_row: np.ndarray,
     clamp_idf: bool = False,
-) -> np.ndarray:
-    """Concatenate [keywords | engineered | structural] in fixed order."""
-    return np.concatenate(
-        [
-            keyword_scores(document, vocabulary, clamp_idf=clamp_idf),
-            np.array(engineered(document)),
-            np.asarray(struct_row, dtype=float),
-        ]
-    )
+) -> tuple[list[tuple[str, str]], list[str], np.ndarray]:
+    """(keys, columns, values): one [keywords | engineered] row per document,
+    ordered by (host, kind)."""
+    docs = sorted(documents, key=lambda d: (d.host, d.kind))
+    columns = feature_names(vocabulary, [])
+    values = np.empty((len(docs), len(columns)))
+    k = len(vocabulary.terms)
+    for i, doc in enumerate(docs):
+        values[i, :k] = keyword_scores(doc, vocabulary, clamp_idf=clamp_idf)
+        values[i, k:] = engineered(doc)
+    return [(d.host, d.kind) for d in docs], columns, values
 
 
 def feature_names(vocabulary: Vocabulary, struct_columns: list[str]) -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -194,30 +195,34 @@ def _rule_applies(rule: Rule, url_lower: str, url_domain: str, ctx: MatchContext
     return _options_pass(rule, url_domain, ctx) and rule.regex.search(url_lower) is not None
 
 
+def _url_targets(urls) -> Iterator[tuple[str, str]]:
+    """(lower-cased URL, its registrable domain) for each URL with a
+    hostname, in sorted order; hostless URLs match nothing."""
+    for url in sorted(urls):
+        url_lower = url.lower()
+        host = urlsplit(url_lower).hostname
+        if host:
+            yield url_lower, registrable_domain(host)
+
+
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     """True when some block rule matches and no exception rule does."""
-    url_lower = url.lower()
-    host = urlsplit(url_lower).hostname
-    if not host:
-        return False
-    url_domain = registrable_domain(host)
-    if not any(
-        _rule_applies(r, url_lower, url_domain, ctx) for r in rules.block_rules
-    ):
-        return False
-    return not any(
-        _rule_applies(r, url_lower, url_domain, ctx) for r in rules.exception_rules
+    return any(
+        any(_rule_applies(r, url_lower, url_domain, ctx) for r in rules.block_rules)
+        and not any(
+            _rule_applies(r, url_lower, url_domain, ctx) for r in rules.exception_rules
+        )
+        for url_lower, url_domain in _url_targets([url])
     )
 
 
 def any_block_match(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     """Block-rule hit test ignoring exceptions (rule-coverage checks)."""
-    url_lower = url.lower()
-    host = urlsplit(url_lower).hostname
-    if not host:
-        return False
-    url_domain = registrable_domain(host)
-    return any(_rule_applies(r, url_lower, url_domain, ctx) for r in rules.block_rules)
+    return any(
+        _rule_applies(r, url_lower, url_domain, ctx)
+        for url_lower, url_domain in _url_targets([url])
+        for r in rules.block_rules
+    )
 
 
 def label_document(
@@ -235,12 +240,7 @@ def label_document(
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url in sorted(document.urls):
-        url_lower = url.lower()
-        host = urlsplit(url_lower).hostname
-        if not host:
-            continue
-        url_domain = registrable_domain(host)
+    for url_lower, url_domain in _url_targets(document.urls):
         blocks = [r for r in rules.block_rules if r.regex.search(url_lower)]
         if not blocks:
             continue
@@ -266,12 +266,7 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url in sorted(document.urls):
-        url_lower = url.lower()
-        host = urlsplit(url_lower).hostname
-        if not host:
-            continue
-        url_domain = registrable_domain(host)
+    for url_lower, url_domain in _url_targets(document.urls):
         blocks = [r for r in rules.block_rules if r.regex.search(url_lower)]
         if any(
             _options_pass(r, url_domain, ctx) for ctx in contexts for r in blocks

@@ -57,12 +57,21 @@ class Tree:
     right: np.ndarray
     counts: np.ndarray  # (n_nodes, 2) class counts from the bootstrap sample
 
-    def predict_one(self, x: np.ndarray) -> int:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        c0, c1 = self.counts[i]
-        return 1 if c1 > c0 else 0
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index each row of X lands in, walking all rows level by level."""
+        node = np.zeros(len(X), dtype=np.intp)
+        active = np.nonzero(self.feature[node] >= 0)[0]
+        while len(active):
+            at = node[active]
+            go_left = X[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return node
+
+    def vote(self, X: np.ndarray) -> np.ndarray:
+        """1 where the row's leaf holds a strict adtracker majority, else 0."""
+        c = self.counts[self.apply(X)]
+        return (c[:, 1] > c[:, 0]).astype(np.int64)
 
 
 @dataclass
@@ -222,28 +231,19 @@ def train(X, y, params: ForestParams | None = None) -> ForestModel:
     )
 
 
-def predict(model: ForestModel, vector) -> tuple[int, float]:
-    """(majority label, fraction of trees voting adtracker).
+def predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """(majority labels, fraction of trees voting adtracker) per row of X.
 
     An exact tie votes benign: blocking should not ride on a coin flip.
     """
-    x = np.asarray(vector, dtype=np.float64)
-    if x.shape != (model.feature_count,):
-        raise ForestError(
-            f"expected {model.feature_count} features, got {x.shape}"
-        )
-    votes = sum(tree.predict_one(x) for tree in model.trees)
-    score = votes / len(model.trees)
-    return (1 if score > 0.5 else 0, score)
-
-
-def predict_many(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
-    labels = np.zeros(len(X), dtype=np.int64)
-    scores = np.zeros(len(X))
-    for i, x in enumerate(X):
-        labels[i], scores[i] = predict(model, x)
-    return labels, scores
+    if X.ndim != 2 or X.shape[1] != model.feature_count:
+        raise ForestError(
+            f"expected {model.feature_count} features, got {X.shape}"
+        )
+    votes = sum(tree.vote(X) for tree in model.trees)
+    scores = votes / len(model.trees)
+    return (scores > 0.5).astype(np.int64), scores
 
 
 def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -266,18 +266,15 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
         )
     votes = np.zeros(n)
     counts = np.zeros(n)
-    for t, tree in enumerate(model.trees):
-        seen = np.zeros(n, dtype=bool)
-        seen[model.in_bag[t]] = True
-        for r in np.nonzero(~seen)[0]:
-            votes[r] += tree.predict_one(X[r])
-            counts[r] += 1
-    scores = np.zeros(n)
-    for r in range(n):
-        if counts[r] > 0:
-            scores[r] = votes[r] / counts[r]
-        else:
-            _, scores[r] = predict(model, X[r])
+    for tree, sample in zip(model.trees, model.in_bag):
+        out_of_bag = np.ones(n, dtype=bool)
+        out_of_bag[sample] = False
+        votes += out_of_bag * tree.vote(X)
+        counts += out_of_bag
+    scores = np.divide(votes, counts, out=np.zeros(n), where=counts > 0)
+    every_tree_saw = counts == 0
+    if every_tree_saw.any():
+        _, scores[every_tree_saw] = predict(model, X[every_tree_saw])
     labels = (scores > 0.5).astype(np.int64)
     return labels, scores
 

@@ -50,13 +50,6 @@ class SubdomainDocument:
     sites: set[str]
     parent: NodeKey
 
-    def url_list(self) -> list[str]:
-        """URLs expanded by multiplicity, in sorted order."""
-        out = []
-        for url in sorted(self.urls):
-            out.extend([url] * self.urls[url])
-        return out
-
 
 @dataclass
 class Node:
@@ -94,20 +87,6 @@ class WideGraph:
             node = self.nodes[key]
             docs.extend(node.documents[h] for h in sorted(node.documents))
         return docs
-
-    def in_edges(self, key: NodeKey):
-        return [
-            (src, label, data)
-            for (src, dst, label), data in self.edges.items()
-            if dst == key
-        ]
-
-    def out_edges(self, key: NodeKey):
-        return [
-            (dst, label, data)
-            for (src, dst, label), data in self.edges.items()
-            if src == key
-        ]
 
     def in_degree(self, key: NodeKey) -> int:
         """Distinct in-edges, multiplicity ignored."""

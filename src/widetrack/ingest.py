@@ -90,14 +90,27 @@ class DependencyTree:
 
     @classmethod
     def from_record(cls, rec: dict) -> "DependencyTree":
-        return cls(
+        """Inverse of to_record; KeyError, TypeError or ValueError on a record
+        with a missing key, a field of the wrong type or a dangling edge."""
+        tree = cls(
             root_url=rec["root_url"],
             root_domain=rec["root_domain"],
             nodes={u: k for u, k in rec["nodes"]},
             edges={(s, d): m for s, d, m in rec["edges"]},
-            diagnostics=Counter(rec.get("diagnostics", {})),
-            skipped=Counter(rec.get("skipped", {})),
+            diagnostics=Counter(dict(rec.get("diagnostics", {}))),
+            skipped=Counter(dict(rec.get("skipped", {}))),
         )
+        texts = [tree.root_url, tree.root_domain]
+        texts += [t for pair in (*tree.nodes.items(), *tree.edges) for t in pair]
+        if not all(isinstance(t, str) for t in texts):
+            raise TypeError("urls, domains and kinds must be strings")
+        tallies = [*tree.edges.values(), *tree.diagnostics.values()]
+        tallies += tree.skipped.values()
+        if not all(type(c) is int for c in tallies):
+            raise TypeError("multiplicities and tallies must be integers")
+        if any(u not in tree.nodes for edge in tree.edges for u in edge):
+            raise ValueError("edge endpoint is not a node")
+        return tree
 
 
 def _valid_url(url: str) -> bool:
@@ -108,11 +121,18 @@ def _valid_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
+def _typed(obj, key: str, kind: type):
+    """``obj[key]`` when ``obj`` is a dict and the value is a ``kind``, else
+    None: a field of the wrong type counts as absent."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return value if isinstance(value, kind) else None
+
+
 def _stack_top_url(stack: dict) -> str | None:
     """First frame URL in a Chromium initiator call stack, parents included."""
     while isinstance(stack, dict):
-        for frame in stack.get("callFrames", []):
-            url = frame.get("url")
+        for frame in _typed(stack, "callFrames", list) or ():
+            url = _typed(frame, "url", str)
             if url:
                 return url
         stack = stack.get("parent")
@@ -174,13 +194,10 @@ def parse_har(data: bytes) -> SessionRecord:
         raise HarParseError("log.entries is not a list")
 
     skipped: Counter = Counter()
-    parsed: list[tuple[str, dict]] = []
+    parsed: list[tuple[str, str, dict]] = []
     for raw in raw_entries:
-        if not isinstance(raw, dict) or "request" not in raw:
-            skipped["malformed_entry"] += 1
-            continue
-        url = raw.get("request", {}).get("url")
-        if not isinstance(url, str) or not url:
+        url = _typed(_typed(raw, "request", dict), "url", str)
+        if not url:
             skipped["malformed_entry"] += 1
             continue
         scheme = url.split(":", 1)[0].lower()
@@ -190,51 +207,52 @@ def parse_har(data: bytes) -> SessionRecord:
         if not _valid_url(url):
             skipped["bad_url"] += 1
             continue
-        parsed.append((raw.get("startedDateTime", ""), raw))
+        parsed.append((_typed(raw, "startedDateTime", str) or "", url, raw))
     if not parsed:
         raise HarParseError("no usable entries in capture")
 
     parsed.sort(key=lambda item: item[0])  # stable: ties keep file order
-    document_url = parsed[0][1]["request"]["url"]
+    document_url = parsed[0][1]
 
     entries = []
-    for started_at, raw in parsed:
-        url = raw["request"]["url"]
-        ini = raw.get("_initiator") or {}
+    for started_at, url, raw in parsed:
+        ini = raw.get("_initiator")
         if isinstance(ini, str):
             ini = {"url": ini}
+        elif not isinstance(ini, dict):
+            ini = {}
         ini_type = str(ini.get("type", "")).lower()
         if ini_type not in INITIATOR_TYPES:
             ini_type = "other" if ini_type else "unknown"
 
-        initiator_url = ini.get("url")
-        if not initiator_url and isinstance(ini.get("stack"), dict):
-            initiator_url = _stack_top_url(ini["stack"])
+        initiator_url = _typed(ini, "url", str)
+        if not initiator_url:
+            initiator_url = _stack_top_url(ini.get("stack"))
         if not initiator_url and ini_type == "parser":
             initiator_url = document_url
         if not initiator_url:
             ini_type = "unknown"
             initiator_url = None
 
-        mime = raw.get("response", {}).get("content", {}).get("mimeType")
+        content = _typed(_typed(raw, "response", dict), "content", dict)
         entries.append(
             RequestEntry(
                 url=url,
                 initiator_url=initiator_url,
                 initiator_type=ini_type,
-                resource_type=raw.get("_resourceType"),
+                resource_type=_typed(raw, "_resourceType", str),
                 started_at=started_at,
-                mime=mime,
+                mime=_typed(content, "mimeType", str),
             )
         )
 
     # Redirect hops initiate their targets; fill that in where the capture
     # left the target's initiator unknown.
     redirects: dict[str, str] = {}
-    for _, raw in parsed:
-        target = raw.get("response", {}).get("redirectURL")
+    for _, url, raw in parsed:
+        target = _typed(_typed(raw, "response", dict), "redirectURL", str)
         if target:
-            redirects.setdefault(target, raw["request"]["url"])
+            redirects.setdefault(target, url)
     entries = [
         e
         if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
@@ -306,7 +324,22 @@ def read_trees(data: bytes) -> list[DependencyTree]:
     lines = data.decode("utf-8").splitlines()
     if not lines:
         raise HarParseError("empty trees file")
-    header = json.loads(lines[0])
-    if header.get("format") != "widetrack-trees" or header.get("version") != 1:
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        header = None
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != "widetrack-trees"
+        or header.get("version") != 1
+    ):
         raise HarParseError("unrecognized trees file header")
-    return [DependencyTree.from_record(json.loads(line)) for line in lines[1:] if line]
+    trees = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        try:
+            trees.append(DependencyTree.from_record(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HarParseError(f"bad trees record on line {lineno}: {exc!r}") from exc
+    return trees

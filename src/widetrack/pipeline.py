@@ -8,7 +8,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ import numpy as np
 from . import content as content_mod
 from . import forest as forest_mod
 from . import structural as structural_mod
+from .domains import registrable_domain
 from .filters import (
     ADTRACKER,
     BENIGN,
@@ -27,6 +28,7 @@ from .filters import (
     parse_rules,
 )
 from .graph import (
+    NodeKey,
     SubdomainDocument,
     WideGraph,
     build_widegraph,
@@ -165,7 +167,7 @@ def compute_metrics(
     )
 
 
-def evaluate_predictions(
+def evaluate(
     predictions: dict[tuple[str, str], tuple[int, float]],
     test_docs: list[SubdomainDocument],
     labels: dict[tuple[str, str], Label],
@@ -202,27 +204,6 @@ def evaluate_predictions(
             weight = float(sum(doc.urls.values()))
         rows.append((truth, CLASS_NAMES[pred], weight))
     return compute_metrics(rows, mode, corrected=overrides is not None)
-
-
-def evaluate(
-    model: forest_mod.ForestModel,
-    test_docs: list[SubdomainDocument],
-    vectors: dict[tuple[str, str], np.ndarray],
-    labels: dict[tuple[str, str], Label],
-    mode: str = "unbiased",
-    overrides: dict[str, str] | None = None,
-    weight_by: str = "sites",
-) -> MetricsReport:
-    """Score the model on test documents; see evaluate_predictions."""
-    predictions = {}
-    for doc in test_docs:
-        key = (doc.host, doc.kind)
-        if key not in vectors:
-            raise DataError(f"document {doc.host} ({doc.kind}) has no feature vector")
-        predictions[key] = forest_mod.predict(model, vectors[key])
-    return evaluate_predictions(
-        predictions, test_docs, labels, mode, overrides, weight_by
-    )
 
 
 def emit_candidate_rules(
@@ -372,23 +353,12 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
 
 
 def write_content_matrix(
-    docs: list[SubdomainDocument],
-    vocabulary: content_mod.Vocabulary,
-    clamp_idf: bool = False,
+    keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
 ) -> bytes:
-    columns = [f"kw:{t}" for t in vocabulary.terms] + list(
-        content_mod.ENGINEERED_COLUMNS
-    )
-    lines = ["\t".join(["host", "kind"] + columns)]
-    for doc in sorted(docs, key=lambda d: (d.host, d.kind)):
-        kw = content_mod.keyword_scores(doc, vocabulary, clamp_idf=clamp_idf)
-        eng = content_mod.engineered(doc)
-        cells = (
-            [doc.host, doc.kind]
-            + [repr(float(v)) for v in kw]
-            + [repr(float(v)) for v in eng]
-        )
-        lines.append("\t".join(cells))
+    """Content feature table; the exact inverse of read_content_matrix."""
+    lines = ["\t".join(["host", "kind", *columns])]
+    for (host, kind), row in zip(keys, values):
+        lines.append("\t".join([host, kind] + [repr(v) for v in row.tolist()]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -414,34 +384,55 @@ def read_content_matrix(data: bytes):
 
 # --- configuration and the full run ---
 
-_CONFIG_DEFAULTS = {
-    "har_dir": "",
-    "rules_files": "",
-    "overrides_file": "",
-    "out_dir": "out",
-    "vocab_size": 1000,
-    "vocab_rank": "df",
-    "clamp_idf": False,
-    "refex_depth": 2,
-    "prune_threshold": 0.95,
-    "directed_neighbors": False,
-    "n_trees": 250,
-    "mtry": None,
-    "max_depth": None,
-    "forest_seed": 29,
-    "train_frac": 0.8,
-    "split_seed": 13,
-    "stratified": False,
-    "min_in_degree": 3,
-    "weight_by": "sites",
+def _to_bool(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes", "on")
+
+
+def _to_optional_int(value: str) -> int | None:
+    if value in ("", "None", "none"):
+        return None
+    return int(value)
+
+
+# Config-file value conversions, keyed by a dataclass field's annotation.
+_CONVERTERS = {
+    "Path": Path,
+    "Path | None": lambda v: Path(v) if v else None,
+    "list[Path]": lambda v: [Path(p) for p in v.split()],
+    "str": str,
+    "int": int,
+    "int | None": _to_optional_int,
+    "float": float,
+    "bool": _to_bool,
 }
+
+
+def load_config(cls, path: str | Path, **base):
+    """Build dataclass ``cls`` from ``key = value`` lines ('#' comments).
+
+    File values override ``base``, which overrides the field defaults; each
+    value is converted by its field's annotation.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    values = dict(base)
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"bad config line {lineno}: {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in types:
+            raise DataError(f"unknown config key {key!r}")
+        values[key] = _CONVERTERS[types[key]](value)
+    return cls(**values)
 
 
 @dataclass
 class PipelineConfig:
-    har_dir: Path
-    rules_files: list[Path]
-    out_dir: Path
+    har_dir: Path = Path()
+    rules_files: list[Path] = field(default_factory=list)
+    out_dir: Path = Path("out")
     overrides_file: Path | None = None
     vocab_size: int = 1000
     vocab_rank: str = "df"
@@ -461,52 +452,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        values = dict(_CONFIG_DEFAULTS)
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"bad config line {lineno}: {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in values:
-                raise DataError(f"unknown config key {key!r}")
-            values[key] = value
-        return cls(
-            har_dir=Path(values["har_dir"]),
-            rules_files=[Path(p) for p in str(values["rules_files"]).split() if p],
-            out_dir=Path(values["out_dir"]),
-            overrides_file=Path(values["overrides_file"])
-            if values["overrides_file"]
-            else None,
-            vocab_size=int(values["vocab_size"]),
-            vocab_rank=str(values["vocab_rank"]),
-            clamp_idf=_to_bool(values["clamp_idf"]),
-            refex_depth=int(values["refex_depth"]),
-            prune_threshold=float(values["prune_threshold"]),
-            directed_neighbors=_to_bool(values["directed_neighbors"]),
-            n_trees=int(values["n_trees"]),
-            mtry=_to_optional_int(values["mtry"]),
-            max_depth=_to_optional_int(values["max_depth"]),
-            forest_seed=int(values["forest_seed"]),
-            train_frac=float(values["train_frac"]),
-            split_seed=int(values["split_seed"]),
-            stratified=_to_bool(values["stratified"]),
-            min_in_degree=int(values["min_in_degree"]),
-            weight_by=str(values["weight_by"]),
-        )
-
-
-def _to_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
-
-
-def _to_optional_int(value):
-    if value in (None, "", "None", "none"):
-        return None
-    return int(value)
+        return load_config(cls, path)
 
 
 def ingest_har_dir(har_dir: str | Path):
@@ -524,17 +470,18 @@ def ingest_har_dir(har_dir: str | Path):
 
 
 def assemble_all_vectors(
-    docs: list[SubdomainDocument],
-    vocabulary: content_mod.Vocabulary,
+    keys: list[tuple[str, str]],
+    content_values: np.ndarray,
     struct_matrix: structural_mod.StructMatrix,
-    clamp_idf: bool = False,
 ) -> dict[tuple[str, str], np.ndarray]:
-    return {
-        (doc.host, doc.kind): content_mod.assemble_vector(
-            doc, vocabulary, struct_matrix.row(doc.parent), clamp_idf=clamp_idf
-        )
-        for doc in docs
-    }
+    """Join content rows (host-keyed) with their parent node's structural
+    row into per-document vectors ordered [keywords | engineered | structural]."""
+    width = content_values.shape[1]
+    matrix = np.empty((len(keys), width + len(struct_matrix.columns)))
+    matrix[:, :width] = content_values
+    for i, (host, kind) in enumerate(keys):
+        matrix[i, width:] = struct_matrix.row(NodeKey(registrable_domain(host), kind))
+    return {key: matrix[i] for i, key in enumerate(keys)}
 
 
 def run_all(cfg: PipelineConfig) -> dict:
@@ -586,10 +533,14 @@ def run_all(cfg: PipelineConfig) -> dict:
         train_docs, k=cfg.vocab_size, rank_by=cfg.vocab_rank
     )
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
-    (out / "content.tsv").write_bytes(
-        write_content_matrix(eligible, vocabulary, clamp_idf=cfg.clamp_idf)
+    keys, columns, content_values = content_mod.content_rows(
+        eligible, vocabulary, cfg.clamp_idf
     )
-    vectors = assemble_all_vectors(eligible, vocabulary, struct, cfg.clamp_idf)
+    (out / "content.tsv").write_bytes(
+        write_content_matrix(keys, columns, content_values)
+    )
+    vectors = assemble_all_vectors(keys, content_values, struct)
+    del content_values  # the vectors now hold the only copy
 
     X_train = np.vstack([vectors[(d.host, d.kind)] for d in train_docs])
     y_train = np.array(
@@ -611,38 +562,40 @@ def run_all(cfg: PipelineConfig) -> dict:
     # training labels, which would mask any list-label disagreement there and
     # hide exactly the unlisted trackers candidate emission exists to find.
     oob_labels, oob_scores = forest_mod.oob_predict(model, X_train)
-    oob_by_key = {
+    predictions = {
         (d.host, d.kind): (int(oob_labels[i]), float(oob_scores[i]))
         for i, d in enumerate(train_docs)
     }
-    score_rows = []
-    scored_docs = []
-    for doc in eligible:
-        key = (doc.host, doc.kind)
-        if key in oob_by_key:
-            pred, score = oob_by_key[key]
-            basis = "oob"
-        else:
-            pred, score = forest_mod.predict(model, vectors[key])
-            basis = "full"
-        score_rows.append((doc.host, doc.kind, pred, score, basis))
-        scored_docs.append((doc, pred, score))
+    full_keys = [key for key in keys if key not in predictions]
+    if full_keys:
+        full_labels, full_scores = forest_mod.predict(
+            model, np.vstack([vectors[k] for k in full_keys])
+        )
+        predictions.update(
+            (key, (int(pred), float(score)))
+            for key, pred, score in zip(full_keys, full_labels, full_scores)
+        )
+    full = set(full_keys)
+    scored_docs = [(d, *predictions[(d.host, d.kind)]) for d in eligible]
+    score_rows = [
+        (d.host, d.kind, pred, score, "full" if (d.host, d.kind) in full else "oob")
+        for d, pred, score in scored_docs
+    ]
     (out / "scores.tsv").write_bytes(write_scores_file(score_rows))
 
     reports = {
-        "unbiased": evaluate(model, test_docs, vectors, labels, "unbiased"),
+        "unbiased": evaluate(predictions, test_docs, labels, "unbiased"),
         "biased": evaluate(
-            model, test_docs, vectors, labels, "biased", weight_by=cfg.weight_by
+            predictions, test_docs, labels, "biased", weight_by=cfg.weight_by
         ),
     }
     if overrides:
         reports["corrected_unbiased"] = evaluate(
-            model, test_docs, vectors, labels, "unbiased", overrides=overrides
+            predictions, test_docs, labels, "unbiased", overrides=overrides
         )
         reports["corrected_biased"] = evaluate(
-            model,
+            predictions,
             test_docs,
-            vectors,
             labels,
             "biased",
             overrides=overrides,

@@ -17,7 +17,7 @@ import pytest
 
 from widetrack.content import build_vocabulary, doc_token_counts, tfidf
 from widetrack.filters import MatchContext, RuleSet, matches, parse_rules
-from widetrack.forest import ForestParams, predict_many, save_model, train
+from widetrack.forest import ForestParams, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
     Node,
@@ -264,12 +264,12 @@ def test_criterion_4_forest_sanity():
     model_b = train(X_train, y_train, ForestParams(n_trees=60, seed=123))
     assert save_model(model_a) == save_model(model_b)  # (a) determinism
 
-    labels, _ = predict_many(model_a, X_test)
+    labels, _ = predict(model_a, X_test)
     assert np.array_equal(labels, y_test)  # (b) linearly separable held-out
 
     for tree, sample in zip(model_a.trees, model_a.in_bag):  # (c) bootstrap recall
-        for row in sample:
-            assert tree.predict_one(X_train[row]) == y_train[row]
+        for row, vote in zip(sample, tree.vote(X_train[sample])):
+            assert vote == y_train[row]
     print(
         "criterion 4: PASS: byte-identical retrain, 100% held-out on separable data, "
         "100% per-tree bootstrap accuracy"

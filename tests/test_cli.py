@@ -117,6 +117,59 @@ def test_synth_command(tmp_path):
     assert (out / "truth-rules.txt").exists()
 
 
+def test_synth_unknown_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_site = 4\n")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+    assert "n_site" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_ingest_list_initiator(tmp_path):
+    har_dir = tmp_path / "har"
+    har_dir.mkdir()
+    entries = [
+        {"startedDateTime": "1", "request": {"url": "https://www.site.com/"}},
+        {"startedDateTime": "2", "request": {"url": "https://px.t.net/p"}, "_initiator": ["x"]},
+    ]
+    (har_dir / "a.har").write_text(json.dumps({"log": {"entries": entries}}))
+    assert main(["ingest", "--har-dir", str(har_dir), "--out", str(tmp_path / "t")]) == 0
+
+
+def test_staged_commands_reproduce_run_all(corpus_dir, tmp_path):
+    """The staged CLI and run-all share one content table and one evaluation
+    path, so on the default config they write the same bytes and metrics."""
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\n"
+        f"rules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out_dir}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    graph = str(out_dir / "graph.jsonl")
+    content = tmp_path / "content.tsv"
+    struct = tmp_path / "structural.tsv"
+    report = tmp_path / "report.json"
+    assert main(["features", "content", "--graph", graph, "--out", str(content)]) == 0
+    assert main(["features", "structural", "--graph", graph, "--out", str(struct)]) == 0
+    assert content.read_bytes() == (out_dir / "content.tsv").read_bytes()
+    assert struct.read_bytes() == (out_dir / "structural.tsv").read_bytes()
+    assert (
+        main(
+            [
+                "evaluate", "--graph", graph, "--scores", str(out_dir / "scores.tsv"),
+                "--labels", str(out_dir / "labels.tsv"), "--mode", "both",
+                "--out", str(report),
+            ]
+        )
+        == 0
+    )
+    staged = json.loads(report.read_text())
+    reports = json.loads((out_dir / "report.json").read_text())["reports"]
+    assert staged == {mode: reports[mode] for mode in ("biased", "unbiased")}
+
+
 def test_run_all_command(corpus_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
@@ -154,3 +207,9 @@ def test_data_error_exits_two(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not a graph\n")
     assert main(["graph", "stats", "--graph", str(bad)]) == 2
+    no_root = tmp_path / "no_root.jsonl"
+    no_root.write_text(
+        '{"format": "widetrack-trees", "version": 1}\n'
+        '{"root_url": "https://a.com/", "nodes": [], "edges": []}\n'
+    )
+    assert main(["graph", "build", "--trees", str(no_root), "--out", str(tmp_path / "g")]) == 2

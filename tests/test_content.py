@@ -9,8 +9,8 @@ from widetrack.content import (
     ENGINEERED_COLUMNS,
     Vocabulary,
     VocabularyError,
-    assemble_vector,
     build_vocabulary,
+    content_rows,
     doc_token_counts,
     engineered,
     feature_names,
@@ -20,6 +20,8 @@ from widetrack.content import (
     tokenize_url,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
+from widetrack.pipeline import assemble_all_vectors
+from widetrack.structural import StructMatrix
 
 
 def doc(host, kind, urls, sites=("site.com",)):
@@ -173,6 +175,19 @@ class TestEngineered:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             engineered(doc("a.com", "other", []))
+
+
+def assemble_vector(document, vocabulary, struct_row):
+    """One document's [keywords | engineered | structural] vector, built by
+    the same content-row and join functions the pipeline uses."""
+    keys, _, values = content_rows([document], vocabulary)
+    struct = StructMatrix(
+        keys=[document.parent],
+        columns=[f"s{i}" for i in range(len(struct_row))],
+        generations=[0] * len(struct_row),
+        values=np.array([struct_row], dtype=float),
+    )
+    return assemble_all_vectors(keys, values, struct)[(document.host, document.kind)]
 
 
 class TestAssemble:

@@ -11,7 +11,6 @@ from widetrack.forest import (
     load_model,
     oob_predict,
     predict,
-    predict_many,
     save_model,
     train,
 )
@@ -69,7 +68,7 @@ class TestThresholdData:
         self.model = train(self.X, self.y, ForestParams(n_trees=50, seed=3))
 
     def test_training_accuracy_is_perfect(self):
-        labels, _ = predict_many(self.model, self.X)
+        labels, _ = predict(self.model, self.X)
         assert np.array_equal(labels, self.y)
 
     def test_every_split_lands_between_the_classes(self):
@@ -83,15 +82,15 @@ class TestThresholdData:
 
     def test_per_tree_bootstrap_accuracy(self):
         for tree, sample in zip(self.model.trees, self.model.in_bag):
-            for row in sample:
-                assert tree.predict_one(self.X[row]) == self.y[row]
+            for row, vote in zip(sample, tree.vote(self.X[sample])):
+                assert vote == self.y[row]
 
 
 class TestXor:
     def test_unlimited_depth_learns_xor(self):
         X, y = xor_data()
         model = train(X, y, ForestParams(n_trees=100, seed=11))
-        labels, _ = predict_many(model, X)
+        labels, _ = predict(model, X)
         assert np.array_equal(labels, y)
 
     def test_depth_zero_cannot_split(self):
@@ -103,24 +102,26 @@ class TestXor:
 class TestPredict:
     def test_single_tree_forest_is_that_tree(self):
         model = ForestModel(trees=[leaf_tree(1, 9)], feature_count=3, params=ForestParams(n_trees=1))
-        assert predict(model, np.zeros(3)) == (1, 1.0)
+        labels, scores = predict(model, np.zeros((1, 3)))
+        assert (labels[0], scores[0]) == (1, 1.0)
 
     def test_vote_fraction(self):
         trees = [leaf_tree(0, 5) for _ in range(130)] + [leaf_tree(5, 0) for _ in range(120)]
         model = ForestModel(trees=trees, feature_count=2, params=ForestParams(n_trees=250))
-        assert predict(model, np.zeros(2)) == (1, 0.52)
+        labels, scores = predict(model, np.zeros((1, 2)))
+        assert (labels[0], scores[0]) == (1, 0.52)
 
     def test_exact_tie_votes_benign(self):
         trees = [leaf_tree(0, 1) for _ in range(5)] + [leaf_tree(1, 0) for _ in range(5)]
         model = ForestModel(trees=trees, feature_count=1, params=ForestParams(n_trees=10))
-        label, score = predict(model, np.zeros(1))
-        assert (label, score) == (0, 0.5)
+        labels, scores = predict(model, np.zeros((1, 1)))
+        assert (labels[0], scores[0]) == (0, 0.5)
 
     def test_score_is_a_vote_multiple(self):
         X, y = xor_data(4)
         model = train(X, y, ForestParams(n_trees=40, seed=2))
-        _, score = predict(model, np.array([0.2, 0.9]))
-        assert score in {i / 40 for i in range(41)}
+        _, scores = predict(model, np.array([[0.2, 0.9]]))
+        assert scores[0] in {i / 40 for i in range(41)}
 
     def test_dimension_mismatch_rejected(self):
         X, y = xor_data(2)
@@ -128,12 +129,18 @@ class TestPredict:
         with pytest.raises(ForestError, match="expected 2 features"):
             predict(model, np.zeros(5))
 
+    def test_wrong_width_matrix_rejected(self):
+        X, y = xor_data(2)
+        model = train(X, y, ForestParams(n_trees=3, seed=1))
+        with pytest.raises(ForestError, match="expected 2 features"):
+            predict(model, np.zeros((4, 5)))
+
     def test_training_point_recovered_by_overfit_forest(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(30, 4))
         y = (X[:, 0] + 0.3 * X[:, 1] > 0).astype(int)
         model = train(X, y, ForestParams(n_trees=150, seed=8))
-        labels, _ = predict_many(model, X)
+        labels, _ = predict(model, X)
         assert np.array_equal(labels, y)
 
 
@@ -156,8 +163,8 @@ class TestDeterminism:
         data = save_model(model)
         loaded = load_model(data)
         assert save_model(loaded) == data
-        l1, s1 = predict_many(model, X)
-        l2, s2 = predict_many(loaded, X)
+        l1, s1 = predict(model, X)
+        l2, s2 = predict(loaded, X)
         assert np.array_equal(l1, l2) and np.array_equal(s1, s2)
 
     def test_corrupt_model_rejected(self):
@@ -203,14 +210,59 @@ class TestOob:
         y = np.array([0] * 20 + [1] * 20)
         y[5] = 1  # mislabel one left-cluster point
         model = train(X, y, ForestParams(n_trees=200, seed=6))
-        full_label, _ = predict(model, X[5])
+        full_labels, _ = predict(model, X[5:6])
         oob_labels, oob_scores = oob_predict(model, X)
-        assert full_label == 1
+        assert full_labels[0] == 1
         assert oob_labels[5] == 0
         assert oob_scores[5] < 0.5
+
+    def test_rows_every_tree_sampled_take_the_full_vote(self):
+        trees = [leaf_tree(0, 3), leaf_tree(3, 0), leaf_tree(0, 3)]
+        in_bag = [np.array([0, 1, 1]), np.array([0, 1, 2]), np.array([0, 0, 1])]
+        model = ForestModel(
+            trees=trees, feature_count=1, params=ForestParams(n_trees=3), in_bag=in_bag
+        )
+        labels, scores = oob_predict(model, np.zeros((3, 1)))
+        assert scores[0] == scores[1] == 2 / 3  # in every bootstrap
+        assert scores[2] == 1.0  # out of bag for trees 0 and 2 only
+        assert labels.tolist() == [1, 1, 1]
 
     def test_loaded_model_has_no_bootstrap_record(self):
         X, y = xor_data(2)
         model = load_model(save_model(train(X, y, ForestParams(n_trees=2, seed=1))))
         with pytest.raises(ForestError):
             oob_predict(model, X)
+
+
+def walk(tree, x):
+    """Reference leaf lookup: one row, one node at a time."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return i
+
+
+class TestBatchedWalk:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.X = rng.normal(size=(50, 4))
+        y = (self.X[:, 0] * self.X[:, 1] > 0).astype(int)
+        self.model = train(self.X, y, ForestParams(n_trees=15, seed=12))
+        self.probe = np.vstack([rng.normal(size=(30, 4)), np.full((1, 4), np.nan)])
+
+    def test_apply_matches_a_row_by_row_walk(self):
+        for tree in self.model.trees:
+            assert tree.apply(self.probe).tolist() == [walk(tree, x) for x in self.probe]
+
+    def test_oob_scores_match_a_row_by_row_vote(self):
+        votes = np.zeros(len(self.X))
+        counts = np.zeros(len(self.X))
+        for tree, sample in zip(self.model.trees, self.model.in_bag):
+            for r in sorted(set(range(len(self.X))) - set(sample.tolist())):
+                c0, c1 = tree.counts[walk(tree, self.X[r])]
+                votes[r] += int(c1 > c0)
+                counts[r] += 1
+        _, scores = oob_predict(self.model, self.X)
+        for r in range(len(self.X)):
+            if counts[r]:
+                assert scores[r] == votes[r] / counts[r]

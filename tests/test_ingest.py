@@ -116,6 +116,50 @@ class TestParseHar:
         assert {e.url: e.initiator_url for e in record.entries}[target] == SCRIPT
 
 
+class TestWrongFieldTypes:
+    """A field of the wrong type counts as absent; one bad entry never costs
+    the rest of the capture."""
+
+    def test_string_initiator_is_a_url(self):
+        record = parse_har(har_bytes([entry(PAGE, rt="document"), entry(PIXEL, initiator=SCRIPT)]))
+        assert record.entries[1].initiator_url == SCRIPT
+
+    @pytest.mark.parametrize("initiator", [["parser"], 7, True, {"url": ["x"]}])
+    def test_non_dict_initiator_is_unknown(self, initiator):
+        record = parse_har(har_bytes([entry(PAGE, rt="document"), entry(PIXEL, initiator=initiator)]))
+        assert len(record.entries) == 2
+        assert record.entries[1].initiator_url is None
+        assert record.entries[1].initiator_type == "unknown"
+
+    @pytest.mark.parametrize("request_", [None, "https://a.com/", ["x"], {"url": 5}])
+    def test_unusable_request_is_malformed(self, request_):
+        bad = {"startedDateTime": "2024-01-01T00:00:00.001Z", "request": request_}
+        record = parse_har(har_bytes([entry(PAGE, rt="document"), bad]))
+        assert len(record.entries) == 1
+        assert record.skipped["malformed_entry"] == 1
+
+    @pytest.mark.parametrize(
+        "response",
+        [["x"], "text/html", {"content": "image/gif"}, {"content": {"mimeType": 3}},
+         {"redirectURL": ["x"]}],
+    )
+    def test_non_dict_response_has_no_mime_or_redirect(self, response):
+        odd = entry(PIXEL, started="2024-01-01T00:00:00.001Z")
+        odd["response"] = response
+        record = parse_har(har_bytes([entry(PAGE, rt="document"), odd]))
+        assert record.entries[1].mime is None
+        assert record.entries[1].initiator_url is None
+
+    def test_wrong_type_elsewhere_in_the_entry(self):
+        odd = entry(PIXEL, initiator={"type": "script", "stack": {"callFrames": 4}})
+        odd["_resourceType"] = ["script"]
+        odd["startedDateTime"] = 12
+        record = parse_har(har_bytes([entry(PAGE, rt="document"), odd]))
+        assert [e.url for e in record.entries] == [PIXEL, PAGE]
+        assert record.entries[0].resource_type is None
+        assert record.entries[0].initiator_url is None
+
+
 def test_interaction_kind_variants():
     from widetrack.ingest import NODE_KINDS
 
@@ -253,3 +297,23 @@ def test_trees_file_round_trip():
 def test_trees_file_rejects_garbage():
     with pytest.raises(HarParseError):
         read_trees(b'{"format": "something-else", "version": 9}\n')
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda rec: rec.pop("root_domain"),
+        lambda rec: rec.update(root_url=5),
+        lambda rec: rec.update(nodes=7),
+        lambda rec: rec.update(edges=[["a", "b"]]),
+        lambda rec: rec.update(edges=[[PAGE, "https://elsewhere.org/", 1]]),
+        lambda rec: rec.update(diagnostics={"self_edge_dropped": "x"}),
+    ],
+)
+def test_trees_file_bad_record_names_the_line(change):
+    tree = build_tree(parse_har(chain_fixture()))
+    rec = tree.to_record()
+    change(rec)
+    data = write_trees([tree]) + (json.dumps(rec) + "\n").encode()
+    with pytest.raises(HarParseError, match="line 3"):
+        read_trees(data)

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from widetrack.filters import ADTRACKER, BENIGN, Label, parse_rules
@@ -10,7 +11,7 @@ from widetrack.pipeline import (
     analysis_tables,
     compute_metrics,
     emit_candidate_rules,
-    evaluate_predictions,
+    evaluate,
     filter_eligible,
     read_content_matrix,
     read_labels_file,
@@ -183,8 +184,8 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),  # correct, weight 9
             ("cdn.good.org", "script"): (1, 0.8),  # wrong, weight 1
         }
-        biased = evaluate_predictions(predictions, docs, labels, "biased")
-        unbiased = evaluate_predictions(predictions, docs, labels, "unbiased")
+        biased = evaluate(predictions, docs, labels, "biased")
+        unbiased = evaluate(predictions, docs, labels, "unbiased")
         assert biased.accuracy == pytest.approx(0.9)
         assert unbiased.accuracy == pytest.approx(0.5)
 
@@ -195,8 +196,8 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),
             ("cdn.good.org", "script"): (0, 0.1),
         }
-        biased = evaluate_predictions(predictions, docs, labels, "biased")
-        unbiased = evaluate_predictions(predictions, docs, labels, "unbiased")
+        biased = evaluate(predictions, docs, labels, "biased")
+        unbiased = evaluate(predictions, docs, labels, "unbiased")
         assert biased.to_dict() | {"mode": ""} == unbiased.to_dict() | {"mode": ""}
 
     def test_overrides_correct_false_positives(self):
@@ -205,8 +206,8 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),
             ("cdn.good.org", "script"): (1, 0.8),  # model right, list wrong
         }
-        plain = evaluate_predictions(predictions, docs, labels, "unbiased")
-        corrected = evaluate_predictions(
+        plain = evaluate(predictions, docs, labels, "unbiased")
+        corrected = evaluate(
             predictions, docs, labels, "unbiased", overrides={"cdn.good.org": ADTRACKER}
         )
         assert corrected.corrected
@@ -216,15 +217,15 @@ class TestEvaluatePredictions:
     def test_missing_label_and_vector_named(self):
         docs, labels = self.fixture()
         with pytest.raises(DataError, match="px.t.net"):
-            evaluate_predictions({}, docs, labels, "unbiased")
+            evaluate({}, docs, labels, "unbiased")
         del labels[("px.t.net", "script")]
         with pytest.raises(DataError, match="px.t.net"):
-            evaluate_predictions({}, docs, labels, "unbiased")
+            evaluate({}, docs, labels, "unbiased")
 
     def test_unknown_mode_rejected(self):
         docs, labels = self.fixture()
         with pytest.raises(DataError):
-            evaluate_predictions({}, docs, labels, "sideways")
+            evaluate({}, docs, labels, "sideways")
 
 
 class TestEmitCandidateRules:
@@ -292,14 +293,25 @@ class TestFileFormats:
         assert scores == {("px.t.net", "script"): (1, 0.75), ("cdn.x.org", "media"): (0, 0.1)}
 
     def test_content_matrix_round_trip(self):
-        from widetrack.content import build_vocabulary
+        from widetrack.content import build_vocabulary, content_rows
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
         vocab = build_vocabulary(docs, k=10)
-        keys, columns, values = read_content_matrix(write_content_matrix(docs, vocab))
+        keys, columns, values = read_content_matrix(
+            write_content_matrix(*content_rows(docs, vocab))
+        )
         assert keys == [("cdn.good.org", "media"), ("px.t.net", "script")]
         assert len(columns) == 10 + 5
         assert values.shape == (2, 15)
+
+    def test_content_matrix_read_inverts_write_exactly(self):
+        from widetrack.content import build_vocabulary, content_rows
+
+        docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
+        keys, columns, values = content_rows(docs, build_vocabulary(docs, k=10))
+        read = read_content_matrix(write_content_matrix(keys, columns, values))
+        assert read[0] == keys and read[1] == columns
+        assert np.array_equal(read[2], values)
 
 
 class TestAnalysisTables:
