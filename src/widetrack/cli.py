@@ -17,7 +17,7 @@ from . import forest as forest_mod
 from . import pipeline as pipeline_mod
 from . import structural as structural_mod
 from .filters import RuleSet, label_document, parse_overrides, parse_rules
-from .graph import GraphError, build_widegraph, load_graph, save_graph, stats
+from .graph import GraphError, GraphIndex, build_widegraph, load_graph, save_graph, stats
 from .ingest import HarParseError, read_trees, write_trees
 from .pipeline import DataError, PipelineConfig
 from .synth import EcosystemConfig, generate
@@ -70,8 +70,7 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
-    st = stats(graph)
+    st = stats(GraphIndex(load_graph(Path(args.graph).read_bytes())))
     for key in (
         "roots",
         "nodes",
@@ -95,10 +94,10 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_features_structural(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
+    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
     matrix = structural_mod.refex_expand(
-        structural_mod.build_base_matrix(graph),
-        graph,
+        structural_mod.build_base_matrix(index),
+        index,
         depth=args.depth,
         threshold=args.prune,
         directed=args.directed,
@@ -109,16 +108,18 @@ def cmd_features_structural(args) -> int:
 
 
 def cmd_features_content(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
-    eligible, _ = pipeline_mod.filter_eligible(graph, args.min_in_degree)
+    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
+    eligible, _ = pipeline_mod.filter_eligible(index, args.min_in_degree)
     train_docs, _ = pipeline_mod.split_documents(
         eligible, fraction=args.train_frac, seed=args.split_seed
     )
     vocabulary = content_mod.build_vocabulary(
         train_docs, k=args.vocab_size, rank_by=args.rank
     )
-    table = content_mod.content_rows(eligible, vocabulary, clamp_idf=args.clamp_idf)
-    Path(args.out).write_bytes(pipeline_mod.write_content_matrix(*table))
+    keys, columns, values, _ = content_mod.content_rows(
+        eligible, vocabulary, clamp_idf=args.clamp_idf
+    )
+    Path(args.out).write_bytes(pipeline_mod.write_content_matrix(keys, columns, values))
     if args.vocab_out:
         Path(args.vocab_out).write_bytes(content_mod.save_vocabulary(vocabulary))
     print(
@@ -185,7 +186,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
+    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     labels = pipeline_mod.read_labels_file(Path(args.labels).read_bytes())
     overrides = (
@@ -193,7 +194,7 @@ def cmd_evaluate(args) -> int:
         if args.overrides
         else None
     )
-    eligible, _ = pipeline_mod.filter_eligible(graph, args.min_in_degree)
+    eligible, _ = pipeline_mod.filter_eligible(index, args.min_in_degree)
     _, test_docs = pipeline_mod.split_documents(
         eligible, fraction=args.train_frac, seed=args.split_seed
     )
@@ -221,16 +222,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_emit_rules(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
+    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     ruleset = _read_rules(args.rules)
-    docs = {(d.host, d.kind): d for d in graph.documents()}
+    docs = {(d.host, d.kind): d for d in index.graph.documents()}
     scored = [
         (docs[key], pred, score)
         for key, (pred, score) in sorted(predictions.items())
         if key in docs
     ]
-    text = pipeline_mod.emit_candidate_rules(graph, scored, ruleset)
+    text = pipeline_mod.emit_candidate_rules(index, scored, ruleset)
     Path(args.out).write_text(text, encoding="utf-8")
     n_rules = sum(1 for line in text.splitlines() if line.startswith("||"))
     print(f"emitted {n_rules} candidate rules")

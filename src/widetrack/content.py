@@ -113,9 +113,9 @@ def tfidf(
 
 
 def keyword_scores(
-    document: SubdomainDocument, vocabulary: Vocabulary, clamp_idf: bool = False
+    tokens: Counter, vocabulary: Vocabulary, clamp_idf: bool = False
 ) -> np.ndarray:
-    tokens = doc_token_counts(document)
+    """TF-IDF of every vocabulary term over a document's token counts."""
     out = np.zeros(len(vocabulary.terms))
     for i, term in enumerate(vocabulary.terms):
         if tokens.get(term):
@@ -147,17 +147,21 @@ def content_rows(
     documents: list[SubdomainDocument],
     vocabulary: Vocabulary,
     clamp_idf: bool = False,
-) -> tuple[list[tuple[str, str]], list[str], np.ndarray]:
-    """(keys, columns, values): one [keywords | engineered] row per document,
-    ordered by (host, kind)."""
+) -> tuple[list[tuple[str, str]], list[str], np.ndarray, list[frozenset[str]]]:
+    """(keys, columns, values, terms): one [keywords | engineered] row per
+    document, ordered by (host, kind), and the vocabulary terms each
+    document contains, from the same single tokenization."""
     docs = sorted(documents, key=lambda d: (d.host, d.kind))
     columns = feature_names(vocabulary, [])
     values = np.empty((len(docs), len(columns)))
+    terms = []
     k = len(vocabulary.terms)
     for i, doc in enumerate(docs):
-        values[i, :k] = keyword_scores(doc, vocabulary, clamp_idf=clamp_idf)
+        tokens = doc_token_counts(doc)
+        values[i, :k] = keyword_scores(tokens, vocabulary, clamp_idf=clamp_idf)
         values[i, k:] = engineered(doc)
-    return [(d.host, d.kind) for d in docs], columns, values
+        terms.append(frozenset(t for t in tokens if t in vocabulary))
+    return [(d.host, d.kind) for d in docs], columns, values, terms
 
 
 def feature_names(vocabulary: Vocabulary, struct_columns: list[str]) -> list[str]:

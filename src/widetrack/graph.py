@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from .domains import registrable_domain
 from .ingest import DependencyTree, InteractionKind
@@ -27,8 +30,7 @@ class GraphFormatError(GraphError):
     """Raised when a persisted graph cannot be decoded."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeKey:
+class NodeKey(NamedTuple):
     domain: str
     kind: str  # interaction kind value or FIRST_PARTY
 
@@ -87,10 +89,6 @@ class WideGraph:
             node = self.nodes[key]
             docs.extend(node.documents[h] for h in sorted(node.documents))
         return docs
-
-    def in_degree(self, key: NodeKey) -> int:
-        """Distinct in-edges, multiplicity ignored."""
-        return sum(1 for (_, dst, _) in self.edges if dst == key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WideGraph):
@@ -228,30 +226,67 @@ def build_widegraph(trees: list[DependencyTree]) -> WideGraph:
     return graph
 
 
-def coverage_counts(graph: WideGraph, key: NodeKey) -> tuple[int, int, int]:
+class GraphIndex:
+    """Everything the per-node reads need, from one pass over ``graph.edges``.
+
+    Edge lists hold each distinct (src, dst, label) edge once, so degrees
+    ignore multiplicity; neighbour sets ignore direction. Direct and
+    indirect root sets name the first parties with a non-Bounced / any edge
+    into a node. ``src``/``dst`` are the edges' endpoint ids into ``ids``.
+    Build it once per graph and pass it to every consumer.
+    """
+
+    def __init__(self, graph: WideGraph):
+        self.graph = graph
+        self.ids = {key: i for i, key in enumerate(graph.nodes)}
+        self.in_edges: dict[NodeKey, list] = {key: [] for key in graph.nodes}
+        self.out_edges: dict[NodeKey, list] = {key: [] for key in graph.nodes}
+        self.neighbors: dict[NodeKey, set[NodeKey]] = {key: set() for key in graph.nodes}
+        self.direct_roots: dict[NodeKey, set[str]] = {}
+        self.indirect_roots: dict[NodeKey, set[str]] = {}
+        src_ids: list[int] = []
+        dst_ids: list[int] = []
+        for edge in graph.edges:
+            src, dst, label = edge
+            self.out_edges[src].append(edge)
+            self.in_edges[dst].append(edge)
+            self.neighbors[src].add(dst)
+            self.neighbors[dst].add(src)
+            src_ids.append(self.ids[src])
+            dst_ids.append(self.ids[dst])
+            if src.is_first_party():
+                self.indirect_roots.setdefault(dst, set()).add(src.domain)
+                if label != BOUNCED:
+                    self.direct_roots.setdefault(dst, set()).add(src.domain)
+        self.src = np.array(src_ids, dtype=np.intp)
+        self.dst = np.array(dst_ids, dtype=np.intp)
+
+    def degree(self, key: NodeKey) -> int:
+        """Distinct in- plus out-edges, multiplicity ignored."""
+        return len(self.in_edges[key]) + len(self.out_edges[key])
+
+
+def coverage_counts(index: GraphIndex, key: NodeKey) -> tuple[int, int, int]:
     """(direct roots, indirect roots, total roots) for a third-party node."""
-    if key not in graph.nodes:
+    if key not in index.graph.nodes:
         raise GraphError(f"unknown node {key}")
     if key.is_first_party():
         raise GraphError("coverage is undefined for first-party nodes")
-    direct: set[str] = set()
-    indirect: set[str] = set()
-    for (src, dst, label), _ in graph.edges.items():
-        if dst == key and src.is_first_party():
-            indirect.add(src.domain)
-            if label != BOUNCED:
-                direct.add(src.domain)
-    return len(direct), len(indirect), len(graph.roots)
+    return (
+        len(index.direct_roots.get(key, ())),
+        len(index.indirect_roots.get(key, ())),
+        len(index.graph.roots),
+    )
 
 
-def coverage(graph: WideGraph, key: NodeKey) -> tuple[float, float]:
+def coverage(index: GraphIndex, key: NodeKey) -> tuple[float, float]:
     """Fractions of first parties linking to the node directly / at all.
 
     Indirect coverage reads the per-site Bounced edges added at expansion
     time; merged-graph multi-hop paths would mix edges from different sites
     and overcount.
     """
-    d, i, n = coverage_counts(graph, key)
+    d, i, n = coverage_counts(index, key)
     if n == 0:
         return 0.0, 0.0
     return d / n, i / n
@@ -282,19 +317,20 @@ def average_path_length(graph: WideGraph) -> float:
     return total / pairs if pairs else 0.0
 
 
-def stats(graph: WideGraph) -> dict:
+def stats(index: GraphIndex) -> dict:
+    graph = index.graph
     label_counts: Counter = Counter(label for (_, _, label) in graph.edges)
     third = graph.third_party_keys()
     rows = []
     for key in third:
-        d, i, n = coverage_counts(graph, key)
+        d, i, n = coverage_counts(index, key)
         rows.append(
             {
                 "domain": key.domain,
                 "kind": key.kind,
                 "direct": d / n if n else 0.0,
                 "indirect": i / n if n else 0.0,
-                "in_degree": graph.in_degree(key),
+                "in_degree": len(index.in_edges[key]),
             }
         )
     rows.sort(key=lambda r: (-r["direct"], -r["indirect"], r["domain"], r["kind"]))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from urllib.parse import urlsplit
 
-from .domains import registrable_domain
+from .domains import DomainError, registrable_domain
 
 
 class HarParseError(ValueError):
@@ -113,12 +113,21 @@ class DependencyTree:
         return tree
 
 
-def _valid_url(url: str) -> bool:
+def _url_skip_reason(url: str) -> str | None:
+    """Why an entry's URL is unusable, or None: ``bad_url`` for bad syntax
+    or scheme, ``bad_host`` for a hostname with no registrable domain."""
     try:
         parts = urlsplit(url)
     except ValueError:
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+        return "bad_url"
+    host = parts.hostname
+    if parts.scheme not in ("http", "https") or not host:
+        return "bad_url"
+    try:
+        registrable_domain(host)
+    except DomainError:
+        return "bad_host"
+    return None
 
 
 def _typed(obj, key: str, kind: type):
@@ -173,7 +182,8 @@ def parse_har(data: bytes) -> SessionRecord:
     Initiators resolve in priority order: explicit initiator URL, top frame
     of the initiator call stack, the document URL for parser-initiated
     entries, otherwise unknown. Entries without a usable URL (bad syntax,
-    data:/blob: schemes) are skipped and tallied.
+    data:/blob: schemes, a hostname with no registrable domain) are skipped
+    and tallied.
     """
     try:
         text = data.decode("utf-8")
@@ -204,8 +214,9 @@ def parse_har(data: bytes) -> SessionRecord:
         if scheme in ("data", "blob", "about", "chrome-extension"):
             skipped["no_hostname"] += 1
             continue
-        if not _valid_url(url):
-            skipped["bad_url"] += 1
+        reason = _url_skip_reason(url)
+        if reason:
+            skipped[reason] += 1
             continue
         parsed.append((_typed(raw, "startedDateTime", str) or "", url, raw))
     if not parsed:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,9 +29,9 @@ from .filters import (
     parse_rules,
 )
 from .graph import (
+    GraphIndex,
     NodeKey,
     SubdomainDocument,
-    WideGraph,
     build_widegraph,
     coverage_counts,
     save_graph,
@@ -45,15 +46,12 @@ class DataError(Exception):
 
 
 def filter_eligible(
-    graph: WideGraph, min_in_degree: int = 3
+    index: GraphIndex, min_in_degree: int = 3
 ) -> tuple[list[SubdomainDocument], dict]:
     """Documents whose parent node has at least ``min_in_degree`` distinct
     in-edges, plus a (total, removed, kept) report."""
-    in_deg: Counter = Counter()
-    for (_, dst, _) in graph.edges:
-        in_deg[dst] += 1
-    docs = graph.documents()
-    kept = [d for d in docs if in_deg[d.parent] >= min_in_degree]
+    docs = index.graph.documents()
+    kept = [d for d in docs if len(index.in_edges[d.parent]) >= min_in_degree]
     report = {"total": len(docs), "kept": len(kept), "removed": len(docs) - len(kept)}
     return kept, report
 
@@ -207,7 +205,7 @@ def evaluate(
 
 
 def emit_candidate_rules(
-    graph: WideGraph,
+    index: GraphIndex,
     scored: list[tuple[SubdomainDocument, int, float]],
     rules: RuleSet,
 ) -> str:
@@ -218,7 +216,7 @@ def emit_candidate_rules(
             continue
         if document_block_matched(rules, doc):
             continue
-        d, i, n = coverage_counts(graph, doc.parent)
+        d, i, n = coverage_counts(index, doc.parent)
         selected.append((score, doc.host, d / n if n else 0.0, i / n if n else 0.0))
     selected.sort(key=lambda s: (-s[0], s[1]))
     lines = [
@@ -236,18 +234,32 @@ def emit_candidate_rules(
 _DEGREE_BUCKETS = ((1, 1), (2, 3), (4, 7), (8, 15), (16, 31), (32, 63), (64, None))
 
 
+def coverage_ccdf(values: list[float]) -> list[dict]:
+    """Share of values at or above each distinct value, ascending."""
+    values = sorted(values)
+    n = len(values)
+    return [
+        {"coverage": v, "ccdf": (n - bisect_left(values, v)) / n}
+        for v in sorted(set(values))
+    ]
+
+
 def analysis_tables(
-    graph: WideGraph,
+    index: GraphIndex,
     docs: list[SubdomainDocument],
     labels: dict[tuple[str, str], Label],
     vocabulary: content_mod.Vocabulary | None = None,
+    doc_terms: dict[tuple[str, str], frozenset[str]] | None = None,
     top_terms: int = 20,
 ) -> dict:
-    """Degree-bucket class mix, coverage CCDF points, keyword rates."""
-    degree: Counter = Counter()
-    for (src, dst, _) in graph.edges:
-        degree[src] += 1
-        degree[dst] += 1
+    """Degree-bucket class mix, coverage CCDF points, keyword rates.
+
+    ``doc_terms`` maps each document's (host, kind) to the vocabulary terms
+    it contains, as ``content_rows`` returns them; keyword rates need it
+    along with ``vocabulary``.
+    """
+    classes = [labels[(doc.host, doc.kind)].label for doc in docs]
+    degrees = [index.degree(doc.parent) for doc in docs]
 
     def bucket_name(lo, hi):
         return f"{lo}+" if hi is None else (f"{lo}" if lo == hi else f"{lo}-{hi}")
@@ -255,10 +267,9 @@ def analysis_tables(
     buckets = []
     for lo, hi in _DEGREE_BUCKETS:
         n_ad = n_benign = 0
-        for doc in docs:
-            deg = degree[doc.parent]
+        for deg, cls in zip(degrees, classes):
             if deg >= lo and (hi is None or deg <= hi):
-                if labels[(doc.host, doc.kind)].label == ADTRACKER:
+                if cls == ADTRACKER:
                     n_ad += 1
                 else:
                     n_benign += 1
@@ -272,30 +283,22 @@ def analysis_tables(
             }
         )
 
-    ccdf = {}
-    for cls in CLASS_NAMES:
-        values = sorted(
-            coverage_counts(graph, doc.parent)[0] / len(graph.roots)
-            for doc in docs
-            if labels[(doc.host, doc.kind)].label == cls
-        )
-        points = []
-        n = len(values)
-        for v in sorted(set(values)):
-            above = sum(1 for x in values if x >= v)
-            points.append({"coverage": v, "ccdf": above / n})
-        ccdf[cls] = points
+    n_roots = len(index.graph.roots)
+    direct = [coverage_counts(index, doc.parent)[0] / n_roots for doc in docs]
+    ccdf = {
+        cls: coverage_ccdf([v for v, c in zip(direct, classes) if c == cls])
+        for cls in CLASS_NAMES
+    }
 
     keywords = []
     if vocabulary is not None:
         by_class = {cls: [] for cls in CLASS_NAMES}
-        for doc in docs:
-            tokens = set(content_mod.doc_token_counts(doc))
-            by_class[labels[(doc.host, doc.kind)].label].append(tokens)
+        for doc, cls in zip(docs, classes):
+            by_class[cls].append(doc_terms[(doc.host, doc.kind)])
         for term in vocabulary.terms[:top_terms]:
             rates = {
                 cls: (
-                    sum(1 for toks in group if term in toks) / len(group)
+                    sum(1 for terms in group if term in terms) / len(group)
                     if group
                     else 0.0
                 )
@@ -493,17 +496,18 @@ def run_all(cfg: PipelineConfig) -> dict:
     (out / "trees.jsonl").write_bytes(write_trees(trees))
     graph = build_widegraph(trees)
     (out / "graph.jsonl").write_bytes(save_graph(graph))
+    index = GraphIndex(graph)
 
     struct = structural_mod.refex_expand(
-        structural_mod.build_base_matrix(graph),
-        graph,
+        structural_mod.build_base_matrix(index),
+        index,
         depth=cfg.refex_depth,
         threshold=cfg.prune_threshold,
         directed=cfg.directed_neighbors,
     )
     (out / "structural.tsv").write_bytes(structural_mod.save_struct_matrix(struct))
 
-    eligible, elig_report = filter_eligible(graph, cfg.min_in_degree)
+    eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
     if len(eligible) < 2:
         raise DataError("fewer than 2 eligible documents; nothing to learn from")
 
@@ -533,7 +537,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         train_docs, k=cfg.vocab_size, rank_by=cfg.vocab_rank
     )
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
-    keys, columns, content_values = content_mod.content_rows(
+    keys, columns, content_values, doc_terms = content_mod.content_rows(
         eligible, vocabulary, cfg.clamp_idf
     )
     (out / "content.tsv").write_bytes(
@@ -602,7 +606,7 @@ def run_all(cfg: PipelineConfig) -> dict:
             weight_by=cfg.weight_by,
         )
 
-    candidates = emit_candidate_rules(graph, scored_docs, ruleset)
+    candidates = emit_candidate_rules(index, scored_docs, ruleset)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
 
     names = content_mod.feature_names(vocabulary, struct.columns)
@@ -624,7 +628,9 @@ def run_all(cfg: PipelineConfig) -> dict:
         ),
         "reports": {name: rep.to_dict() for name, rep in reports.items()},
         "feature_importance": importance,
-        "analysis": analysis_tables(graph, eligible, labels, vocabulary),
+        "analysis": analysis_tables(
+            index, eligible, labels, vocabulary, dict(zip(keys, doc_terms))
+        ),
     }
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GraphError, NodeKey, WideGraph, coverage
+from .graph import GraphError, GraphIndex, NodeKey, coverage
 
 BASE_COLUMNS = (
     "degree",
@@ -64,59 +64,37 @@ class StructMatrix:
             raise GraphError(f"no structural row for {key}") from None
 
 
-class _Adjacency:
-    """Distinct-edge views of the graph (multiplicity ignored)."""
-
-    def __init__(self, graph: WideGraph):
-        self.in_edges: dict[NodeKey, set] = {k: set() for k in graph.nodes}
-        self.out_edges: dict[NodeKey, set] = {k: set() for k in graph.nodes}
-        self.neighbors: dict[NodeKey, set] = {k: set() for k in graph.nodes}
-        self.edge_keys = list(graph.edges)
-        for src, dst, label in self.edge_keys:
-            self.out_edges[src].add((src, dst, label))
-            self.in_edges[dst].add((src, dst, label))
-            self.neighbors[src].add(dst)
-            self.neighbors[dst].add(src)
-
-
-def base_features(graph: WideGraph, key: NodeKey, adj: _Adjacency | None = None) -> BaseFeatureRow:
+def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:
     """Degrees, egonet edge counts, and coverages for one third-party node.
 
     The egonet is the node plus all neighbors ignoring direction; ego_inter
     counts directed edges inside it, ego_out those crossing its boundary.
     """
-    if key not in graph.nodes:
+    if key not in index.graph.nodes:
         raise GraphError(f"unknown node {key}")
     if key.is_first_party():
         raise GraphError("structural features are defined for third parties only")
-    adj = adj or _Adjacency(graph)
-    in_deg = len(adj.in_edges[key])
-    out_deg = len(adj.out_edges[key])
-    ego = adj.neighbors[key] | {key}
-    ego_inter = 0
-    ego_out = 0
-    for src, dst, _ in adj.edge_keys:
-        inside = (src in ego) + (dst in ego)
-        if inside == 2:
-            ego_inter += 1
-        elif inside == 1:
-            ego_out += 1
-    direct, indirect = coverage(graph, key)
+    in_deg = len(index.in_edges[key])
+    out_deg = len(index.out_edges[key])
+    ego = np.zeros(len(index.ids), dtype=bool)
+    ego[[index.ids[n] for n in index.neighbors[key]]] = True
+    ego[index.ids[key]] = True
+    src_in, dst_in = ego[index.src], ego[index.dst]
+    direct, indirect = coverage(index, key)
     return BaseFeatureRow(
         degree=in_deg + out_deg,
         in_degree=in_deg,
         out_degree=out_deg,
-        ego_inter=ego_inter,
-        ego_out=ego_out,
+        ego_inter=int(np.count_nonzero(src_in & dst_in)),
+        ego_out=int(np.count_nonzero(src_in ^ dst_in)),
         direct_cov=direct,
         indirect_cov=indirect,
     )
 
 
-def build_base_matrix(graph: WideGraph) -> StructMatrix:
-    keys = graph.third_party_keys()
-    adj = _Adjacency(graph)
-    rows = [base_features(graph, key, adj).as_array() for key in keys]
+def build_base_matrix(index: GraphIndex) -> StructMatrix:
+    keys = index.graph.third_party_keys()
+    rows = [base_features(index, key).as_array() for key in keys]
     values = np.vstack(rows) if rows else np.zeros((0, len(BASE_COLUMNS)))
     return StructMatrix(
         keys=keys,
@@ -169,17 +147,16 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
 
 
 def expand_level(
-    matrix: StructMatrix, graph: WideGraph, generation: int, directed: bool = False
+    matrix: StructMatrix, index: GraphIndex, generation: int, directed: bool = False
 ) -> StructMatrix:
     """Append mean/sum neighbor aggregates of every current column."""
-    adj = _Adjacency(graph)
     row_set = set(matrix.keys)
     neighbor_rows = []
     for key in matrix.keys:
         if directed:
-            near = {dst for (_, dst, _) in adj.out_edges[key]}
+            near = {dst for (_, dst, _) in index.out_edges[key]}
         else:
-            near = adj.neighbors[key]
+            near = index.neighbors[key]
         neighbor_rows.append([matrix._index[n] for n in sorted(near & row_set)])
 
     n_rows, n_cols = matrix.values.shape
@@ -209,7 +186,7 @@ def expand_level(
 
 def refex_expand(
     matrix: StructMatrix,
-    graph: WideGraph,
+    index: GraphIndex,
     depth: int,
     threshold: float = 0.95,
     directed: bool = False,
@@ -223,7 +200,7 @@ def refex_expand(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     for level in range(1, depth + 1):
-        matrix = expand_level(matrix, graph, generation=level, directed=directed)
+        matrix = expand_level(matrix, index, generation=level, directed=directed)
         matrix = prune_correlated(matrix, threshold)
     return matrix
 

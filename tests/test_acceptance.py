@@ -20,6 +20,7 @@ from widetrack.filters import MatchContext, RuleSet, matches, parse_rules
 from widetrack.forest import ForestParams, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
+    GraphIndex,
     Node,
     NodeKey,
     SubdomainDocument,
@@ -79,8 +80,9 @@ def test_criterion_1_graph_oracle_equivalence():
         assert set(graph.edges) == set(truth.edges)
         assert graph == truth  # multiplicities, site sets, documents
 
+        index = GraphIndex(graph)
         for key in graph.third_party_keys():
-            d, i, n = coverage_counts(graph, key)
+            d, i, n = coverage_counts(index, key)
             bd, bi, bn = brute_force_coverage(corpus, key)
             assert Fraction(d, n) == Fraction(bd, bn)
             assert Fraction(i, n) == Fraction(bi, bn)
@@ -352,8 +354,9 @@ def test_criterion_8_feature_separation_directions(e2e):
     for src, dst, _ in graph.edges:
         degree_of[src] += 1
         degree_of[dst] += 1
+    index = GraphIndex(graph)
     for doc in docs:
-        d, _, n = coverage_counts(graph, doc.parent)
+        d, _, n = coverage_counts(index, doc.parent)
         label = labels[(doc.host, doc.kind)]
         coverages[label].append(d / n)
         degrees[label].append(degree_of[doc.parent])
@@ -406,7 +409,7 @@ def graph_with_in_degrees(degree_by_domain):
 
 def test_criterion_7_eligibility_boundary(e2e):
     g = graph_with_in_degrees({"two.net": 2, "three.net": 3, "ten.net": 10})
-    kept, report = filter_eligible(g)
+    kept, report = filter_eligible(GraphIndex(g))
     hosts = {doc.host for doc in kept}
     assert "px.two.net" not in hosts
     assert "px.three.net" in hosts and "px.ten.net" in hosts

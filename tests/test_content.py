@@ -180,7 +180,7 @@ class TestEngineered:
 def assemble_vector(document, vocabulary, struct_row):
     """One document's [keywords | engineered | structural] vector, built by
     the same content-row and join functions the pipeline uses."""
-    keys, _, values = content_rows([document], vocabulary)
+    keys, _, values, _ = content_rows([document], vocabulary)
     struct = StructMatrix(
         keys=[document.parent],
         columns=[f"s{i}" for i in range(len(struct_row))],

@@ -9,6 +9,7 @@ from widetrack.graph import (
     FIRST_PARTY,
     GraphError,
     GraphFormatError,
+    GraphIndex,
     NodeKey,
     WideGraph,
     build_widegraph,
@@ -203,9 +204,10 @@ class TestMerge:
         ka, kb = NodeKey("a.net", "script"), NodeKey("b.net", "script")
         assert (ka, kb, "script") in g.edges and (kb, ka, "script") in g.edges
         # downstream algorithms must terminate on the 2-cycle
-        stats(g)
-        assert coverage(g, ka) == (0.5, 1.0)
-        assert coverage(g, kb) == (0.5, 1.0)
+        index = GraphIndex(g)
+        stats(index)
+        assert coverage(index, ka) == (0.5, 1.0)
+        assert coverage(index, kb) == (0.5, 1.0)
 
     def test_remerging_same_root_is_additive(self):
         url = "https://a.t.net/x.js"
@@ -260,7 +262,7 @@ class TestCoverage:
     def test_direct_and_indirect_fractions(self):
         g, trees = self.three_root_fixture()
         key = NodeKey("target.net", "script")
-        d, i, n = coverage_counts(g, key)
+        d, i, n = coverage_counts(GraphIndex(g), key)
 
         # brute-force oracle: per-site reachability over the raw trees
         direct_sites = indirect_sites = 0
@@ -283,7 +285,7 @@ class TestCoverage:
                 direct_sites += 1
         assert Fraction(d, n) == Fraction(direct_sites, 3) == Fraction(1, 3)
         assert Fraction(i, n) == Fraction(indirect_sites, 3) == Fraction(2, 3)
-        assert coverage(g, key) == (1 / 3, 2 / 3)
+        assert coverage(GraphIndex(g), key) == (1 / 3, 2 / 3)
 
     def test_everywhere_direct_is_full_coverage(self):
         url = "https://px.t.net/x.js"
@@ -292,19 +294,21 @@ class TestCoverage:
             for i in range(4)
         ]
         g = site_graph(*trees)
-        assert coverage(g, NodeKey("t.net", "script")) == (1.0, 1.0)
+        assert coverage(GraphIndex(g), NodeKey("t.net", "script")) == (1.0, 1.0)
 
     def test_unknown_and_first_party_nodes_rejected(self):
         g, _ = self.three_root_fixture()
+        index = GraphIndex(g)
         with pytest.raises(GraphError):
-            coverage(g, NodeKey("nowhere.net", "script"))
+            coverage(index, NodeKey("nowhere.net", "script"))
         with pytest.raises(GraphError):
-            coverage(g, NodeKey("r1.com", FIRST_PARTY))
+            coverage(index, NodeKey("r1.com", FIRST_PARTY))
 
     def test_indirect_at_least_direct_everywhere(self):
         g, _ = self.three_root_fixture()
+        index = GraphIndex(g)
         for key in g.third_party_keys():
-            d, i = coverage(g, key)
+            d, i = coverage(index, key)
             assert 0.0 <= d <= i <= 1.0
 
 
@@ -394,7 +398,7 @@ def test_build_widegraph_convenience():
 
 def test_stats_shape():
     g, _ = TestCoverage().three_root_fixture()
-    st = stats(g)
+    st = stats(GraphIndex(g))
     assert st["roots"] == 3
     assert st["third_party_nodes"] == len(g.third_party_keys())
     assert st["edges_by_label"].get(BOUNCED, 0) >= 1

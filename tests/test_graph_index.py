@@ -1,0 +1,158 @@
+"""GraphIndex reads checked against a per-node scan of the full edge list.
+
+The scans below are the reference: each answers one node's question by
+walking every edge, the way the structural features, coverage counts and
+eligibility in-degrees were computed before the index existed.
+"""
+
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from widetrack.graph import (
+    BOUNCED,
+    FIRST_PARTY,
+    EdgeData,
+    GraphIndex,
+    Node,
+    NodeKey,
+    SubdomainDocument,
+    WideGraph,
+    coverage_counts,
+    load_graph,
+    save_graph,
+)
+from widetrack.pipeline import coverage_ccdf, filter_eligible
+from widetrack.structural import build_base_matrix
+
+
+def scan_in_degree(graph, key):
+    return sum(1 for (_, dst, _) in graph.edges if dst == key)
+
+
+def scan_coverage_counts(graph, key):
+    direct, indirect = set(), set()
+    for (src, dst, label) in graph.edges:
+        if dst == key and src.is_first_party():
+            indirect.add(src.domain)
+            if label != BOUNCED:
+                direct.add(src.domain)
+    return len(direct), len(indirect), len(graph.roots)
+
+
+def scan_base_row(graph, key):
+    in_deg = scan_in_degree(graph, key)
+    out_deg = sum(1 for (src, _, _) in graph.edges if src == key)
+    ego = {key}
+    for (src, dst, _) in graph.edges:
+        if src == key:
+            ego.add(dst)
+        if dst == key:
+            ego.add(src)
+    ego_inter = ego_out = 0
+    for (src, dst, _) in graph.edges:
+        inside = (src in ego) + (dst in ego)
+        if inside == 2:
+            ego_inter += 1
+        elif inside == 1:
+            ego_out += 1
+    d, i, n = scan_coverage_counts(graph, key)
+    direct, indirect = (d / n, i / n) if n else (0.0, 0.0)
+    return [in_deg + out_deg, in_deg, out_deg, ego_inter, ego_out, direct, indirect]
+
+
+def assert_index_matches_scan(graph):
+    index = GraphIndex(graph)
+    matrix = build_base_matrix(index)
+    expected = [scan_base_row(graph, key) for key in matrix.keys]
+    assert np.array_equal(matrix.values, np.array(expected, dtype=float).reshape(-1, 7))
+    for key in graph.third_party_keys():
+        assert coverage_counts(index, key) == scan_coverage_counts(graph, key)
+    docs = graph.documents()
+    degrees = [scan_in_degree(graph, doc.parent) for doc in docs]
+    for threshold in range(max(degrees, default=0) + 2):
+        kept, report = filter_eligible(index, threshold)
+        assert kept == [d for d, deg in zip(docs, degrees) if deg >= threshold]
+        assert report["kept"] == len(kept)
+
+
+LABELS = ("script", "media", "iframe", BOUNCED)
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs with parallel labelled edges and self-loops, written out
+    and loaded back through the graph file format."""
+    roots = [f"r{i}.com" for i in range(draw(st.integers(0, 3)))]
+    third = [
+        NodeKey(f"t{i}.net", draw(st.sampled_from(LABELS[:3])))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    first = [NodeKey(root, FIRST_PARTY) for root in roots]
+    g = WideGraph()
+    g.roots.update(roots)
+    for key in first + third:
+        g.nodes[key] = Node(key)
+    for key in third:
+        host = f"px.{key.domain}"
+        g.nodes[key].documents[host] = SubdomainDocument(
+            host, key.kind, Counter({f"https://{host}/x.js": 1}), set(roots), key
+        )
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(first + third),
+                st.sampled_from(third),
+                st.sampled_from(LABELS),
+            ),
+            max_size=25,
+        )
+    )
+    for edge in edges:
+        g.edges[edge] = EdgeData(1, set(roots[:1]))
+    return load_graph(save_graph(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_index_reads_equal_per_node_scans(graph):
+    assert_index_matches_scan(graph)
+
+
+def test_parallel_labels_and_self_loop_from_graph_file():
+    lines = [
+        '{"format": "widegraph", "version": 1}',
+        '{"d": "r.com", "t": "root"}',
+        '{"d": "r.com", "k": "firstparty", "t": "node"}',
+        '{"d": "a.net", "k": "script", "t": "node"}',
+        '{"d": "b.net", "k": "script", "t": "node"}',
+    ]
+    edge = '{{"l": "{}", "m": 1, "s": {}, "sites": ["r.com"], "t": "edge", "x": {}}}'
+    fp, a, b = '["r.com", "firstparty"]', '["a.net", "script"]', '["b.net", "script"]'
+    for src, dst, label in (
+        (fp, a, "script"),
+        (fp, a, BOUNCED),
+        (a, b, "script"),
+        (a, b, "media"),
+        (a, a, "script"),
+    ):
+        lines.append(edge.format(label, src, dst))
+    graph = load_graph(("\n".join(lines) + "\n").encode())
+    assert_index_matches_scan(graph)
+
+    rows = build_base_matrix(GraphIndex(graph))
+    a_row = rows.values[rows.keys.index(NodeKey("a.net", "script"))]
+    # in: fp (2 labels) + self-loop; out: b (2 labels) + self-loop; the
+    # egonet {fp, a, b} holds all five edges
+    assert a_row.tolist() == [6.0, 3.0, 3.0, 5.0, 0.0, 1.0, 1.0]
+
+
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), max_size=30))
+def test_bisect_ccdf_equals_quadratic_count(values):
+    n = len(values)
+    expected = [
+        {"coverage": v, "ccdf": sum(1 for x in values if x >= v) / n}
+        for v in sorted(set(values))
+    ]
+    assert coverage_ccdf(values) == expected

@@ -77,6 +77,18 @@ class TestParseHar:
         assert record.skip_count == 1
         assert record.skipped["bad_url"] == 1
 
+    def test_empty_host_label_skipped_and_graph_builds(self):
+        from widetrack.graph import build_widegraph
+
+        record = parse_har(
+            har_bytes([entry(PAGE, rt="document"), entry("http://a..b/x.js", rt="script")])
+        )
+        assert len(record.entries) == 1
+        assert record.skip_count == 1
+        assert record.skipped["bad_host"] == 1
+        graph = build_widegraph([build_tree(record)])
+        assert graph.roots == {"site.com"}
+
     def test_data_url_skipped(self):
         record = parse_har(
             har_bytes([entry(PAGE, rt="document"), entry("data:image/png;base64,AAAA")])

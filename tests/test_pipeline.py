@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from widetrack.filters import ADTRACKER, BENIGN, Label, parse_rules
-from widetrack.graph import EdgeData, Node, NodeKey, SubdomainDocument, WideGraph
+from widetrack.graph import (
+    EdgeData,
+    GraphIndex,
+    Node,
+    NodeKey,
+    SubdomainDocument,
+    WideGraph,
+)
 from widetrack.pipeline import (
     DataError,
     PipelineConfig,
@@ -62,19 +69,19 @@ def graph_with_in_degrees(degree_by_domain):
 class TestFilterEligible:
     def test_boundary_at_three(self):
         g = graph_with_in_degrees({"low.net": 2, "edge.net": 3, "high.net": 7})
-        kept, report = filter_eligible(g)
+        kept, report = filter_eligible(GraphIndex(g))
         hosts = {d.host for d in kept}
         assert hosts == {"px.edge.net", "px.high.net"}
         assert report == {"total": 3, "kept": 2, "removed": 1}
 
     def test_total_is_kept_plus_removed(self):
         g = graph_with_in_degrees({f"d{i}.net": i + 1 for i in range(6)})
-        kept, report = filter_eligible(g)
+        kept, report = filter_eligible(GraphIndex(g))
         assert report["total"] == report["kept"] + report["removed"]
 
     def test_threshold_configurable(self):
         g = graph_with_in_degrees({"low.net": 2, "edge.net": 3})
-        kept, _ = filter_eligible(g, min_in_degree=1)
+        kept, _ = filter_eligible(GraphIndex(g), min_in_degree=1)
         assert len(kept) == 2
 
 
@@ -243,14 +250,14 @@ class TestEmitCandidateRules:
         doc = make_doc("px.known.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.known.net^")
-        text = emit_candidate_rules(g, [(doc, 1, 0.99)], rules)
+        text = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.99)], rules)
         assert "||px.known.net^" not in text.splitlines()
 
     def test_unblocked_predicted_tracker_emitted(self):
         doc = make_doc("data.sparkflow.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.other.net^")
-        lines = emit_candidate_rules(g, [(doc, 1, 0.87)], rules).splitlines()
+        lines = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.87)], rules).splitlines()
         assert "||data.sparkflow.net^" in lines
         comment = lines[lines.index("||data.sparkflow.net^") - 1]
         assert "score=0.8700" in comment and "direct_coverage=" in comment
@@ -258,19 +265,19 @@ class TestEmitCandidateRules:
     def test_benign_predictions_not_emitted(self):
         doc = make_doc("cdn.good.org")
         g = self.graph_for([doc])
-        text = emit_candidate_rules(g, [(doc, 0, 0.2)], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [(doc, 0, 0.2)], parse_rules(""))
         assert "cdn.good.org" not in text
 
     def test_empty_predictions_still_header(self):
         g = self.graph_for([])
-        text = emit_candidate_rules(g, [], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [], parse_rules(""))
         assert text.startswith("!")
         assert "0 candidate(s)" in text
 
     def test_sorted_by_score_descending(self):
         d1, d2 = make_doc("a.one.net"), make_doc("b.two.net")
         g = self.graph_for([d1, d2])
-        text = emit_candidate_rules(g, [(d1, 1, 0.6), (d2, 1, 0.9)], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [(d1, 1, 0.6), (d2, 1, 0.9)], parse_rules(""))
         rules = [l for l in text.splitlines() if l.startswith("||")]
         assert rules == ["||b.two.net^", "||a.one.net^"]
 
@@ -297,8 +304,9 @@ class TestFileFormats:
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
         vocab = build_vocabulary(docs, k=10)
+        keys, columns, values, _ = content_rows(docs, vocab)
         keys, columns, values = read_content_matrix(
-            write_content_matrix(*content_rows(docs, vocab))
+            write_content_matrix(keys, columns, values)
         )
         assert keys == [("cdn.good.org", "media"), ("px.t.net", "script")]
         assert len(columns) == 10 + 5
@@ -308,7 +316,7 @@ class TestFileFormats:
         from widetrack.content import build_vocabulary, content_rows
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        keys, columns, values = content_rows(docs, build_vocabulary(docs, k=10))
+        keys, columns, values, _ = content_rows(docs, build_vocabulary(docs, k=10))
         read = read_content_matrix(write_content_matrix(keys, columns, values))
         assert read[0] == keys and read[1] == columns
         assert np.array_equal(read[2], values)
@@ -322,7 +330,7 @@ class TestAnalysisTables:
             ("px.t.net", "script"): Label(ADTRACKER, "filterlist"),
             ("px.good.org", "script"): Label(BENIGN, "filterlist"),
         }
-        tables = analysis_tables(g, docs, labels)
+        tables = analysis_tables(GraphIndex(g), docs, labels)
         assert sum(b["adtracker"] + b["benign"] for b in tables["degree_buckets"]) == 2
         assert set(tables["direct_coverage_ccdf"]) == {ADTRACKER, BENIGN}
         for points in tables["direct_coverage_ccdf"].values():

@@ -6,6 +6,7 @@ import pytest
 from widetrack.graph import (
     EdgeData,
     GraphError,
+    GraphIndex,
     Node,
     NodeKey,
     WideGraph,
@@ -59,7 +60,7 @@ def chain_graph():
 class TestBaseFeatures:
     def test_chain_middle_node(self):
         g = chain_graph()
-        row = base_features(g, NodeKey("a.net", "script"))
+        row = base_features(GraphIndex(g), NodeKey("a.net", "script"))
         assert (row.in_degree, row.out_degree, row.degree) == (1, 1, 2)
         # egonet {r, A, B} contains all three edges after expansion
         assert row.ego_inter == 3
@@ -72,7 +73,7 @@ class TestBaseFeatures:
             [a, b, c],
             [(a, b, "script"), (b, c, "script"), (a, c, "script")],
         )
-        row = base_features(g, b)
+        row = base_features(GraphIndex(g), b)
         assert (row.in_degree, row.out_degree, row.degree) == (1, 1, 2)
         assert row.ego_inter == 3
         assert row.ego_out == 0
@@ -81,28 +82,28 @@ class TestBaseFeatures:
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
         # c hangs off b; from a's egonet {a, b} the edge b->c leaves it
         g = manual_graph([a, b, c], [(a, b, "script"), (b, c, "script")])
-        row = base_features(g, a)
+        row = base_features(GraphIndex(g), a)
         assert row.ego_inter == 1
         assert row.ego_out == 1
 
     def test_isolated_node_is_all_zero(self):
         a = NodeKey("a.net", "script")
         g = manual_graph([a], [])
-        row = base_features(g, a)
+        row = base_features(GraphIndex(g), a)
         assert row.as_array().tolist() == [0, 0, 0, 0, 0, 0.0, 0.0]
 
     def test_unknown_and_first_party_rejected(self):
         g = chain_graph()
         with pytest.raises(GraphError):
-            base_features(g, NodeKey("ghost.net", "script"))
+            base_features(GraphIndex(g), NodeKey("ghost.net", "script"))
         with pytest.raises(GraphError):
-            base_features(g, NodeKey("r.com", "firstparty"))
+            base_features(GraphIndex(g), NodeKey("r.com", "firstparty"))
 
     def test_degrees_ignore_multiplicity(self):
         a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
         g = manual_graph([a, b], [(a, b, "script")])
         g.edges[(a, b, "script")].multiplicity = 99
-        assert base_features(g, b).in_degree == 1
+        assert base_features(GraphIndex(g), b).in_degree == 1
 
 
 class TestPruneCorrelated:
@@ -177,25 +178,25 @@ class TestPruneCorrelated:
 
 class TestRefexExpand:
     def test_depth_zero_is_identity(self):
-        g = chain_graph()
-        base = build_base_matrix(g)
-        out = refex_expand(base, g, depth=0)
+        index = GraphIndex(chain_graph())
+        base = build_base_matrix(index)
+        out = refex_expand(base, index, depth=0)
         assert out.columns == base.columns
         assert np.array_equal(out.values, base.values)
 
     def test_one_level_triples_columns_before_pruning(self):
-        g = chain_graph()
-        base = build_base_matrix(g)
-        expanded = expand_level(base, g, generation=1)
+        index = GraphIndex(chain_graph())
+        base = build_base_matrix(index)
+        expanded = expand_level(base, index, generation=1)
         assert len(expanded.columns) == 3 * len(BASE_COLUMNS)
         assert expanded.columns[: len(BASE_COLUMNS)] == list(BASE_COLUMNS)
         assert expanded.generations.count(1) == 2 * len(BASE_COLUMNS)
 
     def test_neighbor_aggregates_ignore_direction(self):
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
-        g = manual_graph([a, b, c], [(a, b, "script"), (c, b, "script")])
-        base = build_base_matrix(g)
-        expanded = expand_level(base, g, generation=1)
+        index = GraphIndex(manual_graph([a, b, c], [(a, b, "script"), (c, b, "script")]))
+        base = build_base_matrix(index)
+        expanded = expand_level(base, index, generation=1)
         col = expanded.columns.index("sum(out_degree)")
         row_b = expanded.keys.index(b)
         # b's neighbors a and c each have out-degree 1, direction ignored
@@ -203,8 +204,8 @@ class TestRefexExpand:
 
     def test_no_neighbors_aggregate_to_zero(self):
         a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
-        g = manual_graph([a, b], [])
-        expanded = expand_level(build_base_matrix(g), g, generation=1)
+        index = GraphIndex(manual_graph([a, b], []))
+        expanded = expand_level(build_base_matrix(index), index, generation=1)
         assert np.all(expanded.values[:, len(BASE_COLUMNS):] == 0.0)
 
     def test_regular_graph_recursion_adds_nothing(self):
@@ -214,23 +215,23 @@ class TestRefexExpand:
         n = 8
         keys = [NodeKey(f"n{j}.net", "script") for j in range(n)]
         edges = [(keys[j], keys[(j + 1) % n], "script") for j in range(n)]
-        g = manual_graph(keys, edges)
-        base = build_base_matrix(g)
+        index = GraphIndex(manual_graph(keys, edges))
+        base = build_base_matrix(index)
         base_pruned = prune_correlated(base, 0.95)
-        out = refex_expand(base, g, depth=2, threshold=0.95)
+        out = refex_expand(base, index, depth=2, threshold=0.95)
         assert out.columns == base_pruned.columns
 
     def test_deterministic(self):
-        g = chain_graph()
-        m1 = refex_expand(build_base_matrix(g), g, depth=2)
-        m2 = refex_expand(build_base_matrix(g), g, depth=2)
+        index = GraphIndex(chain_graph())
+        m1 = refex_expand(build_base_matrix(index), index, depth=2)
+        m2 = refex_expand(build_base_matrix(index), index, depth=2)
         assert m1.columns == m2.columns
         assert np.array_equal(m1.values, m2.values)
 
     def test_negative_depth_rejected(self):
-        g = chain_graph()
+        index = GraphIndex(chain_graph())
         with pytest.raises(ValueError):
-            refex_expand(build_base_matrix(g), g, depth=-1)
+            refex_expand(build_base_matrix(index), index, depth=-1)
 
 
 def test_generation_recovered_from_names():
@@ -240,8 +241,8 @@ def test_generation_recovered_from_names():
 
 
 def test_matrix_file_round_trip():
-    g = chain_graph()
-    m = refex_expand(build_base_matrix(g), g, depth=1)
+    index = GraphIndex(chain_graph())
+    m = refex_expand(build_base_matrix(index), index, depth=1)
     loaded = load_struct_matrix(save_struct_matrix(m))
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
