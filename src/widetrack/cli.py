@@ -16,10 +16,10 @@ from . import content as content_mod
 from . import forest as forest_mod
 from . import pipeline as pipeline_mod
 from . import structural as structural_mod
-from .filters import RuleSet, label_document, parse_overrides, parse_rules
-from .graph import GraphError, GraphIndex, build_widegraph, load_graph, save_graph, stats
-from .ingest import HarParseError, read_trees, write_trees
-from .pipeline import DataError, PipelineConfig
+from .filters import label_document
+from .graph import GraphIndex, build_widegraph, load_graph, save_graph, stats
+from .ingest import read_trees, write_trees
+from .pipeline import DataError, PipelineConfig, load_config
 from .synth import EcosystemConfig, generate
 
 
@@ -29,9 +29,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_rules(paths) -> RuleSet:
-    text = "\n".join(Path(p).read_text(encoding="utf-8") for p in paths)
-    return parse_rules(text)
+def _config(args) -> PipelineConfig:
+    return load_config(PipelineConfig, args.config)
+
+
+def _load_index(path) -> GraphIndex:
+    return GraphIndex(load_graph(Path(path).read_bytes()))
+
+
+def _read_labels(path):
+    return pipeline_mod.read_labels_file(Path(path).read_bytes())
 
 
 def _load_feature_files(paths):
@@ -70,7 +77,7 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    st = stats(GraphIndex(load_graph(Path(args.graph).read_bytes())))
+    st = stats(_load_index(args.graph))
     for key in (
         "roots",
         "nodes",
@@ -94,30 +101,19 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_features_structural(args) -> int:
-    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
-    matrix = structural_mod.refex_expand(
-        structural_mod.build_base_matrix(index),
-        index,
-        depth=args.depth,
-        threshold=args.prune,
-        directed=args.directed,
-    )
+    matrix = pipeline_mod.structural_matrix(_load_index(args.graph), _config(args))
     Path(args.out).write_bytes(structural_mod.save_struct_matrix(matrix))
     print(f"structural matrix: {len(matrix.keys)} nodes x {len(matrix.columns)} features")
     return 0
 
 
 def cmd_features_content(args) -> int:
-    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
-    eligible, _ = pipeline_mod.filter_eligible(index, args.min_in_degree)
-    train_docs, _ = pipeline_mod.split_documents(
-        eligible, fraction=args.train_frac, seed=args.split_seed
-    )
-    vocabulary = content_mod.build_vocabulary(
-        train_docs, k=args.vocab_size, rank_by=args.rank
-    )
-    keys, columns, values, _ = content_mod.content_rows(
-        eligible, vocabulary, clamp_idf=args.clamp_idf
+    cfg = _config(args)
+    labels = _read_labels(args.labels) if args.labels else None
+    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
+    train_docs, _ = pipeline_mod.split_documents(eligible, cfg, labels)
+    vocabulary, (keys, columns, values, _) = pipeline_mod.content_features(
+        eligible, train_docs, cfg
     )
     Path(args.out).write_bytes(pipeline_mod.write_content_matrix(keys, columns, values))
     if args.vocab_out:
@@ -130,17 +126,11 @@ def cmd_features_content(args) -> int:
 
 
 def cmd_label(args) -> int:
-    graph = load_graph(Path(args.graph).read_bytes())
-    ruleset = _read_rules(args.rules)
-    overrides = (
-        parse_overrides(Path(args.overrides).read_text(encoding="utf-8"))
-        if args.overrides
-        else None
-    )
-    labels = {
-        (doc.host, doc.kind): label_document(ruleset, doc, overrides)
-        for doc in graph.documents()
-    }
+    cfg = _config(args)
+    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
+    ruleset = pipeline_mod.read_rules(args.rules)
+    overrides = pipeline_mod.read_overrides(args.overrides)
+    labels = {(d.host, d.kind): label_document(ruleset, d, overrides) for d in eligible}
     Path(args.out).write_bytes(pipeline_mod.write_labels_file(labels))
     n_ad = sum(1 for lab in labels.values() if lab.label == "adtracker")
     print(
@@ -151,22 +141,16 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = _config(args)
     vectors = _load_feature_files(args.features)
-    labels = pipeline_mod.read_labels_file(Path(args.labels).read_bytes())
-    keys = sorted(k for k in vectors if k in labels)
+    labels = _read_labels(args.labels)
+    keys = [k for k in vectors if k in labels]
     if not keys:
         raise DataError("no documents appear in both features and labels")
-    if args.train_frac is not None:
-        keys, _ = pipeline_mod.split_keys(keys, args.train_frac, args.split_seed)
-        keys = sorted(keys)
-    X = np.vstack([vectors[k] for k in keys])
-    y = np.array([pipeline_mod.CLASS_NAMES.index(labels[k].label) for k in keys])
-    params = forest_mod.ForestParams(
-        n_trees=args.trees, mtry=args.mtry, max_depth=args.max_depth, seed=args.seed
-    )
-    model = forest_mod.train(X, y, params)
+    train_keys, _ = pipeline_mod.split_keys(keys, cfg, labels)
+    model, X = pipeline_mod.train_forest(vectors, train_keys, labels, cfg)
     Path(args.out).write_bytes(forest_mod.save_model(model))
-    print(f"trained {args.trees} trees on {len(keys)} documents ({X.shape[1]} features)")
+    print(f"trained {cfg.n_trees} trees on {len(train_keys)} documents ({X.shape[1]} features)")
     return 0
 
 
@@ -186,35 +170,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
+    cfg = _config(args)
+    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
-    labels = pipeline_mod.read_labels_file(Path(args.labels).read_bytes())
-    overrides = (
-        parse_overrides(Path(args.overrides).read_text(encoding="utf-8"))
-        if args.overrides
-        else None
+    labels = _read_labels(args.labels)
+    _, test_docs = pipeline_mod.split_documents(eligible, cfg, labels)
+    reports = pipeline_mod.evaluate_all(
+        predictions, test_docs, labels, cfg, pipeline_mod.read_overrides(cfg.overrides_file)
     )
-    eligible, _ = pipeline_mod.filter_eligible(index, args.min_in_degree)
-    _, test_docs = pipeline_mod.split_documents(
-        eligible, fraction=args.train_frac, seed=args.split_seed
-    )
-    modes = ("biased", "unbiased") if args.mode == "both" else (args.mode,)
-    out = {}
-    for mode in modes:
-        report = pipeline_mod.evaluate(
-            predictions, test_docs, labels, mode, weight_by=args.weight_by
-        )
-        out[mode] = report.to_dict()
-        print(report.to_text())
-        if overrides:
-            corrected = pipeline_mod.evaluate(
-                predictions, test_docs, labels, mode, overrides, args.weight_by
-            )
-            out[f"corrected_{mode}"] = corrected.to_dict()
-            print()
-            print(corrected.to_text())
-        print()
+    print(pipeline_mod.reports_text(reports))
     if args.out:
+        out = {name: report.to_dict() for name, report in reports.items()}
         Path(args.out).write_text(
             json.dumps(out, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -222,9 +188,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_emit_rules(args) -> int:
-    index = GraphIndex(load_graph(Path(args.graph).read_bytes()))
+    index = _load_index(args.graph)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
-    ruleset = _read_rules(args.rules)
+    ruleset = pipeline_mod.read_rules(args.rules)
     docs = {(d.host, d.kind): d for d in index.graph.documents()}
     scored = [
         (docs[key], pred, score)
@@ -239,18 +205,7 @@ def cmd_emit_rules(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = EcosystemConfig(
-        n_sites=args.sites,
-        n_trackers=args.trackers,
-        n_benign=args.benign,
-        tracker_embed_prob=args.tracker_embed_prob,
-        benign_embed_prob=args.benign_embed_prob,
-        bounce_prob=args.bounce_prob,
-        seed=args.seed,
-    )
-    if args.config:
-        config = pipeline_mod.load_config(EcosystemConfig, args.config, **vars(config))
-    corpus = generate(config)
+    corpus = generate(load_config(EcosystemConfig, args.config))
     paths = corpus.write(args.out_dir)
     print(
         f"generated {len(corpus.har_files)} HAR files under {paths['har_dir']}, "
@@ -260,12 +215,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cfg = PipelineConfig.from_file(args.config)
+    cfg = load_config(PipelineConfig, args.config)
     summary = pipeline_mod.run_all(cfg)
     for name, report in summary["reports"].items():
         print(f"{name}: accuracy {report['accuracy']:.4f}")
     print(f"outputs under {cfg.out_dir}")
     return 0
+
+
+def _config_arg(p):
+    p.add_argument(
+        "--config", help="run-all config file; only the knobs this stage uses are read"
+    )
 
 
 def build_parser() -> _Parser:
@@ -291,40 +252,30 @@ def build_parser() -> _Parser:
     fsub = feats.add_subparsers(dest="features_command", required=True, parser_class=_Parser)
     p = fsub.add_parser("structural")
     p.add_argument("--graph", required=True)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--prune", type=float, default=0.95)
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--out", required=True)
+    _config_arg(p)
     p.set_defaults(func=cmd_features_structural)
     p = fsub.add_parser("content")
     p.add_argument("--graph", required=True)
-    p.add_argument("--vocab-size", type=int, default=1000)
-    p.add_argument("--rank", choices=("df", "tf"), default="df")
-    p.add_argument("--clamp-idf", action="store_true")
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=13)
-    p.add_argument("--min-in-degree", type=int, default=3)
+    p.add_argument("--labels", help="labels file; a stratified split needs it")
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-out")
+    _config_arg(p)
     p.set_defaults(func=cmd_features_content)
 
-    p = sub.add_parser("label", help="label documents with filter lists")
+    p = sub.add_parser("label", help="label the eligible documents with filter lists")
     p.add_argument("--graph", required=True)
     p.add_argument("--rules", nargs="+", required=True)
-    p.add_argument("--overrides")
+    p.add_argument("--overrides", help="relabel file applied to the written labels")
     p.add_argument("--out", required=True)
+    _config_arg(p)
     p.set_defaults(func=cmd_label)
 
-    p = sub.add_parser("train", help="train the random forest")
+    p = sub.add_parser("train", help="train the random forest on the training split")
     p.add_argument("--features", nargs="+", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--trees", type=int, default=250)
-    p.add_argument("--mtry", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--seed", type=int, default=29)
-    p.add_argument("--train-frac", type=float, help="train on this split only")
-    p.add_argument("--split-seed", type=int, default=13)
     p.add_argument("--out", required=True)
+    _config_arg(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score documents with a trained model")
@@ -333,17 +284,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="metrics over the held-out split")
+    p = sub.add_parser("evaluate", help="run-all's reports over the held-out split")
     p.add_argument("--graph", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--overrides")
-    p.add_argument("--mode", choices=("biased", "unbiased", "both"), default="both")
-    p.add_argument("--weight-by", choices=("sites", "urls"), default="sites")
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--split-seed", type=int, default=13)
-    p.add_argument("--min-in-degree", type=int, default=3)
     p.add_argument("--out")
+    _config_arg(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("emit-rules", help="candidate rules for unblocked predictions")
@@ -354,15 +300,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_emit_rules)
 
     p = sub.add_parser("synth", help="generate a synthetic HAR corpus with truth")
-    p.add_argument("--config")
+    p.add_argument("--config", help="EcosystemConfig keys as key = value lines")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--sites", type=int, default=200)
-    p.add_argument("--trackers", type=int, default=90)
-    p.add_argument("--benign", type=int, default=60)
-    p.add_argument("--tracker-embed-prob", type=float, default=0.35)
-    p.add_argument("--benign-embed-prob", type=float, default=0.05)
-    p.add_argument("--bounce-prob", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("run-all", help="end-to-end pipeline from a config file")
@@ -377,15 +316,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DataError,
-        HarParseError,
-        GraphError,
-        forest_mod.ForestError,
-        content_mod.VocabularyError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # ValueError covers HarParseError, GraphError and ForestError.
+    except (DataError, content_mod.VocabularyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,7 +68,7 @@ class Vocabulary:
 
 
 def build_vocabulary(
-    documents: list[SubdomainDocument], k: int = 1000, rank_by: str = "df"
+    documents: list[SubdomainDocument], k: int, rank_by: str
 ) -> Vocabulary:
     """Keep the top-k terms ranked by document frequency (ties lexicographic).
 
@@ -94,7 +94,7 @@ def build_vocabulary(
 
 
 def tfidf(
-    term: str, tokens: Counter, vocabulary: Vocabulary, clamp_idf: bool = False
+    term: str, tokens: Counter, vocabulary: Vocabulary, clamp_idf: bool
 ) -> float:
     """log(1 + f) * log(|D| / (1 + df)), natural logarithms.
 
@@ -113,7 +113,7 @@ def tfidf(
 
 
 def keyword_scores(
-    tokens: Counter, vocabulary: Vocabulary, clamp_idf: bool = False
+    tokens: Counter, vocabulary: Vocabulary, clamp_idf: bool
 ) -> np.ndarray:
     """TF-IDF of every vocabulary term over a document's token counts."""
     out = np.zeros(len(vocabulary.terms))
@@ -146,7 +146,7 @@ def engineered(document: SubdomainDocument) -> list[float]:
 def content_rows(
     documents: list[SubdomainDocument],
     vocabulary: Vocabulary,
-    clamp_idf: bool = False,
+    clamp_idf: bool,
 ) -> tuple[list[tuple[str, str]], list[str], np.ndarray, list[frozenset[str]]]:
     """(keys, columns, values, terms): one [keywords | engineered] row per
     document, ordered by (host, kind), and the vocabulary terms each

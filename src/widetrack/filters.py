@@ -216,15 +216,6 @@ def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     )
 
 
-def any_block_match(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
-    """Block-rule hit test ignoring exceptions (rule-coverage checks)."""
-    return any(
-        _rule_applies(r, url_lower, url_domain, ctx)
-        for url_lower, url_domain in _url_targets([url])
-        for r in rules.block_rules
-    )
-
-
 def label_document(
     rules: RuleSet,
     document: SubdomainDocument,

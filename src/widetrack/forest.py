@@ -26,7 +26,7 @@ class ForestFormatError(ForestError):
 
 @dataclass
 class ForestParams:
-    n_trees: int = 250
+    n_trees: int
     mtry: int | None = None  # default ceil(sqrt(d))
     max_depth: int | None = None
     min_samples_split: int = 2
@@ -208,8 +208,7 @@ def _validate_training_data(X: np.ndarray, y: np.ndarray):
         raise ForestError("training data contains a single class")
 
 
-def train(X, y, params: ForestParams | None = None) -> ForestModel:
-    params = params or ForestParams()
+def train(X, y, params: ForestParams) -> ForestModel:
     params.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

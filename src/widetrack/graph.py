@@ -16,7 +16,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .domains import registrable_domain
-from .ingest import DependencyTree, InteractionKind
+from .ingest import NODE_KINDS, DependencyTree, InteractionKind
 
 FIRST_PARTY = "firstparty"
 BOUNCED = InteractionKind.BOUNCED.value
@@ -389,6 +389,10 @@ def save_graph(graph: WideGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_DOC_KINDS = frozenset(k.value for k in NODE_KINDS)
+_NODE_KINDS = _DOC_KINDS | {FIRST_PARTY}
+
+
 def load_graph(data: bytes) -> WideGraph:
     try:
         lines = data.decode("utf-8").splitlines()
@@ -404,8 +408,9 @@ def load_graph(data: bytes) -> WideGraph:
         raise GraphFormatError(f"unsupported graph format {header!r}")
 
     graph = WideGraph()
+    lineno = 1
     try:
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], 2):
             if not line:
                 continue
             rec = json.loads(line)
@@ -413,6 +418,8 @@ def load_graph(data: bytes) -> WideGraph:
             if kind == "root":
                 graph.roots.add(rec["d"])
             elif kind == "node":
+                if rec["k"] not in _NODE_KINDS:
+                    raise GraphFormatError(f"unknown node kind {rec['k']!r}")
                 key = NodeKey(rec["d"], rec["k"])
                 graph.nodes[key] = Node(key)
             elif kind == "edge":
@@ -427,6 +434,8 @@ def load_graph(data: bytes) -> WideGraph:
                 parent = NodeKey(*rec["p"])
                 if parent not in graph.nodes:
                     raise GraphFormatError("document references unknown node")
+                if rec["k"] not in _DOC_KINDS:
+                    raise GraphFormatError(f"unknown document kind {rec['k']!r}")
                 graph.nodes[parent].documents[rec["h"]] = SubdomainDocument(
                     host=rec["h"],
                     kind=rec["k"],
@@ -436,8 +445,8 @@ def load_graph(data: bytes) -> WideGraph:
                 )
             else:
                 raise GraphFormatError(f"unknown record type {kind!r}")
-    except GraphFormatError:
-        raise
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{exc} on line {lineno}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"corrupt graph record: {exc}") from exc
+        raise GraphFormatError(f"corrupt graph record on line {lineno}: {exc}") from exc
     return graph

@@ -71,13 +71,6 @@ class DependencyTree:
     diagnostics: Counter = field(default_factory=Counter)
     skipped: Counter = field(default_factory=Counter)
 
-    def third_party_urls(self) -> list[str]:
-        return [
-            u
-            for u in self.nodes
-            if registrable_domain(urlsplit(u).hostname) != self.root_domain
-        ]
-
     def to_record(self) -> dict:
         return {
             "root_url": self.root_url,

@@ -9,7 +9,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class DataError(Exception):
 
 
 def filter_eligible(
-    index: GraphIndex, min_in_degree: int = 3
+    index: GraphIndex, min_in_degree: int
 ) -> tuple[list[SubdomainDocument], dict]:
     """Documents whose parent node has at least ``min_in_degree`` distinct
     in-edges, plus a (total, removed, kept) report."""
@@ -56,8 +56,8 @@ def filter_eligible(
     return kept, report
 
 
-def split_keys(
-    keys: list[tuple[str, str]], fraction: float = 0.8, seed: int = 13
+def _shuffle_split(
+    keys: list[tuple[str, str]], fraction: float, seed: int
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """Deterministic shuffle; the first ceil(fraction * n) go to train."""
     if not 0.0 < fraction < 1.0:
@@ -70,30 +70,46 @@ def split_keys(
     return ordered[:n_train], ordered[n_train:]
 
 
-def split_documents(
-    docs: list[SubdomainDocument],
-    fraction: float = 0.8,
-    seed: int = 13,
-    stratified: bool = False,
+def split_keys(
+    keys: list[tuple[str, str]],
+    cfg: PipelineConfig,
     labels: dict[tuple[str, str], Label] | None = None,
-) -> tuple[list[SubdomainDocument], list[SubdomainDocument]]:
-    by_key = {(d.host, d.kind): d for d in docs}
-    if not stratified:
-        train_keys, test_keys = split_keys(list(by_key), fraction, seed)
-        return [by_key[k] for k in train_keys], [by_key[k] for k in test_keys]
+) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The train/test split of document keys by ``cfg.train_frac`` and
+    ``cfg.split_seed``; independent of the order of ``keys``.
+
+    With ``cfg.stratified`` each class is split on its own (a class of one
+    goes to train), which needs ``labels``.
+    """
+    if not cfg.stratified:
+        return _shuffle_split(keys, cfg.train_frac, cfg.split_seed)
     if labels is None:
         raise DataError("stratified split needs labels")
-    train: list[SubdomainDocument] = []
-    test: list[SubdomainDocument] = []
+    for host, kind in keys:
+        if (host, kind) not in labels:
+            raise DataError(f"document {host} ({kind}) has no label")
+    train: list[tuple[str, str]] = []
+    test: list[tuple[str, str]] = []
     for cls in CLASS_NAMES:
-        group = [k for k in by_key if labels[k].label == cls]
+        group = [k for k in keys if labels[k].label == cls]
         if len(group) == 1:
-            train.append(by_key[group[0]])
+            train.extend(group)
         elif group:
-            tr, te = split_keys(group, fraction, seed)
-            train.extend(by_key[k] for k in tr)
-            test.extend(by_key[k] for k in te)
+            tr, te = _shuffle_split(group, cfg.train_frac, cfg.split_seed)
+            train.extend(tr)
+            test.extend(te)
     return train, test
+
+
+def split_documents(
+    docs: list[SubdomainDocument],
+    cfg: PipelineConfig,
+    labels: dict[tuple[str, str], Label] | None = None,
+) -> tuple[list[SubdomainDocument], list[SubdomainDocument]]:
+    """``split_keys`` over documents: (train documents, test documents)."""
+    by_key = {(d.host, d.kind): d for d in docs}
+    train_keys, test_keys = split_keys(list(by_key), cfg, labels)
+    return [by_key[k] for k in train_keys], [by_key[k] for k in test_keys]
 
 
 @dataclass
@@ -109,17 +125,7 @@ class MetricsReport:
     total_weight: float
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "corrected": self.corrected,
-            "confusion": self.confusion,
-            "precision": self.precision,
-            "recall": self.recall,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "accuracy": self.accuracy,
-            "total_weight": self.total_weight,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         title = f"{self.mode} metrics" + (" (corrected)" if self.corrected else "")
@@ -169,9 +175,9 @@ def evaluate(
     predictions: dict[tuple[str, str], tuple[int, float]],
     test_docs: list[SubdomainDocument],
     labels: dict[tuple[str, str], Label],
-    mode: str = "unbiased",
+    mode: str,
+    weight_by: str,
     overrides: dict[str, str] | None = None,
-    weight_by: str = "sites",
 ) -> MetricsReport:
     """Weighted metrics over already-computed predictions.
 
@@ -202,6 +208,29 @@ def evaluate(
             weight = float(sum(doc.urls.values()))
         rows.append((truth, CLASS_NAMES[pred], weight))
     return compute_metrics(rows, mode, corrected=overrides is not None)
+
+
+def evaluate_all(
+    predictions: dict[tuple[str, str], tuple[int, float]],
+    test_docs: list[SubdomainDocument],
+    labels: dict[tuple[str, str], Label],
+    cfg: PipelineConfig,
+    overrides: dict[str, str] | None = None,
+) -> dict[str, MetricsReport]:
+    """The report set: unbiased and biased metrics, and the same two
+    corrected by ``overrides`` when there are any."""
+    variants = [("", None)] + ([("corrected_", overrides)] if overrides else [])
+    return {
+        f"{prefix}{mode}": evaluate(
+            predictions, test_docs, labels, mode, cfg.weight_by, corrected
+        )
+        for prefix, corrected in variants
+        for mode in ("unbiased", "biased")
+    }
+
+
+def reports_text(reports: dict[str, MetricsReport]) -> str:
+    return "\n\n".join(rep.to_text() for rep in reports.values())
 
 
 def emit_candidate_rules(
@@ -312,8 +341,33 @@ def analysis_tables(
 # --- flat-file interfaces shared by the CLI subcommands ---
 
 
+_LABELS_HEADER = ["host", "kind", "label", "source"]
+_SCORES_HEADER = ["host", "kind", "prediction", "score", "basis"]
+
+
+def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(header cells, [(line number, cells)] of each non-empty row) of a
+    TSV table; a row whose column count differs from the header's is a
+    DataError that names its line."""
+    lines = data.decode("utf-8").splitlines()
+    if not lines:
+        raise DataError(f"empty {what}")
+    header = lines[0].split("\t")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(header):
+            raise DataError(
+                f"bad {what} row on line {lineno}: {len(cells)} columns, expected {len(header)}"
+            )
+        rows.append((lineno, cells))
+    return header, rows
+
+
 def write_labels_file(labels: dict[tuple[str, str], Label]) -> bytes:
-    lines = ["host\tkind\tlabel\tsource"]
+    lines = ["\t".join(_LABELS_HEADER)]
     for (host, kind) in sorted(labels):
         lab = labels[(host, kind)]
         lines.append(f"{host}\t{kind}\t{lab.label}\t{lab.source}")
@@ -321,37 +375,36 @@ def write_labels_file(labels: dict[tuple[str, str], Label]) -> bytes:
 
 
 def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != "host\tkind\tlabel\tsource":
+    header, rows = _read_table(data, "labels file")
+    if header != _LABELS_HEADER:
         raise DataError("unrecognized labels file header")
     out = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        host, kind, label, source = line.split("\t")
+    for lineno, (host, kind, label, source) in rows:
         if label not in CLASS_NAMES:
-            raise DataError(f"unknown label {label!r} for {host}")
+            raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
         out[(host, kind)] = Label(label, source)
     return out
 
 
 def write_scores_file(rows: list[tuple[str, str, int, float, str]]) -> bytes:
-    lines = ["host\tkind\tprediction\tscore\tbasis"]
+    lines = ["\t".join(_SCORES_HEADER)]
     for host, kind, pred, score, basis in sorted(rows):
         lines.append(f"{host}\t{kind}\t{CLASS_NAMES[pred]}\t{score!r}\t{basis}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != "host\tkind\tprediction\tscore\tbasis":
+    header, rows = _read_table(data, "scores file")
+    if header != _SCORES_HEADER:
         raise DataError("unrecognized scores file header")
     out = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        host, kind, pred, score, _ = line.split("\t")
-        out[(host, kind)] = (CLASS_NAMES.index(pred), float(score))
+    for lineno, (host, kind, pred, score, _) in rows:
+        if pred not in CLASS_NAMES:
+            raise DataError(f"unknown prediction {pred!r} for {host} on line {lineno}")
+        try:
+            out[(host, kind)] = (CLASS_NAMES.index(pred), float(score))
+        except ValueError:
+            raise DataError(f"bad score {score!r} for {host} on line {lineno}") from None
     return out
 
 
@@ -367,22 +420,16 @@ def write_content_matrix(
 
 def read_content_matrix(data: bytes):
     """Returns (keys, columns, values) from a content feature table."""
-    lines = data.decode("utf-8").splitlines()
-    if not lines:
-        raise DataError("empty content matrix")
-    header = lines[0].split("\t")
+    header, rows = _read_table(data, "content matrix")
     if header[:2] != ["host", "kind"]:
         raise DataError("unrecognized content matrix header")
-    keys = []
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split("\t")
-        keys.append((cells[0], cells[1]))
-        rows.append([float(c) for c in cells[2:]])
-    values = np.array(rows) if rows else np.zeros((0, len(header) - 2))
-    return keys, header[2:], values
+    values = np.zeros((len(rows), len(header) - 2))
+    for i, (lineno, cells) in enumerate(rows):
+        try:
+            values[i] = [float(c) for c in cells[2:]]
+        except ValueError:
+            raise DataError(f"bad content matrix value on line {lineno}") from None
+    return [(cells[0], cells[1]) for _, cells in rows], header[2:], values
 
 
 # --- configuration and the full run ---
@@ -410,15 +457,15 @@ _CONVERTERS = {
 }
 
 
-def load_config(cls, path: str | Path, **base):
-    """Build dataclass ``cls`` from ``key = value`` lines ('#' comments).
-
-    File values override ``base``, which overrides the field defaults; each
-    value is converted by its field's annotation.
+def load_config(cls, path: str | Path | None):
+    """Build dataclass ``cls`` from ``key = value`` lines ('#' comments);
+    a key the file leaves out, or every key when ``path`` is None, keeps
+    its field default. Each value is converted by its field's annotation.
     """
     types = {f.name: f.type for f in fields(cls)}
-    values = dict(base)
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    values = {}
+    lines = Path(path).read_text().splitlines() if path is not None else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -453,9 +500,8 @@ class PipelineConfig:
     min_in_degree: int = 3
     weight_by: str = "sites"
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return load_config(cls, path)
+
+# --- the stages; run_all and each staged CLI subcommand call these ---
 
 
 def ingest_har_dir(har_dir: str | Path):
@@ -470,6 +516,40 @@ def ingest_har_dir(har_dir: str | Path):
         skip_total.update(record.skipped)
         trees.append(build_tree(record))
     return trees, skip_total
+
+
+def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.StructMatrix:
+    """Base features of every third-party node plus ``cfg.refex_depth``
+    levels of pruned neighbourhood aggregates."""
+    return structural_mod.refex_expand(
+        structural_mod.build_base_matrix(index),
+        index,
+        depth=cfg.refex_depth,
+        threshold=cfg.prune_threshold,
+        directed=cfg.directed_neighbors,
+    )
+
+
+def read_rules(paths) -> RuleSet:
+    """One rule set from the concatenated filter-list files."""
+    return parse_rules("\n".join(Path(p).read_text(encoding="utf-8") for p in paths))
+
+
+def read_overrides(path: str | Path | None) -> dict[str, str] | None:
+    if path is None:
+        return None
+    return parse_overrides(Path(path).read_text(encoding="utf-8"))
+
+
+def content_features(
+    eligible: list[SubdomainDocument],
+    train_docs: list[SubdomainDocument],
+    cfg: PipelineConfig,
+):
+    """(vocabulary, content_rows of ``eligible``): the vocabulary is built
+    from the training documents only."""
+    vocabulary = content_mod.build_vocabulary(train_docs, cfg.vocab_size, cfg.vocab_rank)
+    return vocabulary, content_mod.content_rows(eligible, vocabulary, cfg.clamp_idf)
 
 
 def assemble_all_vectors(
@@ -487,6 +567,28 @@ def assemble_all_vectors(
     return {key: matrix[i] for i, key in enumerate(keys)}
 
 
+def train_forest(
+    vectors: dict[tuple[str, str], np.ndarray],
+    train_keys: list[tuple[str, str]],
+    labels: dict[tuple[str, str], Label],
+    cfg: PipelineConfig,
+) -> tuple[forest_mod.ForestModel, np.ndarray]:
+    """The forest trained on ``train_keys`` (in that row order) with the
+    config's forest parameters, and its training matrix."""
+    X = np.vstack([vectors[k] for k in train_keys])
+    y = np.array([CLASS_NAMES.index(labels[k].label) for k in train_keys])
+    params = forest_mod.ForestParams(
+        n_trees=cfg.n_trees,
+        mtry=cfg.mtry,
+        max_depth=cfg.max_depth,
+        seed=cfg.forest_seed,
+    )
+    try:
+        return forest_mod.train(X, y, params), X
+    except forest_mod.ForestError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def run_all(cfg: PipelineConfig) -> dict:
     """Full run: ingest -> graph -> features -> label -> train -> report."""
     out = Path(cfg.out_dir)
@@ -498,68 +600,32 @@ def run_all(cfg: PipelineConfig) -> dict:
     (out / "graph.jsonl").write_bytes(save_graph(graph))
     index = GraphIndex(graph)
 
-    struct = structural_mod.refex_expand(
-        structural_mod.build_base_matrix(index),
-        index,
-        depth=cfg.refex_depth,
-        threshold=cfg.prune_threshold,
-        directed=cfg.directed_neighbors,
-    )
+    struct = structural_matrix(index, cfg)
     (out / "structural.tsv").write_bytes(structural_mod.save_struct_matrix(struct))
 
     eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
     if len(eligible) < 2:
         raise DataError("fewer than 2 eligible documents; nothing to learn from")
 
-    rules_text = "\n".join(
-        Path(p).read_text(encoding="utf-8") for p in cfg.rules_files
-    )
-    ruleset = parse_rules(rules_text)
-    overrides = (
-        parse_overrides(Path(cfg.overrides_file).read_text(encoding="utf-8"))
-        if cfg.overrides_file
-        else None
-    )
-    labels = {
-        (doc.host, doc.kind): label_document(ruleset, doc) for doc in eligible
-    }
+    ruleset = read_rules(cfg.rules_files)
+    overrides = read_overrides(cfg.overrides_file)
+    labels = {(d.host, d.kind): label_document(ruleset, d) for d in eligible}
     (out / "labels.tsv").write_bytes(write_labels_file(labels))
 
-    train_docs, test_docs = split_documents(
-        eligible,
-        fraction=cfg.train_frac,
-        seed=cfg.split_seed,
-        stratified=cfg.stratified,
-        labels=labels,
-    )
-
-    vocabulary = content_mod.build_vocabulary(
-        train_docs, k=cfg.vocab_size, rank_by=cfg.vocab_rank
+    train_docs, test_docs = split_documents(eligible, cfg, labels)
+    vocabulary, (keys, columns, content_values, doc_terms) = content_features(
+        eligible, train_docs, cfg
     )
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
-    keys, columns, content_values, doc_terms = content_mod.content_rows(
-        eligible, vocabulary, cfg.clamp_idf
-    )
     (out / "content.tsv").write_bytes(
         write_content_matrix(keys, columns, content_values)
     )
     vectors = assemble_all_vectors(keys, content_values, struct)
     del content_values  # the vectors now hold the only copy
 
-    X_train = np.vstack([vectors[(d.host, d.kind)] for d in train_docs])
-    y_train = np.array(
-        [CLASS_NAMES.index(labels[(d.host, d.kind)].label) for d in train_docs]
+    model, X_train = train_forest(
+        vectors, [(d.host, d.kind) for d in train_docs], labels, cfg
     )
-    params = forest_mod.ForestParams(
-        n_trees=cfg.n_trees,
-        mtry=cfg.mtry,
-        max_depth=cfg.max_depth,
-        seed=cfg.forest_seed,
-    )
-    try:
-        model = forest_mod.train(X_train, y_train, params)
-    except forest_mod.ForestError as exc:
-        raise DataError(str(exc)) from exc
     (out / "model.txt").write_bytes(forest_mod.save_model(model))
 
     # Training rows are scored out-of-bag: a fully grown forest memorizes its
@@ -587,24 +653,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     ]
     (out / "scores.tsv").write_bytes(write_scores_file(score_rows))
 
-    reports = {
-        "unbiased": evaluate(predictions, test_docs, labels, "unbiased"),
-        "biased": evaluate(
-            predictions, test_docs, labels, "biased", weight_by=cfg.weight_by
-        ),
-    }
-    if overrides:
-        reports["corrected_unbiased"] = evaluate(
-            predictions, test_docs, labels, "unbiased", overrides=overrides
-        )
-        reports["corrected_biased"] = evaluate(
-            predictions,
-            test_docs,
-            labels,
-            "biased",
-            overrides=overrides,
-            weight_by=cfg.weight_by,
-        )
+    reports = evaluate_all(predictions, test_docs, labels, cfg, overrides)
 
     candidates = emit_candidate_rules(index, scored_docs, ruleset)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
@@ -635,6 +684,5 @@ def run_all(cfg: PipelineConfig) -> dict:
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"
     )
-    text = "\n\n".join(rep.to_text() for rep in reports.values())
-    (out / "report.txt").write_text(text + "\n", encoding="utf-8")
+    (out / "report.txt").write_text(reports_text(reports) + "\n", encoding="utf-8")
     return summary

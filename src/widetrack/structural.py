@@ -147,7 +147,7 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
 
 
 def expand_level(
-    matrix: StructMatrix, index: GraphIndex, generation: int, directed: bool = False
+    matrix: StructMatrix, index: GraphIndex, generation: int, directed: bool
 ) -> StructMatrix:
     """Append mean/sum neighbor aggregates of every current column."""
     row_set = set(matrix.keys)
@@ -188,8 +188,8 @@ def refex_expand(
     matrix: StructMatrix,
     index: GraphIndex,
     depth: int,
-    threshold: float = 0.95,
-    directed: bool = False,
+    threshold: float,
+    directed: bool,
 ) -> StructMatrix:
     """Recursively aggregate features over neighborhoods, pruning per level.
 

@@ -110,7 +110,7 @@ def naive_tokens(url):
 def test_criterion_2_tfidf_oracle():
     corpus = generate(EcosystemConfig(n_sites=40, n_trackers=10, n_benign=8, seed=2))
     docs = corpus.truth_graph.documents()
-    vocabulary = build_vocabulary(docs, k=400)
+    vocabulary = build_vocabulary(docs, k=400, rank_by="df")
 
     oracle_df = Counter()
     oracle_counts = []
@@ -127,7 +127,7 @@ def test_criterion_2_tfidf_oracle():
     while checked < 1000:
         term = rng.choice(vocabulary.terms)
         idx = rng.randrange(len(docs))
-        got = tfidf(term, doc_token_counts(docs[idx]), vocabulary)
+        got = tfidf(term, doc_token_counts(docs[idx]), vocabulary, clamp_idf=False)
         f = oracle_counts[idx].get(term, 0)
         expected = math.log(1 + f) * math.log(len(docs) / (1 + oracle_df[term]))
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (term, idx)
@@ -409,7 +409,7 @@ def graph_with_in_degrees(degree_by_domain):
 
 def test_criterion_7_eligibility_boundary(e2e):
     g = graph_with_in_degrees({"two.net": 2, "three.net": 3, "ten.net": 10})
-    kept, report = filter_eligible(GraphIndex(g))
+    kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
     hosts = {doc.host for doc in kept}
     assert "px.two.net" not in hosts
     assert "px.three.net" in hosts and "px.ten.net" in hosts

@@ -32,20 +32,22 @@ def test_full_command_chain(corpus_dir, tmp_path, capsys):
     scores = str(tmp_path / "scores.tsv")
     report = str(tmp_path / "report.json")
     candidates = str(tmp_path / "candidates.txt")
+    cfg = tmp_path / "stages.cfg"
+    cfg.write_text(
+        "refex_depth = 1\nvocab_size = 200\nn_trees = 30\nforest_seed = 5\ntrain_frac = 0.8\n"
+    )
+    config = ["--config", str(cfg)]
 
     assert main(["ingest", "--har-dir", har_dir, "--out", trees]) == 0
     assert main(["graph", "build", "--trees", trees, "--out", graph]) == 0
     assert main(["graph", "stats", "--graph", graph]) == 0
     assert "top coverage" in capsys.readouterr().out
-    assert (
-        main(["features", "structural", "--graph", graph, "--depth", "1", "--out", struct])
-        == 0
-    )
+    assert main(["features", "structural", "--graph", graph, "--out", struct, *config]) == 0
     assert (
         main(
             [
-                "features", "content", "--graph", graph, "--vocab-size", "200",
-                "--out", content, "--vocab-out", vocab,
+                "features", "content", "--graph", graph,
+                "--out", content, "--vocab-out", vocab, *config,
             ]
         )
         == 0
@@ -55,7 +57,7 @@ def test_full_command_chain(corpus_dir, tmp_path, capsys):
         main(
             [
                 "train", "--features", content, struct, "--labels", labels,
-                "--trees", "30", "--seed", "5", "--train-frac", "0.8", "--out", model,
+                "--out", model, *config,
             ]
         )
         == 0
@@ -65,7 +67,7 @@ def test_full_command_chain(corpus_dir, tmp_path, capsys):
         main(
             [
                 "evaluate", "--graph", graph, "--scores", scores, "--labels", labels,
-                "--mode", "both", "--out", report,
+                "--out", report, *config,
             ]
         )
         == 0
@@ -136,38 +138,110 @@ def test_ingest_list_initiator(tmp_path):
     assert main(["ingest", "--har-dir", str(har_dir), "--out", str(tmp_path / "t")]) == 0
 
 
-def test_staged_commands_reproduce_run_all(corpus_dir, tmp_path):
-    """The staged CLI and run-all share one content table and one evaluation
-    path, so on the default config they write the same bytes and metrics."""
+# Every artifact the staged chain writes as run-all does. scores.tsv and
+# candidate-rules.txt are not among them: predict scores every row with the
+# full forest, while run-all scores its training rows out-of-bag.
+STAGED_ARTIFACTS = (
+    "trees.jsonl", "graph.jsonl", "structural.tsv", "content.tsv",
+    "vocabulary.tsv", "labels.tsv", "model.txt",
+)
+
+
+def staged_and_run_all(corpus_dir, tmp_path, knobs):
+    """Run run-all and the staged chain from one config file; returns the
+    two output directories and the staged evaluate reports."""
     cfg = tmp_path / "run.cfg"
-    out_dir = tmp_path / "out"
+    run_dir = tmp_path / "run"
+    staged = tmp_path / "staged"
+    staged.mkdir()
     cfg.write_text(
         f"har_dir = {corpus_dir / 'har'}\n"
         f"rules_files = {corpus_dir / 'truth-rules.txt'}\n"
-        f"out_dir = {out_dir}\n"
+        f"out_dir = {run_dir}\n" + knobs
     )
     assert main(["run-all", "--config", str(cfg)]) == 0
-    graph = str(out_dir / "graph.jsonl")
-    content = tmp_path / "content.tsv"
-    struct = tmp_path / "structural.tsv"
-    report = tmp_path / "report.json"
-    assert main(["features", "content", "--graph", graph, "--out", str(content)]) == 0
-    assert main(["features", "structural", "--graph", graph, "--out", str(struct)]) == 0
-    assert content.read_bytes() == (out_dir / "content.tsv").read_bytes()
-    assert struct.read_bytes() == (out_dir / "structural.tsv").read_bytes()
-    assert (
-        main(
-            [
-                "evaluate", "--graph", graph, "--scores", str(out_dir / "scores.tsv"),
-                "--labels", str(out_dir / "labels.tsv"), "--mode", "both",
-                "--out", str(report),
-            ]
-        )
-        == 0
+    config = ["--config", str(cfg)]
+    path = {name: str(staged / name) for name in STAGED_ARTIFACTS}
+    graph, labels = path["graph.jsonl"], path["labels.tsv"]
+    report = staged / "report.json"
+    stages = [
+        ["ingest", "--har-dir", str(corpus_dir / "har"), "--out", path["trees.jsonl"]],
+        ["graph", "build", "--trees", path["trees.jsonl"], "--out", graph],
+        ["features", "structural", "--graph", graph, "--out", path["structural.tsv"], *config],
+        [
+            "label", "--graph", graph, "--rules", str(corpus_dir / "truth-rules.txt"),
+            "--out", labels, *config,
+        ],
+        [
+            "features", "content", "--graph", graph, "--labels", labels,
+            "--out", path["content.tsv"], "--vocab-out", path["vocabulary.tsv"], *config,
+        ],
+        [
+            "train", "--features", path["content.tsv"], path["structural.tsv"],
+            "--labels", labels, "--out", path["model.txt"], *config,
+        ],
+        [
+            "evaluate", "--graph", graph, "--scores", str(run_dir / "scores.tsv"),
+            "--labels", labels, "--out", str(report), *config,
+        ],
+    ]
+    for argv in stages:
+        assert main(argv) == 0, argv
+    return run_dir, staged, json.loads(report.read_text())
+
+
+def assert_staged_matches(run_dir, staged, reports):
+    for name in STAGED_ARTIFACTS:
+        assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+    assert reports == json.loads((run_dir / "report.json").read_text())["reports"]
+
+
+def test_staged_commands_reproduce_run_all(corpus_dir, tmp_path):
+    """One non-default config file drives run-all and the staged chain; the
+    stages call run-all's own stage functions, so they write the same bytes
+    and the same four reports."""
+    overrides = tmp_path / "overrides.tsv"
+    hosts = sorted(
+        line.split("\t")[0]
+        for line in (corpus_dir / "truth-labels.tsv").read_text().splitlines()
     )
-    staged = json.loads(report.read_text())
-    reports = json.loads((out_dir / "report.json").read_text())["reports"]
-    assert staged == {mode: reports[mode] for mode in ("biased", "unbiased")}
+    overrides.write_text(f"{hosts[0]}\tbenign\n{hosts[-1]}\tadtracker\n")
+    run_dir, staged, reports = staged_and_run_all(
+        corpus_dir,
+        tmp_path,
+        "refex_depth = 1\nvocab_size = 200\nvocab_rank = tf\nclamp_idf = true\n"
+        "n_trees = 30\nforest_seed = 5\ntrain_frac = 0.75\nweight_by = urls\n"
+        f"overrides_file = {overrides}\n",
+    )
+    assert set(reports) == {"unbiased", "biased", "corrected_unbiased", "corrected_biased"}
+    assert_staged_matches(run_dir, staged, reports)
+
+
+def test_staged_commands_reproduce_run_all_on_default_config(corpus_dir, tmp_path):
+    run_dir, staged, reports = staged_and_run_all(corpus_dir, tmp_path, "")
+    assert set(reports) == {"unbiased", "biased"}
+    assert_staged_matches(run_dir, staged, reports)
+
+
+def test_staged_commands_reproduce_stratified_run_all(corpus_dir, tmp_path):
+    run_dir, staged, reports = staged_and_run_all(
+        corpus_dir, tmp_path, "stratified = true\nn_trees = 30\n"
+    )
+    assert_staged_matches(run_dir, staged, reports)
+
+
+def test_stratified_content_needs_labels(corpus_dir, tmp_path, capsys):
+    trees, graph = str(tmp_path / "trees.jsonl"), str(tmp_path / "graph.jsonl")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stratified = true\n")
+    assert main(["ingest", "--har-dir", str(corpus_dir / "har"), "--out", trees]) == 0
+    assert main(["graph", "build", "--trees", trees, "--out", graph]) == 0
+    argv = [
+        "features", "content", "--graph", graph, "--out", str(tmp_path / "c.tsv"),
+        "--config", str(cfg),
+    ]
+    assert main(argv) == 2
+    assert "stratified split needs labels" in capsys.readouterr().err
 
 
 def test_run_all_command(corpus_dir, tmp_path, capsys):
@@ -198,7 +272,7 @@ def test_usage_error_exits_one():
     assert err.value.code == 1
 
 
-def test_data_error_exits_two(tmp_path):
+def test_data_error_exits_two(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["ingest", "--har-dir", str(empty), "--out", str(tmp_path / "t")]) == 2
@@ -213,3 +287,43 @@ def test_data_error_exits_two(tmp_path):
         '{"root_url": "https://a.com/", "nodes": [], "edges": []}\n'
     )
     assert main(["graph", "build", "--trees", str(no_root), "--out", str(tmp_path / "g")]) == 2
+    capsys.readouterr()
+
+    header = '{"format": "widegraph", "version": 1}\n'
+    node = '{"d": "t.net", "k": "script", "t": "node"}\n'
+    doc = '{"h": "px.t.net", "k": "%s", "p": ["t.net", "script"], "sites": [], "t": "doc", "urls": []}\n'
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text(header)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("||t.net^\n")
+    scores_header = "host\tkind\tprediction\tscore\tbasis\n"
+    labels_header = "host\tkind\tlabel\tsource\n"
+    out = str(tmp_path / "out")
+    content_cmd = ["features", "content", "--graph", str(graph), "--out", out, "--labels"]
+    emit_cmd = [
+        "emit-rules", "--graph", str(graph), "--rules", str(rules), "--out", out, "--scores",
+    ]
+    train_cmd = ["train", "--labels", str(tmp_path / "labels.tsv"), "--out", out, "--features"]
+    cases = [
+        # (file name, file text, command the file's path is appended to, line named)
+        ("kind.jsonl", header + node + doc % "stylesheet",
+         ["features", "content", "--out", out, "--graph"], 3),
+        ("record.jsonl", header + node + '{"t": "node", "d": "x.net"}\n',
+         ["graph", "stats", "--graph"], 3),
+        ("labels3.tsv", labels_header + "px.t.net\tscript\tadtracker\n", content_cmd, 2),
+        ("labelx.tsv", labels_header + "px.t.net\tscript\tmaybe\tfilterlist\n", content_cmd, 2),
+        ("scores4.tsv", scores_header + "px.t.net\tscript\tadtracker\t0.5\n", emit_cmd, 2),
+        ("scorex.tsv",
+         scores_header + "a.t.net\tscript\tbenign\t0.1\tfull\npx.t.net\tscript\tmaybe\t0.5\tfull\n",
+         emit_cmd, 3),
+        ("scoref.tsv", scores_header + "px.t.net\tscript\tadtracker\thigh\tfull\n", emit_cmd, 2),
+        ("content.tsv", "host\tkind\ta\tb\npx.t.net\tscript\t1.0\n", train_cmd, 2),
+        ("contentf.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\tx\n",
+         train_cmd, 3),
+    ]
+    for name, text, argv, lineno in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"line {lineno}" in err and len(err.splitlines()) == 1, (name, err)

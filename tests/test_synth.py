@@ -83,10 +83,10 @@ def test_trackers_have_higher_direct_coverage():
 
 
 def test_every_service_is_eligible_by_construction():
-    from widetrack.pipeline import filter_eligible
+    from widetrack.pipeline import PipelineConfig, filter_eligible
 
     corpus = generate(small_config(tracker_embed_prob=0.0, benign_embed_prob=0.0))
-    kept, report = filter_eligible(GraphIndex(corpus.truth_graph))
+    kept, report = filter_eligible(GraphIndex(corpus.truth_graph), PipelineConfig().min_in_degree)
     # anchor embedding guarantees 3 distinct first parties per service
     assert report["removed"] == 0
     assert report["kept"] == len(corpus.truth_labels)
