@@ -52,7 +52,7 @@ def _load_feature_files(paths):
         if first.startswith("host\t"):
             content_part = pipeline_mod.read_content_matrix(data)
         elif first.startswith("domain\t"):
-            struct_part = structural_mod.load_struct_matrix(data)
+            struct_part = pipeline_mod.read_struct_matrix(data)
         else:
             raise DataError(f"unrecognized feature file {path}")
     if content_part is None or struct_part is None:

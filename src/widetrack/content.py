@@ -179,19 +179,3 @@ def save_vocabulary(vocabulary: Vocabulary) -> bytes:
     ]
     lines.extend(f"{t}\t{vocabulary.df[t]}" for t in vocabulary.terms)
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def load_vocabulary(data: bytes) -> Vocabulary:
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != "widetrack-vocab\tv1":
-        raise ValueError("unrecognized vocabulary file")
-    corpus_size = int(lines[1].split("\t")[1])
-    terms = []
-    df = {}
-    for line in lines[2:]:
-        if not line:
-            continue
-        term, count = line.split("\t")
-        terms.append(term)
-        df[term] = int(count)
-    return Vocabulary(terms=terms, df=df, corpus_size=corpus_size)

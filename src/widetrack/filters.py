@@ -5,14 +5,20 @@ start/end anchors, "*" wildcards, "^" separators, "@@" exceptions, and the
 options that map onto our four interaction kinds plus third-party and
 domain= restrictions. Everything else is skipped loudly; a partially
 honored rule would silently corrupt labels.
+
+Matching is token-indexed. A rule's complete tokens are the [a-z0-9%]
+runs of its pattern that every URL it matches holds as whole runs, so a
+URL only regex-tests the rules keyed by one of its own tokens, plus the
+rules with no complete token. Regexes compile on first use.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
 from urllib.parse import urlsplit
 
 from .domains import registrable_domain
@@ -31,24 +37,69 @@ KIND_TO_OPTION = {
 }
 
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
+_TOKEN_RE = re.compile(r"[a-z0-9%]+")
 
 
 @dataclass(frozen=True)
 class Rule:
     raw: str
-    regex: re.Pattern
+    pattern: str  # regex source over the lower-cased URL
     is_exception: bool
     type_options: frozenset[str]
     third_party: bool | None  # None = unrestricted
     domains_pos: tuple[str, ...]
     domains_neg: tuple[str, ...]
+    tokens: tuple[str, ...]  # complete tokens, see _complete_tokens
+
+    @cached_property
+    def regex(self) -> re.Pattern:
+        return re.compile(self.pattern)
+
+
+class _RuleIndex:
+    """One rule list keyed by each rule's rarest complete token: fewest
+    rules in the list, then the longer token, then the smaller one. Rules
+    with no complete token form the fallback bucket every URL tests."""
+
+    def __init__(self, rules: list[Rule]):
+        self.rules = rules
+        freq = Counter(t for r in rules for t in r.tokens)
+        by_token: defaultdict[str, list[int]] = defaultdict(list)
+        self.fallback: list[int] = []
+        for i, r in enumerate(rules):
+            if r.tokens:
+                by_token[min(r.tokens, key=lambda t: (freq[t], -len(t), t))].append(i)
+            else:
+                self.fallback.append(i)
+        self.by_token = dict(by_token)
+
+    def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
+        """The rules a URL with these tokens can match, in list order."""
+        ids = list(self.fallback)
+        for t in url_tokens:
+            ids.extend(self.by_token.get(t, ()))
+        ids.sort()
+        return [self.rules[i] for i in ids]
+
+    def hits(self, url_lower: str, url_tokens: Iterable[str]) -> list[Rule]:
+        """The rules whose pattern matches the URL, options aside."""
+        return [r for r in self.candidates(url_tokens) if r.regex.search(url_lower)]
 
 
 @dataclass
 class RuleSet:
+    """Block and exception rules, each list indexed once at construction;
+    the lists are not to be changed afterwards."""
+
     block_rules: list[Rule]
     exception_rules: list[Rule]
     skip_report: Counter
+    block_index: _RuleIndex = field(init=False, repr=False, compare=False)
+    exception_index: _RuleIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.block_index = _RuleIndex(self.block_rules)
+        self.exception_index = _RuleIndex(self.exception_rules)
 
     @property
     def rule_count(self) -> int:
@@ -69,7 +120,7 @@ class Label:
 
 def _pattern_to_regex(
     body: str, hostname_anchor: bool, start_anchor: bool, end_anchor: bool
-) -> re.Pattern:
+) -> str:
     parts = []
     for ch in body:
         if ch == "*":
@@ -86,7 +137,24 @@ def _pattern_to_regex(
         rx = "^" + rx
     if end_anchor:
         rx += "$"
-    return re.compile(rx)
+    return rx
+
+
+def _complete_tokens(body: str, start_bounded: bool, end_bounded: bool) -> tuple[str, ...]:
+    """The [a-z0-9%] runs of ``body`` that every matched URL holds whole.
+
+    A run is complete when each side is a literal non-token character,
+    ``^``, or an anchored edge of the pattern; a run next to ``*`` or at
+    an unanchored edge can extend into more token characters in the URL.
+    """
+    out: dict[str, None] = {}
+    for m in _TOKEN_RE.finditer(body):
+        start, end = m.span()
+        left = body[start - 1] != "*" if start else start_bounded
+        right = body[end] != "*" if end < len(body) else end_bounded
+        if left and right:
+            out[m.group()] = None
+    return tuple(out)
 
 
 def _parse_line(line: str) -> Rule | str:
@@ -138,16 +206,16 @@ def _parse_line(line: str) -> Rule | str:
     if not body and not (type_options or third_party is not None or domains_pos):
         return "empty_pattern"
 
+    body = body.lower()
     return Rule(
         raw=line,
-        regex=_pattern_to_regex(
-            body.lower(), hostname_anchor, start_anchor, end_anchor
-        ),
+        pattern=_pattern_to_regex(body, hostname_anchor, start_anchor, end_anchor),
         is_exception=is_exception,
         type_options=frozenset(type_options),
         third_party=third_party,
         domains_pos=tuple(domains_pos),
         domains_neg=tuple(domains_neg),
+        tokens=_complete_tokens(body, hostname_anchor or start_anchor, end_anchor),
     )
 
 
@@ -195,24 +263,28 @@ def _rule_applies(rule: Rule, url_lower: str, url_domain: str, ctx: MatchContext
     return _options_pass(rule, url_domain, ctx) and rule.regex.search(url_lower) is not None
 
 
-def _url_targets(urls) -> Iterator[tuple[str, str]]:
-    """(lower-cased URL, its registrable domain) for each URL with a
-    hostname, in sorted order; hostless URLs match nothing."""
+def _url_targets(urls) -> Iterator[tuple[str, str, frozenset[str]]]:
+    """(lower-cased URL, its registrable domain, its tokens) for each URL
+    with a hostname, in sorted order; hostless URLs match nothing."""
     for url in sorted(urls):
         url_lower = url.lower()
         host = urlsplit(url_lower).hostname
         if host:
-            yield url_lower, registrable_domain(host)
+            yield url_lower, registrable_domain(host), frozenset(_TOKEN_RE.findall(url_lower))
 
 
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     """True when some block rule matches and no exception rule does."""
     return any(
-        any(_rule_applies(r, url_lower, url_domain, ctx) for r in rules.block_rules)
-        and not any(
-            _rule_applies(r, url_lower, url_domain, ctx) for r in rules.exception_rules
+        any(
+            _rule_applies(r, url_lower, url_domain, ctx)
+            for r in rules.block_index.candidates(tokens)
         )
-        for url_lower, url_domain in _url_targets([url])
+        and not any(
+            _rule_applies(r, url_lower, url_domain, ctx)
+            for r in rules.exception_index.candidates(tokens)
+        )
+        for url_lower, url_domain, tokens in _url_targets([url])
     )
 
 
@@ -231,8 +303,8 @@ def label_document(
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url_lower, url_domain in _url_targets(document.urls):
-        blocks = [r for r in rules.block_rules if r.regex.search(url_lower)]
+    for url_lower, url_domain, tokens in _url_targets(document.urls):
+        blocks = rules.block_index.hits(url_lower, tokens)
         if not blocks:
             continue
         exceptions = None
@@ -240,9 +312,7 @@ def label_document(
             if not any(_options_pass(r, url_domain, ctx) for r in blocks):
                 continue
             if exceptions is None:
-                exceptions = [
-                    r for r in rules.exception_rules if r.regex.search(url_lower)
-                ]
+                exceptions = rules.exception_index.hits(url_lower, tokens)
             if not any(_options_pass(r, url_domain, ctx) for r in exceptions):
                 return Label(ADTRACKER, "filterlist")
     return Label(BENIGN, "filterlist")
@@ -257,8 +327,8 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url_lower, url_domain in _url_targets(document.urls):
-        blocks = [r for r in rules.block_rules if r.regex.search(url_lower)]
+    for url_lower, url_domain, tokens in _url_targets(document.urls):
+        blocks = rules.block_index.hits(url_lower, tokens)
         if any(
             _options_pass(r, url_domain, ctx) for ctx in contexts for r in blocks
         ):

@@ -418,18 +418,36 @@ def write_content_matrix(
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_content_matrix(data: bytes):
-    """Returns (keys, columns, values) from a content feature table."""
-    header, rows = _read_table(data, "content matrix")
-    if header[:2] != ["host", "kind"]:
-        raise DataError("unrecognized content matrix header")
+def _read_matrix(data: bytes, what: str, key_header: list[str]):
+    """(row keys, value columns, values) of a feature table whose first two
+    columns are ``key_header`` and the rest floats; a bad row is a
+    DataError that names its line."""
+    header, rows = _read_table(data, what)
+    if header[:2] != key_header:
+        raise DataError(f"unrecognized {what} header")
     values = np.zeros((len(rows), len(header) - 2))
     for i, (lineno, cells) in enumerate(rows):
         try:
             values[i] = [float(c) for c in cells[2:]]
         except ValueError:
-            raise DataError(f"bad content matrix value on line {lineno}") from None
+            raise DataError(f"bad {what} value on line {lineno}") from None
     return [(cells[0], cells[1]) for _, cells in rows], header[2:], values
+
+
+def read_content_matrix(data: bytes):
+    """Returns (keys, columns, values) from a content feature table."""
+    return _read_matrix(data, "content matrix", ["host", "kind"])
+
+
+def read_struct_matrix(data: bytes) -> structural_mod.StructMatrix:
+    """Structural feature table; the inverse of structural.save_struct_matrix."""
+    keys, columns, values = _read_matrix(data, "structural matrix", ["domain", "kind"])
+    return structural_mod.StructMatrix(
+        keys=[NodeKey(domain, kind) for domain, kind in keys],
+        columns=columns,
+        generations=[structural_mod.generation_of(c) for c in columns],
+        values=values,
+    )
 
 
 # --- configuration and the full run ---

@@ -220,28 +220,3 @@ def save_struct_matrix(matrix: StructMatrix) -> bytes:
         cells = [key.domain, key.kind] + [repr(float(v)) for v in matrix.values[i]]
         lines.append("\t".join(cells))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def load_struct_matrix(data: bytes) -> StructMatrix:
-    lines = data.decode("utf-8").splitlines()
-    if not lines:
-        raise GraphError("empty structural matrix file")
-    header = lines[0].split("\t")
-    if header[:2] != ["domain", "kind"]:
-        raise GraphError("unrecognized structural matrix header")
-    columns = header[2:]
-    keys = []
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split("\t")
-        keys.append(NodeKey(cells[0], cells[1]))
-        rows.append([float(c) for c in cells[2:]])
-    values = np.array(rows, dtype=float) if rows else np.zeros((0, len(columns)))
-    return StructMatrix(
-        keys=keys,
-        columns=columns,
-        generations=[generation_of(c) for c in columns],
-        values=values,
-    )

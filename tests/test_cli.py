@@ -320,6 +320,9 @@ def test_data_error_exits_two(tmp_path, capsys):
         ("content.tsv", "host\tkind\ta\tb\npx.t.net\tscript\t1.0\n", train_cmd, 2),
         ("contentf.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\tx\n",
          train_cmd, 3),
+        ("structural.tsv", "domain\tkind\ta\tb\nt.net\tscript\t1.0\t2.0\nu.net\tscript\t1.0\n",
+         train_cmd, 3),
+        ("structuralf.tsv", "domain\tkind\ta\nt.net\tscript\tx\n", train_cmd, 2),
     ]
     for name, text, argv, lineno in cases:
         path = tmp_path / name

@@ -14,7 +14,6 @@ from widetrack.content import (
     doc_token_counts,
     engineered,
     feature_names,
-    load_vocabulary,
     save_vocabulary,
     tfidf,
     tokenize_url,
@@ -236,16 +235,10 @@ def test_feature_names_layout():
     assert names == ["kw:uid", "kw:ref", *ENGINEERED_COLUMNS, "degree"]
 
 
-def test_vocabulary_file_round_trip():
+def test_vocabulary_file_layout():
     v = build_vocabulary(
         [doc("a.t.net", "other", ["https://a.t.net/x?uid=1&ref=2"])], k=5, rank_by="df"
     )
-    loaded = load_vocabulary(save_vocabulary(v))
-    assert loaded.terms == v.terms
-    assert loaded.df == v.df
-    assert loaded.corpus_size == v.corpus_size
-
-
-def test_vocabulary_file_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_vocabulary(b"nope\n")
+    lines = save_vocabulary(v).decode("utf-8").splitlines()
+    assert lines[:2] == ["widetrack-vocab\tv1", "corpus_size\t1"]
+    assert lines[2:] == [f"{t}\t{v.df[t]}" for t in v.terms]

@@ -1,12 +1,18 @@
+import re
 from collections import Counter
+from dataclasses import replace
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from widetrack.domains import registrable_domain
 from widetrack.filters import (
     ADTRACKER,
     BENIGN,
     MatchContext,
     RuleSet,
+    _options_pass,
     document_block_matched,
     label_document,
     matches,
@@ -242,3 +248,172 @@ def test_parse_overrides():
         parse_overrides("px.t.net\tmaybe\n")
     with pytest.raises(ValueError):
         parse_overrides("px.t.net adtracker\n")
+
+
+# --- the linear matcher: every rule's regex on every URL ---
+# It shares the option check with the package and differs only in testing
+# every rule, so it pins the token index and nothing else.
+
+
+def _linear_targets(urls):
+    for url in urls:
+        url_lower = url.lower()
+        host = urlsplit(url_lower).hostname
+        if host:
+            yield url_lower, registrable_domain(host)
+
+
+def _linear_hit(rule, url_lower, url_domain, ctx):
+    return _options_pass(rule, url_domain, ctx) and re.search(rule.pattern, url_lower)
+
+
+def linear_matches(rs, url, ctx):
+    return any(
+        any(_linear_hit(r, u, d, ctx) for r in rs.block_rules)
+        and not any(_linear_hit(r, u, d, ctx) for r in rs.exception_rules)
+        for u, d in _linear_targets([url])
+    )
+
+
+def linear_label(rs, document):
+    blocked = any(
+        linear_matches(rs, url, MatchContext(site, document.kind))
+        for url in document.urls
+        for site in document.sites
+    )
+    return ADTRACKER if blocked else BENIGN
+
+
+def linear_block_matched(rs, document):
+    return any(
+        _linear_hit(r, u, d, MatchContext(site, document.kind))
+        for u, d in _linear_targets(document.urls)
+        for site in document.sites
+        for r in rs.block_rules
+    )
+
+
+_RULE_PIECES = ["a", "b", "0", "%", "-", "_", ".", "/", "?", "=", ":", "*", "^", "|", "||", "@@"]
+_OPTIONS = ["third-party", "~third-party", "script", "domain=ab.com", "domain=~b0.org|ab.com"]
+_URL_PIECES = [
+    "a", "b", "0", "A", "B", "%", "%2F", "%aB", "-", "_", ".", "/", "?", "=", ":", "é", "Ü", "ß",
+]
+_SITES = ["ab.com", "b0.org", "a.ab.b0"]
+
+rule_lines = st.builds(
+    lambda prefix, body, opts: prefix + body + ("$" + ",".join(opts) if opts else ""),
+    st.sampled_from(["", "|", "||", "@@", "@@|", "@@||"]),
+    st.lists(st.sampled_from(_RULE_PIECES), max_size=8).map("".join),
+    st.lists(st.sampled_from(_OPTIONS), max_size=2, unique=True),
+)
+urls = st.builds(
+    lambda scheme, host, port, path: f"{scheme}{host}{port}/{path}",
+    st.sampled_from(["http://", "https://", "HTTPS://"]),
+    st.sampled_from(["ab.com", "a.AB.com", "a-b.ab.com", "b0.org", "a.ab.b0"]),
+    st.sampled_from(["", ":80", ":8080"]),
+    st.lists(st.sampled_from(_URL_PIECES), max_size=12).map("".join),
+) | st.sampled_from(["about:blank", "data:a,b"])
+
+
+def _embeddings(line):
+    """URLs whose path holds the rule's body, each "*" filled with nothing,
+    a token character or a separator, and token characters put around it:
+    where a run the rule is keyed by can grow into a longer URL run, a
+    wrongly complete token shows as a missed hit."""
+    body = line.split("$")[0].lstrip("@|")
+    for star in ("", "a", "/"):
+        filled = body.replace("*", star).replace("^", "/")
+        yield f"https://ab.com/{filled}"
+        yield f"https://ab.com/b{filled}0"
+        yield f"https://ab.com/{filled.upper()}%41"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(rule_lines, max_size=8),
+    url_list=st.lists(urls, min_size=1, max_size=4),
+    sites=st.lists(st.sampled_from(_SITES), min_size=1, max_size=2, unique=True),
+    kind=st.sampled_from(["script", "media", "iframe", "other"]),
+)
+def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind):
+    rs = parse_rules("\n".join(lines))
+    url_list = url_list + [u for line in lines for u in _embeddings(line)]
+    d = doc("a.ab.com", kind, url_list, sites=sites)
+    for url in url_list:
+        for site in sites:
+            ctx = MatchContext(site, kind)
+            assert matches(rs, url, ctx) == linear_matches(rs, url, ctx), (url, site)
+    assert label_document(rs, d).label == linear_label(rs, d)
+    assert document_block_matched(rs, d) == linear_block_matched(rs, d)
+    # Each pattern alone as an option-free block rule, so neither another
+    # rule's hit nor a failed option can mask a rule the index left out.
+    for rule in rs.block_rules + rs.exception_rules:
+        bare = replace(
+            rule, type_options=frozenset(), third_party=None, domains_pos=(), domains_neg=()
+        )
+        alone = RuleSet([bare], [], Counter())
+        for url in url_list:
+            assert matches(alone, url, CTX) == linear_matches(alone, url, CTX), (rule.raw, url)
+
+
+class _CountingRegex:
+    """Stands in for a rule's compiled regex and counts its searches."""
+
+    def __init__(self, pattern, counter):
+        self.pattern = pattern
+        self.counter = counter
+
+    def search(self, text):
+        self.counter["searches"] += 1
+        return re.search(self.pattern, text)
+
+
+def _searches_per_url(text, url_list):
+    """Per URL: (regex searches run by matches, label_document and
+    document_block_matched on a one-URL document, their verdicts)."""
+    rs = parse_rules(text)
+    counter = Counter()
+    for rule in rs.block_rules + rs.exception_rules:
+        rule.__dict__["regex"] = _CountingRegex(rule.pattern, counter)
+    out = []
+    for url in url_list:
+        counter.clear()
+        d = doc(urlsplit(url).hostname, "script", [url])
+        verdicts = (
+            matches(rs, url, CTX),
+            label_document(rs, d).label,
+            document_block_matched(rs, d),
+        )
+        out.append((counter["searches"], verdicts))
+    return out
+
+
+def test_inert_decoys_add_no_regex_search():
+    small = "\n".join(
+        [
+            "||px.t.net^",
+            "||ads.shop.io^$script",
+            "/uid=*",
+            "|https://cdn.",
+            "/pixel.gif|",
+            "@@||sync.t.net^",
+            "@@/collect?opt=out",
+        ]
+    )
+    decoys = []
+    for n in range(10_000):
+        decoys.append(f"||decoy{n}.example^")
+        tail = "$third-party" if n % 2 else ""
+        decoys.append(f"/promo{n}/frame^{tail}" if n % 3 else f"@@/promo{n}/frame^{tail}")
+    url_list = [
+        "https://px.t.net/collect?uid=1",
+        "https://sync.t.net/s?uid=2",
+        "https://ads.shop.io/lib.js",
+        "https://cdn.good.org/a/pixel.gif",
+        "https://px.t.net/collect?opt=out",
+        "https://news.com/index.html",
+    ]
+    without = _searches_per_url(small, url_list)
+    with_decoys = _searches_per_url(small + "\n" + "\n".join(decoys), url_list)
+    assert with_decoys == without
+    assert sum(n for n, _ in without) > 0

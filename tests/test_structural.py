@@ -15,6 +15,7 @@ from widetrack.graph import (
     merge,
 )
 from widetrack.ingest import DependencyTree
+from widetrack.pipeline import DataError, read_struct_matrix
 from widetrack.structural import (
     BASE_COLUMNS,
     StructMatrix,
@@ -22,7 +23,6 @@ from widetrack.structural import (
     build_base_matrix,
     expand_level,
     generation_of,
-    load_struct_matrix,
     prune_correlated,
     refex_expand,
     save_struct_matrix,
@@ -243,7 +243,7 @@ def test_generation_recovered_from_names():
 def test_matrix_file_round_trip():
     index = GraphIndex(chain_graph())
     m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95, directed=False)
-    loaded = load_struct_matrix(save_struct_matrix(m))
+    loaded = read_struct_matrix(save_struct_matrix(m))
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
     assert loaded.generations == m.generations
@@ -251,5 +251,5 @@ def test_matrix_file_round_trip():
 
 
 def test_matrix_file_rejects_garbage():
-    with pytest.raises(GraphError):
-        load_struct_matrix(b"who\tknows\nwhat\tthis\tis\n")
+    with pytest.raises(DataError):
+        read_struct_matrix(b"who\tknows\nwhat\tthis\tis\n")
