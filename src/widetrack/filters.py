@@ -192,6 +192,8 @@ def _parse_line(line: str) -> Rule | str:
                         domains_pos.append(dom)
             else:
                 return "unsupported_option"
+    if len(body) > 1 and body.startswith("/") and body.endswith("/"):
+        return "regex_rule"  # ABP reads /.../ as a regular expression
 
     hostname_anchor = body.startswith("||")
     if hostname_anchor:

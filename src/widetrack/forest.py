@@ -24,6 +24,9 @@ class ForestFormatError(ForestError):
     """Raised when a persisted model cannot be decoded."""
 
 
+_PARAM_KEYS = ("n_trees", "mtry", "max_depth", "min_samples_split", "seed")
+
+
 @dataclass
 class ForestParams:
     n_trees: int
@@ -85,48 +88,44 @@ class ForestModel:
 
 def _gini(c0: float, c1: float) -> float:
     n = c0 + c1
-    if n == 0:
-        return 0.0
-    return 1.0 - (c0 * c0 + c1 * c1) / (n * n)
+    return 1.0 - (c0 * c0 + c1 * c1) / (n * n) if n else 0.0
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats: np.ndarray):
+def _best_split(
+    X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats: np.ndarray, c0: int, c1: int
+):
     """Lowest weighted-Gini (feature, threshold) over candidate midpoints.
 
-    Ties go to the lowest feature index, then the lowest threshold.
+    All of the node's candidate features are sorted and scored in one pass;
+    columns constant at the node cannot split and are dropped first. The
+    boundaries are enumerated column-major (feature by feature, each in
+    ascending value order), so the first minimum ``argmin`` meets is the
+    lowest feature index and, within it, the lowest threshold.
     """
     n = len(idx)
-    y_node = y[idx]
-    c1 = int(y_node.sum())
-    c0 = n - c1
-    best_impurity = None
-    best = None
-    for f in feats:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum1 = np.cumsum(y_node[order])
-        pos = np.nonzero(xs[:-1] < xs[1:])[0]
-        ln = pos + 1.0
-        l1 = cum1[pos].astype(float)
-        l0 = ln - l1
-        rn = n - ln
-        r1 = c1 - l1
-        r0 = rn - r1
-        gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
-        gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
-        weighted = (ln * gl + rn * gr) / n
-        k = int(np.argmin(weighted))
-        if best_impurity is None or weighted[k] < best_impurity:
-            best_impurity = float(weighted[k])
-            best = (int(f), float((xs[pos[k]] + xs[pos[k] + 1]) / 2.0))
-    if best is None:
+    x = X[np.ix_(idx, feats)]
+    varies = x.min(axis=0) < x.max(axis=0)
+    if not varies.any():
         return None
-    if best_impurity >= _gini(c0, c1) - 1e-12:
+    x, feats = x[:, varies], feats[varies]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    cum1 = np.cumsum(y[idx][order], axis=0)
+    col, pos = np.nonzero((xs[:-1] < xs[1:]).T)
+    ln = pos + 1.0
+    l1 = cum1[pos, col].astype(float)
+    l0 = ln - l1
+    rn = n - ln
+    r1 = c1 - l1
+    r0 = rn - r1
+    gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
+    gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
+    weighted = (ln * gl + rn * gr) / n
+    k = int(np.argmin(weighted))
+    if weighted[k] >= _gini(c0, c1) - 1e-12:
         return None  # no improving split
-    return best_impurity, best[0], best[1]
+    c, p = col[k], pos[k]
+    return float(weighted[k]), int(feats[c]), float((xs[p, c] + xs[p + 1, c]) / 2.0)
 
 
 def _grow_tree(
@@ -170,7 +169,7 @@ def _grow_tree(
         ):
             continue
         feats = np.sort(rng.choice(d, size=mtry, replace=False))
-        found = _best_split(X, y, idx, feats)
+        found = _best_split(X, y, idx, feats, c0, c1)
         if found is None:
             continue
         _, f, thr = found
@@ -305,14 +304,11 @@ def feature_importance(model: ForestModel) -> list[tuple[int, float]]:
 
 def save_model(model: ForestModel) -> bytes:
     """Versioned flat text: params, then each tree in pre-order."""
-    p = model.params
     lines = [
         "widetrack-forest\tv1",
         "classes\t" + "\t".join(model.classes),
         f"feature_count\t{model.feature_count}",
-        "params\tn_trees={}\tmtry={}\tmax_depth={}\tmin_samples_split={}\tseed={}".format(
-            p.n_trees, p.mtry, p.max_depth, p.min_samples_split, p.seed
-        ),
+        "params\t" + "\t".join(f"{k}={getattr(model.params, k)}" for k in _PARAM_KEYS),
         f"trees\t{len(model.trees)}",
     ]
     for t, tree in enumerate(model.trees):
@@ -328,80 +324,83 @@ def save_model(model: ForestModel) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_tree_nodes(lines: list[str], start: int, n_nodes: int) -> tuple[Tree, int]:
-    feature = np.full(n_nodes, -1, dtype=np.int32)
-    threshold = np.zeros(n_nodes, dtype=np.float64)
-    left = np.full(n_nodes, -1, dtype=np.int32)
-    right = np.full(n_nodes, -1, dtype=np.int32)
-    counts = np.zeros((n_nodes, 2), dtype=np.int64)
-
-    # Pre-order reconstruction: a stack of parents waiting for children.
-    pending: list[tuple[int, bool]] = []
-    for node in range(n_nodes):
-        cells = lines[start + node].split("\t")
-        if pending:
-            parent, is_left = pending.pop()
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
-        elif node != 0:
-            raise ForestFormatError("tree has trailing nodes")
-        if cells[0] == "l":
-            counts[node] = (int(cells[1]), int(cells[2]))
-        elif cells[0] == "n":
-            feature[node] = int(cells[1])
-            threshold[node] = float(cells[2])
-            counts[node] = (int(cells[3]), int(cells[4]))
-            pending.append((node, False))
-            pending.append((node, True))
-        else:
-            raise ForestFormatError(f"unknown node line {cells[0]!r}")
-    if pending:
-        raise ForestFormatError("tree is truncated")
-    return (
-        Tree(feature=feature, threshold=threshold, left=left, right=right, counts=counts),
-        start + n_nodes,
-    )
-
-
 def load_model(data: bytes) -> ForestModel:
+    """Inverse of save_model; any defect raises ForestFormatError naming its line."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    no = 0  # 1-based number of the line last read
+
+    def take(key: str | None = None, n_values: int | None = None) -> list[str]:
+        nonlocal no
+        no += 1
+        if no > len(lines):
+            raise ForestFormatError("file ends early")
+        cells = lines[no - 1].decode("utf-8").split("\t")
+        if key is not None and cells[0] != key:
+            raise ForestFormatError(f"expected a {key!r} line, got {cells[0][:40]!r}")
+        if n_values is not None and len(cells) - 1 != n_values:
+            raise ForestFormatError(f"{key!r} line has {len(cells) - 1} values, not {n_values}")
+        return cells
+
     try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ForestFormatError("model file is not UTF-8") from exc
-    try:
-        if lines[0] != "widetrack-forest\tv1":
-            raise ForestFormatError("unrecognized model header")
-        classes = tuple(lines[1].split("\t")[1:])
-        feature_count = int(lines[2].split("\t")[1])
-        raw_params = dict(
-            item.split("=", 1) for item in lines[3].split("\t")[1:]
-        )
-        params = ForestParams(
-            n_trees=int(raw_params["n_trees"]),
-            mtry=None if raw_params["mtry"] == "None" else int(raw_params["mtry"]),
-            max_depth=None
-            if raw_params["max_depth"] == "None"
-            else int(raw_params["max_depth"]),
-            min_samples_split=int(raw_params["min_samples_split"]),
-            seed=int(raw_params["seed"]),
-        )
-        n_trees = int(lines[4].split("\t")[1])
+        if take("widetrack-forest", 1)[1] != "v1":
+            raise ForestFormatError("unrecognized model version")
+        if tuple(take("classes")[1:]) != CLASSES:
+            raise ForestFormatError(f"classes must be {' '.join(CLASSES)}")
+        feature_count = int(take("feature_count", 1)[1])
+        raw = dict(item.partition("=")[::2] for item in take("params")[1:])
+        for key in (*_PARAM_KEYS, *raw):
+            if (key in raw) != (key in _PARAM_KEYS):
+                state = "has no" if key in _PARAM_KEYS else "has unknown key"
+                raise ForestFormatError(f"params line {state} {key!r}")
+        params = ForestParams(**{
+            k: None if v == "None" and k in ("mtry", "max_depth") else int(v)
+            for k, v in raw.items()
+        })
+        params.validate()
+        n_trees = int(take("trees", 1)[1])
+        if feature_count < 1 or n_trees < 1:
+            raise ForestFormatError("model needs at least one feature and one tree")
         trees = []
-        cursor = 5
         for t in range(n_trees):
-            head = lines[cursor].split("\t")
-            if head[0] != "tree" or int(head[1]) != t:
-                raise ForestFormatError(f"expected tree {t} header")
-            tree, cursor = _parse_tree_nodes(lines, cursor + 1, int(head[2]))
-            if (tree.feature >= feature_count).any():
-                raise ForestFormatError("tree references unknown feature")
+            _, index, n_nodes = take("tree", 2)
+            n = int(n_nodes)
+            if index != str(t) or not 1 <= n <= len(lines) - no:
+                raise ForestFormatError(f"expected tree {t} of 1 to {len(lines) - no} nodes")
+            tree = Tree(
+                feature=np.full(n, -1, dtype=np.int32),
+                threshold=np.zeros(n),
+                left=np.full(n, -1, dtype=np.int32),
+                right=np.full(n, -1, dtype=np.int32),
+                counts=np.zeros((n, 2), dtype=np.int64),
+            )
+            pending = []  # pre-order: (parent, its left or right array) awaiting a child
+            for node in range(n):
+                kind, *values = take()
+                if pending:
+                    parent, child = pending.pop()
+                    child[parent] = node
+                elif node:
+                    raise ForestFormatError("tree has trailing nodes")
+                if (kind, len(values)) == ("n", 4):
+                    f, thr = int(values[0]), float(values[1])
+                    if not 0 <= f < feature_count:
+                        raise ForestFormatError(f"unknown feature {f}")
+                    if not math.isfinite(thr):
+                        raise ForestFormatError(f"non-finite threshold {values[1]!r}")
+                    tree.feature[node], tree.threshold[node] = f, thr
+                    pending += [(node, tree.right), (node, tree.left)]
+                    values = values[2:]
+                elif (kind, len(values)) != ("l", 2):
+                    raise ForestFormatError(f"bad node line {kind[:40]!r}")
+                tree.counts[node] = [int(v) for v in values]
+            if pending:
+                raise ForestFormatError("tree is truncated")
             trees.append(tree)
-    except ForestFormatError:
-        raise
-    except (IndexError, KeyError, ValueError) as exc:
-        raise ForestFormatError(f"corrupt model file: {exc}") from exc
-    return ForestModel(
-        trees=trees, feature_count=feature_count, params=params, classes=classes
-    )
+        if no < len(lines):
+            no += 1
+            raise ForestFormatError("trailing line after the last tree")
+    except ValueError as exc:  # UnicodeDecodeError and ForestError included
+        raise ForestFormatError(f"line {no}: {exc}") from exc
+    return ForestModel(trees=trees, feature_count=feature_count, params=params)

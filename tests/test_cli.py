@@ -323,6 +323,10 @@ def test_data_error_exits_two(tmp_path, capsys):
         ("structural.tsv", "domain\tkind\ta\tb\nt.net\tscript\t1.0\t2.0\nu.net\tscript\t1.0\n",
          train_cmd, 3),
         ("structuralf.tsv", "domain\tkind\ta\nt.net\tscript\tx\n", train_cmd, 2),
+        ("model.txt",
+         "widetrack-forest\tv1\nclasses\tbenign\tadtracker\nfeature_count\t2\n"
+         "params\tn_trees=2\tmtry=None\tmax_d\n",
+         ["predict", "--features", str(graph), "--out", out, "--model"], 4),
     ]
     for name, text, argv, lineno in cases:
         path = tmp_path / name

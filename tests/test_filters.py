@@ -74,6 +74,7 @@ class TestParseRules:
                 "b.com##.x",
                 "@@||c.com^",
                 "/banner/*",
+                "/banner[0-9]/",
                 "   ",
                 "||d.com^$media-placeholder",
             ]
@@ -81,6 +82,11 @@ class TestParseRules:
         rs = parse_rules(text)
         non_empty = sum(1 for line in text.splitlines() if line.strip())
         assert rs.rule_count + rs.skip_report.total() == non_empty
+
+    def test_regex_rule_skipped(self):
+        rs = parse_rules("/banner[0-9]+/\n@@/ads/$script\n/ad.js/*\n/\n/a/b")
+        assert rs.skip_report == Counter({"regex_rule": 2})
+        assert [r.raw for r in rs.block_rules] == ["/ad.js/*", "/", "/a/b"]
 
     def test_empty_pattern_without_options_skipped(self):
         rs = parse_rules("|\n@@")
@@ -123,7 +129,7 @@ class TestMatching:
         assert not matches(rs, "https://x.com/ads/banner", CTX)
 
     def test_match_is_case_insensitive(self):
-        rs = parse_rules("/AdServer/")
+        rs = parse_rules("/AdServer/*")
         assert matches(rs, "https://x.com/ADSERVER/pixel", CTX)
 
     def test_type_options_gate_by_interaction_kind(self):

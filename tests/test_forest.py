@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from widetrack import forest
 from widetrack.forest import (
     ForestError,
     ForestFormatError,
@@ -31,6 +33,11 @@ def xor_data(reps=8):
     X = np.array([(a, b) for a, b, _ in corners for _ in range(reps)], dtype=float)
     y = np.array([lab for _, _, lab in corners for _ in range(reps)])
     return X, y
+
+
+def small_model():
+    X, y = xor_data(2)
+    return save_model(train(X, y, ForestParams(n_trees=2, seed=1)))
 
 
 class TestTrainValidation:
@@ -168,14 +175,60 @@ class TestDeterminism:
         assert np.array_equal(l1, l2) and np.array_equal(s1, s2)
 
     def test_corrupt_model_rejected(self):
-        X, y = xor_data(2)
-        data = save_model(train(X, y, ForestParams(n_trees=2, seed=1)))
-        with pytest.raises(ForestFormatError):
+        data = small_model()
+        with pytest.raises(ForestFormatError, match=r"^line \d+: "):
             load_model(data[: len(data) // 2])
-        with pytest.raises(ForestFormatError):
+        with pytest.raises(ForestFormatError, match="^line 1: unrecognized model version"):
             load_model(b"widetrack-forest\tv999\n")
-        with pytest.raises(ForestFormatError):
+        with pytest.raises(ForestFormatError, match="^line 1: expected a 'widetrack-forest'"):
             load_model(b"hello\n")
+        with pytest.raises(ForestFormatError, match="^line 1: file ends early"):
+            load_model(b"")
+
+    @pytest.mark.parametrize(
+        "edit, lineno, words",
+        [
+            (lambda ls: ls[:3] + [ls[3][: ls[3].index("max_depth") + 5]], 4, "'max_depth'"),
+            (lambda ls: [ls[0], ls[1].replace("classes", "klasses"), *ls[2:]], 2, "'classes'"),
+            (lambda ls: [ls[0], "classes\tbenign", *ls[2:]], 2, "classes"),
+            (lambda ls: [ls[0], "classes\tbeni\0gn\tadtracker", *ls[2:]], 2, "classes"),
+            (lambda ls: [ls[0], ls[1], "feature_count\t2\t2", *ls[3:]], 3, "2 values"),
+            (lambda ls: ls[:3] + [ls[3] + "\tdepth=3"], 4, "'depth'"),
+            (lambda ls: ls[:4] + ["trees\t0"], 5, "one tree"),
+            (lambda ls: ls[:5] + ["tree\t1\t3", *ls[6:]], 6, "tree 0 of"),
+            # checked against the lines left before any array is allocated
+            (lambda ls: ls[:5] + ["tree\t0\t1000000000000", *ls[6:]], 6, "tree 0 of"),
+            (lambda ls: ls + ["l\t1\t0"], 0, "trailing line"),
+            (lambda ls: ls + [""], 0, "trailing line"),
+        ],
+    )
+    def test_malformed_model_names_its_line(self, edit, lineno, words):
+        lines = small_model().decode().splitlines()
+        edited = edit(lines)
+        lineno = lineno or len(edited)
+        with pytest.raises(ForestFormatError, match=f"^line {lineno}: .*{words}"):
+            load_model(("\n".join(edited) + "\n").encode())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, value):
+        lines = small_model().decode().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("n\t"))
+        cells = lines[at].split("\t")
+        lines[at] = "\t".join([*cells[:2], value, *cells[3:]])
+        with pytest.raises(ForestFormatError, match=f"^line {at + 1}: non-finite threshold"):
+            load_model(("\n".join(lines) + "\n").encode())
+
+    def test_every_cut_before_the_last_line_names_a_line(self):
+        data = small_model()
+        last_line_start = data.rstrip(b"\n").rindex(b"\n") + 1
+        for cut in range(last_line_start):
+            with pytest.raises(ForestFormatError, match=r"^line \d+: "):
+                load_model(data[:cut])
+
+    def test_non_utf8_byte_names_its_line(self):
+        data = small_model()
+        with pytest.raises(ForestFormatError, match="^line 3: "):
+            load_model(data.replace(b"feature_count", b"feature\xffcount"))
 
 
 class TestFeatureImportance:
@@ -266,3 +319,130 @@ class TestBatchedWalk:
         for r in range(len(self.X)):
             if counts[r]:
                 assert scores[r] == votes[r] / counts[r]
+
+
+def _best_split_loop(X, y, idx, feats, *_counts):
+    """Reference split search: one Python iteration per candidate feature."""
+    n = len(idx)
+    y_node = y[idx]
+    c1 = int(y_node.sum())
+    c0 = n - c1
+    best_impurity = None
+    best = None
+    for f in feats:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        cum1 = np.cumsum(y_node[order])
+        pos = np.nonzero(xs[:-1] < xs[1:])[0]
+        ln = pos + 1.0
+        l1 = cum1[pos].astype(float)
+        l0 = ln - l1
+        rn = n - ln
+        r1 = c1 - l1
+        r0 = rn - r1
+        gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
+        gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
+        weighted = (ln * gl + rn * gr) / n
+        k = int(np.argmin(weighted))
+        if best_impurity is None or weighted[k] < best_impurity:
+            best_impurity = float(weighted[k])
+            best = (int(f), float((xs[pos[k]] + xs[pos[k] + 1]) / 2.0))
+    if best is None:
+        return None
+    if best_impurity >= forest._gini(c0, c1) - 1e-12:
+        return None
+    return best_impurity, best[0], best[1]
+
+
+def sparse_tfidf(rng, n, d, density=0.08):
+    """Mostly-zero non-negative matrix, like the keyword block of a feature row."""
+    weights = rng.choice([0.3, 0.5, 1.25, 2.0, 3.7], size=(n, d))
+    return np.where(rng.random((n, d)) < density, weights, 0.0)
+
+
+@st.composite
+def split_nodes(draw):
+    """(X, y, idx, feats): a node of a tree over a small mixed-column matrix."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 8))
+    small = st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0])
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["zero", "constant", "ties", "sparse", "real"]))
+        if kind == "zero":
+            col = [0.0] * n
+        elif kind == "constant":
+            col = [draw(small)] * n
+        elif kind == "ties":
+            col = draw(st.lists(small, min_size=n, max_size=n))
+        elif kind == "sparse":
+            col = [
+                v if keep else 0.0
+                for v, keep in zip(
+                    draw(st.lists(st.sampled_from([0.3, 1.25, 3.7]), min_size=n, max_size=n)),
+                    draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                )
+            ]
+        else:
+            col = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        columns.append(col)
+    X = np.array(columns, dtype=np.float64).T
+    if draw(st.booleans()):  # duplicate rows
+        X = np.vstack([X, X[: draw(st.integers(1, n))]])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    idx = np.array(
+        draw(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=2 * len(X)))
+    )
+    feats = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    return X, y, idx, feats
+
+
+class TestSplitSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    def test_matches_the_per_feature_loop(self, node):
+        X, y, idx, feats = node
+        c1 = int(y[idx].sum())
+        c0 = len(idx) - c1
+        assert forest._best_split(X, y, idx, feats, c0, c1) == _best_split_loop(
+            X, y, idx, feats
+        )
+
+    def test_matches_the_loop_on_sparse_nodes(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            X = sparse_tfidf(rng, 40, 30)
+            y = rng.integers(0, 2, size=40)
+            idx = rng.integers(0, 40, size=int(rng.integers(2, 40)))
+            feats = np.sort(rng.choice(30, size=6, replace=False))
+            c1 = int(y[idx].sum())
+            c0 = len(idx) - c1
+            expected = _best_split_loop(X, y, idx, feats)
+            assert forest._best_split(X, y, idx, feats, c0, c1) == expected
+
+    def test_all_constant_columns_give_no_split(self):
+        X = np.array([[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
+        y = np.array([0, 1, 1])
+        assert forest._best_split(X, y, np.arange(3), np.array([0, 1]), 1, 2) is None
+
+    def test_tie_goes_to_the_lowest_feature_then_threshold(self):
+        # Against labels 0, 1, 0 every boundary here weighs 1/3: feature 0's
+        # one boundary is its second sorted gap, feature 1's is its first,
+        # and feature 2 has two.
+        X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+        y = np.array([0, 1, 0])
+        idx = np.arange(3)
+        assert forest._best_split(X, y, idx, np.array([0, 1, 2]), 2, 1) == (1 / 3, 0, 0.5)
+        assert forest._best_split(X, y, idx, np.array([2]), 2, 1) == (1 / 3, 2, 0.5)
+
+    def test_forest_bytes_equal_the_loop_oracle_forest(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        X = sparse_tfidf(rng, 80, 60)
+        y = (X[:, :5].sum(axis=1) + rng.normal(0, 0.3, size=80) > 0.4).astype(int)
+        params = ForestParams(n_trees=12, seed=3)
+        fast = save_model(train(X, y, params))
+        monkeypatch.setattr(forest, "_best_split", _best_split_loop)
+        assert save_model(train(X, y, params)) == fast
