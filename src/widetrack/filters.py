@@ -6,10 +6,14 @@ options that map onto our four interaction kinds plus third-party and
 domain= restrictions. Everything else is skipped loudly; a partially
 honored rule would silently corrupt labels.
 
-Matching is token-indexed. A rule's complete tokens are the [a-z0-9%]
-runs of its pattern that every URL it matches holds as whole runs, so a
-URL only regex-tests the rules keyed by one of its own tokens, plus the
-rules with no complete token. Regexes compile on first use.
+Matching is token-indexed; rules fall into three buckets. A rule's
+complete tokens are the [a-z0-9%] runs of its pattern that every URL it
+matches holds as whole runs, so a rule with one is keyed by a token. A
+rule with none is keyed by a left-bounded run: one that a non-token
+character, "^" or an anchored start precedes, so in any URL it matches it
+begins a token. Only rules with neither form the fallback bucket. A URL
+regex-tests the fallback bucket, the rules keyed by one of its tokens and
+the rules keyed by a prefix of one. Regexes compile on first use.
 """
 
 from __future__ import annotations
@@ -49,37 +53,55 @@ class Rule:
     third_party: bool | None  # None = unrestricted
     domains_pos: tuple[str, ...]
     domains_neg: tuple[str, ...]
-    tokens: tuple[str, ...]  # complete tokens, see _complete_tokens
+    tokens: tuple[str, ...]  # complete tokens, see _token_runs
+    prefixes: tuple[str, ...]  # left-bounded runs that are not complete
 
     @cached_property
     def regex(self) -> re.Pattern:
         return re.compile(self.pattern)
 
 
+def _rarest(keys: tuple[str, ...], freq: Counter) -> str:
+    """Fewest rules in the list, then the longer key, then the smaller."""
+    return min(keys, key=lambda k: (freq[k], -len(k), k))
+
+
 class _RuleIndex:
-    """One rule list keyed by each rule's rarest complete token: fewest
-    rules in the list, then the longer token, then the smaller one. Rules
-    with no complete token form the fallback bucket every URL tests."""
+    """One rule list in three buckets: a rule is keyed by its rarest
+    complete token, else by its rarest left-bounded run, which any URL it
+    matches holds as a token prefix; rules with neither form the fallback
+    bucket every URL tests."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        freq = Counter(t for r in rules for t in r.tokens)
+        token_freq = Counter(t for r in rules for t in r.tokens)
+        prefix_freq = Counter(p for r in rules if not r.tokens for p in r.prefixes)
         by_token: defaultdict[str, list[int]] = defaultdict(list)
+        by_prefix: defaultdict[str, list[int]] = defaultdict(list)
         self.fallback: list[int] = []
         for i, r in enumerate(rules):
             if r.tokens:
-                by_token[min(r.tokens, key=lambda t: (freq[t], -len(t), t))].append(i)
+                by_token[_rarest(r.tokens, token_freq)].append(i)
+            elif r.prefixes:
+                by_prefix[_rarest(r.prefixes, prefix_freq)].append(i)
             else:
                 self.fallback.append(i)
         self.by_token = dict(by_token)
+        self.by_prefix = dict(by_prefix)
+        self.prefix_lengths = sorted({len(p) for p in by_prefix})
 
     def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
-        """The rules a URL with these tokens can match, in list order."""
+        """The rules a URL with these tokens can match, each once, in list
+        order."""
         ids = list(self.fallback)
         for t in url_tokens:
             ids.extend(self.by_token.get(t, ()))
-        ids.sort()
-        return [self.rules[i] for i in ids]
+            for n in self.prefix_lengths:
+                if n > len(t):
+                    break
+                ids.extend(self.by_prefix.get(t[:n], ()))
+        # Two tokens can share a prefix key.
+        return [self.rules[i] for i in sorted(set(ids))]
 
     def hits(self, url_lower: str, url_tokens: Iterable[str]) -> list[Rule]:
         """The rules whose pattern matches the URL, options aside."""
@@ -140,21 +162,27 @@ def _pattern_to_regex(
     return rx
 
 
-def _complete_tokens(body: str, start_bounded: bool, end_bounded: bool) -> tuple[str, ...]:
-    """The [a-z0-9%] runs of ``body`` that every matched URL holds whole.
+def _token_runs(
+    body: str, start_bounded: bool, end_bounded: bool
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(complete tokens, other left-bounded runs) of ``body``'s [a-z0-9%] runs.
 
-    A run is complete when each side is a literal non-token character,
-    ``^``, or an anchored edge of the pattern; a run next to ``*`` or at
+    A side of a run is bounded when it is a literal non-token character,
+    ``^``, or an anchored edge of the pattern; a side next to ``*`` or at
     an unanchored edge can extend into more token characters in the URL.
+    Every matched URL holds a run bounded on both sides (complete) as a
+    whole token, and a run bounded on the left as the start of a token:
+    ``^`` cannot match the end of the URL with the run still to come.
     """
-    out: dict[str, None] = {}
+    complete: dict[str, None] = {}
+    left_bounded: dict[str, None] = {}
     for m in _TOKEN_RE.finditer(body):
         start, end = m.span()
         left = body[start - 1] != "*" if start else start_bounded
         right = body[end] != "*" if end < len(body) else end_bounded
-        if left and right:
-            out[m.group()] = None
-    return tuple(out)
+        if left:
+            (complete if right else left_bounded)[m.group()] = None
+    return tuple(complete), tuple(left_bounded)
 
 
 def _parse_line(line: str) -> Rule | str:
@@ -209,6 +237,7 @@ def _parse_line(line: str) -> Rule | str:
         return "empty_pattern"
 
     body = body.lower()
+    tokens, prefixes = _token_runs(body, hostname_anchor or start_anchor, end_anchor)
     return Rule(
         raw=line,
         pattern=_pattern_to_regex(body, hostname_anchor, start_anchor, end_anchor),
@@ -217,7 +246,8 @@ def _parse_line(line: str) -> Rule | str:
         third_party=third_party,
         domains_pos=tuple(domains_pos),
         domains_neg=tuple(domains_neg),
-        tokens=_complete_tokens(body, hostname_anchor or start_anchor, end_anchor),
+        tokens=tokens,
+        prefixes=prefixes,
     )
 
 

@@ -394,13 +394,24 @@ def load_model(data: bytes) -> ForestModel:
                     values = values[2:]
                 elif (kind, len(values)) != ("l", 2):
                     raise ForestFormatError(f"bad node line {kind[:40]!r}")
-                tree.counts[node] = [int(v) for v in values]
+                counts = [int(v) for v in values]
+                if min(counts) < 0 or sum(counts) == 0:
+                    raise ForestFormatError(f"impossible class counts {' '.join(values)}")
+                tree.counts[node] = counts
             if pending:
                 raise ForestFormatError("tree is truncated")
+            inner = np.flatnonzero(tree.feature >= 0)
+            sums = tree.counts[tree.left[inner]] + tree.counts[tree.right[inner]]
+            bad = inner[(tree.counts[inner] != sums).any(axis=1)]
+            if bad.size:
+                no -= n - 1 - int(bad[0])  # back to that node's line
+                raise ForestFormatError("class counts differ from the sum of the children's")
             trees.append(tree)
         if no < len(lines):
             no += 1
             raise ForestFormatError("trailing line after the last tree")
-    except ValueError as exc:  # UnicodeDecodeError and ForestError included
+    # UnicodeDecodeError and ForestError included; OverflowError is a count
+    # past int64.
+    except (ValueError, OverflowError) as exc:
         raise ForestFormatError(f"line {no}: {exc}") from exc
     return ForestModel(trees=trees, feature_count=feature_count, params=params)

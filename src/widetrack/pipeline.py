@@ -475,6 +475,18 @@ _CONVERTERS = {
 }
 
 
+def _read_utf8(path: str | Path) -> str:
+    """A text file's contents; a byte that is not UTF-8 raises DataError
+    naming the file and its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        byte = data[exc.start]
+        raise DataError(f"{path}: line {lineno}: byte {byte:#04x} is not UTF-8") from None
+
+
 def load_config(cls, path: str | Path | None):
     """Build dataclass ``cls`` from ``key = value`` lines ('#' comments);
     a key the file leaves out, or every key when ``path`` is None, keeps
@@ -482,7 +494,7 @@ def load_config(cls, path: str | Path | None):
     """
     types = {f.name: f.type for f in fields(cls)}
     values = {}
-    lines = Path(path).read_text().splitlines() if path is not None else []
+    lines = _read_utf8(path).splitlines() if path is not None else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -550,13 +562,13 @@ def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.
 
 def read_rules(paths) -> RuleSet:
     """One rule set from the concatenated filter-list files."""
-    return parse_rules("\n".join(Path(p).read_text(encoding="utf-8") for p in paths))
+    return parse_rules("\n".join(_read_utf8(p) for p in paths))
 
 
 def read_overrides(path: str | Path | None) -> dict[str, str] | None:
     if path is None:
         return None
-    return parse_overrides(Path(path).read_text(encoding="utf-8"))
+    return parse_overrides(_read_utf8(path))
 
 
 def content_features(

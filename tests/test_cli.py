@@ -272,7 +272,7 @@ def test_usage_error_exits_one():
     assert err.value.code == 1
 
 
-def test_data_error_exits_two(tmp_path, capsys):
+def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["ingest", "--har-dir", str(empty), "--out", str(tmp_path / "t")]) == 2
@@ -334,3 +334,21 @@ def test_data_error_exits_two(tmp_path, capsys):
         assert main([*argv, str(path)]) == 2, name
         err = capsys.readouterr().err
         assert f"line {lineno}" in err and len(err.splitlines()) == 1, (name, err)
+
+    # A rules, overrides or config file holding a byte that is not UTF-8
+    # names itself and the byte's line.
+    bad_rules = tmp_path / "bad-rules.txt"
+    bad_rules.write_bytes(b"||t.net^\n||\xff.net^\n")
+    bad_overrides = tmp_path / "bad-overrides.tsv"
+    bad_overrides.write_bytes(b"px.t.net\tbenign\n\xff.net\tbenign\n")
+    cfg = tmp_path / "bad-bytes.cfg"
+    base = f"har_dir = {corpus_dir / 'har'}\nout_dir = {tmp_path / 'bad-bytes-out'}\n"
+    for extra, named, lineno in [
+        (f"rules_files = {bad_rules}\n".encode(), bad_rules, 2),
+        (f"rules_files = {rules}\noverrides_file = {bad_overrides}\n".encode(), bad_overrides, 2),
+        (f"rules_files = {rules}\n".encode() + b"# \xff\n", cfg, 4),
+    ]:
+        cfg.write_bytes(base.encode() + extra)
+        assert main(["run-all", "--config", str(cfg)]) == 2, named
+        err = capsys.readouterr().err
+        assert f"{named}: line {lineno}: " in err and len(err.splitlines()) == 1, err

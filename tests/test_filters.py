@@ -362,6 +362,47 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
             assert matches(alone, url, CTX) == linear_matches(alone, url, CTX), (rule.raw, url)
 
 
+def _bucket(index, i):
+    """Where rule ``i`` of an index's list is keyed."""
+    for kind, table in (("token", index.by_token), ("prefix", index.by_prefix)):
+        keys = [key for key, ids in table.items() if i in ids]
+        if keys:
+            return kind, *keys
+    return ("fallback",) if i in index.fallback else ()
+
+
+@pytest.mark.parametrize(
+    "line, bucket",
+    [
+        ("/uid=*", ("token", "uid")),
+        ("/adzone12*.js", ("prefix", "adzone12")),
+        ("*ads*", ("fallback",)),
+        # each left edge that makes a run begin a URL token
+        ("^track*", ("prefix", "track")),
+        ("||ads*", ("prefix", "ads")),
+        ("|http*", ("prefix", "http")),
+        ("*.gif", ("prefix", "gif")),
+        # an unanchored start or a "*" lets the URL token begin earlier
+        ("ads*", ("fallback",)),
+        ("*ads", ("fallback",)),
+        ("$third-party", ("fallback",)),
+    ],
+)
+def test_rule_bucket(line, bucket):
+    rs = parse_rules(line)
+    index = rs.block_index if rs.block_rules else rs.exception_index
+    assert _bucket(index, 0) == bucket
+
+
+def test_prefix_key_is_the_rarest_left_bounded_run():
+    index = parse_rules("/ad*.js\n/b*.js\n/c*.js\n/*x.js").block_index
+    assert index.by_prefix == {"ad": [0], "b": [1], "c": [2], "js": [3]}
+    assert index.prefix_lengths == [1, 2]
+    # A token selects the rules keyed by its prefixes, each once, in order.
+    assert [r.raw for r in index.candidates(["xb", "adx", "ad", "js1"])] == ["/ad*.js", "/*x.js"]
+    assert [r.raw for r in index.candidates(["cab"])] == ["/c*.js"]
+
+
 class _CountingRegex:
     """Stands in for a rule's compiled regex and counts its searches."""
 
@@ -370,27 +411,33 @@ class _CountingRegex:
         self.counter = counter
 
     def search(self, text):
-        self.counter["searches"] += 1
+        self.counter[self] += 1
         return re.search(self.pattern, text)
 
 
 def _searches_per_url(text, url_list):
     """Per URL: (regex searches run by matches, label_document and
-    document_block_matched on a one-URL document, their verdicts)."""
+    document_block_matched on a one-URL document, their verdicts). No call
+    may search a rule's regex twice."""
     rs = parse_rules(text)
     counter = Counter()
     for rule in rs.block_rules + rs.exception_rules:
         rule.__dict__["regex"] = _CountingRegex(rule.pattern, counter)
     out = []
     for url in url_list:
-        counter.clear()
         d = doc(urlsplit(url).hostname, "script", [url])
-        verdicts = (
-            matches(rs, url, CTX),
-            label_document(rs, d).label,
-            document_block_matched(rs, d),
+        calls = (
+            lambda: matches(rs, url, CTX),
+            lambda: label_document(rs, d).label,
+            lambda: document_block_matched(rs, d),
         )
-        out.append((counter["searches"], verdicts))
+        searches, verdicts = 0, []
+        for call in calls:
+            counter.clear()
+            verdicts.append(call())
+            assert max(counter.values(), default=0) <= 1, url
+            searches += counter.total()
+        out.append((searches, tuple(verdicts)))
     return out
 
 
@@ -404,6 +451,9 @@ def test_inert_decoys_add_no_regex_search():
             "/pixel.gif|",
             "@@||sync.t.net^",
             "@@/collect?opt=out",
+            # prefix-keyed: no run is complete
+            "/pixel*$script",
+            "@@/pixels*",
         ]
     )
     decoys = []
@@ -411,6 +461,9 @@ def test_inert_decoys_add_no_regex_search():
         decoys.append(f"||decoy{n}.example^")
         tail = "$third-party" if n % 2 else ""
         decoys.append(f"/promo{n}/frame^{tail}" if n % 3 else f"@@/promo{n}/frame^{tail}")
+        # keyed only by a token prefix no URL token starts with
+        decoys.append(f"/adzone{n}*.js" if n % 3 else f"@@/adzone{n}*.js")
+        decoys.append(f"*/promo{n}x*{tail}" if n % 4 else f"@@*/promo{n}x*{tail}")
     url_list = [
         "https://px.t.net/collect?uid=1",
         "https://sync.t.net/s?uid=2",
@@ -418,6 +471,8 @@ def test_inert_decoys_add_no_regex_search():
         "https://cdn.good.org/a/pixel.gif",
         "https://px.t.net/collect?opt=out",
         "https://news.com/index.html",
+        # two tokens start with "pixel"
+        "https://cdn.good.org/pixels/pixel2.gif",
     ]
     without = _searches_per_url(small, url_list)
     with_decoys = _searches_per_url(small + "\n" + "\n".join(decoys), url_list)

@@ -40,6 +40,11 @@ def small_model():
     return save_model(train(X, y, ForestParams(n_trees=2, seed=1)))
 
 
+def one_tree_model():
+    X, y = xor_data(2)
+    return train(X, y, ForestParams(n_trees=1, seed=1))
+
+
 class TestTrainValidation:
     def test_single_class_rejected(self):
         with pytest.raises(ForestError, match="single class"):
@@ -224,6 +229,41 @@ class TestDeterminism:
         for cut in range(last_line_start):
             with pytest.raises(ForestFormatError, match=r"^line \d+: "):
                 load_model(data[:cut])
+
+    @pytest.mark.parametrize(
+        "leaf, words",
+        [
+            ("l\t-7\t3", "impossible class counts -7 3"),
+            ("l\t0\t0", "impossible class counts 0 0"),
+            (f"l\t1\t{2**70}", "too large"),  # past int64
+        ],
+    )
+    def test_impossible_leaf_counts_name_their_line(self, leaf, words):
+        lines = save_model(one_tree_model()).decode().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("l\t"))
+        lines[at] = leaf
+        with pytest.raises(ForestFormatError, match=f"^line {at + 1}: .*{words}"):
+            load_model(("\n".join(lines) + "\n").encode())
+
+    def test_counts_off_the_childrens_sum_name_the_parents_line(self):
+        model = one_tree_model()
+        tree = model.trees[0]
+        first = 7  # the header is five lines, then the tree line
+        lines = save_model(model).decode().splitlines()
+        assert lines[first - 2].startswith("tree\t0\t") and tree.feature[0] >= 0
+        # The root one count too high.
+        root = lines[:]
+        cells = root[first - 1].split("\t")
+        root[first - 1] = "\t".join([*cells[:3], str(int(cells[3]) + 1), cells[4]])
+        # The last leaf one count too high: the defect shows at its parent.
+        last = len(tree.feature) - 1
+        parent = int(np.flatnonzero((tree.left == last) | (tree.right == last))[0])
+        leaf = lines[:]
+        c0, c1 = tree.counts[last]
+        leaf[first - 1 + last] = f"l\t{c0}\t{c1 + 1}"
+        for edited, lineno in ((root, first), (leaf, first + parent)):
+            with pytest.raises(ForestFormatError, match=f"^line {lineno}: .*sum of the children"):
+                load_model(("\n".join(edited) + "\n").encode())
 
     def test_non_utf8_byte_names_its_line(self):
         data = small_model()
