@@ -2,8 +2,24 @@
 random feature subset at each node, majority vote over trees.
 
 Per-tree randomness comes from independent streams seeded by (seed, tree
-index), so trees could be trained in any order or in parallel without
-changing the result.
+index), so trees can be grown in any order, or interleaved, without
+changing the result. Training relies on that twice over:
+
+- ``_presort`` builds a column index once per ``train``: each column's
+  nonzero cells, sorted by value. A node scores a column from its bootstrap
+  multiplicities over those cells; all of its zero cells count as one group
+  at value 0. The keyword block is mostly zeros, so a node costs the
+  nonzeros of its candidate columns, not its rows times its columns.
+- ``_grow_group`` grows ``_GROUP_TREES`` trees in lockstep. Each step pops
+  the next pre-order node of every tree in the group, draws that node's
+  features from its own tree's generator, and scores all of those nodes in
+  one segmented numpy pass (``_best_splits``).
+
+Neither changes a split. Each tree draws in the same order, every boundary
+is scored with the same Gini expression, term for term, and ties go to the
+lowest feature, then the lowest threshold. A trained model is byte for byte
+the one that growing one tree and one node at a time gives; the tests keep
+that grower as their oracle.
 """
 
 from __future__ import annotations
@@ -91,102 +107,209 @@ def _gini(c0: float, c1: float) -> float:
     return 1.0 - (c0 * c0 + c1 * c1) / (n * n) if n else 0.0
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, feats: np.ndarray, c0: int, c1: int
-):
-    """Lowest weighted-Gini (feature, threshold) over candidate midpoints.
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """``_gini`` of each (c0, c1) row, term for term."""
+    c0, c1 = counts[:, 0], counts[:, 1]
+    n = c0 + c1
+    return 1.0 - np.divide(c0 * c0 + c1 * c1, n * n, out=np.ones(len(n)), where=n > 0)
 
-    All of the node's candidate features are sorted and scored in one pass;
-    columns constant at the node cannot split and are dropped first. The
-    boundaries are enumerated column-major (feature by feature, each in
-    ascending value order), so the first minimum ``argmin`` meets is the
-    lowest feature index and, within it, the lowest threshold.
+
+# Trees grown together in lockstep. Every tree of a group keeps its
+# pre-order stack of node row lists alive, and a step's multiplicity matrix
+# holds n + 1 int64 per tree; 16 trees bound both.
+_GROUP_TREES = 16
+# Column entries scored in one numpy pass. A pass keeps about a dozen
+# temporaries of 8 bytes per entry, so 16k entries (plus at most one column
+# past the budget) bound its temporaries at about 1.5 MB.
+_PASS_ENTRIES = 16384
+
+
+@dataclass
+class _Columns:
+    """Each column's nonzero cells, presorted by value, plus one zero slot.
+
+    Column f owns entries ``start[f]:start[f + 1]``: its negative cells in
+    ascending order, then one slot that stands for all of its zero cells
+    (row n, value 0.0), then its positive cells. -0.0 is a zero cell.
     """
-    n = len(idx)
-    x = X[np.ix_(idx, feats)]
-    varies = x.min(axis=0) < x.max(axis=0)
-    if not varies.any():
-        return None
-    x, feats = x[:, varies], feats[varies]
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    cum1 = np.cumsum(y[idx][order], axis=0)
-    col, pos = np.nonzero((xs[:-1] < xs[1:]).T)
-    ln = pos + 1.0
-    l1 = cum1[pos, col].astype(float)
-    l0 = ln - l1
-    rn = n - ln
-    r1 = c1 - l1
-    r0 = rn - r1
-    gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
-    gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
-    weighted = (ln * gl + rn * gr) / n
-    k = int(np.argmin(weighted))
-    if weighted[k] >= _gini(c0, c1) - 1e-12:
-        return None  # no improving split
-    c, p = col[k], pos[k]
-    return float(weighted[k]), int(feats[c]), float((xs[p, c] + xs[p + 1, c]) / 2.0)
+
+    n: int
+    start: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray  # y of each entry's row; 0 at the zero slots
+    zero_at: np.ndarray  # entry index of each column's zero slot
 
 
-def _grow_tree(
+def _presort(X: np.ndarray, y: np.ndarray) -> _Columns:
+    n, d = X.shape
+    col, row = np.nonzero(X.T)
+    values = np.concatenate([X[row, col], np.zeros(d)])
+    col = np.concatenate([col, np.arange(d)])
+    row = np.concatenate([row, np.full(d, n)])
+    order = np.lexsort((values, col))
+    rows = row[order]
+    return _Columns(
+        n=n,
+        start=np.searchsorted(col[order], np.arange(d + 1)),
+        rows=rows,
+        values=values[order],
+        labels=np.append(y, 0)[rows],
+        zero_at=np.flatnonzero(rows == n),
+    )
+
+
+def _best_splits(cols: _Columns, nodes: list) -> list:
+    """Lowest weighted-Gini (impurity, feature, threshold) of each node, or
+    None where no candidate split lowers the node's Gini.
+
+    ``nodes`` holds (bootstrap rows, class-1 count, sorted candidate
+    features) per node. A node scores column f from its row multiplicities
+    over f's nonzero cells; all of its zero cells form one group at value 0.
+    The (node, feature) segments lie end to end, node by node and each
+    node's features ascending, and are scored in passes of about
+    ``_PASS_ENTRIES`` entries. Every boundary between two distinct values
+    present at the node is scored with the per-node expression, and a node
+    keeps the first minimum it meets (a later pass wins only by a strict
+    improvement): the lowest feature, then the lowest threshold.
+    """
+    n1 = cols.n + 1
+    sizes = np.array([len(idx) for idx, _, _ in nodes])
+    class1 = np.array([c1 for _, c1, _ in nodes])
+    mult = np.bincount(
+        np.concatenate([idx for idx, _, _ in nodes])
+        + np.repeat(np.arange(len(nodes)) * n1, sizes),
+        minlength=len(nodes) * n1,
+    )
+    seg_node = np.repeat(np.arange(len(nodes)), [len(f) for _, _, f in nodes])
+    seg_feat = np.concatenate([f for _, _, f in nodes])
+    seg_len = cols.start[seg_feat + 1] - cols.start[seg_feat]
+    cuts = np.flatnonzero(np.diff((np.cumsum(seg_len) - 1) // _PASS_ENTRIES)) + 1
+    best = np.full(len(nodes), np.inf)
+    best_feat = np.zeros(len(nodes), dtype=np.int64)
+    best_thr = np.zeros(len(nodes))
+    for a, b in zip([0, *cuts], [*cuts, len(seg_feat)]):
+        feat, node, length = seg_feat[a:b], seg_node[a:b], seg_len[a:b]
+        first = np.cumsum(length) - length
+        entry = np.arange(first[-1] + length[-1]) + np.repeat(cols.start[feat] - first, length)
+        seg = np.repeat(np.arange(b - a), length)
+        # Each entry weighs its row's multiplicity at the segment's node; the
+        # zero slot (row n, weight 0 so far) takes what the nonzeros leave.
+        w = mult[np.repeat(node * n1, length) + cols.rows[entry]]
+        w1 = w * cols.labels[entry]
+        zero = first + cols.zero_at[feat] - cols.start[feat]
+        w[zero] = sizes[node] - np.add.reduceat(w, first)
+        w1[zero] = class1[node] - np.add.reduceat(w1, first)
+        keep = w > 0  # cells of rows outside the node, or no zero cell at it
+        seg, w, w1, x = seg[keep], w[keep], w1[keep], cols.values[entry[keep]]
+        # A boundary lies between neighbours of one segment with distinct values.
+        pos = np.flatnonzero((seg[:-1] == seg[1:]) & (x[:-1] < x[1:]))
+        if not len(pos):
+            continue
+        # Left-side counts: running sums less the sums before the segment.
+        cw, cw1 = np.cumsum(w), np.cumsum(w1)
+        head = np.searchsorted(seg, np.arange(b - a))  # every segment keeps an entry
+        s = seg[pos]
+        ln = (cw[pos] - (cw[head] - w[head])[s]).astype(np.float64)
+        l1 = (cw1[pos] - (cw1[head] - w1[head])[s]).astype(np.float64)
+        at = node[s]
+        n, c1 = sizes[at], class1[at]
+        l0 = ln - l1
+        rn = n - ln
+        r1 = c1 - l1
+        r0 = rn - r1
+        gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
+        gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
+        weighted = (ln * gl + rn * gr) / n
+        group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        low = np.minimum.reduceat(weighted, group)
+        hit = np.flatnonzero(weighted == np.repeat(low, np.diff(np.append(group, len(at)))))
+        hit = hit[np.concatenate(([True], at[hit][1:] != at[hit][:-1]))]  # first minima
+        better = low < best[at[hit]]
+        who, hit = at[hit][better], hit[better]
+        best[who] = low[better]
+        best_feat[who] = feat[s[hit]]
+        best_thr[who] = (x[pos[hit]] + x[pos[hit] + 1]) / 2.0
+    return [
+        None
+        if best[j] >= _gini(len(idx) - c1, c1) - 1e-12  # no improving split
+        else (float(best[j]), int(best_feat[j]), float(best_thr[j]))
+        for j, (idx, c1, _) in enumerate(nodes)
+    ]
+
+
+def _grow_group(
     X: np.ndarray,
     y: np.ndarray,
-    sample: np.ndarray,
+    cols: _Columns,
+    samples: list[np.ndarray],
+    rngs: list[np.random.Generator],
     params: ForestParams,
     mtry: int,
-    rng: np.random.Generator,
-) -> Tree:
+) -> list[Tree]:
+    """One tree per bootstrap sample, grown in lockstep.
+
+    Each step pops the next pre-order node of every tree that has one, draws
+    the features of each node that may split from its own tree's generator,
+    and scores all of those nodes in one ``_best_splits`` call. Each tree
+    meets the same nodes, draws and splits as it would grown alone.
+    """
     d = X.shape[1]
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[tuple[int, int]] = []
-
-    # Explicit pre-order construction; (indices, depth, parent, is_left).
-    stack = [(sample, 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_left = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
-        c1 = int(y[idx].sum())
-        c0 = len(idx) - c1
-        counts.append((c0, c1))
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-
-        if (
-            c0 == 0
-            or c1 == 0
-            or len(idx) < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
+    # feature, threshold, left, right, counts: one entry per node, pre-order
+    built = [([], [], [], [], []) for _ in samples]
+    # Explicit pre-order stacks of (indices, depth, parent, is_left).
+    stacks = [[(sample, 0, -1, False)] for sample in samples]
+    while any(stacks):
+        scored = []
+        for t, stack in enumerate(stacks):
+            if not stack:
+                continue
+            idx, depth, parent, is_left = stack.pop()
+            feature, threshold, left, right, counts = built[t]
+            node = len(feature)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            c1 = int(y[idx].sum())
+            c0 = len(idx) - c1
+            counts.append((c0, c1))
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            if (
+                c0 == 0
+                or c1 == 0
+                or len(idx) < params.min_samples_split
+                or (params.max_depth is not None and depth >= params.max_depth)
+            ):
+                continue
+            feats = np.sort(rngs[t].choice(d, size=mtry, replace=False))
+            scored.append((t, node, depth, (idx, c1, feats)))
+        if not scored:
+            continue
+        for (t, node, depth, (idx, _, _)), found in zip(
+            scored, _best_splits(cols, [s[3] for s in scored])
         ):
-            continue
-        feats = np.sort(rng.choice(d, size=mtry, replace=False))
-        found = _best_split(X, y, idx, feats, c0, c1)
-        if found is None:
-            continue
-        _, f, thr = found
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        # Push right first so the left subtree is emitted next (pre-order).
-        stack.append((idx[~go_left], depth + 1, node, False))
-        stack.append((idx[go_left], depth + 1, node, True))
+            if found is None:
+                continue
+            _, f, thr = found
+            go_left = X[idx, f] <= thr
+            built[t][0][node] = f
+            built[t][1][node] = thr
+            # Push right first so the left subtree is emitted next (pre-order).
+            stacks[t].append((idx[~go_left], depth + 1, node, False))
+            stacks[t].append((idx[go_left], depth + 1, node, True))
 
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        counts=np.array(counts, dtype=np.int64),
-    )
+    return [
+        Tree(
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            counts=np.array(counts, dtype=np.int64),
+        )
+        for feature, threshold, left, right, counts in built
+    ]
 
 
 def _validate_training_data(X: np.ndarray, y: np.ndarray):
@@ -215,15 +338,17 @@ def train(X, y, params: ForestParams) -> ForestModel:
     n, d = X.shape
     mtry = params.resolve_mtry(d)
 
-    trees = []
-    in_bag = []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=params.seed, spawn_key=(t,))
-        )
-        sample = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, sample, params, mtry, rng))
-        in_bag.append(sample)
+    cols = _presort(X, y)
+    trees: list[Tree] = []
+    in_bag: list[np.ndarray] = []
+    for first in range(0, params.n_trees, _GROUP_TREES):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(t,)))
+            for t in range(first, min(first + _GROUP_TREES, params.n_trees))
+        ]
+        samples = [rng.integers(0, n, size=n) for rng in rngs]
+        trees += _grow_group(X, y, cols, samples, rngs, params, mtry)
+        in_bag += samples
     return ForestModel(
         trees=trees, feature_count=d, params=params, in_bag=in_bag
     )
@@ -278,22 +403,19 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def feature_importance(model: ForestModel) -> list[tuple[int, float]]:
-    """Mean impurity decrease per feature, normalized to sum 1."""
+    """Mean impurity decrease per feature, normalized to sum 1.
+
+    Each tree's split nodes are scored in one pass and added into the totals
+    with ``np.add.at``, which adds in node order, so every float sum is the
+    one a node-by-node loop makes.
+    """
     totals = np.zeros(model.feature_count)
     for tree in model.trees:
-        n_root = tree.counts[0].sum()
-        for i in range(len(tree.feature)):
-            f = tree.feature[i]
-            if f < 0:
-                continue
-            c0, c1 = tree.counts[i]
-            lc0, lc1 = tree.counts[tree.left[i]]
-            rc0, rc1 = tree.counts[tree.right[i]]
-            n = c0 + c1
-            decrease = _gini(c0, c1) - (
-                (lc0 + lc1) * _gini(lc0, lc1) + (rc0 + rc1) * _gini(rc0, rc1)
-            ) / n
-            totals[f] += (n / n_root) * decrease
+        inner = np.flatnonzero(tree.feature >= 0)
+        c, lc, rc = (tree.counts[i] for i in (inner, tree.left[inner], tree.right[inner]))
+        n, ln, rn = c.sum(axis=1), lc.sum(axis=1), rc.sum(axis=1)
+        decrease = _gini_rows(c) - (ln * _gini_rows(lc) + rn * _gini_rows(rc)) / n
+        np.add.at(totals, tree.feature[inner], (n / tree.counts[0].sum()) * decrease)
     totals /= len(model.trees)
     total = totals.sum()
     if total > 0:
@@ -349,6 +471,8 @@ def load_model(data: bytes) -> ForestModel:
         if tuple(take("classes")[1:]) != CLASSES:
             raise ForestFormatError(f"classes must be {' '.join(CLASSES)}")
         feature_count = int(take("feature_count", 1)[1])
+        if feature_count < 1:
+            raise ForestFormatError("model needs at least one feature")
         raw = dict(item.partition("=")[::2] for item in take("params")[1:])
         for key in (*_PARAM_KEYS, *raw):
             if (key in raw) != (key in _PARAM_KEYS):
@@ -359,9 +483,12 @@ def load_model(data: bytes) -> ForestModel:
             for k, v in raw.items()
         })
         params.validate()
+        params.resolve_mtry(feature_count)
         n_trees = int(take("trees", 1)[1])
-        if feature_count < 1 or n_trees < 1:
-            raise ForestFormatError("model needs at least one feature and one tree")
+        if n_trees < 1:
+            raise ForestFormatError("model needs at least one tree")
+        if n_trees != params.n_trees:
+            raise ForestFormatError(f"{n_trees} trees, but the params line says n_trees={params.n_trees}")
         trees = []
         for t in range(n_trees):
             _, index, n_nodes = take("tree", 2)

@@ -402,9 +402,12 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
         if pred not in CLASS_NAMES:
             raise DataError(f"unknown prediction {pred!r} for {host} on line {lineno}")
         try:
-            out[(host, kind)] = (CLASS_NAMES.index(pred), float(score))
+            value = float(score)
         except ValueError:
-            raise DataError(f"bad score {score!r} for {host} on line {lineno}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise DataError(f"bad score {score!r} for {host} on line {lineno}")
+        out[(host, kind)] = (CLASS_NAMES.index(pred), value)
     return out
 
 
@@ -420,7 +423,7 @@ def write_content_matrix(
 
 def _read_matrix(data: bytes, what: str, key_header: list[str]):
     """(row keys, value columns, values) of a feature table whose first two
-    columns are ``key_header`` and the rest floats; a bad row is a
+    columns are ``key_header`` and the rest finite floats; a bad row is a
     DataError that names its line."""
     header, rows = _read_table(data, what)
     if header[:2] != key_header:
@@ -429,8 +432,11 @@ def _read_matrix(data: bytes, what: str, key_header: list[str]):
     for i, (lineno, cells) in enumerate(rows):
         try:
             values[i] = [float(c) for c in cells[2:]]
+            finite = np.isfinite(values[i]).all()
         except ValueError:
-            raise DataError(f"bad {what} value on line {lineno}") from None
+            finite = False
+        if not finite:
+            raise DataError(f"bad {what} value on line {lineno}")
     return [(cells[0], cells[1]) for _, cells in rows], header[2:], values
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from widetrack.cli import main
+from widetrack.forest import ForestParams, save_model, train
 from widetrack.synth import EcosystemConfig, generate
 
 
@@ -304,6 +305,8 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         "emit-rules", "--graph", str(graph), "--rules", str(rules), "--out", out, "--scores",
     ]
     train_cmd = ["train", "--labels", str(tmp_path / "labels.tsv"), "--out", out, "--features"]
+    model_file = tmp_path / "one-feature-model.txt"
+    model_file.write_bytes(save_model(train([[0.0], [1.0]], [0, 1], ForestParams(n_trees=1))))
     cases = [
         # (file name, file text, command the file's path is appended to, line named)
         ("kind.jsonl", header + node + doc % "stylesheet",
@@ -317,12 +320,17 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
          scores_header + "a.t.net\tscript\tbenign\t0.1\tfull\npx.t.net\tscript\tmaybe\t0.5\tfull\n",
          emit_cmd, 3),
         ("scoref.tsv", scores_header + "px.t.net\tscript\tadtracker\thigh\tfull\n", emit_cmd, 2),
+        ("scoren.tsv", scores_header + "px.t.net\tscript\tadtracker\tnan\tfull\n", emit_cmd, 2),
         ("content.tsv", "host\tkind\ta\tb\npx.t.net\tscript\t1.0\n", train_cmd, 2),
         ("contentf.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\tx\n",
          train_cmd, 3),
         ("structural.tsv", "domain\tkind\ta\tb\nt.net\tscript\t1.0\t2.0\nu.net\tscript\t1.0\n",
          train_cmd, 3),
         ("structuralf.tsv", "domain\tkind\ta\nt.net\tscript\tx\n", train_cmd, 2),
+        ("contentn.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\tinf\n",
+         train_cmd, 3),
+        ("contentp.tsv", "host\tkind\ta\npx.t.net\tscript\tnan\n",
+         ["predict", "--model", str(model_file), "--out", out, "--features"], 2),
         ("model.txt",
          "widetrack-forest\tv1\nclasses\tbenign\tadtracker\nfeature_count\t2\n"
          "params\tn_trees=2\tmtry=None\tmax_d\n",

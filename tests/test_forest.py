@@ -203,6 +203,14 @@ class TestDeterminism:
             (lambda ls: ls[:5] + ["tree\t1\t3", *ls[6:]], 6, "tree 0 of"),
             # checked against the lines left before any array is allocated
             (lambda ls: ls[:5] + ["tree\t0\t1000000000000", *ls[6:]], 6, "tree 0 of"),
+            # the params line must agree with the model it heads
+            (lambda ls: ls[:3] + [ls[3].replace("n_trees=2", "n_trees=7"), *ls[4:]], 5,
+             "2 trees, but the params line says n_trees=7"),
+            *[
+                (lambda ls, m=m: ls[:3] + [ls[3].replace("mtry=None", f"mtry={m}"), *ls[4:]],
+                 4, rf"mtry must be in \[1, 2\], got {m}")
+                for m in (0, -4, 3, 9)
+            ],
             (lambda ls: ls + ["l\t1\t0"], 0, "trailing line"),
             (lambda ls: ls + [""], 0, "trailing line"),
         ],
@@ -293,6 +301,12 @@ class TestFeatureImportance:
         imps = [imp for _, imp in feature_importance(model)]
         assert imps == sorted(imps, reverse=True)
 
+    @pytest.mark.parametrize("kind", ["sparse_tfidf", "dense_real", "mixed_sign"])
+    def test_equals_the_node_loop_exactly(self, kind):
+        X, y = _matrix(kind)
+        model = train(X, y, ForestParams(n_trees=20, seed=2))
+        assert feature_importance(model) == _feature_importance_loop(model)
+
 
 class TestOob:
     def test_oob_disagrees_with_memorized_mislabel(self):
@@ -361,7 +375,7 @@ class TestBatchedWalk:
                 assert scores[r] == votes[r] / counts[r]
 
 
-def _best_split_loop(X, y, idx, feats, *_counts):
+def _best_split_loop(X, y, idx, feats):
     """Reference split search: one Python iteration per candidate feature."""
     n = len(idx)
     y_node = y[idx]
@@ -397,35 +411,139 @@ def _best_split_loop(X, y, idx, feats, *_counts):
     return best_impurity, best[0], best[1]
 
 
+def _grow_tree_loop(X, y, sample, params, mtry, rng):
+    """Reference grower: one tree, one node at a time, pre-order."""
+    d = X.shape[1]
+    feature, threshold, left, right, counts = [], [], [], [], []
+    stack = [(sample, 0, -1, False)]  # (indices, depth, parent, is_left)
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            (left if is_left else right)[parent] = node
+        c1 = int(y[idx].sum())
+        c0 = len(idx) - c1
+        counts.append((c0, c1))
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if (
+            c0 == 0
+            or c1 == 0
+            or len(idx) < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+        ):
+            continue
+        feats = np.sort(rng.choice(d, size=mtry, replace=False))
+        found = _best_split_loop(X, y, idx, feats)
+        if found is None:
+            continue
+        _, f, thr = found
+        go_left = X[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        stack.append((idx[~go_left], depth + 1, node, False))
+        stack.append((idx[go_left], depth + 1, node, True))
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        counts=np.array(counts, dtype=np.int64),
+    )
+
+
+def train_loop(X, y, params):
+    """Reference forest: each tree grown alone, from its own stream."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    mtry = params.resolve_mtry(d)
+    trees, in_bag = [], []
+    for t in range(params.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(t,)))
+        sample = rng.integers(0, n, size=n)
+        trees.append(_grow_tree_loop(X, y, sample, params, mtry, rng))
+        in_bag.append(sample)
+    return ForestModel(trees=trees, feature_count=d, params=params, in_bag=in_bag)
+
+
+def _feature_importance_loop(model):
+    """Reference importances: one Python iteration per node."""
+    totals = np.zeros(model.feature_count)
+    for tree in model.trees:
+        n_root = tree.counts[0].sum()
+        for i in range(len(tree.feature)):
+            f = tree.feature[i]
+            if f < 0:
+                continue
+            c0, c1 = tree.counts[i]
+            lc0, lc1 = tree.counts[tree.left[i]]
+            rc0, rc1 = tree.counts[tree.right[i]]
+            n = c0 + c1
+            decrease = forest._gini(c0, c1) - (
+                (lc0 + lc1) * forest._gini(lc0, lc1) + (rc0 + rc1) * forest._gini(rc0, rc1)
+            ) / n
+            totals[f] += (n / n_root) * decrease
+    totals /= len(model.trees)
+    total = totals.sum()
+    if total > 0:
+        totals = totals / total
+    ranked = sorted(range(model.feature_count), key=lambda f: (-totals[f], f))
+    return [(f, float(totals[f])) for f in ranked]
+
+
+def batched(X, y, nodes):
+    """One ``_best_splits`` call over (idx, feats) nodes of one matrix."""
+    cols = forest._presort(X, y)
+    return forest._best_splits(cols, [(idx, int(y[idx].sum()), feats) for idx, feats in nodes])
+
+
 def sparse_tfidf(rng, n, d, density=0.08):
     """Mostly-zero non-negative matrix, like the keyword block of a feature row."""
     weights = rng.choice([0.3, 0.5, 1.25, 2.0, 3.7], size=(n, d))
     return np.where(rng.random((n, d)) < density, weights, 0.0)
 
 
+def mixed_sign(rng, n, d):
+    """Sparse matrix of both signs whose zero cells include -0.0."""
+    X = np.where(rng.random((n, d)) < 0.3, rng.normal(size=(n, d)).round(1), 0.0)
+    X[rng.random((n, d)) < 0.2] = -0.0
+    return X
+
+
 @st.composite
 def split_nodes(draw):
-    """(X, y, idx, feats): a node of a tree over a small mixed-column matrix."""
+    """(X, y, nodes): a few nodes of trees over one small mixed-column matrix."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 8))
-    small = st.sampled_from([0.0, 0.5, 1.0, 2.5, -1.0])
+    small = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.5, -1.0])
+    nonzero = st.sampled_from([5e-324, -5e-324, 0.3, 1.25, 3.7, -0.3, -2.0])
+    negative = st.sampled_from([-5e-324, -0.3, -1.25, -3.7])
     columns = []
     for _ in range(d):
-        kind = draw(st.sampled_from(["zero", "constant", "ties", "sparse", "real"]))
+        kind = draw(
+            st.sampled_from(["zero", "constant", "ties", "sparse", "negative", "dense", "real"])
+        )
         if kind == "zero":
-            col = [0.0] * n
+            col = [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)]
         elif kind == "constant":
             col = [draw(small)] * n
         elif kind == "ties":
             col = draw(st.lists(small, min_size=n, max_size=n))
-        elif kind == "sparse":
+        elif kind in ("sparse", "negative"):
             col = [
                 v if keep else 0.0
                 for v, keep in zip(
-                    draw(st.lists(st.sampled_from([0.3, 1.25, 3.7]), min_size=n, max_size=n)),
+                    draw(st.lists(
+                        negative if kind == "negative" else st.sampled_from([0.3, 1.25, 3.7]),
+                        min_size=n, max_size=n,
+                    )),
                     draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                 )
             ]
+        elif kind == "dense":  # no zero cell at all
+            col = draw(st.lists(nonzero, min_size=n, max_size=n))
         else:
             col = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
         columns.append(col)
@@ -433,40 +551,44 @@ def split_nodes(draw):
     if draw(st.booleans()):  # duplicate rows
         X = np.vstack([X, X[: draw(st.integers(1, n))]])
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
-    idx = np.array(
-        draw(st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=2 * len(X)))
-    )
-    feats = np.array(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
-    return X, y, idx, feats
+    rows = st.lists(st.integers(0, len(X) - 1), min_size=2, max_size=2 * len(X))
+    feats = st.sets(st.integers(0, d - 1), min_size=1)
+    nodes = [
+        (np.array(draw(rows)), np.array(sorted(draw(feats))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return X, y, nodes
 
 
 class TestSplitSearch:
     @settings(max_examples=400, deadline=None)
-    @given(split_nodes())
-    def test_matches_the_per_feature_loop(self, node):
-        X, y, idx, feats = node
-        c1 = int(y[idx].sum())
-        c0 = len(idx) - c1
-        assert forest._best_split(X, y, idx, feats, c0, c1) == _best_split_loop(
-            X, y, idx, feats
-        )
+    @given(split_nodes(), st.sampled_from([1, 3, 16, forest._PASS_ENTRIES]))
+    def test_matches_the_per_feature_loop(self, case, budget):
+        # Small budgets cut a node's segments over several passes.
+        X, y, nodes = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_PASS_ENTRIES", budget)
+            found = batched(X, y, nodes)
+        expected = [_best_split_loop(X, y, idx, feats) for idx, feats in nodes]
+        assert repr(found) == repr(expected)  # repr tells -0.0 from 0.0
 
     def test_matches_the_loop_on_sparse_nodes(self):
         rng = np.random.default_rng(21)
-        for _ in range(300):
+        for _ in range(60):
             X = sparse_tfidf(rng, 40, 30)
             y = rng.integers(0, 2, size=40)
-            idx = rng.integers(0, 40, size=int(rng.integers(2, 40)))
-            feats = np.sort(rng.choice(30, size=6, replace=False))
-            c1 = int(y[idx].sum())
-            c0 = len(idx) - c1
-            expected = _best_split_loop(X, y, idx, feats)
-            assert forest._best_split(X, y, idx, feats, c0, c1) == expected
+            nodes = [
+                (rng.integers(0, 40, size=int(rng.integers(2, 40))),
+                 np.sort(rng.choice(30, size=6, replace=False)))
+                for _ in range(5)
+            ]
+            expected = [_best_split_loop(X, y, idx, feats) for idx, feats in nodes]
+            assert batched(X, y, nodes) == expected
 
     def test_all_constant_columns_give_no_split(self):
         X = np.array([[0.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
         y = np.array([0, 1, 1])
-        assert forest._best_split(X, y, np.arange(3), np.array([0, 1]), 1, 2) is None
+        assert batched(X, y, [(np.arange(3), np.array([0, 1]))]) == [None]
 
     def test_tie_goes_to_the_lowest_feature_then_threshold(self):
         # Against labels 0, 1, 0 every boundary here weighs 1/3: feature 0's
@@ -475,14 +597,71 @@ class TestSplitSearch:
         X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
         y = np.array([0, 1, 0])
         idx = np.arange(3)
-        assert forest._best_split(X, y, idx, np.array([0, 1, 2]), 2, 1) == (1 / 3, 0, 0.5)
-        assert forest._best_split(X, y, idx, np.array([2]), 2, 1) == (1 / 3, 2, 0.5)
+        nodes = [(idx, np.array([0, 1, 2])), (idx, np.array([2])), (idx, np.array([1, 2]))]
+        assert batched(X, y, nodes) == [(1 / 3, 0, 0.5), (1 / 3, 2, 0.5), (1 / 3, 1, 0.5)]
+        for budget in (1, 2):  # the tie held across passes
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(forest, "_PASS_ENTRIES", budget)
+                assert batched(X, y, nodes[:1]) == [(1 / 3, 0, 0.5)]
 
     def test_forest_bytes_equal_the_loop_oracle_forest(self, monkeypatch):
+        # Groups of 3 trees and 40-entry passes: 12 trees take four groups,
+        # and most nodes' segments straddle a pass boundary.
+        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", 40)
         rng = np.random.default_rng(17)
         X = sparse_tfidf(rng, 80, 60)
         y = (X[:, :5].sum(axis=1) + rng.normal(0, 0.3, size=80) > 0.4).astype(int)
         params = ForestParams(n_trees=12, seed=3)
-        fast = save_model(train(X, y, params))
-        monkeypatch.setattr(forest, "_best_split", _best_split_loop)
-        assert save_model(train(X, y, params)) == fast
+        assert save_model(train(X, y, params)) == save_model(train_loop(X, y, params))
+
+
+def _matrix(kind):
+    rng = np.random.default_rng(17)
+    if kind == "sparse_tfidf":
+        X = sparse_tfidf(rng, 80, 60)
+        score = X[:, :5].sum(axis=1)
+    elif kind == "dense_real":
+        X = rng.normal(size=(60, 8))
+        score = X[:, 0] * X[:, 1]
+    else:
+        X = mixed_sign(rng, 70, 20)
+        score = X[:, 0] - X[:, 1]
+    y = (score + rng.normal(0, 0.3, size=len(X)) > 0.2).astype(int)
+    return X, y
+
+
+class TestLockstepGrower:
+    @pytest.mark.parametrize("kind", ["sparse_tfidf", "dense_real", "mixed_sign"])
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            {"max_depth": 3},
+            {"min_samples_split": 5},
+            {"mtry": "d"},
+            {"n_trees": forest._GROUP_TREES * 2 + 5},
+        ],
+        ids=["default", "max_depth", "min_samples_split", "mtry_d", "partial_group"],
+    )
+    def test_equals_the_tree_by_tree_forest(self, kind, knobs):
+        X, y = _matrix(kind)
+        knobs = {"n_trees": 6, "seed": 5, **knobs}
+        if knobs.get("mtry") == "d":
+            knobs["mtry"] = X.shape[1]
+        params = ForestParams(**knobs)
+        model, reference = train(X, y, params), train_loop(X, y, params)
+        assert save_model(model) == save_model(reference)
+        assert len(model.in_bag) == params.n_trees
+        for sample, expected in zip(model.in_bag, reference.in_bag):
+            assert np.array_equal(sample, expected)
+
+    def test_presorted_columns(self):
+        X = np.array([[0.0, -2.0], [-0.0, 3.0], [1.5, 0.0], [-1.0, 3.0]])
+        y = np.array([1, 0, 1, 0])
+        cols = forest._presort(X, y)
+        assert cols.start.tolist() == [0, 3, 7]
+        assert cols.rows.tolist() == [3, 4, 2, 0, 4, 1, 3]  # 4 is the zero slot
+        assert cols.values.tolist() == [-1.0, 0.0, 1.5, -2.0, 0.0, 3.0, 3.0]
+        assert cols.labels.tolist() == [0, 0, 1, 1, 0, 0, 0]
+        assert cols.zero_at.tolist() == [1, 4]

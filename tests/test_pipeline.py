@@ -24,6 +24,7 @@ from widetrack.pipeline import (
     read_content_matrix,
     read_labels_file,
     read_scores_file,
+    read_struct_matrix,
     split_documents,
     split_keys,
     write_content_matrix,
@@ -299,6 +300,18 @@ class TestFileFormats:
         rows = [("px.t.net", "script", 1, 0.75, "full"), ("cdn.x.org", "media", 0, 0.1, "oob")]
         scores = read_scores_file(write_scores_file(rows))
         assert scores == {("px.t.net", "script"): (1, 0.75), ("cdn.x.org", "media"): (0, 0.1)}
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cells_name_their_line(self, cell):
+        content = f"host\tkind\ta\tb\npx.t.net\tscript\t1.0\t2.0\nq.t.net\tscript\t0.5\t{cell}\n"
+        with pytest.raises(DataError, match="^bad content matrix value on line 3$"):
+            read_content_matrix(content.encode())
+        struct = f"domain\tkind\ta\nt.net\tscript\t{cell}\n"
+        with pytest.raises(DataError, match="^bad structural matrix value on line 2$"):
+            read_struct_matrix(struct.encode())
+        scores = f"host\tkind\tprediction\tscore\tbasis\npx.t.net\tscript\tadtracker\t{cell}\tfull\n"
+        with pytest.raises(DataError, match=f"^bad score '{cell}' for px.t.net on line 2$"):
+            read_scores_file(scores.encode())
 
     def test_content_matrix_round_trip(self):
         from widetrack.content import build_vocabulary, content_rows
