@@ -159,6 +159,15 @@ def _presort(X: np.ndarray, y: np.ndarray) -> _Columns:
     )
 
 
+def _threshold(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The midpoint of each neighbouring pair, or ``lo`` where the midpoint
+    rounds up to ``hi`` (adjacent floats) or overflows: a threshold equal
+    to ``hi`` would send every row left."""
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.where((mid < hi) & np.isfinite(mid), mid, lo)
+
+
 def _best_splits(cols: _Columns, nodes: list) -> list:
     """Lowest weighted-Gini (impurity, feature, threshold) of each node, or
     None where no candidate split lowers the node's Gini.
@@ -229,7 +238,7 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         who, hit = at[hit][better], hit[better]
         best[who] = low[better]
         best_feat[who] = feat[s[hit]]
-        best_thr[who] = (x[pos[hit]] + x[pos[hit] + 1]) / 2.0
+        best_thr[who] = _threshold(x[pos[hit]], x[pos[hit] + 1])
     return [
         None
         if best[j] >= _gini(len(idx) - c1, c1) - 1e-12  # no improving split

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,36 @@ class TestXor:
         X, y = xor_data()
         model = train(X, y, ForestParams(n_trees=5, seed=1, max_depth=0))
         assert all(len(t.feature) == 1 for t in model.trees)
+
+
+class TestMidpointRounding:
+    """A threshold takes the lower value where the midpoint of two
+    neighbouring values rounds up to the upper one or overflows."""
+
+    LO, HI = 1 + 2**-52, 1 + 2**-51  # adjacent floats; the midpoint rounds to HI
+    y = np.array([0, 1, 1, 0])
+
+    def test_adjacent_floats_train_a_loadable_model(self):
+        lo, hi = self.LO, self.HI
+        X = np.array([[lo, hi], [hi, lo], [hi, hi], [lo, lo]])
+        params = ForestParams(n_trees=1, mtry=2, max_depth=4)
+        model = train(X, self.y, params)
+        assert model.trees[0].threshold[0] == lo
+        assert save_model(load_model(save_model(model))) == save_model(model)
+        assert save_model(model) == save_model(train_loop(X, self.y, params))
+
+    def test_unlimited_depth_returns(self):
+        X = np.array([[self.LO], [self.HI], [self.HI], [self.LO]])
+        labels, _ = predict(train(X, self.y, ForestParams(n_trees=250)), X)
+        assert np.array_equal(labels, self.y)
+
+    def test_overflowing_midpoint_gives_a_finite_threshold(self):
+        big = np.finfo(np.float64).max
+        X = np.array([[big * 0.75], [big], [big], [big * 0.75]])
+        params = ForestParams(n_trees=3, max_depth=4)
+        model = train(X, self.y, params)
+        assert [t.threshold[0] for t in model.trees] == [big * 0.75] * 3
+        assert save_model(model) == save_model(train_loop(X, self.y, params))
 
 
 class TestPredict:
@@ -403,7 +435,9 @@ def _best_split_loop(X, y, idx, feats):
         k = int(np.argmin(weighted))
         if best_impurity is None or weighted[k] < best_impurity:
             best_impurity = float(weighted[k])
-            best = (int(f), float((xs[pos[k]] + xs[pos[k] + 1]) / 2.0))
+            lo, hi = float(xs[pos[k]]), float(xs[pos[k] + 1])
+            mid = (lo + hi) / 2.0  # Python floats: an overflow gives inf, no warning
+            best = (int(f), mid if math.isfinite(mid) and mid < hi else lo)
     if best is None:
         return None
     if best_impurity >= forest._gini(c0, c1) - 1e-12:
