@@ -67,29 +67,27 @@ class Vocabulary:
         return self._index[term]
 
 
-def build_vocabulary(
-    documents: list[SubdomainDocument], k: int, rank_by: str
-) -> Vocabulary:
-    """Keep the top-k terms ranked by document frequency (ties lexicographic).
+def build_vocabulary(doc_counts: list[Counter], k: int, rank_by: str) -> Vocabulary:
+    """Keep the top-k terms ranked by document frequency (ties lexicographic),
+    over one ``doc_token_counts`` counter per document.
 
     ``rank_by="tf"`` ranks by total term frequency instead; document
     frequencies are recorded either way since the weighting needs them.
     """
-    if not documents:
+    if not doc_counts:
         raise ValueError("vocabulary needs at least one document")
     if rank_by not in ("df", "tf"):
         raise ValueError(f"unknown ranking {rank_by!r}")
     df: Counter = Counter()
     tf: Counter = Counter()
-    for doc in documents:
-        counts = doc_token_counts(doc)
+    for counts in doc_counts:
         df.update(counts.keys())
         if rank_by == "tf":
             tf.update(counts)
     rank = tf if rank_by == "tf" else df
     terms = sorted(rank, key=lambda t: (-rank[t], t))[:k]
     return Vocabulary(
-        terms=terms, df={t: df[t] for t in terms}, corpus_size=len(documents)
+        terms=terms, df={t: df[t] for t in terms}, corpus_size=len(doc_counts)
     )
 
 
@@ -145,19 +143,21 @@ def engineered(document: SubdomainDocument) -> list[float]:
 
 def content_rows(
     documents: list[SubdomainDocument],
+    doc_counts: dict[tuple[str, str], Counter],
     vocabulary: Vocabulary,
     clamp_idf: bool,
 ) -> tuple[list[tuple[str, str]], list[str], np.ndarray, list[frozenset[str]]]:
     """(keys, columns, values, terms): one [keywords | engineered] row per
     document, ordered by (host, kind), and the vocabulary terms each
-    document contains, from the same single tokenization."""
+    document contains. ``doc_counts`` maps each document's (host, kind) to
+    its ``doc_token_counts``."""
     docs = sorted(documents, key=lambda d: (d.host, d.kind))
     columns = feature_names(vocabulary, [])
     values = np.empty((len(docs), len(columns)))
     terms = []
     k = len(vocabulary.terms)
     for i, doc in enumerate(docs):
-        tokens = doc_token_counts(doc)
+        tokens = doc_counts[(doc.host, doc.kind)]
         values[i, :k] = keyword_scores(tokens, vocabulary, clamp_idf=clamp_idf)
         values[i, k:] = engineered(doc)
         terms.append(frozenset(t for t in tokens if t in vocabulary))

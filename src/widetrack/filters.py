@@ -295,19 +295,20 @@ def _rule_applies(rule: Rule, url_lower: str, url_domain: str, ctx: MatchContext
     return _options_pass(rule, url_domain, ctx) and rule.regex.search(url_lower) is not None
 
 
-def _url_targets(urls) -> Iterator[tuple[str, str, frozenset[str]]]:
-    """(lower-cased URL, its registrable domain, its tokens) for each URL
-    with a hostname, in sorted order; hostless URLs match nothing."""
+def _url_targets(urls, host: str) -> Iterator[tuple[str, str, frozenset[str]]]:
+    """(lower-cased URL, its registrable domain, its tokens) for each URL,
+    in sorted order; every URL is on ``host``."""
+    url_domain = registrable_domain(host)
     for url in sorted(urls):
         url_lower = url.lower()
-        host = urlsplit(url_lower).hostname
-        if host:
-            yield url_lower, registrable_domain(host), frozenset(_TOKEN_RE.findall(url_lower))
+        yield url_lower, url_domain, frozenset(_TOKEN_RE.findall(url_lower))
 
 
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
-    """True when some block rule matches and no exception rule does."""
-    return any(
+    """True when some block rule matches and no exception rule does; a URL
+    with no hostname matches nothing."""
+    host = urlsplit(url).hostname
+    return bool(host) and any(
         any(
             _rule_applies(r, url_lower, url_domain, ctx)
             for r in rules.block_index.candidates(tokens)
@@ -316,7 +317,7 @@ def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
             _rule_applies(r, url_lower, url_domain, ctx)
             for r in rules.exception_index.candidates(tokens)
         )
-        for url_lower, url_domain, tokens in _url_targets([url])
+        for url_lower, url_domain, tokens in _url_targets([url], host)
     )
 
 
@@ -328,14 +329,15 @@ def label_document(
     """AdTracker iff any URL is blocked in any contributing site's context.
 
     An override entry for the document's host beats the filter-list verdict.
-    Each regex runs once per URL; contexts only re-check rule options.
+    Each regex runs once per URL; contexts only re-check rule options. Every
+    URL of a document is on its host, as the graph builds and loads it.
     """
     if overrides and document.host in overrides:
         return Label(overrides[document.host], "override")
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url_lower, url_domain, tokens in _url_targets(document.urls):
+    for url_lower, url_domain, tokens in _url_targets(document.urls, document.host):
         blocks = rules.block_index.hits(url_lower, tokens)
         if not blocks:
             continue
@@ -359,7 +361,7 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     contexts = [
         MatchContext(site, document.kind) for site in sorted(document.sites)
     ]
-    for url_lower, url_domain, tokens in _url_targets(document.urls):
+    for url_lower, url_domain, tokens in _url_targets(document.urls, document.host):
         blocks = rules.block_index.hits(url_lower, tokens)
         if any(
             _options_pass(r, url_domain, ctx) for ctx in contexts for r in blocks

@@ -8,7 +8,7 @@ parent third-party node and are the unit later classified.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -120,7 +120,7 @@ def contract_tree(tree: DependencyTree) -> SiteTree:
     """
     fp = NodeKey(tree.root_domain, FIRST_PARTY)
     key_of: dict[str, NodeKey] = {}
-    documents: dict[tuple[str, str], Counter] = {}
+    documents: defaultdict[tuple[str, str], Counter] = defaultdict(Counter)
     nodes: set[NodeKey] = set()
 
     request_count: dict[str, int] = {url: 0 for url in tree.nodes}
@@ -128,7 +128,7 @@ def contract_tree(tree: DependencyTree) -> SiteTree:
         request_count[dst] += mult
 
     for url, kind in tree.nodes.items():
-        host = urlsplit(url).hostname
+        host = tree.hosts[url]
         domain = registrable_domain(host)
         if domain == tree.root_domain:
             key_of[url] = fp
@@ -136,8 +136,7 @@ def contract_tree(tree: DependencyTree) -> SiteTree:
         key = NodeKey(domain, kind)
         key_of[url] = key
         nodes.add(key)
-        doc = documents.setdefault((host, kind), Counter())
-        doc[url] += max(request_count[url], 1)
+        documents[(host, kind)][url] = max(request_count[url], 1)  # each URL is one node
 
     diagnostics = Counter(tree.diagnostics)
     edges: dict[tuple[NodeKey, NodeKey, str], int] = {}
@@ -156,7 +155,7 @@ def contract_tree(tree: DependencyTree) -> SiteTree:
         root_domain=tree.root_domain,
         nodes=nodes,
         edges=edges,
-        documents=documents,
+        documents=dict(documents),
         diagnostics=diagnostics,
     )
 
@@ -436,10 +435,17 @@ def load_graph(data: bytes) -> WideGraph:
                     raise GraphFormatError("document references unknown node")
                 if rec["k"] not in _DOC_KINDS:
                     raise GraphFormatError(f"unknown document kind {rec['k']!r}")
+                urls = Counter(dict((u, c) for u, c in rec["urls"]))
+                # The matcher takes every URL's host to be the document's.
+                for url in urls:
+                    if not isinstance(url, str) or urlsplit(url).hostname != rec["h"]:
+                        raise GraphFormatError(
+                            f"document url {url!r} is not on host {rec['h']!r}"
+                        )
                 graph.nodes[parent].documents[rec["h"]] = SubdomainDocument(
                     host=rec["h"],
                     kind=rec["k"],
-                    urls=Counter(dict((u, c) for u, c in rec["urls"])),
+                    urls=urls,
                     sites=set(rec["sites"]),
                     parent=parent,
                 )

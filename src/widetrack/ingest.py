@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .domains import DomainError, registrable_domain
@@ -37,9 +38,9 @@ NODE_KINDS = (
 INITIATOR_TYPES = ("script", "parser", "other", "unknown")
 
 
-@dataclass(frozen=True)
-class RequestEntry:
+class RequestEntry(NamedTuple):
     url: str
+    host: str  # the URL's hostname, split once at ingest
     initiator_url: str | None
     initiator_type: str  # one of INITIATOR_TYPES
     resource_type: str | None
@@ -70,6 +71,16 @@ class DependencyTree:
     edges: dict[tuple[str, str], int]  # (initiator url, requested url) -> multiplicity
     diagnostics: Counter = field(default_factory=Counter)
     skipped: Counter = field(default_factory=Counter)
+    # url -> hostname of each node; not written by to_record
+    hosts: dict[str, str] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.hosts is None:  # not from build_tree: split each node URL once
+            self.hosts = {}
+            for url in self.nodes:
+                self.hosts[url], reason = _url_host(url)
+                if reason:
+                    raise ValueError(f"node url {url!r} is unusable: {reason}")
 
     def to_record(self) -> dict:
         return {
@@ -84,43 +95,40 @@ class DependencyTree:
     @classmethod
     def from_record(cls, rec: dict) -> "DependencyTree":
         """Inverse of to_record; KeyError, TypeError or ValueError on a record
-        with a missing key, a field of the wrong type or a dangling edge."""
-        tree = cls(
-            root_url=rec["root_url"],
-            root_domain=rec["root_domain"],
-            nodes={u: k for u, k in rec["nodes"]},
-            edges={(s, d): m for s, d, m in rec["edges"]},
-            diagnostics=Counter(dict(rec.get("diagnostics", {}))),
-            skipped=Counter(dict(rec.get("skipped", {}))),
-        )
-        texts = [tree.root_url, tree.root_domain]
-        texts += [t for pair in (*tree.nodes.items(), *tree.edges) for t in pair]
+        with a missing key, a field of the wrong type, a dangling edge or a
+        node URL with no usable host."""
+        nodes = {u: k for u, k in rec["nodes"]}
+        edges = {(s, d): m for s, d, m in rec["edges"]}
+        diagnostics = Counter(dict(rec.get("diagnostics", {})))
+        skipped = Counter(dict(rec.get("skipped", {})))
+        texts = [rec["root_url"], rec["root_domain"]]
+        texts += [t for pair in (*nodes.items(), *edges) for t in pair]
         if not all(isinstance(t, str) for t in texts):
             raise TypeError("urls, domains and kinds must be strings")
-        tallies = [*tree.edges.values(), *tree.diagnostics.values()]
-        tallies += tree.skipped.values()
+        tallies = [*edges.values(), *diagnostics.values(), *skipped.values()]
         if not all(type(c) is int for c in tallies):
             raise TypeError("multiplicities and tallies must be integers")
-        if any(u not in tree.nodes for edge in tree.edges for u in edge):
+        if any(u not in nodes for edge in edges for u in edge):
             raise ValueError("edge endpoint is not a node")
-        return tree
+        return cls(rec["root_url"], rec["root_domain"], nodes, edges, diagnostics, skipped)
 
 
-def _url_skip_reason(url: str) -> str | None:
-    """Why an entry's URL is unusable, or None: ``bad_url`` for bad syntax
-    or scheme, ``bad_host`` for a hostname with no registrable domain."""
+def _url_host(url: str) -> tuple[str | None, str | None]:
+    """(hostname, None) for a usable URL, else (None, why not): ``bad_url``
+    for bad syntax or scheme, ``bad_host`` for a hostname with no
+    registrable domain."""
     try:
         parts = urlsplit(url)
     except ValueError:
-        return "bad_url"
+        return None, "bad_url"
     host = parts.hostname
     if parts.scheme not in ("http", "https") or not host:
-        return "bad_url"
+        return None, "bad_url"
     try:
         registrable_domain(host)
     except DomainError:
-        return "bad_host"
-    return None
+        return None, "bad_host"
+    return host, None
 
 
 def _typed(obj, key: str, kind: type):
@@ -197,7 +205,8 @@ def parse_har(data: bytes) -> SessionRecord:
         raise HarParseError("log.entries is not a list")
 
     skipped: Counter = Counter()
-    parsed: list[tuple[str, str, dict]] = []
+    parsed: list[tuple[str, str, str, dict]] = []
+    interned: dict[str, str] = {}  # one string object per distinct host
     for raw in raw_entries:
         url = _typed(_typed(raw, "request", dict), "url", str)
         if not url:
@@ -207,11 +216,12 @@ def parse_har(data: bytes) -> SessionRecord:
         if scheme in ("data", "blob", "about", "chrome-extension"):
             skipped["no_hostname"] += 1
             continue
-        reason = _url_skip_reason(url)
+        host, reason = _url_host(url)
         if reason:
             skipped[reason] += 1
             continue
-        parsed.append((_typed(raw, "startedDateTime", str) or "", url, raw))
+        host = interned.setdefault(host, host)
+        parsed.append((_typed(raw, "startedDateTime", str) or "", url, host, raw))
     if not parsed:
         raise HarParseError("no usable entries in capture")
 
@@ -219,7 +229,8 @@ def parse_har(data: bytes) -> SessionRecord:
     document_url = parsed[0][1]
 
     entries = []
-    for started_at, url, raw in parsed:
+    redirects: dict[str, str] = {}  # redirect target -> first hop naming it
+    for started_at, url, host, raw in parsed:
         ini = raw.get("_initiator")
         if isinstance(ini, str):
             ini = {"url": ini}
@@ -238,10 +249,15 @@ def parse_har(data: bytes) -> SessionRecord:
             ini_type = "unknown"
             initiator_url = None
 
-        content = _typed(_typed(raw, "response", dict), "content", dict)
+        response = _typed(raw, "response", dict)
+        target = _typed(response, "redirectURL", str)
+        if target:
+            redirects.setdefault(target, url)
+        content = _typed(response, "content", dict)
         entries.append(
             RequestEntry(
                 url=url,
+                host=host,
                 initiator_url=initiator_url,
                 initiator_type=ini_type,
                 resource_type=_typed(raw, "_resourceType", str),
@@ -252,17 +268,10 @@ def parse_har(data: bytes) -> SessionRecord:
 
     # Redirect hops initiate their targets; fill that in where the capture
     # left the target's initiator unknown.
-    redirects: dict[str, str] = {}
-    for _, url, raw in parsed:
-        target = _typed(_typed(raw, "response", dict), "redirectURL", str)
-        if target:
-            redirects.setdefault(target, url)
     entries = [
         e
         if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
-        else RequestEntry(
-            e.url, redirects[e.url], "other", e.resource_type, e.started_at, e.mime
-        )
+        else e._replace(initiator_url=redirects[e.url], initiator_type="other")
         for e in entries
     ]
 
@@ -275,21 +284,21 @@ def build_tree(record: SessionRecord) -> DependencyTree:
     Nodes are keyed by URL (first-seen kind wins); duplicate initiator pairs
     collapse into edge multiplicity. Entries whose initiator is unknown or
     never itself requested attach to the root. Nothing may point back at the
-    root; such edges are dropped and tallied in diagnostics.
+    root; such edges are dropped and tallied in diagnostics. Each node's
+    host is the one its entry carries.
     """
     if not record.entries:
         raise ValueError("SessionRecord has no entries")
     root_url = record.site_url
-    root_host = urlsplit(root_url).hostname
-    if not root_host:
-        raise ValueError("site_url has no hostname")
-    root_domain = registrable_domain(root_host)
-
     nodes: dict[str, str] = {}
+    hosts: dict[str, str] = {}
     for entry in record.entries:
-        kind = classify_interaction(entry.resource_type, entry.mime)
-        nodes.setdefault(entry.url, kind.value)
-    nodes.setdefault(root_url, InteractionKind.IFRAME.value)
+        if entry.url not in nodes:
+            nodes[entry.url] = classify_interaction(entry.resource_type, entry.mime).value
+            hosts[entry.url] = entry.host
+    if root_url not in hosts:
+        raise ValueError("site_url is not a requested URL")
+    root_domain = registrable_domain(hosts[root_url])
 
     diagnostics: Counter = Counter()
     edges: dict[tuple[str, str], int] = {}
@@ -313,6 +322,7 @@ def build_tree(record: SessionRecord) -> DependencyTree:
         edges=edges,
         diagnostics=diagnostics,
         skipped=Counter(record.skipped),
+        hosts=hosts,
     )
 
 

@@ -582,10 +582,13 @@ def content_features(
     train_docs: list[SubdomainDocument],
     cfg: PipelineConfig,
 ):
-    """(vocabulary, content_rows of ``eligible``): the vocabulary is built
-    from the training documents only."""
-    vocabulary = content_mod.build_vocabulary(train_docs, cfg.vocab_size, cfg.vocab_rank)
-    return vocabulary, content_mod.content_rows(eligible, vocabulary, cfg.clamp_idf)
+    """(vocabulary, content_rows of ``eligible``): each document is
+    tokenized once, and the vocabulary is built from the training documents
+    (a subset of ``eligible``) only."""
+    counts = {(d.host, d.kind): content_mod.doc_token_counts(d) for d in eligible}
+    train = [counts[(d.host, d.kind)] for d in train_docs]
+    vocabulary = content_mod.build_vocabulary(train, cfg.vocab_size, cfg.vocab_rank)
+    return vocabulary, content_mod.content_rows(eligible, counts, vocabulary, cfg.clamp_idf)
 
 
 def assemble_all_vectors(
@@ -633,6 +636,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     trees, skip_total = ingest_har_dir(cfg.har_dir)
     (out / "trees.jsonl").write_bytes(write_trees(trees))
     graph = build_widegraph(trees)
+    n_sites = len(trees)
+    del trees  # the graph holds all that later stages read
     (out / "graph.jsonl").write_bytes(save_graph(graph))
     index = GraphIndex(graph)
 
@@ -700,7 +705,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         for f, imp in forest_mod.feature_importance(model)[:25]
     ]
     summary = {
-        "sites": len(trees),
+        "sites": n_sites,
         "ingest_skips": dict(sorted(skip_total.items())),
         "eligibility": elig_report,
         "split": {"train": len(train_docs), "test": len(test_docs)},

@@ -110,7 +110,7 @@ def naive_tokens(url):
 def test_criterion_2_tfidf_oracle():
     corpus = generate(EcosystemConfig(n_sites=40, n_trackers=10, n_benign=8, seed=2))
     docs = corpus.truth_graph.documents()
-    vocabulary = build_vocabulary(docs, k=400, rank_by="df")
+    vocabulary = build_vocabulary([doc_token_counts(d) for d in docs], k=400, rank_by="df")
 
     oracle_df = Counter()
     oracle_counts = []

@@ -307,8 +307,20 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
     train_cmd = ["train", "--labels", str(tmp_path / "labels.tsv"), "--out", out, "--features"]
     model_file = tmp_path / "one-feature-model.txt"
     model_file.write_bytes(save_model(train([[0.0], [1.0]], [0, 1], ForestParams(n_trees=1))))
+    trees_header = '{"format": "widetrack-trees", "version": 1}\n'
+    tree = '{"root_url": "https://a.com/", "root_domain": "a.com", "edges": [], "nodes": %s}\n'
+    page = '["https://a.com/", "iframe"]'
+    trees_cmd = ["graph", "build", "--out", out, "--trees"]
     cases = [
         # (file name, file text, command the file's path is appended to, line named)
+        ("hostless.jsonl", trees_header + tree % f'[{page}, ["http:///x.js", "script"]]',
+         trees_cmd, 2),
+        ("ipv6.jsonl",
+         trees_header + tree % f"[{page}]" + tree % f'[{page}, ["http://[::1/x", "script"]]',
+         trees_cmd, 3),
+        ("dochost.jsonl",
+         header + node + doc.replace('"urls": []', '"urls": [["https://t.net/x", 1]]') % "script",
+         ["graph", "stats", "--graph"], 3),
         ("kind.jsonl", header + node + doc % "stylesheet",
          ["features", "content", "--out", out, "--graph"], 3),
         ("record.jsonl", header + node + '{"t": "node", "d": "x.net"}\n',

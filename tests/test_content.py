@@ -33,6 +33,10 @@ def doc(host, kind, urls, sites=("site.com",)):
     )
 
 
+def counts(docs):
+    return [doc_token_counts(d) for d in docs]
+
+
 class TestTokenizer:
     def test_query_url(self):
         assert tokenize_url("https://a.tracker.com/pixel?id=123&uid=x") == [
@@ -56,7 +60,7 @@ class TestTokenizer:
 
 class TestVocabulary:
     def test_single_document(self):
-        v = build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/b"])], k=1000, rank_by="df")
+        v = build_vocabulary(counts([doc("a.t.net", "other", ["https://a.t.net/b"])]), k=1000, rank_by="df")
         assert v.terms == ["a", "b", "net", "t"]
         assert all(df == 1 for df in v.df.values())
         assert v.corpus_size == 1
@@ -67,17 +71,17 @@ class TestVocabulary:
             doc("b.s.net", "other", ["https://b.s.net/uid"]),
             doc("c.r.net", "other", ["https://c.r.net/uid?cdn=1"]),
         ]
-        v = build_vocabulary(docs, k=1000, rank_by="df")
+        v = build_vocabulary(counts(docs), k=1000, rank_by="df")
         assert v.terms.index("uid") < v.terms.index("cdn")
         assert v.df["uid"] == 3 and v.df["cdn"] == 1
 
     def test_truncates_to_k(self):
         urls = [f"https://h.x.net/{i:04d}" for i in range(2000)]
-        v = build_vocabulary([doc("h.x.net", "other", [u]) for u in urls], k=1000, rank_by="df")
+        v = build_vocabulary(counts([doc("h.x.net", "other", [u]) for u in urls]), k=1000, rank_by="df")
         assert len(v.terms) == 1000
 
     def test_tie_break_is_lexicographic(self):
-        v = build_vocabulary([doc("b.a.net", "other", ["https://b.a.net/zz"])], k=2, rank_by="df")
+        v = build_vocabulary(counts([doc("b.a.net", "other", ["https://b.a.net/zz"])]), k=2, rank_by="df")
         assert v.terms == sorted(v.terms)
 
     def test_permutation_invariant(self):
@@ -86,8 +90,8 @@ class TestVocabulary:
             doc("b.s.net", "other", ["https://b.s.net/y?uid=2"]),
             doc("c.r.net", "other", ["https://c.r.net/z"]),
         ]
-        v1 = build_vocabulary(docs, k=1000, rank_by="df")
-        v2 = build_vocabulary(list(reversed(docs)), k=1000, rank_by="df")
+        v1 = build_vocabulary(counts(docs), k=1000, rank_by="df")
+        v2 = build_vocabulary(counts(list(reversed(docs))), k=1000, rank_by="df")
         assert v1.terms == v2.terms and v1.df == v2.df
 
     def test_term_frequency_ranking_flag(self):
@@ -95,16 +99,16 @@ class TestVocabulary:
             doc("a.t.net", "other", {"https://a.t.net/x/x/x/x": 1}),
             doc("b.s.net", "other", ["https://b.s.net/y?uid=1"]),
         ]
-        by_df = build_vocabulary(docs, k=3, rank_by="df")
-        by_tf = build_vocabulary(docs, k=3, rank_by="tf")
+        by_df = build_vocabulary(counts(docs), k=3, rank_by="df")
+        by_tf = build_vocabulary(counts(docs), k=3, rank_by="tf")
         assert "x" in by_tf.terms[:1]  # four occurrences beat df-1 ties
         assert by_df.terms != by_tf.terms
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            build_vocabulary([], k=1000, rank_by="df")
+            build_vocabulary(counts([]), k=1000, rank_by="df")
         with pytest.raises(ValueError):
-            build_vocabulary([doc("a.t.net", "other", ["https://a.t.net/"])], k=1000, rank_by="x")
+            build_vocabulary(counts([doc("a.t.net", "other", ["https://a.t.net/"])]), k=1000, rank_by="x")
 
 
 class TestTfidf:
@@ -179,7 +183,8 @@ class TestEngineered:
 def assemble_vector(document, vocabulary, struct_row):
     """One document's [keywords | engineered | structural] vector, built by
     the same content-row and join functions the pipeline uses."""
-    keys, _, values, _ = content_rows([document], vocabulary, clamp_idf=False)
+    tokens = {(document.host, document.kind): doc_token_counts(document)}
+    keys, _, values, _ = content_rows([document], tokens, vocabulary, clamp_idf=False)
     struct = StructMatrix(
         keys=[document.parent],
         columns=[f"s{i}" for i in range(len(struct_row))],
@@ -193,7 +198,7 @@ class TestAssemble:
     def test_matches_independent_recomputation(self):
         d = doc("px.t.net", "other", ["https://px.t.net/c?uid=9&uid=8"])
         docs = [d, doc("b.s.net", "script", ["https://b.s.net/lib.js"])]
-        v = build_vocabulary(docs, k=6, rank_by="df")
+        v = build_vocabulary(counts(docs), k=6, rank_by="df")
         struct_row = np.array([3.0, 1.0, 2.0])
         vec = assemble_vector(d, v, struct_row)
         assert len(vec) == 6 + 5 + 3
@@ -215,7 +220,7 @@ class TestAssemble:
     def test_same_parent_shares_structural_block(self):
         d1 = doc("px.t.net", "other", ["https://px.t.net/a?uid=1"])
         d2 = doc("sync.t.net", "other", ["https://sync.t.net/b"])
-        v = build_vocabulary([d1, d2], k=8, rank_by="df")
+        v = build_vocabulary(counts([d1, d2]), k=8, rank_by="df")
         row = np.array([7.0, 8.0])
         v1 = assemble_vector(d1, v, row)
         v2 = assemble_vector(d2, v, row)
@@ -224,7 +229,7 @@ class TestAssemble:
 
     def test_pure_function(self):
         d = doc("px.t.net", "other", ["https://px.t.net/c?uid=9"])
-        v = build_vocabulary([d], k=4, rank_by="df")
+        v = build_vocabulary(counts([d]), k=4, rank_by="df")
         row = np.array([1.0])
         assert np.array_equal(assemble_vector(d, v, row), assemble_vector(d, v, row))
 
@@ -237,7 +242,7 @@ def test_feature_names_layout():
 
 def test_vocabulary_file_layout():
     v = build_vocabulary(
-        [doc("a.t.net", "other", ["https://a.t.net/x?uid=1&ref=2"])], k=5, rank_by="df"
+        counts([doc("a.t.net", "other", ["https://a.t.net/x?uid=1&ref=2"])]), k=5, rank_by="df"
     )
     lines = save_vocabulary(v).decode("utf-8").splitlines()
     assert lines[:2] == ["widetrack-vocab\tv1", "corpus_size\t1"]

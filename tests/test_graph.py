@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -388,6 +389,22 @@ class TestSerialization:
         ]
         with pytest.raises(GraphFormatError):
             load_graph(b"\n".join(lines) + b"\n")
+
+    @pytest.mark.parametrize(
+        "url",
+        ["https://other.com/x.js", "https://PX.a.com./x.js", "/x.js", "http://[::1/x", 7],
+    )
+    def test_document_url_off_its_host_names_its_line(self, url):
+        lines = [
+            '{"format": "widegraph", "version": 1}',
+            '{"d": "a.com", "k": "script", "t": "node"}',
+            '{"h": "px.a.com", "k": "script", "p": ["a.com", "script"], "sites": [], "t": "doc", '
+            '"urls": [["https://px.a.com/ok.js", 1], [%s, 1]]}' % json.dumps(url),
+        ]
+        with pytest.raises(GraphFormatError, match="on line 3"):
+            load_graph("\n".join(lines).encode() + b"\n")
+        ok = lines[2].replace(json.dumps(url), '"https://PX.a.com:8080/y.js"')
+        assert load_graph("\n".join(lines[:2] + [ok]).encode() + b"\n").documents()[0].urls
 
 
 def test_build_widegraph_convenience():

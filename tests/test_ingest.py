@@ -309,6 +309,32 @@ def test_trees_file_round_trip():
     assert loaded[0].to_record() == trees[0].to_record()
 
 
+def test_hosts_equal_a_fresh_split_from_either_source():
+    from widetrack.graph import build_widegraph, save_graph
+
+    urls = [
+        "https://CDN.Tracker.NET/lib.js",
+        "https://px.tracker.net:8443/collect?id=1",
+        "https://user:pw@ads.shop.io/a.js",
+        "http://[2001:DB8::1]:8080/p.gif",
+        "https://sync.tracker.net./s",
+        "https://xn--bcher-kva.example/b.js",
+        "https://px.tracker.net/second",
+    ]
+    data = har_bytes(
+        [entry(PAGE, rt="document")]
+        + [entry(u, rt="script", initiator={"type": "parser"}) for u in urls]
+    )
+    record = parse_har(data)
+    assert record.entries[2].host is record.entries[-1].host  # interned per capture
+    trees = [build_tree(record)]
+    assert set(trees[0].nodes) == {PAGE, *urls}
+    assert trees[0].hosts == {u: urlsplit(u).hostname for u in trees[0].nodes}
+    loaded = read_trees(write_trees(trees))
+    assert loaded[0].hosts == trees[0].hosts
+    assert save_graph(build_widegraph(loaded)) == save_graph(build_widegraph(trees))
+
+
 def test_trees_file_rejects_garbage():
     with pytest.raises(HarParseError):
         read_trees(b'{"format": "something-else", "version": 9}\n')
@@ -323,6 +349,9 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec.update(edges=[["a", "b"]]),
         lambda rec: rec.update(edges=[[PAGE, "https://elsewhere.org/", 1]]),
         lambda rec: rec.update(diagnostics={"self_edge_dropped": "x"}),
+        lambda rec: rec["nodes"].append(["http:///x.js", "script"]),  # no host
+        lambda rec: rec["nodes"].append(["http://[::1/x", "script"]),  # urlsplit raises
+        lambda rec: rec["nodes"].append(["https://a..b/x.js", "script"]),  # no domain
     ],
 )
 def test_trees_file_bad_record_names_the_line(change):

@@ -314,11 +314,12 @@ class TestFileFormats:
             read_scores_file(scores.encode())
 
     def test_content_matrix_round_trip(self):
-        from widetrack.content import build_vocabulary, content_rows
+        from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        vocab = build_vocabulary(docs, k=10, rank_by="df")
-        keys, columns, values, _ = content_rows(docs, vocab, clamp_idf=False)
+        counts = {(d.host, d.kind): doc_token_counts(d) for d in docs}
+        vocab = build_vocabulary(list(counts.values()), k=10, rank_by="df")
+        keys, columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
         keys, columns, values = read_content_matrix(
             write_content_matrix(keys, columns, values)
         )
@@ -327,10 +328,12 @@ class TestFileFormats:
         assert values.shape == (2, 15)
 
     def test_content_matrix_read_inverts_write_exactly(self):
-        from widetrack.content import build_vocabulary, content_rows
+        from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        keys, columns, values, _ = content_rows(docs, build_vocabulary(docs, k=10, rank_by="df"), clamp_idf=False)
+        counts = {(d.host, d.kind): doc_token_counts(d) for d in docs}
+        vocab = build_vocabulary(list(counts.values()), k=10, rank_by="df")
+        keys, columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
         read = read_content_matrix(write_content_matrix(keys, columns, values))
         assert read[0] == keys and read[1] == columns
         assert np.array_equal(read[2], values)
@@ -382,6 +385,56 @@ class TestRunAllWithOverrides:
         assert summary["reports"]["corrected_unbiased"]["corrected"] is True
         assert summary["reports"]["unbiased"]["corrected"] is False
         assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestEachFactOnce:
+    def test_run_all_splits_each_entry_url_once(self, tmp_path, monkeypatch):
+        import json
+
+        from widetrack import filters, graph, ingest
+        from widetrack.pipeline import run_all
+        from widetrack.synth import EcosystemConfig, generate
+
+        paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
+            tmp_path
+        )
+        calls = Counter()
+        for module in (ingest, graph, filters):
+            split = module.urlsplit
+
+            def counted(url, *args, _split=split, _name=module.__name__):
+                calls[_name] += 1
+                return _split(url, *args)
+
+            monkeypatch.setattr(module, "urlsplit", counted)
+        summary = run_all(
+            PipelineConfig(
+                har_dir=paths["har_dir"], rules_files=[paths["rules"]],
+                out_dir=tmp_path / "out", n_trees=10, min_in_degree=1,
+            )
+        )
+        entries = sum(
+            len(json.loads(har.read_bytes())["log"]["entries"])
+            for har in paths["har_dir"].glob("*.har")
+        )
+        assert summary["ingest_skips"] == {}
+        assert calls == Counter({"widetrack.ingest": entries})
+
+    def test_content_features_tokenizes_each_document_once(self, monkeypatch):
+        from widetrack import content
+        from widetrack.pipeline import content_features
+
+        docs = [make_doc(f"px{i}.t{i}.net", n_urls=2 + i % 3) for i in range(8)]
+        train_docs, _ = split_documents(docs, PipelineConfig())
+        seen = []
+        tokenize = content.doc_token_counts
+        monkeypatch.setattr(
+            content, "doc_token_counts", lambda d: seen.append(d.host) or tokenize(d)
+        )
+        vocabulary, (keys, _, _, _) = content_features(docs, train_docs, PipelineConfig())
+        assert sorted(seen) == sorted(d.host for d in docs)
+        assert vocabulary.corpus_size == len(train_docs) < len(docs)
+        assert len(keys) == len(docs)
 
 
 class TestPipelineConfig:
