@@ -143,21 +143,21 @@ def engineered(document: SubdomainDocument) -> list[float]:
 
 def content_rows(
     documents: list[SubdomainDocument],
-    doc_counts: dict[tuple[str, str], Counter],
+    token_counts: dict[tuple[str, str], Counter],
     vocabulary: Vocabulary,
     clamp_idf: bool,
 ) -> tuple[list[tuple[str, str]], list[str], np.ndarray, list[frozenset[str]]]:
     """(keys, columns, values, terms): one [keywords | engineered] row per
     document, ordered by (host, kind), and the vocabulary terms each
-    document contains. ``doc_counts`` maps each document's (host, kind) to
-    its ``doc_token_counts``."""
+    document contains. ``token_counts`` maps each document's (host, kind)
+    to its ``doc_token_counts``."""
     docs = sorted(documents, key=lambda d: (d.host, d.kind))
     columns = feature_names(vocabulary, [])
     values = np.empty((len(docs), len(columns)))
     terms = []
     k = len(vocabulary.terms)
     for i, doc in enumerate(docs):
-        tokens = doc_counts[(doc.host, doc.kind)]
+        tokens = token_counts[(doc.host, doc.kind)]
         values[i, :k] = keyword_scores(tokens, vocabulary, clamp_idf=clamp_idf)
         values[i, k:] = engineered(doc)
         terms.append(frozenset(t for t in tokens if t in vocabulary))

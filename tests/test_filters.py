@@ -351,8 +351,9 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
     # A document holds the URLs of its own host, as the graph builds it.
     by_host = {}
     for url in url_list:
-        if urlsplit(url).hostname:
-            by_host.setdefault(urlsplit(url).hostname, []).append(url)
+        host = urlsplit(url).hostname
+        if host:
+            by_host.setdefault(host, []).append(url)
     for host, host_urls in by_host.items():
         d = doc(host, kind, host_urls, sites=sites)
         assert label_document(rs, d).label == linear_label(rs, d), host
