@@ -18,7 +18,7 @@ from . import pipeline as pipeline_mod
 from . import structural as structural_mod
 from .filters import label_document
 from .graph import GraphIndex, build_widegraph, load_graph, save_graph, stats
-from .ingest import read_trees, write_trees
+from .ingest import read_trees
 from .pipeline import DataError, PipelineConfig, load_config
 from .synth import EcosystemConfig, generate
 
@@ -62,16 +62,18 @@ def _load_feature_files(paths):
 
 
 def cmd_ingest(args) -> int:
-    trees, skips = pipeline_mod.ingest_har_dir(args.har_dir)
-    Path(args.out).write_bytes(write_trees(trees))
-    print(f"parsed {len(trees)} sessions, skipped entries: {dict(skips) or 0}")
+    tally = pipeline_mod.IngestTally()
+    with pipeline_mod.replaced_when_done(args.out) as out:
+        for _ in pipeline_mod.ingest_har_dir(args.har_dir, out, tally):
+            pass  # each tree is written as it passes
+    print(f"parsed {tally.sites} sessions, skipped entries: {dict(tally.skipped) or 0}")
     return 0
 
 
 def cmd_graph_build(args) -> int:
-    trees = read_trees(Path(args.trees).read_bytes())
-    graph = build_widegraph(trees)
-    Path(args.out).write_bytes(save_graph(graph))
+    graph = build_widegraph(read_trees(Path(args.trees).read_bytes()))
+    with Path(args.out).open("wb") as out:
+        save_graph(graph, out)
     print(f"graph: {len(graph.roots)} roots, {len(graph.nodes)} nodes, {len(graph.edges)} edges")
     return 0
 

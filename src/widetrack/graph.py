@@ -8,15 +8,15 @@ parent third-party node and are the unit later classified.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from .domains import registrable_domain
-from .ingest import NODE_KINDS, DependencyTree, InteractionKind
+from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind
 
 FIRST_PARTY = "firstparty"
 BOUNCED = InteractionKind.BOUNCED.value
@@ -59,21 +59,6 @@ class Node:
     documents: dict[str, SubdomainDocument] = field(default_factory=dict)
 
 
-@dataclass
-class SiteTree:
-    """One site's contracted (and optionally expanded) dependency tree."""
-
-    root_domain: str
-    nodes: set[NodeKey]  # third-party keys only
-    edges: dict[tuple[NodeKey, NodeKey, str], int]
-    documents: dict[tuple[str, str], Counter]  # (host, kind) -> url counter
-    diagnostics: Counter = field(default_factory=Counter)
-
-    @property
-    def first_party(self) -> NodeKey:
-        return NodeKey(self.root_domain, FIRST_PARTY)
-
-
 class WideGraph:
     def __init__(self):
         self.roots: set[str] = set()
@@ -112,33 +97,41 @@ class WideGraph:
         return True
 
 
-def contract_tree(tree: DependencyTree) -> SiteTree:
-    """Collapse first-party URLs into one super-node, key third parties.
+def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
+    """Path contraction of one site's tree straight into the graph.
 
-    Edges into the first party and edges that become self-loops after
-    re-keying are dropped and tallied in diagnostics.
+    First-party URLs collapse into the site's super-node and third-party
+    URLs key to (domain, kind) nodes; each URL joins its (host, kind)
+    document. Edges into the first party and edges that become self-loops
+    after re-keying are dropped and tallied in the returned diagnostics.
+    The site's own edges are expanded, then fused into the graph: edge
+    multiplicities add and their contributing-site sets union.
     """
-    fp = NodeKey(tree.root_domain, FIRST_PARTY)
-    key_of: dict[str, NodeKey] = {}
-    documents: defaultdict[tuple[str, str], Counter] = defaultdict(Counter)
-    nodes: set[NodeKey] = set()
+    root = tree.root_domain
+    fp = NodeKey(root, FIRST_PARTY)
+    graph.roots.add(root)
+    graph.nodes.setdefault(fp, Node(fp))
 
     request_count: dict[str, int] = {url: 0 for url in tree.nodes}
     for (_, dst), mult in tree.edges.items():
         request_count[dst] += mult
 
+    key_of: dict[str, NodeKey] = {}
     for url, kind in tree.nodes.items():
         host = tree.hosts[url]
         domain = registrable_domain(host)
-        if domain == tree.root_domain:
+        if domain == root:
             key_of[url] = fp
             continue
-        key = NodeKey(domain, kind)
-        key_of[url] = key
-        nodes.add(key)
-        documents[(host, kind)][url] = max(request_count[url], 1)  # each URL is one node
+        key = key_of[url] = NodeKey(domain, kind)
+        node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
+        doc = node.documents.get(host)
+        if doc is None:
+            doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), key)
+        doc.urls[url] += max(request_count[url], 1)  # each URL is one node
+        doc.sites.add(root)
 
-    diagnostics = Counter(tree.diagnostics)
+    diagnostics: Counter = Counter()
     edges: dict[tuple[NodeKey, NodeKey, str], int] = {}
     for (src_url, dst_url), mult in tree.edges.items():
         src, dst = key_of[src_url], key_of[dst_url]
@@ -151,77 +144,41 @@ def contract_tree(tree: DependencyTree) -> SiteTree:
         label = dst.kind
         edges[(src, dst, label)] = edges.get((src, dst, label), 0) + mult
 
-    return SiteTree(
-        root_domain=tree.root_domain,
-        nodes=nodes,
-        edges=edges,
-        documents=dict(documents),
-        diagnostics=diagnostics,
-    )
+    expand_edges(fp, edges)
+    for edge, mult in edges.items():
+        data = graph.edges.get(edge) or graph.edges.setdefault(edge, EdgeData())
+        data.multiplicity += mult
+        data.sites.add(root)
+    return diagnostics
 
 
-def expand_edges(site: SiteTree) -> SiteTree:
-    """Add one Bounced root edge per third party reachable only indirectly."""
-    fp = site.first_party
+def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
+    """Add to one site's contracted edges, in place, one Bounced edge from
+    its first party ``fp`` per third party reachable only indirectly."""
     adjacency: dict[NodeKey, set[NodeKey]] = {}
     direct: set[NodeKey] = set()
-    for (src, dst, label) in site.edges:
+    for (src, dst, label) in edges:
         adjacency.setdefault(src, set()).add(dst)
         if src == fp and label != BOUNCED:
             direct.add(dst)
 
-    reachable: set[NodeKey] = set()
     queue = deque([fp])
     seen = {fp}
     while queue:
         for nxt in adjacency.get(queue.popleft(), ()):
             if nxt not in seen:
                 seen.add(nxt)
-                reachable.add(nxt)
                 queue.append(nxt)
 
-    for node in reachable:
-        if node not in direct:
-            site.edges.setdefault((fp, node, BOUNCED), 1)
-    return site
+    for node in seen - direct - {fp}:
+        edges.setdefault((fp, node, BOUNCED), 1)
 
 
-def merge(graph: WideGraph, site: SiteTree) -> WideGraph:
-    """Fuse a contracted, expanded site tree into the graph in place.
-
-    Nodes with the same domain and kind unify; edge multiplicities add and
-    their contributing-site sets union; same (host, kind) documents append.
-    """
-    root = site.root_domain
-    graph.roots.add(root)
-    fp = site.first_party
-    graph.nodes.setdefault(fp, Node(fp))
-    for key in site.nodes:
-        graph.nodes.setdefault(key, Node(key))
-
-    for (src, dst, label), mult in site.edges.items():
-        if dst.is_first_party():
-            raise GraphError("first-party nodes cannot have incoming edges")
-        data = graph.edges.setdefault((src, dst, label), EdgeData())
-        data.multiplicity += mult
-        data.sites.add(root)
-
-    for (host, kind), urls in site.documents.items():
-        parent = NodeKey(registrable_domain(host), kind)
-        node = graph.nodes[parent]
-        doc = node.documents.get(host)
-        if doc is None:
-            doc = SubdomainDocument(host, kind, Counter(), set(), parent)
-            node.documents[host] = doc
-        doc.urls.update(urls)
-        doc.sites.add(root)
-    return graph
-
-
-def build_widegraph(trees: list[DependencyTree]) -> WideGraph:
+def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
+    """The wide graph of every tree, contracted in as each one arrives."""
     graph = WideGraph()
     for tree in trees:
-        merge(graph, expand_edges(contract_tree(tree)))
+        contract_tree(graph, tree)
     return graph
 
 
@@ -349,47 +306,43 @@ def stats(index: GraphIndex) -> dict:
 _FORMAT = {"format": "widegraph", "version": 1}
 
 
-def save_graph(graph: WideGraph) -> bytes:
-    """Line-delimited records, deterministically ordered."""
-    lines = [json.dumps(_FORMAT, sort_keys=True)]
+def save_graph(graph: WideGraph, out: BinaryIO) -> None:
+    """Write line-delimited records, deterministically ordered, to ``out``."""
+
+    def write(record: dict) -> None:
+        out.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+
+    write(_FORMAT)
     for domain in sorted(graph.roots):
-        lines.append(json.dumps({"t": "root", "d": domain}, sort_keys=True))
+        write({"t": "root", "d": domain})
     for key in sorted(graph.nodes):
-        lines.append(json.dumps({"t": "node", "d": key.domain, "k": key.kind}, sort_keys=True))
+        write({"t": "node", "d": key.domain, "k": key.kind})
     for (src, dst, label) in sorted(graph.edges):
         data = graph.edges[(src, dst, label)]
-        lines.append(
-            json.dumps(
-                {
-                    "t": "edge",
-                    "s": [src.domain, src.kind],
-                    "x": [dst.domain, dst.kind],
-                    "l": label,
-                    "m": data.multiplicity,
-                    "sites": sorted(data.sites),
-                },
-                sort_keys=True,
-            )
+        write(
+            {
+                "t": "edge",
+                "s": [src.domain, src.kind],
+                "x": [dst.domain, dst.kind],
+                "l": label,
+                "m": data.multiplicity,
+                "sites": sorted(data.sites),
+            }
         )
     for doc in graph.documents():
-        lines.append(
-            json.dumps(
-                {
-                    "t": "doc",
-                    "h": doc.host,
-                    "k": doc.kind,
-                    "p": [doc.parent.domain, doc.parent.kind],
-                    "urls": sorted(doc.urls.items()),
-                    "sites": sorted(doc.sites),
-                },
-                sort_keys=True,
-            )
+        write(
+            {
+                "t": "doc",
+                "h": doc.host,
+                "k": doc.kind,
+                "p": [doc.parent.domain, doc.parent.kind],
+                "urls": sorted(doc.urls.items()),
+                "sites": sorted(doc.sites),
+            }
         )
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_DOC_KINDS = frozenset(k.value for k in NODE_KINDS)
-_NODE_KINDS = _DOC_KINDS | {FIRST_PARTY}
+_NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
 
 
 def load_graph(data: bytes) -> WideGraph:
@@ -433,17 +386,18 @@ def load_graph(data: bytes) -> WideGraph:
                 parent = NodeKey(*rec["p"])
                 if parent not in graph.nodes:
                     raise GraphFormatError("document references unknown node")
-                if rec["k"] not in _DOC_KINDS:
+                if rec["k"] not in NODE_KIND_VALUES:
                     raise GraphFormatError(f"unknown document kind {rec['k']!r}")
+                host = rec["h"]
+                if not isinstance(host, str) or parent != (registrable_domain(host), rec["k"]):
+                    raise GraphFormatError(f"document {host!r} is filed under {tuple(parent)}")
                 urls = Counter(dict((u, c) for u, c in rec["urls"]))
                 # The matcher takes every URL's host to be the document's.
                 for url in urls:
-                    if not isinstance(url, str) or urlsplit(url).hostname != rec["h"]:
-                        raise GraphFormatError(
-                            f"document url {url!r} is not on host {rec['h']!r}"
-                        )
-                graph.nodes[parent].documents[rec["h"]] = SubdomainDocument(
-                    host=rec["h"],
+                    if not isinstance(url, str) or urlsplit(url).hostname != host:
+                        raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
+                graph.nodes[parent].documents[host] = SubdomainDocument(
+                    host=host,
                     kind=rec["k"],
                     urls=urls,
                     sites=set(rec["sites"]),

@@ -35,6 +35,8 @@ NODE_KINDS = (
     InteractionKind.OTHER,
 )
 
+NODE_KIND_VALUES = frozenset(k.value for k in NODE_KINDS)
+
 INITIATOR_TYPES = ("script", "parser", "other", "unknown")
 
 
@@ -95,8 +97,9 @@ class DependencyTree:
     @classmethod
     def from_record(cls, rec: dict) -> "DependencyTree":
         """Inverse of to_record; KeyError, TypeError or ValueError on a record
-        with a missing key, a field of the wrong type, a dangling edge or a
-        node URL with no usable host."""
+        with a missing key, a field of the wrong type, a dangling edge, a
+        node kind other than script/media/iframe/other or a node URL with no
+        usable host."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
@@ -110,6 +113,9 @@ class DependencyTree:
             raise TypeError("multiplicities and tallies must be integers")
         if any(u not in nodes for edge in edges for u in edge):
             raise ValueError("edge endpoint is not a node")
+        unknown = set(nodes.values()) - NODE_KIND_VALUES
+        if unknown:
+            raise ValueError(f"unknown node kind {min(unknown)!r}")
         return cls(rec["root_url"], rec["root_domain"], nodes, edges, diagnostics, skipped)
 
 
@@ -326,12 +332,12 @@ def build_tree(record: SessionRecord) -> DependencyTree:
     )
 
 
-def write_trees(trees: list[DependencyTree]) -> bytes:
-    """Serialize trees as line-delimited JSON with a version header."""
-    lines = [json.dumps({"format": "widetrack-trees", "version": 1})]
-    for tree in trees:
-        lines.append(json.dumps(tree.to_record(), sort_keys=True))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+# A trees file is this version header, then one ``tree_line`` per tree.
+TREES_HEADER = b'{"format": "widetrack-trees", "version": 1}\n'
+
+
+def tree_line(tree: DependencyTree) -> bytes:
+    return (json.dumps(tree.to_record(), sort_keys=True) + "\n").encode("utf-8")
 
 
 def read_trees(data: bytes) -> list[DependencyTree]:

@@ -9,8 +9,10 @@ import math
 import random
 from bisect import bisect_left
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .graph import (
     coverage_counts,
     save_graph,
 )
-from .ingest import build_tree, parse_har, write_trees
+from .ingest import TREES_HEADER, DependencyTree, build_tree, parse_har, tree_line
 
 CLASS_NAMES = (BENIGN, ADTRACKER)
 
@@ -540,18 +542,50 @@ class PipelineConfig:
 # --- the stages; run_all and each staged CLI subcommand call these ---
 
 
-def ingest_har_dir(har_dir: str | Path):
-    """Parse every *.har under the directory into dependency trees."""
+@dataclass
+class IngestTally:
+    """What ``ingest_har_dir`` has read so far: captures and skipped entries."""
+
+    sites: int = 0
+    skipped: Counter = field(default_factory=Counter)
+
+
+def ingest_har_dir(
+    har_dir: str | Path, out: BinaryIO, tally: IngestTally
+) -> Iterator[DependencyTree]:
+    """Yield one dependency tree per *.har under the directory, in name
+    order. As each tree passes, its line goes to the trees file ``out`` and
+    its capture counts into ``tally``. A capture that cannot be read raises
+    ``DataError`` naming its file."""
     paths = sorted(Path(har_dir).glob("*.har"))
     if not paths:
         raise DataError(f"no .har files under {har_dir}")
-    trees = []
-    skip_total: Counter = Counter()
+    out.write(TREES_HEADER)
     for path in paths:
-        record = parse_har(path.read_bytes())
-        skip_total.update(record.skipped)
-        trees.append(build_tree(record))
-    return trees, skip_total
+        data = path.read_bytes()
+        try:
+            record = parse_har(data)
+            tree = build_tree(record)
+        except ValueError as exc:
+            raise DataError(f"{path.name}: {exc}") from exc
+        out.write(tree_line(tree))
+        tally.sites += 1
+        tally.skipped.update(record.skipped)
+        yield tree
+
+
+@contextmanager
+def replaced_when_done(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary stream onto a sibling temporary file that becomes ``path``
+    only if the block completes, so a failed run leaves no partial file."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("wb") as out:
+            yield out
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.StructMatrix:
@@ -633,12 +667,12 @@ def run_all(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    trees, skip_total = ingest_har_dir(cfg.har_dir)
-    (out / "trees.jsonl").write_bytes(write_trees(trees))
-    graph = build_widegraph(trees)
-    n_sites = len(trees)
-    del trees  # the graph holds all that later stages read
-    (out / "graph.jsonl").write_bytes(save_graph(graph))
+    # One capture at a time: each tree is written, contracted, then let go.
+    ingested = IngestTally()
+    with replaced_when_done(out / "trees.jsonl") as trees_out:
+        graph = build_widegraph(ingest_har_dir(cfg.har_dir, trees_out, ingested))
+    with (out / "graph.jsonl").open("wb") as graph_out:
+        save_graph(graph, graph_out)
     index = GraphIndex(graph)
 
     struct = structural_matrix(index, cfg)
@@ -705,8 +739,8 @@ def run_all(cfg: PipelineConfig) -> dict:
         for f, imp in forest_mod.feature_importance(model)[:25]
     ]
     summary = {
-        "sites": n_sites,
-        "ingest_skips": dict(sorted(skip_total.items())),
+        "sites": ingested.sites,
+        "ingest_skips": dict(sorted(ingested.skipped.items())),
         "eligibility": elig_report,
         "split": {"train": len(train_docs), "test": len(test_docs)},
         "rules": {

@@ -124,7 +124,8 @@ class SynthCorpus:
         rules_path = out / "truth-rules.txt"
         rules_path.write_text("".join(r + "\n" for r in self.truth_rules), encoding="utf-8")
         graph_path = out / "truth-graph.jsonl"
-        graph_path.write_bytes(save_graph(self.truth_graph))
+        with graph_path.open("wb") as graph_out:
+            save_graph(self.truth_graph, graph_out)
         return {
             "har_dir": har_dir,
             "labels": labels_path,

@@ -139,6 +139,38 @@ def test_ingest_list_initiator(tmp_path):
     assert main(["ingest", "--har-dir", str(har_dir), "--out", str(tmp_path / "t")]) == 0
 
 
+@pytest.mark.parametrize(
+    "bad, detail",
+    [
+        (lambda data: data[: len(data) // 2], "(byte "),  # truncated
+        (lambda data: b'{"log": {"entries": []}}', "no usable entries in capture"),
+    ],
+)
+def test_bad_capture_names_its_file_and_leaves_no_trees_file(
+    corpus_dir, tmp_path, capsys, bad, detail
+):
+    good, other = sorted((corpus_dir / "har").glob("*.har"))[:2]
+    har_dir = tmp_path / "har"
+    har_dir.mkdir()
+    (har_dir / good.name).write_bytes(good.read_bytes())
+    (har_dir / "zz.har").write_bytes(bad(other.read_bytes()))  # sorts last
+    trees = tmp_path / "trees.jsonl"
+    assert main(["ingest", "--har-dir", str(har_dir), "--out", str(trees)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zz.har: ") and detail in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [har_dir]
+
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {har_dir}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out_dir}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == err
+    assert list(out_dir.iterdir()) == []
+
+
 # Every artifact the staged chain writes as run-all does. scores.tsv and
 # candidate-rules.txt are not among them: predict scores every row with the
 # full forest, while run-all scores its training rows out-of-bag.
@@ -325,6 +357,10 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
          ["features", "content", "--out", out, "--graph"], 3),
         ("record.jsonl", header + node + '{"t": "node", "d": "x.net"}\n',
          ["graph", "stats", "--graph"], 3),
+        ("parent.jsonl",
+         header + node + node.replace("t.net", "b.com")
+         + doc.replace('"t.net"', '"b.com"') % "script",
+         ["features", "structural", "--out", out, "--graph"], 4),
         ("labels3.tsv", labels_header + "px.t.net\tscript\tadtracker\n", content_cmd, 2),
         ("labelx.tsv", labels_header + "px.t.net\tscript\tmaybe\tfilterlist\n", content_cmd, 2),
         ("scores4.tsv", scores_header + "px.t.net\tscript\tadtracker\t0.5\n", emit_cmd, 2),

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from collections import Counter
@@ -19,7 +20,6 @@ from widetrack.graph import (
     coverage_counts,
     expand_edges,
     load_graph,
-    merge,
     save_graph,
     stats,
 )
@@ -41,10 +41,16 @@ def tree(root_domain, nodes, edges, root_url=None):
 
 
 def site_graph(*trees):
-    g = WideGraph()
-    for t in trees:
-        merge(g, expand_edges(contract_tree(t)))
-    return g
+    return build_widegraph(trees)
+
+
+def saved(g):
+    out = io.BytesIO()
+    save_graph(g, out)
+    return out.getvalue()
+
+
+FP = NodeKey("site.com", FIRST_PARTY)
 
 
 class TestContractTree:
@@ -55,10 +61,12 @@ class TestContractTree:
             {"https://www.site.com/main.css": "other", "https://static.site.com/a.png": "media"},
             {(root, "https://www.site.com/main.css"): 1, (root, "https://static.site.com/a.png"): 1},
         )
-        site = contract_tree(t)
-        assert site.nodes == set()
-        assert site.edges == {}
-        assert site.documents == {}
+        g = WideGraph()
+        assert contract_tree(g, t) == Counter({"edge_to_firstparty_dropped": 2})
+        assert g.roots == {"site.com"}
+        assert set(g.nodes) == {FP}
+        assert g.edges == {}
+        assert g.documents() == []
 
     def test_script_fanout_rekeys_to_domain_kind(self):
         # page embeds a script from d5; that script loads scripts from
@@ -72,22 +80,25 @@ class TestContractTree:
             {d5: "script", d3: "script", d4: "script", d6: "script", d4req: "other"},
             {(root, d5): 1, (d5, d3): 1, (d5, d4): 1, (d5, d6): 1, (d4, d4req): 1},
         )
-        site = contract_tree(t)
-        fp = site.first_party
-        assert site.nodes == {
+        g = WideGraph()
+        contract_tree(g, t)
+        assert set(g.nodes) == {
+            FP,
             NodeKey("d5.com", "script"),
             NodeKey("d3.com", "script"),
             NodeKey("d4.com", "script"),
             NodeKey("d6.com", "script"),
             NodeKey("d4.com", "other"),
         }
-        assert site.edges == {
-            (fp, NodeKey("d5.com", "script"), "script"): 1,
+        real = {edge: e.multiplicity for edge, e in g.edges.items() if edge[2] != BOUNCED}
+        assert real == {
+            (FP, NodeKey("d5.com", "script"), "script"): 1,
             (NodeKey("d5.com", "script"), NodeKey("d3.com", "script"), "script"): 1,
             (NodeKey("d5.com", "script"), NodeKey("d4.com", "script"), "script"): 1,
             (NodeKey("d5.com", "script"), NodeKey("d6.com", "script"), "script"): 1,
             (NodeKey("d4.com", "script"), NodeKey("d4.com", "other"), "other"): 1,
         }
+        assert all(e.sites == {"site.com"} for e in g.edges.values())
 
     def test_edge_into_first_party_dropped_with_diagnostic(self):
         root = "https://www.site.com/"
@@ -98,17 +109,19 @@ class TestContractTree:
             {script: "script", fp_img: "media"},
             {(root, script): 1, (script, fp_img): 1},
         )
-        site = contract_tree(t)
-        assert all(not dst.is_first_party() for (_, dst, _) in site.edges)
-        assert site.diagnostics["edge_to_firstparty_dropped"] == 1
+        g = WideGraph()
+        diagnostics = contract_tree(g, t)
+        assert all(not dst.is_first_party() for (_, dst, _) in g.edges)
+        assert diagnostics == Counter({"edge_to_firstparty_dropped": 1})
 
     def test_same_key_edge_becomes_self_edge_and_drops(self):
         root = "https://www.site.com/"
         a, b = "https://a.t.net/1.js", "https://b.t.net/2.js"
         t = tree("site.com", {a: "script", b: "script"}, {(root, a): 1, (a, b): 1})
-        site = contract_tree(t)
-        assert site.diagnostics["contracted_self_edge_dropped"] == 1
-        assert (NodeKey("t.net", "script"), NodeKey("t.net", "script"), "script") not in site.edges
+        g = WideGraph()
+        diagnostics = contract_tree(g, t)
+        assert diagnostics == Counter({"contracted_self_edge_dropped": 1})
+        assert (NodeKey("t.net", "script"), NodeKey("t.net", "script"), "script") not in g.edges
 
     def test_documents_group_urls_by_host_and_kind(self):
         root = "https://www.site.com/"
@@ -119,47 +132,54 @@ class TestContractTree:
             {u1: "other", u2: "other", u3: "other"},
             {(root, u1): 2, (root, u2): 1, (root, u3): 1},
         )
-        site = contract_tree(t)
-        assert site.documents[("px.t.net", "other")] == Counter({u1: 2, u2: 1})
-        assert site.documents[("sync.t.net", "other")] == Counter({u3: 1})
+        g = WideGraph()
+        contract_tree(g, t)
+        docs = g.nodes[NodeKey("t.net", "other")].documents
+        assert docs["px.t.net"].urls == Counter({u1: 2, u2: 1})
+        assert docs["sync.t.net"].urls == Counter({u3: 1})
+        assert all(d.sites == {"site.com"} and d.kind == "other" for d in docs.values())
 
 
 class TestExpandEdges:
-    def chain_site(self):
-        root = "https://www.site.com/"
-        a, b = "https://x.a.net/a.js", "https://x.b.net/b.js"
-        t = tree("site.com", {a: "script", b: "script"}, {(root, a): 1, (a, b): 1})
-        return contract_tree(t)
+    A, B = NodeKey("a.net", "script"), NodeKey("b.net", "script")
+
+    def chain_edges(self):
+        return {(FP, self.A, "script"): 1, (self.A, self.B, "script"): 1}
 
     def test_chain_gets_bounced_edge(self):
-        site = expand_edges(self.chain_site())
-        fp = site.first_party
-        assert (fp, NodeKey("b.net", "script"), BOUNCED) in site.edges
-        assert (fp, NodeKey("a.net", "script"), BOUNCED) not in site.edges
+        edges = self.chain_edges()
+        expand_edges(FP, edges)
+        assert (FP, self.B, BOUNCED) in edges
+        assert (FP, self.A, BOUNCED) not in edges
 
     def test_expand_is_idempotent(self):
-        site = expand_edges(self.chain_site())
-        again = expand_edges(site)
-        assert again.edges[(site.first_party, NodeKey("b.net", "script"), BOUNCED)] == 1
+        edges = self.chain_edges()
+        expand_edges(FP, edges)
+        once = dict(edges)
+        expand_edges(FP, edges)
+        assert edges == once
+        assert edges[(FP, self.B, BOUNCED)] == 1
 
     def test_star_gets_no_bounced_edges(self):
-        root = "https://www.site.com/"
-        a, b = "https://x.a.net/a.js", "https://x.b.net/b.png"
-        t = tree("site.com", {a: "script", b: "media"}, {(root, a): 1, (root, b): 1})
-        site = expand_edges(contract_tree(t))
-        assert not any(label == BOUNCED for (_, _, label) in site.edges)
+        edges = {(FP, self.A, "script"): 1, (FP, NodeKey("b.net", "media"), "media"): 1}
+        expand_edges(FP, edges)
+        assert not any(label == BOUNCED for (_, _, label) in edges)
 
     def test_embedded_intermediary_bounces_target(self):
-        # page embeds doubleclick, doubleclick loads adledge: the root gains
-        # a Bounced edge to adledge.
+        # page embeds doubleclick, doubleclick loads adledge: contracting the
+        # page into the graph gives the root a Bounced edge to adledge.
         root = "https://www.latercera.com/"
         dc = "https://ad.doubleclick.net/tag.js"
         al = "https://cdn.adledge.com/m.js"
         t = tree(
             "latercera.com", {dc: "script", al: "script"}, {(root, dc): 1, (dc, al): 1}
         )
-        site = expand_edges(contract_tree(t))
-        assert (site.first_party, NodeKey("adledge.com", "script"), BOUNCED) in site.edges
+        g = WideGraph()
+        contract_tree(g, t)
+        fp = NodeKey("latercera.com", FIRST_PARTY)
+        bounced = g.edges[(fp, NodeKey("adledge.com", "script"), BOUNCED)]
+        assert (bounced.multiplicity, bounced.sites) == (1, {"latercera.com"})
+        assert (fp, NodeKey("doubleclick.net", "script"), BOUNCED) not in g.edges
 
 
 class TestMerge:
@@ -341,13 +361,13 @@ class TestInvariants:
 class TestSerialization:
     def test_empty_graph_round_trips(self):
         g = WideGraph()
-        assert load_graph(save_graph(g)) == g
+        assert load_graph(saved(g)) == g
 
     def test_round_trip_structural_equality(self):
         g, _ = TestCoverage().three_root_fixture()
-        loaded = load_graph(save_graph(g))
+        loaded = load_graph(saved(g))
         assert loaded == g
-        assert save_graph(loaded) == save_graph(g)
+        assert saved(loaded) == saved(g)
 
     def test_random_graphs_round_trip(self):
         from widetrack.ingest import build_tree, parse_har
@@ -365,13 +385,13 @@ class TestSerialization:
                 [build_tree(parse_har(data)) for _, data in corpus.har_files]
             )
             assert len(g.nodes) >= 50
-            loaded = load_graph(save_graph(g))
+            loaded = load_graph(saved(g))
             assert loaded == g
-            assert save_graph(loaded) == save_graph(g)
+            assert saved(loaded) == saved(g)
 
     def test_corrupted_payload_is_a_load_error(self):
         g, _ = TestCoverage().three_root_fixture()
-        data = save_graph(g)
+        data = saved(g)
         # truncate mid-record so a line stops being valid JSON
         cut = data.index(b'"t": "edge"') + 5
         with pytest.raises(GraphFormatError):
@@ -407,9 +427,23 @@ class TestSerialization:
         assert load_graph("\n".join(lines[:2] + [ok]).encode() + b"\n").documents()[0].urls
 
 
+    def test_document_filed_under_another_domain_names_its_line(self):
+        lines = [
+            '{"format": "widegraph", "version": 1}',
+            '{"d": "a.com", "k": "script", "t": "node"}',
+            '{"d": "b.com", "k": "script", "t": "node"}',
+            '{"h": "px.a.com", "k": "script", "p": ["b.com", "script"], "sites": [], "t": "doc", '
+            '"urls": [["https://px.a.com/x.js", 1]]}',
+        ]
+        with pytest.raises(GraphFormatError, match="px.a.com.* on line 4"):
+            load_graph("\n".join(lines).encode() + b"\n")
+        ok = lines[3].replace('"b.com"', '"a.com"')
+        assert load_graph("\n".join(lines[:3] + [ok]).encode() + b"\n").documents()[0].urls
+
+
 def test_build_widegraph_convenience():
-    _, trees = TestCoverage().three_root_fixture()
-    g = build_widegraph(trees)
+    g, trees = TestCoverage().three_root_fixture()
+    assert build_widegraph(iter(trees)) == g  # any iterable, read once
     assert g.roots == {"r1.com", "r2.com", "r3.com"}
 
 

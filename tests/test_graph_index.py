@@ -5,6 +5,7 @@ walking every edge, the way the structural features, coverage counts and
 eligibility in-degrees were computed before the index existed.
 """
 
+import io
 from collections import Counter
 
 import numpy as np
@@ -111,7 +112,9 @@ def graphs(draw):
     )
     for edge in edges:
         g.edges[edge] = EdgeData(1, set(roots[:1]))
-    return load_graph(save_graph(g))
+    out = io.BytesIO()
+    save_graph(g, out)
+    return load_graph(out.getvalue())
 
 
 @settings(max_examples=200, deadline=None)

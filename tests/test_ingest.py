@@ -1,3 +1,4 @@
+import io
 import json
 from urllib.parse import urlsplit
 
@@ -5,18 +6,23 @@ import pytest
 
 from widetrack.domains import registrable_domain
 from widetrack.ingest import (
+    TREES_HEADER,
     HarParseError,
     InteractionKind,
     build_tree,
     classify_interaction,
     parse_har,
     read_trees,
-    write_trees,
+    tree_line,
 )
 
 PAGE = "https://www.site.com/"
 SCRIPT = "https://cdn.tracker.net/lib.js"
 PIXEL = "https://px.tracker.net/collect?id=1"
+
+
+def trees_file(trees):
+    return TREES_HEADER + b"".join(tree_line(t) for t in trees)
 
 
 def har_bytes(entries):
@@ -305,7 +311,7 @@ class TestBuildTree:
 
 def test_trees_file_round_trip():
     trees = [build_tree(parse_har(chain_fixture()))]
-    loaded = read_trees(write_trees(trees))
+    loaded = read_trees(trees_file(trees))
     assert loaded[0].to_record() == trees[0].to_record()
 
 
@@ -330,9 +336,14 @@ def test_hosts_equal_a_fresh_split_from_either_source():
     trees = [build_tree(record)]
     assert set(trees[0].nodes) == {PAGE, *urls}
     assert trees[0].hosts == {u: urlsplit(u).hostname for u in trees[0].nodes}
-    loaded = read_trees(write_trees(trees))
+    loaded = read_trees(trees_file(trees))
     assert loaded[0].hosts == trees[0].hosts
-    assert save_graph(build_widegraph(loaded)) == save_graph(build_widegraph(trees))
+    saved = []
+    for source in (loaded, trees):
+        out = io.BytesIO()
+        save_graph(build_widegraph(source), out)
+        saved.append(out.getvalue())
+    assert saved[0] == saved[1]
 
 
 def test_trees_file_rejects_garbage():
@@ -352,12 +363,14 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec["nodes"].append(["http:///x.js", "script"]),  # no host
         lambda rec: rec["nodes"].append(["http://[::1/x", "script"]),  # urlsplit raises
         lambda rec: rec["nodes"].append(["https://a..b/x.js", "script"]),  # no domain
+        lambda rec: rec["nodes"].append(["https://px.t.net/w.js", "weird"]),
+        lambda rec: rec["nodes"].append(["https://px.t.net/f.js", "firstparty"]),
     ],
 )
 def test_trees_file_bad_record_names_the_line(change):
     tree = build_tree(parse_har(chain_fixture()))
     rec = tree.to_record()
     change(rec)
-    data = write_trees([tree]) + (json.dumps(rec) + "\n").encode()
+    data = trees_file([tree]) + (json.dumps(rec) + "\n").encode()
     with pytest.raises(HarParseError, match="line 3"):
         read_trees(data)

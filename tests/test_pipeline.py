@@ -420,6 +420,33 @@ class TestEachFactOnce:
         assert summary["ingest_skips"] == {}
         assert calls == Counter({"widetrack.ingest": entries})
 
+    def test_run_all_contracts_each_capture_before_parsing_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        from widetrack import graph, pipeline
+        from widetrack.synth import EcosystemConfig, generate
+
+        paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
+            tmp_path
+        )
+        calls = []
+        parse, contract = pipeline.parse_har, graph.contract_tree
+        monkeypatch.setattr(
+            pipeline, "parse_har", lambda data: calls.append("parse") or parse(data)
+        )
+        monkeypatch.setattr(
+            graph, "contract_tree", lambda *args: calls.append("contract") or contract(*args)
+        )
+        summary = pipeline.run_all(
+            PipelineConfig(
+                har_dir=paths["har_dir"], rules_files=[paths["rules"]],
+                out_dir=tmp_path / "out", n_trees=10, min_in_degree=1,
+            )
+        )
+        # At most one tree is alive at a time.
+        assert summary["sites"] == 12
+        assert calls == ["parse", "contract"] * 12
+
     def test_content_features_tokenizes_each_document_once(self, monkeypatch):
         from widetrack import content
         from widetrack.pipeline import content_features

@@ -11,8 +11,6 @@ from widetrack.graph import (
     NodeKey,
     WideGraph,
     contract_tree,
-    expand_edges,
-    merge,
 )
 from widetrack.ingest import DependencyTree
 from widetrack.pipeline import DataError, read_struct_matrix
@@ -53,7 +51,7 @@ def chain_graph():
         skipped=Counter(),
     )
     g = WideGraph()
-    merge(g, expand_edges(contract_tree(t)))
+    contract_tree(g, t)
     return g
 
 

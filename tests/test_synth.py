@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from widetrack.graph import GraphIndex, build_widegraph, coverage, save_graph
@@ -18,7 +20,9 @@ def corpus_fingerprint(corpus: SynthCorpus) -> bytes:
     parts = [data for _, data in corpus.har_files]
     parts.append("\n".join(corpus.truth_rules).encode())
     parts.append(repr(sorted(corpus.truth_labels.items())).encode())
-    parts.append(save_graph(corpus.truth_graph))
+    graph = io.BytesIO()
+    save_graph(corpus.truth_graph, graph)
+    parts.append(graph.getvalue())
     return b"\x00".join(parts)
 
 
