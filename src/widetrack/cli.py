@@ -71,7 +71,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_graph_build(args) -> int:
-    graph = build_widegraph(read_trees(Path(args.trees).read_bytes()))
+    with Path(args.trees).open("rb") as trees:
+        graph = build_widegraph(read_trees(trees))
     with Path(args.out).open("wb") as out:
         save_graph(graph, out)
     print(f"graph: {len(graph.roots)} roots, {len(graph.nodes)} nodes, {len(graph.edges)} edges")

@@ -69,13 +69,15 @@ class Vocabulary:
 
 def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> Vocabulary:
     """Keep the top-k terms ranked by document frequency (ties lexicographic),
-    over one ``doc_token_counts`` table per document.
+    over one ``doc_token_counts`` table per document; ``k`` is at least 0.
 
     ``rank_by="tf"`` ranks by total term frequency instead; document
     frequencies are recorded either way since the weighting needs them.
     """
     if not doc_counts:
         raise ValueError("vocabulary needs at least one document")
+    if k < 0:
+        raise ValueError(f"vocabulary size must be >= 0, got {k}")
     if rank_by not in ("df", "tf"):
         raise ValueError(f"unknown ranking {rank_by!r}")
     df: Counter = Counter()

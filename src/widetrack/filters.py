@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from urllib.parse import urlsplit
@@ -291,34 +291,49 @@ def _options_pass(rule: Rule, url_domain: str, ctx: MatchContext) -> bool:
     return True
 
 
-def _rule_applies(rule: Rule, url_lower: str, url_domain: str, ctx: MatchContext) -> bool:
-    return _options_pass(rule, url_domain, ctx) and rule.regex.search(url_lower) is not None
+def _blocked(
+    rules: RuleSet,
+    urls: Iterable[str],
+    host: str,
+    contexts: list[MatchContext],
+    exceptions: bool,
+) -> bool:
+    """Whether some URL on ``host`` is blocked in some context: a block rule
+    matches it there and, when ``exceptions``, no exception rule does.
 
-
-def _url_targets(urls, host: str) -> Iterator[tuple[str, str, frozenset[str]]]:
-    """(lower-cased URL, its registrable domain, its tokens) for each URL,
-    in sorted order; every URL is on ``host``."""
+    URLs go in sorted order. Each is lower-cased and tokenized once, and
+    each rule list's regexes run once per URL, the exception list's only
+    when a context needs it; contexts only re-check rule options.
+    """
     url_domain = registrable_domain(host)
     for url in sorted(urls):
         url_lower = url.lower()
-        yield url_lower, url_domain, frozenset(_TOKEN_RE.findall(url_lower))
+        tokens = frozenset(_TOKEN_RE.findall(url_lower))
+        blocks = rules.block_index.hits(url_lower, tokens)
+        if not blocks:
+            continue
+        allowed = None
+        for ctx in contexts:
+            if not any(_options_pass(r, url_domain, ctx) for r in blocks):
+                continue
+            if not exceptions:
+                return True
+            if allowed is None:
+                allowed = rules.exception_index.hits(url_lower, tokens)
+            if not any(_options_pass(r, url_domain, ctx) for r in allowed):
+                return True
+    return False
+
+
+def _contexts(document: SubdomainDocument) -> list[MatchContext]:
+    return [MatchContext(site, document.kind) for site in sorted(document.sites)]
 
 
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     """True when some block rule matches and no exception rule does; a URL
     with no hostname matches nothing."""
     host = urlsplit(url).hostname
-    return bool(host) and any(
-        any(
-            _rule_applies(r, url_lower, url_domain, ctx)
-            for r in rules.block_index.candidates(tokens)
-        )
-        and not any(
-            _rule_applies(r, url_lower, url_domain, ctx)
-            for r in rules.exception_index.candidates(tokens)
-        )
-        for url_lower, url_domain, tokens in _url_targets([url], host)
-    )
+    return bool(host) and _blocked(rules, [url], host, [ctx], exceptions=True)
 
 
 def label_document(
@@ -329,27 +344,14 @@ def label_document(
     """AdTracker iff any URL is blocked in any contributing site's context.
 
     An override entry for the document's host beats the filter-list verdict.
-    Each regex runs once per URL; contexts only re-check rule options. Every
-    URL of a document is on its host, as the graph builds and loads it.
+    Every URL of a document is on its host, as the graph builds and loads it.
     """
     if overrides and document.host in overrides:
         return Label(overrides[document.host], "override")
-    contexts = [
-        MatchContext(site, document.kind) for site in sorted(document.sites)
-    ]
-    for url_lower, url_domain, tokens in _url_targets(document.urls, document.host):
-        blocks = rules.block_index.hits(url_lower, tokens)
-        if not blocks:
-            continue
-        exceptions = None
-        for ctx in contexts:
-            if not any(_options_pass(r, url_domain, ctx) for r in blocks):
-                continue
-            if exceptions is None:
-                exceptions = rules.exception_index.hits(url_lower, tokens)
-            if not any(_options_pass(r, url_domain, ctx) for r in exceptions):
-                return Label(ADTRACKER, "filterlist")
-    return Label(BENIGN, "filterlist")
+    blocked = _blocked(
+        rules, document.urls, document.host, _contexts(document), exceptions=True
+    )
+    return Label(ADTRACKER if blocked else BENIGN, "filterlist")
 
 
 def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
@@ -358,16 +360,9 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     Exceptions are ignored: this asks if the lists already cover the host,
     not whether the final verdict is blocked.
     """
-    contexts = [
-        MatchContext(site, document.kind) for site in sorted(document.sites)
-    ]
-    for url_lower, url_domain, tokens in _url_targets(document.urls, document.host):
-        blocks = rules.block_index.hits(url_lower, tokens)
-        if any(
-            _options_pass(r, url_domain, ctx) for ctx in contexts for r in blocks
-        ):
-            return True
-    return False
+    return _blocked(
+        rules, document.urls, document.host, _contexts(document), exceptions=False
+    )
 
 
 def parse_overrides(text: str) -> dict[str, str]:

@@ -279,13 +279,13 @@ def stats(index: GraphIndex) -> dict:
     third = graph.third_party_keys()
     rows = []
     for key in third:
-        d, i, n = coverage_counts(index, key)
+        direct, indirect = coverage(index, key)
         rows.append(
             {
                 "domain": key.domain,
                 "kind": key.kind,
-                "direct": d / n if n else 0.0,
-                "indirect": i / n if n else 0.0,
+                "direct": direct,
+                "indirect": indirect,
                 "in_degree": len(index.in_edges[key]),
             }
         )

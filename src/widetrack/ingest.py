@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .domains import DomainError, registrable_domain
@@ -340,12 +340,16 @@ def tree_line(tree: DependencyTree) -> bytes:
     return (json.dumps(tree.to_record(), sort_keys=True) + "\n").encode("utf-8")
 
 
-def read_trees(data: bytes) -> list[DependencyTree]:
-    lines = data.decode("utf-8").splitlines()
-    if not lines:
+def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
+    """Yield the trees of a trees file read one line at a time, so only the
+    tree being yielded is held. A bad header raises HarParseError, and so
+    does a bad record, naming its line."""
+    lines = iter(stream)
+    first = next(lines, None)
+    if first is None:
         raise HarParseError("empty trees file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except ValueError:
         header = None
     if (
@@ -354,12 +358,12 @@ def read_trees(data: bytes) -> list[DependencyTree]:
         or header.get("version") != 1
     ):
         raise HarParseError("unrecognized trees file header")
-    trees = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, raw in enumerate(lines, 2):
+        line = raw.rstrip(b"\r\n")
         if not line:
             continue
         try:
-            trees.append(DependencyTree.from_record(json.loads(line)))
+            tree = DependencyTree.from_record(json.loads(line.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise HarParseError(f"bad trees record on line {lineno}: {exc!r}") from exc
-    return trees
+        yield tree

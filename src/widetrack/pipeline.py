@@ -35,6 +35,7 @@ from .graph import (
     NodeKey,
     SubdomainDocument,
     build_widegraph,
+    coverage,
     coverage_counts,
     save_graph,
 )
@@ -247,8 +248,7 @@ def emit_candidate_rules(
             continue
         if document_block_matched(rules, doc):
             continue
-        d, i, n = coverage_counts(index, doc.parent)
-        selected.append((score, doc.host, d / n if n else 0.0, i / n if n else 0.0))
+        selected.append((score, doc.host, *coverage(index, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))
     lines = [
         "! widetrack candidate rules",
@@ -461,7 +461,12 @@ def read_struct_matrix(data: bytes) -> structural_mod.StructMatrix:
 # --- configuration and the full run ---
 
 def _to_bool(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+    word = value.lower()
+    if word in ("true", "yes", "on", "1"):
+        return True
+    if word in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(value)
 
 
 def _to_optional_int(value: str) -> int | None:
@@ -498,7 +503,8 @@ def _read_utf8(path: str | Path) -> str:
 def load_config(cls, path: str | Path | None):
     """Build dataclass ``cls`` from ``key = value`` lines ('#' comments);
     a key the file leaves out, or every key when ``path`` is None, keeps
-    its field default. Each value is converted by its field's annotation.
+    its field default. Each value is converted by its field's annotation;
+    one that does not convert is a DataError naming its key and line.
     """
     types = {f.name: f.type for f in fields(cls)}
     values = {}
@@ -512,7 +518,12 @@ def load_config(cls, path: str | Path | None):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise DataError(f"unknown config key {key!r}")
-        values[key] = _CONVERTERS[types[key]](value)
+        try:
+            values[key] = _CONVERTERS[types[key]](value)
+        except ValueError:
+            raise DataError(
+                f"bad value for {key} on config line {lineno}: {value!r}"
+            ) from None
     return cls(**values)
 
 
@@ -527,7 +538,6 @@ class PipelineConfig:
     clamp_idf: bool = False
     refex_depth: int = 2
     prune_threshold: float = 0.95
-    directed_neighbors: bool = False
     n_trees: int = 250
     mtry: int | None = None
     max_depth: int | None = None
@@ -596,7 +606,6 @@ def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.
         index,
         depth=cfg.refex_depth,
         threshold=cfg.prune_threshold,
-        directed=cfg.directed_neighbors,
     )
 
 

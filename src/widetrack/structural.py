@@ -5,24 +5,13 @@ neighbor aggregates with correlation pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import GraphError, GraphIndex, NodeKey, coverage
 
-BASE_COLUMNS = (
-    "degree",
-    "in_degree",
-    "out_degree",
-    "ego_inter",
-    "ego_out",
-    "direct_cov",
-    "indirect_cov",
-)
-
-
-@dataclass
-class BaseFeatureRow:
+class BaseFeatureRow(NamedTuple):
     degree: int
     in_degree: int
     out_degree: int
@@ -31,19 +20,8 @@ class BaseFeatureRow:
     direct_cov: float
     indirect_cov: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.degree,
-                self.in_degree,
-                self.out_degree,
-                self.ego_inter,
-                self.ego_out,
-                self.direct_cov,
-                self.indirect_cov,
-            ],
-            dtype=float,
-        )
+
+BASE_COLUMNS = BaseFeatureRow._fields
 
 
 @dataclass
@@ -94,7 +72,7 @@ def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:
 
 def build_base_matrix(index: GraphIndex) -> StructMatrix:
     keys = index.graph.third_party_keys()
-    rows = [base_features(index, key).as_array() for key in keys]
+    rows = [np.array(base_features(index, key), dtype=float) for key in keys]
     values = np.vstack(rows) if rows else np.zeros((0, len(BASE_COLUMNS)))
     return StructMatrix(
         keys=keys,
@@ -146,18 +124,13 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
     )
 
 
-def expand_level(
-    matrix: StructMatrix, index: GraphIndex, generation: int, directed: bool
-) -> StructMatrix:
+def expand_level(matrix: StructMatrix, index: GraphIndex, generation: int) -> StructMatrix:
     """Append mean/sum neighbor aggregates of every current column."""
     row_set = set(matrix.keys)
-    neighbor_rows = []
-    for key in matrix.keys:
-        if directed:
-            near = {dst for (_, dst, _) in index.out_edges[key]}
-        else:
-            near = index.neighbors[key]
-        neighbor_rows.append([matrix._index[n] for n in sorted(near & row_set)])
+    neighbor_rows = [
+        [matrix._index[n] for n in sorted(index.neighbors[key] & row_set)]
+        for key in matrix.keys
+    ]
 
     n_rows, n_cols = matrix.values.shape
     means = np.zeros((n_rows, n_cols))
@@ -185,22 +158,18 @@ def expand_level(
 
 
 def refex_expand(
-    matrix: StructMatrix,
-    index: GraphIndex,
-    depth: int,
-    threshold: float,
-    directed: bool,
+    matrix: StructMatrix, index: GraphIndex, depth: int, threshold: float
 ) -> StructMatrix:
     """Recursively aggregate features over neighborhoods, pruning per level.
 
-    Aggregation ignores edge direction and multiplicity unless ``directed``;
-    only nodes that have matrix rows (third parties) contribute, since
-    first-party adjacency is already captured by the coverage columns.
+    Aggregation ignores edge direction and multiplicity; only nodes that
+    have matrix rows (third parties) contribute, since first-party
+    adjacency is already captured by the coverage columns.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     for level in range(1, depth + 1):
-        matrix = expand_level(matrix, index, generation=level, directed=directed)
+        matrix = expand_level(matrix, index, generation=level)
         matrix = prune_correlated(matrix, threshold)
     return matrix
 

@@ -128,6 +128,25 @@ def test_synth_unknown_key_exits_two(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("stratified = ture", "error: bad value for stratified on config line 3: 'ture'\n"),
+        ("n_trees = ten", "error: bad value for n_trees on config line 3: 'ten'\n"),
+        # a knob that no longer exists is not silently accepted
+        ("directed_neighbors = true", "error: unknown config key 'directed_neighbors'\n"),
+    ],
+    ids=["misspelled_bool", "bad_int", "removed_knob"],
+)
+def test_bad_config_value_exits_two(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    out_dir = tmp_path / "out"
+    cfg.write_text(f"har_dir = {tmp_path / 'har'}\nout_dir = {out_dir}\n{line}\n")
+    assert main(["run-all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out_dir.exists()
+
+
 def test_ingest_list_initiator(tmp_path):
     har_dir = tmp_path / "har"
     har_dir.mkdir()

@@ -110,6 +110,12 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             build_vocabulary(counts([doc("a.t.net", "other", ["https://a.t.net/"])]), k=1000, rank_by="x")
 
+    def test_negative_size_rejected_and_zero_keeps_none(self):
+        corpus = counts([doc("a.t.net", "other", ["https://a.t.net/b"])])
+        with pytest.raises(ValueError, match="vocabulary size"):
+            build_vocabulary(corpus, k=-1, rank_by="df")
+        assert build_vocabulary(corpus, k=0, rank_by="df").terms == []
+
 
 class TestTfidf:
     def vocab(self, corpus_size, df):

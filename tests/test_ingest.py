@@ -311,7 +311,7 @@ class TestBuildTree:
 
 def test_trees_file_round_trip():
     trees = [build_tree(parse_har(chain_fixture()))]
-    loaded = read_trees(trees_file(trees))
+    loaded = list(read_trees(io.BytesIO(trees_file(trees))))
     assert loaded[0].to_record() == trees[0].to_record()
 
 
@@ -336,7 +336,7 @@ def test_hosts_equal_a_fresh_split_from_either_source():
     trees = [build_tree(record)]
     assert set(trees[0].nodes) == {PAGE, *urls}
     assert trees[0].hosts == {u: urlsplit(u).hostname for u in trees[0].nodes}
-    loaded = read_trees(trees_file(trees))
+    loaded = list(read_trees(io.BytesIO(trees_file(trees))))
     assert loaded[0].hosts == trees[0].hosts
     saved = []
     for source in (loaded, trees):
@@ -346,9 +346,21 @@ def test_hosts_equal_a_fresh_split_from_either_source():
     assert saved[0] == saved[1]
 
 
+def test_trees_file_streams_one_record_at_a_time():
+    tree = build_tree(parse_har(chain_fixture()))
+    stream = io.BytesIO(trees_file([tree]) + b"not json\n")
+    trees = read_trees(stream)
+    assert next(trees).to_record() == tree.to_record()
+    assert stream.tell() == len(trees_file([tree]))  # the bad line is unread
+    with pytest.raises(HarParseError, match="line 3"):
+        next(trees)
+    with pytest.raises(HarParseError, match="empty trees file"):
+        list(read_trees(io.BytesIO(b"")))
+
+
 def test_trees_file_rejects_garbage():
     with pytest.raises(HarParseError):
-        read_trees(b'{"format": "something-else", "version": 9}\n')
+        list(read_trees(io.BytesIO(b'{"format": "something-else", "version": 9}\n')))
 
 
 @pytest.mark.parametrize(
@@ -373,4 +385,4 @@ def test_trees_file_bad_record_names_the_line(change):
     change(rec)
     data = trees_file([tree]) + (json.dumps(rec) + "\n").encode()
     with pytest.raises(HarParseError, match="line 3"):
-        read_trees(data)
+        list(read_trees(io.BytesIO(data)))

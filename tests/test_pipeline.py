@@ -491,3 +491,27 @@ class TestPipelineConfig:
         path.write_text("just some words\n")
         with pytest.raises(DataError):
             load_config(PipelineConfig, path)
+
+    def test_value_that_does_not_convert_names_key_and_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# forest\nforest_seed = 3\nn_trees = ten\n")
+        with pytest.raises(DataError) as err:
+            load_config(PipelineConfig, path)
+        assert str(err.value) == "bad value for n_trees on config line 3: 'ten'"
+
+    @pytest.mark.parametrize(
+        "word, value",
+        [(w, True) for w in ("true", "YES", "On", "1")]
+        + [(w, False) for w in ("false", "No", "OFF", "0")],
+    )
+    def test_boolean_spellings(self, tmp_path, word, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stratified = {word}\n")
+        assert load_config(PipelineConfig, path).stratified is value
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "y"])
+    def test_misspelled_boolean_rejected(self, tmp_path, word):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"stratified = {word}\n")
+        with pytest.raises(DataError, match="bad value for stratified on config line 1"):
+            load_config(PipelineConfig, path)

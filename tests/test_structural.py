@@ -88,7 +88,7 @@ class TestBaseFeatures:
         a = NodeKey("a.net", "script")
         g = manual_graph([a], [])
         row = base_features(GraphIndex(g), a)
-        assert row.as_array().tolist() == [0, 0, 0, 0, 0, 0.0, 0.0]
+        assert list(row) == [0, 0, 0, 0, 0, 0.0, 0.0]
 
     def test_unknown_and_first_party_rejected(self):
         g = chain_graph()
@@ -178,14 +178,14 @@ class TestRefexExpand:
     def test_depth_zero_is_identity(self):
         index = GraphIndex(chain_graph())
         base = build_base_matrix(index)
-        out = refex_expand(base, index, depth=0, threshold=0.95, directed=False)
+        out = refex_expand(base, index, depth=0, threshold=0.95)
         assert out.columns == base.columns
         assert np.array_equal(out.values, base.values)
 
     def test_one_level_triples_columns_before_pruning(self):
         index = GraphIndex(chain_graph())
         base = build_base_matrix(index)
-        expanded = expand_level(base, index, generation=1, directed=False)
+        expanded = expand_level(base, index, generation=1)
         assert len(expanded.columns) == 3 * len(BASE_COLUMNS)
         assert expanded.columns[: len(BASE_COLUMNS)] == list(BASE_COLUMNS)
         assert expanded.generations.count(1) == 2 * len(BASE_COLUMNS)
@@ -194,7 +194,7 @@ class TestRefexExpand:
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
         index = GraphIndex(manual_graph([a, b, c], [(a, b, "script"), (c, b, "script")]))
         base = build_base_matrix(index)
-        expanded = expand_level(base, index, generation=1, directed=False)
+        expanded = expand_level(base, index, generation=1)
         col = expanded.columns.index("sum(out_degree)")
         row_b = expanded.keys.index(b)
         # b's neighbors a and c each have out-degree 1, direction ignored
@@ -203,7 +203,7 @@ class TestRefexExpand:
     def test_no_neighbors_aggregate_to_zero(self):
         a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
         index = GraphIndex(manual_graph([a, b], []))
-        expanded = expand_level(build_base_matrix(index), index, generation=1, directed=False)
+        expanded = expand_level(build_base_matrix(index), index, generation=1)
         assert np.all(expanded.values[:, len(BASE_COLUMNS):] == 0.0)
 
     def test_regular_graph_recursion_adds_nothing(self):
@@ -216,20 +216,20 @@ class TestRefexExpand:
         index = GraphIndex(manual_graph(keys, edges))
         base = build_base_matrix(index)
         base_pruned = prune_correlated(base, 0.95)
-        out = refex_expand(base, index, depth=2, threshold=0.95, directed=False)
+        out = refex_expand(base, index, depth=2, threshold=0.95)
         assert out.columns == base_pruned.columns
 
     def test_deterministic(self):
         index = GraphIndex(chain_graph())
-        m1 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95, directed=False)
-        m2 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95, directed=False)
+        m1 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95)
+        m2 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95)
         assert m1.columns == m2.columns
         assert np.array_equal(m1.values, m2.values)
 
     def test_negative_depth_rejected(self):
         index = GraphIndex(chain_graph())
         with pytest.raises(ValueError):
-            refex_expand(build_base_matrix(index), index, depth=-1, threshold=0.95, directed=False)
+            refex_expand(build_base_matrix(index), index, depth=-1, threshold=0.95)
 
 
 def test_generation_recovered_from_names():
@@ -240,7 +240,7 @@ def test_generation_recovered_from_names():
 
 def test_matrix_file_round_trip():
     index = GraphIndex(chain_graph())
-    m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95, directed=False)
+    m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95)
     loaded = read_struct_matrix(save_struct_matrix(m))
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
