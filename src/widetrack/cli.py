@@ -200,7 +200,7 @@ def cmd_emit_rules(args) -> int:
         for key, (pred, score) in sorted(predictions.items())
         if key in docs
     ]
-    text = pipeline_mod.emit_candidate_rules(index, scored, ruleset)
+    text = pipeline_mod.emit_candidate_rules(index, scored, ruleset, {})
     Path(args.out).write_text(text, encoding="utf-8")
     n_rules = sum(1 for line in text.splitlines() if line.startswith("||"))
     print(f"emitted {n_rules} candidate rules")

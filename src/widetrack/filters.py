@@ -11,9 +11,14 @@ complete tokens are the [a-z0-9%] runs of its pattern that every URL it
 matches holds as whole runs, so a rule with one is keyed by a token. A
 rule with none is keyed by a left-bounded run: one that a non-token
 character, "^" or an anchored start precedes, so in any URL it matches it
-begins a token. Only rules with neither form the fallback bucket. A URL
-regex-tests the fallback bucket, the rules keyed by one of its tokens and
-the rules keyed by a prefix of one. Regexes compile on first use.
+begins a token. Only rules with neither form the fallback bucket. A URL's
+candidates are the fallback bucket, the rules keyed by one of its tokens
+and the rules keyed by a prefix of one.
+
+Options come before regexes. Per document, a candidate's options are
+checked once into a mask of the site contexts they pass in, and its regex
+runs only when that mask adds a context the URL is not yet blocked (or
+excepted) in. A rule's regex source is built and compiled on first use.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ KIND_TO_OPTION = {
 
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
 _TOKEN_RE = re.compile(r"[a-z0-9%]+")
+_REGEX_OF = {"*": ".*", "^": _SEPARATOR_RE}
 
 
 @dataclass(frozen=True)
 class Rule:
     raw: str
-    pattern: str  # regex source over the lower-cased URL
+    body: str  # lower-cased pattern, anchors and options stripped
+    anchors: tuple[bool, bool, bool]  # hostname "||", start "|", end "|"
     is_exception: bool
     type_options: frozenset[str]
     third_party: bool | None  # None = unrestricted
@@ -55,6 +62,11 @@ class Rule:
     domains_neg: tuple[str, ...]
     tokens: tuple[str, ...]  # complete tokens, see _token_runs
     prefixes: tuple[str, ...]  # left-bounded runs that are not complete
+
+    @cached_property
+    def pattern(self) -> str:
+        """Regex source over the lower-cased URL."""
+        return _pattern_to_regex(self.body, *self.anchors)
 
     @cached_property
     def regex(self) -> re.Pattern:
@@ -91,8 +103,7 @@ class _RuleIndex:
         self.prefix_lengths = sorted({len(p) for p in by_prefix})
 
     def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
-        """The rules a URL with these tokens can match, each once, in list
-        order."""
+        """The rules a URL with these tokens can match, each once, in list order."""
         ids = list(self.fallback)
         for t in url_tokens:
             ids.extend(self.by_token.get(t, ()))
@@ -102,10 +113,6 @@ class _RuleIndex:
                 ids.extend(self.by_prefix.get(t[:n], ()))
         # Two tokens can share a prefix key.
         return [self.rules[i] for i in sorted(set(ids))]
-
-    def hits(self, url_lower: str, url_tokens: Iterable[str]) -> list[Rule]:
-        """The rules whose pattern matches the URL, options aside."""
-        return [r for r in self.candidates(url_tokens) if r.regex.search(url_lower)]
 
 
 @dataclass
@@ -143,23 +150,13 @@ class Label:
 def _pattern_to_regex(
     body: str, hostname_anchor: bool, start_anchor: bool, end_anchor: bool
 ) -> str:
-    parts = []
-    for ch in body:
-        if ch == "*":
-            parts.append(".*")
-        elif ch == "^":
-            parts.append(_SEPARATOR_RE)
-        else:
-            parts.append(re.escape(ch))
-    rx = "".join(parts)
+    rx = "".join(_REGEX_OF.get(ch) or re.escape(ch) for ch in body)
     if hostname_anchor:
         # Host must end with the pattern's host part at a label boundary.
         rx = r"^https?://(?:[^/?#]*\.)?" + rx
     elif start_anchor:
         rx = "^" + rx
-    if end_anchor:
-        rx += "$"
-    return rx
+    return rx + "$" if end_anchor else rx
 
 
 def _token_runs(
@@ -240,7 +237,8 @@ def _parse_line(line: str) -> Rule | str:
     tokens, prefixes = _token_runs(body, hostname_anchor or start_anchor, end_anchor)
     return Rule(
         raw=line,
-        pattern=_pattern_to_regex(body, hostname_anchor, start_anchor, end_anchor),
+        body=body,
+        anchors=(hostname_anchor, start_anchor, end_anchor),
         is_exception=is_exception,
         type_options=frozenset(type_options),
         third_party=third_party,
@@ -275,58 +273,61 @@ def _domain_covers(page_domain: str, rule_domain: str) -> bool:
 
 
 def _options_pass(rule: Rule, url_domain: str, ctx: MatchContext) -> bool:
-    if rule.type_options and KIND_TO_OPTION.get(ctx.kind) not in rule.type_options:
-        return False
-    if rule.third_party is not None:
-        if (url_domain != ctx.page_domain) != rule.third_party:
-            return False
-    if rule.domains_neg and any(
-        _domain_covers(ctx.page_domain, d) for d in rule.domains_neg
-    ):
-        return False
-    if rule.domains_pos and not any(
-        _domain_covers(ctx.page_domain, d) for d in rule.domains_pos
-    ):
-        return False
-    return True
+    page = ctx.page_domain
+    return (
+        (not rule.type_options or KIND_TO_OPTION.get(ctx.kind) in rule.type_options)
+        and (rule.third_party is None or (url_domain != page) == rule.third_party)
+        and not any(_domain_covers(page, d) for d in rule.domains_neg)
+        and (not rule.domains_pos or any(_domain_covers(page, d) for d in rule.domains_pos))
+    )
+
+
+def _context_mask(rule: Rule, url_domain: str, contexts: list[MatchContext]) -> int:
+    """Bit i is set when the rule's options pass in ``contexts[i]``."""
+    if not (rule.type_options or rule.third_party is not None
+            or rule.domains_pos or rule.domains_neg):
+        return (1 << len(contexts)) - 1
+    return sum(1 << i for i, c in enumerate(contexts) if _options_pass(rule, url_domain, c))
 
 
 def _blocked(
-    rules: RuleSet,
-    urls: Iterable[str],
-    host: str,
-    contexts: list[MatchContext],
-    exceptions: bool,
+    rules: RuleSet, urls: Iterable[str], host: str, contexts: list[MatchContext], exceptions: bool
 ) -> bool:
     """Whether some URL on ``host`` is blocked in some context: a block rule
-    matches it there and, when ``exceptions``, no exception rule does.
-
-    URLs go in sorted order. Each is lower-cased and tokenized once, and
-    each rule list's regexes run once per URL, the exception list's only
-    when a context needs it; contexts only re-check rule options.
-    """
+    matches it there and, when ``exceptions``, no exception rule does. URLs
+    go in sorted order; a rule's context mask is taken at most once a call;
+    exception candidates are fetched only for a URL some block rule hits."""
     url_domain = registrable_domain(host)
+    masks: dict[int, int] = {}
+
+    def hits(index: _RuleIndex, url_lower: str, tokens: frozenset[str], wanted: int) -> int:
+        """The wanted context bits in which some rule of ``index`` hits."""
+        held = 0
+        for r in index.candidates(tokens):
+            m = masks.get(id(r))
+            if m is None:
+                m = masks[id(r)] = _context_mask(r, url_domain, contexts)
+            if m & wanted & ~held and r.regex.search(url_lower):
+                held |= m & wanted
+                if held == wanted:
+                    break
+        return held
+
+    full = (1 << len(contexts)) - 1
     for url in sorted(urls):
         url_lower = url.lower()
         tokens = frozenset(_TOKEN_RE.findall(url_lower))
-        blocks = rules.block_index.hits(url_lower, tokens)
-        if not blocks:
-            continue
-        allowed = None
-        for ctx in contexts:
-            if not any(_options_pass(r, url_domain, ctx) for r in blocks):
-                continue
-            if not exceptions:
-                return True
-            if allowed is None:
-                allowed = rules.exception_index.hits(url_lower, tokens)
-            if not any(_options_pass(r, url_domain, ctx) for r in allowed):
-                return True
+        blocked = hits(rules.block_index, url_lower, tokens, full)
+        if blocked and (
+            not exceptions or blocked & ~hits(rules.exception_index, url_lower, tokens, blocked)
+        ):
+            return True
     return False
 
 
-def _contexts(document: SubdomainDocument) -> list[MatchContext]:
-    return [MatchContext(site, document.kind) for site in sorted(document.sites)]
+def _document_blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> bool:
+    contexts = [MatchContext(site, document.kind) for site in sorted(document.sites)]
+    return _blocked(rules, document.urls, document.host, contexts, exceptions)
 
 
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
@@ -348,9 +349,7 @@ def label_document(
     """
     if overrides and document.host in overrides:
         return Label(overrides[document.host], "override")
-    blocked = _blocked(
-        rules, document.urls, document.host, _contexts(document), exceptions=True
-    )
+    blocked = _document_blocked(rules, document, exceptions=True)
     return Label(ADTRACKER if blocked else BENIGN, "filterlist")
 
 
@@ -360,9 +359,7 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     Exceptions are ignored: this asks if the lists already cover the host,
     not whether the final verdict is blocked.
     """
-    return _blocked(
-        rules, document.urls, document.host, _contexts(document), exceptions=False
-    )
+    return _document_blocked(rules, document, exceptions=False)
 
 
 def parse_overrides(text: str) -> dict[str, str]:

@@ -116,8 +116,8 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 
 # Trees grown together in lockstep. Every tree of a group keeps its
 # pre-order stack of node row lists alive, and a step's multiplicity matrix
-# holds n + 1 int64 per tree; 16 trees bound both.
-_GROUP_TREES = 16
+# is 64 x (n + 1) int64, about 5 MB at n = 10k rows; 64 trees bound both.
+_GROUP_TREES = 64
 # Column entries scored in one numpy pass. A pass keeps about a dozen
 # temporaries of 8 bytes per entry, so 16k entries (plus at most one column
 # past the budget) bound its temporaries at about 1.5 MB.

@@ -240,13 +240,19 @@ def emit_candidate_rules(
     index: GraphIndex,
     scored: list[tuple[SubdomainDocument, int, float]],
     rules: RuleSet,
+    labels: dict[tuple[str, str], Label],
 ) -> str:
-    """Block-rule lines for predicted AdTrackers the lists do not yet hit."""
+    """Block-rule lines for predicted AdTrackers the lists do not yet hit.
+
+    A document ``labels`` marks as a filter-list AdTracker is block-matched
+    by definition, so only the others are matched again.
+    """
+    listed = Label(ADTRACKER, "filterlist")
     selected = []
     for doc, pred, score in scored:
         if pred != 1:
             continue
-        if document_block_matched(rules, doc):
+        if labels.get((doc.host, doc.kind)) == listed or document_block_matched(rules, doc):
             continue
         selected.append((score, doc.host, *coverage(index, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))
@@ -739,7 +745,7 @@ def run_all(cfg: PipelineConfig) -> dict:
 
     reports = evaluate_all(predictions, test_docs, labels, cfg, overrides)
 
-    candidates = emit_candidate_rules(index, scored_docs, ruleset)
+    candidates = emit_candidate_rules(index, scored_docs, ruleset, labels)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
 
     names = content_mod.feature_names(vocabulary, struct.columns)

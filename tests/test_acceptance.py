@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from widetrack.content import build_vocabulary, doc_token_counts, tfidf
-from widetrack.filters import MatchContext, RuleSet, matches, parse_rules
+from widetrack.filters import MatchContext, RuleSet, _pattern_to_regex, matches, parse_rules
 from widetrack.forest import ForestParams, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
@@ -244,6 +244,29 @@ def test_criterion_3_rule_matcher():
         after_exception = matches(more_exceptions, url, ctx)
         assert before or not after_exception, "adding an exception blocked a URL"
     print("criterion 3: PASS: 38 curated vectors and 10000 monotonicity trials")
+
+
+def _eager_source(line):
+    """The regex source of a rule line, built the way parsing once built it."""
+    body = line[2:] if line.startswith("@@") else line
+    body = body.rsplit("$", 1)[0]
+    host = body.startswith("||")
+    body = body[2:] if host else body
+    start = not host and body.startswith("|")
+    body = body[1:] if start else body
+    end = body.endswith("|")
+    return _pattern_to_regex((body[:-1] if end else body).lower(), host, start, end)
+
+
+def test_criterion_3_lazy_regex_source_equals_the_eager_one():
+    lines = [line for rules_text, *_ in MATCH_VECTORS for line in rules_text.splitlines()]
+    for line in lines:
+        ruleset = parse_rules(line)
+        (rule,) = ruleset.block_rules + ruleset.exception_rules
+        assert "pattern" not in rule.__dict__, line
+        assert rule.pattern == _eager_source(line), line
+        assert rule.regex.pattern == rule.pattern
+    assert len(lines) > len(MATCH_VECTORS)
 
 
 # ---------------------------------------------------------------------------

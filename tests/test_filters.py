@@ -197,6 +197,14 @@ class TestLabelDocument:
         assert label_document(rs, blocked).label == ADTRACKER
         assert label_document(rs, unblocked).label == BENIGN
 
+    @pytest.mark.parametrize("exception_site, label", [("b0.org", ADTRACKER), ("ab.com", BENIGN)])
+    def test_block_and_exception_are_weighed_per_site_context(self, exception_site, label):
+        # Blocked on ab.com; the exception lifts that only where it applies.
+        rs = parse_rules(f"||px.t.net^$domain=ab.com\n@@||px.t.net^$domain={exception_site}")
+        d = doc("px.t.net", "script", ["https://px.t.net/c"], sites=("ab.com", "b0.org"))
+        assert label_document(rs, d).label == label
+        assert document_block_matched(rs, d)
+
     def test_override_beats_filter_list(self):
         rs = parse_rules("||px.t.net^")
         d = doc("px.t.net", "script", ["https://px.t.net/c"])
@@ -300,7 +308,10 @@ def linear_block_matched(rs, document):
 
 
 _RULE_PIECES = ["a", "b", "0", "%", "-", "_", ".", "/", "?", "=", ":", "*", "^", "|", "||", "@@"]
-_OPTIONS = ["third-party", "~third-party", "script", "domain=ab.com", "domain=~b0.org|ab.com"]
+_OPTIONS = [
+    "third-party", "~third-party", "script", "domain=ab.com", "domain=~b0.org|ab.com",
+    "domain=~ab.com", "domain=b0.org|a.ab.b0",
+]
 _URL_PIECES = [
     "a", "b", "0", "A", "B", "%", "%2F", "%aB", "-", "_", ".", "/", "?", "=", ":", "é", "Ü", "ß",
 ]
@@ -338,7 +349,7 @@ def _embeddings(line):
 @given(
     lines=st.lists(rule_lines, max_size=8),
     url_list=st.lists(urls, min_size=1, max_size=4),
-    sites=st.lists(st.sampled_from(_SITES), min_size=1, max_size=2, unique=True),
+    sites=st.lists(st.sampled_from(_SITES), min_size=1, max_size=3, unique=True),
     kind=st.sampled_from(["script", "media", "iframe", "other"]),
 )
 def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind):
@@ -448,21 +459,33 @@ def _searches_per_url(text, url_list):
     return out
 
 
+_SMALL_LIST = "\n".join(
+    [
+        "||px.t.net^",
+        "||ads.shop.io^$script",
+        "/uid=*",
+        "|https://cdn.",
+        "/pixel.gif|",
+        "@@||sync.t.net^",
+        "@@/collect?opt=out",
+        # prefix-keyed: no run is complete
+        "/pixel*$script",
+        "@@/pixels*",
+    ]
+)
+_SMALL_URLS = [
+    "https://px.t.net/collect?uid=1",
+    "https://sync.t.net/s?uid=2",
+    "https://ads.shop.io/lib.js",
+    "https://cdn.good.org/a/pixel.gif",
+    "https://px.t.net/collect?opt=out",
+    "https://news.com/index.html",
+    # two tokens start with "pixel"
+    "https://cdn.good.org/pixels/pixel2.gif",
+]
+
+
 def test_inert_decoys_add_no_regex_search():
-    small = "\n".join(
-        [
-            "||px.t.net^",
-            "||ads.shop.io^$script",
-            "/uid=*",
-            "|https://cdn.",
-            "/pixel.gif|",
-            "@@||sync.t.net^",
-            "@@/collect?opt=out",
-            # prefix-keyed: no run is complete
-            "/pixel*$script",
-            "@@/pixels*",
-        ]
-    )
     decoys = []
     for n in range(10_000):
         decoys.append(f"||decoy{n}.example^")
@@ -471,17 +494,27 @@ def test_inert_decoys_add_no_regex_search():
         # keyed only by a token prefix no URL token starts with
         decoys.append(f"/adzone{n}*.js" if n % 3 else f"@@/adzone{n}*.js")
         decoys.append(f"*/promo{n}x*{tail}" if n % 4 else f"@@*/promo{n}x*{tail}")
-    url_list = [
-        "https://px.t.net/collect?uid=1",
-        "https://sync.t.net/s?uid=2",
-        "https://ads.shop.io/lib.js",
-        "https://cdn.good.org/a/pixel.gif",
-        "https://px.t.net/collect?opt=out",
-        "https://news.com/index.html",
-        # two tokens start with "pixel"
-        "https://cdn.good.org/pixels/pixel2.gif",
-    ]
-    without = _searches_per_url(small, url_list)
-    with_decoys = _searches_per_url(small + "\n" + "\n".join(decoys), url_list)
+    without = _searches_per_url(_SMALL_LIST, _SMALL_URLS)
+    with_decoys = _searches_per_url(_SMALL_LIST + "\n" + "\n".join(decoys), _SMALL_URLS)
     assert with_decoys == without
     assert sum(n for n, _ in without) > 0
+
+
+def test_rules_whose_options_pass_nowhere_are_never_searched():
+    # Each decoy's pattern hits test URLs, but no context is on its domain.
+    # An exception decoy holding "collect" would re-key "@@/collect?opt=out".
+    decoys = "\n".join(
+        f"@@||px.t.net^$domain=unvisited{n}.com" if n % 2 else f"/collect?$domain=unvisited{n}.com"
+        for n in range(10_000)
+    )
+    rs = parse_rules(decoys)
+    for rule in (rs.block_rules[0], rs.exception_rules[0]):
+        assert sum(re.search(rule.pattern, u.lower()) is not None for u in _SMALL_URLS) == 2
+    without = _searches_per_url(_SMALL_LIST, _SMALL_URLS)
+    assert _searches_per_url(_SMALL_LIST + "\n" + decoys, _SMALL_URLS) == without
+    # Nor is one compiled, though the small list blocks both URLs.
+    rs = parse_rules(_SMALL_LIST + "\n" + decoys)
+    for url in _SMALL_URLS:
+        label_document(rs, doc(urlsplit(url).hostname, "script", [url]))
+    rules = rs.block_rules + rs.exception_rules
+    assert not any("regex" in r.__dict__ for r in rules if "unvisited" in r.raw)

@@ -252,14 +252,14 @@ class TestEmitCandidateRules:
         doc = make_doc("px.known.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.known.net^")
-        text = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.99)], rules)
+        text = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.99)], rules, {})
         assert "||px.known.net^" not in text.splitlines()
 
     def test_unblocked_predicted_tracker_emitted(self):
         doc = make_doc("data.sparkflow.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.other.net^")
-        lines = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.87)], rules).splitlines()
+        lines = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.87)], rules, {}).splitlines()
         assert "||data.sparkflow.net^" in lines
         comment = lines[lines.index("||data.sparkflow.net^") - 1]
         assert "score=0.8700" in comment and "direct_coverage=" in comment
@@ -267,21 +267,61 @@ class TestEmitCandidateRules:
     def test_benign_predictions_not_emitted(self):
         doc = make_doc("cdn.good.org")
         g = self.graph_for([doc])
-        text = emit_candidate_rules(GraphIndex(g), [(doc, 0, 0.2)], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [(doc, 0, 0.2)], parse_rules(""), {})
         assert "cdn.good.org" not in text
 
     def test_empty_predictions_still_header(self):
         g = self.graph_for([])
-        text = emit_candidate_rules(GraphIndex(g), [], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [], parse_rules(""), {})
         assert text.startswith("!")
         assert "0 candidate(s)" in text
 
     def test_sorted_by_score_descending(self):
         d1, d2 = make_doc("a.one.net"), make_doc("b.two.net")
         g = self.graph_for([d1, d2])
-        text = emit_candidate_rules(GraphIndex(g), [(d1, 1, 0.6), (d2, 1, 0.9)], parse_rules(""))
+        text = emit_candidate_rules(GraphIndex(g), [(d1, 1, 0.6), (d2, 1, 0.9)], parse_rules(""), {})
         rules = [l for l in text.splitlines() if l.startswith("||")]
         assert rules == ["||b.two.net^", "||a.one.net^"]
+
+
+class TestEmitWithRunAllLabels:
+    def test_list_labelled_trackers_are_not_matched_again(self, tmp_path, monkeypatch):
+        from widetrack import pipeline
+        from widetrack.synth import EcosystemConfig, generate
+
+        corpus = generate(EcosystemConfig(n_sites=30, n_trackers=15, n_benign=10, seed=7))
+        paths = corpus.write(tmp_path)
+        trackers = sorted(h for (h, _), lab in corpus.truth_labels.items() if lab == ADTRACKER)
+        withheld = set(trackers[::5])
+        rules = tmp_path / "withheld-rules.txt"
+        rules.write_text("".join(r + "\n" for r in corpus.truth_rules if r[2:-1] not in withheld))
+        emit, block_matched = pipeline.emit_candidate_rules, pipeline.document_block_matched
+        seen = []
+        monkeypatch.setattr(
+            pipeline, "emit_candidate_rules", lambda *args: seen.append(args) or emit(*args)
+        )
+        pipeline.run_all(
+            PipelineConfig(
+                har_dir=paths["har_dir"], rules_files=[rules], out_dir=tmp_path / "out",
+                n_trees=20,
+            )
+        )
+        (index, scored, ruleset, labels), = seen
+        matched = []
+        monkeypatch.setattr(
+            pipeline, "document_block_matched",
+            lambda r, d: matched.append((d.host, d.kind)) or block_matched(r, d),
+        )
+        text = emit(index, scored, ruleset, labels)
+        assert text == (tmp_path / "out" / "candidate-rules.txt").read_text()
+        listed = {key for key, lab in labels.items() if lab == Label(ADTRACKER, "filterlist")}
+        predicted = {(d.host, d.kind) for d, pred, _ in scored if pred == 1}
+        assert predicted & listed and predicted - listed
+        assert sorted(matched) == sorted(predicted - listed)
+        matched.clear()
+        assert emit(index, scored, ruleset, {}) == text
+        assert sorted(matched) == sorted(predicted)
+        assert "||" in text
 
 
 class TestFileFormats:
