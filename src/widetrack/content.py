@@ -11,7 +11,8 @@ import numpy as np
 
 from .graph import SubdomainDocument
 
-_DELIMITERS = re.compile(r"[/?&=.\-]")
+# A token is a maximal run between the six URL delimiters / ? & = . -
+_TOKEN = re.compile(r"[^/?&=.\-]+")
 
 KIND_CODES = {"script": 0, "media": 1, "iframe": 2, "other": 3}
 
@@ -38,7 +39,7 @@ def tokenize_url(url: str) -> list[str]:
         if s.startswith(prefix):
             s = s[len(prefix):]
             break
-    return [tok for tok in _DELIMITERS.split(s) if tok]
+    return _TOKEN.findall(s)
 
 
 def doc_token_counts(document: SubdomainDocument) -> dict[str, int]:

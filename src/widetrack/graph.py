@@ -11,12 +11,11 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, NamedTuple
-from urllib.parse import urlsplit
 
 import numpy as np
 
 from .domains import registrable_domain
-from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind
+from .ingest import NODE_KIND_VALUES, SORTED_JSON, DependencyTree, InteractionKind, url_hostname
 
 FIRST_PARTY = "firstparty"
 BOUNCED = InteractionKind.BOUNCED.value
@@ -117,19 +116,16 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
         request_count[dst] += mult
 
     key_of: dict[str, NodeKey] = {}
+    # (host, kind) -> its node key and, off the first party, its URL counts
+    filed: dict[tuple[str, str], tuple] = {}
     for url, kind in tree.nodes.items():
         host = tree.hosts[url]
-        domain = registrable_domain(host)
-        if domain == root:
-            key_of[url] = fp
-            continue
-        key = key_of[url] = NodeKey(domain, kind)
-        node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
-        doc = node.documents.get(host)
-        if doc is None:
-            doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), key)
-        doc.urls[url] += max(request_count[url], 1)  # each URL is one node
-        doc.sites.add(root)
+        place = filed.get((host, kind))
+        if place is None:
+            place = filed[host, kind] = _file_document(graph, fp, host, kind)
+        key_of[url], urls = place
+        if urls is not None:  # each URL is one node
+            urls[url] = urls.get(url, 0) + max(request_count[url], 1)
 
     diagnostics: Counter = Counter()
     edges: dict[tuple[NodeKey, NodeKey, str], int] = {}
@@ -150,6 +146,21 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
         data.multiplicity += mult
         data.sites.add(root)
     return diagnostics
+
+
+def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple:
+    """(node key, URL counts) of the ``kind`` URLs on ``host`` in the site of
+    first party ``fp``, filing their document; the counts are None in ``fp``."""
+    domain = registrable_domain(host)
+    if domain == fp.domain:
+        return fp, None
+    key = NodeKey(domain, kind)
+    node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
+    doc = node.documents.get(host)
+    if doc is None:
+        doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), key)
+    doc.sites.add(fp.domain)
+    return key, doc.urls
 
 
 def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
@@ -310,7 +321,7 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
     """Write line-delimited records, deterministically ordered, to ``out``."""
 
     def write(record: dict) -> None:
-        out.write((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+        out.write((SORTED_JSON.encode(record) + "\n").encode("utf-8"))
 
     write(_FORMAT)
     for domain in sorted(graph.roots):
@@ -379,9 +390,10 @@ def load_graph(data: bytes) -> WideGraph:
                 dst = NodeKey(*rec["x"])
                 if src not in graph.nodes or dst not in graph.nodes:
                     raise GraphFormatError("edge references unknown node")
-                graph.edges[(src, dst, rec["l"])] = EdgeData(
-                    rec["m"], set(rec["sites"])
-                )
+                sites = set(rec["sites"])
+                if type(rec["m"]) is not int or not all(type(s) is str for s in sites):
+                    raise GraphFormatError("edge multiplicity must be an integer, sites strings")
+                graph.edges[(src, dst, rec["l"])] = EdgeData(rec["m"], sites)
             elif kind == "doc":
                 parent = NodeKey(*rec["p"])
                 if parent not in graph.nodes:
@@ -392,15 +404,20 @@ def load_graph(data: bytes) -> WideGraph:
                 if not isinstance(host, str) or parent != (registrable_domain(host), rec["k"]):
                     raise GraphFormatError(f"document {host!r} is filed under {tuple(parent)}")
                 urls = Counter(dict((u, c) for u, c in rec["urls"]))
+                sites = set(rec["sites"])
+                if not all(type(c) is int for c in urls.values()) or not all(
+                    type(s) is str for s in sites
+                ):
+                    raise GraphFormatError("url counts must be integers, sites strings")
                 # The matcher takes every URL's host to be the document's.
                 for url in urls:
-                    if not isinstance(url, str) or urlsplit(url).hostname != host:
+                    if not isinstance(url, str) or url_hostname(url) != host:
                         raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
                 graph.nodes[parent].documents[host] = SubdomainDocument(
                     host=host,
                     kind=rec["k"],
                     urls=urls,
-                    sites=set(rec["sites"]),
+                    sites=sites,
                     parent=parent,
                 )
             else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,17 +120,33 @@ class DependencyTree:
         return cls(rec["root_url"], rec["root_domain"], nodes, edges, diagnostics, skipped)
 
 
+# A lower-case http(s) URL whose authority is only dot-separated [a-z0-9-]
+# labels: group 1 is then exactly urlsplit's hostname. Any other URL (upper
+# case, port, userinfo, IPv6, escapes, whitespace, no scheme) takes urlsplit.
+_PLAIN_HOST = re.compile(r"https?://([a-z0-9-]+(?:\.[a-z0-9-]+)*)(?:[/?#]|\Z)")
+
+
+def url_hostname(url: str) -> str | None:
+    """``urlsplit(url).hostname``, with its ValueError on bad syntax."""
+    plain = _PLAIN_HOST.match(url)
+    return plain[1] if plain else urlsplit(url).hostname
+
+
 def _url_host(url: str) -> tuple[str | None, str | None]:
     """(hostname, None) for a usable URL, else (None, why not): ``bad_url``
     for bad syntax or scheme, ``bad_host`` for a hostname with no
     registrable domain."""
-    try:
-        parts = urlsplit(url)
-    except ValueError:
-        return None, "bad_url"
-    host = parts.hostname
-    if parts.scheme not in ("http", "https") or not host:
-        return None, "bad_url"
+    plain = _PLAIN_HOST.match(url)
+    if plain:
+        host = plain[1]
+    else:
+        try:
+            parts = urlsplit(url)
+        except ValueError:
+            return None, "bad_url"
+        host = parts.hostname
+        if parts.scheme not in ("http", "https") or not host:
+            return None, "bad_url"
     try:
         registrable_domain(host)
     except DomainError:
@@ -137,19 +154,13 @@ def _url_host(url: str) -> tuple[str | None, str | None]:
     return host, None
 
 
-def _typed(obj, key: str, kind: type):
-    """``obj[key]`` when ``obj`` is a dict and the value is a ``kind``, else
-    None: a field of the wrong type counts as absent."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    return value if isinstance(value, kind) else None
-
-
-def _stack_top_url(stack: dict) -> str | None:
+def _stack_top_url(stack) -> str | None:
     """First frame URL in a Chromium initiator call stack, parents included."""
-    while isinstance(stack, dict):
-        for frame in _typed(stack, "callFrames", list) or ():
-            url = _typed(frame, "url", str)
-            if url:
+    while type(stack) is dict:
+        frames = stack.get("callFrames")
+        for frame in frames if type(frames) is list else ():
+            url = frame.get("url") if type(frame) is dict else None
+            if type(url) is str and url:
                 return url
         stack = stack.get("parent")
     return None
@@ -214,20 +225,21 @@ def parse_har(data: bytes) -> SessionRecord:
     parsed: list[tuple[str, str, str, dict]] = []
     interned: dict[str, str] = {}  # one string object per distinct host
     for raw in raw_entries:
-        url = _typed(_typed(raw, "request", dict), "url", str)
-        if not url:
+        # Fields are read with exact type checks: json.loads makes no
+        # subclasses, and a field of the wrong type counts as absent.
+        request = raw.get("request") if type(raw) is dict else None
+        url = request.get("url") if type(request) is dict else None
+        if type(url) is not str or not url:
             skipped["malformed_entry"] += 1
-            continue
-        scheme = url.split(":", 1)[0].lower()
-        if scheme in ("data", "blob", "about", "chrome-extension"):
-            skipped["no_hostname"] += 1
             continue
         host, reason = _url_host(url)
         if reason:
-            skipped[reason] += 1
+            hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
+            skipped["no_hostname" if hostless else reason] += 1
             continue
         host = interned.setdefault(host, host)
-        parsed.append((_typed(raw, "startedDateTime", str) or "", url, host, raw))
+        started = raw.get("startedDateTime")
+        parsed.append((started if type(started) is str else "", url, host, raw))
     if not parsed:
         raise HarParseError("no usable entries in capture")
 
@@ -238,38 +250,33 @@ def parse_har(data: bytes) -> SessionRecord:
     redirects: dict[str, str] = {}  # redirect target -> first hop naming it
     for started_at, url, host, raw in parsed:
         ini = raw.get("_initiator")
-        if isinstance(ini, str):
-            ini = {"url": ini}
-        elif not isinstance(ini, dict):
-            ini = {}
-        ini_type = str(ini.get("type", "")).lower()
-        if ini_type not in INITIATOR_TYPES:
-            ini_type = "other" if ini_type else "unknown"
-
-        initiator_url = _typed(ini, "url", str)
-        if not initiator_url:
-            initiator_url = _stack_top_url(ini.get("stack"))
-        if not initiator_url and ini_type == "parser":
-            initiator_url = document_url
+        if type(ini) is dict:
+            ini_type = str(ini.get("type", "")).lower()
+            if ini_type not in INITIATOR_TYPES:
+                ini_type = "other" if ini_type else "unknown"
+            initiator_url = ini.get("url")
+            if type(initiator_url) is not str or not initiator_url:
+                initiator_url = _stack_top_url(ini.get("stack"))
+            if not initiator_url and ini_type == "parser":
+                initiator_url = document_url
+        else:  # a bare string is the initiator's URL with no type; else none
+            ini_type, initiator_url = "unknown", ini if type(ini) is str else None
         if not initiator_url:
             ini_type = "unknown"
             initiator_url = None
 
-        response = _typed(raw, "response", dict)
-        target = _typed(response, "redirectURL", str)
-        if target:
+        response = raw.get("response")
+        response = response if type(response) is dict else {}
+        target = response.get("redirectURL")
+        if type(target) is str and target:
             redirects.setdefault(target, url)
-        content = _typed(response, "content", dict)
+        content = response.get("content")
+        mime = content.get("mimeType") if type(content) is dict else None
+        mime = mime if type(mime) is str else None
+        resource_type = raw.get("_resourceType")
+        resource_type = resource_type if type(resource_type) is str else None
         entries.append(
-            RequestEntry(
-                url=url,
-                host=host,
-                initiator_url=initiator_url,
-                initiator_type=ini_type,
-                resource_type=_typed(raw, "_resourceType", str),
-                started_at=started_at,
-                mime=_typed(content, "mimeType", str),
-            )
+            RequestEntry(url, host, initiator_url, ini_type, resource_type, started_at, mime)
         )
 
     # Redirect hops initiate their targets; fill that in where the capture
@@ -336,8 +343,12 @@ def build_tree(record: SessionRecord) -> DependencyTree:
 TREES_HEADER = b'{"format": "widetrack-trees", "version": 1}\n'
 
 
+# One encoder for every trees and graph line; json.dumps builds one per call.
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def tree_line(tree: DependencyTree) -> bytes:
-    return (json.dumps(tree.to_record(), sort_keys=True) + "\n").encode("utf-8")
+    return (SORTED_JSON.encode(tree.to_record()) + "\n").encode("utf-8")
 
 
 def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:

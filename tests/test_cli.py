@@ -427,3 +427,37 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         assert main(["run-all", "--config", str(cfg)]) == 2, named
         err = capsys.readouterr().err
         assert f"{named}: line {lineno}: " in err and len(err.splitlines()) == 1, err
+
+
+def test_wrong_typed_graph_counts_and_sites_exit_two(corpus_dir, tmp_path, capsys):
+    """A URL count or edge multiplicity that is not an integer, or a site
+    that is not a string, names its line when the graph loads, instead of
+    failing later in a feature or stats pass."""
+    trees, graph = str(tmp_path / "trees.jsonl"), tmp_path / "graph.jsonl"
+    assert main(["ingest", "--har-dir", str(corpus_dir / "har"), "--out", trees]) == 0
+    assert main(["graph", "build", "--trees", trees, "--out", str(graph)]) == 0
+    lines = graph.read_text().splitlines()
+    types = [json.loads(line).get("t") for line in lines]
+    edge_at, doc_at = types.index("edge"), types.index("doc")
+
+    def corrupted(at, change):
+        rec = json.loads(lines[at])
+        change(rec)
+        return "\n".join([*lines[:at], json.dumps(rec), *lines[at + 1:]]) + "\n"
+
+    content = ["features", "content", "--out", str(tmp_path / "c.tsv"), "--graph"]
+    stats = ["graph", "stats", "--graph"]
+    cases = [
+        ("count", corrupted(doc_at, lambda rec: rec["urls"][0].__setitem__(1, "5")), content,
+         doc_at),
+        ("multiplicity", corrupted(edge_at, lambda rec: rec.update(m="7")), stats, edge_at),
+        ("edge-sites", corrupted(edge_at, lambda rec: rec.update(sites=[7])), stats, edge_at),
+        ("doc-sites", corrupted(doc_at, lambda rec: rec.update(sites=[7])), content, doc_at),
+    ]
+    capsys.readouterr()
+    for name, text, argv, at in cases:
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"line {at + 1}" in err and len(err.splitlines()) == 1, (name, err)

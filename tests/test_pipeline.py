@@ -439,14 +439,19 @@ class TestEachFactOnce:
             tmp_path
         )
         calls = Counter()
-        for module in (ingest, graph, filters):
-            split = module.urlsplit
+        # Graph reads hosts only through ingest.url_hostname, and only when
+        # loading a graph file; the matcher splits only in ``matches``.
+        for module, name in (
+            (ingest, "_url_host"), (ingest, "urlsplit"), (graph, "url_hostname"),
+            (filters, "urlsplit"),
+        ):
+            original = getattr(module, name)
 
-            def counted(url, *args, _split=split, _name=module.__name__):
+            def counted(url, *args, _original=original, _name=f"{module.__name__}.{name}"):
                 calls[_name] += 1
-                return _split(url, *args)
+                return _original(url, *args)
 
-            monkeypatch.setattr(module, "urlsplit", counted)
+            monkeypatch.setattr(module, name, counted)
         summary = run_all(
             PipelineConfig(
                 har_dir=paths["har_dir"], rules_files=[paths["rules"]],
@@ -458,7 +463,9 @@ class TestEachFactOnce:
             for har in paths["har_dir"].glob("*.har")
         )
         assert summary["ingest_skips"] == {}
-        assert calls == Counter({"widetrack.ingest": entries})
+        # Every synthetic URL has a plain host, so the regex reads it and
+        # nothing calls urlsplit.
+        assert calls == Counter({"widetrack.ingest._url_host": entries})
 
     def test_run_all_contracts_each_capture_before_parsing_the_next(
         self, tmp_path, monkeypatch
