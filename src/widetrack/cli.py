@@ -10,8 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import content as content_mod
 from . import forest as forest_mod
 from . import pipeline as pipeline_mod
@@ -43,7 +41,8 @@ def _read_labels(path):
 
 def _load_feature_files(paths):
     """Read one content and one structural table and join them as run-all
-    does, into per-document vectors ordered [keywords | engineered | structural]."""
+    does: (document keys, one row per key laid out
+    [keywords | engineered | structural])."""
     content_part = None
     struct_part = None
     for path in paths:
@@ -58,7 +57,7 @@ def _load_feature_files(paths):
     if content_part is None or struct_part is None:
         raise DataError("need one content and one structural feature file")
     keys, _, values = content_part
-    return pipeline_mod.assemble_all_vectors(keys, values, struct_part)
+    return keys, pipeline_mod.assemble_all_vectors(keys, values, struct_part)
 
 
 def cmd_ingest(args) -> int:
@@ -145,13 +144,14 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    vectors = _load_feature_files(args.features)
+    keys, X = _load_feature_files(args.features)
     labels = _read_labels(args.labels)
-    keys = [k for k in vectors if k in labels]
-    if not keys:
+    row_of = {key: i for i, key in enumerate(keys) if key in labels}
+    if not row_of:
         raise DataError("no documents appear in both features and labels")
-    train_keys, _ = pipeline_mod.split_keys(keys, cfg, labels)
-    model, X = pipeline_mod.train_forest(vectors, train_keys, labels, cfg)
+    train_keys, _ = pipeline_mod.split_keys(list(row_of), cfg, labels)
+    X_train = X[[row_of[key] for key in train_keys]]
+    model = pipeline_mod.train_forest(X_train, train_keys, labels, cfg)
     Path(args.out).write_bytes(forest_mod.save_model(model))
     print(f"trained {cfg.n_trees} trees on {len(train_keys)} documents ({X.shape[1]} features)")
     return 0
@@ -159,13 +159,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes())
-    vectors = _load_feature_files(args.features)
-    keys = sorted(vectors)
-    X = np.vstack([vectors[k] for k in keys]) if keys else np.zeros((0, model.feature_count))
-    labels, scores = forest_mod.predict(model, X)
+    keys, X = _load_feature_files(args.features)
+    row_of = {key: i for i, key in enumerate(keys)}  # a repeated key's last row
+    labels, scores = forest_mod.predict(model, X[list(row_of.values())])
     rows = [
         (host, kind, int(pred), float(score), "full")
-        for (host, kind), pred, score in zip(keys, labels, scores)
+        for (host, kind), pred, score in zip(row_of, labels, scores)
     ]
     Path(args.out).write_bytes(pipeline_mod.write_scores_file(rows))
     print(f"scored {len(rows)} documents")

@@ -113,17 +113,6 @@ def tfidf(
     return math.log(1 + f) * idf
 
 
-def keyword_scores(
-    tokens: dict[str, int], vocabulary: Vocabulary, clamp_idf: bool
-) -> np.ndarray:
-    """TF-IDF of every vocabulary term over a document's token counts."""
-    out = np.zeros(len(vocabulary.terms))
-    for i, term in enumerate(vocabulary.terms):
-        if tokens.get(term):
-            out[i] = tfidf(term, tokens, vocabulary, clamp_idf=clamp_idf)
-    return out
-
-
 def engineered(document: SubdomainDocument) -> list[float]:
     """[mean URL length, "&" count, "=" count, "?" count, kind code]."""
     if not document.urls:
@@ -156,14 +145,16 @@ def content_rows(
     to its ``doc_token_counts``."""
     docs = sorted(documents, key=lambda d: (d.host, d.kind))
     columns = feature_names(vocabulary, [])
-    values = np.empty((len(docs), len(columns)))
+    values = np.zeros((len(docs), len(columns)))
     terms = []
     k = len(vocabulary.terms)
     for i, doc in enumerate(docs):
         tokens = token_counts[(doc.host, doc.kind)]
-        values[i, :k] = keyword_scores(tokens, vocabulary, clamp_idf=clamp_idf)
+        present = [t for t in tokens if t in vocabulary]
+        for term in present:
+            values[i, vocabulary.index(term)] = tfidf(term, tokens, vocabulary, clamp_idf)
         values[i, k:] = engineered(doc)
-        terms.append(frozenset(t for t in tokens if t in vocabulary))
+        terms.append(frozenset(present))
     return [(d.host, d.kind) for d in docs], columns, values, terms
 
 

@@ -456,12 +456,7 @@ def read_content_matrix(data: bytes):
 def read_struct_matrix(data: bytes) -> structural_mod.StructMatrix:
     """Structural feature table; the inverse of structural.save_struct_matrix."""
     keys, columns, values = _read_matrix(data, "structural matrix", ["domain", "kind"])
-    return structural_mod.StructMatrix(
-        keys=[NodeKey(domain, kind) for domain, kind in keys],
-        columns=columns,
-        generations=[structural_mod.generation_of(c) for c in columns],
-        values=values,
-    )
+    return structural_mod.StructMatrix([NodeKey(*key) for key in keys], columns, values)
 
 
 # --- configuration and the full run ---
@@ -644,26 +639,26 @@ def assemble_all_vectors(
     keys: list[tuple[str, str]],
     content_values: np.ndarray,
     struct_matrix: structural_mod.StructMatrix,
-) -> dict[tuple[str, str], np.ndarray]:
+) -> np.ndarray:
     """Join content rows (host-keyed) with their parent node's structural
-    row into per-document vectors ordered [keywords | engineered | structural]."""
+    row: one row per key, in ``keys`` order, laid out
+    [keywords | engineered | structural]."""
     width = content_values.shape[1]
     matrix = np.empty((len(keys), width + len(struct_matrix.columns)))
     matrix[:, :width] = content_values
     for i, (host, kind) in enumerate(keys):
         matrix[i, width:] = struct_matrix.row(NodeKey(registrable_domain(host), kind))
-    return {key: matrix[i] for i, key in enumerate(keys)}
+    return matrix
 
 
 def train_forest(
-    vectors: dict[tuple[str, str], np.ndarray],
+    X_train: np.ndarray,
     train_keys: list[tuple[str, str]],
     labels: dict[tuple[str, str], Label],
     cfg: PipelineConfig,
-) -> tuple[forest_mod.ForestModel, np.ndarray]:
-    """The forest trained on ``train_keys`` (in that row order) with the
-    config's forest parameters, and its training matrix."""
-    X = np.vstack([vectors[k] for k in train_keys])
+) -> forest_mod.ForestModel:
+    """The forest trained on ``X_train``, whose rows are ``train_keys``,
+    with the config's forest parameters."""
     y = np.array([CLASS_NAMES.index(labels[k].label) for k in train_keys])
     params = forest_mod.ForestParams(
         n_trees=cfg.n_trees,
@@ -672,7 +667,7 @@ def train_forest(
         seed=cfg.forest_seed,
     )
     try:
-        return forest_mod.train(X, y, params), X
+        return forest_mod.train(X_train, y, params)
     except forest_mod.ForestError as exc:
         raise DataError(str(exc)) from exc
 
@@ -710,12 +705,13 @@ def run_all(cfg: PipelineConfig) -> dict:
     (out / "content.tsv").write_bytes(
         write_content_matrix(keys, columns, content_values)
     )
-    vectors = assemble_all_vectors(keys, content_values, struct)
-    del content_values  # the vectors now hold the only copy
+    X = assemble_all_vectors(keys, content_values, struct)
+    del content_values  # X now holds the only copy
 
-    model, X_train = train_forest(
-        vectors, [(d.host, d.kind) for d in train_docs], labels, cfg
-    )
+    train_keys = [(d.host, d.kind) for d in train_docs]
+    row_of = {key: i for i, key in enumerate(keys)}
+    X_train = X[[row_of[key] for key in train_keys]]
+    model = train_forest(X_train, train_keys, labels, cfg)
     (out / "model.txt").write_bytes(forest_mod.save_model(model))
 
     # Training rows are scored out-of-bag: a fully grown forest memorizes its
@@ -723,19 +719,17 @@ def run_all(cfg: PipelineConfig) -> dict:
     # hide exactly the unlisted trackers candidate emission exists to find.
     oob_labels, oob_scores = forest_mod.oob_predict(model, X_train)
     predictions = {
-        (d.host, d.kind): (int(oob_labels[i]), float(oob_scores[i]))
-        for i, d in enumerate(train_docs)
+        key: (int(pred), float(score))
+        for key, pred, score in zip(train_keys, oob_labels, oob_scores)
     }
-    full_keys = [key for key in keys if key not in predictions]
-    if full_keys:
-        full_labels, full_scores = forest_mod.predict(
-            model, np.vstack([vectors[k] for k in full_keys])
-        )
+    full_rows = [i for i, key in enumerate(keys) if key not in predictions]
+    if full_rows:
+        full_labels, full_scores = forest_mod.predict(model, X[full_rows])
         predictions.update(
-            (key, (int(pred), float(score)))
-            for key, pred, score in zip(full_keys, full_labels, full_scores)
+            (keys[i], (int(pred), float(score)))
+            for i, pred, score in zip(full_rows, full_labels, full_scores)
         )
-    full = set(full_keys)
+    full = {keys[i] for i in full_rows}
     scored_docs = [(d, *predictions[(d.host, d.kind)]) for d in eligible]
     score_rows = [
         (d.host, d.kind, pred, score, "full" if (d.host, d.kind) in full else "oob")

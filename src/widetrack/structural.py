@@ -28,7 +28,6 @@ BASE_COLUMNS = BaseFeatureRow._fields
 class StructMatrix:
     keys: list[NodeKey]
     columns: list[str]
-    generations: list[int]
     values: np.ndarray  # shape (len(keys), len(columns))
     _index: dict = field(default_factory=dict, repr=False)
 
@@ -74,12 +73,7 @@ def build_base_matrix(index: GraphIndex) -> StructMatrix:
     keys = index.graph.third_party_keys()
     rows = [np.array(base_features(index, key), dtype=float) for key in keys]
     values = np.vstack(rows) if rows else np.zeros((0, len(BASE_COLUMNS)))
-    return StructMatrix(
-        keys=keys,
-        columns=list(BASE_COLUMNS),
-        generations=[0] * len(BASE_COLUMNS),
-        values=values,
-    )
+    return StructMatrix(keys=keys, columns=list(BASE_COLUMNS), values=values)
 
 
 def _pairwise_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -103,10 +97,8 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("prune threshold must be in (0, 1]")
-    order = sorted(
-        range(len(matrix.columns)),
-        key=lambda i: (matrix.generations[i], matrix.columns[i]),
-    )
+    names = matrix.columns
+    order = sorted(range(len(names)), key=lambda i: (generation_of(names[i]), names[i]))
     retained: list[int] = []
     for i in order:
         col = matrix.values[:, i]
@@ -118,42 +110,31 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
     keep = sorted(retained)
     return StructMatrix(
         keys=matrix.keys,
-        columns=[matrix.columns[i] for i in keep],
-        generations=[matrix.generations[i] for i in keep],
+        columns=[names[i] for i in keep],
         values=matrix.values[:, keep].copy(),
     )
 
 
 def expand_level(matrix: StructMatrix, index: GraphIndex, generation: int) -> StructMatrix:
-    """Append mean/sum neighbor aggregates of every current column."""
+    """Append mean/sum neighbor aggregates of the previous level's columns;
+    an older column's aggregates were appended by an earlier level."""
     row_set = set(matrix.keys)
-    neighbor_rows = [
-        [matrix._index[n] for n in sorted(index.neighbors[key] & row_set)]
-        for key in matrix.keys
-    ]
-
-    n_rows, n_cols = matrix.values.shape
-    means = np.zeros((n_rows, n_cols))
-    sums = np.zeros((n_rows, n_cols))
-    for r, hood in enumerate(neighbor_rows):
+    prev = [c for c, name in enumerate(matrix.columns) if generation_of(name) == generation - 1]
+    means = np.zeros((len(matrix.keys), len(prev)))
+    sums = np.zeros_like(means)
+    for r, key in enumerate(matrix.keys):
+        hood = [matrix._index[n] for n in sorted(index.neighbors[key] & row_set)]
         if hood:
+            # Reduce the whole block, then select: a column subset can sum
+            # differently in the last bit.
             block = matrix.values[hood, :]
-            sums[r] = block.sum(axis=0)
-            means[r] = block.mean(axis=0)
-
-    columns = list(matrix.columns)
-    generations = list(matrix.generations)
-    blocks = [matrix.values]
-    for agg, block in (("mean", means), ("sum", sums)):
-        for c, name in enumerate(matrix.columns):
-            columns.append(f"{agg}({name})")
-            generations.append(generation)
-            blocks.append(block[:, c : c + 1])
+            sums[r] = block.sum(axis=0)[prev]
+            means[r] = block.mean(axis=0)[prev]
+    names = [matrix.columns[c] for c in prev]
     return StructMatrix(
         keys=matrix.keys,
-        columns=columns,
-        generations=generations,
-        values=np.hstack(blocks),
+        columns=matrix.columns + [f"mean({n})" for n in names] + [f"sum({n})" for n in names],
+        values=np.hstack([matrix.values, means, sums]),
     )
 
 

@@ -194,10 +194,9 @@ def assemble_vector(document, vocabulary, struct_row):
     struct = StructMatrix(
         keys=[document.parent],
         columns=[f"s{i}" for i in range(len(struct_row))],
-        generations=[0] * len(struct_row),
         values=np.array([struct_row], dtype=float),
     )
-    return assemble_all_vectors(keys, values, struct)[(document.host, document.kind)]
+    return assemble_all_vectors(keys, values, struct)[0]
 
 
 class TestAssemble:

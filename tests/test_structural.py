@@ -14,9 +14,11 @@ from widetrack.graph import (
 )
 from widetrack.ingest import DependencyTree
 from widetrack.pipeline import DataError, read_struct_matrix
+from widetrack.synth import EcosystemConfig, generate
 from widetrack.structural import (
     BASE_COLUMNS,
     StructMatrix,
+    _pairwise_correlation,
     base_features,
     build_base_matrix,
     expand_level,
@@ -110,7 +112,6 @@ class TestPruneCorrelated:
         return StructMatrix(
             keys=[NodeKey(f"n{j}.net", "script") for j in range(len(cols[0]))],
             columns=names,
-            generations=[0] * len(cols),
             values=np.array(cols, dtype=float).T,
         )
 
@@ -139,7 +140,6 @@ class TestPruneCorrelated:
         m = StructMatrix(
             keys=[NodeKey(f"n{j}.net", "script") for j in range(200)],
             columns=[f"c{i}" for i in range(8)],
-            generations=[0] * 8,
             values=values,
         )
         pruned = prune_correlated(m, 0.95)
@@ -157,7 +157,6 @@ class TestPruneCorrelated:
         m = StructMatrix(
             keys=[NodeKey(f"n{j}.net", "script") for j in range(60)],
             columns=[f"c{i}" for i in range(6)],
-            generations=[0] * 6,
             values=values,
         )
         pruned = prune_correlated(m, 0.9)
@@ -188,7 +187,7 @@ class TestRefexExpand:
         expanded = expand_level(base, index, generation=1)
         assert len(expanded.columns) == 3 * len(BASE_COLUMNS)
         assert expanded.columns[: len(BASE_COLUMNS)] == list(BASE_COLUMNS)
-        assert expanded.generations.count(1) == 2 * len(BASE_COLUMNS)
+        assert [generation_of(c) for c in expanded.columns].count(1) == 2 * len(BASE_COLUMNS)
 
     def test_neighbor_aggregates_ignore_direction(self):
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
@@ -232,6 +231,69 @@ class TestRefexExpand:
             refex_expand(build_base_matrix(index), index, depth=-1, threshold=0.95)
 
 
+def all_columns_refex(index, depth, threshold):
+    """The earlier grower, kept as an oracle: each level aggregates every
+    current column and stamps each aggregate with the level, so level 2
+    rebuilds copies of the level-1 names that pruning then drops.
+    Returns (columns, values)."""
+    base = build_base_matrix(index)
+    keys, columns, values = base.keys, list(base.columns), base.values
+    generations = [0] * len(columns)
+    row_of = {key: i for i, key in enumerate(keys)}
+    for level in range(1, depth + 1):
+        n_rows, n_cols = values.shape
+        means, sums = np.zeros((n_rows, n_cols)), np.zeros((n_rows, n_cols))
+        for r, key in enumerate(keys):
+            hood = [row_of[n] for n in sorted(index.neighbors[key] & set(keys))]
+            if hood:
+                sums[r] = values[hood, :].sum(axis=0)
+                means[r] = values[hood, :].mean(axis=0)
+        columns = columns + [f"{agg}({c})" for agg in ("mean", "sum") for c in columns]
+        generations = generations + [level] * (2 * n_cols)
+        values = np.hstack([values, means, sums])
+        retained = []
+        for i in sorted(range(len(columns)), key=lambda i: (generations[i], columns[i])):
+            if all(
+                abs(_pairwise_correlation(values[:, i], values[:, j])) < threshold
+                for j in retained
+            ):
+                retained.append(i)
+        keep = sorted(retained)
+        columns = [columns[i] for i in keep]
+        generations = [generations[i] for i in keep]
+        values = values[:, keep].copy()
+    return columns, values
+
+
+@pytest.fixture(scope="module")
+def synth_indexes():
+    return [
+        GraphIndex(generate(EcosystemConfig(n_sites=n, seed=seed)).truth_graph)
+        for n, seed in ((40, 7), (60, 11))
+    ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 0.95, 0.99])
+def test_refex_matches_all_columns_grower(synth_indexes, depth, threshold):
+    for index in synth_indexes:
+        got = refex_expand(build_base_matrix(index), index, depth, threshold)
+        columns, values = all_columns_refex(index, depth, threshold)
+        assert got.columns == columns
+        assert got.values.tobytes() == values.tobytes()
+
+
+def test_refex_at_threshold_one_appends_each_name_once(synth_indexes):
+    for index in synth_indexes:
+        matrix = build_base_matrix(index)
+        for level in range(1, 4):
+            expanded = expand_level(matrix, index, generation=level)
+            new = expanded.columns[len(matrix.columns):]
+            assert new and all(generation_of(c) == level for c in new)
+            matrix = prune_correlated(expanded, 1.0)
+            assert len(set(matrix.columns)) == len(matrix.columns)
+
+
 def test_generation_recovered_from_names():
     assert generation_of("degree") == 0
     assert generation_of("mean(degree)") == 1
@@ -244,7 +306,6 @@ def test_matrix_file_round_trip():
     loaded = read_struct_matrix(save_struct_matrix(m))
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
-    assert loaded.generations == m.generations
     assert np.array_equal(loaded.values, m.values)
 
 
