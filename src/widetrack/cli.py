@@ -47,10 +47,9 @@ def _load_feature_files(paths):
     struct_part = None
     for path in paths:
         data = Path(path).read_bytes()
-        first = data.split(b"\n", 1)[0].decode("utf-8")
-        if first.startswith("host\t"):
+        if data.startswith(b"host\t"):
             content_part = pipeline_mod.read_content_matrix(data)
-        elif first.startswith("domain\t"):
+        elif data.startswith(b"domain\t"):
             struct_part = pipeline_mod.read_struct_matrix(data)
         else:
             raise DataError(f"unrecognized feature file {path}")

@@ -354,6 +354,7 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
 
 
 _NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
+_EDGE_LABELS = NODE_KIND_VALUES | {BOUNCED}
 
 
 def load_graph(data: bytes) -> WideGraph:
@@ -378,6 +379,8 @@ def load_graph(data: bytes) -> WideGraph:
                 continue
             rec = json.loads(line)
             kind = rec["t"]
+            if kind in ("root", "node") and type(rec["d"]) is not str:
+                raise GraphFormatError(f"{kind} domain {rec['d']!r} is not a string")
             if kind == "root":
                 graph.roots.add(rec["d"])
             elif kind == "node":
@@ -390,6 +393,8 @@ def load_graph(data: bytes) -> WideGraph:
                 dst = NodeKey(*rec["x"])
                 if src not in graph.nodes or dst not in graph.nodes:
                     raise GraphFormatError("edge references unknown node")
+                if rec["l"] not in _EDGE_LABELS:
+                    raise GraphFormatError(f"unknown edge label {rec['l']!r}")
                 sites = set(rec["sites"])
                 if type(rec["m"]) is not int or not all(type(s) is str for s in sites):
                     raise GraphFormatError("edge multiplicity must be an integer, sites strings")

@@ -353,11 +353,22 @@ _LABELS_HEADER = ["host", "kind", "label", "source"]
 _SCORES_HEADER = ["host", "kind", "prediction", "score", "basis"]
 
 
+def _decode(data: bytes, source) -> str:
+    """``data`` as UTF-8; a byte that is not raises DataError naming
+    ``source`` and the byte's line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        byte = data[exc.start]
+        raise DataError(f"{source}: line {lineno}: byte {byte:#04x} is not UTF-8") from None
+
+
 def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(line number, cells)] of each non-empty row) of a
-    TSV table; a row whose column count differs from the header's is a
-    DataError that names its line."""
-    lines = data.decode("utf-8").splitlines()
+    TSV table; a byte that is not UTF-8, or a row whose column count
+    differs from the header's, is a DataError that names its line."""
+    lines = _decode(data, what).splitlines()
     if not lines:
         raise DataError(f"empty {what}")
     header = lines[0].split("\t")
@@ -490,15 +501,8 @@ _CONVERTERS = {
 
 
 def _read_utf8(path: str | Path) -> str:
-    """A text file's contents; a byte that is not UTF-8 raises DataError
-    naming the file and its line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        byte = data[exc.start]
-        raise DataError(f"{path}: line {lineno}: byte {byte:#04x} is not UTF-8") from None
+    """A text file's contents, decoded by ``_decode``."""
+    return _decode(Path(path).read_bytes(), path)
 
 
 def load_config(cls, path: str | Path | None):
@@ -548,6 +552,22 @@ class PipelineConfig:
     stratified: bool = False
     min_in_degree: int = 3
     weight_by: str = "sites"
+
+    def validate(self) -> None:
+        """Reject, as a DataError, a value some stage would reject, so that
+        a run fails before it writes anything."""
+        checks = [
+            (self.weight_by in ("sites", "urls"), f"unknown weighting {self.weight_by!r}"),
+            (self.vocab_rank in ("df", "tf"), f"unknown ranking {self.vocab_rank!r}"),
+            (0.0 < self.train_frac < 1.0, "train fraction must be in (0, 1)"),
+            (0.0 < self.prune_threshold <= 1.0, "prune threshold must be in (0, 1]"),
+            (self.refex_depth >= 0, "refex depth must be >= 0"),
+            (self.vocab_size >= 0, f"vocabulary size must be >= 0, got {self.vocab_size}"),
+            (self.n_trees >= 1, "n_trees must be >= 1"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise DataError(message)
 
 
 # --- the stages; run_all and each staged CLI subcommand call these ---
@@ -674,6 +694,7 @@ def train_forest(
 
 def run_all(cfg: PipelineConfig) -> dict:
     """Full run: ingest -> graph -> features -> label -> train -> report."""
+    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -356,6 +356,9 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         "emit-rules", "--graph", str(graph), "--rules", str(rules), "--out", out, "--scores",
     ]
     train_cmd = ["train", "--labels", str(tmp_path / "labels.tsv"), "--out", out, "--features"]
+    features = [tmp_path / "one-content.tsv", tmp_path / "one-structural.tsv"]
+    features[0].write_text("host\tkind\ta\npx.t.net\tscript\t1.0\n")
+    features[1].write_text("domain\tkind\tb\nt.net\tscript\t2.0\n")
     model_file = tmp_path / "one-feature-model.txt"
     model_file.write_bytes(save_model(train([[0.0], [1.0]], [0, 1], ForestParams(n_trees=1))))
     trees_header = '{"format": "widetrack-trees", "version": 1}\n'
@@ -402,13 +405,27 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
          "widetrack-forest\tv1\nclasses\tbenign\tadtracker\nfeature_count\t2\n"
          "params\tn_trees=2\tmtry=None\tmax_d\n",
          ["predict", "--features", str(graph), "--out", out, "--model"], 4),
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        ("labelsb.tsv", labels_header + "px.t.net\tscript\tadtracker\tlist\udcff\n",
+         content_cmd, 2),
+        ("labels.tsv", labels_header + "px.t.net\tscript\tadtracker\tlist\udcff\n",
+         ["train", "--features", str(features[0]), str(features[1]), "--out", out, "--labels"],
+         2),
+        ("scoresb.tsv", scores_header + "px.t.net\tscript\tbenign\t0.5\tfull\udcff\n",
+         emit_cmd, 2),
+        ("contentb.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\t\udcff\n",
+         train_cmd, 3),
+        ("contenth.tsv", "host\tkind\t\udcff\n", train_cmd, 1),
+        ("structuralb.tsv", "domain\tkind\ta\nt.net\tscript\t\udcff\n", train_cmd, 2),
     ]
     for name, text, argv, lineno in cases:
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main([*argv, str(path)]) == 2, name
         err = capsys.readouterr().err
         assert f"line {lineno}" in err and len(err.splitlines()) == 1, (name, err)
+        if "\udcff" in text:
+            assert f"line {lineno}: byte 0xff is not UTF-8" in err, (name, err)
 
     # A rules, overrides or config file holding a byte that is not UTF-8
     # names itself and the byte's line.
@@ -461,3 +478,58 @@ def test_wrong_typed_graph_counts_and_sites_exit_two(corpus_dir, tmp_path, capsy
         assert main([*argv, str(path)]) == 2, name
         err = capsys.readouterr().err
         assert f"line {at + 1}" in err and len(err.splitlines()) == 1, (name, err)
+
+
+@pytest.mark.parametrize(
+    "record, change, argv",
+    [
+        ("root", lambda rec: rec.update(d=5), ["graph", "stats"]),
+        ("node", lambda rec: rec.update(d=5), ["graph", "stats"]),
+        ("node", lambda rec: rec.update(d=5), ["features", "structural"]),
+        ("edge", lambda rec: rec.update(l=5), ["graph", "stats"]),
+    ],
+    ids=["root-domain", "node-domain-stats", "node-domain-structural", "edge-label"],
+)
+def test_wrong_typed_graph_names_exit_two(corpus_dir, tmp_path, capsys, record, change, argv):
+    """A root or node domain that is not a string, or an edge label that is
+    no interaction kind, names its line when the graph loads."""
+    trees, graph = str(tmp_path / "trees.jsonl"), tmp_path / "graph.jsonl"
+    assert main(["ingest", "--har-dir", str(corpus_dir / "har"), "--out", trees]) == 0
+    assert main(["graph", "build", "--trees", trees, "--out", str(graph)]) == 0
+    lines = graph.read_text().splitlines()
+    at = [json.loads(line).get("t") for line in lines].index(record)
+    rec = json.loads(lines[at])
+    change(rec)
+    graph.write_text("\n".join([*lines[:at], json.dumps(rec), *lines[at + 1:]]) + "\n")
+    capsys.readouterr()
+    out = [] if argv[0] == "graph" else ["--out", str(tmp_path / "s.tsv")]
+    assert main([*argv, "--graph", str(graph), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {at + 1}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("weight_by = site", "unknown weighting 'site'"),
+        ("vocab_rank = idf", "unknown ranking 'idf'"),
+        ("train_frac = 1.0", "train fraction must be in (0, 1)"),
+        ("prune_threshold = 0", "prune threshold must be in (0, 1]"),
+        ("refex_depth = -1", "refex depth must be >= 0"),
+        ("vocab_size = -5", "vocabulary size must be >= 0, got -5"),
+        ("n_trees = 0", "n_trees must be >= 1"),
+    ],
+    ids=["weight_by", "vocab_rank", "train_frac", "prune_threshold", "refex_depth",
+         "vocab_size", "n_trees"],
+)
+def test_bad_config_value_fails_before_any_stage(corpus_dir, tmp_path, capsys, line, message):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out_dir}\n{line}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out_dir.iterdir()) == []
