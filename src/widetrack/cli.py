@@ -159,11 +159,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes())
     keys, X = _load_feature_files(args.features)
-    row_of = {key: i for i, key in enumerate(keys)}  # a repeated key's last row
-    labels, scores = forest_mod.predict(model, X[list(row_of.values())])
+    labels, scores = forest_mod.predict(model, X)
     rows = [
         (host, kind, int(pred), float(score), "full")
-        for (host, kind), pred, score in zip(row_of, labels, scores)
+        for (host, kind), pred, score in zip(keys, labels, scores)
     ]
     Path(args.out).write_bytes(pipeline_mod.write_scores_file(rows))
     print(f"scored {len(rows)} documents")

@@ -7,7 +7,9 @@ parent third-party node and are the unit later classified.
 
 from __future__ import annotations
 
+import io
 import json
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, NamedTuple
@@ -37,10 +39,22 @@ class NodeKey(NamedTuple):
         return self.kind == FIRST_PARTY
 
 
-@dataclass
 class EdgeData:
-    multiplicity: int = 0
-    sites: set[str] = field(default_factory=set)
+    """A merged edge's multiplicity and the sorted, distinct names of the
+    roots whose captures contributed it."""
+
+    __slots__ = ("multiplicity", "sites")
+
+    def __init__(self, multiplicity: int = 0, sites: Iterable[str] = ()):
+        self.multiplicity = multiplicity
+        self.sites: list[str] = []
+        for site in sites:
+            self.add_site(site)
+
+    def add_site(self, site: str) -> None:
+        i = bisect_left(self.sites, site)
+        if i == len(self.sites) or self.sites[i] != site:
+            self.sites.insert(i, site)
 
 
 @dataclass
@@ -104,12 +118,12 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     document. Edges into the first party and edges that become self-loops
     after re-keying are dropped and tallied in the returned diagnostics.
     The site's own edges are expanded, then fused into the graph: edge
-    multiplicities add and their contributing-site sets union.
+    multiplicities add and their contributing-site lists union.
     """
     root = tree.root_domain
-    fp = NodeKey(root, FIRST_PARTY)
     graph.roots.add(root)
-    graph.nodes.setdefault(fp, Node(fp))
+    fp = NodeKey(root, FIRST_PARTY)
+    fp = graph.nodes.setdefault(fp, Node(fp)).key
 
     request_count: dict[str, int] = {url: 0 for url in tree.nodes}
     for (_, dst), mult in tree.edges.items():
@@ -144,13 +158,14 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     for edge, mult in edges.items():
         data = graph.edges.get(edge) or graph.edges.setdefault(edge, EdgeData())
         data.multiplicity += mult
-        data.sites.add(root)
+        data.add_site(root)
     return diagnostics
 
 
 def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple:
     """(node key, URL counts) of the ``kind`` URLs on ``host`` in the site of
-    first party ``fp``, filing their document; the counts are None in ``fp``."""
+    first party ``fp``, filing their document; the counts are None in ``fp``.
+    The key is the node's own, so every edge shares one key object per node."""
     domain = registrable_domain(host)
     if domain == fp.domain:
         return fp, None
@@ -158,9 +173,9 @@ def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple
     node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
     doc = node.documents.get(host)
     if doc is None:
-        doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), key)
+        doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), node.key)
     doc.sites.add(fp.domain)
-    return key, doc.urls
+    return node.key, doc.urls
 
 
 def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
@@ -194,43 +209,37 @@ def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
 
 
 class GraphIndex:
-    """Everything the per-node reads need, from one pass over ``graph.edges``.
+    """Everything the per-node reads need, counted from ``graph.edges``.
 
-    Edge lists hold each distinct (src, dst, label) edge once, so degrees
-    ignore multiplicity; neighbour sets ignore direction. Direct and
-    indirect root sets name the first parties with a non-Bounced / any edge
-    into a node. ``src``/``dst`` are the edges' endpoint ids into ``ids``.
-    Build it once per graph and pass it to every consumer.
+    Degrees count each distinct (src, dst, label) edge once, ignoring
+    multiplicity; neighbour sets, kept for third-party nodes only, ignore
+    direction. Direct and indirect root counts are the numbers of first
+    parties with a non-Bounced / any edge into a node. ``src``/``dst`` are
+    the edges' endpoint ids into ``ids``. Build it once per graph and pass
+    it to every consumer.
     """
 
     def __init__(self, graph: WideGraph):
         self.graph = graph
         self.ids = {key: i for i, key in enumerate(graph.nodes)}
-        self.in_edges: dict[NodeKey, list] = {key: [] for key in graph.nodes}
-        self.out_edges: dict[NodeKey, list] = {key: [] for key in graph.nodes}
-        self.neighbors: dict[NodeKey, set[NodeKey]] = {key: set() for key in graph.nodes}
-        self.direct_roots: dict[NodeKey, set[str]] = {}
-        self.indirect_roots: dict[NodeKey, set[str]] = {}
-        src_ids: list[int] = []
-        dst_ids: list[int] = []
-        for edge in graph.edges:
-            src, dst, label = edge
-            self.out_edges[src].append(edge)
-            self.in_edges[dst].append(edge)
-            self.neighbors[src].add(dst)
-            self.neighbors[dst].add(src)
-            src_ids.append(self.ids[src])
-            dst_ids.append(self.ids[dst])
-            if src.is_first_party():
-                self.indirect_roots.setdefault(dst, set()).add(src.domain)
-                if label != BOUNCED:
-                    self.direct_roots.setdefault(dst, set()).add(src.domain)
-        self.src = np.array(src_ids, dtype=np.intp)
-        self.dst = np.array(dst_ids, dtype=np.intp)
+        self.in_degree = Counter(dst for _, dst, _ in graph.edges)
+        self.out_degree = Counter(src for src, _, _ in graph.edges)
+        self.neighbors = {key: set() for key in graph.nodes if not key.is_first_party()}
+        for src, dst, _ in graph.edges:
+            if src in self.neighbors:
+                self.neighbors[src].add(dst)
+            if dst in self.neighbors:
+                self.neighbors[dst].add(src)
+        # (first party, node, whether the edge is not Bounced), once each
+        fp_edges = {(s, d, label != BOUNCED) for s, d, label in graph.edges if s.is_first_party()}
+        self.n_direct_roots = Counter(d for _, d, real in fp_edges if real)
+        self.n_indirect_roots = Counter(d for _, d in {(s, d) for s, d, _ in fp_edges})
+        self.src = np.array([self.ids[s] for s, _, _ in graph.edges], dtype=np.intp)
+        self.dst = np.array([self.ids[d] for _, d, _ in graph.edges], dtype=np.intp)
 
     def degree(self, key: NodeKey) -> int:
         """Distinct in- plus out-edges, multiplicity ignored."""
-        return len(self.in_edges[key]) + len(self.out_edges[key])
+        return self.in_degree[key] + self.out_degree[key]
 
 
 def coverage_counts(index: GraphIndex, key: NodeKey) -> tuple[int, int, int]:
@@ -239,11 +248,7 @@ def coverage_counts(index: GraphIndex, key: NodeKey) -> tuple[int, int, int]:
         raise GraphError(f"unknown node {key}")
     if key.is_first_party():
         raise GraphError("coverage is undefined for first-party nodes")
-    return (
-        len(index.direct_roots.get(key, ())),
-        len(index.indirect_roots.get(key, ())),
-        len(index.graph.roots),
-    )
+    return index.n_direct_roots[key], index.n_indirect_roots[key], len(index.graph.roots)
 
 
 def coverage(index: GraphIndex, key: NodeKey) -> tuple[float, float]:
@@ -297,7 +302,7 @@ def stats(index: GraphIndex) -> dict:
                 "kind": key.kind,
                 "direct": direct,
                 "indirect": indirect,
-                "in_degree": len(index.in_edges[key]),
+                "in_degree": index.in_degree[key],
             }
         )
     rows.sort(key=lambda r: (-r["direct"], -r["indirect"], r["domain"], r["kind"]))
@@ -337,7 +342,7 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
                 "x": [dst.domain, dst.kind],
                 "l": label,
                 "m": data.multiplicity,
-                "sites": sorted(data.sites),
+                "sites": data.sites,
             }
         )
     for doc in graph.documents():
@@ -358,23 +363,25 @@ _EDGE_LABELS = NODE_KIND_VALUES | {BOUNCED}
 
 
 def load_graph(data: bytes) -> WideGraph:
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError("graph file is not UTF-8") from exc
-    if not lines:
-        raise GraphFormatError("empty graph file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError("bad graph header") from exc
-    if header != _FORMAT:
-        raise GraphFormatError(f"unsupported graph format {header!r}")
-
+    """The graph in a ``save_graph`` file, read one line at a time. A bad or
+    repeated record, or a byte that is not UTF-8, raises GraphFormatError
+    naming its line."""
     graph = WideGraph()
-    lineno = 1
+    lineno = 0
     try:
-        for lineno, line in enumerate(lines[1:], 2):
+        for lineno, raw in enumerate(io.BytesIO(data), 1):
+            try:
+                line = raw.rstrip(b"\r\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(f"byte {raw[exc.start]:#04x} is not UTF-8") from None
+            if lineno == 1:
+                try:
+                    header = json.loads(line)
+                except json.JSONDecodeError:
+                    raise GraphFormatError("bad graph header") from None
+                if header != _FORMAT:
+                    raise GraphFormatError(f"unsupported graph format {header!r}")
+                continue
             if not line:
                 continue
             rec = json.loads(line)
@@ -382,53 +389,66 @@ def load_graph(data: bytes) -> WideGraph:
             if kind in ("root", "node") and type(rec["d"]) is not str:
                 raise GraphFormatError(f"{kind} domain {rec['d']!r} is not a string")
             if kind == "root":
+                if rec["d"] in graph.roots:
+                    raise GraphFormatError(f"repeated root {rec['d']!r}")
                 graph.roots.add(rec["d"])
             elif kind == "node":
                 if rec["k"] not in _NODE_KINDS:
                     raise GraphFormatError(f"unknown node kind {rec['k']!r}")
                 key = NodeKey(rec["d"], rec["k"])
+                if key in graph.nodes:
+                    raise GraphFormatError(f"repeated node {tuple(key)}")
                 graph.nodes[key] = Node(key)
             elif kind == "edge":
-                src = NodeKey(*rec["s"])
-                dst = NodeKey(*rec["x"])
-                if src not in graph.nodes or dst not in graph.nodes:
+                src = graph.nodes.get(NodeKey(*rec["s"]))
+                dst = graph.nodes.get(NodeKey(*rec["x"]))
+                if src is None or dst is None:
                     raise GraphFormatError("edge references unknown node")
                 if rec["l"] not in _EDGE_LABELS:
                     raise GraphFormatError(f"unknown edge label {rec['l']!r}")
-                sites = set(rec["sites"])
-                if type(rec["m"]) is not int or not all(type(s) is str for s in sites):
-                    raise GraphFormatError("edge multiplicity must be an integer, sites strings")
-                graph.edges[(src, dst, rec["l"])] = EdgeData(rec["m"], sites)
+                edge = (src.key, dst.key, rec["l"])
+                if edge in graph.edges:
+                    raise GraphFormatError(f"repeated edge {tuple(src.key)} -> {tuple(dst.key)}")
+                sites = rec["sites"]
+                if type(rec["m"]) is not int or type(sites) is not list or not all(
+                    type(s) is str for s in sites
+                ):
+                    raise GraphFormatError("edge multiplicity must be an integer, sites a list of strings")
+                graph.edges[edge] = EdgeData(rec["m"], sites)
             elif kind == "doc":
-                parent = NodeKey(*rec["p"])
-                if parent not in graph.nodes:
+                node = graph.nodes.get(NodeKey(*rec["p"]))
+                if node is None:
                     raise GraphFormatError("document references unknown node")
                 if rec["k"] not in NODE_KIND_VALUES:
                     raise GraphFormatError(f"unknown document kind {rec['k']!r}")
                 host = rec["h"]
-                if not isinstance(host, str) or parent != (registrable_domain(host), rec["k"]):
-                    raise GraphFormatError(f"document {host!r} is filed under {tuple(parent)}")
+                if not isinstance(host, str) or node.key != (registrable_domain(host), rec["k"]):
+                    raise GraphFormatError(f"document {host!r} is filed under {tuple(node.key)}")
+                if host in node.documents:
+                    raise GraphFormatError(f"repeated document {host!r}")
                 urls = Counter(dict((u, c) for u, c in rec["urls"]))
-                sites = set(rec["sites"])
-                if not all(type(c) is int for c in urls.values()) or not all(
-                    type(s) is str for s in sites
+                sites = rec["sites"]
+                if type(sites) is not list or not all(type(s) is str for s in sites) or not all(
+                    type(c) is int for c in urls.values()
                 ):
-                    raise GraphFormatError("url counts must be integers, sites strings")
+                    raise GraphFormatError("url counts must be integers, sites a list of strings")
                 # The matcher takes every URL's host to be the document's.
                 for url in urls:
                     if not isinstance(url, str) or url_hostname(url) != host:
                         raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
-                graph.nodes[parent].documents[host] = SubdomainDocument(
+                node.documents[host] = SubdomainDocument(
                     host=host,
                     kind=rec["k"],
                     urls=urls,
-                    sites=sites,
-                    parent=parent,
+                    sites=set(sites),
+                    parent=node.key,
                 )
             else:
                 raise GraphFormatError(f"unknown record type {kind!r}")
     except GraphFormatError as exc:
         raise GraphFormatError(f"{exc} on line {lineno}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"corrupt graph record on line {lineno}: {exc}") from exc
+    if lineno == 0:
+        raise GraphFormatError("empty graph file")
     return graph

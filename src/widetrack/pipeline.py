@@ -54,7 +54,7 @@ def filter_eligible(
     """Documents whose parent node has at least ``min_in_degree`` distinct
     in-edges, plus a (total, removed, kept) report."""
     docs = index.graph.documents()
-    kept = [d for d in docs if len(index.in_edges[d.parent]) >= min_in_degree]
+    kept = [d for d in docs if index.in_degree[d.parent] >= min_in_degree]
     report = {"total": len(docs), "kept": len(kept), "removed": len(docs) - len(kept)}
     return kept, report
 
@@ -366,13 +366,15 @@ def _decode(data: bytes, source) -> str:
 
 def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(line number, cells)] of each non-empty row) of a
-    TSV table; a byte that is not UTF-8, or a row whose column count
-    differs from the header's, is a DataError that names its line."""
+    TSV table; a byte that is not UTF-8, a row whose column count differs
+    from the header's, or a row whose first two cells (its key) repeat an
+    earlier row's, is a DataError that names its line."""
     lines = _decode(data, what).splitlines()
     if not lines:
         raise DataError(f"empty {what}")
     header = lines[0].split("\t")
     rows = []
+    first_line: dict[tuple[str, ...], int] = {}
     for lineno, line in enumerate(lines[1:], 2):
         if not line:
             continue
@@ -381,6 +383,9 @@ def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list
             raise DataError(
                 f"bad {what} row on line {lineno}: {len(cells)} columns, expected {len(header)}"
             )
+        earlier = first_line.setdefault(tuple(cells[:2]), lineno)
+        if earlier != lineno:
+            raise DataError(f"{what} row on line {lineno} repeats the key of line {earlier}")
         rows.append((lineno, cells))
     return header, rows
 

@@ -51,8 +51,8 @@ def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:
         raise GraphError(f"unknown node {key}")
     if key.is_first_party():
         raise GraphError("structural features are defined for third parties only")
-    in_deg = len(index.in_edges[key])
-    out_deg = len(index.out_edges[key])
+    in_deg = index.in_degree[key]
+    out_deg = index.out_degree[key]
     ego = np.zeros(len(index.ids), dtype=bool)
     ego[[index.ids[n] for n in index.neighbors[key]]] = True
     ego[index.ids[key]] = True

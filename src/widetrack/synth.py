@@ -216,7 +216,7 @@ def _truth_edge(
 ):
     data = truth.edges.setdefault((src, dst, label), EdgeData())
     data.multiplicity += mult
-    data.sites.add(site)
+    data.add_site(site)
 
 
 def generate(config: EcosystemConfig) -> SynthCorpus:

@@ -470,6 +470,11 @@ def test_wrong_typed_graph_counts_and_sites_exit_two(corpus_dir, tmp_path, capsy
         ("multiplicity", corrupted(edge_at, lambda rec: rec.update(m="7")), stats, edge_at),
         ("edge-sites", corrupted(edge_at, lambda rec: rec.update(sites=[7])), stats, edge_at),
         ("doc-sites", corrupted(doc_at, lambda rec: rec.update(sites=[7])), content, doc_at),
+        # a string would be read as a list of one-letter sites
+        ("edge-sites-str", corrupted(edge_at, lambda rec: rec.update(sites="site000.com")), stats,
+         edge_at),
+        ("doc-sites-str", corrupted(doc_at, lambda rec: rec.update(sites="site000.com")), content,
+         doc_at),
     ]
     capsys.readouterr()
     for name, text, argv, at in cases:
@@ -533,3 +538,46 @@ def test_bad_config_value_fails_before_any_stage(corpus_dir, tmp_path, capsys, l
     assert main(["run-all", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out_dir.iterdir()) == []
+
+
+def test_repeated_graph_record_or_table_key_exits_two(corpus_dir, tmp_path, capsys):
+    """A copy of a graph record, or of a table row's (host, kind) key,
+    appended to a run's file names its line instead of replacing the
+    earlier record or row."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    files = {name: str(out / name) for name in (
+        "graph.jsonl", "labels.tsv", "scores.tsv", "content.tsv", "structural.tsv", "model.txt"
+    )}
+    dest = str(tmp_path / "dest")
+    commands = {
+        "graph.jsonl": ["graph", "stats", "--graph"],
+        "labels.tsv": ["features", "content", "--graph", files["graph.jsonl"], "--out", dest,
+                       "--labels"],
+        "scores.tsv": ["emit-rules", "--graph", files["graph.jsonl"], "--rules",
+                       str(corpus_dir / "truth-rules.txt"), "--out", dest, "--scores"],
+        "content.tsv": ["predict", "--model", files["model.txt"], "--out", dest, "--features",
+                        files["structural.tsv"]],
+        "structural.tsv": ["train", "--labels", files["labels.tsv"], "--out", dest,
+                           "--features", files["content.tsv"]],
+    }
+    graph_lines = (out / "graph.jsonl").read_text().splitlines()
+    cases = [
+        ("graph.jsonl", next(line for line in graph_lines if f'"t": "{record}"' in line))
+        for record in ("root", "node", "edge", "doc")
+    ] + [(name, (out / name).read_text().splitlines()[1]) for name in list(commands)[1:]]
+    capsys.readouterr()
+    for name, copy in cases:
+        lines = (out / name).read_text().splitlines()
+        path = tmp_path / name
+        path.write_text("\n".join(lines + [copy]) + "\n")
+        assert main([*commands[name], str(path)]) == 2, (name, copy)
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}" in err and len(err.splitlines()) == 1, (name, err)
+        if name != "graph.jsonl":
+            assert err.endswith("repeats the key of line 2\n"), err

@@ -98,7 +98,7 @@ class TestContractTree:
             (NodeKey("d5.com", "script"), NodeKey("d6.com", "script"), "script"): 1,
             (NodeKey("d4.com", "script"), NodeKey("d4.com", "other"), "other"): 1,
         }
-        assert all(e.sites == {"site.com"} for e in g.edges.values())
+        assert all(e.sites == ["site.com"] for e in g.edges.values())
 
     def test_edge_into_first_party_dropped_with_diagnostic(self):
         root = "https://www.site.com/"
@@ -178,7 +178,7 @@ class TestExpandEdges:
         contract_tree(g, t)
         fp = NodeKey("latercera.com", FIRST_PARTY)
         bounced = g.edges[(fp, NodeKey("adledge.com", "script"), BOUNCED)]
-        assert (bounced.multiplicity, bounced.sites) == (1, {"latercera.com"})
+        assert (bounced.multiplicity, bounced.sites) == (1, ["latercera.com"])
         assert (fp, NodeKey("doubleclick.net", "script"), BOUNCED) not in g.edges
 
 
@@ -400,6 +400,26 @@ class TestSerialization:
             load_graph(b"not a graph at all\n")
         with pytest.raises(GraphFormatError):
             load_graph(data.replace(b'"t": "edge"', b'"t": "wedge"', 1))
+
+    @pytest.mark.parametrize(
+        "record, what", [("root", "root"), ("node", "node"), ("edge", "edge"), ("doc", "document")]
+    )
+    def test_repeated_record_names_its_line(self, record, what):
+        """A copy of a record, placed after the document records, is rejected:
+        a second node would replace the first and drop its documents, a
+        second edge or document would overwrite the first."""
+        g, _ = TestCoverage().three_root_fixture()
+        lines = saved(g).splitlines()
+        copy = next(line for line in lines if json.loads(line).get("t") == record)
+        with pytest.raises(GraphFormatError, match=f"^repeated {what} .* on line {len(lines) + 1}$"):
+            load_graph(b"\n".join(lines + [copy]) + b"\n")
+
+    def test_byte_that_is_not_utf8_names_its_line(self):
+        g, _ = TestCoverage().three_root_fixture()
+        lines = saved(g).splitlines()
+        lines[4] = lines[4].replace(b'"t"', b'"t\xff"')
+        with pytest.raises(GraphFormatError, match="^byte 0xff is not UTF-8 on line 5$"):
+            load_graph(b"\n".join(lines) + b"\n")
 
     def test_edge_to_unknown_node_rejected(self):
         lines = [

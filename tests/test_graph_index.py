@@ -6,7 +6,7 @@ eligibility in-degrees were computed before the index existed.
 """
 
 import io
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -20,10 +20,12 @@ from widetrack.graph import (
     NodeKey,
     SubdomainDocument,
     WideGraph,
+    contract_tree,
     coverage_counts,
     load_graph,
     save_graph,
 )
+from widetrack.ingest import DependencyTree
 from widetrack.pipeline import coverage_ccdf, filter_eligible
 from widetrack.structural import build_base_matrix
 
@@ -159,3 +161,115 @@ def test_bisect_ccdf_equals_quadratic_count(values):
         for v in sorted(set(values))
     ]
     assert coverage_ccdf(values) == expected
+
+
+def reference_sets(graph):
+    """Per node: distinct in- and out-edges, undirected neighbours, and the
+    first parties with a non-Bounced / any edge into it, as sets."""
+    in_edges, out_edges, neighbors = defaultdict(set), defaultdict(set), defaultdict(set)
+    direct, indirect = defaultdict(set), defaultdict(set)
+    for edge in graph.edges:
+        src, dst, label = edge
+        out_edges[src].add(edge)
+        in_edges[dst].add(edge)
+        neighbors[src].add(dst)
+        neighbors[dst].add(src)
+        if src.is_first_party():
+            indirect[dst].add(src.domain)
+            if label != BOUNCED:
+                direct[dst].add(src.domain)
+    return in_edges, out_edges, neighbors, direct, indirect
+
+
+def assert_counts_equal_sets(graph):
+    index = GraphIndex(graph)
+    in_edges, out_edges, neighbors, direct, indirect = reference_sets(graph)
+    for key in graph.nodes:
+        assert index.in_degree[key] == len(in_edges[key])
+        assert index.out_degree[key] == len(out_edges[key])
+        assert index.degree(key) == len(in_edges[key]) + len(out_edges[key])
+        assert index.n_direct_roots[key] == len(direct[key])
+        assert index.n_indirect_roots[key] == len(indirect[key])
+    assert index.neighbors == {key: neighbors[key] for key in graph.third_party_keys()}
+
+
+def capture(root, edges):
+    """A one-page tree of ``root`` whose edges are (src URL, dst URL, kind)."""
+    page = f"https://www.{root}/"
+    nodes = {page: "iframe"}
+    nodes.update((dst, kind) for _, dst, kind in edges)
+    return DependencyTree(
+        root_url=page,
+        root_domain=root,
+        nodes=nodes,
+        edges={(page if src is None else src, dst): 1 for src, dst, _ in edges},
+        diagnostics=Counter(),
+        skipped=Counter(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_index_counts_equal_set_reference(graph):
+    assert_counts_equal_sets(graph)
+
+
+def test_counts_with_real_and_bounced_edges_from_one_first_party():
+    """r.com's first capture embeds a.net directly, its second only through
+    b.net, so r.com holds a script and a Bounced edge into a.net; s.com
+    holds two parallel labelled edges into it. Each first party counts once."""
+    loader, ad1, ad2 = "https://x.b.net/l.js", "https://x.a.net/1.js", "https://x.a.net/2.js"
+    g = WideGraph()
+    contract_tree(g, capture("r.com", [(None, ad1, "script")]))
+    contract_tree(g, capture("r.com", [(None, loader, "script"), (loader, ad2, "script")]))
+    contract_tree(g, capture("s.com", [(None, ad2, "script")]))
+    a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
+    fp_r, fp_s = NodeKey("r.com", FIRST_PARTY), NodeKey("s.com", FIRST_PARTY)
+    g.edges[(fp_s, a, "media")] = EdgeData(1, ["s.com"])
+    g.edges[(b, a, "media")] = EdgeData(1, ["r.com"])
+    assert {(fp_r, a, "script"), (fp_r, a, BOUNCED)} <= set(g.edges)
+    assert_counts_equal_sets(g)
+
+    index = GraphIndex(g)
+    assert (index.in_degree[a], index.out_degree[a]) == (6, 0)
+    assert coverage_counts(index, a) == (2, 2, 2)
+    assert coverage_counts(index, b) == (1, 1, 2)
+    assert set(index.neighbors) == {a, b}
+    assert index.neighbors[a] == {fp_r, fp_s, b}
+
+
+def test_edge_sites_stay_sorted_and_unique_across_non_adjacent_captures():
+    loader, pixel = "https://cdn.t.net/l.js", "https://px.u.net/p.gif"
+    g = WideGraph()
+    for root in ("m.com", "a.com", "z.com", "m.com", "b.com"):
+        contract_tree(g, capture(root, [(None, loader, "script"), (loader, pixel, "media")]))
+    shared = g.edges[(NodeKey("t.net", "script"), NodeKey("u.net", "media"), "media")]
+    assert (shared.multiplicity, shared.sites) == (5, ["a.com", "b.com", "m.com", "z.com"])
+    own = g.edges[(NodeKey("m.com", FIRST_PARTY), NodeKey("t.net", "script"), "script")]
+    assert (own.multiplicity, own.sites) == (2, ["m.com"])
+    out = io.BytesIO()
+    save_graph(g, out)
+    assert load_graph(out.getvalue()) == g
+
+
+def assert_one_key_object_per_node(graph):
+    own = {key: key for key in graph.nodes}
+    for src, dst, _ in graph.edges:
+        assert src is own[src] and dst is own[dst]
+    for key, node in graph.nodes.items():
+        assert node.key is own[key]
+        assert all(doc.parent is own[key] for doc in node.documents.values())
+
+
+def test_every_edge_endpoint_is_its_node_key():
+    from widetrack.graph import build_widegraph
+    from widetrack.ingest import build_tree, parse_har
+    from widetrack.synth import EcosystemConfig, generate
+
+    corpus = generate(EcosystemConfig(n_sites=20, n_trackers=8, n_benign=6, seed=3))
+    g = build_widegraph(build_tree(parse_har(data)) for _, data in corpus.har_files)
+    assert len(g.edges) > 50
+    assert_one_key_object_per_node(g)
+    out = io.BytesIO()
+    save_graph(g, out)
+    assert_one_key_object_per_node(load_graph(out.getvalue()))

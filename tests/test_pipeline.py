@@ -353,6 +353,25 @@ class TestFileFormats:
         with pytest.raises(DataError, match=f"^bad score '{cell}' for px.t.net on line 2$"):
             read_scores_file(scores.encode())
 
+    @pytest.mark.parametrize(
+        "read, header, row",
+        [
+            (read_labels_file, "host\tkind\tlabel\tsource", "px.t.net\tscript\tbenign\tlist"),
+            (read_scores_file, "host\tkind\tprediction\tscore\tbasis",
+             "px.t.net\tscript\tbenign\t0.5\tfull"),
+            (read_content_matrix, "host\tkind\ta", "px.t.net\tscript\t1.0"),
+            (read_struct_matrix, "domain\tkind\ta", "px.t.net\tscript\t1.0"),
+        ],
+        ids=["labels", "scores", "content", "structural"],
+    )
+    def test_repeated_key_names_both_lines(self, read, header, row):
+        """A second row with an earlier row's first two cells would silently
+        replace it; the same host under another kind is a different key."""
+        other_kind = row.replace("script", "media")
+        read(f"{header}\n{row}\n{other_kind}\n".encode())
+        with pytest.raises(DataError, match="on line 5 repeats the key of line 2$"):
+            read(f"{header}\n{row}\n{other_kind}\n\n{row.replace('1.0', '5.0')}\n".encode())
+
     def test_content_matrix_round_trip(self):
         from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 
