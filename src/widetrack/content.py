@@ -6,6 +6,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -13,6 +14,8 @@ from .graph import SubdomainDocument
 
 # A token is a maximal run between the six URL delimiters / ? & = . -
 _TOKEN = re.compile(r"[^/?&=.\-]+")
+# Mapping the other five delimiters to "/" lets one str.split find every run.
+_TO_SLASH = str.maketrans(dict.fromkeys("?&=.-", "/"))
 
 KIND_CODES = {"script": 0, "media": 1, "iframe": 2, "other": 3}
 
@@ -29,25 +32,42 @@ class VocabularyError(KeyError):
     pass
 
 
+def _strip_scheme(url: str) -> str:
+    """``url`` lower-cased, less a leading ``https://`` or ``http://``."""
+    s = url.lower()
+    if s.startswith("https://"):
+        return s[8:]
+    if s.startswith("http://"):
+        return s[7:]
+    return s
+
+
 def tokenize_url(url: str) -> list[str]:
     """Lowercase, strip the scheme prefix, split on the six URL delimiters.
 
     Order is preserved and duplicates are kept; empty fragments drop out.
     """
-    s = url.lower()
-    for prefix in ("https://", "http://"):
-        if s.startswith(prefix):
-            s = s[len(prefix):]
-            break
-    return _TOKEN.findall(s)
+    return _TOKEN.findall(_strip_scheme(url))
 
 
-def doc_token_counts(document: SubdomainDocument) -> dict[str, int]:
-    """Term frequencies over all of a document's URLs, multiplicity included."""
-    counts: dict[str, int] = {}  # a plain dict: Counter's __missing__ is slow
+def doc_token_counts(document: SubdomainDocument) -> Counter:
+    """Term frequencies over all of a document's URLs, multiplicity included.
+
+    The URLs seen once are split as one string joined on ``/``: that is a
+    delimiter, so no token spans two URLs. A URL seen more than once is
+    tokenized on its own and its tokens weighted.
+    """
+    weighted: dict[str, int] = {}
+    once = []
     for url, mult in document.urls.items():
-        for token in tokenize_url(url):
-            counts[token] = counts.get(token, 0) + mult
+        if mult == 1:
+            once.append(url)
+        else:
+            for token in tokenize_url(url):
+                weighted[token] = weighted.get(token, 0) + mult
+    counts = Counter(weighted)
+    counts.update("/".join(map(_strip_scheme, once)).translate(_TO_SLASH).split("/"))
+    del counts[""]  # the empty fragments; a Counter ignores a missing key
     return counts
 
 
@@ -56,16 +76,13 @@ class Vocabulary:
     terms: list[str]
     df: dict[str, int]
     corpus_size: int
-    _index: dict = field(default_factory=dict, repr=False)
+    index: dict = field(init=False, repr=False)  # term -> its column
 
     def __post_init__(self):
-        self._index = {t: i for i, t in enumerate(self.terms)}
+        self.index = {t: i for i, t in enumerate(self.terms)}
 
     def __contains__(self, term: str) -> bool:
-        return term in self._index
-
-    def index(self, term: str) -> int:
-        return self._index[term]
+        return term in self.index
 
 
 def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> Vocabulary:
@@ -88,7 +105,15 @@ def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> 
         if rank_by == "tf":
             tf.update(counts)
     rank = tf if rank_by == "tf" else df
-    terms = sorted(rank, key=lambda t: (-rank[t], t))[:k]
+    terms = list(rank)
+    if 0 < k < len(terms):
+        # Only terms ranked at least the k-th largest rank can be kept.
+        cut = sorted(rank.values(), reverse=True)[k - 1]
+        terms = list(compress(terms, map(cut.__le__, rank.values())))
+    # (-rank, term) order: by term, then stably by falling rank.
+    terms.sort()
+    terms.sort(key=rank.__getitem__, reverse=True)
+    del terms[k:]
     return Vocabulary(
         terms=terms, df={t: df[t] for t in terms}, corpus_size=len(doc_counts)
     )
@@ -107,10 +132,23 @@ def tfidf(
     f = tokens.get(term, 0)
     if f == 0:
         return 0.0
-    idf = math.log(vocabulary.corpus_size / (1 + vocabulary.df[term]))
-    if clamp_idf and idf < 0.0:
-        idf = 0.0
-    return math.log(1 + f) * idf
+    return math.log(1 + f) * idf(term, vocabulary, clamp_idf)
+
+
+def idf(term: str, vocabulary: Vocabulary, clamp_idf: bool) -> float:
+    """log(|D| / (1 + df)), floored at zero when ``clamp_idf``."""
+    value = math.log(vocabulary.corpus_size / (1 + vocabulary.df[term]))
+    if clamp_idf and value < 0.0:
+        value = 0.0
+    return value
+
+
+class _LogOnePlus(dict):
+    """f -> log(1 + f), each computed on first use."""
+
+    def __missing__(self, f: int) -> float:
+        value = self[f] = math.log(1 + f)
+        return value
 
 
 def engineered(document: SubdomainDocument) -> list[float]:
@@ -118,12 +156,17 @@ def engineered(document: SubdomainDocument) -> list[float]:
     if not document.urls:
         raise ValueError(f"document {document.host} has no URLs")
     total = sum(document.urls.values())
-    length = amp = eq = q = 0
-    for url, mult in document.urls.items():
-        length += len(url) * mult
-        amp += url.count("&") * mult
-        eq += url.count("=") * mult
-        q += url.count("?") * mult
+    if total == len(document.urls) and min(document.urls.values()) == 1:
+        joined = "".join(document.urls)  # every URL seen once
+        length = len(joined)
+        amp, eq, q = joined.count("&"), joined.count("="), joined.count("?")
+    else:
+        length = amp = eq = q = 0
+        for url, mult in document.urls.items():
+            length += len(url) * mult
+            amp += url.count("&") * mult
+            eq += url.count("=") * mult
+            q += url.count("?") * mult
     return [
         length / total,
         float(amp),
@@ -142,17 +185,22 @@ def content_rows(
     """(keys, columns, values, terms): one [keywords | engineered] row per
     document, ordered by (host, kind), and the vocabulary terms each
     document contains. ``token_counts`` maps each document's (host, kind)
-    to its ``doc_token_counts``."""
+    to its ``doc_token_counts``. Each cell equals ``tfidf``'s value."""
     docs = sorted(documents, key=lambda d: (d.host, d.kind))
     columns = feature_names(vocabulary, [])
     values = np.zeros((len(docs), len(columns)))
     terms = []
     k = len(vocabulary.terms)
+    index = vocabulary.index
+    idfs = np.array([idf(t, vocabulary, clamp_idf) for t in vocabulary.terms])
+    log_tf = _LogOnePlus()
     for i, doc in enumerate(docs):
         tokens = token_counts[(doc.host, doc.kind)]
-        present = [t for t in tokens if t in vocabulary]
-        for term in present:
-            values[i, vocabulary.index(term)] = tfidf(term, tokens, vocabulary, clamp_idf)
+        present = tokens.keys() & index.keys()
+        if present:
+            cols = list(map(index.__getitem__, present))
+            tf = list(map(log_tf.__getitem__, map(tokens.__getitem__, present)))
+            values[i, cols] = np.array(tf) * idfs[cols]
         values[i, k:] = engineered(doc)
         terms.append(frozenset(present))
     return [(d.host, d.kind) for d in docs], columns, values, terms

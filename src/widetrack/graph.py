@@ -12,12 +12,13 @@ import json
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _esc
 from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
 from .domains import registrable_domain
-from .ingest import NODE_KIND_VALUES, SORTED_JSON, DependencyTree, InteractionKind, url_hostname
+from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind, url_hostname
 
 FIRST_PARTY = "firstparty"
 BOUNCED = InteractionKind.BOUNCED.value
@@ -320,42 +321,53 @@ def stats(index: GraphIndex) -> dict:
 
 
 _FORMAT = {"format": "widegraph", "version": 1}
+_HEADER = json.dumps(_FORMAT)
+
+# Each record is one fixed template with its keys in sorted order and each
+# string escaped as JSONEncoder(sort_keys=True) writes it (ASCII-only).
+_ROOT = '{"d": %s, "t": "root"}'
+_NODE = '{"d": %s, "k": %s, "t": "node"}'
+_EDGE = '{"l": %s, "m": %d, "s": [%s, %s], "sites": [%s], "t": "edge", "x": [%s, %s]}'
+_DOC = '{"h": %s, "k": %s, "p": [%s, %s], "sites": [%s], "t": "doc", "urls": [%s]}'
+_URL = "[%s, %d]"
+
+
+def _edge_line(src: NodeKey, dst: NodeKey, label: str, data: EdgeData) -> str:
+    return _EDGE % (
+        _esc(label),
+        data.multiplicity,
+        _esc(src.domain),
+        _esc(src.kind),
+        ", ".join(map(_esc, data.sites)),
+        _esc(dst.domain),
+        _esc(dst.kind),
+    )
+
+
+def _doc_line(doc: SubdomainDocument) -> str:
+    urls = sorted(doc.urls)
+    return _DOC % (
+        _esc(doc.host),
+        _esc(doc.kind),
+        _esc(doc.parent.domain),
+        _esc(doc.parent.kind),
+        ", ".join(map(_esc, sorted(doc.sites))),
+        ", ".join(map(_URL.__mod__, zip(map(_esc, urls), map(doc.urls.__getitem__, urls)))),
+    )
 
 
 def save_graph(graph: WideGraph, out: BinaryIO) -> None:
-    """Write line-delimited records, deterministically ordered, to ``out``."""
-
-    def write(record: dict) -> None:
-        out.write((SORTED_JSON.encode(record) + "\n").encode("utf-8"))
-
-    write(_FORMAT)
+    """Write line-delimited records, deterministically ordered, to ``out``,
+    one line at a time."""
+    out.write(_HEADER.encode() + b"\n")
     for domain in sorted(graph.roots):
-        write({"t": "root", "d": domain})
+        out.write((_ROOT % _esc(domain) + "\n").encode())
     for key in sorted(graph.nodes):
-        write({"t": "node", "d": key.domain, "k": key.kind})
-    for (src, dst, label) in sorted(graph.edges):
-        data = graph.edges[(src, dst, label)]
-        write(
-            {
-                "t": "edge",
-                "s": [src.domain, src.kind],
-                "x": [dst.domain, dst.kind],
-                "l": label,
-                "m": data.multiplicity,
-                "sites": data.sites,
-            }
-        )
+        out.write((_NODE % (_esc(key.domain), _esc(key.kind)) + "\n").encode())
+    for edge in sorted(graph.edges):
+        out.write((_edge_line(*edge, graph.edges[edge]) + "\n").encode())
     for doc in graph.documents():
-        write(
-            {
-                "t": "doc",
-                "h": doc.host,
-                "k": doc.kind,
-                "p": [doc.parent.domain, doc.parent.kind],
-                "urls": sorted(doc.urls.items()),
-                "sites": sorted(doc.sites),
-            }
-        )
+        out.write((_doc_line(doc) + "\n").encode())
 
 
 _NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
@@ -363,9 +375,20 @@ _EDGE_LABELS = NODE_KIND_VALUES | {BOUNCED}
 
 
 def load_graph(data: bytes) -> WideGraph:
-    """The graph in a ``save_graph`` file, read one line at a time. A bad or
-    repeated record, or a byte that is not UTF-8, raises GraphFormatError
-    naming its line."""
+    """The graph in a ``save_graph`` file, read one line at a time.
+
+    A bad or repeated record, or a byte that is not UTF-8, raises
+    GraphFormatError naming its line. Besides types, the checks are: node
+    kinds and edge labels are known, edges and documents name loaded nodes,
+    a document is on its node's domain and kind and every URL on its host,
+    an edge runs into a third party, a Bounced edge leaves a first party,
+    multiplicities and URL counts are at least 1, edge and document sites
+    are sorted, distinct root names, and a document lists at least one URL,
+    each once and printable. Key order, spacing, record order, blank lines
+    and CR line ends are not checked; ``save_graph`` writes its own layout
+    whatever was read. Nor are a self-loop, an edge label other than its
+    target's kind or Bounced, and empty sites, which ``contract_tree``
+    never writes but which load and re-save as they are."""
     graph = WideGraph()
     lineno = 0
     try:
@@ -400,49 +423,9 @@ def load_graph(data: bytes) -> WideGraph:
                     raise GraphFormatError(f"repeated node {tuple(key)}")
                 graph.nodes[key] = Node(key)
             elif kind == "edge":
-                src = graph.nodes.get(NodeKey(*rec["s"]))
-                dst = graph.nodes.get(NodeKey(*rec["x"]))
-                if src is None or dst is None:
-                    raise GraphFormatError("edge references unknown node")
-                if rec["l"] not in _EDGE_LABELS:
-                    raise GraphFormatError(f"unknown edge label {rec['l']!r}")
-                edge = (src.key, dst.key, rec["l"])
-                if edge in graph.edges:
-                    raise GraphFormatError(f"repeated edge {tuple(src.key)} -> {tuple(dst.key)}")
-                sites = rec["sites"]
-                if type(rec["m"]) is not int or type(sites) is not list or not all(
-                    type(s) is str for s in sites
-                ):
-                    raise GraphFormatError("edge multiplicity must be an integer, sites a list of strings")
-                graph.edges[edge] = EdgeData(rec["m"], sites)
+                _load_edge(graph, rec)
             elif kind == "doc":
-                node = graph.nodes.get(NodeKey(*rec["p"]))
-                if node is None:
-                    raise GraphFormatError("document references unknown node")
-                if rec["k"] not in NODE_KIND_VALUES:
-                    raise GraphFormatError(f"unknown document kind {rec['k']!r}")
-                host = rec["h"]
-                if not isinstance(host, str) or node.key != (registrable_domain(host), rec["k"]):
-                    raise GraphFormatError(f"document {host!r} is filed under {tuple(node.key)}")
-                if host in node.documents:
-                    raise GraphFormatError(f"repeated document {host!r}")
-                urls = Counter(dict((u, c) for u, c in rec["urls"]))
-                sites = rec["sites"]
-                if type(sites) is not list or not all(type(s) is str for s in sites) or not all(
-                    type(c) is int for c in urls.values()
-                ):
-                    raise GraphFormatError("url counts must be integers, sites a list of strings")
-                # The matcher takes every URL's host to be the document's.
-                for url in urls:
-                    if not isinstance(url, str) or url_hostname(url) != host:
-                        raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
-                node.documents[host] = SubdomainDocument(
-                    host=host,
-                    kind=rec["k"],
-                    urls=urls,
-                    sites=set(sites),
-                    parent=node.key,
-                )
+                _load_doc(graph, rec)
             else:
                 raise GraphFormatError(f"unknown record type {kind!r}")
     except GraphFormatError as exc:
@@ -452,3 +435,72 @@ def load_graph(data: bytes) -> WideGraph:
     if lineno == 0:
         raise GraphFormatError("empty graph file")
     return graph
+
+
+def _load_edge(graph: WideGraph, rec: dict) -> None:
+    """File one edge record in ``graph``."""
+    src = graph.nodes.get(NodeKey(*rec["s"]))
+    dst = graph.nodes.get(NodeKey(*rec["x"]))
+    if src is None or dst is None:
+        raise GraphFormatError("edge references unknown node")
+    label = rec["l"]
+    if label not in _EDGE_LABELS:
+        raise GraphFormatError(f"unknown edge label {label!r}")
+    edge = (src.key, dst.key, label)
+    if edge in graph.edges:
+        raise GraphFormatError(f"repeated edge {tuple(src.key)} -> {tuple(dst.key)}")
+    if dst.key.is_first_party():
+        raise GraphFormatError(f"edge into first-party node {tuple(dst.key)}")
+    if label == BOUNCED and not src.key.is_first_party():
+        raise GraphFormatError(f"bounced edge from third-party node {tuple(src.key)}")
+    mult, sites = rec["m"], rec["sites"]
+    if type(mult) is not int or type(sites) is not list or not all(type(s) is str for s in sites):
+        raise GraphFormatError("edge multiplicity must be an integer, sites a list of strings")
+    if mult < 1:
+        raise GraphFormatError(f"edge multiplicity {mult} is below 1")
+    _check_sites(graph, "edge", sites)
+    graph.edges[edge] = EdgeData(mult, sites)
+
+
+def _load_doc(graph: WideGraph, rec: dict) -> None:
+    """File one document record in ``graph``."""
+    node = graph.nodes.get(NodeKey(*rec["p"]))
+    if node is None:
+        raise GraphFormatError("document references unknown node")
+    if rec["k"] not in NODE_KIND_VALUES:
+        raise GraphFormatError(f"unknown document kind {rec['k']!r}")
+    host = rec["h"]
+    if not isinstance(host, str) or node.key != (registrable_domain(host), rec["k"]):
+        raise GraphFormatError(f"document {host!r} is filed under {tuple(node.key)}")
+    if host in node.documents:
+        raise GraphFormatError(f"repeated document {host!r}")
+    pairs, sites = rec["urls"], rec["sites"]
+    urls = Counter(dict((u, c) for u, c in pairs))
+    if type(sites) is not list or not all(type(s) is str for s in sites) or not all(
+        type(c) is int for c in urls.values()
+    ):
+        raise GraphFormatError("url counts must be integers, sites a list of strings")
+    if not pairs:
+        raise GraphFormatError(f"document {host!r} lists no urls")
+    if len(urls) != len(pairs):
+        twice = next(u for u, n in Counter(u for u, _ in pairs).items() if n > 1)
+        raise GraphFormatError(f"document lists url {twice!r} twice")
+    # The matcher takes every URL's host to be the document's.
+    for url, count in urls.items():
+        if not isinstance(url, str) or url_hostname(url) != host:
+            raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
+        if not url.isprintable():
+            raise GraphFormatError(f"document url {url!r} is not printable")
+        if count < 1:
+            raise GraphFormatError(f"document url {url!r} has count {count}, below 1")
+    _check_sites(graph, "document", sites)
+    node.documents[host] = SubdomainDocument(host, rec["k"], urls, set(sites), node.key)
+
+
+def _check_sites(graph: WideGraph, what: str, sites: list[str]) -> None:
+    """Raise GraphFormatError unless ``sites`` are sorted, distinct roots."""
+    if not graph.roots.issuperset(sites):
+        stray = next(s for s in sites if s not in graph.roots)
+        raise GraphFormatError(f"{what} site {stray!r} is not a root")
+    if sorted(set(sites)) != sites:
+        raise GraphFormatError(f"{what} sites are not sorted and distinct")

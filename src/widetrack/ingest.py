@@ -134,8 +134,11 @@ def url_hostname(url: str) -> str | None:
 
 def _url_host(url: str) -> tuple[str | None, str | None]:
     """(hostname, None) for a usable URL, else (None, why not): ``bad_url``
-    for bad syntax or scheme, ``bad_host`` for a hostname with no
-    registrable domain."""
+    for bad syntax or scheme or a character that is not printable (a tab or
+    line break would end a cell or row of a TSV artifact), ``bad_host`` for
+    a hostname with no registrable domain."""
+    if not url.isprintable():
+        return None, "bad_url"
     plain = _PLAIN_HOST.match(url)
     if plain:
         host = plain[1]
@@ -343,7 +346,7 @@ def build_tree(record: SessionRecord) -> DependencyTree:
 TREES_HEADER = b'{"format": "widetrack-trees", "version": 1}\n'
 
 
-# One encoder for every trees and graph line; json.dumps builds one per call.
+# One encoder for every trees line; json.dumps builds one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 

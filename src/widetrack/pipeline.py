@@ -438,10 +438,19 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
 def write_content_matrix(
     keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
 ) -> bytes:
-    """Content feature table; the exact inverse of read_content_matrix."""
+    """Content feature table; the exact inverse of read_content_matrix.
+
+    A zero cell is written as ``0.0``, which is its ``repr``; only the
+    nonzero and negative-zero cells go through ``repr``."""
     lines = ["\t".join(["host", "kind", *columns])]
-    for (host, kind), row in zip(keys, values):
-        lines.append("\t".join([host, kind] + [repr(v) for v in row.tolist()]))
+    zeros = ["0.0"] * values.shape[1]
+    written = np.signbit(values) | (values != 0)
+    for (host, kind), row, mask in zip(keys, values, written):
+        cells = [host, kind, *zeros]
+        cols = np.flatnonzero(mask)
+        for j, value in zip((cols + 2).tolist(), row[cols].tolist()):
+            cells[j] = repr(value)
+        lines.append("\t".join(cells))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

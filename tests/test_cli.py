@@ -581,3 +581,37 @@ def test_repeated_graph_record_or_table_key_exits_two(corpus_dir, tmp_path, caps
         assert f"line {len(lines) + 1}" in err and len(err.splitlines()) == 1, (name, err)
         if name != "graph.jsonl":
             assert err.endswith("repeats the key of line 2\n"), err
+
+
+def test_url_with_a_character_that_is_not_printable_is_skipped(corpus_dir, tmp_path, capsys):
+    """A tab or line break in a captured URL would become part of a token,
+    and a vocabulary term holding it would split the content table's header;
+    such URLs are skipped at ingest as bad_url, and the run's tables read back."""
+    har_dir = tmp_path / "har"
+    har_dir.mkdir()
+    added = 0
+    for path in sorted((corpus_dir / "har").iterdir()):
+        har = json.loads(path.read_text(encoding="utf-8"))
+        entries = har["log"]["entries"]
+        for entry in entries[1:3]:
+            for odd in ("\t", "\x85", "\u2028", "\x00"):
+                copy = json.loads(json.dumps(entry))
+                copy["request"]["url"] = entry["request"]["url"] + f"?a{odd}b=1"
+                entries.append(copy)
+                added += 1
+        (har_dir / path.name).write_text(json.dumps(har), encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {har_dir}\nrules_files = {corpus_dir / 'truth-rules.txt'}\nout_dir = {out}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["ingest_skips"].get("bad_url") == added
+    assert (out / "trees.jsonl").read_text(encoding="utf-8").isascii()
+    capsys.readouterr()
+    assert main([
+        "train", "--features", str(out / "content.tsv"), str(out / "structural.tsv"),
+        "--labels", str(out / "labels.tsv"), "--out", str(tmp_path / "model.txt"),
+    ]) == 0
+    assert capsys.readouterr().err == ""

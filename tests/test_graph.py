@@ -1,18 +1,23 @@
 import io
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widetrack.graph import (
     BOUNCED,
     FIRST_PARTY,
     GraphError,
     GraphFormatError,
+    EdgeData,
     GraphIndex,
+    Node,
     NodeKey,
+    SubdomainDocument,
     WideGraph,
     build_widegraph,
     contract_tree,
@@ -494,3 +499,243 @@ def test_average_path_length_ignores_bounced_shortcuts():
     )
     g = site_graph(t)
     assert average_path_length(g) == pytest.approx((1 + 2 + 3) / 3)
+
+
+# ------------------------------------------------ the graph file, record by record
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def reference_saved(graph):
+    """The graph file as one ``JSONEncoder(sort_keys=True).encode`` per record
+    writes it: the layout the template writer must keep."""
+    records = [{"format": "widegraph", "version": 1}]
+    records += [{"t": "root", "d": domain} for domain in sorted(graph.roots)]
+    records += [{"t": "node", "d": key.domain, "k": key.kind} for key in sorted(graph.nodes)]
+    for (src, dst, label) in sorted(graph.edges):
+        data = graph.edges[(src, dst, label)]
+        records.append({
+            "t": "edge", "s": [src.domain, src.kind], "x": [dst.domain, dst.kind],
+            "l": label, "m": data.multiplicity, "sites": data.sites,
+        })
+    for doc in graph.documents():
+        records.append({
+            "t": "doc", "h": doc.host, "k": doc.kind, "p": [doc.parent.domain, doc.parent.kind],
+            "urls": sorted(doc.urls.items()), "sites": sorted(doc.sites),
+        })
+    return b"".join((_ENCODER.encode(rec) + "\n").encode("utf-8") for rec in records)
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_odd_text = st.text(
+    alphabet=st.sampled_from(list('ab/"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600 ')),
+    max_size=5,
+)
+_KINDS = ("script", "media", "iframe", "other")
+
+
+@st.composite
+def odd_graphs(draw):
+    g = WideGraph()
+    g.roots.update(draw(st.sets(_odd_text, max_size=3)))
+    keys = draw(st.lists(
+        st.builds(NodeKey, _odd_text, st.sampled_from(_KINDS + (FIRST_PARTY,))),
+        min_size=1, max_size=5, unique=True,
+    ))
+    for key in keys:
+        g.nodes[key] = Node(key)
+    for key in keys:
+        if key.is_first_party():
+            continue
+        for host in draw(st.sets(_odd_text, max_size=2)):
+            urls = draw(st.dictionaries(_odd_text, st.integers(1, 10**20), max_size=3))
+            sites = draw(st.sets(_odd_text, max_size=2))
+            g.nodes[key].documents[host] = SubdomainDocument(host, key.kind, Counter(urls), sites, key)
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(keys), st.sampled_from(keys), st.sampled_from(_KINDS + (BOUNCED,))),
+        max_size=6, unique=True,
+    ))
+    for edge in edges:
+        g.edges[edge] = EdgeData(draw(st.integers(-3, 10**20)), draw(st.lists(_odd_text, max_size=3)))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_graphs())
+def test_save_graph_equals_per_record_sorted_json(graph):
+    assert saved(graph) == reference_saved(graph)
+
+
+def test_save_graph_on_a_built_graph_equals_per_record_sorted_json():
+    g, _ = TestCoverage().three_root_fixture()
+    assert saved(g) == reference_saved(g)
+
+
+# A small graph every record of which is one contract_tree can write: two
+# sites embed a.net's script, which loads b.net's pixel, and r.com has a
+# Bounced edge to the pixel.
+_GRAPH_LINES = [
+    '{"format": "widegraph", "version": 1}',
+    '{"d": "q.com", "t": "root"}',
+    '{"d": "r.com", "t": "root"}',
+    '{"d": "a.net", "k": "script", "t": "node"}',
+    '{"d": "b.net", "k": "media", "t": "node"}',
+    '{"d": "q.com", "k": "firstparty", "t": "node"}',
+    '{"d": "r.com", "k": "firstparty", "t": "node"}',
+    '{"l": "media", "m": 3, "s": ["a.net", "script"], "sites": ["q.com", "r.com"], "t": "edge", '
+    '"x": ["b.net", "media"]}',
+    '{"l": "script", "m": 1, "s": ["q.com", "firstparty"], "sites": ["q.com"], "t": "edge", '
+    '"x": ["a.net", "script"]}',
+    '{"l": "script", "m": 2, "s": ["r.com", "firstparty"], "sites": ["r.com"], "t": "edge", '
+    '"x": ["a.net", "script"]}',
+    '{"l": "bounced", "m": 1, "s": ["r.com", "firstparty"], "sites": ["r.com"], "t": "edge", '
+    '"x": ["b.net", "media"]}',
+    '{"h": "px.a.net", "k": "script", "p": ["a.net", "script"], "sites": ["q.com", "r.com"], '
+    '"t": "doc", "urls": [["https://px.a.net/a.js", 2], ["https://px.a.net/b.js", 1]]}',
+    '{"h": "px.b.net", "k": "media", "p": ["b.net", "media"], "sites": ["r.com"], "t": "doc", '
+    '"urls": [["https://px.b.net/p.gif?uid=1", 3]]}',
+]
+_EDGE_AT, _DOC_AT = 7, 11  # list indexes of the a.net -> b.net edge and the px.a.net document
+
+
+def _graph_file(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _with(at, old, new):
+    lines = list(_GRAPH_LINES)
+    assert old in lines[at]
+    lines[at] = lines[at].replace(old, new)
+    return _graph_file(lines)
+
+
+def test_hand_written_graph_loads_and_re_saves_byte_for_byte():
+    data = _graph_file(_GRAPH_LINES)
+    assert saved(load_graph(data)) == data
+
+
+@pytest.mark.parametrize(
+    "at, old, new, message",
+    [
+        (_EDGE_AT, '["q.com", "r.com"]', '["nowhere.com"]', "edge site 'nowhere.com' is not a root"),
+        (_EDGE_AT, '["q.com", "r.com"]', '["r.com", "q.com"]', "edge sites are not sorted and distinct"),
+        (_EDGE_AT, '["q.com", "r.com"]', '["r.com", "r.com"]', "edge sites are not sorted and distinct"),
+        (_EDGE_AT, '"m": 3', '"m": -3', "edge multiplicity -3 is below 1"),
+        (_EDGE_AT, '"m": 3', '"m": 0', "edge multiplicity 0 is below 1"),
+        (_EDGE_AT, '"x": ["b.net", "media"]', '"x": ["r.com", "firstparty"]',
+         r"edge into first-party node \('r.com', 'firstparty'\)"),
+        (_EDGE_AT, '"l": "media"', '"l": "bounced"',
+         r"bounced edge from third-party node \('a.net', 'script'\)"),
+        (_DOC_AT, '["https://px.a.net/b.js", 1]', '["https://px.a.net/a.js", 1]',
+         "document lists url 'https://px.a.net/a.js' twice"),
+        (_DOC_AT, '["https://px.a.net/b.js", 1]', '["https://px.a.net/b.js", 0]',
+         "document url 'https://px.a.net/b.js' has count 0, below 1"),
+        (_DOC_AT, '"sites": ["q.com", "r.com"]', '"sites": ["nowhere.com"]',
+         "document site 'nowhere.com' is not a root"),
+        (_DOC_AT, '["https://px.a.net/b.js", 1]', '["https://px.a.net/b\\tc.js", 1]',
+         r"document url 'https://px.a.net/b\\tc.js' is not printable"),
+        (_DOC_AT, '[["https://px.a.net/a.js", 2], ["https://px.a.net/b.js", 1]]', "[]",
+         "document 'px.a.net' lists no urls"),
+    ],
+)
+def test_record_contract_tree_never_writes_names_its_line(at, old, new, message):
+    with pytest.raises(GraphFormatError, match=f"^{message} on line {at + 1}$"):
+        load_graph(_with(at, old, new))
+
+
+def test_other_layouts_load_as_the_graph_they_describe():
+    """Layout is not checked: other key orders, spacing, record order, URL
+    order, blank lines, CR line ends and no final newline load the same
+    graph, which re-saves in save_graph's own layout."""
+    data = _graph_file(_GRAPH_LINES)
+    lines = [json.dumps(json.loads(line), separators=(",", ":")) for line in _GRAPH_LINES]
+    lines[3], lines[4] = lines[4], lines[3]
+    lines[_DOC_AT] = lines[_DOC_AT].replace(
+        '[["https://px.a.net/a.js",2],["https://px.a.net/b.js",1]]',
+        '[["https://px.a.net/b.js",1],["https://px.a.net/a.js",2]]',
+    )
+    lines[_EDGE_AT] = json.dumps(dict(reversed(json.loads(lines[_EDGE_AT]).items())))
+    lines[2] = '{"t": "root", "d": "r.com", "z": 1}'
+    lines.insert(5, "")
+    other = "\r\n".join(lines).encode()
+    assert other != data
+    assert saved(load_graph(other)) == data
+    assert load_graph(other) == load_graph(data)
+
+
+# Values a record field may be swapped for: some keep the graph one
+# contract_tree could write, most do not.
+_FIELD_VALUES = {
+    "d": ["a.net", "b.net", "q.com", "zz.com", 5],
+    "k": ["script", "media", "iframe", "other", "firstparty", "bounced"],
+    "l": ["script", "media", "iframe", "bounced", "firstparty"],
+    "m": [1, 2, 0, -3, 1.0, "1", True],
+    "t": ["root", "node", "edge", "doc", "wedge"],
+    "sites": [
+        [], ["q.com"], ["r.com"], ["q.com", "r.com"], ["r.com", "q.com"], ["r.com", "r.com"],
+        ["nowhere.com"], "r.com",
+    ],
+    "h": ["px.a.net", "cdn.a.net", "px.b.net", "p\xe9.a.net"],
+    "urls": [
+        [], [["https://px.a.net/a.js", 1]], [["https://px.a.net/a.js", 5]],
+        [["https://px.a.net/b.js", 1], ["https://px.a.net/a.js", 1]],
+        [["https://px.a.net/a.js", 1], ["https://px.a.net/a.js", 2]],
+        [["https://px.a.net/a.js", 0]], [["https://px.a.net/\xe9", 1]],
+        [["https://px.b.net/p.gif?uid=1", 1]],
+    ],
+}
+_FIELD_VALUES.update(dict.fromkeys("sxp", [  # edge ends and document parents
+    ["a.net", "script"], ["b.net", "media"], ["r.com", "firstparty"], ["c.net", "other"], [],
+]))
+
+@st.composite
+def mutated_graph_files(draw):
+    """The hand-written graph with a few line edits: a record field swapped
+    for another value (re-encoded as save_graph lays it out), or a line
+    swapped, copied, dropped, blanked or given a CR; optionally no final
+    newline."""
+    lines = list(_GRAPH_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["value"] * 4 + ["swap", "copy", "drop", "blank", "cr"]))
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "value":
+            try:
+                rec = json.loads(lines[i])
+            except ValueError:
+                continue
+            if not isinstance(rec, dict) or not rec:
+                continue
+            key = draw(st.sampled_from(sorted(rec)))
+            rec[key] = draw(st.sampled_from(_FIELD_VALUES.get(key, [0, "x", []])))
+            lines[i] = json.dumps(rec, sort_keys=True)
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "copy":
+            lines.insert(j, lines[i])
+        elif op == "drop":
+            del lines[i]
+        elif op == "blank":
+            lines.insert(i, "")
+        elif op == "cr":
+            lines[i] += "\r"
+    data = _graph_file(lines)
+    return data[:-1] if draw(st.integers(0, 3)) == 0 else data
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_graph_files())
+def test_graph_load_graph_accepts_re_saves_to_a_fixed_point(data):
+    """A graph file loads, or is rejected naming a line; the re-save of
+    what loads is the per-record JSON reference, and loads back to the same
+    graph and the same bytes."""
+    try:
+        graph = load_graph(data)
+    except GraphFormatError as exc:
+        assert re.search(r" on line \d+(:|$)", str(exc)), exc
+        return
+    once = saved(graph)
+    assert once == reference_saved(graph)
+    again = load_graph(once)
+    assert again == graph
+    assert saved(again) == once

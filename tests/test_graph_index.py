@@ -113,7 +113,8 @@ def graphs(draw):
         )
     )
     for edge in edges:
-        g.edges[edge] = EdgeData(1, set(roots[:1]))
+        if edge[2] != BOUNCED or edge[0].is_first_party():  # as contract_tree writes
+            g.edges[edge] = EdgeData(1, set(roots[:1]))
     out = io.BytesIO()
     save_graph(g, out)
     return load_graph(out.getvalue())

@@ -375,6 +375,7 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec["nodes"].append(["http:///x.js", "script"]),  # no host
         lambda rec: rec["nodes"].append(["http://[::1/x", "script"]),  # urlsplit raises
         lambda rec: rec["nodes"].append(["https://a..b/x.js", "script"]),  # no domain
+        lambda rec: rec["nodes"].append(["https://px.t.net/x\ty.js", "script"]),  # tab
         lambda rec: rec["nodes"].append(["https://px.t.net/w.js", "weird"]),
         lambda rec: rec["nodes"].append(["https://px.t.net/f.js", "firstparty"]),
     ],

@@ -32,6 +32,8 @@ from widetrack.synth import EcosystemConfig, generate
 
 
 def oracle_url_host(url):
+    if not url.isprintable():
+        return None, "bad_url"
     try:
         parts = urlsplit(url)
     except ValueError:
