@@ -13,7 +13,6 @@ from pathlib import Path
 from . import content as content_mod
 from . import forest as forest_mod
 from . import pipeline as pipeline_mod
-from . import structural as structural_mod
 from .filters import label_document
 from .graph import GraphIndex, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
@@ -103,7 +102,7 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_features_structural(args) -> int:
     matrix = pipeline_mod.structural_matrix(_load_index(args.graph), _config(args))
-    Path(args.out).write_bytes(structural_mod.save_struct_matrix(matrix))
+    Path(args.out).write_bytes(pipeline_mod.write_struct_matrix(matrix))
     print(f"structural matrix: {len(matrix.keys)} nodes x {len(matrix.columns)} features")
     return 0
 
@@ -317,7 +316,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # ValueError covers HarParseError, GraphError and ForestError.
-    except (DataError, content_mod.VocabularyError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

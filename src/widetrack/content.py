@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -12,9 +11,8 @@ import numpy as np
 
 from .graph import SubdomainDocument
 
-# A token is a maximal run between the six URL delimiters / ? & = . -
-_TOKEN = re.compile(r"[^/?&=.\-]+")
-# Mapping the other five delimiters to "/" lets one str.split find every run.
+# A token is a maximal run between the six URL delimiters / ? & = . -;
+# mapping the other five to "/" lets one str.split find every run.
 _TO_SLASH = str.maketrans(dict.fromkeys("?&=.-", "/"))
 
 KIND_CODES = {"script": 0, "media": 1, "iframe": 2, "other": 3}
@@ -28,10 +26,6 @@ ENGINEERED_COLUMNS = (
 )
 
 
-class VocabularyError(KeyError):
-    pass
-
-
 def _strip_scheme(url: str) -> str:
     """``url`` lower-cased, less a leading ``https://`` or ``http://``."""
     s = url.lower()
@@ -42,31 +36,25 @@ def _strip_scheme(url: str) -> str:
     return s
 
 
-def tokenize_url(url: str) -> list[str]:
-    """Lowercase, strip the scheme prefix, split on the six URL delimiters.
-
-    Order is preserved and duplicates are kept; empty fragments drop out.
-    """
-    return _TOKEN.findall(_strip_scheme(url))
+def _count_groups(document: SubdomainDocument) -> dict[int, list[str]]:
+    """The document's URLs grouped by request count: count -> its URLs."""
+    groups: dict[int, list[str]] = {}
+    for url, n in document.urls.items():
+        groups.setdefault(n, []).append(url)
+    return groups
 
 
 def doc_token_counts(document: SubdomainDocument) -> Counter:
-    """Term frequencies over all of a document's URLs, multiplicity included.
+    """Term frequencies over all of a document's URLs, request counts included.
 
-    The URLs seen once are split as one string joined on ``/``: that is a
-    delimiter, so no token spans two URLs. A URL seen more than once is
-    tokenized on its own and its tokens weighted.
+    The URLs of one request count are lower-cased, scheme-stripped and
+    split as one string joined on ``/``: that is a delimiter, so no token
+    spans two URLs. Each group's token counts are multiplied by its count.
     """
-    weighted: dict[str, int] = {}
-    once = []
-    for url, mult in document.urls.items():
-        if mult == 1:
-            once.append(url)
-        else:
-            for token in tokenize_url(url):
-                weighted[token] = weighted.get(token, 0) + mult
-    counts = Counter(weighted)
-    counts.update("/".join(map(_strip_scheme, once)).translate(_TO_SLASH).split("/"))
+    counts: Counter = Counter()
+    for n, urls in _count_groups(document).items():
+        tokens = Counter("/".join(map(_strip_scheme, urls)).translate(_TO_SLASH).split("/"))
+        counts.update(dict(zip(tokens, map(n.__mul__, tokens.values()))))
     del counts[""]  # the empty fragments; a Counter ignores a missing key
     return counts
 
@@ -128,7 +116,7 @@ def tfidf(
     that is kept as-is unless ``clamp_idf`` floors it at zero.
     """
     if term not in vocabulary:
-        raise VocabularyError(term)
+        raise KeyError(term)
     f = tokens.get(term, 0)
     if f == 0:
         return 0.0
@@ -155,18 +143,14 @@ def engineered(document: SubdomainDocument) -> list[float]:
     """[mean URL length, "&" count, "=" count, "?" count, kind code]."""
     if not document.urls:
         raise ValueError(f"document {document.host} has no URLs")
-    total = sum(document.urls.values())
-    if total == len(document.urls) and min(document.urls.values()) == 1:
-        joined = "".join(document.urls)  # every URL seen once
-        length = len(joined)
-        amp, eq, q = joined.count("&"), joined.count("="), joined.count("?")
-    else:
-        length = amp = eq = q = 0
-        for url, mult in document.urls.items():
-            length += len(url) * mult
-            amp += url.count("&") * mult
-            eq += url.count("=") * mult
-            q += url.count("?") * mult
+    total = length = amp = eq = q = 0
+    for n, urls in _count_groups(document).items():
+        joined = "".join(urls)
+        total += n * len(urls)
+        length += n * len(joined)
+        amp += n * joined.count("&")
+        eq += n * joined.count("=")
+        q += n * joined.count("?")
     return [
         length / total,
         float(amp),

@@ -17,8 +17,8 @@ from typing import BinaryIO, Iterable, NamedTuple
 
 import numpy as np
 
-from .domains import registrable_domain
-from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind, url_hostname
+from .domains import DomainError, registrable_domain
+from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind, url_host
 
 FIRST_PARTY = "firstparty"
 BOUNCED = InteractionKind.BOUNCED.value
@@ -378,17 +378,19 @@ def load_graph(data: bytes) -> WideGraph:
     """The graph in a ``save_graph`` file, read one line at a time.
 
     A bad or repeated record, or a byte that is not UTF-8, raises
-    GraphFormatError naming its line. Besides types, the checks are: node
+    GraphFormatError naming its line. Besides types, the checks are: root
+    and node domains are printable and their own registrable domains, node
     kinds and edge labels are known, edges and documents name loaded nodes,
-    a document is on its node's domain and kind and every URL on its host,
-    an edge runs into a third party, a Bounced edge leaves a first party,
-    multiplicities and URL counts are at least 1, edge and document sites
-    are sorted, distinct root names, and a document lists at least one URL,
-    each once and printable. Key order, spacing, record order, blank lines
-    and CR line ends are not checked; ``save_graph`` writes its own layout
-    whatever was read. Nor are a self-loop, an edge label other than its
-    target's kind or Bounced, and empty sites, which ``contract_tree``
-    never writes but which load and re-save as they are."""
+    a document is on its node's domain and kind, an edge runs into a third
+    party, a Bounced edge leaves a first party, multiplicities and URL
+    counts are at least 1, edge and document sites are sorted, distinct
+    root names, and a document lists at least one URL, each once, and each
+    one ingest accepts (``url_host``) on the document's host. Key order,
+    spacing, record order, blank lines and CR line ends are not checked;
+    ``save_graph`` writes its own layout whatever was read. Nor are a
+    self-loop, an edge label other than its target's kind or Bounced, and
+    empty sites, which ``contract_tree`` never writes but which load and
+    re-save as they are."""
     graph = WideGraph()
     lineno = 0
     try:
@@ -409,8 +411,8 @@ def load_graph(data: bytes) -> WideGraph:
                 continue
             rec = json.loads(line)
             kind = rec["t"]
-            if kind in ("root", "node") and type(rec["d"]) is not str:
-                raise GraphFormatError(f"{kind} domain {rec['d']!r} is not a string")
+            if kind in ("root", "node"):
+                _check_domain(kind, rec["d"])
             if kind == "root":
                 if rec["d"] in graph.roots:
                     raise GraphFormatError(f"repeated root {rec['d']!r}")
@@ -487,14 +489,27 @@ def _load_doc(graph: WideGraph, rec: dict) -> None:
         raise GraphFormatError(f"document lists url {twice!r} twice")
     # The matcher takes every URL's host to be the document's.
     for url, count in urls.items():
-        if not isinstance(url, str) or url_hostname(url) != host:
-            raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
-        if not url.isprintable():
+        if type(url) is str and not url.isprintable():
             raise GraphFormatError(f"document url {url!r} is not printable")
+        if type(url) is not str or url_host(url)[0] != host:
+            raise GraphFormatError(f"document url {url!r} is not on host {host!r}")
         if count < 1:
             raise GraphFormatError(f"document url {url!r} has count {count}, below 1")
     _check_sites(graph, "document", sites)
     node.documents[host] = SubdomainDocument(host, rec["k"], urls, set(sites), node.key)
+
+
+def _check_domain(what: str, domain) -> None:
+    """Raise GraphFormatError unless ``domain`` is a printable string that
+    ``registrable_domain`` returns unchanged."""
+    if type(domain) is not str:
+        raise GraphFormatError(f"{what} domain {domain!r} is not a string")
+    try:
+        registrable = domain.isprintable() and registrable_domain(domain) == domain
+    except DomainError:
+        registrable = False
+    if not registrable:
+        raise GraphFormatError(f"{what} domain {domain!r} is not a printable registrable domain")
 
 
 def _check_sites(graph: WideGraph, what: str, sites: list[str]) -> None:

@@ -81,7 +81,7 @@ class DependencyTree:
         if self.hosts is None:  # not from build_tree: split each node URL once
             self.hosts = {}
             for url in self.nodes:
-                self.hosts[url], reason = _url_host(url)
+                self.hosts[url], reason = url_host(url)
                 if reason:
                     raise ValueError(f"node url {url!r} is unusable: {reason}")
 
@@ -126,13 +126,7 @@ class DependencyTree:
 _PLAIN_HOST = re.compile(r"https?://([a-z0-9-]+(?:\.[a-z0-9-]+)*)(?:[/?#]|\Z)")
 
 
-def url_hostname(url: str) -> str | None:
-    """``urlsplit(url).hostname``, with its ValueError on bad syntax."""
-    plain = _PLAIN_HOST.match(url)
-    return plain[1] if plain else urlsplit(url).hostname
-
-
-def _url_host(url: str) -> tuple[str | None, str | None]:
+def url_host(url: str) -> tuple[str | None, str | None]:
     """(hostname, None) for a usable URL, else (None, why not): ``bad_url``
     for bad syntax or scheme or a character that is not printable (a tab or
     line break would end a cell or row of a TSV artifact), ``bad_host`` for
@@ -235,7 +229,7 @@ def parse_har(data: bytes) -> SessionRecord:
         if type(url) is not str or not url:
             skipped["malformed_entry"] += 1
             continue
-        host, reason = _url_host(url)
+        host, reason = url_host(url)
         if reason:
             hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
             skipped["no_hostname" if hostless else reason] += 1

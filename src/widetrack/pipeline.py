@@ -435,23 +435,35 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
     return out
 
 
-def write_content_matrix(
-    keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
+def _write_matrix(
+    key_header: list[str], keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
 ) -> bytes:
-    """Content feature table; the exact inverse of read_content_matrix.
+    """Feature table; the exact inverse of ``_read_matrix``.
 
     A zero cell is written as ``0.0``, which is its ``repr``; only the
     nonzero and negative-zero cells go through ``repr``."""
-    lines = ["\t".join(["host", "kind", *columns])]
+    lines = ["\t".join([*key_header, *columns])]
     zeros = ["0.0"] * values.shape[1]
     written = np.signbit(values) | (values != 0)
-    for (host, kind), row, mask in zip(keys, values, written):
-        cells = [host, kind, *zeros]
+    for key, row, mask in zip(keys, values, written):
+        cells = [*key, *zeros]
         cols = np.flatnonzero(mask)
         for j, value in zip((cols + 2).tolist(), row[cols].tolist()):
             cells[j] = repr(value)
         lines.append("\t".join(cells))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_content_matrix(
+    keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
+) -> bytes:
+    """Content feature table; the exact inverse of read_content_matrix."""
+    return _write_matrix(["host", "kind"], keys, columns, values)
+
+
+def write_struct_matrix(matrix: structural_mod.StructMatrix) -> bytes:
+    """Structural feature table; the exact inverse of read_struct_matrix."""
+    return _write_matrix(["domain", "kind"], matrix.keys, matrix.columns, matrix.values)
 
 
 def _read_matrix(data: bytes, what: str, key_header: list[str]):
@@ -479,7 +491,7 @@ def read_content_matrix(data: bytes):
 
 
 def read_struct_matrix(data: bytes) -> structural_mod.StructMatrix:
-    """Structural feature table; the inverse of structural.save_struct_matrix."""
+    """Structural feature table; the exact inverse of write_struct_matrix."""
     keys, columns, values = _read_matrix(data, "structural matrix", ["domain", "kind"])
     return structural_mod.StructMatrix([NodeKey(*key) for key in keys], columns, values)
 
@@ -721,7 +733,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     index = GraphIndex(graph)
 
     struct = structural_matrix(index, cfg)
-    (out / "structural.tsv").write_bytes(structural_mod.save_struct_matrix(struct))
+    (out / "structural.tsv").write_bytes(write_struct_matrix(struct))
 
     eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
     if len(eligible) < 2:

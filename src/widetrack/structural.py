@@ -163,10 +163,3 @@ def generation_of(column: str) -> int:
         gen += 1
     return gen
 
-
-def save_struct_matrix(matrix: StructMatrix) -> bytes:
-    lines = ["\t".join(["domain", "kind"] + matrix.columns)]
-    for i, key in enumerate(matrix.keys):
-        cells = [key.domain, key.kind] + [repr(float(v)) for v in matrix.values[i]]
-        lines.append("\t".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -492,12 +492,17 @@ def test_wrong_typed_graph_counts_and_sites_exit_two(corpus_dir, tmp_path, capsy
         ("node", lambda rec: rec.update(d=5), ["graph", "stats"]),
         ("node", lambda rec: rec.update(d=5), ["features", "structural"]),
         ("edge", lambda rec: rec.update(l=5), ["graph", "stats"]),
+        ("node", lambda rec: rec.update(d="a\tb.net"), ["features", "structural"]),
+        ("root", lambda rec: rec.update(d="www." + rec["d"]), ["features", "structural"]),
     ],
-    ids=["root-domain", "node-domain-stats", "node-domain-structural", "edge-label"],
+    ids=["root-domain", "node-domain-stats", "node-domain-structural", "edge-label",
+         "node-domain-tab-structural", "root-domain-subdomain-structural"],
 )
 def test_wrong_typed_graph_names_exit_two(corpus_dir, tmp_path, capsys, record, change, argv):
-    """A root or node domain that is not a string, or an edge label that is
-    no interaction kind, names its line when the graph loads."""
+    """A root or node domain that is not a string, is not printable or is
+    not its own registrable domain, or an edge label that is no interaction
+    kind, names its line when the graph loads. A tab in a node domain would
+    otherwise split that node's structural.tsv row into one cell too many."""
     trees, graph = str(tmp_path / "trees.jsonl"), tmp_path / "graph.jsonl"
     assert main(["ingest", "--har-dir", str(corpus_dir / "har"), "--out", trees]) == 0
     assert main(["graph", "build", "--trees", trees, "--out", str(graph)]) == 0

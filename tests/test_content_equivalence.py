@@ -1,11 +1,12 @@
 """The content layer's batched passes against the per-token, per-term and
 per-cell code they replaced.
 
-``doc_token_counts`` splits a document's once-seen URLs as one string,
-``build_vocabulary`` cuts at the k-th largest rank before sorting,
-``content_rows`` fills each row from per-term idf and per-count log tables,
-and ``write_content_matrix`` writes zero cells as a constant. Each is held
-here to a reference kept below, on adversarial input.
+``doc_token_counts`` and ``engineered`` read a document's URLs in groups
+of one request count, each group split as one string; ``build_vocabulary``
+cuts at the k-th largest rank before sorting; ``content_rows`` fills each
+row from per-term idf and per-count log tables; and the content and
+structural table writers write zero cells as a constant. Each is held here
+to a reference kept below, on adversarial input.
 """
 
 import math
@@ -23,7 +24,13 @@ from widetrack.content import (
     tfidf,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
-from widetrack.pipeline import read_content_matrix, write_content_matrix
+from widetrack.pipeline import (
+    read_content_matrix,
+    read_struct_matrix,
+    write_content_matrix,
+    write_struct_matrix,
+)
+from widetrack.structural import StructMatrix
 
 # -------------------------------------------------------------- references
 
@@ -68,10 +75,10 @@ def reference_terms(doc_counts, k, rank_by):
     return sorted(rank, key=lambda t: (-rank[t], t))[:k]
 
 
-def reference_table(keys, columns, values):
-    lines = ["\t".join(["host", "kind", *columns])]
-    for (host, kind), row in zip(keys, values):
-        lines.append("\t".join([host, kind] + [repr(v) for v in row.tolist()]))
+def reference_table(key_header, keys, columns, values):
+    lines = ["\t".join([*key_header, *columns])]
+    for key, row in zip(keys, values):
+        lines.append("\t".join([*key] + [repr(v) for v in row.tolist()]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -86,7 +93,9 @@ _PIECES = (
     "\xdf", " ", "_",
 )
 urls = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
-multiplicities = st.sampled_from([1, 1, 1, 2, 3])
+# A count of 10**9 makes any code that repeats a URL or token ``count``
+# times run out of time or memory.
+multiplicities = st.sampled_from([1, 1, 1, 2, 3, 10**9])
 
 
 @st.composite
@@ -166,21 +175,37 @@ def test_content_rows_cells_equal_tfidf(docs, k, clamp_idf):
 _CELLS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, -3.0, 1e16, 0.1, 1 / 3, math.pi)
 
 
+def _content_table(keys, columns, values):
+    """The content writer and reader, as (table, values read back)."""
+    table = write_content_matrix(keys, columns, values)
+    return table, read_content_matrix(table)[2]
+
+
+def _struct_table(keys, columns, values):
+    """The structural writer and reader, as (table, values read back)."""
+    table = write_struct_matrix(StructMatrix([NodeKey(*key) for key in keys], columns, values))
+    return table, read_struct_matrix(table).values
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=6),
+    st.sampled_from([(["host", "kind"], _content_table), (["domain", "kind"], _struct_table)]),
     st.data(),
 )
-def test_write_content_matrix_equals_repr_of_every_cell(n_rows, n_cols, data):
+def test_write_content_matrix_equals_repr_of_every_cell(n_rows, n_cols, table_pair, data):
+    """Both feature tables go through one zero-cell writer; each must equal
+    ``repr`` of every cell and read back bit for bit."""
+    key_header, write_and_read = table_pair
     cells = st.lists(st.sampled_from(_CELLS), min_size=n_rows * n_cols, max_size=n_rows * n_cols)
     values = np.array(data.draw(cells), dtype=float).reshape(n_rows, n_cols)
     keys = [(f"h{i}.t.net", "script") for i in range(n_rows)]
     columns = [f"kw:c{j}" for j in range(n_cols)]
-    table = write_content_matrix(keys, columns, values)
-    assert table == reference_table(keys, columns, values)
+    table, read_back = write_and_read(keys, columns, values)
+    assert table == reference_table(key_header, keys, columns, values)
     if n_rows:
-        assert read_content_matrix(table)[2].tobytes() == values.tobytes()
+        assert read_back.tobytes() == values.tobytes()
 
 
 def test_vocabulary_from_hand_built_counts_keeps_the_tied_terms_lexicographically():

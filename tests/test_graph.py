@@ -636,6 +636,24 @@ def test_hand_written_graph_loads_and_re_saves_byte_for_byte():
          r"document url 'https://px.a.net/b\\tc.js' is not printable"),
         (_DOC_AT, '[["https://px.a.net/a.js", 2], ["https://px.a.net/b.js", 1]]', "[]",
          "document 'px.a.net' lists no urls"),
+        # A root or node domain must be printable and its own registrable
+        # domain: a tab would split the node's structural.tsv row.
+        (3, '"a.net"', '"a\\tb.net"',
+         r"node domain 'a\\tb.net' is not a printable registrable domain"),
+        (3, '"a.net"', '"a.net\\u2028"',
+         r"node domain 'a.net\\u2028' is not a printable registrable domain"),
+        (3, '"a.net"', '"px.a.net"',
+         "node domain 'px.a.net' is not a printable registrable domain"),
+        (3, '"a.net"', '"A.net"', "node domain 'A.net' is not a printable registrable domain"),
+        (3, '"a.net"', '"a..net"', "node domain 'a..net' is not a printable registrable domain"),
+        (3, '"a.net"', '""', "node domain '' is not a printable registrable domain"),
+        (1, '"q.com"', '"www.q.com"',
+         "root domain 'www.q.com' is not a printable registrable domain"),
+        (1, '"q.com"', '" q.com"', "root domain ' q.com' is not a printable registrable domain"),
+        (1, '"q.com"', '"q.com."', "root domain 'q.com.' is not a printable registrable domain"),
+        # A document URL must be one ingest accepts.
+        (_DOC_AT, '"https://px.a.net/b.js"', '"ftp://px.a.net/b.js"',
+         "document url 'ftp://px.a.net/b.js' is not on host 'px.a.net'"),
     ],
 )
 def test_record_contract_tree_never_writes_names_its_line(at, old, new, message):

@@ -1,6 +1,6 @@
 """Ingest's fast paths against the checked reads they replace.
 
-``_url_host`` reads a plain host with one regex and sends every other URL
+``url_host`` reads a plain host with one regex and sends every other URL
 to ``urlsplit``; ``parse_har`` reads entry fields with exact type checks.
 Both are held here to the ``urlsplit``-based host read and the
 ``_typed``-based parser they replaced, kept below as oracles, on
@@ -23,7 +23,7 @@ from widetrack.ingest import (
     RequestEntry,
     SessionRecord,
     parse_har,
-    url_hostname,
+    url_host,
 )
 from widetrack.pipeline import PipelineConfig, run_all
 from widetrack.synth import EcosystemConfig, generate
@@ -180,18 +180,10 @@ adversarial_urls = st.one_of(
 )
 
 
-def _outcome(fn, url):
-    try:
-        return fn(url)
-    except ValueError as exc:
-        return type(exc)
-
-
 @settings(max_examples=1500, deadline=None)
 @given(adversarial_urls)
 def test_url_host_equals_urlsplit_oracle(url):
-    assert ingest._url_host(url) == oracle_url_host(url)
-    assert _outcome(url_hostname, url) == _outcome(lambda u: urlsplit(u).hostname, url)
+    assert url_host(url) == oracle_url_host(url)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +211,7 @@ def test_url_host_equals_urlsplit_oracle(url):
 def test_plain_host_regex_takes_only_plain_hosts(url, plain):
     match = ingest._PLAIN_HOST.match(url)
     assert (match[1] if match else None) == plain
-    assert url_hostname(url) == urlsplit(url).hostname
+    assert url_host(url) == oracle_url_host(url)
 
 
 # -------------------------------------------------- mutated synth captures
@@ -328,5 +320,5 @@ def test_run_all_writes_the_same_bytes_without_the_plain_host_regex(tmp_path, mo
 
     fast = run(tmp_path / "fast")
     monkeypatch.setattr(ingest, "_PLAIN_HOST", re.compile(r"(?!)"))  # never matches
-    assert ingest._url_host("https://px.t.net/a.js") == ("px.t.net", None)
+    assert url_host("https://px.t.net/a.js") == ("px.t.net", None)
     assert run(tmp_path / "split") == fast

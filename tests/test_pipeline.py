@@ -458,10 +458,10 @@ class TestEachFactOnce:
             tmp_path
         )
         calls = Counter()
-        # Graph reads hosts only through ingest.url_hostname, and only when
+        # Graph reads hosts only through ingest.url_host, and only when
         # loading a graph file; the matcher splits only in ``matches``.
         for module, name in (
-            (ingest, "_url_host"), (ingest, "urlsplit"), (graph, "url_hostname"),
+            (ingest, "url_host"), (ingest, "urlsplit"), (graph, "url_host"),
             (filters, "urlsplit"),
         ):
             original = getattr(module, name)
@@ -484,7 +484,7 @@ class TestEachFactOnce:
         assert summary["ingest_skips"] == {}
         # Every synthetic URL has a plain host, so the regex reads it and
         # nothing calls urlsplit.
-        assert calls == Counter({"widetrack.ingest._url_host": entries})
+        assert calls == Counter({"widetrack.ingest.url_host": entries})
 
     def test_run_all_contracts_each_capture_before_parsing_the_next(
         self, tmp_path, monkeypatch

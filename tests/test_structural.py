@@ -13,7 +13,7 @@ from widetrack.graph import (
     contract_tree,
 )
 from widetrack.ingest import DependencyTree
-from widetrack.pipeline import DataError, read_struct_matrix
+from widetrack.pipeline import DataError, read_struct_matrix, write_struct_matrix
 from widetrack.synth import EcosystemConfig, generate
 from widetrack.structural import (
     BASE_COLUMNS,
@@ -25,7 +25,6 @@ from widetrack.structural import (
     generation_of,
     prune_correlated,
     refex_expand,
-    save_struct_matrix,
 )
 
 
@@ -303,7 +302,7 @@ def test_generation_recovered_from_names():
 def test_matrix_file_round_trip():
     index = GraphIndex(chain_graph())
     m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95)
-    loaded = read_struct_matrix(save_struct_matrix(m))
+    loaded = read_struct_matrix(write_struct_matrix(m))
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
     assert np.array_equal(loaded.values, m.values)
