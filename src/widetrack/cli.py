@@ -27,7 +27,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args) -> PipelineConfig:
-    return load_config(PipelineConfig, args.config)
+    cfg = load_config(PipelineConfig, args.config)
+    cfg.validate()
+    return cfg
 
 
 def _load_index(path) -> GraphIndex:
@@ -101,7 +103,8 @@ def cmd_graph_stats(args) -> int:
 
 
 def cmd_features_structural(args) -> int:
-    matrix = pipeline_mod.structural_matrix(_load_index(args.graph), _config(args))
+    cfg = _config(args)
+    matrix = pipeline_mod.structural_matrix(_load_index(args.graph), cfg)
     Path(args.out).write_bytes(pipeline_mod.write_struct_matrix(matrix))
     print(f"structural matrix: {len(matrix.keys)} nodes x {len(matrix.columns)} features")
     return 0
@@ -170,13 +173,12 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
+    overrides = pipeline_mod.read_overrides(cfg.overrides_file)
     eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     labels = _read_labels(args.labels)
     _, test_docs = pipeline_mod.split_documents(eligible, cfg, labels)
-    reports = pipeline_mod.evaluate_all(
-        predictions, test_docs, labels, cfg, pipeline_mod.read_overrides(cfg.overrides_file)
-    )
+    reports = pipeline_mod.evaluate_all(predictions, test_docs, labels, cfg, overrides)
     print(pipeline_mod.reports_text(reports))
     if args.out:
         out = {name: report.to_dict() for name, report in reports.items()}
@@ -224,7 +226,7 @@ def cmd_run_all(args) -> int:
 
 def _config_arg(p):
     p.add_argument(
-        "--config", help="run-all config file; only the knobs this stage uses are read"
+        "--config", help="run-all config file; all of it is checked before any other input is read"
     )
 
 

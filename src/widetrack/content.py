@@ -82,10 +82,6 @@ def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> 
     """
     if not doc_counts:
         raise ValueError("vocabulary needs at least one document")
-    if k < 0:
-        raise ValueError(f"vocabulary size must be >= 0, got {k}")
-    if rank_by not in ("df", "tf"):
-        raise ValueError(f"unknown ranking {rank_by!r}")
     df: Counter = Counter()
     tf: Counter = Counter()
     for counts in doc_counts:

@@ -28,10 +28,10 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from urllib.parse import urlsplit
 
 from .domains import registrable_domain
 from .graph import SubdomainDocument
+from .ingest import url_host
 
 ADTRACKER = "adtracker"
 BENIGN = "benign"
@@ -332,9 +332,9 @@ def _document_blocked(rules: RuleSet, document: SubdomainDocument, exceptions: b
 
 def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
     """True when some block rule matches and no exception rule does; a URL
-    with no hostname matches nothing."""
-    host = urlsplit(url).hostname
-    return bool(host) and _blocked(rules, [url], host, [ctx], exceptions=True)
+    ingest would skip matches nothing."""
+    host, _ = url_host(url)
+    return host is not None and _blocked(rules, [url], host, [ctx], exceptions=True)
 
 
 def label_document(

@@ -58,12 +58,17 @@ class ForestParams:
         return mtry
 
     def validate(self):
+        """The one check of each parameter, from a config or a model file."""
         if self.n_trees < 1:
             raise ForestError("n_trees must be >= 1")
         if self.min_samples_split < 2:
             raise ForestError("min_samples_split must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
             raise ForestError("max_depth must be >= 0")
+        if self.mtry is not None and self.mtry < 1:
+            raise ForestError(f"mtry must be >= 1, got {self.mtry}")
+        if self.seed < 0:
+            raise ForestError(f"forest seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -98,7 +103,6 @@ class ForestModel:
     trees: list[Tree]
     feature_count: int
     params: ForestParams
-    classes: tuple[str, str] = CLASSES
     in_bag: list[np.ndarray] = field(default_factory=list, repr=False)  # not persisted
 
 
@@ -437,7 +441,7 @@ def save_model(model: ForestModel) -> bytes:
     """Versioned flat text: params, then each tree in pre-order."""
     lines = [
         "widetrack-forest\tv1",
-        "classes\t" + "\t".join(model.classes),
+        "classes\t" + "\t".join(CLASSES),
         f"feature_count\t{model.feature_count}",
         "params\t" + "\t".join(f"{k}={getattr(model.params, k)}" for k in _PARAM_KEYS),
         f"trees\t{len(model.trees)}",

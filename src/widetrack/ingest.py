@@ -99,13 +99,14 @@ class DependencyTree:
     def from_record(cls, rec: dict) -> "DependencyTree":
         """Inverse of to_record; KeyError, TypeError or ValueError on a record
         with a missing key, a field of the wrong type, a dangling edge, a
-        node kind other than script/media/iframe/other or a node URL with no
-        usable host."""
+        node kind other than script/media/iframe/other, a node URL with no
+        usable host or a root domain that is not its root URL's."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
         skipped = Counter(dict(rec.get("skipped", {})))
-        texts = [rec["root_url"], rec["root_domain"]]
+        root_url, root_domain = rec["root_url"], rec["root_domain"]
+        texts = [root_url, root_domain]
         texts += [t for pair in (*nodes.items(), *edges) for t in pair]
         if not all(isinstance(t, str) for t in texts):
             raise TypeError("urls, domains and kinds must be strings")
@@ -117,7 +118,10 @@ class DependencyTree:
         unknown = set(nodes.values()) - NODE_KIND_VALUES
         if unknown:
             raise ValueError(f"unknown node kind {min(unknown)!r}")
-        return cls(rec["root_url"], rec["root_domain"], nodes, edges, diagnostics, skipped)
+        host, _ = url_host(root_url)
+        if host is None or registrable_domain(host) != root_domain:
+            raise ValueError(f"root domain {root_domain!r} is not that of {root_url!r}")
+        return cls(root_url, root_domain, nodes, edges, diagnostics, skipped)
 
 
 # A lower-case http(s) URL whose authority is only dot-separated [a-z0-9-]

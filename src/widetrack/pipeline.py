@@ -30,6 +30,7 @@ from .filters import (
     parse_overrides,
     parse_rules,
 )
+from .forest import CLASSES, ForestParams
 from .graph import (
     GraphIndex,
     NodeKey,
@@ -40,8 +41,6 @@ from .graph import (
     save_graph,
 )
 from .ingest import TREES_HEADER, DependencyTree, build_tree, parse_har, tree_line
-
-CLASS_NAMES = (BENIGN, ADTRACKER)
 
 
 class DataError(Exception):
@@ -63,8 +62,6 @@ def _shuffle_split(
     keys: list[tuple[str, str]], fraction: float, seed: int
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """Deterministic shuffle; the first ceil(fraction * n) go to train."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError("train fraction must be in (0, 1)")
     if len(keys) < 2:
         raise DataError("need at least 2 documents to split")
     ordered = sorted(keys)
@@ -93,7 +90,7 @@ def split_keys(
             raise DataError(f"document {host} ({kind}) has no label")
     train: list[tuple[str, str]] = []
     test: list[tuple[str, str]] = []
-    for cls in CLASS_NAMES:
+    for cls in CLASSES:
         group = [k for k in keys if labels[k].label == cls]
         if len(group) == 1:
             train.extend(group)
@@ -149,26 +146,26 @@ def compute_metrics(
     rows: list[tuple[str, str, float]], mode: str, corrected: bool
 ) -> MetricsReport:
     """Weighted confusion metrics over (true, predicted, weight) rows."""
-    confusion = {t: {p: 0.0 for p in CLASS_NAMES} for t in CLASS_NAMES}
+    confusion = {t: {p: 0.0 for p in CLASSES} for t in CLASSES}
     for truth, pred, weight in rows:
         confusion[truth][pred] += weight
     total = sum(sum(row.values()) for row in confusion.values())
     precision = {}
     recall = {}
-    for cls in CLASS_NAMES:
-        predicted = sum(confusion[t][cls] for t in CLASS_NAMES)
+    for cls in CLASSES:
+        predicted = sum(confusion[t][cls] for t in CLASSES)
         actual = sum(confusion[cls].values())
         precision[cls] = confusion[cls][cls] / predicted if predicted else 0.0
         recall[cls] = confusion[cls][cls] / actual if actual else 0.0
-    diagonal = sum(confusion[c][c] for c in CLASS_NAMES)
+    diagonal = sum(confusion[c][c] for c in CLASSES)
     return MetricsReport(
         mode=mode,
         corrected=corrected,
         confusion=confusion,
         precision=precision,
         recall=recall,
-        macro_precision=sum(precision.values()) / len(CLASS_NAMES),
-        macro_recall=sum(recall.values()) / len(CLASS_NAMES),
+        macro_precision=sum(precision.values()) / len(CLASSES),
+        macro_recall=sum(recall.values()) / len(CLASSES),
         accuracy=diagonal / total if total else 0.0,
         total_weight=total,
     )
@@ -190,8 +187,6 @@ def evaluate(
     """
     if mode not in ("biased", "unbiased"):
         raise DataError(f"unknown metrics mode {mode!r}")
-    if weight_by not in ("sites", "urls"):
-        raise DataError(f"unknown weighting {weight_by!r}")
     rows = []
     for doc in test_docs:
         key = (doc.host, doc.kind)
@@ -209,7 +204,7 @@ def evaluate(
             weight = float(len(doc.sites))
         else:
             weight = float(sum(doc.urls.values()))
-        rows.append((truth, CLASS_NAMES[pred], weight))
+        rows.append((truth, CLASSES[pred], weight))
     return compute_metrics(rows, mode, corrected=overrides is not None)
 
 
@@ -324,12 +319,12 @@ def analysis_tables(
     direct = [coverage_counts(index, doc.parent)[0] / n_roots for doc in docs]
     ccdf = {
         cls: coverage_ccdf([v for v, c in zip(direct, classes) if c == cls])
-        for cls in CLASS_NAMES
+        for cls in CLASSES
     }
 
     keywords = []
     if vocabulary is not None:
-        by_class = {cls: [] for cls in CLASS_NAMES}
+        by_class = {cls: [] for cls in CLASSES}
         for doc, cls in zip(docs, classes):
             by_class[cls].append(doc_terms[(doc.host, doc.kind)])
         for term in vocabulary.terms[:top_terms]:
@@ -404,7 +399,7 @@ def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
         raise DataError("unrecognized labels file header")
     out = {}
     for lineno, (host, kind, label, source) in rows:
-        if label not in CLASS_NAMES:
+        if label not in CLASSES:
             raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
         out[(host, kind)] = Label(label, source)
     return out
@@ -413,7 +408,7 @@ def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
 def write_scores_file(rows: list[tuple[str, str, int, float, str]]) -> bytes:
     lines = ["\t".join(_SCORES_HEADER)]
     for host, kind, pred, score, basis in sorted(rows):
-        lines.append(f"{host}\t{kind}\t{CLASS_NAMES[pred]}\t{score!r}\t{basis}")
+        lines.append(f"{host}\t{kind}\t{CLASSES[pred]}\t{score!r}\t{basis}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -423,7 +418,7 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
         raise DataError("unrecognized scores file header")
     out = {}
     for lineno, (host, kind, pred, score, _) in rows:
-        if pred not in CLASS_NAMES:
+        if pred not in CLASSES:
             raise DataError(f"unknown prediction {pred!r} for {host} on line {lineno}")
         try:
             value = float(score)
@@ -431,7 +426,7 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
             value = math.nan
         if not math.isfinite(value):
             raise DataError(f"bad score {score!r} for {host} on line {lineno}")
-        out[(host, kind)] = (CLASS_NAMES.index(pred), value)
+        out[(host, kind)] = (CLASSES.index(pred), value)
     return out
 
 
@@ -579,9 +574,13 @@ class PipelineConfig:
     min_in_degree: int = 3
     weight_by: str = "sites"
 
+    def forest_params(self) -> ForestParams:
+        """The one mapping from config keys to the forest's parameters."""
+        return ForestParams(self.n_trees, self.mtry, self.max_depth, seed=self.forest_seed)
+
     def validate(self) -> None:
-        """Reject, as a DataError, a value some stage would reject, so that
-        a run fails before it writes anything."""
+        """The one check of each value, as a DataError; the stages trust
+        it, so run-all and every staged command call it before any input."""
         checks = [
             (self.weight_by in ("sites", "urls"), f"unknown weighting {self.weight_by!r}"),
             (self.vocab_rank in ("df", "tf"), f"unknown ranking {self.vocab_rank!r}"),
@@ -589,11 +588,14 @@ class PipelineConfig:
             (0.0 < self.prune_threshold <= 1.0, "prune threshold must be in (0, 1]"),
             (self.refex_depth >= 0, "refex depth must be >= 0"),
             (self.vocab_size >= 0, f"vocabulary size must be >= 0, got {self.vocab_size}"),
-            (self.n_trees >= 1, "n_trees must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
                 raise DataError(message)
+        try:
+            self.forest_params().validate()
+        except forest_mod.ForestError as exc:
+            raise DataError(str(exc)) from None
 
 
 # --- the stages; run_all and each staged CLI subcommand call these ---
@@ -705,15 +707,9 @@ def train_forest(
 ) -> forest_mod.ForestModel:
     """The forest trained on ``X_train``, whose rows are ``train_keys``,
     with the config's forest parameters."""
-    y = np.array([CLASS_NAMES.index(labels[k].label) for k in train_keys])
-    params = forest_mod.ForestParams(
-        n_trees=cfg.n_trees,
-        mtry=cfg.mtry,
-        max_depth=cfg.max_depth,
-        seed=cfg.forest_seed,
-    )
+    y = np.array([CLASSES.index(labels[k].label) for k in train_keys])
     try:
-        return forest_mod.train(X_train, y, params)
+        return forest_mod.train(X_train, y, cfg.forest_params())
     except forest_mod.ForestError as exc:
         raise DataError(str(exc)) from exc
 
@@ -721,6 +717,8 @@ def train_forest(
 def run_all(cfg: PipelineConfig) -> dict:
     """Full run: ingest -> graph -> features -> label -> train -> report."""
     cfg.validate()
+    ruleset = read_rules(cfg.rules_files)
+    overrides = read_overrides(cfg.overrides_file)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -739,8 +737,6 @@ def run_all(cfg: PipelineConfig) -> dict:
     if len(eligible) < 2:
         raise DataError("fewer than 2 eligible documents; nothing to learn from")
 
-    ruleset = read_rules(cfg.rules_files)
-    overrides = read_overrides(cfg.overrides_file)
     labels = {(d.host, d.kind): label_document(ruleset, d) for d in eligible}
     (out / "labels.tsv").write_bytes(write_labels_file(labels))
 

@@ -90,13 +90,12 @@ def _pairwise_correlation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
-    """Drop columns highly correlated with an earlier-retained column.
+    """Drop each column whose absolute correlation with an earlier-retained
+    column reaches ``threshold``, a value in (0, 1].
 
     Columns are considered in generation-then-name order, so earlier
     generations and lexicographically-first names win ties.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("prune threshold must be in (0, 1]")
     names = matrix.columns
     order = sorted(range(len(names)), key=lambda i: (generation_of(names[i]), names[i]))
     retained: list[int] = []
@@ -147,8 +146,6 @@ def refex_expand(
     have matrix rows (third parties) contribute, since first-party
     adjacency is already captured by the coverage columns.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     for level in range(1, depth + 1):
         matrix = expand_level(matrix, index, generation=level)
         matrix = prune_correlated(matrix, threshold)

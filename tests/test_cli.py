@@ -190,6 +190,26 @@ def test_bad_capture_names_its_file_and_leaves_no_trees_file(
     assert list(out_dir.iterdir()) == []
 
 
+def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys):
+    """A trees record whose root domain is not its root URL's registrable
+    domain is refused where it is read, naming its line, and no graph is
+    written for load_graph to refuse later."""
+    generate(EcosystemConfig(n_sites=40, seed=7)).write(tmp_path / "corpus")
+    trees, graph = tmp_path / "trees.jsonl", tmp_path / "graph.jsonl"
+    assert main(["ingest", "--har-dir", str(tmp_path / "corpus" / "har"), "--out", str(trees)]) == 0
+    header, first, *rest = trees.read_bytes().splitlines(keepends=True)
+    rec = json.loads(first)
+    assert rec["root_url"] == "https://www.site000.com/"
+    rec["root_domain"] = "www.site000.com"
+    trees.write_bytes(b"".join([header, json.dumps(rec).encode() + b"\n", *rest]))
+    capsys.readouterr()
+    assert main(["graph", "build", "--trees", str(trees), "--out", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad trees record on line 2: ") and err.count("\n") == 1
+    assert "www.site000.com" in err
+    assert not graph.exists()
+
+
 # Every artifact the staged chain writes as run-all does. scores.tsv and
 # candidate-rules.txt are not among them: predict scores every row with the
 # full forest, while run-all scores its training rows out-of-bag.
@@ -518,31 +538,107 @@ def test_wrong_typed_graph_names_exit_two(corpus_dir, tmp_path, capsys, record, 
     assert err.startswith("error: ") and f"line {at + 1}" in err and err.count("\n") == 1
 
 
+# A config line each command that takes --config refuses before any stage,
+# and run-all's stderr message for it.
+BAD_VALUES = {
+    "weight_by": ("weight_by = site", "unknown weighting 'site'"),
+    "vocab_rank": ("vocab_rank = idf", "unknown ranking 'idf'"),
+    "train_frac": ("train_frac = 1.0", "train fraction must be in (0, 1)"),
+    "prune_threshold": ("prune_threshold = 0", "prune threshold must be in (0, 1]"),
+    "refex_depth": ("refex_depth = -1", "refex depth must be >= 0"),
+    "vocab_size": ("vocab_size = -5", "vocabulary size must be >= 0, got -5"),
+    "n_trees": ("n_trees = 0", "n_trees must be >= 1"),
+    "max_depth": ("max_depth = -1", "max_depth must be >= 0"),
+    "mtry": ("mtry = 0", "mtry must be >= 1, got 0"),
+    "forest_seed": ("forest_seed = -1", "forest seed must be >= 0, got -1"),
+}
+# Files run-all reads before it ingests anything; {tmp} is the test's tmp_path.
+MISSING_FILES = {
+    "missing_rules_file": (
+        "rules_files = {tmp}/none.txt", "[Errno 2] No such file or directory: '{tmp}/none.txt'"
+    ),
+    "missing_overrides_file": (
+        "overrides_file = {tmp}/none.tsv",
+        "[Errno 2] No such file or directory: '{tmp}/none.tsv'",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "line, message",
-    [
-        ("weight_by = site", "unknown weighting 'site'"),
-        ("vocab_rank = idf", "unknown ranking 'idf'"),
-        ("train_frac = 1.0", "train fraction must be in (0, 1)"),
-        ("prune_threshold = 0", "prune threshold must be in (0, 1]"),
-        ("refex_depth = -1", "refex depth must be >= 0"),
-        ("vocab_size = -5", "vocabulary size must be >= 0, got -5"),
-        ("n_trees = 0", "n_trees must be >= 1"),
-    ],
-    ids=["weight_by", "vocab_rank", "train_frac", "prune_threshold", "refex_depth",
-         "vocab_size", "n_trees"],
+    [*BAD_VALUES.values(), *MISSING_FILES.values()],
+    ids=[*BAD_VALUES, *MISSING_FILES],
 )
 def test_bad_config_value_fails_before_any_stage(corpus_dir, tmp_path, capsys, line, message):
+    """Without the bad line the run writes six artifacts before training
+    stops it (no rules file, so every label is benign); an empty out_dir
+    shows the line was refused before any stage."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
-        f"out_dir = {out_dir}\n{line}\n"
+        f"har_dir = {corpus_dir / 'har'}\nout_dir = {out_dir}\n{line.format(tmp=tmp_path)}\n"
     )
     assert main(["run-all", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
     assert list(out_dir.iterdir()) == []
+
+
+# Each staged command that takes --config, minus --config. No input it
+# names exists, so a command that read one before its config would fail
+# with another message.
+STAGED_WITH_CONFIG = {
+    "features_structural": ["features", "structural", "--graph", "{tmp}/g.jsonl"],
+    "features_content": [
+        "features", "content", "--graph", "{tmp}/g.jsonl", "--labels", "{tmp}/l.tsv",
+        "--vocab-out", "{tmp}/v.tsv",
+    ],
+    "label": [
+        "label", "--graph", "{tmp}/g.jsonl", "--rules", "{tmp}/r.txt",
+        "--overrides", "{tmp}/o.tsv",
+    ],
+    "train": ["train", "--features", "{tmp}/c.tsv", "{tmp}/s.tsv", "--labels", "{tmp}/l.tsv"],
+    "evaluate": [
+        "evaluate", "--graph", "{tmp}/g.jsonl", "--scores", "{tmp}/s.tsv",
+        "--labels", "{tmp}/l.tsv",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        *[(c, *BAD_VALUES[v]) for c in STAGED_WITH_CONFIG for v in BAD_VALUES],
+        # the one file named in the config that a staged command reads
+        ("evaluate", *MISSING_FILES["missing_overrides_file"]),
+    ],
+    ids=[*(f"{c}-{v}" for c in STAGED_WITH_CONFIG for v in BAD_VALUES),
+         "evaluate-missing_overrides_file"],
+)
+def test_staged_commands_refuse_what_run_all_refuses(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line.format(tmp=tmp_path) + "\n")
+    argv = [arg.format(tmp=tmp_path) for arg in STAGED_WITH_CONFIG[command]]
+    assert main([*argv, "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["max_depth = 0", "mtry = 1", "forest_seed = 0", "n_trees = 1", "refex_depth = 0",
+     "vocab_size = 0", "prune_threshold = 1.0"],
+)
+def test_smallest_accepted_value_runs(corpus_dir, tmp_path, line):
+    """The edge of each rule is legal: run-all takes it to the end."""
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out_dir}\nn_trees = 5\n{line}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    assert (out_dir / "report.json").exists()
 
 
 def test_repeated_graph_record_or_table_key_exits_two(corpus_dir, tmp_path, capsys):

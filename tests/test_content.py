@@ -17,7 +17,7 @@ from widetrack.content import (
     tfidf,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
-from widetrack.pipeline import assemble_all_vectors
+from widetrack.pipeline import DataError, PipelineConfig, assemble_all_vectors
 from widetrack.structural import StructMatrix
 
 
@@ -110,13 +110,14 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_vocabulary(counts([]), k=1000, rank_by="df")
-        with pytest.raises(ValueError):
-            build_vocabulary(counts([doc("a.t.net", "other", ["https://a.t.net/"])]), k=1000, rank_by="x")
+        # the ranking and the size are the config's to check, once
+        with pytest.raises(DataError, match="unknown ranking 'x'"):
+            PipelineConfig(vocab_rank="x").validate()
 
     def test_negative_size_rejected_and_zero_keeps_none(self):
         corpus = counts([doc("a.t.net", "other", ["https://a.t.net/b"])])
-        with pytest.raises(ValueError, match="vocabulary size"):
-            build_vocabulary(corpus, k=-1, rank_by="df")
+        with pytest.raises(DataError, match="vocabulary size"):
+            PipelineConfig(vocab_size=-1).validate()
         assert build_vocabulary(corpus, k=0, rank_by="df").terms == []
 
 

@@ -240,8 +240,13 @@ class TestDeterminism:
              "2 trees, but the params line says n_trees=7"),
             *[
                 (lambda ls, m=m: ls[:3] + [ls[3].replace("mtry=None", f"mtry={m}"), *ls[4:]],
-                 4, rf"mtry must be in \[1, 2\], got {m}")
-                for m in (0, -4, 3, 9)
+                 4, words)
+                for m, words in (
+                    (0, "mtry must be >= 1, got 0"),
+                    (-4, "mtry must be >= 1, got -4"),
+                    (3, r"mtry must be in \[1, 2\], got 3"),
+                    (9, r"mtry must be in \[1, 2\], got 9"),
+                )
             ],
             (lambda ls: ls + ["l\t1\t0"], 0, "trailing line"),
             (lambda ls: ls + [""], 0, "trailing line"),

@@ -378,6 +378,10 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec["nodes"].append(["https://px.t.net/x\ty.js", "script"]),  # tab
         lambda rec: rec["nodes"].append(["https://px.t.net/w.js", "weird"]),
         lambda rec: rec["nodes"].append(["https://px.t.net/f.js", "firstparty"]),
+        # the root domain is its root URL's registrable domain, no other
+        lambda rec: rec.update(root_domain="www." + rec["root_domain"]),
+        lambda rec: rec.update(root_domain="elsewhere.org"),
+        lambda rec: rec.update(root_url="ftp://" + rec["root_domain"] + "/"),
     ],
 )
 def test_trees_file_bad_record_names_the_line(change):

@@ -131,10 +131,10 @@ class TestSplit:
     def test_bad_inputs_rejected(self):
         with pytest.raises(DataError):
             split_documents(self.docs(1), PipelineConfig())
-        with pytest.raises(DataError):
-            split_documents(self.docs(5), PipelineConfig(train_frac=1.0))
-        with pytest.raises(DataError):
-            split_documents(self.docs(5), PipelineConfig(train_frac=0.0))
+        # the config checks the fraction once, before any stage
+        for frac in (1.0, 0.0):
+            with pytest.raises(DataError, match=r"train fraction must be in \(0, 1\)"):
+                PipelineConfig(train_frac=frac).validate()
 
 
 class TestMetrics:
@@ -459,10 +459,10 @@ class TestEachFactOnce:
         )
         calls = Counter()
         # Graph reads hosts only through ingest.url_host, and only when
-        # loading a graph file; the matcher splits only in ``matches``.
+        # loading a graph file; the matcher reads one only in ``matches``.
         for module, name in (
             (ingest, "url_host"), (ingest, "urlsplit"), (graph, "url_host"),
-            (filters, "urlsplit"),
+            (filters, "url_host"),
         ):
             original = getattr(module, name)
 

@@ -13,7 +13,12 @@ from widetrack.graph import (
     contract_tree,
 )
 from widetrack.ingest import DependencyTree
-from widetrack.pipeline import DataError, read_struct_matrix, write_struct_matrix
+from widetrack.pipeline import (
+    DataError,
+    PipelineConfig,
+    read_struct_matrix,
+    write_struct_matrix,
+)
 from widetrack.synth import EcosystemConfig, generate
 from widetrack.structural import (
     BASE_COLUMNS,
@@ -165,11 +170,10 @@ class TestPruneCorrelated:
             assert np.all(np.abs(off_diag) < 0.9)
 
     def test_threshold_validated(self):
-        m = self.matrix([[1, 2, 3, 4]])
-        with pytest.raises(ValueError):
-            prune_correlated(m, 0.0)
-        with pytest.raises(ValueError):
-            prune_correlated(m, 1.5)
+        # the config checks the threshold once, before any stage
+        for threshold in (0.0, 1.5):
+            with pytest.raises(DataError, match=r"prune threshold must be in \(0, 1\]"):
+                PipelineConfig(prune_threshold=threshold).validate()
 
 
 class TestRefexExpand:
@@ -225,9 +229,8 @@ class TestRefexExpand:
         assert np.array_equal(m1.values, m2.values)
 
     def test_negative_depth_rejected(self):
-        index = GraphIndex(chain_graph())
-        with pytest.raises(ValueError):
-            refex_expand(build_base_matrix(index), index, depth=-1, threshold=0.95)
+        with pytest.raises(DataError, match="refex depth must be >= 0"):
+            PipelineConfig(refex_depth=-1).validate()
 
 
 def all_columns_refex(index, depth, threshold):
