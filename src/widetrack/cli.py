@@ -36,8 +36,10 @@ def _load_index(path) -> GraphIndex:
     return GraphIndex(load_graph(Path(path).read_bytes()))
 
 
-def _read_labels(path):
-    return pipeline_mod.read_labels_file(Path(path).read_bytes())
+def _row_labels(path, keys):
+    """The labels file's label for each row key."""
+    labels = pipeline_mod.read_labels_file(Path(path).read_bytes())
+    return pipeline_mod.aligned(keys, labels, "label")
 
 
 def _load_feature_files(paths):
@@ -110,32 +112,36 @@ def cmd_features_structural(args) -> int:
     return 0
 
 
+def _eligible(args, cfg):
+    """The graph's eligible documents and their row keys."""
+    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
+    return eligible, list(map(pipeline_mod.doc_key, eligible))
+
+
 def cmd_features_content(args) -> int:
     cfg = _config(args)
-    labels = _read_labels(args.labels) if args.labels else None
-    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
-    train_docs, _ = pipeline_mod.split_documents(eligible, cfg, labels)
-    vocabulary, (keys, columns, values, _) = pipeline_mod.content_features(
-        eligible, train_docs, cfg
-    )
+    eligible, keys = _eligible(args, cfg)
+    labels = _row_labels(args.labels, keys) if args.labels else None
+    train, _ = pipeline_mod.split_keys(keys, cfg, labels)
+    vocabulary, (columns, values, _) = pipeline_mod.content_features(eligible, train, cfg)
     Path(args.out).write_bytes(pipeline_mod.write_content_matrix(keys, columns, values))
     if args.vocab_out:
         Path(args.vocab_out).write_bytes(content_mod.save_vocabulary(vocabulary))
     print(
         f"content matrix: {len(eligible)} documents, vocabulary {len(vocabulary.terms)}"
-        f" (built on {len(train_docs)} training documents)"
+        f" (built on {len(train)} training documents)"
     )
     return 0
 
 
 def cmd_label(args) -> int:
     cfg = _config(args)
-    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
+    eligible, keys = _eligible(args, cfg)
     ruleset = pipeline_mod.read_rules(args.rules)
     overrides = pipeline_mod.read_overrides(args.overrides)
-    labels = {(d.host, d.kind): label_document(ruleset, d, overrides) for d in eligible}
-    Path(args.out).write_bytes(pipeline_mod.write_labels_file(labels))
-    n_ad = sum(1 for lab in labels.values() if lab.label == "adtracker")
+    labels = [label_document(ruleset, d, overrides) for d in eligible]
+    Path(args.out).write_bytes(pipeline_mod.write_labels_file(keys, labels))
+    n_ad = sum(1 for lab in labels if lab.label == "adtracker")
     print(
         f"labeled {len(labels)} documents ({n_ad} adtracker); "
         f"rules parsed {ruleset.rule_count}, skipped {dict(ruleset.skip_report) or 0}"
@@ -146,39 +152,32 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args)
     keys, X = _load_feature_files(args.features)
-    labels = _read_labels(args.labels)
-    row_of = {key: i for i, key in enumerate(keys) if key in labels}
-    if not row_of:
-        raise DataError("no documents appear in both features and labels")
-    train_keys, _ = pipeline_mod.split_keys(list(row_of), cfg, labels)
-    X_train = X[[row_of[key] for key in train_keys]]
-    model = pipeline_mod.train_forest(X_train, train_keys, labels, cfg)
+    labels = _row_labels(args.labels, keys)
+    train, _ = pipeline_mod.split_keys(keys, cfg, labels)
+    model = pipeline_mod.train_forest(X[train], [labels[i] for i in train], cfg)
     Path(args.out).write_bytes(forest_mod.save_model(model))
-    print(f"trained {cfg.n_trees} trees on {len(train_keys)} documents ({X.shape[1]} features)")
+    print(f"trained {cfg.n_trees} trees on {len(train)} documents ({X.shape[1]} features)")
     return 0
 
 
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes())
     keys, X = _load_feature_files(args.features)
-    labels, scores = forest_mod.predict(model, X)
-    rows = [
-        (host, kind, int(pred), float(score), "full")
-        for (host, kind), pred, score in zip(keys, labels, scores)
-    ]
-    Path(args.out).write_bytes(pipeline_mod.write_scores_file(rows))
-    print(f"scored {len(rows)} documents")
+    scored = pipeline_mod.score_rows(model, X)
+    Path(args.out).write_bytes(pipeline_mod.write_scores_file(keys, scored))
+    print(f"scored {len(scored)} documents")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
     overrides = pipeline_mod.read_overrides(cfg.overrides_file)
-    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
-    predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
-    labels = _read_labels(args.labels)
-    _, test_docs = pipeline_mod.split_documents(eligible, cfg, labels)
-    reports = pipeline_mod.evaluate_all(predictions, test_docs, labels, cfg, overrides)
+    eligible, keys = _eligible(args, cfg)
+    scores = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
+    predictions = [pred for pred, _ in pipeline_mod.aligned(keys, scores, "prediction")]
+    labels = _row_labels(args.labels, keys)
+    _, test = pipeline_mod.split_keys(keys, cfg, labels)
+    reports = pipeline_mod.evaluate_all(eligible, labels, predictions, test, cfg, overrides)
     print(pipeline_mod.reports_text(reports))
     if args.out:
         out = {name: report.to_dict() for name, report in reports.items()}
@@ -192,13 +191,10 @@ def cmd_emit_rules(args) -> int:
     index = _load_index(args.graph)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     ruleset = pipeline_mod.read_rules(args.rules)
-    docs = {(d.host, d.kind): d for d in index.graph.documents()}
-    scored = [
-        (docs[key], pred, score)
-        for key, (pred, score) in sorted(predictions.items())
-        if key in docs
-    ]
-    text = pipeline_mod.emit_candidate_rules(index, scored, ruleset, {})
+    docs = {pipeline_mod.doc_key(d): d for d in index.graph.documents()}
+    keys = [key for key in sorted(predictions) if key in docs]
+    scored = [predictions[key] for key in keys]
+    text = pipeline_mod.emit_candidate_rules(index, [docs[k] for k in keys], scored, ruleset)
     Path(args.out).write_text(text, encoding="utf-8")
     n_rules = sum(1 for line in text.splitlines() if line.startswith("||"))
     print(f"emitted {n_rules} candidate rules")

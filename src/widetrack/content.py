@@ -158,24 +158,22 @@ def engineered(document: SubdomainDocument) -> list[float]:
 
 def content_rows(
     documents: list[SubdomainDocument],
-    token_counts: dict[tuple[str, str], dict[str, int]],
+    token_counts: list[dict[str, int]],
     vocabulary: Vocabulary,
     clamp_idf: bool,
-) -> tuple[list[tuple[str, str]], list[str], np.ndarray, list[frozenset[str]]]:
-    """(keys, columns, values, terms): one [keywords | engineered] row per
-    document, ordered by (host, kind), and the vocabulary terms each
-    document contains. ``token_counts`` maps each document's (host, kind)
-    to its ``doc_token_counts``. Each cell equals ``tfidf``'s value."""
-    docs = sorted(documents, key=lambda d: (d.host, d.kind))
+) -> tuple[list[str], np.ndarray, list[frozenset[str]]]:
+    """(columns, values, terms): one [keywords | engineered] row per
+    document, in ``documents`` order, and the vocabulary terms each
+    document contains. ``token_counts`` holds each document's
+    ``doc_token_counts``. Each cell equals ``tfidf``'s value."""
     columns = feature_names(vocabulary, [])
-    values = np.zeros((len(docs), len(columns)))
+    values = np.zeros((len(documents), len(columns)))
     terms = []
     k = len(vocabulary.terms)
     index = vocabulary.index
     idfs = np.array([idf(t, vocabulary, clamp_idf) for t in vocabulary.terms])
     log_tf = _LogOnePlus()
-    for i, doc in enumerate(docs):
-        tokens = token_counts[(doc.host, doc.kind)]
+    for i, (doc, tokens) in enumerate(zip(documents, token_counts)):
         present = tokens.keys() & index.keys()
         if present:
             cols = list(map(index.__getitem__, present))
@@ -183,7 +181,7 @@ def content_rows(
             values[i, cols] = np.array(tf) * idfs[cols]
         values[i, k:] = engineered(doc)
         terms.append(frozenset(present))
-    return [(d.host, d.kind) for d in docs], columns, values, terms
+    return columns, values, terms
 
 
 def feature_names(vocabulary: Vocabulary, struct_columns: list[str]) -> list[str]:

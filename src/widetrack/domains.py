@@ -54,13 +54,16 @@ def registrable_domain(hostname: str) -> str:
 
     IP literals pass through verbatim. A hostname that is itself a public
     suffix is returned unchanged, which keeps the function idempotent and
-    total over valid names.
+    total over valid names. A hostname that is not printable is refused:
+    a tab or line break would end a cell or row of a TSV artifact.
     """
     if not hostname:
         raise DomainError("empty hostname")
     host = hostname.strip().lower().rstrip(".")
     if not host:
         raise DomainError("hostname %r has no labels" % hostname)
+    if not host.isprintable():
+        raise DomainError("hostname %r is not printable" % hostname)
 
     try:
         ipaddress.ip_address(host)

@@ -371,7 +371,6 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
 
 
 _NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
-_EDGE_LABELS = NODE_KIND_VALUES | {BOUNCED}
 
 
 def load_graph(data: bytes) -> WideGraph:
@@ -380,17 +379,17 @@ def load_graph(data: bytes) -> WideGraph:
     A bad or repeated record, or a byte that is not UTF-8, raises
     GraphFormatError naming its line. Besides types, the checks are: root
     and node domains are printable and their own registrable domains, node
-    kinds and edge labels are known, edges and documents name loaded nodes,
-    a document is on its node's domain and kind, an edge runs into a third
-    party, a Bounced edge leaves a first party, multiplicities and URL
+    kinds are known, edges and documents name loaded nodes, a document is
+    on its node's domain and kind, an edge runs into a third party from
+    another node, an edge's label is its target's kind or Bounced, a
+    Bounced edge leaves a first party, multiplicities and URL
     counts are at least 1, edge and document sites are sorted, distinct
     root names, and a document lists at least one URL, each once, and each
     one ingest accepts (``url_host``) on the document's host. Key order,
     spacing, record order, blank lines and CR line ends are not checked;
-    ``save_graph`` writes its own layout whatever was read. Nor are a
-    self-loop, an edge label other than its target's kind or Bounced, and
-    empty sites, which ``contract_tree`` never writes but which load and
-    re-save as they are."""
+    ``save_graph`` writes its own layout whatever was read. Nor are empty
+    sites, which ``contract_tree`` never writes but which load and re-save
+    as they are."""
     graph = WideGraph()
     lineno = 0
     try:
@@ -446,15 +445,19 @@ def _load_edge(graph: WideGraph, rec: dict) -> None:
     if src is None or dst is None:
         raise GraphFormatError("edge references unknown node")
     label = rec["l"]
-    if label not in _EDGE_LABELS:
-        raise GraphFormatError(f"unknown edge label {label!r}")
+    if dst.key.is_first_party():
+        raise GraphFormatError(f"edge into first-party node {tuple(dst.key)}")
+    if label not in (dst.key.kind, BOUNCED):
+        raise GraphFormatError(
+            f"edge label {label!r} is neither its target's kind {dst.key.kind!r} nor bounced"
+        )
+    if label == BOUNCED and not src.key.is_first_party():
+        raise GraphFormatError(f"bounced edge from third-party node {tuple(src.key)}")
+    if src is dst:
+        raise GraphFormatError(f"self-loop edge on {tuple(src.key)}")
     edge = (src.key, dst.key, label)
     if edge in graph.edges:
         raise GraphFormatError(f"repeated edge {tuple(src.key)} -> {tuple(dst.key)}")
-    if dst.key.is_first_party():
-        raise GraphFormatError(f"edge into first-party node {tuple(dst.key)}")
-    if label == BOUNCED and not src.key.is_first_party():
-        raise GraphFormatError(f"bounced edge from third-party node {tuple(src.key)}")
     mult, sites = rec["m"], rec["sites"]
     if type(mult) is not int or type(sites) is not list or not all(type(s) is str for s in sites):
         raise GraphFormatError("edge multiplicity must be an integer, sites a list of strings")
@@ -500,12 +503,12 @@ def _load_doc(graph: WideGraph, rec: dict) -> None:
 
 
 def _check_domain(what: str, domain) -> None:
-    """Raise GraphFormatError unless ``domain`` is a printable string that
-    ``registrable_domain`` returns unchanged."""
+    """Raise GraphFormatError unless ``domain`` is a string that
+    ``registrable_domain`` accepts and returns unchanged."""
     if type(domain) is not str:
         raise GraphFormatError(f"{what} domain {domain!r} is not a string")
     try:
-        registrable = domain.isprintable() and registrable_domain(domain) == domain
+        registrable = registrable_domain(domain) == domain
     except DomainError:
         registrable = False
     if not registrable:

@@ -11,6 +11,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -47,51 +48,62 @@ class DataError(Exception):
     """Input data is unusable; distinct from usage errors for exit codes."""
 
 
+# A document's (host, kind): the key of its row in every per-document file.
+doc_key = attrgetter("host", "kind")
+
+
 def filter_eligible(
     index: GraphIndex, min_in_degree: int
 ) -> tuple[list[SubdomainDocument], dict]:
     """Documents whose parent node has at least ``min_in_degree`` distinct
-    in-edges, plus a (total, removed, kept) report."""
+    in-edges, plus a (total, removed, kept) report. The kept documents, in
+    ``doc_key`` order, are the rows of every per-document list and file."""
     docs = index.graph.documents()
-    kept = [d for d in docs if index.in_degree[d.parent] >= min_in_degree]
+    kept = sorted((d for d in docs if index.in_degree[d.parent] >= min_in_degree), key=doc_key)
     report = {"total": len(docs), "kept": len(kept), "removed": len(docs) - len(kept)}
     return kept, report
 
 
-def _shuffle_split(
-    keys: list[tuple[str, str]], fraction: float, seed: int
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+def aligned(keys: list[tuple[str, str]], table: dict, what: str) -> list:
+    """``table``'s entry for each key, in order: a (host, kind)-keyed file
+    joined onto the rows; a missing key is a DataError naming the document."""
+    for host, kind in keys:
+        if (host, kind) not in table:
+            raise DataError(f"document {host} ({kind}) has no {what}")
+    return [table[key] for key in keys]
+
+
+def _shuffle_split(rows: list[int], fraction: float, seed: int) -> tuple[list[int], list[int]]:
     """Deterministic shuffle; the first ceil(fraction * n) go to train."""
-    if len(keys) < 2:
+    if len(rows) < 2:
         raise DataError("need at least 2 documents to split")
-    ordered = sorted(keys)
-    random.Random(seed).shuffle(ordered)
-    n_train = math.ceil(fraction * len(ordered))
-    return ordered[:n_train], ordered[n_train:]
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    n_train = math.ceil(fraction * len(shuffled))
+    return shuffled[:n_train], shuffled[n_train:]
 
 
 def split_keys(
     keys: list[tuple[str, str]],
     cfg: PipelineConfig,
-    labels: dict[tuple[str, str], Label] | None = None,
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
-    """The train/test split of document keys by ``cfg.train_frac`` and
-    ``cfg.split_seed``; independent of the order of ``keys``.
+    labels: list[Label] | None = None,
+) -> tuple[list[int], list[int]]:
+    """(train rows, test rows): the indices into ``keys`` split by
+    ``cfg.train_frac`` and ``cfg.split_seed``. The rows are shuffled in key
+    order, so one set of keys splits the same way in any order.
 
     With ``cfg.stratified`` each class is split on its own (a class of one
-    goes to train), which needs ``labels``.
+    goes to train), which needs ``labels``, one per key.
     """
+    rows = sorted(range(len(keys)), key=keys.__getitem__)
     if not cfg.stratified:
-        return _shuffle_split(keys, cfg.train_frac, cfg.split_seed)
+        return _shuffle_split(rows, cfg.train_frac, cfg.split_seed)
     if labels is None:
         raise DataError("stratified split needs labels")
-    for host, kind in keys:
-        if (host, kind) not in labels:
-            raise DataError(f"document {host} ({kind}) has no label")
-    train: list[tuple[str, str]] = []
-    test: list[tuple[str, str]] = []
+    train: list[int] = []
+    test: list[int] = []
     for cls in CLASSES:
-        group = [k for k in keys if labels[k].label == cls]
+        group = [i for i in rows if labels[i].label == cls]
         if len(group) == 1:
             train.extend(group)
         elif group:
@@ -99,17 +111,6 @@ def split_keys(
             train.extend(tr)
             test.extend(te)
     return train, test
-
-
-def split_documents(
-    docs: list[SubdomainDocument],
-    cfg: PipelineConfig,
-    labels: dict[tuple[str, str], Label] | None = None,
-) -> tuple[list[SubdomainDocument], list[SubdomainDocument]]:
-    """``split_keys`` over documents: (train documents, test documents)."""
-    by_key = {(d.host, d.kind): d for d in docs}
-    train_keys, test_keys = split_keys(list(by_key), cfg, labels)
-    return [by_key[k] for k in train_keys], [by_key[k] for k in test_keys]
 
 
 @dataclass
@@ -172,14 +173,17 @@ def compute_metrics(
 
 
 def evaluate(
-    predictions: dict[tuple[str, str], tuple[int, float]],
-    test_docs: list[SubdomainDocument],
-    labels: dict[tuple[str, str], Label],
+    docs: list[SubdomainDocument],
+    labels: list[Label],
+    predictions: list[int],
+    rows: list[int],
     mode: str,
     weight_by: str,
     overrides: dict[str, str] | None = None,
 ) -> MetricsReport:
-    """Weighted metrics over already-computed predictions.
+    """Weighted metrics over the already-computed predictions at ``rows``
+    (the test split); ``labels`` and ``predictions`` hold one entry per
+    document of ``docs``.
 
     Biased mode weights each document by how many first parties reached it
     (or by raw URL count with ``weight_by="urls"``); unbiased gives every
@@ -187,15 +191,9 @@ def evaluate(
     """
     if mode not in ("biased", "unbiased"):
         raise DataError(f"unknown metrics mode {mode!r}")
-    rows = []
-    for doc in test_docs:
-        key = (doc.host, doc.kind)
-        if key not in labels:
-            raise DataError(f"document {doc.host} ({doc.kind}) has no label")
-        if key not in predictions:
-            raise DataError(f"document {doc.host} ({doc.kind}) has no prediction")
-        pred, _ = predictions[key]
-        truth = labels[key].label
+    weighted = []
+    for i in rows:
+        doc, truth = docs[i], labels[i].label
         if overrides and doc.host in overrides:
             truth = overrides[doc.host]
         if mode == "unbiased":
@@ -204,23 +202,24 @@ def evaluate(
             weight = float(len(doc.sites))
         else:
             weight = float(sum(doc.urls.values()))
-        rows.append((truth, CLASSES[pred], weight))
-    return compute_metrics(rows, mode, corrected=overrides is not None)
+        weighted.append((truth, CLASSES[predictions[i]], weight))
+    return compute_metrics(weighted, mode, corrected=overrides is not None)
 
 
 def evaluate_all(
-    predictions: dict[tuple[str, str], tuple[int, float]],
-    test_docs: list[SubdomainDocument],
-    labels: dict[tuple[str, str], Label],
+    docs: list[SubdomainDocument],
+    labels: list[Label],
+    predictions: list[int],
+    rows: list[int],
     cfg: PipelineConfig,
     overrides: dict[str, str] | None = None,
 ) -> dict[str, MetricsReport]:
-    """The report set: unbiased and biased metrics, and the same two
-    corrected by ``overrides`` when there are any."""
+    """The report set over ``rows``: unbiased and biased metrics, and the
+    same two corrected by ``overrides`` when there are any."""
     variants = [("", None)] + ([("corrected_", overrides)] if overrides else [])
     return {
         f"{prefix}{mode}": evaluate(
-            predictions, test_docs, labels, mode, cfg.weight_by, corrected
+            docs, labels, predictions, rows, mode, cfg.weight_by, corrected
         )
         for prefix, corrected in variants
         for mode in ("unbiased", "biased")
@@ -233,21 +232,24 @@ def reports_text(reports: dict[str, MetricsReport]) -> str:
 
 def emit_candidate_rules(
     index: GraphIndex,
-    scored: list[tuple[SubdomainDocument, int, float]],
+    docs: list[SubdomainDocument],
+    scored: list[tuple],
     rules: RuleSet,
-    labels: dict[tuple[str, str], Label],
+    labels: list[Label] | None = None,
 ) -> str:
     """Block-rule lines for predicted AdTrackers the lists do not yet hit.
 
-    A document ``labels`` marks as a filter-list AdTracker is block-matched
-    by definition, so only the others are matched again.
+    ``scored`` holds each document's (prediction, score, ...) and
+    ``labels``, when given, its label. A document labelled a filter-list
+    AdTracker is block-matched by definition, so only the others are
+    matched again.
     """
     listed = Label(ADTRACKER, "filterlist")
     selected = []
-    for doc, pred, score in scored:
+    for doc, (pred, score, *_), label in zip(docs, scored, labels or [None] * len(docs)):
         if pred != 1:
             continue
-        if labels.get((doc.host, doc.kind)) == listed or document_block_matched(rules, doc):
+        if label == listed or document_block_matched(rules, doc):
             continue
         selected.append((score, doc.host, *coverage(index, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))
@@ -279,18 +281,18 @@ def coverage_ccdf(values: list[float]) -> list[dict]:
 def analysis_tables(
     index: GraphIndex,
     docs: list[SubdomainDocument],
-    labels: dict[tuple[str, str], Label],
+    labels: list[Label],
     vocabulary: content_mod.Vocabulary | None = None,
-    doc_terms: dict[tuple[str, str], frozenset[str]] | None = None,
+    doc_terms: list[frozenset[str]] | None = None,
     top_terms: int = 20,
 ) -> dict:
     """Degree-bucket class mix, coverage CCDF points, keyword rates.
 
-    ``doc_terms`` maps each document's (host, kind) to the vocabulary terms
-    it contains, as ``content_rows`` returns them; keyword rates need it
-    along with ``vocabulary``.
+    ``labels`` holds one label per document of ``docs``, and ``doc_terms``
+    the vocabulary terms each contains, as ``content_rows`` returns them;
+    keyword rates need it along with ``vocabulary``.
     """
-    classes = [labels[(doc.host, doc.kind)].label for doc in docs]
+    classes = [label.label for label in labels]
     degrees = [index.degree(doc.parent) for doc in docs]
 
     def bucket_name(lo, hi):
@@ -325,8 +327,8 @@ def analysis_tables(
     keywords = []
     if vocabulary is not None:
         by_class = {cls: [] for cls in CLASSES}
-        for doc, cls in zip(docs, classes):
-            by_class[cls].append(doc_terms[(doc.host, doc.kind)])
+        for terms, cls in zip(doc_terms, classes):
+            by_class[cls].append(terms)
         for term in vocabulary.terms[:top_terms]:
             rates = {
                 cls: (
@@ -385,10 +387,9 @@ def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list
     return header, rows
 
 
-def write_labels_file(labels: dict[tuple[str, str], Label]) -> bytes:
+def write_labels_file(keys: list[tuple[str, str]], labels: list[Label]) -> bytes:
     lines = ["\t".join(_LABELS_HEADER)]
-    for (host, kind) in sorted(labels):
-        lab = labels[(host, kind)]
+    for (host, kind), lab in zip(keys, labels):
         lines.append(f"{host}\t{kind}\t{lab.label}\t{lab.source}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -405,9 +406,11 @@ def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
     return out
 
 
-def write_scores_file(rows: list[tuple[str, str, int, float, str]]) -> bytes:
+def write_scores_file(
+    keys: list[tuple[str, str]], scored: list[tuple[int, float, str]]
+) -> bytes:
     lines = ["\t".join(_SCORES_HEADER)]
-    for host, kind, pred, score, basis in sorted(rows):
+    for (host, kind), (pred, score, basis) in zip(keys, scored):
         lines.append(f"{host}\t{kind}\t{CLASSES[pred]}\t{score!r}\t{basis}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -530,10 +533,12 @@ def load_config(cls, path: str | Path | None):
     """Build dataclass ``cls`` from ``key = value`` lines ('#' comments);
     a key the file leaves out, or every key when ``path`` is None, keeps
     its field default. Each value is converted by its field's annotation;
-    one that does not convert is a DataError naming its key and line.
+    one that does not convert is a DataError naming its key and line, and
+    so is an unknown key, or a key set twice (naming both lines).
     """
     types = {f.name: f.type for f in fields(cls)}
     values = {}
+    first_line: dict[str, int] = {}
     lines = _read_utf8(path).splitlines() if path is not None else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -543,7 +548,10 @@ def load_config(cls, path: str | Path | None):
             raise DataError(f"bad config line {lineno}: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
-            raise DataError(f"unknown config key {key!r}")
+            raise DataError(f"unknown config key {key!r} on config line {lineno}")
+        earlier = first_line.setdefault(key, lineno)
+        if earlier != lineno:
+            raise DataError(f"config key {key} on line {lineno} repeats line {earlier}")
         try:
             values[key] = _CONVERTERS[types[key]](value)
         except ValueError:
@@ -671,14 +679,14 @@ def read_overrides(path: str | Path | None) -> dict[str, str] | None:
 
 def content_features(
     eligible: list[SubdomainDocument],
-    train_docs: list[SubdomainDocument],
+    train_rows: list[int],
     cfg: PipelineConfig,
 ):
     """(vocabulary, content_rows of ``eligible``): each document is
-    tokenized once, and the vocabulary is built from the training documents
-    (a subset of ``eligible``) only."""
-    counts = {(d.host, d.kind): content_mod.doc_token_counts(d) for d in eligible}
-    train = [counts[(d.host, d.kind)] for d in train_docs]
+    tokenized once, and the vocabulary is built from the training rows
+    only."""
+    counts = [content_mod.doc_token_counts(d) for d in eligible]
+    train = [counts[i] for i in train_rows]
     vocabulary = content_mod.build_vocabulary(train, cfg.vocab_size, cfg.vocab_rank)
     return vocabulary, content_mod.content_rows(eligible, counts, vocabulary, cfg.clamp_idf)
 
@@ -700,18 +708,36 @@ def assemble_all_vectors(
 
 
 def train_forest(
-    X_train: np.ndarray,
-    train_keys: list[tuple[str, str]],
-    labels: dict[tuple[str, str], Label],
-    cfg: PipelineConfig,
+    X_train: np.ndarray, labels: list[Label], cfg: PipelineConfig
 ) -> forest_mod.ForestModel:
-    """The forest trained on ``X_train``, whose rows are ``train_keys``,
-    with the config's forest parameters."""
-    y = np.array([CLASSES.index(labels[k].label) for k in train_keys])
+    """The forest trained on ``X_train``, one label per row, with the
+    config's forest parameters."""
+    y = np.array([CLASSES.index(label.label) for label in labels])
     try:
         return forest_mod.train(X_train, y, cfg.forest_params())
     except forest_mod.ForestError as exc:
         raise DataError(str(exc)) from exc
+
+
+def score_rows(
+    model: forest_mod.ForestModel, X: np.ndarray, train_rows: list[int] = ()
+) -> list[tuple[int, float, str]]:
+    """(prediction, adtracker score, basis) of each row of ``X``. The rows
+    ``model`` was trained on, ``train_rows`` in training order, are scored
+    out-of-bag (``oob``): a fully grown forest memorizes its training
+    labels, which would hide the unlisted trackers candidate emission
+    exists to find. Every other row gets the full forest's vote (``full``)."""
+    preds = np.zeros(len(X), dtype=np.int64)
+    scores = np.zeros(len(X))
+    full = np.ones(len(X), dtype=bool)
+    if len(train_rows):
+        full[train_rows] = False
+        preds[train_rows], scores[train_rows] = forest_mod.oob_predict(model, X[train_rows])
+    full_rows = np.flatnonzero(full)
+    if len(full_rows):
+        preds[full_rows], scores[full_rows] = forest_mod.predict(model, X[full_rows])
+    basis = np.where(full, "full", "oob")
+    return list(zip(preds.tolist(), scores.tolist(), basis.tolist()))
 
 
 def run_all(cfg: PipelineConfig) -> dict:
@@ -733,56 +759,32 @@ def run_all(cfg: PipelineConfig) -> dict:
     struct = structural_matrix(index, cfg)
     (out / "structural.tsv").write_bytes(write_struct_matrix(struct))
 
+    # From here on each per-document fact is a list indexed by row.
     eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
     if len(eligible) < 2:
         raise DataError("fewer than 2 eligible documents; nothing to learn from")
+    keys = list(map(doc_key, eligible))
 
-    labels = {(d.host, d.kind): label_document(ruleset, d) for d in eligible}
-    (out / "labels.tsv").write_bytes(write_labels_file(labels))
+    labels = [label_document(ruleset, d) for d in eligible]
+    (out / "labels.tsv").write_bytes(write_labels_file(keys, labels))
 
-    train_docs, test_docs = split_documents(eligible, cfg, labels)
-    vocabulary, (keys, columns, content_values, doc_terms) = content_features(
-        eligible, train_docs, cfg
-    )
+    train, test = split_keys(keys, cfg, labels)
+    vocabulary, (columns, content_values, doc_terms) = content_features(eligible, train, cfg)
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
-    (out / "content.tsv").write_bytes(
-        write_content_matrix(keys, columns, content_values)
-    )
+    (out / "content.tsv").write_bytes(write_content_matrix(keys, columns, content_values))
     X = assemble_all_vectors(keys, content_values, struct)
     del content_values  # X now holds the only copy
 
-    train_keys = [(d.host, d.kind) for d in train_docs]
-    row_of = {key: i for i, key in enumerate(keys)}
-    X_train = X[[row_of[key] for key in train_keys]]
-    model = train_forest(X_train, train_keys, labels, cfg)
+    model = train_forest(X[train], [labels[i] for i in train], cfg)
     (out / "model.txt").write_bytes(forest_mod.save_model(model))
 
-    # Training rows are scored out-of-bag: a fully grown forest memorizes its
-    # training labels, which would mask any list-label disagreement there and
-    # hide exactly the unlisted trackers candidate emission exists to find.
-    oob_labels, oob_scores = forest_mod.oob_predict(model, X_train)
-    predictions = {
-        key: (int(pred), float(score))
-        for key, pred, score in zip(train_keys, oob_labels, oob_scores)
-    }
-    full_rows = [i for i, key in enumerate(keys) if key not in predictions]
-    if full_rows:
-        full_labels, full_scores = forest_mod.predict(model, X[full_rows])
-        predictions.update(
-            (keys[i], (int(pred), float(score)))
-            for i, pred, score in zip(full_rows, full_labels, full_scores)
-        )
-    full = {keys[i] for i in full_rows}
-    scored_docs = [(d, *predictions[(d.host, d.kind)]) for d in eligible]
-    score_rows = [
-        (d.host, d.kind, pred, score, "full" if (d.host, d.kind) in full else "oob")
-        for d, pred, score in scored_docs
-    ]
-    (out / "scores.tsv").write_bytes(write_scores_file(score_rows))
+    scored = score_rows(model, X, train)
+    (out / "scores.tsv").write_bytes(write_scores_file(keys, scored))
 
-    reports = evaluate_all(predictions, test_docs, labels, cfg, overrides)
+    predictions = [pred for pred, _, _ in scored]
+    reports = evaluate_all(eligible, labels, predictions, test, cfg, overrides)
 
-    candidates = emit_candidate_rules(index, scored_docs, ruleset, labels)
+    candidates = emit_candidate_rules(index, eligible, scored, ruleset, labels)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
 
     names = content_mod.feature_names(vocabulary, struct.columns)
@@ -794,19 +796,15 @@ def run_all(cfg: PipelineConfig) -> dict:
         "sites": ingested.sites,
         "ingest_skips": dict(sorted(ingested.skipped.items())),
         "eligibility": elig_report,
-        "split": {"train": len(train_docs), "test": len(test_docs)},
+        "split": {"train": len(train), "test": len(test)},
         "rules": {
             "parsed": ruleset.rule_count,
             "skipped": dict(sorted(ruleset.skip_report.items())),
         },
-        "label_counts": dict(
-            Counter(lab.label for lab in labels.values()).most_common()
-        ),
+        "label_counts": dict(Counter(lab.label for lab in labels).most_common()),
         "reports": {name: rep.to_dict() for name, rep in reports.items()},
         "feature_importance": importance,
-        "analysis": analysis_tables(
-            index, eligible, labels, vocabulary, dict(zip(keys, doc_terms))
-        ),
+        "analysis": analysis_tables(index, eligible, labels, vocabulary, doc_terms),
     }
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"

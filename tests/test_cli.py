@@ -134,9 +134,13 @@ def test_synth_unknown_key_exits_two(tmp_path, capsys):
         ("stratified = ture", "error: bad value for stratified on config line 3: 'ture'\n"),
         ("n_trees = ten", "error: bad value for n_trees on config line 3: 'ten'\n"),
         # a knob that no longer exists is not silently accepted
-        ("directed_neighbors = true", "error: unknown config key 'directed_neighbors'\n"),
+        ("directed_neighbors = true",
+         "error: unknown config key 'directed_neighbors' on config line 3\n"),
+        # a pasted-in block does not silently override an earlier setting
+        ("out_dir = elsewhere",
+         "error: config key out_dir on line 3 repeats line 2\n"),
     ],
-    ids=["misspelled_bool", "bad_int", "removed_knob"],
+    ids=["misspelled_bool", "bad_int", "removed_knob", "repeated_key"],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -633,9 +637,10 @@ def test_smallest_accepted_value_runs(corpus_dir, tmp_path, line):
     """The edge of each rule is legal: run-all takes it to the end."""
     out_dir = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
+    small_forest = "" if line.startswith("n_trees") else "n_trees = 5\n"  # a key is set once
     cfg.write_text(
         f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
-        f"out_dir = {out_dir}\nn_trees = 5\n{line}\n"
+        f"out_dir = {out_dir}\n{small_forest}{line}\n"
     )
     assert main(["run-all", "--config", str(cfg)]) == 0
     assert (out_dir / "report.json").exists()

@@ -193,14 +193,15 @@ class TestEngineered:
 def assemble_vector(document, vocabulary, struct_row):
     """One document's [keywords | engineered | structural] vector, built by
     the same content-row and join functions the pipeline uses."""
-    tokens = {(document.host, document.kind): doc_token_counts(document)}
-    keys, _, values, _ = content_rows([document], tokens, vocabulary, clamp_idf=False)
+    _, values, _ = content_rows(
+        [document], [doc_token_counts(document)], vocabulary, clamp_idf=False
+    )
     struct = StructMatrix(
         keys=[document.parent],
         columns=[f"s{i}" for i in range(len(struct_row))],
         values=np.array([struct_row], dtype=float),
     )
-    return assemble_all_vectors(keys, values, struct)[0]
+    return assemble_all_vectors([(document.host, document.kind)], values, struct)[0]
 
 
 class TestAssemble:

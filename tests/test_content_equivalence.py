@@ -159,17 +159,16 @@ def test_content_rows_cells_equal_tfidf(docs, k, clamp_idf):
         SubdomainDocument(f"h{i}.t.net", d.kind, d.urls, d.sites, d.parent)
         for i, d in enumerate(docs)
     ]
-    tokens = {(d.host, d.kind): doc_token_counts(d) for d in docs}
-    vocabulary = build_vocabulary(list(tokens.values()), k, "df")
-    keys, columns, values, terms = content_rows(docs, tokens, vocabulary, clamp_idf)
+    tokens = [doc_token_counts(d) for d in docs]
+    vocabulary = build_vocabulary(tokens, k, "df")
+    columns, values, terms = content_rows(docs, tokens, vocabulary, clamp_idf)
     n = len(vocabulary.terms)
-    assert keys == sorted(keys) and len(columns) == n + 5
-    for i, key in enumerate(keys):
-        doc = next(d for d in docs if (d.host, d.kind) == key)
-        cells = [tfidf(t, tokens[key], vocabulary, clamp_idf) for t in vocabulary.terms]
+    assert len(columns) == n + 5 and len(values) == len(terms) == len(docs)
+    for i, doc in enumerate(docs):
+        cells = [tfidf(t, tokens[i], vocabulary, clamp_idf) for t in vocabulary.terms]
         assert list(map(repr, values[i, :n].tolist())) == list(map(repr, cells))
         assert values[i, n:].tolist() == engineered(doc)
-        assert terms[i] == frozenset(t for t in tokens[key] if t in vocabulary)
+        assert terms[i] == frozenset(t for t in tokens[i] if t in vocabulary)
 
 
 _CELLS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, -3.0, 1e16, 0.1, 1 / 3, math.pi)

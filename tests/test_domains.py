@@ -51,6 +51,14 @@ def test_empty_hostname_rejected():
         registrable_domain("a..b.com")
 
 
+
+@pytest.mark.parametrize("hostname", ["a\tb.net", "a\x85b.net", "px.t.net\x00"])
+def test_unprintable_hostname_rejected(hostname):
+    """A tab or line break would end a cell or row of a TSV artifact."""
+    with pytest.raises(DomainError, match="is not printable"):
+        registrable_domain(hostname)
+
+
 _labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
 _suffixes = st.sampled_from(["com", "net", "co.uk", "org", "de", "com.au", "zz"])
 

@@ -626,6 +626,18 @@ def test_hand_written_graph_loads_and_re_saves_byte_for_byte():
          r"edge into first-party node \('r.com', 'firstparty'\)"),
         (_EDGE_AT, '"l": "media"', '"l": "bounced"',
          r"bounced edge from third-party node \('a.net', 'script'\)"),
+        # contract_tree drops self-edges and labels an edge with its
+        # target's kind unless it is Bounced.
+        (_EDGE_AT + 1, '"s": ["q.com", "firstparty"]', '"s": ["a.net", "script"]',
+         r"self-loop edge on \('a.net', 'script'\)"),
+        (_EDGE_AT, '"x": ["b.net", "media"]', '"x": ["a.net", "script"]',
+         "edge label 'media' is neither its target's kind 'script' nor bounced"),
+        (_EDGE_AT, '"l": "media"', '"l": "wedge"',
+         "edge label 'wedge' is neither its target's kind 'media' nor bounced"),
+        (_EDGE_AT, '"l": "media"', '"l": "script"',
+         "edge label 'script' is neither its target's kind 'media' nor bounced"),
+        (_EDGE_AT + 1, '"l": "script"', '"l": "iframe"',
+         "edge label 'iframe' is neither its target's kind 'script' nor bounced"),
         (_DOC_AT, '["https://px.a.net/b.js", 1]', '["https://px.a.net/a.js", 1]',
          "document lists url 'https://px.a.net/a.js' twice"),
         (_DOC_AT, '["https://px.a.net/b.js", 1]', '["https://px.a.net/b.js", 0]',

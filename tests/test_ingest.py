@@ -346,6 +346,44 @@ def test_hosts_equal_a_fresh_split_from_either_source():
     assert saved[0] == saved[1]
 
 
+@pytest.mark.parametrize("url", ["https://a..b.com/x.js", "https://.a.com/x"])
+def test_empty_dns_label_is_skipped_as_bad_host(url):
+    embedded = entry(url, rt="script", initiator={"type": "parser"})
+    record = parse_har(har_bytes([entry(PAGE, rt="document"), embedded]))
+    assert [e.url for e in record.entries] == [PAGE]
+    assert record.skipped == {"bad_host": 1}
+
+
+def test_unicode_host_and_its_punycode_stay_two_hosts_through_both_files():
+    """Hosts get no IDNA mapping: a Unicode host and its punycode spelling
+    are each accepted as written, as two hosts on two nodes, and both come
+    back from trees.jsonl and from graph.jsonl."""
+    from widetrack.graph import build_widegraph, load_graph, save_graph
+
+    spellings = {
+        "https://b\u00fccher.example/x.js": "b\u00fccher.example",
+        "https://xn--bcher-kva.example/x.js": "xn--bcher-kva.example",
+    }
+    record = parse_har(
+        har_bytes(
+            [entry(PAGE, rt="document")]
+            + [entry(u, rt="script", initiator={"type": "parser"}) for u in spellings]
+        )
+    )
+    assert record.skip_count == 0
+    tree = build_tree(record)
+    assert {u: tree.hosts[u] for u in spellings} == spellings
+    (loaded,) = read_trees(io.BytesIO(trees_file([tree])))
+    assert loaded.hosts == tree.hosts
+    out = io.BytesIO()
+    save_graph(build_widegraph([loaded]), out)
+    graph = load_graph(out.getvalue())
+    assert graph == build_widegraph([tree])
+    hosts = set(spellings.values())
+    assert {d.host for d in graph.documents()} == hosts
+    assert {key.domain for key in graph.third_party_keys()} == hosts
+
+
 def test_trees_file_streams_one_record_at_a_time():
     tree = build_tree(parse_har(chain_fixture()))
     stream = io.BytesIO(trees_file([tree]) + b"not json\n")

@@ -15,6 +15,7 @@ from widetrack.graph import (
 from widetrack.pipeline import (
     DataError,
     PipelineConfig,
+    aligned,
     analysis_tables,
     compute_metrics,
     emit_candidate_rules,
@@ -25,12 +26,13 @@ from widetrack.pipeline import (
     read_labels_file,
     read_scores_file,
     read_struct_matrix,
-    split_documents,
+    score_rows,
     split_keys,
     write_content_matrix,
     write_labels_file,
     write_scores_file,
 )
+from widetrack.synth import EcosystemConfig
 
 
 def make_doc(host, kind="script", n_urls=1, sites=("s0.com",)):
@@ -88,30 +90,29 @@ class TestFilterEligible:
 
 
 class TestSplit:
-    def docs(self, n):
-        return [make_doc(f"px.d{i:02d}.net") for i in range(n)]
+    def keys(self, n):
+        return [(f"px.d{i:02d}.net", "script") for i in range(n)]
 
     def test_ten_docs_default_fraction(self):
-        train, test = split_documents(self.docs(10), PipelineConfig())
+        train, test = split_keys(self.keys(10), PipelineConfig())
         assert (len(train), len(test)) == (8, 2)
 
     def test_ceil_rounding(self):
-        train, test = split_documents(self.docs(5), PipelineConfig(train_frac=0.5))
+        train, test = split_keys(self.keys(5), PipelineConfig(train_frac=0.5))
         assert (len(train), len(test)) == (3, 2)
 
     def test_same_seed_same_split(self):
-        docs = self.docs(20)
-        s1 = split_documents(docs, PipelineConfig(split_seed=77))
-        s2 = split_documents(list(reversed(docs)), PipelineConfig(split_seed=77))
-        assert [d.host for d in s1[0]] == [d.host for d in s2[0]]
+        keys = self.keys(20)
+        reordered = list(reversed(keys))
+        s1 = split_keys(keys, PipelineConfig(split_seed=77))
+        s2 = split_keys(reordered, PipelineConfig(split_seed=77))
+        for rows1, rows2 in zip(s1, s2):
+            assert [keys[i] for i in rows1] == [reordered[i] for i in rows2]
 
     def test_disjoint_and_exhaustive(self):
-        docs = self.docs(13)
-        train, test = split_documents(docs, PipelineConfig(train_frac=0.7, split_seed=5))
-        train_keys = {(d.host, d.kind) for d in train}
-        test_keys = {(d.host, d.kind) for d in test}
-        assert not train_keys & test_keys
-        assert train_keys | test_keys == {(d.host, d.kind) for d in docs}
+        train, test = split_keys(self.keys(13), PipelineConfig(train_frac=0.7, split_seed=5))
+        assert not set(train) & set(test)
+        assert sorted(train + test) == list(range(13))
 
     def test_large_corpus_rounding(self):
         keys = [(f"h{i:05d}.net", "script") for i in range(18979)]
@@ -119,18 +120,17 @@ class TestSplit:
         assert (len(train), len(test)) == (15184, 3795)
 
     def test_stratified_keeps_both_classes_in_train(self):
-        docs = self.docs(10)
-        labels = {
-            (d.host, d.kind): Label(ADTRACKER if i < 2 else BENIGN, "filterlist")
-            for i, d in enumerate(docs)
-        }
-        train, test = split_documents(docs, PipelineConfig(stratified=True), labels)
-        train_classes = {labels[(d.host, d.kind)].label for d in train}
-        assert train_classes == {ADTRACKER, BENIGN}
+        labels = [
+            Label(ADTRACKER if i < 2 else BENIGN, "filterlist") for i in range(10)
+        ]
+        train, test = split_keys(self.keys(10), PipelineConfig(stratified=True), labels)
+        assert {labels[i].label for i in train} == {ADTRACKER, BENIGN}
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DataError):
-            split_documents(self.docs(1), PipelineConfig())
+            split_keys(self.keys(1), PipelineConfig())
+        with pytest.raises(DataError, match="stratified split needs labels"):
+            split_keys(self.keys(4), PipelineConfig(stratified=True))
         # the config checks the fraction once, before any stage
         for frac in (1.0, 0.0):
             with pytest.raises(DataError, match=r"train fraction must be in \(0, 1\)"):
@@ -181,60 +181,77 @@ class TestEvaluatePredictions:
             make_doc("px.t.net", sites=(f"s{i}.com" for i in range(9))),
             make_doc("cdn.good.org", sites=("s0.com",)),
         ]
-        labels = {
-            ("px.t.net", "script"): Label(ADTRACKER, "filterlist"),
-            ("cdn.good.org", "script"): Label(BENIGN, "filterlist"),
-        }
+        labels = [Label(ADTRACKER, "filterlist"), Label(BENIGN, "filterlist")]
         return docs, labels
 
     def test_biased_vs_unbiased_weighting(self):
         docs, labels = self.fixture()
-        predictions = {
-            ("px.t.net", "script"): (1, 0.9),  # correct, weight 9
-            ("cdn.good.org", "script"): (1, 0.8),  # wrong, weight 1
-        }
-        biased = evaluate(predictions, docs, labels, "biased", "sites")
-        unbiased = evaluate(predictions, docs, labels, "unbiased", "sites")
+        predictions = [1, 1]  # px.t.net correct, weight 9; cdn.good.org wrong, weight 1
+        biased = evaluate(docs, labels, predictions, [0, 1], "biased", "sites")
+        unbiased = evaluate(docs, labels, predictions, [0, 1], "unbiased", "sites")
         assert biased.accuracy == pytest.approx(0.9)
         assert unbiased.accuracy == pytest.approx(0.5)
+        # only the rows named are scored
+        held_out = evaluate(docs, labels, predictions, [1], "biased", "sites")
+        assert (held_out.accuracy, held_out.total_weight) == (0.0, 1.0)
 
     def test_equal_weights_make_modes_agree(self):
         docs, labels = self.fixture()
         docs[0].sites = {"s0.com"}
-        predictions = {
-            ("px.t.net", "script"): (1, 0.9),
-            ("cdn.good.org", "script"): (0, 0.1),
-        }
-        biased = evaluate(predictions, docs, labels, "biased", "sites")
-        unbiased = evaluate(predictions, docs, labels, "unbiased", "sites")
+        predictions = [1, 0]
+        biased = evaluate(docs, labels, predictions, [0, 1], "biased", "sites")
+        unbiased = evaluate(docs, labels, predictions, [0, 1], "unbiased", "sites")
         assert biased.to_dict() | {"mode": ""} == unbiased.to_dict() | {"mode": ""}
 
     def test_overrides_correct_false_positives(self):
         docs, labels = self.fixture()
-        predictions = {
-            ("px.t.net", "script"): (1, 0.9),
-            ("cdn.good.org", "script"): (1, 0.8),  # model right, list wrong
-        }
-        plain = evaluate(predictions, docs, labels, "unbiased", "sites")
+        predictions = [1, 1]  # cdn.good.org: model right, list wrong
+        plain = evaluate(docs, labels, predictions, [0, 1], "unbiased", "sites")
         corrected = evaluate(
-            predictions, docs, labels, "unbiased", "sites", {"cdn.good.org": ADTRACKER}
+            docs, labels, predictions, [0, 1], "unbiased", "sites", {"cdn.good.org": ADTRACKER}
         )
         assert corrected.corrected
         assert corrected.accuracy >= plain.accuracy
         assert corrected.accuracy == 1.0
 
     def test_missing_label_and_vector_named(self):
+        """A file's rows join onto the documents' rows by (host, kind); a
+        document the file lacks is named."""
         docs, labels = self.fixture()
-        with pytest.raises(DataError, match="px.t.net"):
-            evaluate({}, docs, labels, "unbiased", "sites")
-        del labels[("px.t.net", "script")]
-        with pytest.raises(DataError, match="px.t.net"):
-            evaluate({}, docs, labels, "unbiased", "sites")
+        keys = [(d.host, d.kind) for d in docs]
+        table = dict(zip(keys, labels))
+        assert aligned(keys[::-1], table, "label") == labels[::-1]
+        with pytest.raises(DataError, match=r"^document px.t.net \(script\) has no prediction$"):
+            aligned(keys, {}, "prediction")
+        del table[("px.t.net", "script")]
+        with pytest.raises(DataError, match=r"^document px.t.net \(script\) has no label$"):
+            aligned(keys, table, "label")
 
     def test_unknown_mode_rejected(self):
         docs, labels = self.fixture()
         with pytest.raises(DataError):
-            evaluate({}, docs, labels, "sideways", "sites")
+            evaluate(docs, labels, [0, 0], [0, 1], "sideways", "sites")
+
+
+class TestScoreRows:
+    def test_training_rows_out_of_bag_and_the_rest_full(self):
+        from widetrack import forest
+
+        rng = np.random.default_rng(3)
+        X = rng.random((30, 4))
+        y = (X[:, 0] + 0.3 * rng.random(30) > 0.6).astype(np.int64)
+        train = [int(i) for i in rng.permutation(30)[:20]]
+        model = forest.train(X[train], y[train], forest.ForestParams(n_trees=9, seed=1))
+        oob_preds, oob_scores = forest.oob_predict(model, X[train])
+        full_preds, full_scores = forest.predict(model, X)
+        expected = list(zip(full_preds.tolist(), full_scores.tolist(), ["full"] * 30))
+        assert score_rows(model, X) == expected
+        for j, i in enumerate(train):
+            expected[i] = (int(oob_preds[j]), float(oob_scores[j]), "oob")
+        scored = score_rows(model, X, train)
+        assert scored == expected
+        # the full forest echoes training labels the out-of-bag votes do not
+        assert any(scored[i][1] != full_scores[i] for i in train)
 
 
 class TestEmitCandidateRules:
@@ -252,14 +269,14 @@ class TestEmitCandidateRules:
         doc = make_doc("px.known.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.known.net^")
-        text = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.99)], rules, {})
+        text = emit_candidate_rules(GraphIndex(g), [doc], [(1, 0.99)], rules)
         assert "||px.known.net^" not in text.splitlines()
 
     def test_unblocked_predicted_tracker_emitted(self):
         doc = make_doc("data.sparkflow.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.other.net^")
-        lines = emit_candidate_rules(GraphIndex(g), [(doc, 1, 0.87)], rules, {}).splitlines()
+        lines = emit_candidate_rules(GraphIndex(g), [doc], [(1, 0.87)], rules).splitlines()
         assert "||data.sparkflow.net^" in lines
         comment = lines[lines.index("||data.sparkflow.net^") - 1]
         assert "score=0.8700" in comment and "direct_coverage=" in comment
@@ -267,19 +284,19 @@ class TestEmitCandidateRules:
     def test_benign_predictions_not_emitted(self):
         doc = make_doc("cdn.good.org")
         g = self.graph_for([doc])
-        text = emit_candidate_rules(GraphIndex(g), [(doc, 0, 0.2)], parse_rules(""), {})
+        text = emit_candidate_rules(GraphIndex(g), [doc], [(0, 0.2)], parse_rules(""))
         assert "cdn.good.org" not in text
 
     def test_empty_predictions_still_header(self):
         g = self.graph_for([])
-        text = emit_candidate_rules(GraphIndex(g), [], parse_rules(""), {})
+        text = emit_candidate_rules(GraphIndex(g), [], [], parse_rules(""))
         assert text.startswith("!")
         assert "0 candidate(s)" in text
 
     def test_sorted_by_score_descending(self):
         d1, d2 = make_doc("a.one.net"), make_doc("b.two.net")
         g = self.graph_for([d1, d2])
-        text = emit_candidate_rules(GraphIndex(g), [(d1, 1, 0.6), (d2, 1, 0.9)], parse_rules(""), {})
+        text = emit_candidate_rules(GraphIndex(g), [d1, d2], [(1, 0.6), (1, 0.9)], parse_rules(""))
         rules = [l for l in text.splitlines() if l.startswith("||")]
         assert rules == ["||b.two.net^", "||a.one.net^"]
 
@@ -306,20 +323,21 @@ class TestEmitWithRunAllLabels:
                 n_trees=20,
             )
         )
-        (index, scored, ruleset, labels), = seen
+        (index, docs, scored, ruleset, labels), = seen
         matched = []
         monkeypatch.setattr(
             pipeline, "document_block_matched",
             lambda r, d: matched.append((d.host, d.kind)) or block_matched(r, d),
         )
-        text = emit(index, scored, ruleset, labels)
+        text = emit(index, docs, scored, ruleset, labels)
         assert text == (tmp_path / "out" / "candidate-rules.txt").read_text()
-        listed = {key for key, lab in labels.items() if lab == Label(ADTRACKER, "filterlist")}
-        predicted = {(d.host, d.kind) for d, pred, _ in scored if pred == 1}
+        in_list = Label(ADTRACKER, "filterlist")
+        listed = {(d.host, d.kind) for d, lab in zip(docs, labels) if lab == in_list}
+        predicted = {(d.host, d.kind) for d, (pred, _, _) in zip(docs, scored) if pred == 1}
         assert predicted & listed and predicted - listed
         assert sorted(matched) == sorted(predicted - listed)
         matched.clear()
-        assert emit(index, scored, ruleset, {}) == text
+        assert emit(index, docs, scored, ruleset) == text
         assert sorted(matched) == sorted(predicted)
         assert "||" in text
 
@@ -330,15 +348,15 @@ class TestFileFormats:
             ("px.t.net", "script"): Label(ADTRACKER, "filterlist"),
             ("cdn.good.org", "media"): Label(BENIGN, "override"),
         }
-        assert read_labels_file(write_labels_file(labels)) == labels
+        assert read_labels_file(write_labels_file(list(labels), list(labels.values()))) == labels
 
     def test_labels_reject_garbage(self):
         with pytest.raises(DataError):
             read_labels_file(b"whatever\n")
 
     def test_scores_round_trip(self):
-        rows = [("px.t.net", "script", 1, 0.75, "full"), ("cdn.x.org", "media", 0, 0.1, "oob")]
-        scores = read_scores_file(write_scores_file(rows))
+        keys = [("px.t.net", "script"), ("cdn.x.org", "media")]
+        scores = read_scores_file(write_scores_file(keys, [(1, 0.75, "full"), (0, 0.1, "oob")]))
         assert scores == {("px.t.net", "script"): (1, 0.75), ("cdn.x.org", "media"): (0, 0.1)}
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
@@ -375,12 +393,12 @@ class TestFileFormats:
     def test_content_matrix_round_trip(self):
         from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 
-        docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        counts = {(d.host, d.kind): doc_token_counts(d) for d in docs}
-        vocab = build_vocabulary(list(counts.values()), k=10, rank_by="df")
-        keys, columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
+        docs = [make_doc("cdn.good.org", kind="media"), make_doc("px.t.net", n_urls=3)]
+        counts = [doc_token_counts(d) for d in docs]
+        vocab = build_vocabulary(counts, k=10, rank_by="df")
+        columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
         keys, columns, values = read_content_matrix(
-            write_content_matrix(keys, columns, values)
+            write_content_matrix([(d.host, d.kind) for d in docs], columns, values)
         )
         assert keys == [("cdn.good.org", "media"), ("px.t.net", "script")]
         assert len(columns) == 10 + 5
@@ -390,9 +408,10 @@ class TestFileFormats:
         from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 
         docs = [make_doc("px.t.net", n_urls=3), make_doc("cdn.good.org", kind="media")]
-        counts = {(d.host, d.kind): doc_token_counts(d) for d in docs}
-        vocab = build_vocabulary(list(counts.values()), k=10, rank_by="df")
-        keys, columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
+        counts = [doc_token_counts(d) for d in docs]
+        vocab = build_vocabulary(counts, k=10, rank_by="df")
+        columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
+        keys = [(d.host, d.kind) for d in docs]
         read = read_content_matrix(write_content_matrix(keys, columns, values))
         assert read[0] == keys and read[1] == columns
         assert np.array_equal(read[2], values)
@@ -402,11 +421,11 @@ class TestAnalysisTables:
     def test_shapes_and_direction(self):
         g = graph_with_in_degrees({"t.net": 6, "good.org": 3})
         docs = g.documents()
-        labels = {
-            ("px.t.net", "script"): Label(ADTRACKER, "filterlist"),
-            ("px.good.org", "script"): Label(BENIGN, "filterlist"),
+        label = {
+            "px.t.net": Label(ADTRACKER, "filterlist"),
+            "px.good.org": Label(BENIGN, "filterlist"),
         }
-        tables = analysis_tables(GraphIndex(g), docs, labels)
+        tables = analysis_tables(GraphIndex(g), docs, [label[d.host] for d in docs])
         assert sum(b["adtracker"] + b["benign"] for b in tables["degree_buckets"]) == 2
         assert set(tables["direct_coverage_ccdf"]) == {ADTRACKER, BENIGN}
         for points in tables["direct_coverage_ccdf"].values():
@@ -518,16 +537,16 @@ class TestEachFactOnce:
         from widetrack.pipeline import content_features
 
         docs = [make_doc(f"px{i}.t{i}.net", n_urls=2 + i % 3) for i in range(8)]
-        train_docs, _ = split_documents(docs, PipelineConfig())
+        train, _ = split_keys([(d.host, d.kind) for d in docs], PipelineConfig())
         seen = []
         tokenize = content.doc_token_counts
         monkeypatch.setattr(
             content, "doc_token_counts", lambda d: seen.append(d.host) or tokenize(d)
         )
-        vocabulary, (keys, _, _, _) = content_features(docs, train_docs, PipelineConfig())
+        vocabulary, (_, values, _) = content_features(docs, train, PipelineConfig())
         assert sorted(seen) == sorted(d.host for d in docs)
-        assert vocabulary.corpus_size == len(train_docs) < len(docs)
-        assert len(keys) == len(docs)
+        assert vocabulary.corpus_size == len(train) < len(docs)
+        assert len(values) == len(docs)
 
 
 class TestPipelineConfig:
@@ -551,6 +570,25 @@ class TestPipelineConfig:
         path.write_text("no_such_knob = 1\n")
         with pytest.raises(DataError):
             load_config(PipelineConfig, path)
+
+    def test_unknown_key_names_its_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# forest\nn_trees = 5\nno_such_knob = 1\n")
+        with pytest.raises(DataError) as err:
+            load_config(PipelineConfig, path)
+        assert str(err.value) == "unknown config key 'no_such_knob' on config line 3"
+
+    @pytest.mark.parametrize(
+        "cls, key", [(PipelineConfig, "n_trees"), (EcosystemConfig, "n_sites")]
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, cls, key):
+        """A later line would silently replace the earlier one; run and
+        synth configs share the loader."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# sizes\n{key} = 30\n\n{key} = 5\n")
+        with pytest.raises(DataError) as err:
+            load_config(cls, path)
+        assert str(err.value) == f"config key {key} on line 4 repeats line 2"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
