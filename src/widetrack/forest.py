@@ -11,15 +11,25 @@ changing the result. Training relies on that twice over:
   at value 0. The keyword block is mostly zeros, so a node costs the
   nonzeros of its candidate columns, not its rows times its columns.
 - ``_grow_group`` grows ``_GROUP_TREES`` trees in lockstep. Each step pops
-  the next pre-order node of every tree in the group, draws that node's
-  features from its own tree's generator, and scores all of those nodes in
-  one segmented numpy pass (``_best_splits``).
+  every tree's pending leaves, appending them in pre-order, up to its next
+  node that may split; draws that node's features from its own tree's
+  generator; and scores all of those nodes in one segmented numpy pass
+  (``_best_splits``). Steps follow scored nodes, not all nodes. A child's
+  class counts come from the left-side counts of its parent's split, so the
+  labels are summed once per tree, at the root, and a child that will be a
+  leaf keeps no row array.
 
 Neither changes a split. Each tree draws in the same order, every boundary
 is scored with the same Gini expression, term for term, and ties go to the
 lowest feature, then the lowest threshold. A trained model is byte for byte
 the one that growing one tree and one node at a time gives; the tests keep
 that grower as their oracle.
+
+Scoring has one walk, ``_walk``: the node arrays of a block of trees laid
+end to end, every (tree, row) pair moving down one level per step. Blocks
+hold at most ``_PASS_ENTRIES`` pairs. ``predict`` sums the block votes,
+``oob_predict`` masks them with each tree's out-of-bag rows, and
+``Tree.apply`` is the walk over one tree.
 """
 
 from __future__ import annotations
@@ -82,15 +92,8 @@ class Tree:
     counts: np.ndarray  # (n_nodes, 2) class counts from the bootstrap sample
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index each row of X lands in, walking all rows level by level."""
-        node = np.zeros(len(X), dtype=np.intp)
-        active = np.nonzero(self.feature[node] >= 0)[0]
-        while len(active):
-            at = node[active]
-            go_left = X[active, self.feature[at]] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] >= 0]
-        return node
+        """Leaf index each row of X lands in: ``_walk`` over this tree alone."""
+        return _walk([self], X)[0]
 
     def vote(self, X: np.ndarray) -> np.ndarray:
         """1 where the row's leaf holds a strict adtracker majority, else 0."""
@@ -122,9 +125,11 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 # pre-order stack of node row lists alive, and a step's multiplicity matrix
 # is 64 x (n + 1) int64, about 5 MB at n = 10k rows; 64 trees bound both.
 _GROUP_TREES = 64
-# Column entries scored in one numpy pass. A pass keeps about a dozen
-# temporaries of 8 bytes per entry, so 16k entries (plus at most one column
-# past the budget) bound its temporaries at about 1.5 MB.
+# Column entries scored in one numpy pass, and (tree, row) pairs walked in
+# one scoring block. A pass keeps about a dozen temporaries of 8 bytes per
+# entry, so 16k entries (plus at most one column past the budget) bound its
+# temporaries at about 1.5 MB. A scoring block's temporaries are a few
+# arrays of 8 bytes per pair, so the same budget bounds them too.
 _PASS_ENTRIES = 16384
 
 
@@ -173,8 +178,9 @@ def _threshold(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _best_splits(cols: _Columns, nodes: list) -> list:
-    """Lowest weighted-Gini (impurity, feature, threshold) of each node, or
-    None where no candidate split lowers the node's Gini.
+    """Lowest weighted-Gini (impurity, feature, threshold, left rows, left
+    class-1 rows) of each node, or None where no candidate split lowers the
+    node's Gini. The left counts are bootstrap rows, repeats included.
 
     ``nodes`` holds (bootstrap rows, class-1 count, sorted candidate
     features) per node. A node scores column f from its row multiplicities
@@ -201,6 +207,7 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
     best = np.full(len(nodes), np.inf)
     best_feat = np.zeros(len(nodes), dtype=np.int64)
     best_thr = np.zeros(len(nodes))
+    best_left = np.zeros((len(nodes), 2), dtype=np.int64)
     for a, b in zip([0, *cuts], [*cuts, len(seg_feat)]):
         feat, node, length = seg_feat[a:b], seg_node[a:b], seg_len[a:b]
         first = np.cumsum(length) - length
@@ -223,8 +230,9 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         cw, cw1 = np.cumsum(w), np.cumsum(w1)
         head = np.searchsorted(seg, np.arange(b - a))  # every segment keeps an entry
         s = seg[pos]
-        ln = (cw[pos] - (cw[head] - w[head])[s]).astype(np.float64)
-        l1 = (cw1[pos] - (cw1[head] - w1[head])[s]).astype(np.float64)
+        left_n = cw[pos] - (cw[head] - w[head])[s]
+        left_1 = cw1[pos] - (cw1[head] - w1[head])[s]
+        ln, l1 = left_n.astype(np.float64), left_1.astype(np.float64)
         at = node[s]
         n, c1 = sizes[at], class1[at]
         l0 = ln - l1
@@ -243,10 +251,11 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         best[who] = low[better]
         best_feat[who] = feat[s[hit]]
         best_thr[who] = _threshold(x[pos[hit]], x[pos[hit] + 1])
+        best_left[who, 0], best_left[who, 1] = left_n[hit], left_1[hit]
     return [
         None
         if best[j] >= _gini(len(idx) - c1, c1) - 1e-12  # no improving split
-        else (float(best[j]), int(best_feat[j]), float(best_thr[j]))
+        else (float(best[j]), int(best_feat[j]), float(best_thr[j]), *best_left[j].tolist())
         for j, (idx, c1, _) in enumerate(nodes)
     ]
 
@@ -262,56 +271,70 @@ def _grow_group(
 ) -> list[Tree]:
     """One tree per bootstrap sample, grown in lockstep.
 
-    Each step pops the next pre-order node of every tree that has one, draws
-    the features of each node that may split from its own tree's generator,
-    and scores all of those nodes in one ``_best_splits`` call. Each tree
-    meets the same nodes, draws and splits as it would grown alone.
+    Each step pops every tree's pending leaves, appending them in pre-order,
+    up to its next node that may split; draws that node's features from its
+    own tree's generator; and scores the step's nodes in one ``_best_splits``
+    call. A child's class counts come from its parent's split, and only a
+    child that may split keeps its bootstrap rows. Each tree meets the same
+    nodes, draws and splits as it would grown alone.
     """
     d = X.shape[1]
+    max_depth = math.inf if params.max_depth is None else params.max_depth
+
+    def may_split(depth, c0, c1):
+        return c0 > 0 and c1 > 0 and c0 + c1 >= params.min_samples_split and depth < max_depth
+
     # feature, threshold, left, right, counts: one entry per node, pre-order
     built = [([], [], [], [], []) for _ in samples]
-    # Explicit pre-order stacks of (indices, depth, parent, is_left).
-    stacks = [[(sample, 0, -1, False)] for sample in samples]
-    while any(stacks):
+    # Explicit pre-order stacks of (rows, depth, parent, is_left, c0, c1);
+    # rows is None for a node that will be a leaf.
+    stacks = []
+    for sample in samples:
+        c1 = int(y[sample].sum())
+        c0 = len(sample) - c1
+        stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, False, c0, c1)])
+    while True:
         scored = []
         for t, stack in enumerate(stacks):
-            if not stack:
-                continue
-            idx, depth, parent, is_left = stack.pop()
             feature, threshold, left, right, counts = built[t]
-            node = len(feature)
-            if parent >= 0:
-                (left if is_left else right)[parent] = node
-            c1 = int(y[idx].sum())
-            c0 = len(idx) - c1
-            counts.append((c0, c1))
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            if (
-                c0 == 0
-                or c1 == 0
-                or len(idx) < params.min_samples_split
-                or (params.max_depth is not None and depth >= params.max_depth)
-            ):
-                continue
-            feats = np.sort(rngs[t].choice(d, size=mtry, replace=False))
-            scored.append((t, node, depth, (idx, c1, feats)))
+            while stack:
+                idx, depth, parent, is_left, c0, c1 = stack.pop()
+                node = len(feature)
+                if parent >= 0:
+                    (left if is_left else right)[parent] = node
+                counts.append((c0, c1))
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                if idx is not None:
+                    feats = np.sort(rngs[t].choice(d, size=mtry, replace=False))
+                    scored.append((t, node, depth, (idx, c1, feats)))
+                    break
         if not scored:
-            continue
-        for (t, node, depth, (idx, _, _)), found in zip(
+            break
+        for (t, node, depth, (idx, c1, _)), found in zip(
             scored, _best_splits(cols, [s[3] for s in scored])
         ):
             if found is None:
                 continue
-            _, f, thr = found
-            go_left = X[idx, f] <= thr
+            _, f, thr, ln, l1 = found
             built[t][0][node] = f
             built[t][1][node] = thr
+            r1 = c1 - l1
+            left_counts, right_counts = (ln - l1, l1), (len(idx) - ln - r1, r1)
+            split_left = may_split(depth + 1, *left_counts)
+            split_right = may_split(depth + 1, *right_counts)
+            rows_left = rows_right = None
+            if split_left or split_right:
+                go_left = X[idx, f] <= thr
+                rows_left = idx[go_left] if split_left else None
+                rows_right = idx[~go_left] if split_right else None
             # Push right first so the left subtree is emitted next (pre-order).
-            stacks[t].append((idx[~go_left], depth + 1, node, False))
-            stacks[t].append((idx[go_left], depth + 1, node, True))
+            stacks[t] += (
+                (rows_right, depth + 1, node, False, *right_counts),
+                (rows_left, depth + 1, node, True, *left_counts),
+            )
 
     return [
         Tree(
@@ -367,6 +390,41 @@ def train(X, y, params: ForestParams) -> ForestModel:
     )
 
 
+def _walk(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """Node each row of X lands in, per tree: a (len(trees), len(X)) array of
+    indices into the trees' node arrays laid end to end, in the trees' order.
+
+    Every (tree, row) pair moves one level per step; a NaN cell goes right.
+    """
+    offset = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + o for tree, o in zip(trees, offset)])
+    right = np.concatenate([tree.right + o for tree, o in zip(trees, offset)])
+    node = np.repeat(offset, len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    active = np.flatnonzero(feature[node] >= 0)
+    while len(active):
+        at = node[active]
+        go_left = X[row[active], feature[at]] <= threshold[at]
+        node[active] = np.where(go_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    return node.reshape(len(trees), len(X))
+
+
+def _votes(trees: list[Tree], X: np.ndarray):
+    """(first tree, 0/1 votes of shape (block, len(X))) per block of trees.
+
+    A block walks at most ``_PASS_ENTRIES`` (tree, row) pairs, or one tree
+    when X has more rows than that, so its temporaries stay bounded.
+    """
+    per_block = max(1, _PASS_ENTRIES // max(len(X), 1))
+    for first in range(0, len(trees), per_block):
+        block = trees[first:first + per_block]
+        counts = np.concatenate([tree.counts for tree in block])
+        yield first, (counts[:, 1] > counts[:, 0])[_walk(block, X)]
+
+
 def predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     """(majority labels, fraction of trees voting adtracker) per row of X.
 
@@ -377,7 +435,9 @@ def predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
         raise ForestError(
             f"expected {model.feature_count} features, got {X.shape}"
         )
-    votes = sum(tree.vote(X) for tree in model.trees)
+    votes = np.zeros(len(X), dtype=np.int64)
+    for _, voted in _votes(model.trees, X):
+        votes += voted.sum(axis=0)
     scores = votes / len(model.trees)
     return (scores > 0.5).astype(np.int64), scores
 
@@ -400,13 +460,14 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
             f"out-of-bag scoring needs the training matrix: got {n} rows, "
             f"trained on {len(model.in_bag[0])}"
         )
-    votes = np.zeros(n)
-    counts = np.zeros(n)
-    for tree, sample in zip(model.trees, model.in_bag):
-        out_of_bag = np.ones(n, dtype=bool)
-        out_of_bag[sample] = False
-        votes += out_of_bag * tree.vote(X)
-        counts += out_of_bag
+    votes = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for first, voted in _votes(model.trees, X):
+        samples = model.in_bag[first:first + len(voted)]
+        out_of_bag = np.ones(voted.shape, dtype=bool)
+        out_of_bag[np.repeat(np.arange(len(samples)), n), np.concatenate(samples)] = False
+        votes += (voted & out_of_bag).sum(axis=0)
+        counts += out_of_bag.sum(axis=0)
     scores = np.divide(votes, counts, out=np.zeros(n), where=counts > 0)
     every_tree_saw = counts == 0
     if every_tree_saw.any():
@@ -448,14 +509,12 @@ def save_model(model: ForestModel) -> bytes:
     ]
     for t, tree in enumerate(model.trees):
         lines.append(f"tree\t{t}\t{len(tree.feature)}")
-        for i in range(len(tree.feature)):
-            c0, c1 = tree.counts[i]
-            if tree.feature[i] < 0:
-                lines.append(f"l\t{c0}\t{c1}")
-            else:
-                lines.append(
-                    f"n\t{tree.feature[i]}\t{float(tree.threshold[i])!r}\t{c0}\t{c1}"
-                )
+        lines += [
+            f"l\t{c0}\t{c1}" if f < 0 else f"n\t{f}\t{thr!r}\t{c0}\t{c1}"
+            for f, thr, (c0, c1) in zip(
+                tree.feature.tolist(), tree.threshold.tolist(), tree.counts.tolist()
+            )
+        ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -225,7 +225,9 @@ STAGED_ARTIFACTS = (
 
 def staged_and_run_all(corpus_dir, tmp_path, knobs):
     """Run run-all and the staged chain from one config file; returns the
-    two output directories and the staged evaluate reports."""
+    two output directories and the staged evaluate reports. The chain ends
+    with ``predict`` on the staged model, loaded with no bootstrap record,
+    writing ``staged/scores.tsv``."""
     cfg = tmp_path / "run.cfg"
     run_dir = tmp_path / "run"
     staged = tmp_path / "staged"
@@ -257,6 +259,11 @@ def staged_and_run_all(corpus_dir, tmp_path, knobs):
             "--labels", labels, "--out", path["model.txt"], *config,
         ],
         [
+            "predict", "--model", path["model.txt"],
+            "--features", path["content.tsv"], path["structural.tsv"],
+            "--out", str(staged / "scores.tsv"),
+        ],
+        [
             "evaluate", "--graph", graph, "--scores", str(run_dir / "scores.tsv"),
             "--labels", labels, "--out", str(report), *config,
         ],
@@ -270,6 +277,14 @@ def assert_staged_matches(run_dir, staged, reports):
     for name in STAGED_ARTIFACTS:
         assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
     assert reports == json.loads((run_dir / "report.json").read_text())["reports"]
+    # run-all scores held-out rows with the full forest, as staged predict
+    # scores every row: each of those lines must appear byte for byte.
+    full = [
+        line for line in (run_dir / "scores.tsv").read_bytes().splitlines()
+        if line.endswith(b"\tfull")
+    ]
+    assert full
+    assert set(full) <= set((staged / "scores.tsv").read_bytes().splitlines())
 
 
 def test_staged_commands_reproduce_run_all(corpus_dir, tmp_path):

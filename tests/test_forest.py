@@ -386,6 +386,20 @@ def walk(tree, x):
     return i
 
 
+def recount(tree, X, y, sample):
+    """Class counts of every node: each bootstrap row, repeats included,
+    counted at every node on its path to the leaf ``walk`` gives it."""
+    counts = np.zeros((len(tree.feature), 2), dtype=np.int64)
+    for r in sample:
+        i = 0
+        counts[i, y[r]] += 1
+        while tree.feature[i] >= 0:
+            i = tree.left[i] if X[r, tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+            counts[i, y[r]] += 1
+        assert i == walk(tree, X[r])
+    return counts
+
+
 class TestBatchedWalk:
     def setup_method(self):
         rng = np.random.default_rng(12)
@@ -411,9 +425,42 @@ class TestBatchedWalk:
             if counts[r]:
                 assert scores[r] == votes[r] / counts[r]
 
+    def full_vote(self, x):
+        return sum(int(c[1] > c[0]) for c in (t.counts[walk(t, x)] for t in self.model.trees))
+
+    # 1 and 3 walk one tree per block; 100 puts two or three trees in a
+    # block and leaves a short last block.
+    @pytest.mark.parametrize("budget", [1, 3, 100, forest._PASS_ENTRIES])
+    def test_predict_and_oob_match_a_row_by_row_vote_at_every_block_budget(
+        self, budget, monkeypatch
+    ):
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", budget)
+        n_trees = len(self.model.trees)
+        votes = [self.full_vote(x) for x in self.probe]  # the NaN row included
+        labels, scores = predict(self.model, self.probe)
+        assert scores.tolist() == [v / n_trees for v in votes]
+        assert labels.tolist() == [int(v / n_trees > 0.5) for v in votes]
+
+        X = self.X.copy()
+        X[7] = np.nan  # out-of-bag scoring walks whatever rows it is given
+        expected = []
+        for r, x in enumerate(X):
+            trees = [t for t, s in zip(self.model.trees, self.model.in_bag) if r not in s]
+            voted = sum(int(c[1] > c[0]) for c in (t.counts[walk(t, x)] for t in trees))
+            expected.append(voted / len(trees) if trees else self.full_vote(x) / n_trees)
+        labels, scores = oob_predict(self.model, X)
+        assert scores.tolist() == expected
+        assert labels.tolist() == [int(e > 0.5) for e in expected]
+
+    def test_no_rows_give_empty_typed_results(self):
+        labels, scores = predict(self.model, np.zeros((0, 4)))
+        assert (labels.shape, labels.dtype) == ((0,), np.int64)
+        assert (scores.shape, scores.dtype) == ((0,), np.float64)
+
 
 def _best_split_loop(X, y, idx, feats):
-    """Reference split search: one Python iteration per candidate feature."""
+    """Reference split search: one Python iteration per candidate feature.
+    Returns (impurity, feature, threshold, left rows, left class-1 rows)."""
     n = len(idx)
     y_node = y[idx]
     c1 = int(y_node.sum())
@@ -442,12 +489,13 @@ def _best_split_loop(X, y, idx, feats):
             best_impurity = float(weighted[k])
             lo, hi = float(xs[pos[k]]), float(xs[pos[k] + 1])
             mid = (lo + hi) / 2.0  # Python floats: an overflow gives inf, no warning
-            best = (int(f), mid if math.isfinite(mid) and mid < hi else lo)
+            thr = mid if math.isfinite(mid) and mid < hi else lo
+            best = (int(f), thr, int(ln[k]), int(l1[k]))
     if best is None:
         return None
     if best_impurity >= forest._gini(c0, c1) - 1e-12:
         return None
-    return best_impurity, best[0], best[1]
+    return (best_impurity, *best)
 
 
 def _grow_tree_loop(X, y, sample, params, mtry, rng):
@@ -478,7 +526,7 @@ def _grow_tree_loop(X, y, sample, params, mtry, rng):
         found = _best_split_loop(X, y, idx, feats)
         if found is None:
             continue
-        _, f, thr = found
+        _, f, thr, _, _ = found
         go_left = X[idx, f] <= thr
         feature[node] = f
         threshold[node] = thr
@@ -632,16 +680,19 @@ class TestSplitSearch:
     def test_tie_goes_to_the_lowest_feature_then_threshold(self):
         # Against labels 0, 1, 0 every boundary here weighs 1/3: feature 0's
         # one boundary is its second sorted gap, feature 1's is its first,
-        # and feature 2 has two.
+        # and feature 2 has two. The last two values are the left side's
+        # rows and class-1 rows: two rows and one, or one row and none.
         X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
         y = np.array([0, 1, 0])
         idx = np.arange(3)
         nodes = [(idx, np.array([0, 1, 2])), (idx, np.array([2])), (idx, np.array([1, 2]))]
-        assert batched(X, y, nodes) == [(1 / 3, 0, 0.5), (1 / 3, 2, 0.5), (1 / 3, 1, 0.5)]
+        expected = [(1 / 3, 0, 0.5, 2, 1), (1 / 3, 2, 0.5, 1, 0), (1 / 3, 1, 0.5, 1, 0)]
+        assert batched(X, y, nodes) == expected
+        assert [_best_split_loop(X, y, idx, feats) for idx, feats in nodes] == expected
         for budget in (1, 2):  # the tie held across passes
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(forest, "_PASS_ENTRIES", budget)
-                assert batched(X, y, nodes[:1]) == [(1 / 3, 0, 0.5)]
+                assert batched(X, y, nodes[:1]) == expected[:1]
 
     def test_forest_bytes_equal_the_loop_oracle_forest(self, monkeypatch):
         # Groups of 3 trees and 40-entry passes: 12 trees take four groups,
@@ -694,6 +745,37 @@ class TestLockstepGrower:
         assert len(model.in_bag) == params.n_trees
         for sample, expected in zip(model.in_bag, reference.in_bag):
             assert np.array_equal(sample, expected)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"max_depth": 2}, {"min_samples_split": 81}, {"min_samples_split": 7}, {}],
+        ids=["max_depth", "min_samples_split_above_n", "min_samples_split", "default"],
+    )
+    def test_node_counts_recount_from_the_routed_bootstrap(self, knobs):
+        # Child counts come from the parent's split, and leaves keep no rows;
+        # every node's (c0, c1) must still count the bootstrap rows that
+        # reach it, repeats included.
+        X, y = _matrix("sparse_tfidf")  # 80 rows
+        params = ForestParams(n_trees=8, seed=5, **knobs)
+        model = train(X, y, params)
+        assert save_model(model) == save_model(train_loop(X, y, params))
+        for tree, sample in zip(model.trees, model.in_bag):
+            assert tree.counts.tolist() == recount(tree, X, y, sample).tolist()
+        if knobs.get("min_samples_split", 0) > len(X):
+            assert all(len(tree.feature) == 1 for tree in model.trees)
+
+    def test_pure_bootstrap_roots_are_counted_leaves(self):
+        # Two rows, one per class: about half the bootstrap samples are pure.
+        X, y = np.array([[0.0], [1.0]]), np.array([0, 1])
+        params = ForestParams(n_trees=16, seed=4)
+        model = train(X, y, params)
+        assert save_model(model) == save_model(train_loop(X, y, params))
+        pure = 0
+        for tree, sample in zip(model.trees, model.in_bag):
+            assert tree.counts.tolist() == recount(tree, X, y, sample).tolist()
+            pure += len(set(y[sample].tolist())) == 1
+            assert (len(tree.feature) == 1) == (len(set(y[sample].tolist())) == 1)
+        assert 0 < pure < len(model.trees)
 
     def test_presorted_columns(self):
         X = np.array([[0.0, -2.0], [-0.0, 3.0], [1.5, 0.0], [-1.0, 3.0]])
