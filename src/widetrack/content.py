@@ -69,9 +69,6 @@ class Vocabulary:
     def __post_init__(self):
         self.index = {t: i for i, t in enumerate(self.terms)}
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
 
 def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> Vocabulary:
     """Keep the top-k terms ranked by document frequency (ties lexicographic),
@@ -103,24 +100,9 @@ def build_vocabulary(doc_counts: list[dict[str, int]], k: int, rank_by: str) -> 
     )
 
 
-def tfidf(
-    term: str, tokens: dict[str, int], vocabulary: Vocabulary, clamp_idf: bool
-) -> float:
-    """log(1 + f) * log(|D| / (1 + df)), natural logarithms.
-
-    The inverse factor goes negative when a term appears in every document;
-    that is kept as-is unless ``clamp_idf`` floors it at zero.
-    """
-    if term not in vocabulary:
-        raise KeyError(term)
-    f = tokens.get(term, 0)
-    if f == 0:
-        return 0.0
-    return math.log(1 + f) * idf(term, vocabulary, clamp_idf)
-
-
 def idf(term: str, vocabulary: Vocabulary, clamp_idf: bool) -> float:
-    """log(|D| / (1 + df)), floored at zero when ``clamp_idf``."""
+    """log(|D| / (1 + df)), natural logarithm, floored at zero when
+    ``clamp_idf``. It goes negative for a term in every document."""
     value = math.log(vocabulary.corpus_size / (1 + vocabulary.df[term]))
     if clamp_idf and value < 0.0:
         value = 0.0
@@ -165,7 +147,8 @@ def content_rows(
     """(columns, values, terms): one [keywords | engineered] row per
     document, in ``documents`` order, and the vocabulary terms each
     document contains. ``token_counts`` holds each document's
-    ``doc_token_counts``. Each cell equals ``tfidf``'s value."""
+    ``doc_token_counts``. A keyword cell is log(1 + f) * ``idf``, f the
+    term's frequency in the document; 0.0 where f is 0."""
     columns = feature_names(vocabulary, [])
     values = np.zeros((len(documents), len(columns)))
     terms = []

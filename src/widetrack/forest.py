@@ -27,9 +27,8 @@ that grower as their oracle.
 
 Scoring has one walk, ``_walk``: the node arrays of a block of trees laid
 end to end, every (tree, row) pair moving down one level per step. Blocks
-hold at most ``_PASS_ENTRIES`` pairs. ``predict`` sums the block votes,
-``oob_predict`` masks them with each tree's out-of-bag rows, and
-``Tree.apply`` is the walk over one tree.
+hold at most ``_PASS_ENTRIES`` pairs. ``predict`` sums the block votes and
+``oob_predict`` masks them with each tree's out-of-bag rows.
 """
 
 from __future__ import annotations
@@ -91,15 +90,6 @@ class Tree:
     right: np.ndarray
     counts: np.ndarray  # (n_nodes, 2) class counts from the bootstrap sample
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index each row of X lands in: ``_walk`` over this tree alone."""
-        return _walk([self], X)[0]
-
-    def vote(self, X: np.ndarray) -> np.ndarray:
-        """1 where the row's leaf holds a strict adtracker majority, else 0."""
-        c = self.counts[self.apply(X)]
-        return (c[:, 1] > c[:, 0]).astype(np.int64)
-
 
 @dataclass
 class ForestModel:
@@ -109,13 +99,9 @@ class ForestModel:
     in_bag: list[np.ndarray] = field(default_factory=list, repr=False)  # not persisted
 
 
-def _gini(c0: float, c1: float) -> float:
-    n = c0 + c1
-    return 1.0 - (c0 * c0 + c1 * c1) / (n * n) if n else 0.0
-
-
 def _gini_rows(counts: np.ndarray) -> np.ndarray:
-    """``_gini`` of each (c0, c1) row, term for term."""
+    """Gini impurity 1 - (c0 * c0 + c1 * c1) / (n * n) of each (c0, c1) row,
+    n = c0 + c1; 0 where n is 0."""
     c0, c1 = counts[:, 0], counts[:, 1]
     n = c0 + c1
     return 1.0 - np.divide(c0 * c0 + c1 * c1, n * n, out=np.ones(len(n)), where=n > 0)
@@ -252,11 +238,12 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         best_feat[who] = feat[s[hit]]
         best_thr[who] = _threshold(x[pos[hit]], x[pos[hit] + 1])
         best_left[who, 0], best_left[who, 1] = left_n[hit], left_1[hit]
+    parent = _gini_rows(np.column_stack((sizes - class1, class1)))
     return [
         None
-        if best[j] >= _gini(len(idx) - c1, c1) - 1e-12  # no improving split
+        if best[j] >= parent[j] - 1e-12  # no improving split
         else (float(best[j]), int(best_feat[j]), float(best_thr[j]), *best_left[j].tolist())
-        for j, (idx, c1, _) in enumerate(nodes)
+        for j in range(len(nodes))
     ]
 
 

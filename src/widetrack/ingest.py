@@ -38,17 +38,13 @@ NODE_KINDS = (
 
 NODE_KIND_VALUES = frozenset(k.value for k in NODE_KINDS)
 
-INITIATOR_TYPES = ("script", "parser", "other", "unknown")
-
 
 class RequestEntry(NamedTuple):
     url: str
     host: str  # the URL's hostname, split once at ingest
-    initiator_url: str | None
-    initiator_type: str  # one of INITIATOR_TYPES
-    resource_type: str | None
-    started_at: str
-    mime: str | None = None
+    initiator_url: str | None  # None when no initiator resolves
+    resource_type: str | None  # the capture's _resourceType
+    mime: str | None = None  # the response content's mimeType
 
 
 @dataclass
@@ -200,7 +196,7 @@ def parse_har(data: bytes) -> SessionRecord:
 
     Initiators resolve in priority order: explicit initiator URL, top frame
     of the initiator call stack, the document URL for parser-initiated
-    entries, otherwise unknown. Entries without a usable URL (bad syntax,
+    entries, otherwise none. Entries without a usable URL (bad syntax,
     data:/blob: schemes, a hostname with no registrable domain) are skipped
     and tallied.
     """
@@ -249,22 +245,16 @@ def parse_har(data: bytes) -> SessionRecord:
 
     entries = []
     redirects: dict[str, str] = {}  # redirect target -> first hop naming it
-    for started_at, url, host, raw in parsed:
+    for _, url, host, raw in parsed:
         ini = raw.get("_initiator")
         if type(ini) is dict:
-            ini_type = str(ini.get("type", "")).lower()
-            if ini_type not in INITIATOR_TYPES:
-                ini_type = "other" if ini_type else "unknown"
             initiator_url = ini.get("url")
             if type(initiator_url) is not str or not initiator_url:
                 initiator_url = _stack_top_url(ini.get("stack"))
-            if not initiator_url and ini_type == "parser":
+            if not initiator_url and str(ini.get("type", "")).lower() == "parser":
                 initiator_url = document_url
         else:  # a bare string is the initiator's URL with no type; else none
-            ini_type, initiator_url = "unknown", ini if type(ini) is str else None
-        if not initiator_url:
-            ini_type = "unknown"
-            initiator_url = None
+            initiator_url = ini if type(ini) is str else None
 
         response = raw.get("response")
         response = response if type(response) is dict else {}
@@ -276,16 +266,14 @@ def parse_har(data: bytes) -> SessionRecord:
         mime = mime if type(mime) is str else None
         resource_type = raw.get("_resourceType")
         resource_type = resource_type if type(resource_type) is str else None
-        entries.append(
-            RequestEntry(url, host, initiator_url, ini_type, resource_type, started_at, mime)
-        )
+        entries.append(RequestEntry(url, host, initiator_url or None, resource_type, mime))
 
     # Redirect hops initiate their targets; fill that in where the capture
     # left the target's initiator unknown.
     entries = [
         e
         if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
-        else e._replace(initiator_url=redirects[e.url], initiator_type="other")
+        else e._replace(initiator_url=redirects[e.url])
         for e in entries
     ]
 

@@ -189,8 +189,6 @@ def evaluate(
     (or by raw URL count with ``weight_by="urls"``); unbiased gives every
     document weight 1. Overrides re-label before scoring (corrected report).
     """
-    if mode not in ("biased", "unbiased"):
-        raise DataError(f"unknown metrics mode {mode!r}")
     weighted = []
     for i in rows:
         doc, truth = docs[i], labels[i].label
@@ -266,6 +264,7 @@ def emit_candidate_rules(
 
 
 _DEGREE_BUCKETS = ((1, 1), (2, 3), (4, 7), (8, 15), (16, 31), (32, 63), (64, None))
+_TOP_TERMS = 20  # vocabulary terms given keyword rates in the analysis tables
 
 
 def coverage_ccdf(values: list[float]) -> list[dict]:
@@ -282,15 +281,15 @@ def analysis_tables(
     index: GraphIndex,
     docs: list[SubdomainDocument],
     labels: list[Label],
-    vocabulary: content_mod.Vocabulary | None = None,
-    doc_terms: list[frozenset[str]] | None = None,
-    top_terms: int = 20,
+    vocabulary: content_mod.Vocabulary,
+    doc_terms: list[frozenset[str]],
 ) -> dict:
     """Degree-bucket class mix, coverage CCDF points, keyword rates.
 
     ``labels`` holds one label per document of ``docs``, and ``doc_terms``
-    the vocabulary terms each contains, as ``content_rows`` returns them;
-    keyword rates need it along with ``vocabulary``.
+    the vocabulary terms each contains, as ``content_rows`` returns them.
+    A keyword rate is the share of a class's documents holding one of the
+    vocabulary's first ``_TOP_TERMS`` terms.
     """
     classes = [label.label for label in labels]
     degrees = [index.degree(doc.parent) for doc in docs]
@@ -324,21 +323,16 @@ def analysis_tables(
         for cls in CLASSES
     }
 
+    by_class = {cls: [] for cls in CLASSES}
+    for terms, cls in zip(doc_terms, classes):
+        by_class[cls].append(terms)
     keywords = []
-    if vocabulary is not None:
-        by_class = {cls: [] for cls in CLASSES}
-        for terms, cls in zip(doc_terms, classes):
-            by_class[cls].append(terms)
-        for term in vocabulary.terms[:top_terms]:
-            rates = {
-                cls: (
-                    sum(1 for terms in group if term in terms) / len(group)
-                    if group
-                    else 0.0
-                )
-                for cls, group in by_class.items()
-            }
-            keywords.append({"term": term, **rates})
+    for term in vocabulary.terms[:_TOP_TERMS]:
+        rates = {
+            cls: sum(1 for terms in group if term in terms) / len(group) if group else 0.0
+            for cls, group in by_class.items()
+        }
+        keywords.append({"term": term, **rates})
 
     return {"degree_buckets": buckets, "direct_coverage_ccdf": ccdf, "top_keywords": keywords}
 

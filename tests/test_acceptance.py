@@ -15,9 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from widetrack.content import build_vocabulary, doc_token_counts, tfidf
+from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 from widetrack.filters import MatchContext, RuleSet, _pattern_to_regex, matches, parse_rules
-from widetrack.forest import ForestParams, predict, save_model, train
+from widetrack.forest import ForestParams, _walk, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
     GraphIndex,
@@ -108,9 +108,12 @@ def naive_tokens(url):
 
 
 def test_criterion_2_tfidf_oracle():
+    """Cells of the rows ``content_rows`` writes to content.tsv."""
     corpus = generate(EcosystemConfig(n_sites=40, n_trackers=10, n_benign=8, seed=2))
     docs = corpus.truth_graph.documents()
-    vocabulary = build_vocabulary([doc_token_counts(d) for d in docs], k=400, rank_by="df")
+    token_counts = [doc_token_counts(d) for d in docs]
+    vocabulary = build_vocabulary(token_counts, k=400, rank_by="df")
+    _, values, _ = content_rows(docs, token_counts, vocabulary, clamp_idf=False)
 
     oracle_df = Counter()
     oracle_counts = []
@@ -127,7 +130,7 @@ def test_criterion_2_tfidf_oracle():
     while checked < 1000:
         term = rng.choice(vocabulary.terms)
         idx = rng.randrange(len(docs))
-        got = tfidf(term, doc_token_counts(docs[idx]), vocabulary, clamp_idf=False)
+        got = values[idx, vocabulary.index[term]]
         f = oracle_counts[idx].get(term, 0)
         expected = math.log(1 + f) * math.log(len(docs) / (1 + oracle_df[term]))
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (term, idx)
@@ -293,8 +296,9 @@ def test_criterion_4_forest_sanity():
     assert np.array_equal(labels, y_test)  # (b) linearly separable held-out
 
     for tree, sample in zip(model_a.trees, model_a.in_bag):  # (c) bootstrap recall
-        for row, vote in zip(sample, tree.vote(X_train[sample])):
-            assert vote == y_train[row]
+        leaves = _walk([tree], X_train[sample])[0]  # the walk predict votes through
+        for row, (c0, c1) in zip(sample, tree.counts[leaves]):
+            assert int(c1 > c0) == y_train[row]
     print(
         "criterion 4: PASS: byte-identical retrain, 100% held-out on separable data, "
         "100% per-tree bootstrap accuracy"

@@ -214,12 +214,13 @@ def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys
     assert not graph.exists()
 
 
-# Every artifact the staged chain writes as run-all does. scores.tsv and
-# candidate-rules.txt are not among them: predict scores every row with the
-# full forest, while run-all scores its training rows out-of-bag.
+# Every artifact the staged chain writes as run-all does. scores.tsv is not
+# among them: predict scores every row with the full forest, while run-all
+# scores its training rows out-of-bag. emit-rules reads run-all's scores.tsv,
+# as evaluate does, so candidate-rules.txt is among them.
 STAGED_ARTIFACTS = (
     "trees.jsonl", "graph.jsonl", "structural.tsv", "content.tsv",
-    "vocabulary.tsv", "labels.tsv", "model.txt",
+    "vocabulary.tsv", "labels.tsv", "model.txt", "candidate-rules.txt",
 )
 
 
@@ -227,14 +228,21 @@ def staged_and_run_all(corpus_dir, tmp_path, knobs):
     """Run run-all and the staged chain from one config file; returns the
     two output directories and the staged evaluate reports. The chain ends
     with ``predict`` on the staged model, loaded with no bootstrap record,
-    writing ``staged/scores.tsv``."""
+    writing ``staged/scores.tsv``.
+
+    Both label with the truth rules less every 5th line, so some trackers
+    are on no list and run-all has candidate rules to write; the full list
+    leaves none."""
     cfg = tmp_path / "run.cfg"
     run_dir = tmp_path / "run"
     staged = tmp_path / "staged"
     staged.mkdir()
+    truth = (corpus_dir / "truth-rules.txt").read_text().splitlines(keepends=True)
+    rules = tmp_path / "withheld-rules.txt"
+    rules.write_text("".join(line for i, line in enumerate(truth) if i % 5 != 4))
     cfg.write_text(
         f"har_dir = {corpus_dir / 'har'}\n"
-        f"rules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"rules_files = {rules}\n"
         f"out_dir = {run_dir}\n" + knobs
     )
     assert main(["run-all", "--config", str(cfg)]) == 0
@@ -246,10 +254,7 @@ def staged_and_run_all(corpus_dir, tmp_path, knobs):
         ["ingest", "--har-dir", str(corpus_dir / "har"), "--out", path["trees.jsonl"]],
         ["graph", "build", "--trees", path["trees.jsonl"], "--out", graph],
         ["features", "structural", "--graph", graph, "--out", path["structural.tsv"], *config],
-        [
-            "label", "--graph", graph, "--rules", str(corpus_dir / "truth-rules.txt"),
-            "--out", labels, *config,
-        ],
+        ["label", "--graph", graph, "--rules", str(rules), "--out", labels, *config],
         [
             "features", "content", "--graph", graph, "--labels", labels,
             "--out", path["content.tsv"], "--vocab-out", path["vocabulary.tsv"], *config,
@@ -267,6 +272,10 @@ def staged_and_run_all(corpus_dir, tmp_path, knobs):
             "evaluate", "--graph", graph, "--scores", str(run_dir / "scores.tsv"),
             "--labels", labels, "--out", str(report), *config,
         ],
+        [
+            "emit-rules", "--graph", graph, "--scores", str(run_dir / "scores.tsv"),
+            "--rules", str(rules), "--out", path["candidate-rules.txt"],
+        ],
     ]
     for argv in stages:
         assert main(argv) == 0, argv
@@ -276,6 +285,8 @@ def staged_and_run_all(corpus_dir, tmp_path, knobs):
 def assert_staged_matches(run_dir, staged, reports):
     for name in STAGED_ARTIFACTS:
         assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+    candidates = (staged / "candidate-rules.txt").read_text().splitlines()
+    assert any(line.startswith("||") for line in candidates)
     assert reports == json.loads((run_dir / "report.json").read_text())["reports"]
     # run-all scores held-out rows with the full forest, as staged predict
     # scores every row: each of those lines must appear byte for byte.

@@ -14,7 +14,6 @@ from widetrack.content import (
     engineered,
     feature_names,
     save_vocabulary,
-    tfidf,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
 from widetrack.pipeline import DataError, PipelineConfig, assemble_all_vectors
@@ -122,32 +121,33 @@ class TestVocabulary:
 
 
 class TestTfidf:
-    def vocab(self, corpus_size, df):
-        return Vocabulary(terms=list(df), df=dict(df), corpus_size=corpus_size)
+    """Keyword cells of ``content_rows``: log(1 + f) * log(|D| / (1 + df))."""
+
+    def cell(self, f, corpus_size, df, clamp_idf=False):
+        """The cell of term "t" in a document that holds it f times."""
+        v = Vocabulary(terms=["t"], df={"t": df}, corpus_size=corpus_size)
+        d = doc("a.t.net", "script", ["https://a.t.net/x"])
+        _, values, _ = content_rows([d], [{"t": f} if f else {}], v, clamp_idf)
+        return values[0, 0]
 
     def test_absent_term_scores_zero(self):
-        v = self.vocab(10, {"uid": 4})
-        assert tfidf("uid", Counter(), v, clamp_idf=False) == 0.0
+        assert self.cell(0, 10, 4) == 0.0
 
     def test_formula_value(self):
         # f=1, |D|=10, df=4 -> ln(2) * ln(10/5)
-        v = self.vocab(10, {"uid": 4})
         expected = math.log(2) * math.log(10 / 5)
-        assert tfidf("uid", Counter({"uid": 1}), v, clamp_idf=False) == pytest.approx(expected, rel=1e-12)
+        assert self.cell(1, 10, 4) == pytest.approx(expected, rel=1e-12)
         assert round(expected, 4) == 0.4805
 
     def test_term_in_every_document_goes_negative(self):
-        v = self.vocab(8, {"com": 8})
-        assert tfidf("com", Counter({"com": 3}), v, clamp_idf=False) < 0.0
+        assert self.cell(3, 8, 8) < 0.0
 
     def test_clamp_idf_floors_at_zero(self):
-        v = self.vocab(8, {"com": 8})
-        assert tfidf("com", Counter({"com": 3}), v, clamp_idf=True) == 0.0
+        assert self.cell(3, 8, 8, clamp_idf=True) == 0.0
 
-    def test_out_of_vocabulary_term_rejected(self):
-        v = self.vocab(10, {"uid": 4})
-        with pytest.raises(KeyError):
-            tfidf("ghost", Counter({"ghost": 1}), v, clamp_idf=False)
+    def test_cell_grows_with_frequency(self):
+        cells = [self.cell(f, 10, 4) for f in range(12)]
+        assert all(a < b for a, b in zip(cells, cells[1:]))
 
     @given(
         f=st.integers(min_value=0, max_value=50),
@@ -156,8 +156,7 @@ class TestTfidf:
     )
     def test_zero_iff_absent_or_df_boundary(self, f, df, extra):
         corpus = df + extra
-        v = self.vocab(corpus, {"t": df})
-        score = tfidf("t", Counter({"t": f}), v, clamp_idf=False)
+        score = self.cell(f, corpus, df)
         assert (score == 0.0) == (f == 0 or corpus == 1 + df)
 
 

@@ -4,9 +4,10 @@ per-cell code they replaced.
 ``doc_token_counts`` and ``engineered`` read a document's URLs in groups
 of one request count, each group split as one string; ``build_vocabulary``
 cuts at the k-th largest rank before sorting; ``content_rows`` fills each
-row from per-term idf and per-count log tables; and the content and
-structural table writers write zero cells as a constant. Each is held here
-to a reference kept below, on adversarial input.
+row from per-term idf and per-count log tables, where ``tfidf`` below
+weighs one cell at a time; and the content and structural table writers
+write zero cells as a constant. Each is held here to a reference kept
+below, on adversarial input.
 """
 
 import math
@@ -21,7 +22,6 @@ from widetrack.content import (
     content_rows,
     doc_token_counts,
     engineered,
-    tfidf,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
 from widetrack.pipeline import (
@@ -73,6 +73,19 @@ def reference_terms(doc_counts, k, rank_by):
         tf.update(counts)
     rank = tf if rank_by == "tf" else df
     return sorted(rank, key=lambda t: (-rank[t], t))[:k]
+
+
+def tfidf(term, tokens, vocabulary, clamp_idf):
+    """One cell: log(1 + f) * log(|D| / (1 + df)), natural logarithms. The
+    inverse factor goes negative for a term in every document; that is kept
+    as-is unless ``clamp_idf`` floors it at zero."""
+    f = tokens.get(term, 0)
+    if f == 0:
+        return 0.0
+    idf = math.log(vocabulary.corpus_size / (1 + vocabulary.df[term]))
+    if clamp_idf and idf < 0.0:
+        idf = 0.0
+    return math.log(1 + f) * idf
 
 
 def reference_table(key_header, keys, columns, values):
@@ -168,7 +181,7 @@ def test_content_rows_cells_equal_tfidf(docs, k, clamp_idf):
         cells = [tfidf(t, tokens[i], vocabulary, clamp_idf) for t in vocabulary.terms]
         assert list(map(repr, values[i, :n].tolist())) == list(map(repr, cells))
         assert values[i, n:].tolist() == engineered(doc)
-        assert terms[i] == frozenset(t for t in tokens[i] if t in vocabulary)
+        assert terms[i] == frozenset(t for t in tokens[i] if t in vocabulary.index)
 
 
 _CELLS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, -3.0, 1e16, 0.1, 1 / 3, math.pi)

@@ -20,6 +20,23 @@ from widetrack.forest import (
 )
 
 
+def apply(tree, X):
+    """Leaf index each row of X lands in: ``_walk`` over one tree."""
+    return forest._walk([tree], X)[0]
+
+
+def vote(tree, X):
+    """1 where the row's leaf holds a strict adtracker majority, else 0."""
+    c = tree.counts[apply(tree, X)]
+    return (c[:, 1] > c[:, 0]).astype(np.int64)
+
+
+def _gini(c0, c1):
+    """Reference node impurity, one node at a time."""
+    n = c0 + c1
+    return 1.0 - (c0 * c0 + c1 * c1) / (n * n) if n else 0.0
+
+
 def leaf_tree(c0, c1):
     return Tree(
         feature=np.array([-1], dtype=np.int32),
@@ -96,8 +113,8 @@ class TestThresholdData:
 
     def test_per_tree_bootstrap_accuracy(self):
         for tree, sample in zip(self.model.trees, self.model.in_bag):
-            for row, vote in zip(sample, tree.vote(self.X[sample])):
-                assert vote == self.y[row]
+            for row, voted in zip(sample, vote(tree, self.X[sample])):
+                assert voted == self.y[row]
 
 
 class TestXor:
@@ -410,7 +427,7 @@ class TestBatchedWalk:
 
     def test_apply_matches_a_row_by_row_walk(self):
         for tree in self.model.trees:
-            assert tree.apply(self.probe).tolist() == [walk(tree, x) for x in self.probe]
+            assert apply(tree, self.probe).tolist() == [walk(tree, x) for x in self.probe]
 
     def test_oob_scores_match_a_row_by_row_vote(self):
         votes = np.zeros(len(self.X))
@@ -493,7 +510,7 @@ def _best_split_loop(X, y, idx, feats):
             best = (int(f), thr, int(ln[k]), int(l1[k]))
     if best is None:
         return None
-    if best_impurity >= forest._gini(c0, c1) - 1e-12:
+    if best_impurity >= _gini(c0, c1) - 1e-12:
         return None
     return (best_impurity, *best)
 
@@ -568,8 +585,8 @@ def _feature_importance_loop(model):
             lc0, lc1 = tree.counts[tree.left[i]]
             rc0, rc1 = tree.counts[tree.right[i]]
             n = c0 + c1
-            decrease = forest._gini(c0, c1) - (
-                (lc0 + lc1) * forest._gini(lc0, lc1) + (rc0 + rc1) * forest._gini(rc0, rc1)
+            decrease = _gini(c0, c1) - (
+                (lc0 + lc1) * _gini(lc0, lc1) + (rc0 + rc1) * _gini(rc0, rc1)
             ) / n
             totals[f] += (n / n_root) * decrease
     totals /= len(model.trees)

@@ -56,7 +56,6 @@ class TestParseHar:
         record = parse_har(har_bytes([entry(PAGE, rt="document")]))
         assert len(record.entries) == 1
         assert record.entries[0].initiator_url is None
-        assert record.entries[0].initiator_type == "unknown"
         assert record.site_url == PAGE
 
     def test_initiator_chain_resolution(self):
@@ -149,7 +148,6 @@ class TestWrongFieldTypes:
         record = parse_har(har_bytes([entry(PAGE, rt="document"), entry(PIXEL, initiator=initiator)]))
         assert len(record.entries) == 2
         assert record.entries[1].initiator_url is None
-        assert record.entries[1].initiator_type == "unknown"
 
     @pytest.mark.parametrize("request_", [None, "https://a.com/", ["x"], {"url": 5}])
     def test_unusable_request_is_malformed(self, request_):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from widetrack import ingest
 from widetrack.domains import DomainError, registrable_domain
 from widetrack.ingest import (
-    INITIATOR_TYPES,
     HarParseError,
     RequestEntry,
     SessionRecord,
@@ -29,6 +28,8 @@ from widetrack.pipeline import PipelineConfig, run_all
 from widetrack.synth import EcosystemConfig, generate
 
 # ---------------------------------------------------------------- oracles
+
+INITIATOR_TYPES = ("script", "parser", "other", "unknown")
 
 
 def oracle_url_host(url):
@@ -103,7 +104,7 @@ def oracle_parse_har(data):
 
     entries = []
     redirects = {}
-    for started_at, url, host, raw in parsed:
+    for _, url, host, raw in parsed:
         ini = raw.get("_initiator")
         if isinstance(ini, str):
             ini = {"url": ini}
@@ -118,7 +119,6 @@ def oracle_parse_har(data):
         if not initiator_url and ini_type == "parser":
             initiator_url = document_url
         if not initiator_url:
-            ini_type = "unknown"
             initiator_url = None
         response = _typed(raw, "response", dict)
         target = _typed(response, "redirectURL", str)
@@ -130,16 +130,14 @@ def oracle_parse_har(data):
                 url=url,
                 host=host,
                 initiator_url=initiator_url,
-                initiator_type=ini_type,
                 resource_type=_typed(raw, "_resourceType", str),
-                started_at=started_at,
                 mime=_typed(content, "mimeType", str),
             )
         )
     entries = [
         e
         if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
-        else e._replace(initiator_url=redirects[e.url], initiator_type="other")
+        else e._replace(initiator_url=redirects[e.url])
         for e in entries
     ]
     return SessionRecord(site_url=document_url, entries=entries, skipped=skipped)

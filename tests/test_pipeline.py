@@ -227,11 +227,6 @@ class TestEvaluatePredictions:
         with pytest.raises(DataError, match=r"^document px.t.net \(script\) has no label$"):
             aligned(keys, table, "label")
 
-    def test_unknown_mode_rejected(self):
-        docs, labels = self.fixture()
-        with pytest.raises(DataError):
-            evaluate(docs, labels, [0, 0], [0, 1], "sideways", "sites")
-
 
 class TestScoreRows:
     def test_training_rows_out_of_bag_and_the_rest_full(self):
@@ -419,17 +414,29 @@ class TestFileFormats:
 
 class TestAnalysisTables:
     def test_shapes_and_direction(self):
-        g = graph_with_in_degrees({"t.net": 6, "good.org": 3})
+        from widetrack.content import build_vocabulary, content_rows, doc_token_counts
+
+        g = graph_with_in_degrees({"t.net": 6, "ads.net": 4, "good.org": 3})
         docs = g.documents()
         label = {
             "px.t.net": Label(ADTRACKER, "filterlist"),
+            "px.ads.net": Label(ADTRACKER, "filterlist"),
             "px.good.org": Label(BENIGN, "filterlist"),
         }
-        tables = analysis_tables(GraphIndex(g), docs, [label[d.host] for d in docs])
-        assert sum(b["adtracker"] + b["benign"] for b in tables["degree_buckets"]) == 2
+        counts = [doc_token_counts(d) for d in docs]
+        vocab = build_vocabulary(counts, k=10, rank_by="df")
+        _, _, doc_terms = content_rows(docs, counts, vocab, clamp_idf=False)
+        tables = analysis_tables(
+            GraphIndex(g), docs, [label[d.host] for d in docs], vocab, doc_terms
+        )
+        assert sum(b["adtracker"] + b["benign"] for b in tables["degree_buckets"]) == 3
         assert set(tables["direct_coverage_ccdf"]) == {ADTRACKER, BENIGN}
         for points in tables["direct_coverage_ccdf"].values():
             assert all(0.0 <= p["ccdf"] <= 1.0 for p in points)
+        # "t" is in px.t.net's URL alone: one of the two AdTrackers, no benign one
+        assert [row["term"] for row in tables["top_keywords"]] == vocab.terms
+        rates = {row["term"]: row for row in tables["top_keywords"]}
+        assert rates["t"] == {"term": "t", ADTRACKER: 0.5, BENIGN: 0.0}
 
 
 class TestRunAllWithOverrides:
