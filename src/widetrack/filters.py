@@ -1,4 +1,4 @@
-"""Adblock-style filter rules: parsing, URL matching, document labeling.
+"""Adblock-style filter rules: parsing, and matching and labeling documents.
 
 Covers the URL-level blocking subset of the syntax: "||" host anchors, "|"
 start/end anchors, "*" wildcards, "^" separators, "@@" exceptions, and the
@@ -13,12 +13,15 @@ rule with none is keyed by a left-bounded run: one that a non-token
 character, "^" or an anchored start precedes, so in any URL it matches it
 begins a token. Only rules with neither form the fallback bucket. A URL's
 candidates are the fallback bucket, the rules keyed by one of its tokens
-and the rules keyed by a prefix of one.
+and the rules keyed by a prefix of one. The index takes each rule's runs
+as it is built.
 
-Options come before regexes. Per document, a candidate's options are
-checked once into a mask of the site contexts they pass in, and its regex
-runs only when that mask adds a context the URL is not yet blocked (or
-excepted) in. A rule's regex source is built and compiled on first use.
+One pass reads a document: its URLs, its kind and the sites it was seen
+on, each site one context. Options come before regexes. A candidate's
+options are checked once per document into a mask of the site contexts
+they pass in, and its regex runs only when that mask adds a context the
+URL is not yet blocked (or excepted) in. A rule's regex source is built
+and compiled on first use.
 """
 
 from __future__ import annotations
@@ -31,12 +34,9 @@ from functools import cached_property
 
 from .domains import registrable_domain
 from .graph import SubdomainDocument
-from .ingest import url_host
 
 ADTRACKER = "adtracker"
 BENIGN = "benign"
-
-TYPE_OPTIONS = frozenset({"script", "image", "subdocument", "xmlhttprequest"})
 
 KIND_TO_OPTION = {
     "script": "script",
@@ -44,6 +44,7 @@ KIND_TO_OPTION = {
     "iframe": "subdocument",
     "other": "xmlhttprequest",
 }
+TYPE_OPTIONS = frozenset(KIND_TO_OPTION.values())
 
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
 _TOKEN_RE = re.compile(r"[a-z0-9%]+")
@@ -60,8 +61,6 @@ class Rule:
     third_party: bool | None  # None = unrestricted
     domains_pos: tuple[str, ...]
     domains_neg: tuple[str, ...]
-    tokens: tuple[str, ...]  # complete tokens, see _token_runs
-    prefixes: tuple[str, ...]  # left-bounded runs that are not complete
 
     @cached_property
     def pattern(self) -> str:
@@ -86,16 +85,17 @@ class _RuleIndex:
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        token_freq = Counter(t for r in rules for t in r.tokens)
-        prefix_freq = Counter(p for r in rules if not r.tokens for p in r.prefixes)
+        runs = [_token_runs(r.body, r.anchors[0] or r.anchors[1], r.anchors[2]) for r in rules]
+        token_freq = Counter(t for tokens, _ in runs for t in tokens)
+        prefix_freq = Counter(p for tokens, prefixes in runs if not tokens for p in prefixes)
         by_token: defaultdict[str, list[int]] = defaultdict(list)
         by_prefix: defaultdict[str, list[int]] = defaultdict(list)
         self.fallback: list[int] = []
-        for i, r in enumerate(rules):
-            if r.tokens:
-                by_token[_rarest(r.tokens, token_freq)].append(i)
-            elif r.prefixes:
-                by_prefix[_rarest(r.prefixes, prefix_freq)].append(i)
+        for i, (tokens, prefixes) in enumerate(runs):
+            if tokens:
+                by_token[_rarest(tokens, token_freq)].append(i)
+            elif prefixes:
+                by_prefix[_rarest(prefixes, prefix_freq)].append(i)
             else:
                 self.fallback.append(i)
         self.by_token = dict(by_token)
@@ -133,12 +133,6 @@ class RuleSet:
     @property
     def rule_count(self) -> int:
         return len(self.block_rules) + len(self.exception_rules)
-
-
-@dataclass(frozen=True)
-class MatchContext:
-    page_domain: str  # registrable domain of the visited site
-    kind: str  # interaction kind value
 
 
 @dataclass(frozen=True)
@@ -233,19 +227,15 @@ def _parse_line(line: str) -> Rule | str:
     if not body and not (type_options or third_party is not None or domains_pos):
         return "empty_pattern"
 
-    body = body.lower()
-    tokens, prefixes = _token_runs(body, hostname_anchor or start_anchor, end_anchor)
     return Rule(
         raw=line,
-        body=body,
+        body=body.lower(),
         anchors=(hostname_anchor, start_anchor, end_anchor),
         is_exception=is_exception,
         type_options=frozenset(type_options),
         third_party=third_party,
         domains_pos=tuple(domains_pos),
         domains_neg=tuple(domains_neg),
-        tokens=tokens,
-        prefixes=prefixes,
     )
 
 
@@ -272,32 +262,31 @@ def _domain_covers(page_domain: str, rule_domain: str) -> bool:
     return page_domain == rule_domain or page_domain.endswith("." + rule_domain)
 
 
-def _options_pass(rule: Rule, url_domain: str, ctx: MatchContext) -> bool:
-    page = ctx.page_domain
-    return (
-        (not rule.type_options or KIND_TO_OPTION.get(ctx.kind) in rule.type_options)
-        and (rule.third_party is None or (url_domain != page) == rule.third_party)
+def _context_mask(rule: Rule, url_domain: str, option: str | None, sites: list[str]) -> int:
+    """Bit i is set when the rule's options pass for a URL on ``url_domain``
+    loaded as type ``option`` on the page of ``sites[i]``."""
+    if rule.type_options and option not in rule.type_options:
+        return 0
+    if rule.third_party is None and not (rule.domains_pos or rule.domains_neg):
+        return (1 << len(sites)) - 1
+    return sum(
+        1 << i
+        for i, page in enumerate(sites)
+        if (rule.third_party is None or (url_domain != page) == rule.third_party)
         and not any(_domain_covers(page, d) for d in rule.domains_neg)
         and (not rule.domains_pos or any(_domain_covers(page, d) for d in rule.domains_pos))
     )
 
 
-def _context_mask(rule: Rule, url_domain: str, contexts: list[MatchContext]) -> int:
-    """Bit i is set when the rule's options pass in ``contexts[i]``."""
-    if not (rule.type_options or rule.third_party is not None
-            or rule.domains_pos or rule.domains_neg):
-        return (1 << len(contexts)) - 1
-    return sum(1 << i for i, c in enumerate(contexts) if _options_pass(rule, url_domain, c))
-
-
-def _blocked(
-    rules: RuleSet, urls: Iterable[str], host: str, contexts: list[MatchContext], exceptions: bool
-) -> bool:
-    """Whether some URL on ``host`` is blocked in some context: a block rule
-    matches it there and, when ``exceptions``, no exception rule does. URLs
-    go in sorted order; a rule's context mask is taken at most once a call;
-    exception candidates are fetched only for a URL some block rule hits."""
-    url_domain = registrable_domain(host)
+def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> bool:
+    """Whether some URL of ``document`` is blocked in the context of some
+    site it was seen on: a block rule matches it there and, when
+    ``exceptions``, no exception rule does. URLs go in sorted order; a
+    rule's context mask is taken at most once a call; exception
+    candidates are fetched only for a URL some block rule hits."""
+    url_domain = registrable_domain(document.host)
+    option = KIND_TO_OPTION.get(document.kind)
+    sites = sorted(document.sites)
     masks: dict[int, int] = {}
 
     def hits(index: _RuleIndex, url_lower: str, tokens: frozenset[str], wanted: int) -> int:
@@ -306,15 +295,15 @@ def _blocked(
         for r in index.candidates(tokens):
             m = masks.get(id(r))
             if m is None:
-                m = masks[id(r)] = _context_mask(r, url_domain, contexts)
+                m = masks[id(r)] = _context_mask(r, url_domain, option, sites)
             if m & wanted & ~held and r.regex.search(url_lower):
                 held |= m & wanted
                 if held == wanted:
                     break
         return held
 
-    full = (1 << len(contexts)) - 1
-    for url in sorted(urls):
+    full = (1 << len(sites)) - 1
+    for url in sorted(document.urls):
         url_lower = url.lower()
         tokens = frozenset(_TOKEN_RE.findall(url_lower))
         blocked = hits(rules.block_index, url_lower, tokens, full)
@@ -323,18 +312,6 @@ def _blocked(
         ):
             return True
     return False
-
-
-def _document_blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> bool:
-    contexts = [MatchContext(site, document.kind) for site in sorted(document.sites)]
-    return _blocked(rules, document.urls, document.host, contexts, exceptions)
-
-
-def matches(rules: RuleSet, url: str, ctx: MatchContext) -> bool:
-    """True when some block rule matches and no exception rule does; a URL
-    ingest would skip matches nothing."""
-    host, _ = url_host(url)
-    return host is not None and _blocked(rules, [url], host, [ctx], exceptions=True)
 
 
 def label_document(
@@ -349,7 +326,7 @@ def label_document(
     """
     if overrides and document.host in overrides:
         return Label(overrides[document.host], "override")
-    blocked = _document_blocked(rules, document, exceptions=True)
+    blocked = _blocked(rules, document, exceptions=True)
     return Label(ADTRACKER if blocked else BENIGN, "filterlist")
 
 
@@ -359,18 +336,23 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     Exceptions are ignored: this asks if the lists already cover the host,
     not whether the final verdict is blocked.
     """
-    return _document_blocked(rules, document, exceptions=False)
+    return _blocked(rules, document, exceptions=False)
 
 
 def parse_overrides(text: str) -> dict[str, str]:
-    """hostname<TAB>adtracker|benign lines; '#'/'!' comments allowed."""
+    """hostname<TAB>adtracker|benign lines; '#'/'!' comments allowed. A
+    bad line, or a host given twice (naming both lines), is a ValueError."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith(("#", "!")):
             continue
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in (ADTRACKER, BENIGN):
-            raise ValueError(f"bad override on line {lineno}: {raw!r}")
+            raise ValueError(f"line {lineno}: bad override {raw!r}")
+        earlier = first_line.setdefault(parts[0], lineno)
+        if earlier != lineno:
+            raise ValueError(f"line {lineno}: override for {parts[0]} repeats line {earlier}")
         out[parts[0]] = parts[1]
     return out

@@ -396,6 +396,8 @@ def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
     for lineno, (host, kind, label, source) in rows:
         if label not in CLASSES:
             raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
+        if source not in ("filterlist", "override"):
+            raise DataError(f"unknown label source {source!r} for {host} on line {lineno}")
         out[(host, kind)] = Label(label, source)
     return out
 
@@ -414,15 +416,18 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
     if header != _SCORES_HEADER:
         raise DataError("unrecognized scores file header")
     out = {}
-    for lineno, (host, kind, pred, score, _) in rows:
+    for lineno, (host, kind, pred, score, basis) in rows:
         if pred not in CLASSES:
             raise DataError(f"unknown prediction {pred!r} for {host} on line {lineno}")
         try:
             value = float(score)
         except ValueError:
             value = math.nan
-        if not math.isfinite(value):
+        # A score is a vote fraction; NaN fails both comparisons.
+        if not 0.0 <= value <= 1.0:
             raise DataError(f"bad score {score!r} for {host} on line {lineno}")
+        if basis not in ("full", "oob"):
+            raise DataError(f"unknown basis {basis!r} for {host} on line {lineno}")
         out[(host, kind)] = (CLASSES.index(pred), value)
     return out
 
@@ -666,9 +671,14 @@ def read_rules(paths) -> RuleSet:
 
 
 def read_overrides(path: str | Path | None) -> dict[str, str] | None:
+    """The overrides file's hosts and labels; a bad line is a DataError
+    naming the file."""
     if path is None:
         return None
-    return parse_overrides(_read_utf8(path))
+    try:
+        return parse_overrides(_read_utf8(path))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def content_features(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from widetrack.content import build_vocabulary, content_rows, doc_token_counts
-from widetrack.filters import MatchContext, RuleSet, _pattern_to_regex, matches, parse_rules
+from widetrack.filters import ADTRACKER, RuleSet, _pattern_to_regex, label_document, parse_rules
 from widetrack.forest import ForestParams, _walk, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
@@ -31,6 +31,8 @@ from widetrack.graph import (
 from widetrack.ingest import build_tree, parse_har
 from widetrack.pipeline import PipelineConfig, filter_eligible, run_all
 from widetrack.synth import EcosystemConfig, generate
+
+from url_documents import url_document
 
 # ---------------------------------------------------------------------------
 # criterion 1: graph oracle equivalence on 50 seeded corpora
@@ -195,11 +197,16 @@ MATCH_VECTORS = [
 ]
 
 
+def blocked(ruleset, document):
+    """run-all's verdict: the label ``label_document`` gives."""
+    return label_document(ruleset, document).label == ADTRACKER
+
+
 def test_criterion_3_rule_matcher():
     assert len(MATCH_VECTORS) >= 30
     for rules_text, url, page, kind, expected in MATCH_VECTORS:
         ruleset = parse_rules(rules_text)
-        got = matches(ruleset, url, MatchContext(page, kind))
+        got = blocked(ruleset, url_document(url, page, kind))
         assert got == expected, (rules_text, url, page, kind)
 
     block_pool = parse_rules(
@@ -233,18 +240,17 @@ def test_criterion_3_rule_matcher():
         blocks = rng.sample(block_pool, rng.randint(0, 3))
         exceptions = rng.sample(exception_pool, rng.randint(0, 2))
         ruleset = RuleSet(blocks, exceptions, Counter())
-        url = rng.choice(urls)
-        ctx = MatchContext(rng.choice(pages), rng.choice(kinds))
-        before = matches(ruleset, url, ctx)
+        document = url_document(rng.choice(urls), rng.choice(pages), rng.choice(kinds))
+        before = blocked(ruleset, document)
 
         more_blocks = RuleSet(blocks + [rng.choice(block_pool)], exceptions, Counter())
-        after_block = matches(more_blocks, url, ctx)
+        after_block = blocked(more_blocks, document)
         assert after_block or not before, "adding a block rule unblocked a URL"
 
         more_exceptions = RuleSet(
             blocks, exceptions + [rng.choice(exception_pool)], Counter()
         )
-        after_exception = matches(more_exceptions, url, ctx)
+        after_exception = blocked(more_exceptions, document)
         assert before or not after_exception, "adding an exception blocked a URL"
     print("criterion 3: PASS: 38 curated vectors and 10000 monotonicity trials")
 

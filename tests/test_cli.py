@@ -435,12 +435,17 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
          ["features", "structural", "--out", out, "--graph"], 4),
         ("labels3.tsv", labels_header + "px.t.net\tscript\tadtracker\n", content_cmd, 2),
         ("labelx.tsv", labels_header + "px.t.net\tscript\tmaybe\tfilterlist\n", content_cmd, 2),
+        ("labelsrc.tsv", labels_header + "px.t.net\tscript\tadtracker\twhatever\n", content_cmd, 2),
         ("scores4.tsv", scores_header + "px.t.net\tscript\tadtracker\t0.5\n", emit_cmd, 2),
         ("scorex.tsv",
          scores_header + "a.t.net\tscript\tbenign\t0.1\tfull\npx.t.net\tscript\tmaybe\t0.5\tfull\n",
          emit_cmd, 3),
         ("scoref.tsv", scores_header + "px.t.net\tscript\tadtracker\thigh\tfull\n", emit_cmd, 2),
         ("scoren.tsv", scores_header + "px.t.net\tscript\tadtracker\tnan\tfull\n", emit_cmd, 2),
+        # a score is a vote fraction
+        ("scorer.tsv", scores_header + "px.t.net\tscript\tadtracker\t7.5\tfull\n", emit_cmd, 2),
+        ("scoreb.tsv", scores_header + "px.t.net\tscript\tadtracker\t0.5\tnonsense\n",
+         emit_cmd, 2),
         ("content.tsv", "host\tkind\ta\tb\npx.t.net\tscript\t1.0\n", train_cmd, 2),
         ("contentf.tsv", "host\tkind\ta\npx.t.net\tscript\t1.0\nq.t.net\tscript\tx\n",
          train_cmd, 3),
@@ -478,16 +483,20 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
             assert f"line {lineno}: byte 0xff is not UTF-8" in err, (name, err)
 
     # A rules, overrides or config file holding a byte that is not UTF-8
-    # names itself and the byte's line.
+    # names itself and the byte's line; so does an overrides file that
+    # gives a host twice.
     bad_rules = tmp_path / "bad-rules.txt"
     bad_rules.write_bytes(b"||t.net^\n||\xff.net^\n")
     bad_overrides = tmp_path / "bad-overrides.tsv"
     bad_overrides.write_bytes(b"px.t.net\tbenign\n\xff.net\tbenign\n")
+    repeated = tmp_path / "repeated-overrides.tsv"
+    repeated.write_text("px.t.net\tadtracker\npx.t.net\tbenign\n")
     cfg = tmp_path / "bad-bytes.cfg"
     base = f"har_dir = {corpus_dir / 'har'}\nout_dir = {tmp_path / 'bad-bytes-out'}\n"
     for extra, named, lineno in [
         (f"rules_files = {bad_rules}\n".encode(), bad_rules, 2),
         (f"rules_files = {rules}\noverrides_file = {bad_overrides}\n".encode(), bad_overrides, 2),
+        (f"rules_files = {rules}\noverrides_file = {repeated}\n".encode(), repeated, 2),
         (f"rules_files = {rules}\n".encode() + b"# \xff\n", cfg, 4),
     ]:
         cfg.write_bytes(base.encode() + extra)

@@ -10,18 +10,22 @@ from widetrack.domains import registrable_domain
 from widetrack.filters import (
     ADTRACKER,
     BENIGN,
-    MatchContext,
     RuleSet,
-    _options_pass,
     document_block_matched,
     label_document,
-    matches,
     parse_overrides,
     parse_rules,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
 
-CTX = MatchContext(page_domain="news.com", kind="script")
+from url_documents import url_document
+
+
+def blocked(rs, url, page="news.com", kind="script"):
+    """The label of the document ``url`` makes when loaded as ``kind`` on
+    ``page``; a URL ingest would skip makes none and is not blocked."""
+    document = url_document(url, page, kind)
+    return document is not None and label_document(rs, document).label == ADTRACKER
 
 
 def doc(host, kind, urls, sites=("news.com",)):
@@ -97,82 +101,82 @@ class TestParseRules:
 class TestMatching:
     def test_host_anchor_hits_host_and_subdomains(self):
         rs = parse_rules("||ads.example.com^")
-        assert matches(rs, "http://ads.example.com/banner.js", CTX)
-        assert matches(rs, "http://x.ads.example.com/banner.js", CTX)
+        assert blocked(rs, "http://ads.example.com/banner.js")
+        assert blocked(rs, "http://x.ads.example.com/banner.js")
 
     def test_host_anchor_respects_label_boundary(self):
         rs = parse_rules("||ads.example.com^")
-        assert not matches(rs, "http://example.com/x", CTX)
-        assert not matches(rs, "http://badads.example.com/x", CTX)
+        assert not blocked(rs, "http://example.com/x")
+        assert not blocked(rs, "http://badads.example.com/x")
 
     def test_exception_wins(self):
         rs = parse_rules("/adserv*\n@@||good.cdn.com^")
-        assert not matches(rs, "http://good.cdn.com/adserver.js", CTX)
-        assert matches(rs, "http://other.cdn.com/adserver.js", CTX)
+        assert not blocked(rs, "http://good.cdn.com/adserver.js")
+        assert blocked(rs, "http://other.cdn.com/adserver.js")
 
     def test_separator_matches_non_url_chars_and_end(self):
         rs = parse_rules("||t.net^")
-        assert matches(rs, "https://t.net/x", CTX)  # '/' is a separator
-        assert matches(rs, "https://t.net:8080/x", CTX)  # ':' is a separator
-        assert matches(rs, "https://t.net", CTX)  # end of URL
-        assert not matches(rs, "https://t.network/x", CTX)  # letter is not
+        assert blocked(rs, "https://t.net/x")  # '/' is a separator
+        assert blocked(rs, "https://t.net:8080/x")  # ':' is a separator
+        assert blocked(rs, "https://t.net")  # end of URL
+        assert not blocked(rs, "https://t.network/x")  # letter is not
 
     def test_start_and_end_anchors(self):
         rs = parse_rules("|https://exact.com/file.js|")
-        assert matches(rs, "https://exact.com/file.js", CTX)
-        assert not matches(rs, "https://exact.com/file.js?x=1", CTX)
-        assert not matches(rs, "https://pre.fix/https://exact.com/file.js", CTX)
+        assert blocked(rs, "https://exact.com/file.js")
+        assert not blocked(rs, "https://exact.com/file.js?x=1")
+        assert not blocked(rs, "https://pre.fix/https://exact.com/file.js")
 
     def test_wildcard(self):
         rs = parse_rules("/ads/*/banner")
-        assert matches(rs, "https://x.com/ads/v2/banner", CTX)
-        assert not matches(rs, "https://x.com/ads/banner", CTX)
+        assert blocked(rs, "https://x.com/ads/v2/banner")
+        assert not blocked(rs, "https://x.com/ads/banner")
 
     def test_match_is_case_insensitive(self):
         rs = parse_rules("/AdServer/*")
-        assert matches(rs, "https://x.com/ADSERVER/pixel", CTX)
+        assert blocked(rs, "https://x.com/ADSERVER/pixel")
 
     def test_type_options_gate_by_interaction_kind(self):
         rs = parse_rules("||t.net^$script")
         url = "https://px.t.net/x"
-        assert matches(rs, url, MatchContext("news.com", "script"))
-        assert not matches(rs, url, MatchContext("news.com", "media"))
+        assert blocked(rs, url, "news.com", "script")
+        assert not blocked(rs, url, "news.com", "media")
 
     def test_third_party_option(self):
         rs = parse_rules("||t.net^$third-party")
         url = "https://px.t.net/x"
-        assert matches(rs, url, MatchContext("news.com", "script"))
-        assert not matches(rs, url, MatchContext("t.net", "script"))
+        assert blocked(rs, url, "news.com", "script")
+        assert not blocked(rs, url, "t.net", "script")
 
     def test_negated_third_party_option(self):
         rs = parse_rules("||t.net^$~third-party")
         url = "https://px.t.net/x"
-        assert not matches(rs, url, MatchContext("news.com", "script"))
-        assert matches(rs, url, MatchContext("t.net", "script"))
+        assert not blocked(rs, url, "news.com", "script")
+        assert blocked(rs, url, "t.net", "script")
 
     def test_domain_option_restricts_page(self):
         rs = parse_rules("||t.net^$domain=news.com|blog.org")
         url = "https://px.t.net/x"
-        assert matches(rs, url, MatchContext("news.com", "script"))
-        assert matches(rs, url, MatchContext("blog.org", "script"))
-        assert not matches(rs, url, MatchContext("shop.io", "script"))
+        assert blocked(rs, url, "news.com", "script")
+        assert blocked(rs, url, "blog.org", "script")
+        assert not blocked(rs, url, "shop.io", "script")
 
     def test_negated_domain_option(self):
         rs = parse_rules("||t.net^$domain=~news.com")
         url = "https://px.t.net/x"
-        assert not matches(rs, url, MatchContext("news.com", "script"))
-        assert matches(rs, url, MatchContext("shop.io", "script"))
+        assert not blocked(rs, url, "news.com", "script")
+        assert blocked(rs, url, "shop.io", "script")
 
     def test_rule_order_irrelevant(self):
         a = parse_rules("||a.net^\n||b.net^\n@@||a.net^$script")
         b = parse_rules("@@||a.net^$script\n||b.net^\n||a.net^")
         for url in ("https://x.a.net/1", "https://x.b.net/2", "https://c.org/3"):
-            assert matches(a, url, CTX) == matches(b, url, CTX)
+            assert blocked(a, url) == blocked(b, url)
 
     def test_document_block_matched_ignores_exceptions(self):
         rs = parse_rules("||t.net^\n@@||t.net^")
         url = "https://px.t.net/x"
-        assert not matches(rs, url, CTX)
+        assert not blocked(rs, url)
         assert document_block_matched(rs, doc("px.t.net", "script", [url]))
 
 
@@ -222,7 +226,7 @@ class TestLabelDocument:
         rs = parse_rules("||t.net^$script\n@@||sync.t.net^")
         d = doc("sync.t.net", "script", ["https://sync.t.net/s"], sites=("news.com",))
         expected = any(
-            matches(rs, url, MatchContext(site, d.kind))
+            blocked(rs, url, site, d.kind)
             for url in d.urls
             for site in d.sites
         )
@@ -247,12 +251,12 @@ class TestMonotonicity:
             excs = rng.sample(pool_exc, rng.randint(0, 2))
             rs = RuleSet(blocks, excs, Counter())
             url = rng.choice(urls)
-            ctx = MatchContext(rng.choice(["news.com", "t.net"]), rng.choice(["script", "media"]))
-            before = matches(rs, url, ctx)
+            page, kind = rng.choice(["news.com", "t.net"]), rng.choice(["script", "media"])
+            before = blocked(rs, url, page, kind)
             extra_block = RuleSet(blocks + [rng.choice(pool_block)], excs, Counter())
-            assert matches(extra_block, url, ctx) or not before
+            assert blocked(extra_block, url, page, kind) or not before
             extra_exc = RuleSet(blocks, excs + [rng.choice(pool_exc)], Counter())
-            assert before or not matches(extra_exc, url, ctx)
+            assert before or not blocked(extra_exc, url, page, kind)
 
 
 def test_parse_overrides():
@@ -262,11 +266,32 @@ def test_parse_overrides():
         parse_overrides("px.t.net\tmaybe\n")
     with pytest.raises(ValueError):
         parse_overrides("px.t.net adtracker\n")
+    # A later line would silently replace the earlier label.
+    with pytest.raises(ValueError, match="^line 3: override for px.t.net repeats line 1$"):
+        parse_overrides("px.t.net\tadtracker\n# note\npx.t.net\tbenign\n")
 
 
-# --- the linear matcher: every rule's regex on every URL ---
-# It shares the option check with the package and differs only in testing
-# every rule, so it pins the token index and nothing else.
+# --- the linear matcher: every rule's regex on every URL in every context ---
+# It checks each rule's options itself, one (URL, site) context at a time,
+# and tests every rule, so it pins both the token index and the package's
+# per-document option masks.
+
+_LINEAR_TYPE_OPTION = {
+    "script": "script", "media": "image", "iframe": "subdocument", "other": "xmlhttprequest",
+}
+
+
+def _covers(page, rule_domain):
+    return page == rule_domain or page.endswith("." + rule_domain)
+
+
+def _options_pass(rule, url_domain, page, kind):
+    return (
+        (not rule.type_options or _LINEAR_TYPE_OPTION.get(kind) in rule.type_options)
+        and (rule.third_party is None or (url_domain != page) == rule.third_party)
+        and not any(_covers(page, d) for d in rule.domains_neg)
+        and (not rule.domains_pos or any(_covers(page, d) for d in rule.domains_pos))
+    )
 
 
 def _linear_targets(urls):
@@ -277,30 +302,30 @@ def _linear_targets(urls):
             yield url_lower, registrable_domain(host)
 
 
-def _linear_hit(rule, url_lower, url_domain, ctx):
-    return _options_pass(rule, url_domain, ctx) and re.search(rule.pattern, url_lower)
+def _linear_hit(rule, url_lower, url_domain, page, kind):
+    return _options_pass(rule, url_domain, page, kind) and re.search(rule.pattern, url_lower)
 
 
-def linear_matches(rs, url, ctx):
+def linear_matches(rs, url, page, kind):
     return any(
-        any(_linear_hit(r, u, d, ctx) for r in rs.block_rules)
-        and not any(_linear_hit(r, u, d, ctx) for r in rs.exception_rules)
+        any(_linear_hit(r, u, d, page, kind) for r in rs.block_rules)
+        and not any(_linear_hit(r, u, d, page, kind) for r in rs.exception_rules)
         for u, d in _linear_targets([url])
     )
 
 
 def linear_label(rs, document):
-    blocked = any(
-        linear_matches(rs, url, MatchContext(site, document.kind))
+    hit = any(
+        linear_matches(rs, url, site, document.kind)
         for url in document.urls
         for site in document.sites
     )
-    return ADTRACKER if blocked else BENIGN
+    return ADTRACKER if hit else BENIGN
 
 
 def linear_block_matched(rs, document):
     return any(
-        _linear_hit(r, u, d, MatchContext(site, document.kind))
+        _linear_hit(r, u, d, site, document.kind)
         for u, d in _linear_targets(document.urls)
         for site in document.sites
         for r in rs.block_rules
@@ -357,8 +382,7 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
     url_list = url_list + [u for line in lines for u in _embeddings(line)]
     for url in url_list:
         for site in sites:
-            ctx = MatchContext(site, kind)
-            assert matches(rs, url, ctx) == linear_matches(rs, url, ctx), (url, site)
+            assert blocked(rs, url, site, kind) == linear_matches(rs, url, site, kind), (url, site)
     # A document holds the URLs of its own host, as the graph builds it.
     by_host = {}
     for url in url_list:
@@ -377,7 +401,8 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
         )
         alone = RuleSet([bare], [], Counter())
         for url in url_list:
-            assert matches(alone, url, CTX) == linear_matches(alone, url, CTX), (rule.raw, url)
+            expected = linear_matches(alone, url, "news.com", "script")
+            assert blocked(alone, url) == expected, (rule.raw, url)
 
 
 def _bucket(index, i):
@@ -434,18 +459,17 @@ class _CountingRegex:
 
 
 def _searches_per_url(text, url_list):
-    """Per URL: (regex searches run by matches, label_document and
-    document_block_matched on a one-URL document, their verdicts). No call
-    may search a rule's regex twice."""
+    """Per URL: (regex searches run by label_document and
+    document_block_matched on the URL's one-URL document, their verdicts).
+    No call may search a rule's regex twice."""
     rs = parse_rules(text)
     counter = Counter()
     for rule in rs.block_rules + rs.exception_rules:
         rule.__dict__["regex"] = _CountingRegex(rule.pattern, counter)
     out = []
     for url in url_list:
-        d = doc(urlsplit(url).hostname, "script", [url])
+        d = url_document(url, "news.com", "script")
         calls = (
-            lambda: matches(rs, url, CTX),
             lambda: label_document(rs, d).label,
             lambda: document_block_matched(rs, d),
         )

@@ -369,7 +369,7 @@ class TestFileFormats:
     @pytest.mark.parametrize(
         "read, header, row",
         [
-            (read_labels_file, "host\tkind\tlabel\tsource", "px.t.net\tscript\tbenign\tlist"),
+            (read_labels_file, "host\tkind\tlabel\tsource", "px.t.net\tscript\tbenign\tfilterlist"),
             (read_scores_file, "host\tkind\tprediction\tscore\tbasis",
              "px.t.net\tscript\tbenign\t0.5\tfull"),
             (read_content_matrix, "host\tkind\ta", "px.t.net\tscript\t1.0"),
@@ -476,7 +476,7 @@ class TestEachFactOnce:
     def test_run_all_splits_each_entry_url_once(self, tmp_path, monkeypatch):
         import json
 
-        from widetrack import filters, graph, ingest
+        from widetrack import graph, ingest
         from widetrack.pipeline import run_all
         from widetrack.synth import EcosystemConfig, generate
 
@@ -485,11 +485,8 @@ class TestEachFactOnce:
         )
         calls = Counter()
         # Graph reads hosts only through ingest.url_host, and only when
-        # loading a graph file; the matcher reads one only in ``matches``.
-        for module, name in (
-            (ingest, "url_host"), (ingest, "urlsplit"), (graph, "url_host"),
-            (filters, "url_host"),
-        ):
+        # loading a graph file; the matcher reads each document's host.
+        for module, name in ((ingest, "url_host"), (ingest, "urlsplit"), (graph, "url_host")):
             original = getattr(module, name)
 
             def counted(url, *args, _original=original, _name=f"{module.__name__}.{name}"):
