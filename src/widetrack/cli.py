@@ -45,21 +45,24 @@ def _row_labels(path, keys):
 def _load_feature_files(paths):
     """Read one content and one structural table and join them as run-all
     does: (document keys, one row per key laid out
-    [keywords | engineered | structural])."""
-    content_part = None
-    struct_part = None
+    [keywords | engineered | structural]). A second table of a kind is a
+    DataError naming both files."""
+    parts = {}  # kind -> (path, table)
     for path in paths:
         data = Path(path).read_bytes()
         if data.startswith(b"host\t"):
-            content_part = pipeline_mod.read_content_matrix(data)
+            kind, read = "content", pipeline_mod.read_content_matrix
         elif data.startswith(b"domain\t"):
-            struct_part = pipeline_mod.read_struct_matrix(data)
+            kind, read = "structural", pipeline_mod.read_struct_matrix
         else:
             raise DataError(f"unrecognized feature file {path}")
-    if content_part is None or struct_part is None:
+        if kind in parts:
+            raise DataError(f"two {kind} feature files: {parts[kind][0]} and {path}")
+        parts[kind] = (path, read(data))
+    if len(parts) < 2:
         raise DataError("need one content and one structural feature file")
-    keys, _, values = content_part
-    return keys, pipeline_mod.assemble_all_vectors(keys, values, struct_part)
+    keys, _, values = parts["content"][1]
+    return keys, pipeline_mod.assemble_all_vectors(keys, values, parts["structural"][1])
 
 
 def cmd_ingest(args) -> int:
@@ -138,8 +141,7 @@ def cmd_label(args) -> int:
     cfg = _config(args)
     eligible, keys = _eligible(args, cfg)
     ruleset = pipeline_mod.read_rules(args.rules)
-    overrides = pipeline_mod.read_overrides(args.overrides)
-    labels = [label_document(ruleset, d, overrides) for d in eligible]
+    labels = [label_document(ruleset, d) for d in eligible]
     Path(args.out).write_bytes(pipeline_mod.write_labels_file(keys, labels))
     n_ad = sum(1 for lab in labels if lab.label == "adtracker")
     print(
@@ -192,7 +194,10 @@ def cmd_emit_rules(args) -> int:
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     ruleset = pipeline_mod.read_rules(args.rules)
     docs = {pipeline_mod.doc_key(d): d for d in index.graph.documents()}
-    keys = [key for key in sorted(predictions) if key in docs]
+    keys = sorted(predictions)
+    for host, kind in keys:
+        if (host, kind) not in docs:
+            raise DataError(f"{args.scores}: document {host} ({kind}) is not in {args.graph}")
     scored = [predictions[key] for key in keys]
     text = pipeline_mod.emit_candidate_rules(index, [docs[k] for k in keys], scored, ruleset)
     Path(args.out).write_text(text, encoding="utf-8")
@@ -263,7 +268,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("label", help="label the eligible documents with filter lists")
     p.add_argument("--graph", required=True)
     p.add_argument("--rules", nargs="+", required=True)
-    p.add_argument("--overrides", help="relabel file applied to the written labels")
     p.add_argument("--out", required=True)
     _config_arg(p)
     p.set_defaults(func=cmd_label)

@@ -138,7 +138,6 @@ class RuleSet:
 @dataclass(frozen=True)
 class Label:
     label: str  # ADTRACKER or BENIGN
-    source: str  # "filterlist" or "override"
 
 
 def _pattern_to_regex(
@@ -314,20 +313,12 @@ def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> b
     return False
 
 
-def label_document(
-    rules: RuleSet,
-    document: SubdomainDocument,
-    overrides: dict[str, str] | None = None,
-) -> Label:
+def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
     """AdTracker iff any URL is blocked in any contributing site's context.
 
-    An override entry for the document's host beats the filter-list verdict.
     Every URL of a document is on its host, as the graph builds and loads it.
     """
-    if overrides and document.host in overrides:
-        return Label(overrides[document.host], "override")
-    blocked = _blocked(rules, document, exceptions=True)
-    return Label(ADTRACKER if blocked else BENIGN, "filterlist")
+    return Label(ADTRACKER if _blocked(rules, document, exceptions=True) else BENIGN)
 
 
 def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
@@ -337,22 +328,3 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     not whether the final verdict is blocked.
     """
     return _blocked(rules, document, exceptions=False)
-
-
-def parse_overrides(text: str) -> dict[str, str]:
-    """hostname<TAB>adtracker|benign lines; '#'/'!' comments allowed. A
-    bad line, or a host given twice (naming both lines), is a ValueError."""
-    out: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "!")):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or parts[1] not in (ADTRACKER, BENIGN):
-            raise ValueError(f"line {lineno}: bad override {raw!r}")
-        earlier = first_line.setdefault(parts[0], lineno)
-        if earlier != lineno:
-            raise ValueError(f"line {lineno}: override for {parts[0]} repeats line {earlier}")
-        out[parts[0]] = parts[1]
-    return out

@@ -28,7 +28,6 @@ from .filters import (
     RuleSet,
     document_block_matched,
     label_document,
-    parse_overrides,
     parse_rules,
 )
 from .forest import CLASSES, ForestParams
@@ -238,16 +237,15 @@ def emit_candidate_rules(
     """Block-rule lines for predicted AdTrackers the lists do not yet hit.
 
     ``scored`` holds each document's (prediction, score, ...) and
-    ``labels``, when given, its label. A document labelled a filter-list
-    AdTracker is block-matched by definition, so only the others are
-    matched again.
+    ``labels``, when given, its label. A document the lists label AdTracker
+    is block-matched by definition, so only the others are matched again.
     """
-    listed = Label(ADTRACKER, "filterlist")
     selected = []
     for doc, (pred, score, *_), label in zip(docs, scored, labels or [None] * len(docs)):
         if pred != 1:
             continue
-        if label == listed or document_block_matched(rules, doc):
+        listed = label is not None and label.label == ADTRACKER
+        if listed or document_block_matched(rules, doc):
             continue
         selected.append((score, doc.host, *coverage(index, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))
@@ -384,7 +382,7 @@ def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list
 def write_labels_file(keys: list[tuple[str, str]], labels: list[Label]) -> bytes:
     lines = ["\t".join(_LABELS_HEADER)]
     for (host, kind), lab in zip(keys, labels):
-        lines.append(f"{host}\t{kind}\t{lab.label}\t{lab.source}")
+        lines.append(f"{host}\t{kind}\t{lab.label}\tfilterlist")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -396,9 +394,9 @@ def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
     for lineno, (host, kind, label, source) in rows:
         if label not in CLASSES:
             raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
-        if source not in ("filterlist", "override"):
+        if source != "filterlist":
             raise DataError(f"unknown label source {source!r} for {host} on line {lineno}")
-        out[(host, kind)] = Label(label, source)
+        out[(host, kind)] = Label(label)
     return out
 
 
@@ -671,14 +669,29 @@ def read_rules(paths) -> RuleSet:
 
 
 def read_overrides(path: str | Path | None) -> dict[str, str] | None:
-    """The overrides file's hosts and labels; a bad line is a DataError
-    naming the file."""
+    """The overrides file's ``host<TAB>adtracker|benign`` lines; '#'/'!'
+    comments allowed. A bad line, a host that is not lower-case (no
+    document host is) or a host given twice (naming both lines) is a
+    DataError naming the file and the line."""
     if path is None:
         return None
-    try:
-        return parse_overrides(_read_utf8(path))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith(("#", "!")):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in CLASSES:
+            raise DataError(f"{path}: line {lineno}: bad override {raw!r}")
+        host, label = parts
+        if host != host.lower():
+            raise DataError(f"{path}: line {lineno}: override host {host} is not lower-case")
+        earlier = first_line.setdefault(host, lineno)
+        if earlier != lineno:
+            raise DataError(f"{path}: line {lineno}: override for {host} repeats line {earlier}")
+        out[host] = label
+    return out
 
 
 def content_features(

@@ -82,35 +82,6 @@ def test_full_command_chain(corpus_dir, tmp_path, capsys):
     assert open(candidates).read().startswith("!")
 
 
-def test_label_with_overrides(corpus_dir, tmp_path):
-    from widetrack.pipeline import read_labels_file
-
-    trees = str(tmp_path / "trees.jsonl")
-    graph = str(tmp_path / "graph.jsonl")
-    labels = tmp_path / "labels.tsv"
-    overrides = tmp_path / "overrides.tsv"
-    main(["ingest", "--har-dir", str(corpus_dir / "har"), "--out", trees])
-    main(["graph", "build", "--trees", trees, "--out", graph])
-    some_host = sorted(
-        line.split("\t")[0]
-        for line in (corpus_dir / "truth-labels.tsv").read_text().splitlines()
-    )[0]
-    overrides.write_text(f"{some_host}\tbenign\n")
-    assert (
-        main(
-            [
-                "label", "--graph", graph, "--rules", str(corpus_dir / "truth-rules.txt"),
-                "--overrides", str(overrides), "--out", str(labels),
-            ]
-        )
-        == 0
-    )
-    parsed = read_labels_file(labels.read_bytes())
-    keyed = {host: lab for (host, _), lab in parsed.items()}
-    assert keyed[some_host].source == "override"
-    assert keyed[some_host].label == "benign"
-
-
 def test_synth_command(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_sites = 4\nn_trackers = 2\nn_benign = 2\nseed = 9\n")
@@ -372,6 +343,10 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 1
+    # Overrides correct reports only; label writes the lists' verdict.
+    with pytest.raises(SystemExit) as err:
+        main(["label", "--graph", "g", "--rules", "r", "--out", "o", "--overrides", "f"])
+    assert err.value.code == 1
 
 
 def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
@@ -482,21 +457,41 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         if "\udcff" in text:
             assert f"line {lineno}: byte 0xff is not UTF-8" in err, (name, err)
 
+    # A scores file naming a document the graph lacks, or a second feature
+    # table of a kind, names the files it does not fit.
+    stray = tmp_path / "stray-scores.tsv"
+    stray.write_text(scores_header + "px.t.net\tscript\tadtracker\t0.5\tfull\n")
+    second = tmp_path / "second-content.tsv"
+    second.write_text("host\tkind\ta\npx.t.net\tscript\t2.0\n")
+    for argv, message in [
+        ([*emit_cmd, str(stray)], f"{stray}: document px.t.net (script) is not in {graph}"),
+        ([*train_cmd, str(features[0]), str(features[1]), str(second)],
+         f"two content feature files: {features[0]} and {second}"),
+        (["predict", "--model", str(model_file), "--out", out, "--features", str(features[1]),
+          str(features[0]), str(features[1])],
+         f"two structural feature files: {features[1]} and {features[1]}"),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     # A rules, overrides or config file holding a byte that is not UTF-8
     # names itself and the byte's line; so does an overrides file that
-    # gives a host twice.
+    # gives a host twice, or a host that is not lower-case.
     bad_rules = tmp_path / "bad-rules.txt"
     bad_rules.write_bytes(b"||t.net^\n||\xff.net^\n")
     bad_overrides = tmp_path / "bad-overrides.tsv"
     bad_overrides.write_bytes(b"px.t.net\tbenign\n\xff.net\tbenign\n")
     repeated = tmp_path / "repeated-overrides.tsv"
     repeated.write_text("px.t.net\tadtracker\npx.t.net\tbenign\n")
+    upper = tmp_path / "upper-case-overrides.tsv"
+    upper.write_text("px.t.net\tadtracker\nPX.T.NET\tbenign\n")
     cfg = tmp_path / "bad-bytes.cfg"
     base = f"har_dir = {corpus_dir / 'har'}\nout_dir = {tmp_path / 'bad-bytes-out'}\n"
     for extra, named, lineno in [
         (f"rules_files = {bad_rules}\n".encode(), bad_rules, 2),
         (f"rules_files = {rules}\noverrides_file = {bad_overrides}\n".encode(), bad_overrides, 2),
         (f"rules_files = {rules}\noverrides_file = {repeated}\n".encode(), repeated, 2),
+        (f"rules_files = {rules}\noverrides_file = {upper}\n".encode(), upper, 2),
         (f"rules_files = {rules}\n".encode() + b"# \xff\n", cfg, 4),
     ]:
         cfg.write_bytes(base.encode() + extra)
@@ -632,10 +627,7 @@ STAGED_WITH_CONFIG = {
         "features", "content", "--graph", "{tmp}/g.jsonl", "--labels", "{tmp}/l.tsv",
         "--vocab-out", "{tmp}/v.tsv",
     ],
-    "label": [
-        "label", "--graph", "{tmp}/g.jsonl", "--rules", "{tmp}/r.txt",
-        "--overrides", "{tmp}/o.tsv",
-    ],
+    "label": ["label", "--graph", "{tmp}/g.jsonl", "--rules", "{tmp}/r.txt"],
     "train": ["train", "--features", "{tmp}/c.tsv", "{tmp}/s.tsv", "--labels", "{tmp}/l.tsv"],
     "evaluate": [
         "evaluate", "--graph", "{tmp}/g.jsonl", "--scores", "{tmp}/s.tsv",

@@ -13,7 +13,6 @@ from widetrack.filters import (
     RuleSet,
     document_block_matched,
     label_document,
-    parse_overrides,
     parse_rules,
 )
 from widetrack.graph import NodeKey, SubdomainDocument
@@ -190,9 +189,7 @@ class TestLabelDocument:
     def test_no_blocked_urls_is_benign(self):
         rs = parse_rules("||px.t.net^")
         d = doc("clean.cdn.org", "media", ["https://clean.cdn.org/logo.png"])
-        lab = label_document(rs, d)
-        assert lab.label == BENIGN
-        assert lab.source == "filterlist"
+        assert label_document(rs, d).label == BENIGN
 
     def test_domain_scoped_rule_needs_matching_site_context(self):
         rs = parse_rules("||px.t.net^$domain=news.com")
@@ -208,13 +205,6 @@ class TestLabelDocument:
         d = doc("px.t.net", "script", ["https://px.t.net/c"], sites=("ab.com", "b0.org"))
         assert label_document(rs, d).label == label
         assert document_block_matched(rs, d)
-
-    def test_override_beats_filter_list(self):
-        rs = parse_rules("||px.t.net^")
-        d = doc("px.t.net", "script", ["https://px.t.net/c"])
-        lab = label_document(rs, d, overrides={"px.t.net": BENIGN})
-        assert lab.label == BENIGN
-        assert lab.source == "override"
 
     def test_document_block_matched_ignores_exceptions(self):
         rs = parse_rules("||px.t.net^\n@@||px.t.net^")
@@ -257,18 +247,6 @@ class TestMonotonicity:
             assert blocked(extra_block, url, page, kind) or not before
             extra_exc = RuleSet(blocks, excs + [rng.choice(pool_exc)], Counter())
             assert before or not blocked(extra_exc, url, page, kind)
-
-
-def test_parse_overrides():
-    text = "# note\npx.t.net\tadtracker\ncdn.good.org\tbenign\n"
-    assert parse_overrides(text) == {"px.t.net": "adtracker", "cdn.good.org": "benign"}
-    with pytest.raises(ValueError):
-        parse_overrides("px.t.net\tmaybe\n")
-    with pytest.raises(ValueError):
-        parse_overrides("px.t.net adtracker\n")
-    # A later line would silently replace the earlier label.
-    with pytest.raises(ValueError, match="^line 3: override for px.t.net repeats line 1$"):
-        parse_overrides("px.t.net\tadtracker\n# note\npx.t.net\tbenign\n")
 
 
 # --- the linear matcher: every rule's regex on every URL in every context ---

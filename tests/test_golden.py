@@ -1,10 +1,13 @@
 """Golden digests: the sha256 of every artifact ``run-all`` writes for a
-fixed corpus and config.
+fixed corpus and config, and the staged chain held to the same bytes.
 
-The corpus is the one the CI hash-seed check builds: 40 synthetic sites at
-seed 7, five appended rules that take the matcher's token-prefix and
-per-site-context branches, and one capture whose entries are all doubled,
-so documents hold URLs requested twice. Each config runs once in-process.
+The corpus is 40 synthetic sites at seed 7, five appended rules that take
+the matcher's token-prefix and per-site-context branches, and one capture
+whose entries are all doubled, so documents hold URLs requested twice.
+One config file per config drives ``run-all`` and the staged commands,
+all through ``cli.main``. Run under two ``PYTHONHASHSEED`` values, these
+tests pin both seeds to the committed bytes: the matcher iterates over
+sets of URL tokens, and no set order may reach an artifact.
 
 A change that alters an artifact on purpose updates its digest here and
 names the change; any other digest change is a regression.
@@ -15,7 +18,7 @@ import json
 
 import pytest
 
-from widetrack.pipeline import PipelineConfig, run_all
+from widetrack.cli import main
 from widetrack.synth import EcosystemConfig, generate
 
 EXTRA_RULES = (
@@ -26,11 +29,13 @@ EXTRA_RULES = (
     "@@/pixel.gif$domain=site001.com",
 )
 
-# CI's alternate config: every branch the default leaves off.
-ALTERNATE = dict(
-    stratified=True, vocab_rank="tf", clamp_idf=True,
-    refex_depth=3, prune_threshold=0.99, weight_by="urls",
-)
+# Config lines after har_dir, rules_files and out_dir. The alternate config
+# turns on every branch the default leaves off.
+KNOBS = {
+    "default": "",
+    "alternate": "stratified = true\nvocab_rank = tf\nclamp_idf = true\n"
+    "refex_depth = 3\nprune_threshold = 0.99\nweight_by = urls\n",
+}
 
 GOLDEN = {
     "default": {
@@ -61,6 +66,22 @@ GOLDEN = {
     },
 }
 
+# What the staged chain writes as run-all does. Staged predict scores every
+# row with the full forest, while run-all scores its training rows
+# out-of-bag, so scores.tsv and what is built from it are checked apart.
+STAGED = (
+    "trees.jsonl", "graph.jsonl", "structural.tsv", "labels.tsv",
+    "content.tsv", "vocabulary.tsv", "model.txt",
+)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_config(path, har_dir, rules, out_dir, knobs):
+    path.write_text(f"har_dir = {har_dir}\nrules_files = {rules}\nout_dir = {out_dir}\n" + knobs)
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -75,17 +96,96 @@ def corpus(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_run_all_artifacts_match_their_golden_digests(corpus, tmp_path, name):
-    knobs = ALTERNATE if name == "alternate" else {}
-    run_all(PipelineConfig(
-        har_dir=corpus / "har",
-        rules_files=[corpus / "truth-rules.txt"],
-        out_dir=tmp_path,
-        **knobs,
-    ))
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.iterdir())
-    }
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def run(request, corpus, tmp_path_factory):
+    """(config name, config file, run-all's out dir, staged out dir): one
+    config file drives run-all and the staged chain ingest -> graph build
+    -> features structural -> label -> features content -> train."""
+    name = request.param
+    work = tmp_path_factory.mktemp(name)
+    cfg, run_dir, staged = work / "run.cfg", work / "run", work / "staged"
+    rules = corpus / "truth-rules.txt"
+    write_config(cfg, corpus / "har", rules, run_dir, KNOBS[name])
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    staged.mkdir()
+    path = {artifact: str(staged / artifact) for artifact in STAGED}
+    config = ["--config", str(cfg)]
+    graph, labels = path["graph.jsonl"], path["labels.tsv"]
+    for argv in [
+        ["ingest", "--har-dir", str(corpus / "har"), "--out", path["trees.jsonl"]],
+        ["graph", "build", "--trees", path["trees.jsonl"], "--out", graph],
+        ["features", "structural", "--graph", graph, "--out", path["structural.tsv"], *config],
+        ["label", "--graph", graph, "--rules", str(rules), "--out", labels, *config],
+        [
+            "features", "content", "--graph", graph, "--labels", labels,
+            "--out", path["content.tsv"], "--vocab-out", path["vocabulary.tsv"], *config,
+        ],
+        [
+            "train", "--features", path["content.tsv"], path["structural.tsv"],
+            "--labels", labels, "--out", path["model.txt"], *config,
+        ],
+    ]:
+        assert main(argv) == 0, argv
+    return name, cfg, run_dir, staged
+
+
+def test_run_all_artifacts_match_their_golden_digests(run):
+    name, _, run_dir, _ = run
+    digests = {path.name: sha256(path) for path in sorted(run_dir.iterdir())}
     assert digests == GOLDEN[name]
+
+
+def test_staged_chain_writes_the_golden_artifacts(run):
+    name, _, _, staged = run
+    assert {artifact: sha256(staged / artifact) for artifact in STAGED} == {
+        artifact: GOLDEN[name][artifact] for artifact in STAGED
+    }
+
+
+def test_predict_rescores_run_alls_full_forest_lines(run, tmp_path):
+    """predict on the staged model (loaded, so no bootstrap record) scores
+    every row with the full forest; each line run-all scored that way
+    (basis full, its test rows) appears in its output byte for byte."""
+    _, _, run_dir, staged = run
+    scores = tmp_path / "scores.tsv"
+    assert main([
+        "predict", "--model", str(staged / "model.txt"),
+        "--features", str(staged / "content.tsv"), str(staged / "structural.tsv"),
+        "--out", str(scores),
+    ]) == 0
+    full = [
+        line for line in (run_dir / "scores.tsv").read_bytes().splitlines()
+        if line.endswith(b"\tfull")
+    ]
+    assert full
+    assert set(full) <= set(scores.read_bytes().splitlines())
+
+
+def test_evaluate_on_run_alls_scores_writes_its_reports(run, tmp_path):
+    _, cfg, run_dir, staged = run
+    reports = tmp_path / "reports.json"
+    assert main([
+        "evaluate", "--graph", str(staged / "graph.jsonl"), "--labels", str(staged / "labels.tsv"),
+        "--scores", str(run_dir / "scores.tsv"), "--out", str(reports), "--config", str(cfg),
+    ]) == 0
+    run_all = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))["reports"]
+    assert json.loads(reports.read_text(encoding="utf-8")) == run_all
+
+
+def test_emit_rules_on_run_alls_scores_writes_its_candidates(run, corpus, tmp_path):
+    """The full list leaves no tracker unlisted, so this run-all labels with
+    every 5th rules line withheld, and emit-rules must write a candidate."""
+    name, _, _, staged = run
+    truth = (corpus / "truth-rules.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    rules = tmp_path / "withheld-rules.txt"
+    rules.write_text("".join(line for i, line in enumerate(truth, 1) if i % 5), encoding="utf-8")
+    cfg, held = tmp_path / "held.cfg", tmp_path / "held"
+    write_config(cfg, corpus / "har", rules, held, KNOBS[name])
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    candidates = tmp_path / "candidate-rules.txt"
+    assert main([
+        "emit-rules", "--graph", str(staged / "graph.jsonl"), "--scores", str(held / "scores.tsv"),
+        "--rules", str(rules), "--out", str(candidates),
+    ]) == 0
+    assert candidates.read_bytes() == (held / "candidate-rules.txt").read_bytes()
+    assert any(line.startswith("||") for line in candidates.read_text().splitlines())

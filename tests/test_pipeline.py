@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from widetrack.pipeline import (
     load_config,
     read_content_matrix,
     read_labels_file,
+    read_overrides,
     read_scores_file,
     read_struct_matrix,
     score_rows,
@@ -121,7 +123,7 @@ class TestSplit:
 
     def test_stratified_keeps_both_classes_in_train(self):
         labels = [
-            Label(ADTRACKER if i < 2 else BENIGN, "filterlist") for i in range(10)
+            Label(ADTRACKER if i < 2 else BENIGN) for i in range(10)
         ]
         train, test = split_keys(self.keys(10), PipelineConfig(stratified=True), labels)
         assert {labels[i].label for i in train} == {ADTRACKER, BENIGN}
@@ -181,7 +183,7 @@ class TestEvaluatePredictions:
             make_doc("px.t.net", sites=(f"s{i}.com" for i in range(9))),
             make_doc("cdn.good.org", sites=("s0.com",)),
         ]
-        labels = [Label(ADTRACKER, "filterlist"), Label(BENIGN, "filterlist")]
+        labels = [Label(ADTRACKER), Label(BENIGN)]
         return docs, labels
 
     def test_biased_vs_unbiased_weighting(self):
@@ -326,8 +328,7 @@ class TestEmitWithRunAllLabels:
         )
         text = emit(index, docs, scored, ruleset, labels)
         assert text == (tmp_path / "out" / "candidate-rules.txt").read_text()
-        in_list = Label(ADTRACKER, "filterlist")
-        listed = {(d.host, d.kind) for d, lab in zip(docs, labels) if lab == in_list}
+        listed = {(d.host, d.kind) for d, lab in zip(docs, labels) if lab.label == ADTRACKER}
         predicted = {(d.host, d.kind) for d, (pred, _, _) in zip(docs, scored) if pred == 1}
         assert predicted & listed and predicted - listed
         assert sorted(matched) == sorted(predicted - listed)
@@ -340,10 +341,23 @@ class TestEmitWithRunAllLabels:
 class TestFileFormats:
     def test_labels_round_trip(self):
         labels = {
-            ("px.t.net", "script"): Label(ADTRACKER, "filterlist"),
-            ("cdn.good.org", "media"): Label(BENIGN, "override"),
+            ("px.t.net", "script"): Label(ADTRACKER),
+            ("cdn.good.org", "media"): Label(BENIGN),
         }
-        assert read_labels_file(write_labels_file(list(labels), list(labels.values()))) == labels
+        data = write_labels_file(list(labels), list(labels.values()))
+        assert data.splitlines()[1:] == [
+            b"px.t.net\tscript\tadtracker\tfilterlist", b"cdn.good.org\tmedia\tbenign\tfilterlist"
+        ]
+        assert read_labels_file(data) == labels
+
+    @pytest.mark.parametrize("source", ["override", "list"])
+    def test_labels_source_is_filterlist(self, source):
+        """Every label is the lists' verdict; no writer gives another source."""
+        data = f"host\tkind\tlabel\tsource\npx.t.net\tscript\tbenign\t{source}\n".encode()
+        with pytest.raises(
+            DataError, match=f"^unknown label source '{source}' for px.t.net on line 2$"
+        ):
+            read_labels_file(data)
 
     def test_labels_reject_garbage(self):
         with pytest.raises(DataError):
@@ -419,9 +433,9 @@ class TestAnalysisTables:
         g = graph_with_in_degrees({"t.net": 6, "ads.net": 4, "good.org": 3})
         docs = g.documents()
         label = {
-            "px.t.net": Label(ADTRACKER, "filterlist"),
-            "px.ads.net": Label(ADTRACKER, "filterlist"),
-            "px.good.org": Label(BENIGN, "filterlist"),
+            "px.t.net": Label(ADTRACKER),
+            "px.ads.net": Label(ADTRACKER),
+            "px.good.org": Label(BENIGN),
         }
         counts = [doc_token_counts(d) for d in docs]
         vocab = build_vocabulary(counts, k=10, rank_by="df")
@@ -470,6 +484,26 @@ class TestRunAllWithOverrides:
         assert summary["reports"]["corrected_unbiased"]["corrected"] is True
         assert summary["reports"]["unbiased"]["corrected"] is False
         assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_parse_overrides(tmp_path):
+    path = tmp_path / "overrides.tsv"
+    path.write_text("# note\npx.t.net\tadtracker\n! note\ncdn.good.org\tbenign\n")
+    assert read_overrides(path) == {"px.t.net": "adtracker", "cdn.good.org": "benign"}
+    assert read_overrides(None) is None
+    for text, message in [
+        ("px.t.net\tmaybe\n", "line 1: bad override 'px.t.net\\tmaybe'"),
+        ("px.t.net adtracker\n", "line 1: bad override 'px.t.net adtracker'"),
+        # A later line would silently replace the earlier label.
+        ("px.t.net\tadtracker\n# note\npx.t.net\tbenign\n",
+         "line 3: override for px.t.net repeats line 1"),
+        # Every document host is lower-case, so this line could never apply.
+        ("px.t.net\tadtracker\nPX.T.NET\tbenign\n",
+         "line 2: override host PX.T.NET is not lower-case"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_overrides(path)
 
 
 class TestEachFactOnce:
