@@ -9,15 +9,17 @@ changing the result. Training relies on that twice over:
   nonzero cells, sorted by value. A node scores a column from its bootstrap
   multiplicities over those cells; all of its zero cells count as one group
   at value 0. The keyword block is mostly zeros, so a node costs the
-  nonzeros of its candidate columns, not its rows times its columns.
+  nonzeros of its candidate columns, not its rows times its columns, and
+  only the cells of its own rows reach the label and value reads.
 - ``_grow_group`` grows ``_GROUP_TREES`` trees in lockstep. Each step pops
   every tree's pending leaves, appending them in pre-order, up to its next
-  node that may split; draws that node's features from its own tree's
-  generator; and scores all of those nodes in one segmented numpy pass
-  (``_best_splits``). Steps follow scored nodes, not all nodes. A child's
-  class counts come from the left-side counts of its parent's split, so the
-  labels are summed once per tree, at the root, and a child that will be a
-  leaf keeps no row array.
+  node that may split; takes that node's features from its own tree's
+  generator (``_feature_sets`` replays many steps' ``choice`` draws at
+  once); scores all of those nodes in one segmented numpy pass
+  (``_best_splits``); and routes the rows of every split node in one gather.
+  Steps follow scored nodes, not all nodes. A child's class counts come from
+  its parent's split, so the labels are summed once per tree, at the root,
+  and a child that will be a leaf keeps no row array.
 
 Neither changes a split. Each tree draws in the same order, every boundary
 is scored with the same Gini expression, term for term, and ties go to the
@@ -111,11 +113,12 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 # pre-order stack of node row lists alive, and a step's multiplicity matrix
 # is 64 x (n + 1) int64, about 5 MB at n = 10k rows; 64 trees bound both.
 _GROUP_TREES = 64
-# Column entries scored in one numpy pass, and (tree, row) pairs walked in
-# one scoring block. A pass keeps about a dozen temporaries of 8 bytes per
-# entry, so 16k entries (plus at most one column past the budget) bound its
-# temporaries at about 1.5 MB. A scoring block's temporaries are a few
-# arrays of 8 bytes per pair, so the same budget bounds them too.
+# Column entries scored in one numpy pass, (tree, row) pairs walked in one
+# scoring block, and features drawn ahead in one refill. A pass keeps about
+# a dozen temporaries of 8 bytes per entry, so 16k entries (plus at most one
+# column past the budget) bound its temporaries at about 1.5 MB. A scoring
+# block's or a refill's temporaries are a few arrays of 8 bytes per pair or
+# feature, so the same budget bounds them too.
 _PASS_ENTRIES = 16384
 
 
@@ -198,16 +201,23 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         feat, node, length = seg_feat[a:b], seg_node[a:b], seg_len[a:b]
         first = np.cumsum(length) - length
         entry = np.arange(first[-1] + length[-1]) + np.repeat(cols.start[feat] - first, length)
-        seg = np.repeat(np.arange(b - a), length)
-        # Each entry weighs its row's multiplicity at the segment's node; the
-        # zero slot (row n, weight 0 so far) takes what the nonzeros leave.
+        # Each entry weighs its row's multiplicity at the segment's node. Only
+        # the entries of the node's rows go on, plus each segment's zero slot
+        # (row n, weight 0 so far), which takes what the nonzeros leave.
         w = mult[np.repeat(node * n1, length) + cols.rows[entry]]
-        w1 = w * cols.labels[entry]
         zero = first + cols.zero_at[feat] - cols.start[feat]
-        w[zero] = sizes[node] - np.add.reduceat(w, first)
-        w1[zero] = class1[node] - np.add.reduceat(w1, first)
-        keep = w > 0  # cells of rows outside the node, or no zero cell at it
-        seg, w, w1, x = seg[keep], w[keep], w1[keep], cols.values[entry[keep]]
+        present = w > 0
+        present[zero] = True
+        kept = np.flatnonzero(present)
+        head, zero = np.searchsorted(kept, first), np.searchsorted(kept, zero)
+        entry, w = entry[kept], w[kept]
+        w1 = w * cols.labels[entry]
+        w[zero] = sizes[node] - np.add.reduceat(w, head)
+        w1[zero] = class1[node] - np.add.reduceat(w1, head)
+        seg = np.repeat(np.arange(b - a), np.diff(np.append(head, len(kept))))
+        x = cols.values[entry]
+        keep = w > 0  # a zero slot is dropped where the node has no zero cell
+        seg, w, w1, x = seg[keep], w[keep], w1[keep], x[keep]
         # A boundary lies between neighbours of one segment with distinct values.
         pos = np.flatnonzero((seg[:-1] == seg[1:]) & (x[:-1] < x[1:]))
         if not len(pos):
@@ -247,6 +257,38 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
     ]
 
 
+def _feature_sets(rngs: list[np.random.Generator], k: int, d: int, mtry: int) -> np.ndarray:
+    """(len(rngs), k, mtry): each generator's next k sets, as k calls of
+    ``np.sort(rng.choice(d, mtry, replace=False))`` give them and leave it.
+
+    For d <= 10000 or mtry <= d // 50, ``choice`` runs Floyd's algorithm:
+    draws ``integers(0, j + 1)`` for j = d - mtry .. d - 1, taking j where
+    the value is already taken, then shuffle draws ``integers(0, i + 1)`` for
+    i = mtry - 1 .. 1, which the sort undoes; one ``integers`` call per
+    generator replays k sets. Otherwise ``choice`` shuffles ``arange(d)``'s
+    tail, and is called as it is.
+    """
+    if d > 10000 and mtry > d // 50:
+        return np.array([
+            [np.sort(rng.choice(d, size=mtry, replace=False)) for _ in range(k)] for rng in rngs
+        ])
+    highs = np.concatenate((np.arange(d - mtry + 1, d + 1), np.arange(mtry, 1, -1)))
+    v = np.concatenate([rng.integers(0, highs, size=(k, len(highs)))[:, :mtry] for rng in rngs])
+    # Draw i's value is taken iff it came up at an earlier draw (seen), or it
+    # is the j of an earlier draw whose value was taken, which then took that j.
+    # Sorting v * mtry + i puts each value's draws next to each other, in order.
+    keyed = np.sort(v * mtry + np.arange(mtry), axis=1)
+    seen = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(seen, keyed[:, 1:] % mtry, np.diff(keyed // mtry, axis=1) == 0, axis=1)
+    draw, of = np.arange(mtry), v - (d - mtry)  # the draw whose j is v, if v >= d - mtry
+    earlier = np.where((of >= 0) & (of < draw), of, draw)  # else the draw itself
+    taken = seen
+    while not np.array_equal(taken, more := seen | np.take_along_axis(taken, earlier, axis=1)):
+        taken = more
+    v = np.where(taken, draw + (d - mtry), v)
+    return np.sort(v, axis=1).reshape(len(rngs), k, mtry)
+
+
 def _grow_group(
     X: np.ndarray,
     y: np.ndarray,
@@ -259,11 +301,15 @@ def _grow_group(
     """One tree per bootstrap sample, grown in lockstep.
 
     Each step pops every tree's pending leaves, appending them in pre-order,
-    up to its next node that may split; draws that node's features from its
-    own tree's generator; and scores the step's nodes in one ``_best_splits``
-    call. A child's class counts come from its parent's split, and only a
-    child that may split keeps its bootstrap rows. Each tree meets the same
-    nodes, draws and splits as it would grown alone.
+    up to its next node that may split; takes that node's features from its
+    own tree's generator; scores the step's nodes in one ``_best_splits``
+    call; and routes the rows of every split node in one gather. Each live
+    tree takes one feature set per step, drawn ahead by ``_feature_sets`` in
+    refills of about ``_PASS_ENTRIES`` features; nothing else reads a tree's
+    generator after its bootstrap, so drawing past its last node is harmless.
+    A child's class counts come from its parent's split, and only a child
+    that may split keeps its bootstrap rows. Each tree meets the same nodes,
+    draws and splits as it would grown alone.
     """
     d = X.shape[1]
     max_depth = math.inf if params.max_depth is None else params.max_depth
@@ -280,6 +326,7 @@ def _grow_group(
         c1 = int(y[sample].sum())
         c0 = len(sample) - c1
         stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, False, c0, c1)])
+    drawn, k, used = {}, 0, 0  # each live tree's k sets drawn ahead; used of them
     while True:
         scored = []
         for t, stack in enumerate(stacks):
@@ -295,33 +342,43 @@ def _grow_group(
                 left.append(-1)
                 right.append(-1)
                 if idx is not None:
-                    feats = np.sort(rngs[t].choice(d, size=mtry, replace=False))
-                    scored.append((t, node, depth, (idx, c1, feats)))
+                    scored.append((t, node, depth, idx, c1))
                     break
         if not scored:
             break
-        for (t, node, depth, (idx, c1, _)), found in zip(
-            scored, _best_splits(cols, [s[3] for s in scored])
-        ):
-            if found is None:
-                continue
-            _, f, thr, ln, l1 = found
+        if used == k:  # every live tree has taken all its sets
+            live = [s[0] for s in scored]
+            k, used = max(1, _PASS_ENTRIES // (len(live) * mtry)), 0
+            drawn = dict(zip(live, _feature_sets([rngs[t] for t in live], k, d, mtry)))
+        found = _best_splits(cols, [(idx, c1, drawn[t][used]) for t, _, _, idx, c1 in scored])
+        used += 1
+        splits = [(s, f) for s, f in zip(scored, found) if f is not None]
+        if not splits:
+            continue
+        # One gather routes the rows of every node that splits. Each node's
+        # rows keep their order on either side, so its children's rows are
+        # its next ln lefts and its next n - ln rights.
+        sizes = [len(s[3]) for s, _ in splits]
+        rows = np.concatenate([s[3] for s, _ in splits])
+        feats, thrs = (np.repeat([f[i] for _, f in splits], sizes) for i in (1, 2))
+        go_left = X[rows, feats] <= thrs
+        lefts, rights = rows[go_left], rows[~go_left]
+        lo = ro = 0
+        for (t, node, depth, idx, c1), (_, f, thr, ln, l1) in splits:
             built[t][0][node] = f
             built[t][1][node] = thr
-            r1 = c1 - l1
-            left_counts, right_counts = (ln - l1, l1), (len(idx) - ln - r1, r1)
-            split_left = may_split(depth + 1, *left_counts)
-            split_right = may_split(depth + 1, *right_counts)
-            rows_left = rows_right = None
-            if split_left or split_right:
-                go_left = X[idx, f] <= thr
-                rows_left = idx[go_left] if split_left else None
-                rows_right = idx[~go_left] if split_right else None
+            r1, rn = c1 - l1, len(idx) - ln
+            left_counts, right_counts = (ln - l1, l1), (rn - r1, r1)
+            rows_left = lefts[lo:lo + ln] if may_split(depth + 1, *left_counts) else None
+            # A copy: a right child waits on the stack, holding only its rows.
+            rows_right = rights[ro:ro + rn].copy() if may_split(depth + 1, *right_counts) else None
+            lo, ro = lo + ln, ro + rn
             # Push right first so the left subtree is emitted next (pre-order).
             stacks[t] += (
                 (rows_right, depth + 1, node, False, *right_counts),
                 (rows_left, depth + 1, node, True, *left_counts),
             )
+        del rows, feats, thrs, go_left, rights  # not held through the next step's scan
 
     return [
         Tree(
@@ -338,6 +395,8 @@ def _grow_group(
 def _validate_training_data(X: np.ndarray, y: np.ndarray):
     if X.ndim != 2:
         raise ForestError("X must be a 2-D matrix")
+    if X.shape[1] == 0:
+        raise ForestError("the training matrix has no feature columns")
     if len(X) != len(y):
         raise ForestError("X and y length mismatch")
     if len(X) < 2:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widetrack import forest
 from widetrack.forest import (
@@ -88,6 +88,10 @@ class TestTrainValidation:
     def test_bad_labels_rejected(self):
         with pytest.raises(ForestError):
             train(np.zeros((2, 1)), np.array([0, 2]), ForestParams(n_trees=1))
+
+    def test_no_feature_columns_named(self):
+        with pytest.raises(ForestError, match="no feature columns"):
+            train(np.zeros((3, 0)), np.array([0, 1, 0]), ForestParams(n_trees=1))
 
 
 class TestThresholdData:
@@ -664,6 +668,45 @@ def split_nodes(draw):
     return X, y, nodes
 
 
+def _sizes(columns, mtry):
+    """(d, mtry) pairs: d from ``columns``, mtry from ``mtry(d)``'s range."""
+    return columns.flatmap(lambda d: st.tuples(st.just(d), st.integers(*mtry(d))))
+
+
+class TestFeatureDraws:
+    """``_feature_sets`` against ``np.sort(rng.choice(d, mtry, replace=False))``,
+    the draw the loop oracle makes once per node. numpy runs Floyd's algorithm
+    for d <= 10000 or mtry <= d // 50, and a tail shuffle of ``arange(d)``
+    otherwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            _sizes(st.integers(1, 80), lambda d: (1, d)),
+            _sizes(st.integers(10001, 40000), lambda d: (1, d // 50)),
+            _sizes(st.integers(10001, 10300), lambda d: (d // 50 + 1, d // 50 + 60)),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+    )
+    @example((1, 1), 0, 3)  # d == 1
+    @example((9, 9), 1, 3)  # mtry == d
+    @example((20000, 400), 2, 2)  # Floyd's algorithm above 10000 columns
+    @example((10050, 250), 3, 2)  # the tail shuffle
+    def test_sets_equal_sorted_choice_draws(self, size, seed, k):
+        d, mtry = size
+        rngs = [np.random.default_rng([seed, t]) for t in range(3)]
+        oracles = [np.random.default_rng([seed, t]) for t in range(3)]
+        for _ in range(2):  # the second call goes on where the first left off
+            expected = [
+                [np.sort(rng.choice(d, size=mtry, replace=False)).tolist() for _ in range(k)]
+                for rng in oracles
+            ]
+            assert forest._feature_sets(rngs, k, d, mtry).tolist() == expected, (
+                f"numpy {np.__version__}"
+            )
+
+
 class TestSplitSearch:
     @settings(max_examples=400, deadline=None)
     @given(split_nodes(), st.sampled_from([1, 3, 16, forest._PASS_ENTRIES]))
@@ -780,6 +823,34 @@ class TestLockstepGrower:
             assert tree.counts.tolist() == recount(tree, X, y, sample).tolist()
         if knobs.get("min_samples_split", 0) > len(X):
             assert all(len(tree.feature) == 1 for tree in model.trees)
+
+    @pytest.mark.parametrize("budget", [forest._PASS_ENTRIES, 2], ids=["default", "refill_per_step"])
+    def test_trees_that_draw_at_different_paces(self, monkeypatch, budget):
+        # Groups of 3: with seed 33 the first group holds a depth-6 tree, a
+        # depth-2 tree and a single-class bootstrap whose root never draws.
+        # A budget of 2 refills every step, over a shrinking set of live trees.
+        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", budget)
+        X = np.random.default_rng(9).normal(size=(24, 4)).round(2)
+        y = np.isin(np.arange(24), [3, 11, 17]).astype(int)
+        params = ForestParams(n_trees=5, mtry=1, seed=33)
+        model = train(X, y, params)
+        assert save_model(model) == save_model(train_loop(X, y, params))
+        first = model.trees[:3]
+        assert [len(tree.feature) for tree in first] == [15, 5, 1]
+        assert len(set(y[model.in_bag[2]].tolist())) == 1
+
+    def test_tail_shuffle_draws(self, monkeypatch):
+        # mtry > d // 50 with d > 10000: numpy's choice shuffles the tail of
+        # arange(d) instead of running Floyd's algorithm.
+        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
+        rng = np.random.default_rng(8)
+        X = sparse_tfidf(rng, 14, 10050, density=0.01)
+        y = np.arange(14) % 2
+        params = ForestParams(n_trees=4, mtry=250, seed=2)
+        model = train(X, y, params)
+        assert save_model(model) == save_model(train_loop(X, y, params))
+        assert sum(len(tree.feature) for tree in model.trees) > 4  # the trees split
 
     def test_pure_bootstrap_roots_are_counted_leaves(self):
         # Two rows, one per class: about half the bootstrap samples are pure.

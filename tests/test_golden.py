@@ -16,6 +16,7 @@ names the change; any other digest change is a regression.
 import hashlib
 import json
 
+import numpy
 import pytest
 
 from widetrack.cli import main
@@ -132,7 +133,7 @@ def run(request, corpus, tmp_path_factory):
 def test_run_all_artifacts_match_their_golden_digests(run):
     name, _, run_dir, _ = run
     digests = {path.name: sha256(path) for path in sorted(run_dir.iterdir())}
-    assert digests == GOLDEN[name]
+    assert digests == GOLDEN[name], f"numpy {numpy.__version__}"
 
 
 def test_staged_chain_writes_the_golden_artifacts(run):
