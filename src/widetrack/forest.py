@@ -405,9 +405,9 @@ def _validate_training_data(X: np.ndarray, y: np.ndarray):
     if len(bad):
         r, c = bad[0]
         raise ForestError(f"non-finite feature value at row {r}, column {c}")
-    present = set(np.unique(y).tolist())
+    present = set(y.ravel().tolist())  # labels as given: 0.7 is refused, not cast to 0
     if not present <= {0, 1}:
-        raise ForestError(f"labels must be 0/1, got {sorted(present)}")
+        raise ForestError(f"labels must be 0/1, got {sorted(map(repr, present - {0, 1}))}")
     if len(present) < 2:
         raise ForestError("training data contains a single class")
 
@@ -415,8 +415,9 @@ def _validate_training_data(X: np.ndarray, y: np.ndarray):
 def train(X, y, params: ForestParams) -> ForestModel:
     params.validate()
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     _validate_training_data(X, y)
+    y = y.astype(np.int64)
     n, d = X.shape
     mtry = params.resolve_mtry(d)
 

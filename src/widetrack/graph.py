@@ -7,6 +7,7 @@ parent third-party node and are the unit later classified.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 from bisect import bisect_left
@@ -111,7 +112,7 @@ class WideGraph:
         return True
 
 
-def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
+def contract_tree(graph: WideGraph, tree: DependencyTree, documents: dict | None = None) -> Counter:
     """Path contraction of one site's tree straight into the graph.
 
     First-party URLs collapse into the site's super-node and third-party
@@ -120,40 +121,37 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     after re-keying are dropped and tallied in the returned diagnostics.
     The site's own edges are expanded, then fused into the graph: edge
     multiplicities add and their contributing-site lists union.
+    ``documents`` maps (host, kind) to its node key and document in
+    ``graph``; pass one dict for every tree of a graph so each is filed once.
     """
     root = tree.root_domain
     graph.roots.add(root)
     fp = NodeKey(root, FIRST_PARTY)
     fp = graph.nodes.setdefault(fp, Node(fp)).key
+    documents = {} if documents is None else documents
 
-    request_count: dict[str, int] = {url: 0 for url in tree.nodes}
+    request_count = dict.fromkeys(tree.nodes, 0)
     for (_, dst), mult in tree.edges.items():
         request_count[dst] += mult
 
+    # Every node key below is the node's own object, so keys compare by identity.
     key_of: dict[str, NodeKey] = {}
-    # (host, kind) -> its node key and, off the first party, its URL counts
-    filed: dict[tuple[str, str], tuple] = {}
     for url, kind in tree.nodes.items():
-        host = tree.hosts[url]
-        place = filed.get((host, kind))
-        if place is None:
-            place = filed[host, kind] = _file_document(graph, fp, host, kind)
-        key_of[url], urls = place
+        key_of[url], urls = _file_document(graph, documents, fp, tree.hosts[url], kind)
         if urls is not None:  # each URL is one node
-            urls[url] = urls.get(url, 0) + max(request_count[url], 1)
+            urls[url] = urls.get(url, 0) + (request_count[url] or 1)
 
     diagnostics: Counter = Counter()
     edges: dict[tuple[NodeKey, NodeKey, str], int] = {}
     for (src_url, dst_url), mult in tree.edges.items():
         src, dst = key_of[src_url], key_of[dst_url]
-        if dst == fp:
+        if dst is fp:
             diagnostics["edge_to_firstparty_dropped"] += mult
-            continue
-        if src == dst:
+        elif src is dst:
             diagnostics["contracted_self_edge_dropped"] += mult
-            continue
-        label = dst.kind
-        edges[(src, dst, label)] = edges.get((src, dst, label), 0) + mult
+        else:
+            edge = (src, dst, dst.kind)
+            edges[edge] = edges.get(edge, 0) + mult
 
     expand_edges(fp, edges)
     for edge, mult in edges.items():
@@ -163,20 +161,26 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     return diagnostics
 
 
-def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple:
+def _file_document(graph: WideGraph, documents: dict, fp: NodeKey, host: str, kind: str) -> tuple:
     """(node key, URL counts) of the ``kind`` URLs on ``host`` in the site of
     first party ``fp``, filing their document; the counts are None in ``fp``.
     The key is the node's own, so every edge shares one key object per node."""
-    domain = registrable_domain(host)
-    if domain == fp.domain:
+    filed = documents.get((host, kind))  # (node key, document), once per graph
+    if filed is None:
+        domain = registrable_domain(host)
+        if domain == fp.domain:
+            return fp, None
+        key = NodeKey(domain, kind)
+        node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
+        doc = node.documents.get(host)
+        if doc is None:
+            doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), node.key)
+        filed = documents[host, kind] = node.key, doc
+    key, doc = filed
+    if key.domain == fp.domain:  # filed by another site, first party in this one
         return fp, None
-    key = NodeKey(domain, kind)
-    node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
-    doc = node.documents.get(host)
-    if doc is None:
-        doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), node.key)
     doc.sites.add(fp.domain)
-    return node.key, doc.urls
+    return key, doc.urls
 
 
 def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
@@ -202,10 +206,22 @@ def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) ->
 
 
 def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
-    """The wide graph of every tree, contracted in as each one arrives."""
+    """The wide graph of every tree, contracted in as each one arrives.
+
+    The cyclic garbage collector is paused while ``trees`` is drawn and
+    contracted, then set back as the caller had it: reading and contracting
+    make many containers but no reference cycles, so its sweeps find nothing.
+    """
     graph = WideGraph()
-    for tree in trees:
-        contract_tree(graph, tree)
+    documents: dict[tuple[str, str], SubdomainDocument] = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for tree in trees:
+            contract_tree(graph, tree, documents)
+    finally:
+        if enabled:
+            gc.enable()
     return graph
 
 
@@ -325,49 +341,35 @@ _HEADER = json.dumps(_FORMAT)
 
 # Each record is one fixed template with its keys in sorted order and each
 # string escaped as JSONEncoder(sort_keys=True) writes it (ASCII-only).
-_ROOT = '{"d": %s, "t": "root"}'
-_NODE = '{"d": %s, "k": %s, "t": "node"}'
-_EDGE = '{"l": %s, "m": %d, "s": [%s, %s], "sites": [%s], "t": "edge", "x": [%s, %s]}'
-_DOC = '{"h": %s, "k": %s, "p": [%s, %s], "sites": [%s], "t": "doc", "urls": [%s]}'
-_URL = "[%s, %d]"
-
-
-def _edge_line(src: NodeKey, dst: NodeKey, label: str, data: EdgeData) -> str:
-    return _EDGE % (
-        _esc(label),
-        data.multiplicity,
-        _esc(src.domain),
-        _esc(src.kind),
-        ", ".join(map(_esc, data.sites)),
-        _esc(dst.domain),
-        _esc(dst.kind),
-    )
-
-
-def _doc_line(doc: SubdomainDocument) -> str:
-    urls = sorted(doc.urls)
-    return _DOC % (
-        _esc(doc.host),
-        _esc(doc.kind),
-        _esc(doc.parent.domain),
-        _esc(doc.parent.kind),
-        ", ".join(map(_esc, sorted(doc.sites))),
-        ", ".join(map(_URL.__mod__, zip(map(_esc, urls), map(doc.urls.__getitem__, urls)))),
-    )
+# A node key goes in as its escaped ``[domain, kind]`` pair.
+_ROOT = '{"d": %s, "t": "root"}\n'
+_NODE = '{"d": %s, "k": %s, "t": "node"}\n'
+_EDGE = '{"l": %s, "m": %d, "s": %s, "sites": [%s], "t": "edge", "x": %s}\n'
+_DOC = '{"h": %s, "k": %s, "p": %s, "sites": [%s], "t": "doc", "urls": [%s]}\n'
 
 
 def save_graph(graph: WideGraph, out: BinaryIO) -> None:
     """Write line-delimited records, deterministically ordered, to ``out``,
-    one line at a time."""
+    one line at a time, escaping each node key once."""
     out.write(_HEADER.encode() + b"\n")
     for domain in sorted(graph.roots):
-        out.write((_ROOT % _esc(domain) + "\n").encode())
+        out.write((_ROOT % _esc(domain)).encode())
+    pairs: dict[NodeKey, str] = {}
     for key in sorted(graph.nodes):
-        out.write((_NODE % (_esc(key.domain), _esc(key.kind)) + "\n").encode())
+        domain, kind = _esc(key.domain), _esc(key.kind)
+        pairs[key] = f"[{domain}, {kind}]"
+        out.write((_NODE % (domain, kind)).encode())
     for edge in sorted(graph.edges):
-        out.write((_edge_line(*edge, graph.edges[edge]) + "\n").encode())
+        src, dst, label = edge
+        data = graph.edges[edge]
+        sites = ", ".join(map(_esc, data.sites))
+        line = _EDGE % (_esc(label), data.multiplicity, pairs[src], sites, pairs[dst])
+        out.write(line.encode())
     for doc in graph.documents():
-        out.write((_doc_line(doc) + "\n").encode())
+        sites = ", ".join(map(_esc, sorted(doc.sites)))
+        urls = ", ".join([f"[{_esc(url)}, {n:d}]" for url, n in sorted(doc.urls.items())])
+        line = _DOC % (_esc(doc.host), _esc(doc.kind), pairs[doc.parent], sites, urls)
+        out.write(line.encode())
 
 
 _NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
@@ -401,7 +403,7 @@ def load_graph(data: bytes) -> WideGraph:
             if lineno == 1:
                 try:
                     header = json.loads(line)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     raise GraphFormatError("bad graph header") from None
                 if header != _FORMAT:
                     raise GraphFormatError(f"unsupported graph format {header!r}")
@@ -431,7 +433,7 @@ def load_graph(data: bytes) -> WideGraph:
                 raise GraphFormatError(f"unknown record type {kind!r}")
     except GraphFormatError as exc:
         raise GraphFormatError(f"{exc} on line {lineno}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphFormatError(f"corrupt graph record on line {lineno}: {exc}") from exc
     if lineno == 0:
         raise GraphFormatError("empty graph file")

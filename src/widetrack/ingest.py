@@ -7,6 +7,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _esc
+from operator import itemgetter
 from typing import BinaryIO, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
@@ -70,7 +72,7 @@ class DependencyTree:
     edges: dict[tuple[str, str], int]  # (initiator url, requested url) -> multiplicity
     diagnostics: Counter = field(default_factory=Counter)
     skipped: Counter = field(default_factory=Counter)
-    # url -> hostname of each node; not written by to_record
+    # url -> hostname of each node; not written by tree_line
     hosts: dict[str, str] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,22 +83,13 @@ class DependencyTree:
                 if reason:
                     raise ValueError(f"node url {url!r} is unusable: {reason}")
 
-    def to_record(self) -> dict:
-        return {
-            "root_url": self.root_url,
-            "root_domain": self.root_domain,
-            "nodes": sorted(self.nodes.items()),
-            "edges": sorted((s, d, m) for (s, d), m in self.edges.items()),
-            "diagnostics": dict(sorted(self.diagnostics.items())),
-            "skipped": dict(sorted(self.skipped.items())),
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "DependencyTree":
-        """Inverse of to_record; KeyError, TypeError or ValueError on a record
-        with a missing key, a field of the wrong type, a dangling edge, a
-        node kind other than script/media/iframe/other, a node URL with no
-        usable host or a root domain that is not its root URL's."""
+        """The tree of a ``tree_line`` record as ``json.loads`` reads it;
+        KeyError, TypeError or ValueError on a record with a missing key, a
+        field of the wrong type, a dangling edge, a node kind other than
+        script/media/iframe/other, a node URL with no usable host or a root
+        domain that is not its root URL's."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
@@ -210,6 +203,8 @@ def parse_har(data: bytes) -> SessionRecord:
         raise HarParseError(
             exc.msg, len(text[: exc.pos].encode("utf-8"))
         ) from exc
+    except RecursionError:
+        raise HarParseError("JSON nested too deeply") from None
 
     try:
         raw_entries = doc["log"]["entries"]
@@ -221,6 +216,9 @@ def parse_har(data: bytes) -> SessionRecord:
     skipped: Counter = Counter()
     parsed: list[tuple[str, str, str, dict]] = []
     interned: dict[str, str] = {}  # one string object per distinct host
+    # "http(s)://host" of an accepted URL -> host: a printable URL that is such a prefix plus
+    # nothing or a path has that host, which ends at a "/", "?" or "#" the prefix lacks.
+    prefix_hosts: dict[str, str] = {}
     for raw in raw_entries:
         # Fields are read with exact type checks: json.loads makes no
         # subclasses, and a field of the wrong type counts as absent.
@@ -229,18 +227,24 @@ def parse_har(data: bytes) -> SessionRecord:
         if type(url) is not str or not url:
             skipped["malformed_entry"] += 1
             continue
-        host, reason = url_host(url)
-        if reason:
-            hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
-            skipped["no_hostname" if hostless else reason] += 1
-            continue
-        host = interned.setdefault(host, host)
+        end = url.find("/", 8)
+        prefix = url[:end] if end >= 0 else url
+        host = prefix_hosts.get(prefix)
+        if host is None or not url.isprintable():
+            host, reason = url_host(url)
+            if reason:
+                hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
+                skipped["no_hostname" if hostless else reason] += 1
+                continue
+            host = interned.setdefault(host, host)
+            if prefix in ("https://" + host, "http://" + host):
+                prefix_hosts[prefix] = host
         started = raw.get("startedDateTime")
         parsed.append((started if type(started) is str else "", url, host, raw))
     if not parsed:
         raise HarParseError("no usable entries in capture")
 
-    parsed.sort(key=lambda item: item[0])  # stable: ties keep file order
+    parsed.sort(key=itemgetter(0))  # stable: ties keep file order
     document_url = parsed[0][1]
 
     entries = []
@@ -266,16 +270,18 @@ def parse_har(data: bytes) -> SessionRecord:
         mime = mime if type(mime) is str else None
         resource_type = raw.get("_resourceType")
         resource_type = resource_type if type(resource_type) is str else None
-        entries.append(RequestEntry(url, host, initiator_url or None, resource_type, mime))
+        entry = (url, host, initiator_url or None, resource_type, mime)
+        entries.append(tuple.__new__(RequestEntry, entry))  # skips NamedTuple's Python __new__
 
     # Redirect hops initiate their targets; fill that in where the capture
     # left the target's initiator unknown.
-    entries = [
-        e
-        if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
-        else e._replace(initiator_url=redirects[e.url])
-        for e in entries
-    ]
+    if redirects:
+        entries = [
+            e
+            if e.initiator_url or e.url not in redirects or e.url == redirects[e.url]
+            else e._replace(initiator_url=redirects[e.url])
+            for e in entries
+        ]
 
     return SessionRecord(site_url=document_url, entries=entries, skipped=skipped)
 
@@ -294,28 +300,32 @@ def build_tree(record: SessionRecord) -> DependencyTree:
     root_url = record.site_url
     nodes: dict[str, str] = {}
     hosts: dict[str, str] = {}
-    for entry in record.entries:
-        if entry.url not in nodes:
-            nodes[entry.url] = classify_interaction(entry.resource_type, entry.mime).value
-            hosts[entry.url] = entry.host
+    kinds: dict[tuple, str] = {}  # (resource type, MIME) -> kind, classified once
+    for url, host, _, resource_type, mime in record.entries:
+        if url not in nodes:
+            kind = kinds.get((resource_type, mime))
+            if kind is None:
+                kind = kinds[resource_type, mime] = classify_interaction(resource_type, mime).value
+            nodes[url] = kind
+            hosts[url] = host
     if root_url not in hosts:
         raise ValueError("site_url is not a requested URL")
     root_domain = registrable_domain(hosts[root_url])
 
     diagnostics: Counter = Counter()
     edges: dict[tuple[str, str], int] = {}
-    for entry in record.entries:
-        if entry.url == root_url:
-            if entry.initiator_url and entry.initiator_url != root_url:
+    for url, _, src, _, _ in record.entries:
+        if url == root_url:
+            if src and src != root_url:
                 diagnostics["edge_to_root_dropped"] += 1
             continue
-        src = entry.initiator_url
         if src is None or src not in nodes:
             src = root_url
-        if src == entry.url:
+        if src == url:
             diagnostics["self_edge_dropped"] += 1
             src = root_url
-        edges[(src, entry.url)] = edges.get((src, entry.url), 0) + 1
+        edge = (src, url)
+        edges[edge] = edges.get(edge, 0) + 1
 
     return DependencyTree(
         root_url=root_url,
@@ -332,12 +342,33 @@ def build_tree(record: SessionRecord) -> DependencyTree:
 TREES_HEADER = b'{"format": "widetrack-trees", "version": 1}\n'
 
 
-# One encoder for every trees line; json.dumps builds one per call.
-SORTED_JSON = json.JSONEncoder(sort_keys=True)
+# A trees line is its record as JSONEncoder(sort_keys=True) writes it: this
+# template, keys in order, each string escaped as that encoder does (ASCII).
+_TREE = (
+    '{"diagnostics": {%s}, "edges": [%s], "nodes": [%s], '
+    '"root_domain": %s, "root_url": %s, "skipped": {%s}}\n'
+)
 
 
 def tree_line(tree: DependencyTree) -> bytes:
-    return (SORTED_JSON.encode(tree.to_record()) + "\n").encode("utf-8")
+    """The tree's trees-file line. Each node URL is escaped once; edges sort
+    by their endpoints' ranks among the sorted URLs, as (source, target) do."""
+    urls = sorted(tree.nodes)
+    n = len(urls)
+    rank = dict(zip(urls, range(n)))
+    quoted = list(map(_esc, urls))
+    nodes = [f"[{q}, {_esc(tree.nodes[url])}]" for url, q in zip(urls, quoted)]
+    edges = sorted([(rank[s] * n + rank[d], m) for (s, d), m in tree.edges.items()])
+    edges = [f"[{quoted[i // n]}, {quoted[i % n]}, {m:d}]" for i, m in edges]
+    line = _TREE % (
+        _tallies(tree.diagnostics), ", ".join(edges), ", ".join(nodes),
+        _esc(tree.root_domain), _esc(tree.root_url), _tallies(tree.skipped),
+    )
+    return line.encode()
+
+
+def _tallies(counts: Counter) -> str:
+    return ", ".join([f"{_esc(name)}: {n:d}" for name, n in sorted(counts.items())])
 
 
 def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
@@ -350,7 +381,7 @@ def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
         raise HarParseError("empty trees file")
     try:
         header = json.loads(first)
-    except ValueError:
+    except (ValueError, RecursionError):
         header = None
     if (
         not isinstance(header, dict)
@@ -364,6 +395,6 @@ def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
             continue
         try:
             tree = DependencyTree.from_record(json.loads(line.decode("utf-8")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise HarParseError(f"bad trees record on line {lineno}: {exc!r}") from exc
         yield tree

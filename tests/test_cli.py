@@ -165,6 +165,30 @@ def test_bad_capture_names_its_file_and_leaves_no_trees_file(
     assert list(out_dir.iterdir()) == []
 
 
+# 200,000 nested arrays: deeper than json.loads can recurse.
+_DEEP = "[" * 200_000 + "\n"
+
+
+@pytest.mark.parametrize(
+    "reader, header, message",
+    [
+        (["ingest", "--har-dir", "{dir}", "--out", "{dir}/trees.jsonl"], "",
+         "error: deep.har: JSON nested too deeply"),
+        (["graph", "build", "--trees", "{dir}/deep.har", "--out", "{dir}/graph.jsonl"],
+         '{"format": "widetrack-trees", "version": 1}\n',
+         "error: bad trees record on line 2: RecursionError("),
+        (["graph", "stats", "--graph", "{dir}/deep.har"], '{"format": "widegraph", "version": 1}\n',
+         "error: corrupt graph record on line 2: maximum recursion depth exceeded"),
+    ],
+)
+def test_deeply_nested_json_names_its_file_or_line(tmp_path, capsys, reader, header, message):
+    (tmp_path / "deep.har").write_text(header + _DEEP)
+    assert main([arg.format(dir=tmp_path) for arg in reader]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.har"]
+
+
 def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys):
     """A trees record whose root domain is not its root URL's registrable
     domain is refused where it is read, naming its line, and no graph is

@@ -89,6 +89,14 @@ class TestTrainValidation:
         with pytest.raises(ForestError):
             train(np.zeros((2, 1)), np.array([0, 2]), ForestParams(n_trees=1))
 
+    def test_fractional_labels_are_named_not_truncated(self):
+        with pytest.raises(ForestError, match=r"labels must be 0/1, got \['0\.2', '0\.7'\]"):
+            train([[0.0], [1.0], [2.0]], [0.7, 1.0, 0.2], ForestParams(n_trees=1, seed=1))
+
+    def test_text_labels_are_named(self):
+        with pytest.raises(ForestError, match="labels must be 0/1, got .*'a'.*'b'"):
+            train([[0.0], [1.0]], ["a", "b"], ForestParams(n_trees=1, seed=1))
+
     def test_no_feature_columns_named(self):
         with pytest.raises(ForestError, match="no feature columns"):
             train(np.zeros((3, 0)), np.array([0, 1, 0]), ForestParams(n_trees=1))

@@ -472,6 +472,28 @@ def test_build_widegraph_convenience():
     assert g.roots == {"r1.com", "r2.com", "r3.com"}
 
 
+def test_a_host_filed_as_third_party_is_first_party_on_its_own_site():
+    """build_widegraph finds each (host, kind) document once for all its
+    trees; a host another site filed as a third party is still first party
+    on its own site, as contracting each tree alone gives."""
+    cdn = "https://cdn.b.com/"
+    trees = [
+        tree("a.com", {cdn + "x.js": "script"}, {("https://www.a.com/", cdn + "x.js"): 1}),
+        tree("b.com", {cdn + "y.js": "script"}, {("https://www.b.com/", cdn + "y.js"): 2}),
+        tree("c.com", {cdn + "z.js": "script"}, {("https://www.c.com/", cdn + "z.js"): 1}),
+    ]
+    alone = WideGraph()
+    for t in trees:
+        contract_tree(alone, t)
+    g = build_widegraph(trees)
+    assert g == alone
+    (doc,) = g.documents()
+    assert doc.sites == {"a.com", "c.com"} and set(doc.urls) == {cdn + "x.js", cdn + "z.js"}
+    assert set(g.nodes) == {NodeKey(d, FIRST_PARTY) for d in ("a.com", "b.com", "c.com")} | {
+        NodeKey("b.com", "script")
+    }
+
+
 def test_stats_shape():
     g, _ = TestCoverage().three_root_fixture()
     st = stats(GraphIndex(g))

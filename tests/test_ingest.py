@@ -1,12 +1,16 @@
 import io
 import json
+from collections import Counter
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widetrack.domains import registrable_domain
 from widetrack.ingest import (
+    NODE_KIND_VALUES,
     TREES_HEADER,
+    DependencyTree,
     HarParseError,
     InteractionKind,
     build_tree,
@@ -23,6 +27,18 @@ PIXEL = "https://px.tracker.net/collect?id=1"
 
 def trees_file(trees):
     return TREES_HEADER + b"".join(tree_line(t) for t in trees)
+
+
+def tree_record(tree):
+    """The record a trees line holds, built field by field."""
+    return {
+        "root_url": tree.root_url,
+        "root_domain": tree.root_domain,
+        "nodes": sorted(tree.nodes.items()),
+        "edges": sorted((s, d, m) for (s, d), m in tree.edges.items()),
+        "diagnostics": dict(sorted(tree.diagnostics.items())),
+        "skipped": dict(sorted(tree.skipped.items())),
+    }
 
 
 def har_bytes(entries):
@@ -310,7 +326,42 @@ class TestBuildTree:
 def test_trees_file_round_trip():
     trees = [build_tree(parse_har(chain_fixture()))]
     loaded = list(read_trees(io.BytesIO(trees_file(trees))))
-    assert loaded[0].to_record() == trees[0].to_record()
+    assert tree_record(loaded[0]) == tree_record(trees[0])
+
+
+# Text that JSON escapes: quotes, backslashes, control and non-ASCII
+# characters, a line separator, lone surrogates and an astral character.
+_odd_text = st.text(
+    alphabet=st.sampled_from(list('ab/"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600 ')),
+    max_size=5,
+)
+_tallies = st.dictionaries(_odd_text, st.integers(-3, 10**20), max_size=3)
+
+
+@st.composite
+def odd_trees(draw):
+    urls = draw(st.lists(_odd_text, min_size=1, max_size=6, unique=True))
+    kinds = st.one_of(st.sampled_from(sorted(NODE_KIND_VALUES)), _odd_text)
+    edges = draw(st.dictionaries(
+        st.tuples(st.sampled_from(urls), st.sampled_from(urls)), st.integers(-3, 10**20),
+        max_size=8,
+    ))
+    return DependencyTree(
+        root_url=draw(_odd_text),
+        root_domain=draw(_odd_text),
+        nodes={url: draw(kinds) for url in urls},
+        edges=edges,
+        diagnostics=Counter(draw(_tallies)),
+        skipped=Counter(draw(_tallies)),
+        hosts={},  # not written; given, so no URL is checked
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_trees())
+def test_tree_line_equals_per_record_sorted_json(tree):
+    expected = json.JSONEncoder(sort_keys=True).encode(tree_record(tree)) + "\n"
+    assert tree_line(tree) == expected.encode()
 
 
 def test_hosts_equal_a_fresh_split_from_either_source():
@@ -352,6 +403,27 @@ def test_empty_dns_label_is_skipped_as_bad_host(url):
     assert record.skipped == {"bad_host": 1}
 
 
+def test_urls_sharing_a_host_read_as_url_host_reads_each():
+    """parse_har reads a plain host once per capture and reuses it for
+    later URLs with the same "scheme://host" prefix; each URL still gets
+    the host, or the skip, that url_host gives it alone."""
+    from widetrack.ingest import url_host
+
+    base = "https://px.tracker.net"
+    urls = [
+        base + "/a", base + "/b\tc", base, base + "?q", base + "#f", base + ":8443/p",
+        base + "./x", "http://px.tracker.net/h", "HTTPS://px.tracker.net/u", base + "/\u2028",
+        "https://b\u00fccher.example/x", "https://b\u00fccher.example/y\x85",
+        # " https:/" is the text before the third "/" of both; their hosts differ
+        " https://px.tracker.net/l", " https://cdn.tracker.net/l",
+    ]
+    record = parse_har(har_bytes([entry(PAGE, rt="document")] + [entry(u) for u in urls]))
+    expected = [(u, url_host(u)[0]) for u in [PAGE] + urls if url_host(u)[0]]
+    assert [(e.url, e.host) for e in record.entries] == expected
+    assert record.skipped == Counter(url_host(u)[1] for u in urls if url_host(u)[1])
+    assert record.skipped["bad_url"] == 3
+
+
 def test_unicode_host_and_its_punycode_stay_two_hosts_through_both_files():
     """Hosts get no IDNA mapping: a Unicode host and its punycode spelling
     are each accepted as written, as two hosts on two nodes, and both come
@@ -386,7 +458,7 @@ def test_trees_file_streams_one_record_at_a_time():
     tree = build_tree(parse_har(chain_fixture()))
     stream = io.BytesIO(trees_file([tree]) + b"not json\n")
     trees = read_trees(stream)
-    assert next(trees).to_record() == tree.to_record()
+    assert tree_record(next(trees)) == tree_record(tree)
     assert stream.tell() == len(trees_file([tree]))  # the bad line is unread
     with pytest.raises(HarParseError, match="line 3"):
         next(trees)
@@ -422,7 +494,7 @@ def test_trees_file_rejects_garbage():
 )
 def test_trees_file_bad_record_names_the_line(change):
     tree = build_tree(parse_har(chain_fixture()))
-    rec = tree.to_record()
+    rec = tree_record(tree)
     change(rec)
     data = trees_file([tree]) + (json.dumps(rec) + "\n").encode()
     with pytest.raises(HarParseError, match="line 3"):

@@ -1,3 +1,5 @@
+import gc
+import io
 import re
 from collections import Counter
 
@@ -507,8 +509,9 @@ def test_parse_overrides(tmp_path):
 
 
 class TestEachFactOnce:
-    def test_run_all_splits_each_entry_url_once(self, tmp_path, monkeypatch):
+    def test_run_all_splits_each_host_once_per_capture(self, tmp_path, monkeypatch):
         import json
+        from urllib.parse import urlsplit
 
         from widetrack import graph, ingest
         from widetrack.pipeline import run_all
@@ -534,14 +537,17 @@ class TestEachFactOnce:
                 out_dir=tmp_path / "out", n_trees=10, min_in_degree=1,
             )
         )
-        entries = sum(
-            len(json.loads(har.read_bytes())["log"]["entries"])
+        captures = [
+            [e["request"]["url"] for e in json.loads(har.read_bytes())["log"]["entries"]]
             for har in paths["har_dir"].glob("*.har")
-        )
+        ]
+        hosts = sum(len({urlsplit(url)[:2] for url in urls}) for urls in captures)
         assert summary["ingest_skips"] == {}
-        # Every synthetic URL has a plain host, so the regex reads it and
-        # nothing calls urlsplit.
-        assert calls == Counter({"widetrack.ingest.url_host": entries})
+        # Every synthetic URL has a plain host followed by a path, so the
+        # regex reads each (scheme, host) once per capture, nothing calls
+        # urlsplit, and some URLs share a host with an earlier one.
+        assert calls == Counter({"widetrack.ingest.url_host": hosts})
+        assert hosts < sum(map(len, captures))
 
     def test_run_all_contracts_each_capture_before_parsing_the_next(
         self, tmp_path, monkeypatch
@@ -657,3 +663,60 @@ class TestPipelineConfig:
         path.write_text(f"stratified = {word}\n")
         with pytest.raises(DataError, match="bad value for stratified on config line 1"):
             load_config(PipelineConfig, path)
+
+
+class TestCollectorPause:
+    """build_widegraph pauses the cyclic collector while it reads and
+    contracts, and puts back the caller's setting."""
+
+    @pytest.fixture
+    def har_dir(self, tmp_path):
+        from widetrack.synth import generate
+
+        corpus = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3))
+        return corpus.write(tmp_path)["har_dir"]
+
+    @staticmethod
+    def build(har_dir):
+        from widetrack.graph import build_widegraph
+        from widetrack.pipeline import IngestTally, ingest_har_dir
+
+        return build_widegraph(ingest_har_dir(har_dir, io.BytesIO(), IngestTally()))
+
+    def test_ingest_contraction_and_save_leave_no_cyclic_garbage(self, har_dir):
+        from widetrack.graph import save_graph
+
+        gc.collect()
+        gc.disable()
+        try:
+            save_graph(self.build(har_dir), io.BytesIO())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collector_is_off_during_the_build_and_back_on_after(self, har_dir, monkeypatch):
+        from widetrack import pipeline
+
+        seen = []
+        build_tree = pipeline.build_tree
+        monkeypatch.setattr(
+            pipeline, "build_tree", lambda record: seen.append(gc.isenabled()) or build_tree(record)
+        )
+        assert gc.isenabled()
+        self.build(har_dir)
+        assert seen == [False] * 12
+        assert gc.isenabled()
+
+    def test_collector_is_back_on_after_a_bad_capture(self, har_dir):
+        (har_dir / "zz.har").write_bytes(b'{"log": {"entries": []}}')
+        with pytest.raises(DataError, match="zz.har"):
+            self.build(har_dir)
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_the_caller_turned_it_off(self, har_dir):
+        gc.disable()
+        try:
+            self.build(har_dir)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
