@@ -14,12 +14,12 @@ changing the result. Training relies on that twice over:
 - ``_grow_group`` grows ``_GROUP_TREES`` trees in lockstep. Each step pops
   every tree's pending leaves, appending them in pre-order, up to its next
   node that may split; takes that node's features from its own tree's
-  generator (``_feature_sets`` replays many steps' ``choice`` draws at
-  once); scores all of those nodes in one segmented numpy pass
-  (``_best_splits``); and routes the rows of every split node in one gather.
-  Steps follow scored nodes, not all nodes. A child's class counts come from
-  its parent's split, so the labels are summed once per tree, at the root,
-  and a child that will be a leaf keeps no row array.
+  generator (``_feature_sets`` draws many steps' sets at once); scores all
+  of those nodes in one segmented numpy pass (``_best_splits``); and routes
+  the rows of every split node in one gather. Steps follow scored nodes, not
+  all nodes. A child's class counts come from its parent's split, so the
+  labels are summed once per tree, at the root, and a child that will be a
+  leaf keeps no row array.
 
 Neither changes a split. Each tree draws in the same order, every boundary
 is scored with the same Gini expression, term for term, and ties go to the
@@ -84,11 +84,11 @@ class ForestParams:
 
 @dataclass
 class Tree:
-    """Nodes in pre-order. feature[i] == -1 marks a leaf."""
+    """Nodes in pre-order. feature[i] == -1 marks a leaf; a split node i has
+    its left child at i + 1 and its right child at right[i]."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     counts: np.ndarray  # (n_nodes, 2) class counts from the bootstrap sample
 
@@ -258,20 +258,17 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
 
 
 def _feature_sets(rngs: list[np.random.Generator], k: int, d: int, mtry: int) -> np.ndarray:
-    """(len(rngs), k, mtry): each generator's next k sets, as k calls of
-    ``np.sort(rng.choice(d, mtry, replace=False))`` give them and leave it.
+    """(len(rngs), k, mtry): each generator's next k feature sets, sorted.
 
-    For d <= 10000 or mtry <= d // 50, ``choice`` runs Floyd's algorithm:
-    draws ``integers(0, j + 1)`` for j = d - mtry .. d - 1, taking j where
-    the value is already taken, then shuffle draws ``integers(0, i + 1)`` for
-    i = mtry - 1 .. 1, which the sort undoes; one ``integers`` call per
-    generator replays k sets. Otherwise ``choice`` shuffles ``arange(d)``'s
-    tail, and is called as it is.
+    A set is Floyd's sample of mtry of range(d) (Bentley and Floyd, "A
+    sample of brilliance", CACM 1987): for j = d - mtry .. d - 1, draw
+    ``integers(0, j + 1)`` and take that value, or j where the value is
+    already taken; then draw ``integers(0, i + 1)`` for i = mtry - 1 .. 1
+    and discard those draws. Where numpy's ``choice`` runs Floyd's algorithm
+    (d <= 10000 or mtry <= d // 50), a set is
+    ``np.sort(rng.choice(d, mtry, replace=False))``, whose shuffle makes the
+    discarded draws. One ``integers`` call per generator draws its k sets.
     """
-    if d > 10000 and mtry > d // 50:
-        return np.array([
-            [np.sort(rng.choice(d, size=mtry, replace=False)) for _ in range(k)] for rng in rngs
-        ])
     highs = np.concatenate((np.arange(d - mtry + 1, d + 1), np.arange(mtry, 1, -1)))
     v = np.concatenate([rng.integers(0, highs, size=(k, len(highs)))[:, :mtry] for rng in rngs])
     # Draw i's value is taken iff it came up at an earlier draw (seen), or it
@@ -317,29 +314,28 @@ def _grow_group(
     def may_split(depth, c0, c1):
         return c0 > 0 and c1 > 0 and c0 + c1 >= params.min_samples_split and depth < max_depth
 
-    # feature, threshold, left, right, counts: one entry per node, pre-order
-    built = [([], [], [], [], []) for _ in samples]
-    # Explicit pre-order stacks of (rows, depth, parent, is_left, c0, c1);
-    # rows is None for a node that will be a leaf.
+    # feature, threshold, right, counts: one entry per node, pre-order
+    built = [([], [], [], []) for _ in samples]
+    # Explicit pre-order stacks of (rows, depth, parent, c0, c1); rows is None
+    # for a node that will be a leaf, and parent is -1 but for a right child.
     stacks = []
     for sample in samples:
         c1 = int(y[sample].sum())
         c0 = len(sample) - c1
-        stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, False, c0, c1)])
+        stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, c0, c1)])
     drawn, k, used = {}, 0, 0  # each live tree's k sets drawn ahead; used of them
     while True:
         scored = []
         for t, stack in enumerate(stacks):
-            feature, threshold, left, right, counts = built[t]
+            feature, threshold, right, counts = built[t]
             while stack:
-                idx, depth, parent, is_left, c0, c1 = stack.pop()
+                idx, depth, parent, c0, c1 = stack.pop()
                 node = len(feature)
                 if parent >= 0:
-                    (left if is_left else right)[parent] = node
+                    right[parent] = node
                 counts.append((c0, c1))
                 feature.append(-1)
                 threshold.append(0.0)
-                left.append(-1)
                 right.append(-1)
                 if idx is not None:
                     scored.append((t, node, depth, idx, c1))
@@ -373,10 +369,10 @@ def _grow_group(
             # A copy: a right child waits on the stack, holding only its rows.
             rows_right = rights[ro:ro + rn].copy() if may_split(depth + 1, *right_counts) else None
             lo, ro = lo + ln, ro + rn
-            # Push right first so the left subtree is emitted next (pre-order).
+            # Push right first so the left child is popped next, as node + 1.
             stacks[t] += (
-                (rows_right, depth + 1, node, False, *right_counts),
-                (rows_left, depth + 1, node, True, *left_counts),
+                (rows_right, depth + 1, node, *right_counts),
+                (rows_left, depth + 1, -1, *left_counts),
             )
         del rows, feats, thrs, go_left, rights  # not held through the next step's scan
 
@@ -384,11 +380,10 @@ def _grow_group(
         Tree(
             feature=np.array(feature, dtype=np.int32),
             threshold=np.array(threshold, dtype=np.float64),
-            left=np.array(left, dtype=np.int32),
             right=np.array(right, dtype=np.int32),
             counts=np.array(counts, dtype=np.int64),
         )
-        for feature, threshold, left, right, counts in built
+        for feature, threshold, right, counts in built
     ]
 
 
@@ -446,7 +441,6 @@ def _walk(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     offset = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
     feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left + o for tree, o in zip(trees, offset)])
     right = np.concatenate([tree.right + o for tree, o in zip(trees, offset)])
     node = np.repeat(offset, len(X))
     row = np.tile(np.arange(len(X)), len(trees))
@@ -454,7 +448,7 @@ def _walk(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     while len(active):
         at = node[active]
         go_left = X[row[active], feature[at]] <= threshold[at]
-        node[active] = np.where(go_left, left[at], right[at])
+        node[active] = np.where(go_left, at + 1, right[at])
         active = active[feature[node[active]] >= 0]
     return node.reshape(len(trees), len(X))
 
@@ -472,16 +466,20 @@ def _votes(trees: list[Tree], X: np.ndarray):
         yield first, (counts[:, 1] > counts[:, 0])[_walk(block, X)]
 
 
+def _scored_matrix(model: ForestModel, X) -> np.ndarray:
+    """X as a float matrix of the model's width, the one check of it."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.feature_count:
+        raise ForestError(f"expected {model.feature_count} features, got {X.shape}")
+    return X
+
+
 def predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     """(majority labels, fraction of trees voting adtracker) per row of X.
 
     An exact tie votes benign: blocking should not ride on a coin flip.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.feature_count:
-        raise ForestError(
-            f"expected {model.feature_count} features, got {X.shape}"
-        )
+    X = _scored_matrix(model, X)
     votes = np.zeros(len(X), dtype=np.int64)
     for _, voted in _votes(model.trees, X):
         votes += voted.sum(axis=0)
@@ -500,7 +498,7 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     """
     if not model.in_bag:
         raise ForestError("model carries no bootstrap record (loaded from file?)")
-    X = np.asarray(X, dtype=np.float64)
+    X = _scored_matrix(model, X)
     n = len(X)
     if n != len(model.in_bag[0]):
         raise ForestError(
@@ -533,7 +531,7 @@ def feature_importance(model: ForestModel) -> list[tuple[int, float]]:
     totals = np.zeros(model.feature_count)
     for tree in model.trees:
         inner = np.flatnonzero(tree.feature >= 0)
-        c, lc, rc = (tree.counts[i] for i in (inner, tree.left[inner], tree.right[inner]))
+        c, lc, rc = (tree.counts[i] for i in (inner, inner + 1, tree.right[inner]))
         n, ln, rn = c.sum(axis=1), lc.sum(axis=1), rc.sum(axis=1)
         decrease = _gini_rows(c) - (ln * _gini_rows(lc) + rn * _gini_rows(rc)) / n
         np.add.at(totals, tree.feature[inner], (n / tree.counts[0].sum()) * decrease)
@@ -617,18 +615,18 @@ def load_model(data: bytes) -> ForestModel:
             tree = Tree(
                 feature=np.full(n, -1, dtype=np.int32),
                 threshold=np.zeros(n),
-                left=np.full(n, -1, dtype=np.int32),
                 right=np.full(n, -1, dtype=np.int32),
                 counts=np.zeros((n, 2), dtype=np.int64),
             )
-            pending = []  # pre-order: (parent, its left or right array) awaiting a child
+            # Pre-order: a node after a split node is its left child; any
+            # other node is the right child of the last split node waiting.
+            waiting = []
             for node in range(n):
                 kind, *values = take()
-                if pending:
-                    parent, child = pending.pop()
-                    child[parent] = node
-                elif node:
-                    raise ForestFormatError("tree has trailing nodes")
+                if node and tree.feature[node - 1] < 0:
+                    if not waiting:
+                        raise ForestFormatError("tree has trailing nodes")
+                    tree.right[waiting.pop()] = node
                 if (kind, len(values)) == ("n", 4):
                     f, thr = int(values[0]), float(values[1])
                     if not 0 <= f < feature_count:
@@ -636,7 +634,7 @@ def load_model(data: bytes) -> ForestModel:
                     if not math.isfinite(thr):
                         raise ForestFormatError(f"non-finite threshold {values[1]!r}")
                     tree.feature[node], tree.threshold[node] = f, thr
-                    pending += [(node, tree.right), (node, tree.left)]
+                    waiting.append(node)
                     values = values[2:]
                 elif (kind, len(values)) != ("l", 2):
                     raise ForestFormatError(f"bad node line {kind[:40]!r}")
@@ -644,10 +642,10 @@ def load_model(data: bytes) -> ForestModel:
                 if min(counts) < 0 or sum(counts) == 0:
                     raise ForestFormatError(f"impossible class counts {' '.join(values)}")
                 tree.counts[node] = counts
-            if pending:
+            if waiting:
                 raise ForestFormatError("tree is truncated")
             inner = np.flatnonzero(tree.feature >= 0)
-            sums = tree.counts[tree.left[inner]] + tree.counts[tree.right[inner]]
+            sums = tree.counts[inner + 1] + tree.counts[tree.right[inner]]
             bad = inner[(tree.counts[inner] != sums).any(axis=1)]
             if bad.size:
                 no -= n - 1 - int(bad[0])  # back to that node's line

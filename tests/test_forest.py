@@ -41,7 +41,6 @@ def leaf_tree(c0, c1):
     return Tree(
         feature=np.array([-1], dtype=np.int32),
         threshold=np.array([0.0]),
-        left=np.array([-1], dtype=np.int32),
         right=np.array([-1], dtype=np.int32),
         counts=np.array([[c0, c1]], dtype=np.int64),
     )
@@ -331,12 +330,27 @@ class TestDeterminism:
         root[first - 1] = "\t".join([*cells[:3], str(int(cells[3]) + 1), cells[4]])
         # The last leaf one count too high: the defect shows at its parent.
         last = len(tree.feature) - 1
-        parent = int(np.flatnonzero((tree.left == last) | (tree.right == last))[0])
+        parent = last - 1  # a left child follows its parent
+        if tree.feature[parent] < 0:
+            parent = int(np.flatnonzero(tree.right == last)[0])
         leaf = lines[:]
         c0, c1 = tree.counts[last]
         leaf[first - 1 + last] = f"l\t{c0}\t{c1 + 1}"
         for edited, lineno in ((root, first), (leaf, first + parent)):
             with pytest.raises(ForestFormatError, match=f"^line {lineno}: .*sum of the children"):
+                load_model(("\n".join(edited) + "\n").encode())
+
+    def test_every_dropped_or_repeated_node_line_names_a_line(self):
+        # Three trees of several nodes: a lost or doubled line shifts every
+        # child link after it, and the loader must name where that shows.
+        X, y = xor_data(3)
+        lines = save_model(train(X, y, ForestParams(n_trees=3, seed=2))).decode().splitlines()
+        nodes = [i for i, line in enumerate(lines) if line.startswith(("n\t", "l\t"))]
+        assert len(nodes) > 3 * 5
+        edits = [lines[:i] + lines[i + 1:] for i in nodes]
+        edits += [lines[:i + 1] + lines[i:] for i in nodes]
+        for edited in edits:
+            with pytest.raises(ForestFormatError, match=r"^line \d+: "):
                 load_model(("\n".join(edited) + "\n").encode())
 
     def test_non_utf8_byte_names_its_line(self):
@@ -400,6 +414,18 @@ class TestOob:
         assert scores[2] == 1.0  # out of bag for trees 0 and 2 only
         assert labels.tolist() == [1, 1, 1]
 
+    @pytest.mark.parametrize("width", [1, 6])
+    def test_wrong_width_matrix_rejected(self, width):
+        # 50 trees over 60 rows: every row is out of bag for some tree, so
+        # no row falls back to predict's check.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 3))
+        model = train(X, (X[:, 0] > 0).astype(int), ForestParams(n_trees=50, seed=3))
+        in_every_bag = np.logical_and.reduce([np.isin(np.arange(60), s) for s in model.in_bag])
+        assert not in_every_bag.any()
+        with pytest.raises(ForestError, match=r"expected 3 features, got \(60, %d\)" % width):
+            oob_predict(model, np.zeros((60, width)))
+
     def test_loaded_model_has_no_bootstrap_record(self):
         X, y = xor_data(2)
         model = load_model(save_model(train(X, y, ForestParams(n_trees=2, seed=1))))
@@ -411,7 +437,7 @@ def walk(tree, x):
     """Reference leaf lookup: one row, one node at a time."""
     i = 0
     while tree.feature[i] >= 0:
-        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+        i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
     return i
 
 
@@ -423,7 +449,7 @@ def recount(tree, X, y, sample):
         i = 0
         counts[i, y[r]] += 1
         while tree.feature[i] >= 0:
-            i = tree.left[i] if X[r, tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+            i = i + 1 if X[r, tree.feature[i]] <= tree.threshold[i] else tree.right[i]
             counts[i, y[r]] += 1
         assert i == walk(tree, X[r])
     return counts
@@ -527,8 +553,21 @@ def _best_split_loop(X, y, idx, feats):
     return (best_impurity, *best)
 
 
+def floyd_features(rng, d, mtry):
+    """Reference feature set: Floyd's sample of mtry of range(d), one
+    bounded draw at a time, then the mtry - 1 draws that are discarded."""
+    taken = set()
+    for j in range(d - mtry, d):
+        v = int(rng.integers(0, j + 1))
+        taken.add(j if v in taken else v)
+    for i in range(mtry - 1, 0, -1):
+        rng.integers(0, i + 1)
+    return np.array(sorted(taken))
+
+
 def _grow_tree_loop(X, y, sample, params, mtry, rng):
-    """Reference grower: one tree, one node at a time, pre-order."""
+    """Reference grower: one tree, one node at a time, pre-order, with its
+    own left-child list, which must hold node + 1 at every split node."""
     d = X.shape[1]
     feature, threshold, left, right, counts = [], [], [], [], []
     stack = [(sample, 0, -1, False)]  # (indices, depth, parent, is_left)
@@ -551,7 +590,7 @@ def _grow_tree_loop(X, y, sample, params, mtry, rng):
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             continue
-        feats = np.sort(rng.choice(d, size=mtry, replace=False))
+        feats = floyd_features(rng, d, mtry)
         found = _best_split_loop(X, y, idx, feats)
         if found is None:
             continue
@@ -561,10 +600,12 @@ def _grow_tree_loop(X, y, sample, params, mtry, rng):
         threshold[node] = thr
         stack.append((idx[~go_left], depth + 1, node, False))
         stack.append((idx[go_left], depth + 1, node, True))
+    for i, f in enumerate(feature):
+        if f >= 0:
+            assert left[i] == i + 1
     return Tree(
         feature=np.array(feature, dtype=np.int32),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         counts=np.array(counts, dtype=np.int64),
     )
@@ -594,7 +635,7 @@ def _feature_importance_loop(model):
             if f < 0:
                 continue
             c0, c1 = tree.counts[i]
-            lc0, lc1 = tree.counts[tree.left[i]]
+            lc0, lc1 = tree.counts[i + 1]
             rc0, rc1 = tree.counts[tree.right[i]]
             n = c0 + c1
             decrease = _gini(c0, c1) - (
@@ -681,38 +722,48 @@ def _sizes(columns, mtry):
     return columns.flatmap(lambda d: st.tuples(st.just(d), st.integers(*mtry(d))))
 
 
-class TestFeatureDraws:
-    """``_feature_sets`` against ``np.sort(rng.choice(d, mtry, replace=False))``,
-    the draw the loop oracle makes once per node. numpy runs Floyd's algorithm
-    for d <= 10000 or mtry <= d // 50, and a tail shuffle of ``arange(d)``
-    otherwise."""
+# (d, mtry) where numpy's choice runs Floyd's algorithm, and past it, where
+# choice shuffles arange(d)'s tail instead (d > 10000 and mtry > d // 50).
+_FLOYD_SIZES = st.one_of(
+    _sizes(st.integers(1, 80), lambda d: (1, d)),
+    _sizes(st.integers(10001, 40000), lambda d: (1, d // 50)),
+)
+_TAIL_SIZES = _sizes(st.integers(10001, 10300), lambda d: (d // 50 + 1, d // 50 + 60))
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.one_of(
-            _sizes(st.integers(1, 80), lambda d: (1, d)),
-            _sizes(st.integers(10001, 40000), lambda d: (1, d // 50)),
-            _sizes(st.integers(10001, 10300), lambda d: (d // 50 + 1, d // 50 + 60)),
-        ),
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 4),
-    )
-    @example((1, 1), 0, 3)  # d == 1
-    @example((9, 9), 1, 3)  # mtry == d
-    @example((20000, 400), 2, 2)  # Floyd's algorithm above 10000 columns
-    @example((10050, 250), 3, 2)  # the tail shuffle
-    def test_sets_equal_sorted_choice_draws(self, size, seed, k):
+
+class TestFeatureDraws:
+    """``_feature_sets`` against ``floyd_features``, the draw the loop oracle
+    makes once per node, and, where numpy runs Floyd's algorithm, against
+    ``np.sort(rng.choice(d, mtry, replace=False))``."""
+
+    @staticmethod
+    def check(draw, size, seed, k):
         d, mtry = size
         rngs = [np.random.default_rng([seed, t]) for t in range(3)]
         oracles = [np.random.default_rng([seed, t]) for t in range(3)]
         for _ in range(2):  # the second call goes on where the first left off
-            expected = [
-                [np.sort(rng.choice(d, size=mtry, replace=False)).tolist() for _ in range(k)]
-                for rng in oracles
-            ]
+            expected = [[draw(rng, d, mtry).tolist() for _ in range(k)] for rng in oracles]
             assert forest._feature_sets(rngs, k, d, mtry).tolist() == expected, (
                 f"numpy {np.__version__}"
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_FLOYD_SIZES, _TAIL_SIZES), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @example((1, 1), 0, 3)  # d == 1
+    @example((9, 9), 1, 3)  # mtry == d
+    @example((10050, 250), 3, 2)  # past numpy's Floyd range
+    def test_sets_equal_the_floyd_reference(self, size, seed, k):
+        self.check(floyd_features, size, seed, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_FLOYD_SIZES, st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @example((1, 1), 0, 3)
+    @example((9, 9), 1, 3)
+    @example((20000, 400), 2, 2)  # Floyd's algorithm above 10000 columns
+    def test_sets_equal_sorted_choice_draws(self, size, seed, k):
+        self.check(
+            lambda rng, d, mtry: np.sort(rng.choice(d, size=mtry, replace=False)), size, seed, k
+        )
 
 
 class TestSplitSearch:
@@ -849,8 +900,8 @@ class TestLockstepGrower:
         assert len(set(y[model.in_bag[2]].tolist())) == 1
 
     def test_tail_shuffle_draws(self, monkeypatch):
-        # mtry > d // 50 with d > 10000: numpy's choice shuffles the tail of
-        # arange(d) instead of running Floyd's algorithm.
+        # mtry > d // 50 with d > 10000, where numpy's choice would shuffle
+        # the tail of arange(d): the forest still draws Floyd's sets.
         monkeypatch.setattr(forest, "_GROUP_TREES", 3)
         rng = np.random.default_rng(8)
         X = sparse_tfidf(rng, 14, 10050, density=0.01)

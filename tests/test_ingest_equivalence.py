@@ -7,6 +7,7 @@ Both are held here to the ``urlsplit``-based host read and the
 adversarial URLs and on mutated synthetic captures.
 """
 
+import copy
 import json
 import re
 from collections import Counter
@@ -254,6 +255,9 @@ _mutations = st.tuples(
 
 def _mutate(entries, mutation):
     op, where, path, value = mutation
+    # A copy: strategies hand the same [] and {} to every example, and later
+    # mutations write into what this one stores.
+    value = copy.deepcopy(value)
     i = where % len(entries)
     if op == "replace_entry":
         entries[i] = value
@@ -269,6 +273,15 @@ def _mutate(entries, mutation):
         target[path[-1]] = value
     else:
         target.pop(path[-1], None)
+
+
+def test_mutations_leave_the_drawn_value_alone():
+    drawn = {}
+    entries = [{"request": {}}]
+    _mutate(entries, ("replace_entry", 0, ("request",), drawn))
+    _mutate(entries, ("set", 0, ("request", "url"), "https://a.com/"))
+    assert entries == [{"request": {"url": "https://a.com/"}}]
+    assert drawn == {}
 
 
 @st.composite
