@@ -575,7 +575,10 @@ def load_model(data: bytes) -> ForestModel:
         no += 1
         if no > len(lines):
             raise ForestFormatError("file ends early")
-        cells = lines[no - 1].decode("utf-8").split("\t")
+        try:
+            cells = lines[no - 1].decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise ForestFormatError(f"byte {lines[no - 1][exc.start]:#04x} is not UTF-8") from None
         if key is not None and cells[0] != key:
             raise ForestFormatError(f"expected a {key!r} line, got {cells[0][:40]!r}")
         if n_values is not None and len(cells) - 1 != n_values:
@@ -654,8 +657,7 @@ def load_model(data: bytes) -> ForestModel:
         if no < len(lines):
             no += 1
             raise ForestFormatError("trailing line after the last tree")
-    # UnicodeDecodeError and ForestError included; OverflowError is a count
-    # past int64.
+    # ForestError included; OverflowError is a count past int64.
     except (ValueError, OverflowError) as exc:
         raise ForestFormatError(f"line {no}: {exc}") from exc
     return ForestModel(trees=trees, feature_count=feature_count, params=params)

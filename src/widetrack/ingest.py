@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
 from typing import BinaryIO, Iterator, NamedTuple
@@ -87,9 +87,9 @@ class DependencyTree:
     def from_record(cls, rec: dict) -> "DependencyTree":
         """The tree of a ``tree_line`` record as ``json.loads`` reads it;
         KeyError, TypeError or ValueError on a record with a missing key, a
-        field of the wrong type, a dangling edge, a node kind other than
-        script/media/iframe/other, a node URL with no usable host or a root
-        domain that is not its root URL's."""
+        field of the wrong type, a dangling edge, a root URL that is not a
+        node, a node kind other than script/media/iframe/other, a node URL
+        with no usable host or a root domain that is not its root URL's."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
@@ -104,6 +104,8 @@ class DependencyTree:
             raise TypeError("multiplicities and tallies must be integers")
         if any(u not in nodes for edge in edges for u in edge):
             raise ValueError("edge endpoint is not a node")
+        if root_url not in nodes:
+            raise ValueError("root url is not a node")
         unknown = set(nodes.values()) - NODE_KIND_VALUES
         if unknown:
             raise ValueError(f"unknown node kind {min(unknown)!r}")
@@ -113,12 +115,6 @@ class DependencyTree:
         return cls(root_url, root_domain, nodes, edges, diagnostics, skipped)
 
 
-# A lower-case http(s) URL whose authority is only dot-separated [a-z0-9-]
-# labels: group 1 is then exactly urlsplit's hostname. Any other URL (upper
-# case, port, userinfo, IPv6, escapes, whitespace, no scheme) takes urlsplit.
-_PLAIN_HOST = re.compile(r"https?://([a-z0-9-]+(?:\.[a-z0-9-]+)*)(?:[/?#]|\Z)")
-
-
 def url_host(url: str) -> tuple[str | None, str | None]:
     """(hostname, None) for a usable URL, else (None, why not): ``bad_url``
     for bad syntax or scheme or a character that is not printable (a tab or
@@ -126,17 +122,31 @@ def url_host(url: str) -> tuple[str | None, str | None]:
     a hostname with no registrable domain."""
     if not url.isprintable():
         return None, "bad_url"
-    plain = _PLAIN_HOST.match(url)
-    if plain:
-        host = plain[1]
-    else:
-        try:
-            parts = urlsplit(url)
-        except ValueError:
-            return None, "bad_url"
-        host = parts.hostname
-        if parts.scheme not in ("http", "https") or not host:
-            return None, "bad_url"
+    end = url.find("/", 8)
+    host = _origin_host(url[:end] if end >= 0 else url)
+    return (host, None) if host is not None else _split_host(url)
+
+
+@lru_cache(maxsize=65536)
+def _origin_host(origin: str) -> str | None:
+    """The host of ``origin`` when it is exactly "http://" or "https://" plus
+    a usable host, else None. ``url_host`` asks only for URLs that are the
+    origin plus nothing or a "/" and a path. Such an origin holds no "/",
+    "?" or "#" after its scheme, so every such URL has its netloc, and
+    ``urlsplit`` gives it that host, whatever capture it is in."""
+    host, _ = _split_host(origin)
+    return host if host and origin in ("https://" + host, "http://" + host) else None
+
+
+def _split_host(url: str) -> tuple[str | None, str | None]:
+    """``url_host`` of a printable URL, read by ``urlsplit``."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return None, "bad_url"
+    host = parts.hostname
+    if parts.scheme not in ("http", "https") or not host:
+        return None, "bad_url"
     try:
         registrable_domain(host)
     except DomainError:
@@ -216,9 +226,6 @@ def parse_har(data: bytes) -> SessionRecord:
     skipped: Counter = Counter()
     parsed: list[tuple[str, str, str, dict]] = []
     interned: dict[str, str] = {}  # one string object per distinct host
-    # "http(s)://host" of an accepted URL -> host: a printable URL that is such a prefix plus
-    # nothing or a path has that host, which ends at a "/", "?" or "#" the prefix lacks.
-    prefix_hosts: dict[str, str] = {}
     for raw in raw_entries:
         # Fields are read with exact type checks: json.loads makes no
         # subclasses, and a field of the wrong type counts as absent.
@@ -227,18 +234,12 @@ def parse_har(data: bytes) -> SessionRecord:
         if type(url) is not str or not url:
             skipped["malformed_entry"] += 1
             continue
-        end = url.find("/", 8)
-        prefix = url[:end] if end >= 0 else url
-        host = prefix_hosts.get(prefix)
-        if host is None or not url.isprintable():
-            host, reason = url_host(url)
-            if reason:
-                hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
-                skipped["no_hostname" if hostless else reason] += 1
-                continue
-            host = interned.setdefault(host, host)
-            if prefix in ("https://" + host, "http://" + host):
-                prefix_hosts[prefix] = host
+        host, reason = url_host(url)
+        if reason:
+            hostless = url.split(":", 1)[0].lower() in ("data", "blob", "about", "chrome-extension")
+            skipped["no_hostname" if hostless else reason] += 1
+            continue
+        host = interned.setdefault(host, host)
         started = raw.get("startedDateTime")
         parsed.append((started if type(started) is str else "", url, host, raw))
     if not parsed:
@@ -374,7 +375,7 @@ def _tallies(counts: Counter) -> str:
 def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
     """Yield the trees of a trees file read one line at a time, so only the
     tree being yielded is held. A bad header raises HarParseError, and so
-    does a bad record, naming its line."""
+    does a bad record or a byte that is not UTF-8, naming its line."""
     lines = iter(stream)
     first = next(lines, None)
     if first is None:
@@ -394,7 +395,11 @@ def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
         if not line:
             continue
         try:
-            tree = DependencyTree.from_record(json.loads(line.decode("utf-8")))
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise HarParseError(f"byte {line[exc.start]:#04x} is not UTF-8 on line {lineno}") from None
+        try:
+            tree = DependencyTree.from_record(json.loads(text))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise HarParseError(f"bad trees record on line {lineno}: {exc!r}") from exc
         yield tree

@@ -189,6 +189,25 @@ def test_deeply_nested_json_names_its_file_or_line(tmp_path, capsys, reader, hea
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.har"]
 
 
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (["graph", "build", "--trees", "{dir}/bad", "--out", "{dir}/graph.jsonl"],
+         b'{"format": "widetrack-trees", "version": 1}\n'),
+        (["predict", "--model", "{dir}/bad", "--features", "{dir}/x.tsv", "--out", "{dir}/s.tsv"],
+         b"widetrack-forest\tv1\n"),
+        (["graph", "stats", "--graph", "{dir}/bad"], b'{"format": "widegraph", "version": 1}\n'),
+    ],
+    ids=["trees", "model", "graph"],
+)
+def test_byte_that_is_not_utf8_names_itself_and_its_line(tmp_path, capsys, reader, header):
+    (tmp_path / "bad").write_bytes(header + b'{"root_url": "https://a.com/\xff"}\n')
+    assert main([arg.format(dir=tmp_path) for arg in reader]) == 2
+    err = capsys.readouterr().err
+    assert "byte 0xff is not UTF-8" in err and "line 2" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad"]
+
+
 def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys):
     """A trees record whose root domain is not its root URL's registrable
     domain is refused where it is read, naming its line, and no graph is

@@ -490,6 +490,8 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec.update(root_domain="www." + rec["root_domain"]),
         lambda rec: rec.update(root_domain="elsewhere.org"),
         lambda rec: rec.update(root_url="ftp://" + rec["root_domain"] + "/"),
+        # the root URL is a node
+        lambda rec: rec.update(root_url=rec["root_url"] + "elsewhere.html"),
     ],
 )
 def test_trees_file_bad_record_names_the_line(change):

@@ -1,20 +1,20 @@
 """Ingest's fast paths against the checked reads they replace.
 
-``url_host`` reads a plain host with one regex and sends every other URL
-to ``urlsplit``; ``parse_har`` reads entry fields with exact type checks.
+``url_host`` serves the host of an origin that is exactly ``http(s)://``
+plus its host from one run-wide cache, and sends every other URL to
+``urlsplit``; ``parse_har`` reads entry fields with exact type checks.
 Both are held here to the ``urlsplit``-based host read and the
 ``_typed``-based parser they replaced, kept below as oracles, on
-adversarial URLs and on mutated synthetic captures.
+adversarial URLs read in either order and on mutated synthetic captures.
 """
 
 import copy
 import json
-import re
 from collections import Counter
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from widetrack import ingest
 from widetrack.domains import DomainError, registrable_domain
@@ -148,8 +148,8 @@ def oracle_parse_har(data):
 
 _SCHEMES = (
     "http://", "https://", "HTTP://", "hTtPs://", "", "//", "ftp://", "http:/", "http:",
-    "http:\\\\", " http://", "\thttp://", "\x00https://", "\x1f\x01http://", "ht\ttp://",
-    "data:", "blob:https://", "https:///",
+    "http:\\\\", " http://", " https://", "\thttp://", "\x00https://", "\x1f\x01http://",
+    "ht\ttp://", "data:", "blob:https://", "https:///",
 )
 _USERINFO = ("", "", "user@", "u:p@", "@", ":@", "a%40b@")
 _LABELS = (
@@ -185,31 +185,49 @@ def test_url_host_equals_urlsplit_oracle(url):
     assert url_host(url) == oracle_url_host(url)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(adversarial_urls, max_size=12))
+# Both share the origin " https:/", which is no "http(s)://" plus a host.
+@example([" https://a.com/x", " https://b.net/y"])
+def test_url_host_does_not_depend_on_reading_order(urls):
+    for order in (urls, urls[::-1]):
+        ingest._origin_host.cache_clear()
+        assert [url_host(url) for url in order] == [oracle_url_host(url) for url in order]
+
+
+def _origin(url):
+    """The part of ``url`` that ``url_host`` looks up: up to the first "/"
+    at index 8 or later, or all of it."""
+    end = url.find("/", 8)
+    return url[:end] if end >= 0 else url
+
+
 @pytest.mark.parametrize(
     "url, plain",
     [
         ("https://px.t.net/a.js", "px.t.net"),
         ("http://a-b.c0.com", "a-b.c0.com"),
-        ("https://xn--bcher-kva.de?q", "xn--bcher-kva.de"),
-        ("https://a.com#f", "a.com"),
+        ("https://xn--bcher-kva.de?q", None),  # a query is not a host
+        ("https://a.com#f", None),  # nor is a fragment
         ("HTTPS://a.com/", None),  # upper case
         ("https://A.com/", None),
         ("https://a.com:443/", None),  # port
         ("https://u@a.com/", None),  # userinfo
         ("https://[::1]/", None),  # IPv6
-        ("https://a%2ecom/", None),  # escape
-        ("https://a.com./", None),  # trailing dot
-        ("https://a..com/", None),  # empty label
-        (" https://a.com/", None),  # leading space
+        ("https://a%2ecom/", "a%2ecom"),  # urlsplit leaves escapes alone
+        ("https://a.com./", "a.com."),  # trailing dot
+        ("https://a..com/", None),  # empty label: no registrable domain
+        (" https://a.com/", None),  # leading space: the origin is " https:/"
         ("https://a.com\t/", None),  # whitespace urlsplit drops
-        ("https://a.com\\x", None),  # backslash
+        ("https://a.com\\x", "a.com\\x"),  # a backslash is part of the host
         ("https://a.com/\n", "a.com"),  # after the host it is path
         ("//a.com/", None),  # no scheme
     ],
 )
 def test_plain_host_regex_takes_only_plain_hosts(url, plain):
-    match = ingest._PLAIN_HOST.match(url)
-    assert (match[1] if match else None) == plain
+    """The origin cache serves a host only for an origin that is exactly
+    "http(s)://" plus that host, and every URL reads as urlsplit reads it."""
+    assert ingest._origin_host(_origin(url)) == plain
     assert url_host(url) == oracle_url_host(url)
 
 
@@ -316,6 +334,8 @@ def test_unmutated_synth_captures_parse_as_the_oracle_does():
 
 
 def test_run_all_writes_the_same_bytes_without_the_plain_host_regex(tmp_path, monkeypatch):
+    """Run-all with an origin cache that always misses, so every host is
+    read by urlsplit, writes the bytes it writes with the cache."""
     paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
         tmp_path / "corpus"
     )
@@ -330,6 +350,6 @@ def test_run_all_writes_the_same_bytes_without_the_plain_host_regex(tmp_path, mo
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     fast = run(tmp_path / "fast")
-    monkeypatch.setattr(ingest, "_PLAIN_HOST", re.compile(r"(?!)"))  # never matches
+    monkeypatch.setattr(ingest, "_origin_host", lambda origin: None)
     assert url_host("https://px.t.net/a.js") == ("px.t.net", None)
     assert run(tmp_path / "split") == fast

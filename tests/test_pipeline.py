@@ -510,8 +510,8 @@ def test_parse_overrides(tmp_path):
 
 class TestEachFactOnce:
     def test_run_all_splits_each_host_once_per_capture(self, tmp_path, monkeypatch):
+        """urlsplit reads each origin once per run, whatever capture it is in."""
         import json
-        from urllib.parse import urlsplit
 
         from widetrack import graph, ingest
         from widetrack.pipeline import run_all
@@ -520,6 +520,7 @@ class TestEachFactOnce:
         paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
             tmp_path
         )
+        ingest._origin_host.cache_clear()
         calls = Counter()
         # Graph reads hosts only through ingest.url_host, and only when
         # loading a graph file; the matcher reads each document's host.
@@ -541,13 +542,16 @@ class TestEachFactOnce:
             [e["request"]["url"] for e in json.loads(har.read_bytes())["log"]["entries"]]
             for har in paths["har_dir"].glob("*.har")
         ]
-        hosts = sum(len({urlsplit(url)[:2] for url in urls}) for urls in captures)
+        urls = [url for capture in captures for url in capture]
+        origins = {url[: url.index("/", 8)] for url in urls}
         assert summary["ingest_skips"] == {}
-        # Every synthetic URL has a plain host followed by a path, so the
-        # regex reads each (scheme, host) once per capture, nothing calls
-        # urlsplit, and some URLs share a host with an earlier one.
-        assert calls == Counter({"widetrack.ingest.url_host": hosts})
-        assert hosts < sum(map(len, captures))
+        # Every synthetic URL is an "http(s)://host" origin followed by a
+        # path, so urlsplit reads each origin once for the whole run, and
+        # some origins recur in more than one capture.
+        assert calls == Counter(
+            {"widetrack.ingest.url_host": len(urls), "widetrack.ingest.urlsplit": len(origins)}
+        )
+        assert len(origins) < sum(len({url[: url.index("/", 8)] for url in c}) for c in captures)
 
     def test_run_all_contracts_each_capture_before_parsing_the_next(
         self, tmp_path, monkeypatch
