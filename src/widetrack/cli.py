@@ -42,11 +42,11 @@ def _row_labels(path, keys):
     return pipeline_mod.aligned(keys, labels, "label")
 
 
-def _load_feature_files(paths):
-    """Read one content and one structural table and join them as run-all
-    does: (document keys, one row per key laid out
-    [keywords | engineered | structural]). A second table of a kind is a
-    DataError naming both files."""
+def _read_feature_files(paths):
+    """Read one content and one structural table: (document keys, content
+    values, structural matrix), for ``assemble_all_vectors`` to join as
+    run-all does. A second table of a kind is a DataError naming both
+    files."""
     parts = {}  # kind -> (path, table)
     for path in paths:
         data = Path(path).read_bytes()
@@ -62,7 +62,7 @@ def _load_feature_files(paths):
     if len(parts) < 2:
         raise DataError("need one content and one structural feature file")
     keys, _, values = parts["content"][1]
-    return keys, pipeline_mod.assemble_all_vectors(keys, values, parts["structural"][1])
+    return keys, values, parts["structural"][1]
 
 
 def cmd_ingest(args) -> int:
@@ -153,10 +153,12 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    keys, X = _load_feature_files(args.features)
+    keys, content_values, struct = _read_feature_files(args.features)
     labels = _row_labels(args.labels, keys)
     train, _ = pipeline_mod.split_keys(keys, cfg, labels)
-    model = pipeline_mod.train_forest(X[train], [labels[i] for i in train], cfg)
+    # As in run-all, X's rows are the training rows in training order.
+    X = pipeline_mod.assemble_all_vectors(keys, content_values, struct, train)
+    model = pipeline_mod.train_forest(X, [labels[i] for i in train], cfg)
     Path(args.out).write_bytes(forest_mod.save_model(model))
     print(f"trained {cfg.n_trees} trees on {len(train)} documents ({X.shape[1]} features)")
     return 0
@@ -164,7 +166,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes())
-    keys, X = _load_feature_files(args.features)
+    keys, content_values, struct = _read_feature_files(args.features)
+    X = pipeline_mod.assemble_all_vectors(keys, content_values, struct)
     scored = pipeline_mod.score_rows(model, X)
     Path(args.out).write_bytes(pipeline_mod.write_scores_file(keys, scored))
     print(f"scored {len(scored)} documents")

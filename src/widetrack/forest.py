@@ -29,8 +29,9 @@ that grower as their oracle.
 
 Scoring has one walk, ``_walk``: the node arrays of a block of trees laid
 end to end, every (tree, row) pair moving down one level per step. Blocks
-hold at most ``_PASS_ENTRIES`` pairs. ``predict`` sums the block votes and
-``oob_predict`` masks them with each tree's out-of-bag rows.
+hold at most ``_PASS_ENTRIES`` pairs. ``predict`` walks every tree with
+every row; ``oob_predict`` walks each tree with only the rows its bootstrap
+missed.
 """
 
 from __future__ import annotations
@@ -301,9 +302,11 @@ def _grow_group(
     up to its next node that may split; takes that node's features from its
     own tree's generator; scores the step's nodes in one ``_best_splits``
     call; and routes the rows of every split node in one gather. Each live
-    tree takes one feature set per step, drawn ahead by ``_feature_sets`` in
-    refills of about ``_PASS_ENTRIES`` features; nothing else reads a tree's
-    generator after its bootstrap, so drawing past its last node is harmless.
+    tree takes one feature set per step, drawn ahead by ``_feature_sets``:
+    a refill draws k sets per live tree, k = ``_PASS_ENTRIES`` // (group
+    size * mtry) however few trees are left, so a tree draws at most k - 1
+    sets past its last node. Nothing else reads a tree's generator after its
+    bootstrap, so those draws are harmless.
     A child's class counts come from its parent's split, and only a child
     that may split keeps its bootstrap rows. Each tree meets the same nodes,
     draws and splits as it would grown alone.
@@ -323,7 +326,8 @@ def _grow_group(
         c1 = int(y[sample].sum())
         c0 = len(sample) - c1
         stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, c0, c1)])
-    drawn, k, used = {}, 0, 0  # each live tree's k sets drawn ahead; used of them
+    k = max(1, _PASS_ENTRIES // (len(samples) * mtry))
+    drawn, used = {}, k  # each live tree's k sets drawn ahead; used of them
     while True:
         scored = []
         for t, stack in enumerate(stacks):
@@ -343,8 +347,7 @@ def _grow_group(
         if not scored:
             break
         if used == k:  # every live tree has taken all its sets
-            live = [s[0] for s in scored]
-            k, used = max(1, _PASS_ENTRIES // (len(live) * mtry)), 0
+            live, used = [s[0] for s in scored], 0
             drawn = dict(zip(live, _feature_sets([rngs[t] for t in live], k, d, mtry)))
         found = _best_splits(cols, [(idx, c1, drawn[t][used]) for t, _, _, idx, c1 in scored])
         used += 1
@@ -396,9 +399,8 @@ def _validate_training_data(X: np.ndarray, y: np.ndarray):
         raise ForestError("X and y length mismatch")
     if len(X) < 2:
         raise ForestError("need at least 2 training rows")
-    bad = np.argwhere(~np.isfinite(X))
-    if len(bad):
-        r, c = bad[0]
+    if not np.isfinite(X).all():
+        r, c = np.argwhere(~np.isfinite(X))[0]
         raise ForestError(f"non-finite feature value at row {r}, column {c}")
     present = set(y.ravel().tolist())  # labels as given: 0.7 is refused, not cast to 0
     if not present <= {0, 1}:
@@ -432,38 +434,59 @@ def train(X, y, params: ForestParams) -> ForestModel:
     )
 
 
-def _walk(trees: list[Tree], X: np.ndarray) -> np.ndarray:
-    """Node each row of X lands in, per tree: a (len(trees), len(X)) array of
-    indices into the trees' node arrays laid end to end, in the trees' order.
+def _joined(trees: list[Tree]) -> tuple[Tree, np.ndarray]:
+    """The trees' nodes laid end to end as one node table, each right child
+    shifted with its tree, plus the index of each tree's root in it."""
+    root = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
+    nodes = Tree(
+        feature=np.concatenate([tree.feature for tree in trees]),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        right=np.concatenate([tree.right + r for tree, r in zip(trees, root)]),
+        counts=np.concatenate([tree.counts for tree in trees]),
+    )
+    return nodes, root
 
-    Every (tree, row) pair moves one level per step; a NaN cell goes right.
-    """
-    offset = np.cumsum([0] + [len(tree.feature) for tree in trees[:-1]])
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    right = np.concatenate([tree.right + o for tree, o in zip(trees, offset)])
-    node = np.repeat(offset, len(X))
-    row = np.tile(np.arange(len(X)), len(trees))
-    active = np.flatnonzero(feature[node] >= 0)
+
+def _walk(nodes: Tree, X: np.ndarray, node: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Leaf of node table ``nodes`` that each (node, row of X) pair reaches,
+    moving ``node`` from each start node in place. Every pair moves one level
+    per step; a NaN cell goes right."""
+    active = np.flatnonzero(nodes.feature[node] >= 0)
     while len(active):
         at = node[active]
-        go_left = X[row[active], feature[at]] <= threshold[at]
-        node[active] = np.where(go_left, at + 1, right[at])
-        active = active[feature[node[active]] >= 0]
-    return node.reshape(len(trees), len(X))
+        go_left = X[row[active], nodes.feature[at]] <= nodes.threshold[at]
+        node[active] = np.where(go_left, at + 1, nodes.right[at])
+        active = active[nodes.feature[node[active]] >= 0]
+    return node
 
 
-def _votes(trees: list[Tree], X: np.ndarray):
-    """(first tree, 0/1 votes of shape (block, len(X))) per block of trees.
+def _votes(trees: list[Tree], X: np.ndarray, row_sets):
+    """(rows, 0/1 adtracker votes) of the (tree, row) pairs that pair tree t
+    with each row of X in the t-th array of ``row_sets``.
 
-    A block walks at most ``_PASS_ENTRIES`` (tree, row) pairs, or one tree
-    when X has more rows than that, so its temporaries stay bounded.
+    Pairs are walked in tree order, in blocks of at most ``_PASS_ENTRIES``,
+    so the walk's temporaries stay bounded; a tree's pairs may span blocks.
     """
-    per_block = max(1, _PASS_ENTRIES // max(len(X), 1))
-    for first in range(0, len(trees), per_block):
-        block = trees[first:first + per_block]
-        counts = np.concatenate([tree.counts for tree in block])
-        yield first, (counts[:, 1] > counts[:, 0])[_walk(block, X)]
+    block, room = [], _PASS_ENTRIES
+    for t, rows in enumerate(row_sets):
+        while len(rows):
+            piece, rows = rows[:room], rows[room:]
+            block.append((trees[t], piece))
+            room -= len(piece)
+            if not room:
+                yield _block_votes(block, X)
+                block, room = [], _PASS_ENTRIES
+    if block:
+        yield _block_votes(block, X)
+
+
+def _block_votes(block: list[tuple[Tree, np.ndarray]], X: np.ndarray):
+    """(rows, votes) of one block of (tree, rows of X) pieces, in order."""
+    nodes, root = _joined([tree for tree, _ in block])
+    start = np.repeat(root, [len(rows) for _, rows in block])
+    rows = np.concatenate([rows for _, rows in block])
+    leaf = _walk(nodes, X, start, rows)
+    return rows, nodes.counts[leaf, 1] > nodes.counts[leaf, 0]
 
 
 def _scored_matrix(model: ForestModel, X) -> np.ndarray:
@@ -480,9 +503,10 @@ def predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
     An exact tie votes benign: blocking should not ride on a coin flip.
     """
     X = _scored_matrix(model, X)
+    every_row = np.arange(len(X))
     votes = np.zeros(len(X), dtype=np.int64)
-    for _, voted in _votes(model.trees, X):
-        votes += voted.sum(axis=0)
+    for rows, voted in _votes(model.trees, X, [every_row] * len(model.trees)):
+        votes += np.bincount(rows[voted], minlength=len(X))
     scores = votes / len(model.trees)
     return (scores > 0.5).astype(np.int64), scores
 
@@ -492,9 +516,9 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
 
     Rows must align with the matrix the model was trained on. Each row is
     scored only by trees whose bootstrap missed it, which estimates how the
-    forest generalizes to that point instead of echoing its training label.
-    Rows every tree saw (vanishingly rare with many trees) fall back to the
-    full-forest vote.
+    forest generalizes to that point instead of echoing its training label;
+    each tree walks only those rows. Rows every tree saw (vanishingly rare
+    with many trees) fall back to the full-forest vote.
     """
     if not model.in_bag:
         raise ForestError("model carries no bootstrap record (loaded from file?)")
@@ -505,14 +529,12 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
             f"out-of-bag scoring needs the training matrix: got {n} rows, "
             f"trained on {len(model.in_bag[0])}"
         )
+    out_of_bag = (np.flatnonzero(np.bincount(s, minlength=n) == 0) for s in model.in_bag)
     votes = np.zeros(n, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
-    for first, voted in _votes(model.trees, X):
-        samples = model.in_bag[first:first + len(voted)]
-        out_of_bag = np.ones(voted.shape, dtype=bool)
-        out_of_bag[np.repeat(np.arange(len(samples)), n), np.concatenate(samples)] = False
-        votes += (voted & out_of_bag).sum(axis=0)
-        counts += out_of_bag.sum(axis=0)
+    for rows, voted in _votes(model.trees, X, out_of_bag):
+        votes += np.bincount(rows[voted], minlength=n)
+        counts += np.bincount(rows, minlength=n)
     scores = np.divide(votes, counts, out=np.zeros(n), where=counts > 0)
     every_tree_saw = counts == 0
     if every_tree_saw.any():
@@ -524,17 +546,20 @@ def oob_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
 def feature_importance(model: ForestModel) -> list[tuple[int, float]]:
     """Mean impurity decrease per feature, normalized to sum 1.
 
-    Each tree's split nodes are scored in one pass and added into the totals
-    with ``np.add.at``, which adds in node order, so every float sum is the
-    one a node-by-node loop makes.
+    Every tree's split nodes are scored in one pass over the trees' nodes
+    laid end to end, and added into the totals with one ``np.add.at``,
+    which adds in that order, tree by tree and node by node, so every float
+    sum is the one a node-by-node loop makes.
     """
+    nodes, root = _joined(model.trees)
+    sizes = np.diff(np.append(root, len(nodes.feature)))
+    root_n = np.repeat(nodes.counts[root].sum(axis=1), sizes)
+    inner = np.flatnonzero(nodes.feature >= 0)
+    c, lc, rc = (nodes.counts[i] for i in (inner, inner + 1, nodes.right[inner]))
+    n, ln, rn = c.sum(axis=1), lc.sum(axis=1), rc.sum(axis=1)
+    decrease = _gini_rows(c) - (ln * _gini_rows(lc) + rn * _gini_rows(rc)) / n
     totals = np.zeros(model.feature_count)
-    for tree in model.trees:
-        inner = np.flatnonzero(tree.feature >= 0)
-        c, lc, rc = (tree.counts[i] for i in (inner, inner + 1, tree.right[inner]))
-        n, ln, rn = c.sum(axis=1), lc.sum(axis=1), rc.sum(axis=1)
-        decrease = _gini_rows(c) - (ln * _gini_rows(lc) + rn * _gini_rows(rc)) / n
-        np.add.at(totals, tree.feature[inner], (n / tree.counts[0].sum()) * decrease)
+    np.add.at(totals, nodes.feature[inner], (n / root_n[inner]) * decrease)
     totals /= len(model.trees)
     total = totals.sum()
     if total > 0:

@@ -12,6 +12,7 @@ import io
 import json
 from bisect import bisect_left
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _esc
 from typing import BinaryIO, Iterable, NamedTuple
@@ -205,23 +206,31 @@ def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) ->
         edges.setdefault((fp, node, BOUNCED), 1)
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, then set it back as
+    the caller had it. Also a decorator: each call pauses it anew."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
     """The wide graph of every tree, contracted in as each one arrives.
 
     The cyclic garbage collector is paused while ``trees`` is drawn and
-    contracted, then set back as the caller had it: reading and contracting
-    make many containers but no reference cycles, so its sweeps find nothing.
+    contracted: reading and contracting make many containers but no
+    reference cycles, so its sweeps find nothing.
     """
     graph = WideGraph()
     documents: dict[tuple[str, str], SubdomainDocument] = {}
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for tree in trees:
             contract_tree(graph, tree, documents)
-    finally:
-        if enabled:
-            gc.enable()
     return graph
 
 

@@ -122,8 +122,12 @@ def url_host(url: str) -> tuple[str | None, str | None]:
     a hostname with no registrable domain."""
     if not url.isprintable():
         return None, "bad_url"
+    # The origin ends at the first "/", "?" or "#" from index 8 on.
     end = url.find("/", 8)
-    host = _origin_host(url[:end] if end >= 0 else url)
+    origin = url[:end] if end >= 0 else url
+    if "?" in origin or "#" in origin:
+        origin = origin[:8] + origin[8:].split("?", 1)[0].split("#", 1)[0]
+    host = _origin_host(origin)
     return (host, None) if host is not None else _split_host(url)
 
 
@@ -131,9 +135,9 @@ def url_host(url: str) -> tuple[str | None, str | None]:
 def _origin_host(origin: str) -> str | None:
     """The host of ``origin`` when it is exactly "http://" or "https://" plus
     a usable host, else None. ``url_host`` asks only for URLs that are the
-    origin plus nothing or a "/" and a path. Such an origin holds no "/",
-    "?" or "#" after its scheme, so every such URL has its netloc, and
-    ``urlsplit`` gives it that host, whatever capture it is in."""
+    origin plus nothing, or plus a "/", "?" or "#" and the rest. Such an
+    origin holds none of those after its scheme, so every such URL has its
+    netloc, and ``urlsplit`` gives it that host, whatever capture it is in."""
     host, _ = _split_host(origin)
     return host if host and origin in ("https://" + host, "http://" + host) else None
 

@@ -36,6 +36,7 @@ from .graph import (
     NodeKey,
     SubdomainDocument,
     build_widegraph,
+    collector_paused,
     coverage,
     coverage_counts,
     save_graph,
@@ -712,15 +713,20 @@ def assemble_all_vectors(
     keys: list[tuple[str, str]],
     content_values: np.ndarray,
     struct_matrix: structural_mod.StructMatrix,
+    rows: list[int] | None = None,
 ) -> np.ndarray:
     """Join content rows (host-keyed) with their parent node's structural
-    row: one row per key, in ``keys`` order, laid out
-    [keywords | engineered | structural]."""
+    row, laid out [keywords | engineered | structural]: one row per index
+    of ``rows`` into ``keys`` and ``content_values``, in that order, or one
+    per key in ``keys`` order. Rows are filled one by one, so no other
+    matrix-sized array is made."""
+    rows = range(len(keys)) if rows is None else rows
     width = content_values.shape[1]
-    matrix = np.empty((len(keys), width + len(struct_matrix.columns)))
-    matrix[:, :width] = content_values
-    for i, (host, kind) in enumerate(keys):
-        matrix[i, width:] = struct_matrix.row(NodeKey(registrable_domain(host), kind))
+    matrix = np.empty((len(rows), width + len(struct_matrix.columns)))
+    for out, i in zip(matrix, rows):
+        host, kind = keys[i]
+        out[:width] = content_values[i]
+        out[width:] = struct_matrix.row(NodeKey(registrable_domain(host), kind))
     return matrix
 
 
@@ -737,26 +743,30 @@ def train_forest(
 
 
 def score_rows(
-    model: forest_mod.ForestModel, X: np.ndarray, train_rows: list[int] = ()
+    model: forest_mod.ForestModel, X: np.ndarray, n_train: int = 0
 ) -> list[tuple[int, float, str]]:
-    """(prediction, adtracker score, basis) of each row of ``X``. The rows
-    ``model`` was trained on, ``train_rows`` in training order, are scored
-    out-of-bag (``oob``): a fully grown forest memorizes its training
-    labels, which would hide the unlisted trackers candidate emission
-    exists to find. Every other row gets the full forest's vote (``full``)."""
-    preds = np.zeros(len(X), dtype=np.int64)
-    scores = np.zeros(len(X))
-    full = np.ones(len(X), dtype=bool)
-    if len(train_rows):
-        full[train_rows] = False
-        preds[train_rows], scores[train_rows] = forest_mod.oob_predict(model, X[train_rows])
-    full_rows = np.flatnonzero(full)
-    if len(full_rows):
-        preds[full_rows], scores[full_rows] = forest_mod.predict(model, X[full_rows])
-    basis = np.where(full, "full", "oob")
-    return list(zip(preds.tolist(), scores.tolist(), basis.tolist()))
+    """(prediction, adtracker score, basis) of each row of ``X``. Its first
+    ``n_train`` rows, the rows ``model`` was trained on in training order,
+    are scored out-of-bag (``oob``): a fully grown forest memorizes its
+    training labels, which would hide the unlisted trackers candidate
+    emission exists to find. Every later row gets the full forest's vote
+    (``full``). Both read X's rows in place."""
+    parts = []
+    if n_train:
+        parts.append((*forest_mod.oob_predict(model, X[:n_train]), "oob"))
+    if n_train < len(X):
+        parts.append((*forest_mod.predict(model, X[n_train:]), "full"))
+    return [
+        (pred, score, basis)
+        for preds, scores, basis in parts
+        for pred, score in zip(preds.tolist(), scores.tolist())
+    ]
 
 
+# The cyclic collector is paused for the whole run: the only reference
+# cycles a run makes are json.dumps' few encoder closures, so its sweeps
+# free next to nothing.
+@collector_paused()
 def run_all(cfg: PipelineConfig) -> dict:
     """Full run: ingest -> graph -> features -> label -> train -> report."""
     cfg.validate()
@@ -789,13 +799,17 @@ def run_all(cfg: PipelineConfig) -> dict:
     vocabulary, (columns, content_values, doc_terms) = content_features(eligible, train, cfg)
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
     (out / "content.tsv").write_bytes(write_content_matrix(keys, columns, content_values))
-    X = assemble_all_vectors(keys, content_values, struct)
+    # X's rows are the training rows in training order, then the test rows,
+    # so the forest trains on and scores X's row ranges in place.
+    order = train + test
+    X = assemble_all_vectors(keys, content_values, struct, order)
     del content_values  # X now holds the only copy
 
-    model = train_forest(X[train], [labels[i] for i in train], cfg)
+    model = train_forest(X[:len(train)], [labels[i] for i in train], cfg)
     (out / "model.txt").write_bytes(forest_mod.save_model(model))
 
-    scored = score_rows(model, X, train)
+    # Back in key order, as every per-document list and file is.
+    scored = [row for _, row in sorted(zip(order, score_rows(model, X, len(train))))]
     (out / "scores.tsv").write_bytes(write_scores_file(keys, scored))
 
     predictions = [pred for pred, _, _ in scored]

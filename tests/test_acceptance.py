@@ -302,7 +302,8 @@ def test_criterion_4_forest_sanity():
     assert np.array_equal(labels, y_test)  # (b) linearly separable held-out
 
     for tree, sample in zip(model_a.trees, model_a.in_bag):  # (c) bootstrap recall
-        leaves = _walk([tree], X_train[sample])[0]  # the walk predict votes through
+        # the walk predict votes through, each bootstrap row from the root
+        leaves = _walk(tree, X_train, np.zeros(len(sample), dtype=np.int64), sample)
         for row, (c0, c1) in zip(sample, tree.counts[leaves]):
             assert int(c1 > c0) == y_train[row]
     print(

@@ -22,7 +22,7 @@ from widetrack.forest import (
 
 def apply(tree, X):
     """Leaf index each row of X lands in: ``_walk`` over one tree."""
-    return forest._walk([tree], X)[0]
+    return forest._walk(tree, X, np.zeros(len(X), dtype=np.int64), np.arange(len(X)))
 
 
 def vote(tree, X):
@@ -387,6 +387,12 @@ class TestFeatureImportance:
         model = train(X, y, ForestParams(n_trees=20, seed=2))
         assert feature_importance(model) == _feature_importance_loop(model)
 
+    @pytest.mark.parametrize("kind", ["sparse_tfidf", "dense_real", "mixed_sign"])
+    def test_equals_the_tree_by_tree_pass_exactly(self, kind):
+        X, y = _matrix(kind)
+        model = train(X, y, ForestParams(n_trees=20, seed=2))
+        assert feature_importance(model) == _feature_importance_per_tree(model)
+
 
 class TestOob:
     def test_oob_disagrees_with_memorized_mislabel(self):
@@ -511,6 +517,70 @@ class TestBatchedWalk:
         labels, scores = predict(self.model, np.zeros((0, 4)))
         assert (labels.shape, labels.dtype) == ((0,), np.int64)
         assert (scores.shape, scores.dtype) == ((0,), np.float64)
+
+
+def masked_oob(model, X):
+    """Reference out-of-bag scores: every tree votes on every row, one row at
+    a time, the votes of in-bag pairs are masked away, and a row no tree
+    missed takes the full forest's vote."""
+    leaf_counts = [[tree.counts[walk(tree, x)] for x in X] for tree in model.trees]
+    voted = np.array([[int(c1 > c0) for c0, c1 in row] for row in leaf_counts])
+    out_of_bag = np.ones(voted.shape, dtype=bool)
+    for t, sample in enumerate(model.in_bag):
+        out_of_bag[t, sample] = False
+    votes, counts = (voted * out_of_bag).sum(axis=0), out_of_bag.sum(axis=0)
+    full = voted.sum(axis=0) / len(model.trees)
+    return np.where(counts > 0, votes / np.maximum(counts, 1), full)
+
+
+@st.composite
+def bagged_forests(draw):
+    """(model, X): a small trained forest whose bootstrap record is redrawn,
+    with some rows in every tree's sample, and X its training matrix, maybe
+    with NaN cells."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    cells = st.floats(-4, 4, allow_nan=False).map(lambda v: round(v, 1))
+    X = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    params = ForestParams(n_trees=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**16)))
+    model = train(X, y, params)
+    seen_by_all = sorted(draw(st.sets(st.integers(0, n - 1))))
+    rows = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    model.in_bag = [np.array(seen_by_all + draw(rows)[len(seen_by_all):]) for _ in model.trees]
+    if draw(st.booleans()):
+        X = X.copy()
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = np.nan
+    return model, X
+
+
+class TestOobPairWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(bagged_forests(), st.sampled_from([1, 3, 16, forest._PASS_ENTRIES]))
+    def test_equals_the_masked_all_pairs_reference(self, case, budget):
+        model, X = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_PASS_ENTRIES", budget)
+            labels, scores = oob_predict(model, X)
+        expected = masked_oob(model, X)
+        assert scores.tolist() == expected.tolist()
+        assert labels.tolist() == (expected > 0.5).astype(int).tolist()
+
+    def test_walks_only_out_of_bag_pairs(self, monkeypatch):
+        X, y = _matrix("dense_real")
+        model = train(X, y, ForestParams(n_trees=20, seed=4))
+        walked = []
+        walk = forest._walk
+
+        def counted(nodes, X, node, row):
+            walked.append(len(row))
+            return walk(nodes, X, node, row)
+
+        monkeypatch.setattr(forest, "_walk", counted)
+        oob_predict(model, X)
+        missed = sum(len(X) - len(set(sample.tolist())) for sample in model.in_bag)
+        assert sum(walked) == missed
+        assert max(walked) <= forest._PASS_ENTRIES
 
 
 def _best_split_loop(X, y, idx, feats):
@@ -642,6 +712,25 @@ def _feature_importance_loop(model):
                 (lc0 + lc1) * _gini(lc0, lc1) + (rc0 + rc1) * _gini(rc0, rc1)
             ) / n
             totals[f] += (n / n_root) * decrease
+    totals /= len(model.trees)
+    total = totals.sum()
+    if total > 0:
+        totals = totals / total
+    ranked = sorted(range(model.feature_count), key=lambda f: (-totals[f], f))
+    return [(f, float(totals[f])) for f in ranked]
+
+
+def _feature_importance_per_tree(model):
+    """Reference importances: one numpy pass and one ``np.add.at`` per tree."""
+    totals = np.zeros(model.feature_count)
+    for tree in model.trees:
+        inner = np.flatnonzero(tree.feature >= 0)
+        c, lc, rc = (tree.counts[i] for i in (inner, inner + 1, tree.right[inner]))
+        n, ln, rn = c.sum(axis=1), lc.sum(axis=1), rc.sum(axis=1)
+        decrease = forest._gini_rows(c) - (
+            ln * forest._gini_rows(lc) + rn * forest._gini_rows(rc)
+        ) / n
+        np.add.at(totals, tree.feature[inner], (n / tree.counts[0].sum()) * decrease)
     totals /= len(model.trees)
     total = totals.sum()
     if total > 0:
@@ -898,6 +987,35 @@ class TestLockstepGrower:
         first = model.trees[:3]
         assert [len(tree.feature) for tree in first] == [15, 5, 1]
         assert len(set(y[model.in_bag[2]].tolist())) == 1
+
+    @pytest.mark.parametrize("budget", [forest._PASS_ENTRIES, 300])
+    def test_sets_drawn_against_nodes_scored(self, monkeypatch, budget):
+        # Trees finish at different paces, but every refill draws each live
+        # tree the full group's k sets, so a tree draws at most k - 1 sets
+        # past its last scored node.
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", budget)
+        drawn, scored, refills = [0], [0], set()
+        feature_sets, best_splits = forest._feature_sets, forest._best_splits
+
+        def counted_sets(rngs, k, d, mtry):
+            drawn[0] += len(rngs) * k
+            refills.add(k)
+            return feature_sets(rngs, k, d, mtry)
+
+        def counted_splits(cols, nodes):
+            scored[0] += len(nodes)
+            return best_splits(cols, nodes)
+
+        monkeypatch.setattr(forest, "_feature_sets", counted_sets)
+        monkeypatch.setattr(forest, "_best_splits", counted_splits)
+        X, y = _matrix("sparse_tfidf")
+        params = ForestParams(n_trees=6, seed=5)
+        model = train(X, y, params)
+        k = max(1, budget // (params.n_trees * params.resolve_mtry(X.shape[1])))
+        assert refills == {k}
+        assert scored[0] <= drawn[0] <= scored[0] + params.n_trees * (k - 1)
+        # Scored: each node holding both classes (every split node, too).
+        assert scored[0] == sum((tree.counts > 0).all(axis=1).sum() for tree in model.trees)
 
     def test_tail_shuffle_draws(self, monkeypatch):
         # mtry > d // 50 with d > 10000, where numpy's choice would shuffle

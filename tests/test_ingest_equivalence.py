@@ -196,10 +196,10 @@ def test_url_host_does_not_depend_on_reading_order(urls):
 
 
 def _origin(url):
-    """The part of ``url`` that ``url_host`` looks up: up to the first "/"
-    at index 8 or later, or all of it."""
-    end = url.find("/", 8)
-    return url[:end] if end >= 0 else url
+    """The part of ``url`` that ``url_host`` looks up: up to the first "/",
+    "?" or "#" at index 8 or later, or all of it."""
+    ends = [i for i in map(url.find, "/?#", [8] * 3) if i >= 0]
+    return url[: min(ends)] if ends else url
 
 
 @pytest.mark.parametrize(
@@ -207,8 +207,10 @@ def _origin(url):
     [
         ("https://px.t.net/a.js", "px.t.net"),
         ("http://a-b.c0.com", "a-b.c0.com"),
-        ("https://xn--bcher-kva.de?q", None),  # a query is not a host
-        ("https://a.com#f", None),  # nor is a fragment
+        ("https://xn--bcher-kva.de?q", "xn--bcher-kva.de"),  # a query ends the origin
+        ("https://a.com#f", "a.com"),  # so does a fragment
+        ("https://a.com#f/?x", "a.com"),  # whichever comes first
+        ("https://a.com?x#f/", "a.com"),
         ("HTTPS://a.com/", None),  # upper case
         ("https://A.com/", None),
         ("https://a.com:443/", None),  # port

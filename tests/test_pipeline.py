@@ -236,21 +236,22 @@ class TestScoreRows:
     def test_training_rows_out_of_bag_and_the_rest_full(self):
         from widetrack import forest
 
+        # X's first 20 rows are the training rows, as run-all lays X out.
         rng = np.random.default_rng(3)
         X = rng.random((30, 4))
         y = (X[:, 0] + 0.3 * rng.random(30) > 0.6).astype(np.int64)
-        train = [int(i) for i in rng.permutation(30)[:20]]
-        model = forest.train(X[train], y[train], forest.ForestParams(n_trees=9, seed=1))
-        oob_preds, oob_scores = forest.oob_predict(model, X[train])
+        model = forest.train(X[:20], y[:20], forest.ForestParams(n_trees=9, seed=1))
+        oob_preds, oob_scores = forest.oob_predict(model, X[:20])
         full_preds, full_scores = forest.predict(model, X)
         expected = list(zip(full_preds.tolist(), full_scores.tolist(), ["full"] * 30))
         assert score_rows(model, X) == expected
-        for j, i in enumerate(train):
-            expected[i] = (int(oob_preds[j]), float(oob_scores[j]), "oob")
-        scored = score_rows(model, X, train)
+        for i in range(20):
+            expected[i] = (int(oob_preds[i]), float(oob_scores[i]), "oob")
+        scored = score_rows(model, X, 20)
         assert scored == expected
+        assert score_rows(model, X[:20], 20) == expected[:20]
         # the full forest echoes training labels the out-of-bag votes do not
-        assert any(scored[i][1] != full_scores[i] for i in train)
+        assert any(scored[i][1] != full_scores[i] for i in range(20))
 
 
 class TestEmitCandidateRules:
@@ -520,6 +521,16 @@ class TestEachFactOnce:
         paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
             tmp_path
         )
+        # Each capture also loads two of its page's services by an origin
+        # plus only a query or only a fragment: "https://host?q", "https://host#f".
+        for har in paths["har_dir"].glob("*.har"):
+            data = json.loads(har.read_bytes())
+            entries = data["log"]["entries"]
+            for entry, tail in zip(entries[3:5], ("?q", "#f")):
+                url = entry["request"]["url"]
+                request = {"method": "GET", "url": url[: url.index("/", 8)] + tail}
+                entries.append({**entry, "request": request})
+            har.write_text(json.dumps(data))
         ingest._origin_host.cache_clear()
         calls = Counter()
         # Graph reads hosts only through ingest.url_host, and only when
@@ -543,15 +554,20 @@ class TestEachFactOnce:
             for har in paths["har_dir"].glob("*.har")
         ]
         urls = [url for capture in captures for url in capture]
-        origins = {url[: url.index("/", 8)] for url in urls}
+
+        def origin(url):
+            return url[: min(i for i in map(url.find, "/?#", [8] * 3) if i >= 0)]
+
+        origins = set(map(origin, urls))
         assert summary["ingest_skips"] == {}
-        # Every synthetic URL is an "http(s)://host" origin followed by a
-        # path, so urlsplit reads each origin once for the whole run, and
-        # some origins recur in more than one capture.
+        assert any(url.endswith("?q") for url in urls) and any(url.endswith("#f") for url in urls)
+        # Every URL is an "http(s)://host" origin followed by a path, a query
+        # or a fragment, so urlsplit reads each origin once for the whole run,
+        # and some origins recur in more than one capture.
         assert calls == Counter(
             {"widetrack.ingest.url_host": len(urls), "widetrack.ingest.urlsplit": len(origins)}
         )
-        assert len(origins) < sum(len({url[: url.index("/", 8)] for url in c}) for c in captures)
+        assert len(origins) < sum(len(set(map(origin, c))) for c in captures)
 
     def test_run_all_contracts_each_capture_before_parsing_the_next(
         self, tmp_path, monkeypatch
@@ -669,9 +685,53 @@ class TestPipelineConfig:
             load_config(PipelineConfig, path)
 
 
+def small_run_config(tmp_path) -> PipelineConfig:
+    """A run-all config over a small synthetic corpus written under tmp_path."""
+    from widetrack.synth import generate
+
+    paths = generate(EcosystemConfig(n_sites=12, n_trackers=5, n_benign=4, seed=3)).write(
+        tmp_path
+    )
+    return PipelineConfig(
+        har_dir=paths["har_dir"], rules_files=[paths["rules"]],
+        out_dir=tmp_path / "out", n_trees=10, min_in_degree=1,
+    )
+
+
+class TestFeatureMatrixInPlace:
+    def test_the_forest_reads_one_feature_matrix_in_place(self, tmp_path, monkeypatch):
+        """run-all builds X once, training rows first, and hands forest.train,
+        oob_predict and predict row ranges of it, not copies."""
+        from widetrack import forest, pipeline
+        from widetrack.pipeline import run_all
+
+        built, handed = [], {}
+        assemble = pipeline.assemble_all_vectors
+
+        def assembled(*args):
+            built.append(assemble(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "assemble_all_vectors", assembled)
+        for name, at in (("train", 0), ("oob_predict", 1), ("predict", 1)):
+
+            def recorded(*args, _name=name, _at=at, _original=getattr(forest, name)):
+                handed.setdefault(_name, []).append(args[_at])
+                return _original(*args)
+
+            monkeypatch.setattr(forest, name, recorded)
+        summary = run_all(small_run_config(tmp_path))
+        [X] = built
+        n_train = summary["split"]["train"]
+        # score_rows calls predict on the test rows last, after any fallback
+        matrices = [handed["train"][0], handed["oob_predict"][0], handed["predict"][-1]]
+        assert [len(m) for m in matrices] == [n_train, n_train, len(X) - n_train]
+        assert all(np.shares_memory(m, X) for m in matrices)
+
+
 class TestCollectorPause:
-    """build_widegraph pauses the cyclic collector while it reads and
-    contracts, and puts back the caller's setting."""
+    """build_widegraph and run_all pause the cyclic collector while they
+    run, and put back the caller's setting."""
 
     @pytest.fixture
     def har_dir(self, tmp_path):
@@ -721,6 +781,45 @@ class TestCollectorPause:
         gc.disable()
         try:
             self.build(har_dir)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_off_through_run_all_and_back_on_after(self, tmp_path, monkeypatch):
+        from widetrack import forest, pipeline
+        from widetrack.pipeline import run_all
+
+        seen = []
+        label, train = pipeline.label_document, forest.train
+        monkeypatch.setattr(
+            pipeline, "label_document", lambda *args: seen.append(gc.isenabled()) or label(*args)
+        )
+        monkeypatch.setattr(
+            forest, "train", lambda *args: seen.append(gc.isenabled()) or train(*args)
+        )
+        assert gc.isenabled()
+        run_all(small_run_config(tmp_path))
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_collector_is_back_on_after_run_all_raises(self, tmp_path, monkeypatch):
+        from widetrack import pipeline
+        from widetrack.pipeline import run_all
+
+        def fail(*args):
+            raise DataError("training failed")
+
+        monkeypatch.setattr(pipeline, "train_forest", fail)
+        with pytest.raises(DataError, match="training failed"):
+            run_all(small_run_config(tmp_path))
+        assert gc.isenabled()
+
+    def test_collector_stays_off_after_run_all_when_the_caller_turned_it_off(self, tmp_path):
+        from widetrack.pipeline import run_all
+
+        gc.disable()
+        try:
+            run_all(small_run_config(tmp_path))
             assert not gc.isenabled()
         finally:
             gc.enable()
