@@ -115,15 +115,15 @@ def cmd_features_structural(args) -> int:
     return 0
 
 
-def _eligible(args, cfg):
+def _eligible(index, cfg):
     """The graph's eligible documents and their row keys."""
-    eligible, _ = pipeline_mod.filter_eligible(_load_index(args.graph), cfg.min_in_degree)
+    eligible, _ = pipeline_mod.filter_eligible(index, cfg.min_in_degree)
     return eligible, list(map(pipeline_mod.doc_key, eligible))
 
 
 def cmd_features_content(args) -> int:
     cfg = _config(args)
-    eligible, keys = _eligible(args, cfg)
+    eligible, keys = _eligible(_load_index(args.graph), cfg)
     labels = _row_labels(args.labels, keys) if args.labels else None
     train, _ = pipeline_mod.split_keys(keys, cfg, labels)
     vocabulary, (columns, values, _) = pipeline_mod.content_features(eligible, train, cfg)
@@ -139,7 +139,7 @@ def cmd_features_content(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config(args)
-    eligible, keys = _eligible(args, cfg)
+    eligible, keys = _eligible(_load_index(args.graph), cfg)
     ruleset = pipeline_mod.read_rules(args.rules)
     labels = [label_document(ruleset, d) for d in eligible]
     Path(args.out).write_bytes(pipeline_mod.write_labels_file(keys, labels))
@@ -177,7 +177,9 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
     overrides = pipeline_mod.read_overrides(cfg.overrides_file)
-    eligible, keys = _eligible(args, cfg)
+    index = _load_index(args.graph)
+    pipeline_mod.check_override_hosts(overrides, cfg.overrides_file, index.graph)
+    eligible, keys = _eligible(index, cfg)
     scores = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     predictions = [pred for pred, _ in pipeline_mod.aligned(keys, scores, "prediction")]
     labels = _row_labels(args.labels, keys)
@@ -196,7 +198,7 @@ def cmd_emit_rules(args) -> int:
     index = _load_index(args.graph)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
     ruleset = pipeline_mod.read_rules(args.rules)
-    docs = {pipeline_mod.doc_key(d): d for d in index.graph.documents()}
+    docs = index.graph.docs
     keys = sorted(predictions)
     for host, kind in keys:
         if (host, kind) not in docs:

@@ -1,8 +1,9 @@
 """Merged cross-site dependency graph and its per-site building blocks.
 
 Third parties appear as up to four (domain, kind) nodes; first parties are
-super-nodes with no incoming edges. Sub-domain documents live inside their
-parent third-party node and are the unit later classified.
+super-nodes with no incoming edges. Each sub-domain document, the unit later
+classified, is filed once in ``WideGraph.docs`` by its (host, kind) and names
+its parent third-party node.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import json
 from bisect import bisect_left
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii as _esc
 from typing import BinaryIO, Iterable, NamedTuple
 
@@ -69,27 +71,21 @@ class SubdomainDocument:
     parent: NodeKey
 
 
-@dataclass
-class Node:
-    key: NodeKey
-    documents: dict[str, SubdomainDocument] = field(default_factory=dict)
-
-
 class WideGraph:
     def __init__(self):
         self.roots: set[str] = set()
-        self.nodes: dict[NodeKey, Node] = {}
+        # Each key maps to itself: the one key object that every edge and
+        # document of the node shares.
+        self.nodes: dict[NodeKey, NodeKey] = {}
         self.edges: dict[tuple[NodeKey, NodeKey, str], EdgeData] = {}
+        self.docs: dict[tuple[str, str], SubdomainDocument] = {}  # by (host, kind)
 
     def third_party_keys(self) -> list[NodeKey]:
         return sorted(k for k in self.nodes if not k.is_first_party())
 
     def documents(self) -> list[SubdomainDocument]:
-        docs = []
-        for key in self.third_party_keys():
-            node = self.nodes[key]
-            docs.extend(node.documents[h] for h in sorted(node.documents))
-        return docs
+        """Every document, by parent node, then host."""
+        return sorted(self.docs.values(), key=attrgetter("parent", "host"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WideGraph):
@@ -102,18 +98,16 @@ class WideGraph:
             o = other.edges[key]
             if data.multiplicity != o.multiplicity or data.sites != o.sites:
                 return False
-        for key, node in self.nodes.items():
-            onode = other.nodes[key]
-            if set(node.documents) != set(onode.documents):
+        if self.docs.keys() != other.docs.keys():
+            return False
+        for key, doc in self.docs.items():
+            o = other.docs[key]
+            if doc.parent != o.parent or doc.urls != o.urls or doc.sites != o.sites:
                 return False
-            for host, doc in node.documents.items():
-                odoc = onode.documents[host]
-                if doc.urls != odoc.urls or doc.sites != odoc.sites:
-                    return False
         return True
 
 
-def contract_tree(graph: WideGraph, tree: DependencyTree, documents: dict | None = None) -> Counter:
+def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     """Path contraction of one site's tree straight into the graph.
 
     First-party URLs collapse into the site's super-node and third-party
@@ -122,14 +116,11 @@ def contract_tree(graph: WideGraph, tree: DependencyTree, documents: dict | None
     after re-keying are dropped and tallied in the returned diagnostics.
     The site's own edges are expanded, then fused into the graph: edge
     multiplicities add and their contributing-site lists union.
-    ``documents`` maps (host, kind) to its node key and document in
-    ``graph``; pass one dict for every tree of a graph so each is filed once.
     """
     root = tree.root_domain
     graph.roots.add(root)
     fp = NodeKey(root, FIRST_PARTY)
-    fp = graph.nodes.setdefault(fp, Node(fp)).key
-    documents = {} if documents is None else documents
+    fp = graph.nodes.setdefault(fp, fp)
 
     request_count = dict.fromkeys(tree.nodes, 0)
     for (_, dst), mult in tree.edges.items():
@@ -138,7 +129,7 @@ def contract_tree(graph: WideGraph, tree: DependencyTree, documents: dict | None
     # Every node key below is the node's own object, so keys compare by identity.
     key_of: dict[str, NodeKey] = {}
     for url, kind in tree.nodes.items():
-        key_of[url], urls = _file_document(graph, documents, fp, tree.hosts[url], kind)
+        key_of[url], urls = _file_document(graph, fp, tree.hosts[url], kind)
         if urls is not None:  # each URL is one node
             urls[url] = urls.get(url, 0) + (request_count[url] or 1)
 
@@ -162,26 +153,22 @@ def contract_tree(graph: WideGraph, tree: DependencyTree, documents: dict | None
     return diagnostics
 
 
-def _file_document(graph: WideGraph, documents: dict, fp: NodeKey, host: str, kind: str) -> tuple:
+def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple:
     """(node key, URL counts) of the ``kind`` URLs on ``host`` in the site of
     first party ``fp``, filing their document; the counts are None in ``fp``.
     The key is the node's own, so every edge shares one key object per node."""
-    filed = documents.get((host, kind))  # (node key, document), once per graph
-    if filed is None:
+    doc = graph.docs.get((host, kind))
+    if doc is None:
         domain = registrable_domain(host)
         if domain == fp.domain:
             return fp, None
         key = NodeKey(domain, kind)
-        node = graph.nodes.get(key) or graph.nodes.setdefault(key, Node(key))
-        doc = node.documents.get(host)
-        if doc is None:
-            doc = node.documents[host] = SubdomainDocument(host, kind, Counter(), set(), node.key)
-        filed = documents[host, kind] = node.key, doc
-    key, doc = filed
-    if key.domain == fp.domain:  # filed by another site, first party in this one
+        key = graph.nodes.setdefault(key, key)
+        doc = graph.docs[host, kind] = SubdomainDocument(host, kind, Counter(), set(), key)
+    if doc.parent.domain == fp.domain:  # filed by another site, first party in this one
         return fp, None
     doc.sites.add(fp.domain)
-    return key, doc.urls
+    return doc.parent, doc.urls
 
 
 def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
@@ -227,10 +214,9 @@ def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
     reference cycles, so its sweeps find nothing.
     """
     graph = WideGraph()
-    documents: dict[tuple[str, str], SubdomainDocument] = {}
     with collector_paused():
         for tree in trees:
-            contract_tree(graph, tree, documents)
+            contract_tree(graph, tree)
     return graph
 
 
@@ -339,7 +325,7 @@ def stats(index: GraphIndex) -> dict:
         "edges": len(graph.edges),
         "edge_multiplicity_total": sum(e.multiplicity for e in graph.edges.values()),
         "edges_by_label": dict(sorted(label_counts.items())),
-        "documents": len(graph.documents()),
+        "documents": len(graph.docs),
         "avg_path_length": average_path_length(graph),
         "top_coverage": rows[:20],
     }
@@ -433,7 +419,7 @@ def load_graph(data: bytes) -> WideGraph:
                 key = NodeKey(rec["d"], rec["k"])
                 if key in graph.nodes:
                     raise GraphFormatError(f"repeated node {tuple(key)}")
-                graph.nodes[key] = Node(key)
+                graph.nodes[key] = key
             elif kind == "edge":
                 _load_edge(graph, rec)
             elif kind == "doc":
@@ -456,19 +442,19 @@ def _load_edge(graph: WideGraph, rec: dict) -> None:
     if src is None or dst is None:
         raise GraphFormatError("edge references unknown node")
     label = rec["l"]
-    if dst.key.is_first_party():
-        raise GraphFormatError(f"edge into first-party node {tuple(dst.key)}")
-    if label not in (dst.key.kind, BOUNCED):
+    if dst.is_first_party():
+        raise GraphFormatError(f"edge into first-party node {tuple(dst)}")
+    if label not in (dst.kind, BOUNCED):
         raise GraphFormatError(
-            f"edge label {label!r} is neither its target's kind {dst.key.kind!r} nor bounced"
+            f"edge label {label!r} is neither its target's kind {dst.kind!r} nor bounced"
         )
-    if label == BOUNCED and not src.key.is_first_party():
-        raise GraphFormatError(f"bounced edge from third-party node {tuple(src.key)}")
+    if label == BOUNCED and not src.is_first_party():
+        raise GraphFormatError(f"bounced edge from third-party node {tuple(src)}")
     if src is dst:
-        raise GraphFormatError(f"self-loop edge on {tuple(src.key)}")
-    edge = (src.key, dst.key, label)
+        raise GraphFormatError(f"self-loop edge on {tuple(src)}")
+    edge = (src, dst, label)
     if edge in graph.edges:
-        raise GraphFormatError(f"repeated edge {tuple(src.key)} -> {tuple(dst.key)}")
+        raise GraphFormatError(f"repeated edge {tuple(src)} -> {tuple(dst)}")
     mult, sites = rec["m"], rec["sites"]
     if type(mult) is not int or type(sites) is not list or not all(type(s) is str for s in sites):
         raise GraphFormatError("edge multiplicity must be an integer, sites a list of strings")
@@ -480,15 +466,16 @@ def _load_edge(graph: WideGraph, rec: dict) -> None:
 
 def _load_doc(graph: WideGraph, rec: dict) -> None:
     """File one document record in ``graph``."""
-    node = graph.nodes.get(NodeKey(*rec["p"]))
-    if node is None:
+    parent = graph.nodes.get(NodeKey(*rec["p"]))
+    if parent is None:
         raise GraphFormatError("document references unknown node")
-    if rec["k"] not in NODE_KIND_VALUES:
-        raise GraphFormatError(f"unknown document kind {rec['k']!r}")
+    kind = rec["k"]
+    if kind not in NODE_KIND_VALUES:
+        raise GraphFormatError(f"unknown document kind {kind!r}")
     host = rec["h"]
-    if not isinstance(host, str) or node.key != (registrable_domain(host), rec["k"]):
-        raise GraphFormatError(f"document {host!r} is filed under {tuple(node.key)}")
-    if host in node.documents:
+    if not isinstance(host, str) or parent != (registrable_domain(host), kind):
+        raise GraphFormatError(f"document {host!r} is filed under {tuple(parent)}")
+    if (host, kind) in graph.docs:
         raise GraphFormatError(f"repeated document {host!r}")
     pairs, sites = rec["urls"], rec["sites"]
     urls = Counter(dict((u, c) for u, c in pairs))
@@ -510,7 +497,7 @@ def _load_doc(graph: WideGraph, rec: dict) -> None:
         if count < 1:
             raise GraphFormatError(f"document url {url!r} has count {count}, below 1")
     _check_sites(graph, "document", sites)
-    node.documents[host] = SubdomainDocument(host, rec["k"], urls, set(sites), node.key)
+    graph.docs[host, kind] = SubdomainDocument(host, kind, urls, set(sites), parent)
 
 
 def _check_domain(what: str, domain) -> None:

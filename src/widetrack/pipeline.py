@@ -35,6 +35,7 @@ from .graph import (
     GraphIndex,
     NodeKey,
     SubdomainDocument,
+    WideGraph,
     build_widegraph,
     collector_paused,
     coverage,
@@ -58,8 +59,8 @@ def filter_eligible(
     """Documents whose parent node has at least ``min_in_degree`` distinct
     in-edges, plus a (total, removed, kept) report. The kept documents, in
     ``doc_key`` order, are the rows of every per-document list and file."""
-    docs = index.graph.documents()
-    kept = sorted((d for d in docs if index.in_degree[d.parent] >= min_in_degree), key=doc_key)
+    docs = index.graph.docs
+    kept = [docs[k] for k in sorted(docs) if index.in_degree[docs[k].parent] >= min_in_degree]
     report = {"total": len(docs), "kept": len(kept), "removed": len(docs) - len(kept)}
     return kept, report
 
@@ -695,6 +696,15 @@ def read_overrides(path: str | Path | None) -> dict[str, str] | None:
     return out
 
 
+def check_override_hosts(overrides: dict | None, path, graph: WideGraph) -> None:
+    """A DataError naming the overrides file ``path`` for a host that no
+    document of ``graph`` has, eligible or not: it could never apply."""
+    hosts = {host for host, _ in graph.docs}
+    for host in overrides or ():
+        if host not in hosts:
+            raise DataError(f"{path}: override host {host} is not the host of any graph document")
+
+
 def content_features(
     eligible: list[SubdomainDocument],
     train_rows: list[int],
@@ -779,6 +789,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     ingested = IngestTally()
     with replaced_when_done(out / "trees.jsonl") as trees_out:
         graph = build_widegraph(ingest_har_dir(cfg.har_dir, trees_out, ingested))
+    check_override_hosts(overrides, cfg.overrides_file, graph)
     with (out / "graph.jsonl").open("wb") as graph_out:
         save_graph(graph, graph_out)
     index = GraphIndex(graph)

@@ -23,7 +23,6 @@ from .graph import (
     BOUNCED,
     FIRST_PARTY,
     EdgeData,
-    Node,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -202,11 +201,10 @@ def _har_entry(url: str, kind: str, ts: int, initiator: dict | None) -> dict:
 
 
 def _touch_doc(truth: WideGraph, svc: _Service, url: str, site: str):
-    node = truth.nodes.setdefault(svc.key, Node(svc.key))
-    doc = node.documents.get(svc.host)
-    if doc is None:
-        doc = SubdomainDocument(svc.host, svc.kind, Counter(), set(), svc.key)
-        node.documents[svc.host] = doc
+    key = truth.nodes.setdefault(svc.key, svc.key)
+    doc = truth.docs.setdefault(
+        (svc.host, svc.kind), SubdomainDocument(svc.host, svc.kind, Counter(), set(), key)
+    )
     doc.urls[url] += 1
     doc.sites.add(site)
 
@@ -236,7 +234,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
         page_url = f"https://www.{site}/"
         fp = NodeKey(site, FIRST_PARTY)
         truth.roots.add(site)
-        truth.nodes.setdefault(fp, Node(fp))
+        truth.nodes.setdefault(fp, fp)
 
         direct_records: list[tuple[_Service, list[str]]] = []
         for svc in services:

@@ -21,7 +21,6 @@ from widetrack.forest import ForestParams, _walk, predict, save_model, train
 from widetrack.graph import (
     EdgeData,
     GraphIndex,
-    Node,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -425,16 +424,15 @@ def graph_with_in_degrees(degree_by_domain):
         root = f"s{i}.com"
         g.roots.add(root)
         fp = NodeKey(root, "firstparty")
-        g.nodes[fp] = Node(fp)
+        g.nodes[fp] = fp
     for domain, deg in degree_by_domain.items():
         key = NodeKey(domain, "script")
-        node = Node(key)
+        g.nodes[key] = key
         host = f"px.{domain}"
-        node.documents[host] = SubdomainDocument(
+        g.docs[host, "script"] = SubdomainDocument(
             host, "script", Counter({f"https://{host}/x": 1}),
             {f"s{i}.com" for i in range(deg)}, key,
         )
-        g.nodes[key] = node
         for i in range(deg):
             fp = NodeKey(f"s{i}.com", "firstparty")
             g.edges[(fp, key, "script")] = EdgeData(1, {f"s{i}.com"})

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,13 +74,13 @@ def test_full_command_chain(corpus_dir, tmp_path, capsys):
         )
         == 0
     )
-    payload = json.loads(open(report).read())
+    payload = json.loads(Path(report).read_text())
     assert "biased" in payload and "unbiased" in payload
     assert (
         main(["emit-rules", "--graph", graph, "--scores", scores, "--rules", rules, "--out", candidates])
         == 0
     )
-    assert open(candidates).read().startswith("!")
+    assert Path(candidates).read_text().startswith("!")
 
 
 def test_synth_command(tmp_path):
@@ -377,6 +378,55 @@ def test_run_all_command(corpus_dir, tmp_path, capsys):
         "report.json", "report.txt", "candidate-rules.txt",
     ):
         assert (out_dir / name).exists(), name
+
+
+def override_files(corpus_dir, tmp_path):
+    """An overrides file whose hosts all have graph documents, and one that
+    adds a host no document has."""
+    host = (corpus_dir / "truth-labels.tsv").read_text().split("\t")[0]
+    good, bad = tmp_path / "overrides.tsv", tmp_path / "stray-overrides.tsv"
+    good.write_text(f"{host}\tadtracker\n")
+    bad.write_text(f"{host}\tadtracker\npx.absent.net\tbenign\n")
+    message = f"error: {bad}: override host px.absent.net is not the host of any graph document\n"
+    return good, bad, message
+
+
+def test_run_all_refuses_an_override_host_no_document_has(corpus_dir, tmp_path, capsys):
+    """Such an override could never apply; the run stops once the graph is
+    built, before it writes the graph or any report."""
+    _, bad, message = override_files(corpus_dir, tmp_path)
+    cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {out_dir}\noverrides_file = {bad}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert sorted(p.name for p in out_dir.iterdir()) == ["trees.jsonl"]
+
+
+def test_evaluate_refuses_an_override_host_no_document_has(corpus_dir, tmp_path, capsys):
+    good, bad, message = override_files(corpus_dir, tmp_path)
+    run_dir = tmp_path / "run"
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {run_dir}\nn_trees = 10\n"
+    )
+    assert main(["run-all", "--config", str(run_cfg)]) == 0
+    evaluate = [
+        "evaluate", "--graph", str(run_dir / "graph.jsonl"),
+        "--scores", str(run_dir / "scores.tsv"), "--labels", str(run_dir / "labels.tsv"),
+    ]
+    cfg, report = tmp_path / "evaluate.cfg", tmp_path / "report.json"
+    cfg.write_text(f"n_trees = 10\noverrides_file = {good}\n")
+    assert main([*evaluate, "--out", str(report), "--config", str(cfg)]) == 0
+    assert "corrected_unbiased" in json.loads(report.read_text())
+    report.unlink()
+    cfg.write_text(f"n_trees = 10\noverrides_file = {bad}\n")
+    assert main([*evaluate, "--out", str(report), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert not report.exists()
 
 
 def test_usage_error_exits_one():

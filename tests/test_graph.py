@@ -15,7 +15,6 @@ from widetrack.graph import (
     GraphFormatError,
     EdgeData,
     GraphIndex,
-    Node,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -139,10 +138,11 @@ class TestContractTree:
         )
         g = WideGraph()
         contract_tree(g, t)
-        docs = g.nodes[NodeKey("t.net", "other")].documents
-        assert docs["px.t.net"].urls == Counter({u1: 2, u2: 1})
-        assert docs["sync.t.net"].urls == Counter({u3: 1})
+        docs = g.docs
+        assert docs["px.t.net", "other"].urls == Counter({u1: 2, u2: 1})
+        assert docs["sync.t.net", "other"].urls == Counter({u3: 1})
         assert all(d.sites == {"site.com"} and d.kind == "other" for d in docs.values())
+        assert all(d.parent == NodeKey("t.net", "other") for d in docs.values())
 
 
 class TestExpandEdges:
@@ -211,7 +211,7 @@ class TestMerge:
         g = site_graph(t1, t2)
         key = NodeKey("doubleclick.net", "script")
         assert key in g.nodes
-        doc = g.nodes[key].documents["ads.doubleclick.net"]
+        doc = g.docs["ads.doubleclick.net", "script"]
         assert doc.sites == {"one.com", "two.com"}
         assert doc.urls == Counter({url1: 1, url2: 1})
 
@@ -494,6 +494,39 @@ def test_a_host_filed_as_third_party_is_first_party_on_its_own_site():
     }
 
 
+def _target_edge(g):
+    return g.edges[(NodeKey("r1.com", FIRST_PARTY), NodeKey("target.net", "script"), "script")]
+
+
+def _target_doc(g):
+    return g.docs["px.target.net", "script"]
+
+
+# Each changes one fact of the three-root graph, in place.
+_ONE_FACT_CHANGED = {
+    "extra_root": lambda g: g.roots.add("r4.com"),
+    "extra_node_with_no_documents": lambda g: g.nodes.setdefault(
+        NodeKey("extra.net", "script"), NodeKey("extra.net", "script")
+    ),
+    "edge_multiplicity": lambda g: setattr(
+        _target_edge(g), "multiplicity", _target_edge(g).multiplicity + 1
+    ),
+    "edge_sites": lambda g: _target_edge(g).add_site("r3.com"),
+    "document_url_count": lambda g: _target_doc(g).urls.update(["https://px.target.net/t.js"]),
+    "document_sites": lambda g: _target_doc(g).sites.add("r3.com"),
+    "dropped_document": lambda g: g.docs.pop(("x.noise.net", "media")),
+}
+
+
+@pytest.mark.parametrize("change", _ONE_FACT_CHANGED.values(), ids=_ONE_FACT_CHANGED)
+def test_graphs_that_differ_in_one_fact_are_unequal(change):
+    g, trees = TestCoverage().three_root_fixture()
+    changed = build_widegraph(trees)
+    assert changed == g
+    change(changed)
+    assert changed != g and g != changed
+
+
 def test_stats_shape():
     g, _ = TestCoverage().three_root_fixture()
     st = stats(GraphIndex(g))
@@ -565,14 +598,16 @@ def odd_graphs(draw):
         min_size=1, max_size=5, unique=True,
     ))
     for key in keys:
-        g.nodes[key] = Node(key)
+        g.nodes[key] = key
     for key in keys:
         if key.is_first_party():
             continue
-        for host in draw(st.sets(_odd_text, max_size=2)):
+        # a (host, kind) is one document, whichever node it is filed under
+        hosts = st.sets(_odd_text.filter(lambda h: (h, key.kind) not in g.docs), max_size=2)
+        for host in draw(hosts):
             urls = draw(st.dictionaries(_odd_text, st.integers(1, 10**20), max_size=3))
             sites = draw(st.sets(_odd_text, max_size=2))
-            g.nodes[key].documents[host] = SubdomainDocument(host, key.kind, Counter(urls), sites, key)
+            g.docs[host, key.kind] = SubdomainDocument(host, key.kind, Counter(urls), sites, key)
     edges = draw(st.lists(
         st.tuples(st.sampled_from(keys), st.sampled_from(keys), st.sampled_from(_KINDS + (BOUNCED,))),
         max_size=6, unique=True,

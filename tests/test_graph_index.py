@@ -16,7 +16,6 @@ from widetrack.graph import (
     FIRST_PARTY,
     EdgeData,
     GraphIndex,
-    Node,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -97,10 +96,10 @@ def graphs(draw):
     g = WideGraph()
     g.roots.update(roots)
     for key in first + third:
-        g.nodes[key] = Node(key)
+        g.nodes[key] = key
     for key in third:
         host = f"px.{key.domain}"
-        g.nodes[key].documents[host] = SubdomainDocument(
+        g.docs[host, key.kind] = SubdomainDocument(
             host, key.kind, Counter({f"https://{host}/x.js": 1}), set(roots), key
         )
     edges = draw(
@@ -263,9 +262,8 @@ def assert_one_key_object_per_node(graph):
     own = {key: key for key in graph.nodes}
     for src, dst, _ in graph.edges:
         assert src is own[src] and dst is own[dst]
-    for key, node in graph.nodes.items():
-        assert node.key is own[key]
-        assert all(doc.parent is own[key] for doc in node.documents.values())
+    assert all(graph.nodes[key] is key for key in graph.nodes)
+    assert all(doc.parent is own[doc.parent] for doc in graph.docs.values())
 
 
 def test_every_edge_endpoint_is_its_node_key():

@@ -10,7 +10,6 @@ from widetrack.filters import ADTRACKER, BENIGN, Label, parse_rules
 from widetrack.graph import (
     EdgeData,
     GraphIndex,
-    Node,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -20,6 +19,7 @@ from widetrack.pipeline import (
     PipelineConfig,
     aligned,
     analysis_tables,
+    check_override_hosts,
     compute_metrics,
     emit_candidate_rules,
     evaluate,
@@ -58,20 +58,29 @@ def graph_with_in_degrees(degree_by_domain):
         root = f"s{i}.com"
         g.roots.add(root)
         fp = NodeKey(root, "firstparty")
-        g.nodes[fp] = Node(fp)
+        g.nodes[fp] = fp
     for domain, deg in degree_by_domain.items():
         key = NodeKey(domain, "script")
-        node = Node(key)
+        g.nodes[key] = key
         host = f"px.{domain}"
-        node.documents[host] = SubdomainDocument(
+        g.docs[host, "script"] = SubdomainDocument(
             host, "script", Counter({f"https://{host}/x": 1}),
             {f"s{i}.com" for i in range(deg)}, key,
         )
-        g.nodes[key] = node
         for i in range(deg):
             fp = NodeKey(f"s{i}.com", "firstparty")
             g.edges[(fp, key, "script")] = EdgeData(1, {f"s{i}.com"})
     return g
+
+
+def test_override_host_needs_a_graph_document_not_an_eligible_one():
+    g = graph_with_in_degrees({"low.net": 2, "high.net": 3})
+    kept, _ = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
+    assert [d.host for d in kept] == ["px.high.net"]
+    check_override_hosts({"px.low.net": ADTRACKER, "px.high.net": BENIGN}, "o.tsv", g)
+    check_override_hosts(None, None, g)
+    with pytest.raises(DataError, match="^o.tsv: override host low.net is not the host"):
+        check_override_hosts({"px.high.net": BENIGN, "low.net": ADTRACKER}, "o.tsv", g)
 
 
 class TestFilterEligible:
@@ -259,9 +268,10 @@ class TestEmitCandidateRules:
         g = WideGraph()
         g.roots.add("s0.com")
         fp = NodeKey("s0.com", "firstparty")
-        g.nodes[fp] = Node(fp)
+        g.nodes[fp] = fp
         for doc in docs:
-            g.nodes.setdefault(doc.parent, Node(doc.parent)).documents[doc.host] = doc
+            g.nodes[doc.parent] = doc.parent
+            g.docs[doc.host, doc.kind] = doc
             g.edges[(fp, doc.parent, doc.kind)] = EdgeData(1, {"s0.com"})
         return g
 

@@ -7,7 +7,6 @@ from widetrack.graph import (
     EdgeData,
     GraphError,
     GraphIndex,
-    Node,
     NodeKey,
     WideGraph,
     contract_tree,
@@ -38,7 +37,7 @@ def manual_graph(node_keys, edges, roots=()):
     g = WideGraph()
     g.roots.update(roots)
     for key in node_keys:
-        g.nodes[key] = Node(key)
+        g.nodes[key] = key
     for (src, dst, label) in edges:
         g.edges[(src, dst, label)] = EdgeData(1, set(roots) or {"x"})
     return g

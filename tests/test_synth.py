@@ -74,13 +74,7 @@ def test_trackers_have_higher_direct_coverage():
     index = GraphIndex(g)
     tracker_cov, benign_cov = [], []
     for (host, kind), label in corpus.truth_labels.items():
-        doc_parent = None
-        for key in g.third_party_keys():
-            if host in g.nodes[key].documents:
-                doc_parent = key
-                break
-        assert doc_parent is not None
-        direct, _ = coverage(index, doc_parent)
+        direct, _ = coverage(index, g.docs[host, kind].parent)
         (tracker_cov if label == "adtracker" else benign_cov).append(direct)
     mean = lambda xs: sum(xs) / len(xs)
     assert mean(tracker_cov) > mean(benign_cov)
