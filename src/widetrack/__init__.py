@@ -4,10 +4,9 @@ __version__ = "0.1.0"
 
 from .domains import registrable_domain
 from .graph import WideGraph, build_widegraph, load_graph, save_graph
-from .ingest import InteractionKind, build_tree, classify_interaction, parse_har
+from .ingest import build_tree, classify_interaction, parse_har
 
 __all__ = [
-    "InteractionKind",
     "WideGraph",
     "build_tree",
     "build_widegraph",

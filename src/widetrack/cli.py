@@ -13,7 +13,8 @@ from pathlib import Path
 from . import content as content_mod
 from . import forest as forest_mod
 from . import pipeline as pipeline_mod
-from .filters import label_document
+from .domains import DomainError, registrable_domain
+from .filters import ADTRACKER, label_document
 from .graph import GraphIndex, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
 from .pipeline import DataError, PipelineConfig, load_config
@@ -38,15 +39,15 @@ def _load_index(path) -> GraphIndex:
 
 def _row_labels(path, keys):
     """The labels file's label for each row key."""
-    labels = pipeline_mod.read_labels_file(Path(path).read_bytes())
-    return pipeline_mod.aligned(keys, labels, "label")
+    labels = pipeline_mod.read_labels_file(Path(path).read_bytes(), path)
+    return pipeline_mod.aligned(keys, labels, f"label in {path}")
 
 
 def _read_feature_files(paths):
     """Read one content and one structural table: (document keys, content
     values, structural matrix), for ``assemble_all_vectors`` to join as
-    run-all does. A second table of a kind is a DataError naming both
-    files."""
+    run-all does. A second table of a kind, or a content row whose node has
+    no structural row, is a DataError naming the files."""
     parts = {}  # kind -> (path, table)
     for path in paths:
         data = Path(path).read_bytes()
@@ -58,11 +59,22 @@ def _read_feature_files(paths):
             raise DataError(f"unrecognized feature file {path}")
         if kind in parts:
             raise DataError(f"two {kind} feature files: {parts[kind][0]} and {path}")
-        parts[kind] = (path, read(data))
+        parts[kind] = (path, read(data, path))
     if len(parts) < 2:
         raise DataError("need one content and one structural feature file")
-    keys, _, values = parts["content"][1]
-    return keys, values, parts["structural"][1]
+    content_path, (keys, _, values) = parts["content"]
+    struct_path, struct = parts["structural"]
+    nodes = set(struct.keys)
+    for host, kind in keys:
+        try:
+            domain = registrable_domain(host)
+        except DomainError as exc:
+            raise DataError(f"{content_path}: {exc}") from None
+        if (domain, kind) not in nodes:
+            raise DataError(
+                f"{struct_path}: no row for node {domain} ({kind}) of {content_path}'s {host}"
+            )
+    return keys, values, struct
 
 
 def cmd_ingest(args) -> int:
@@ -76,7 +88,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_graph_build(args) -> int:
     with Path(args.trees).open("rb") as trees:
-        graph = build_widegraph(read_trees(trees))
+        graph = build_widegraph(read_trees(trees, args.trees))
     with Path(args.out).open("wb") as out:
         save_graph(graph, out)
     print(f"graph: {len(graph.roots)} roots, {len(graph.nodes)} nodes, {len(graph.edges)} edges")
@@ -85,16 +97,9 @@ def cmd_graph_build(args) -> int:
 
 def cmd_graph_stats(args) -> int:
     st = stats(_load_index(args.graph))
-    for key in (
-        "roots",
-        "nodes",
-        "third_party_nodes",
-        "edges",
-        "edge_multiplicity_total",
-        "documents",
-        "avg_path_length",
-    ):
-        print(f"{key}: {st[key]}")
+    for key, value in st.items():
+        if not isinstance(value, (dict, list)):
+            print(f"{key}: {value}")
     print("edges by label:")
     for label, count in st["edges_by_label"].items():
         print(f"  {label}: {count}")
@@ -110,7 +115,8 @@ def cmd_graph_stats(args) -> int:
 def cmd_features_structural(args) -> int:
     cfg = _config(args)
     matrix = pipeline_mod.structural_matrix(_load_index(args.graph), cfg)
-    Path(args.out).write_bytes(pipeline_mod.write_struct_matrix(matrix))
+    with Path(args.out).open("wb") as out:
+        pipeline_mod.write_struct_matrix(matrix, out)
     print(f"structural matrix: {len(matrix.keys)} nodes x {len(matrix.columns)} features")
     return 0
 
@@ -127,7 +133,8 @@ def cmd_features_content(args) -> int:
     labels = _row_labels(args.labels, keys) if args.labels else None
     train, _ = pipeline_mod.split_keys(keys, cfg, labels)
     vocabulary, (columns, values, _) = pipeline_mod.content_features(eligible, train, cfg)
-    Path(args.out).write_bytes(pipeline_mod.write_content_matrix(keys, columns, values))
+    with Path(args.out).open("wb") as out:
+        pipeline_mod.write_content_matrix(keys, columns, values, out)
     if args.vocab_out:
         Path(args.vocab_out).write_bytes(content_mod.save_vocabulary(vocabulary))
     print(
@@ -143,9 +150,9 @@ def cmd_label(args) -> int:
     ruleset = pipeline_mod.read_rules(args.rules)
     labels = [label_document(ruleset, d) for d in eligible]
     Path(args.out).write_bytes(pipeline_mod.write_labels_file(keys, labels))
-    n_ad = sum(1 for lab in labels if lab.label == "adtracker")
+    n_ad = [lab.label for lab in labels].count(ADTRACKER)
     print(
-        f"labeled {len(labels)} documents ({n_ad} adtracker); "
+        f"labeled {len(labels)} documents ({n_ad} {ADTRACKER}); "
         f"rules parsed {ruleset.rule_count}, skipped {dict(ruleset.skip_report) or 0}"
     )
     return 0
@@ -180,8 +187,10 @@ def cmd_evaluate(args) -> int:
     index = _load_index(args.graph)
     pipeline_mod.check_override_hosts(overrides, cfg.overrides_file, index.graph)
     eligible, keys = _eligible(index, cfg)
-    scores = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
-    predictions = [pred for pred, _ in pipeline_mod.aligned(keys, scores, "prediction")]
+    scores = pipeline_mod.read_scores_file(Path(args.scores).read_bytes(), args.scores)
+    predictions = [
+        pred for pred, _ in pipeline_mod.aligned(keys, scores, f"prediction in {args.scores}")
+    ]
     labels = _row_labels(args.labels, keys)
     _, test = pipeline_mod.split_keys(keys, cfg, labels)
     reports = pipeline_mod.evaluate_all(eligible, labels, predictions, test, cfg, overrides)
@@ -196,7 +205,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_emit_rules(args) -> int:
     index = _load_index(args.graph)
-    predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes())
+    predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes(), args.scores)
     ruleset = pipeline_mod.read_rules(args.rules)
     docs = index.graph.docs
     keys = sorted(predictions)

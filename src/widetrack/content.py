@@ -10,12 +10,13 @@ from itertools import compress
 import numpy as np
 
 from .graph import SubdomainDocument
+from .ingest import NODE_KINDS
 
 # A token is a maximal run between the six URL delimiters / ? & = . -;
 # mapping the other five to "/" lets one str.split find every run.
 _TO_SLASH = str.maketrans(dict.fromkeys("?&=.-", "/"))
 
-KIND_CODES = {"script": 0, "media": 1, "iframe": 2, "other": 3}
+KIND_CODES = {kind: code for code, kind in enumerate(NODE_KINDS)}
 
 ENGINEERED_COLUMNS = (
     "avg_url_len",

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .domains import registrable_domain
+from .forest import CLASSES
 from .graph import SubdomainDocument
 
-ADTRACKER = "adtracker"
-BENIGN = "benign"
+BENIGN, ADTRACKER = CLASSES
 
 KIND_TO_OPTION = {
     "script": "script",
@@ -239,11 +239,13 @@ def _parse_line(line: str) -> Rule | str:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse filter-list text; every non-empty line is parsed or tallied."""
+    """Parse filter-list text; every non-empty line is parsed or tallied.
+    Lines end at "\\n" only: a form feed or U+2028, say, is part of a rule,
+    so no such character splits one rule into two."""
     block: list[Rule] = []
     exceptions: list[Rule] = []
     skipped: Counter = Counter()
-    for raw_line in text.splitlines():
+    for raw_line in text.split("\n"):
         line = raw_line.strip()
         if not line:
             continue

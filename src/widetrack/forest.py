@@ -37,11 +37,11 @@ missed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-CLASSES = ("benign", "adtracker")
+CLASSES = ("benign", "adtracker")  # the label of each class index
 
 
 class ForestError(ValueError):
@@ -50,9 +50,6 @@ class ForestError(ValueError):
 
 class ForestFormatError(ForestError):
     """Raised when a persisted model cannot be decoded."""
-
-
-_PARAM_KEYS = ("n_trees", "mtry", "max_depth", "min_samples_split", "seed")
 
 
 @dataclass
@@ -81,6 +78,9 @@ class ForestParams:
             raise ForestError(f"mtry must be >= 1, got {self.mtry}")
         if self.seed < 0:
             raise ForestError(f"forest seed must be >= 0, got {self.seed}")
+
+
+_PARAM_KEYS = tuple(f.name for f in fields(ForestParams))
 
 
 @dataclass

@@ -22,10 +22,10 @@ from typing import BinaryIO, Iterable, NamedTuple
 import numpy as np
 
 from .domains import DomainError, registrable_domain
-from .ingest import NODE_KIND_VALUES, DependencyTree, InteractionKind, url_host
+from .ingest import NODE_KINDS, DependencyTree, url_host
 
 FIRST_PARTY = "firstparty"
-BOUNCED = InteractionKind.BOUNCED.value
+BOUNCED = "bounced"  # an edge label only (see expand_edges), never a node kind
 
 
 class GraphError(ValueError):
@@ -38,7 +38,7 @@ class GraphFormatError(GraphError):
 
 class NodeKey(NamedTuple):
     domain: str
-    kind: str  # interaction kind value or FIRST_PARTY
+    kind: str  # one of NODE_KINDS, or FIRST_PARTY
 
     def is_first_party(self) -> bool:
         return self.kind == FIRST_PARTY
@@ -367,8 +367,6 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
         out.write(line.encode())
 
 
-_NODE_KINDS = NODE_KIND_VALUES | {FIRST_PARTY}
-
 
 def load_graph(data: bytes) -> WideGraph:
     """The graph in a ``save_graph`` file, read one line at a time.
@@ -414,7 +412,7 @@ def load_graph(data: bytes) -> WideGraph:
                     raise GraphFormatError(f"repeated root {rec['d']!r}")
                 graph.roots.add(rec["d"])
             elif kind == "node":
-                if rec["k"] not in _NODE_KINDS:
+                if rec["k"] not in NODE_KINDS and rec["k"] != FIRST_PARTY:
                     raise GraphFormatError(f"unknown node kind {rec['k']!r}")
                 key = NodeKey(rec["d"], rec["k"])
                 if key in graph.nodes:
@@ -470,7 +468,7 @@ def _load_doc(graph: WideGraph, rec: dict) -> None:
     if parent is None:
         raise GraphFormatError("document references unknown node")
     kind = rec["k"]
-    if kind not in NODE_KIND_VALUES:
+    if kind not in NODE_KINDS:
         raise GraphFormatError(f"unknown document kind {kind!r}")
     host = rec["h"]
     if not isinstance(host, str) or parent != (registrable_domain(host), kind):

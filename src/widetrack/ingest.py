@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _esc
 from operator import itemgetter
@@ -23,22 +22,14 @@ class HarParseError(ValueError):
         self.offset = offset
 
 
-class InteractionKind(str, Enum):
-    SCRIPT = "script"
-    MEDIA = "media"
-    IFRAME = "iframe"
-    OTHER = "other"
-    BOUNCED = "bounced"  # edge label only, never a node kind
+# The node kinds, in feature-code order ("bounced" is an edge label only).
+NODE_KINDS = ("script", "media", "iframe", "other")
 
-
-NODE_KINDS = (
-    InteractionKind.SCRIPT,
-    InteractionKind.MEDIA,
-    InteractionKind.IFRAME,
-    InteractionKind.OTHER,
-)
-
-NODE_KIND_VALUES = frozenset(k.value for k in NODE_KINDS)
+# A capture's lower-cased resource type -> its kind; any other is "other".
+_RESOURCE_KINDS = {
+    "script": "script", "image": "media", "media": "media", "font": "media",
+    "document": "iframe", "subdocument": "iframe",
+}
 
 
 class RequestEntry(NamedTuple):
@@ -68,7 +59,7 @@ class DependencyTree:
 
     root_url: str
     root_domain: str
-    nodes: dict[str, str]  # url -> interaction kind value
+    nodes: dict[str, str]  # url -> its kind, one of NODE_KINDS
     edges: dict[tuple[str, str], int]  # (initiator url, requested url) -> multiplicity
     diagnostics: Counter = field(default_factory=Counter)
     skipped: Counter = field(default_factory=Counter)
@@ -106,7 +97,7 @@ class DependencyTree:
             raise ValueError("edge endpoint is not a node")
         if root_url not in nodes:
             raise ValueError("root url is not a node")
-        unknown = set(nodes.values()) - NODE_KIND_VALUES
+        unknown = set(nodes.values()).difference(NODE_KINDS)
         if unknown:
             raise ValueError(f"unknown node kind {min(unknown)!r}")
         host, _ = url_host(root_url)
@@ -170,32 +161,23 @@ def _stack_top_url(stack) -> str | None:
     return None
 
 
-def classify_interaction(
-    resource_type: str | None, mime: str | None = None
-) -> InteractionKind:
+def classify_interaction(resource_type: str | None, mime: str | None = None) -> str:
     """Map a capture resource type (or, failing that, a MIME type) to a kind.
 
-    The top frame's document also maps to Iframe here; it becomes the tree
+    The top frame's document also maps to iframe here; it becomes the tree
     root, whose kind is discarded during path contraction.
     """
     if resource_type:
-        rt = resource_type.lower()
-        if rt == "script":
-            return InteractionKind.SCRIPT
-        if rt in ("image", "media", "font"):
-            return InteractionKind.MEDIA
-        if rt in ("document", "subdocument"):
-            return InteractionKind.IFRAME
-        return InteractionKind.OTHER
+        return _RESOURCE_KINDS.get(resource_type.lower(), "other")
     if mime:
         m = mime.lower()
         if m.startswith(("image/", "video/", "audio/")):
-            return InteractionKind.MEDIA
+            return "media"
         if "javascript" in m:
-            return InteractionKind.SCRIPT
+            return "script"
         if m.startswith("text/html"):
-            return InteractionKind.IFRAME
-    return InteractionKind.OTHER
+            return "iframe"
+    return "other"
 
 
 def parse_har(data: bytes) -> SessionRecord:
@@ -310,7 +292,7 @@ def build_tree(record: SessionRecord) -> DependencyTree:
         if url not in nodes:
             kind = kinds.get((resource_type, mime))
             if kind is None:
-                kind = kinds[resource_type, mime] = classify_interaction(resource_type, mime).value
+                kind = kinds[resource_type, mime] = classify_interaction(resource_type, mime)
             nodes[url] = kind
             hosts[url] = host
     if root_url not in hosts:
@@ -376,14 +358,14 @@ def _tallies(counts: Counter) -> str:
     return ", ".join([f"{_esc(name)}: {n:d}" for name, n in sorted(counts.items())])
 
 
-def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
-    """Yield the trees of a trees file read one line at a time, so only the
-    tree being yielded is held. A bad header raises HarParseError, and so
-    does a bad record or a byte that is not UTF-8, naming its line."""
+def read_trees(stream: BinaryIO, source: str = "trees file") -> Iterator[DependencyTree]:
+    """Yield the trees of the trees file ``source`` read one line at a time,
+    so only the tree being yielded is held. A bad header, a bad record or a
+    byte that is not UTF-8 raises HarParseError naming its line."""
     lines = iter(stream)
     first = next(lines, None)
     if first is None:
-        raise HarParseError("empty trees file")
+        raise HarParseError(f"{source}: empty trees file")
     try:
         header = json.loads(first)
     except (ValueError, RecursionError):
@@ -393,7 +375,7 @@ def read_trees(stream: BinaryIO) -> Iterator[DependencyTree]:
         or header.get("format") != "widetrack-trees"
         or header.get("version") != 1
     ):
-        raise HarParseError("unrecognized trees file header")
+        raise HarParseError(f"{source}: line 1: unrecognized trees file header")
     for lineno, raw in enumerate(lines, 2):
         line = raw.rstrip(b"\r\n")
         if not line:

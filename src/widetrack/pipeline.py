@@ -299,20 +299,13 @@ def analysis_tables(
 
     buckets = []
     for lo, hi in _DEGREE_BUCKETS:
-        n_ad = n_benign = 0
-        for deg, cls in zip(degrees, classes):
-            if deg >= lo and (hi is None or deg <= hi):
-                if cls == ADTRACKER:
-                    n_ad += 1
-                else:
-                    n_benign += 1
-        total = n_ad + n_benign
+        n = Counter(c for d, c in zip(degrees, classes) if d >= lo and (hi is None or d <= hi))
+        total = sum(n.values())
         buckets.append(
             {
                 "bucket": bucket_name(lo, hi),
-                "adtracker": n_ad,
-                "benign": n_benign,
-                "adtracker_share": n_ad / total if total else 0.0,
+                **{cls: n[cls] for cls in CLASSES},
+                "adtracker_share": n[ADTRACKER] / total if total else 0.0,
             }
         )
 
@@ -355,15 +348,23 @@ def _decode(data: bytes, source) -> str:
         raise DataError(f"{source}: line {lineno}: byte {byte:#04x} is not UTF-8") from None
 
 
-def _read_table(data: bytes, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """(header cells, [(line number, cells)] of each non-empty row) of a
-    TSV table; a byte that is not UTF-8, a row whose column count differs
-    from the header's, or a row whose first two cells (its key) repeat an
-    earlier row's, is a DataError that names its line."""
-    lines = _decode(data, what).splitlines()
-    if not lines:
-        raise DataError(f"empty {what}")
-    header = lines[0].split("\t")
+def _lines(text: str) -> list[str]:
+    """``text`` split at "\\n", less each line's final "\\r"; ``splitlines``
+    would also split at a form feed, U+2028 and the like."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
+def _read_table(data: bytes, what: str, source) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(header cells, [(line number, cells)] of each non-empty row) of the
+    TSV table ``source``; an empty one has no header cells. A byte that is
+    not UTF-8, a row whose column count differs from the header's, or a row
+    whose first two cells (its key) repeat an earlier row's, is a DataError
+    that names its line."""
+    lines = _lines(_decode(data, source))
+    header = lines[0].split("\t") if lines else []
     rows = []
     first_line: dict[tuple[str, ...], int] = {}
     for lineno, line in enumerate(lines[1:], 2):
@@ -388,16 +389,16 @@ def write_labels_file(keys: list[tuple[str, str]], labels: list[Label]) -> bytes
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_labels_file(data: bytes) -> dict[tuple[str, str], Label]:
-    header, rows = _read_table(data, "labels file")
+def read_labels_file(data: bytes, source="labels file") -> dict[tuple[str, str], Label]:
+    header, rows = _read_table(data, "labels file", source)
     if header != _LABELS_HEADER:
-        raise DataError("unrecognized labels file header")
+        raise DataError(f"{source}: line 1: unrecognized labels file header")
     out = {}
-    for lineno, (host, kind, label, source) in rows:
+    for lineno, (host, kind, label, origin) in rows:
         if label not in CLASSES:
             raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
-        if source != "filterlist":
-            raise DataError(f"unknown label source {source!r} for {host} on line {lineno}")
+        if origin != "filterlist":
+            raise DataError(f"unknown label source {origin!r} for {host} on line {lineno}")
         out[(host, kind)] = Label(label)
     return out
 
@@ -411,10 +412,10 @@ def write_scores_file(
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
-    header, rows = _read_table(data, "scores file")
+def read_scores_file(data: bytes, source="scores file") -> dict[tuple[str, str], tuple[int, float]]:
+    header, rows = _read_table(data, "scores file", source)
     if header != _SCORES_HEADER:
-        raise DataError("unrecognized scores file header")
+        raise DataError(f"{source}: line 1: unrecognized scores file header")
     out = {}
     for lineno, (host, kind, pred, score, basis) in rows:
         if pred not in CLASSES:
@@ -432,14 +433,13 @@ def read_scores_file(data: bytes) -> dict[tuple[str, str], tuple[int, float]]:
     return out
 
 
-def _write_matrix(
-    key_header: list[str], keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
-) -> bytes:
-    """Feature table; the exact inverse of ``_read_matrix``.
+def _write_matrix(key_header, keys, columns: list[str], values: np.ndarray, out: BinaryIO) -> None:
+    """Feature table, written to ``out`` one row at a time; the exact
+    inverse of ``_read_matrix``.
 
     A zero cell is written as ``0.0``, which is its ``repr``; only the
     nonzero and negative-zero cells go through ``repr``."""
-    lines = ["\t".join([*key_header, *columns])]
+    out.write(("\t".join([*key_header, *columns]) + "\n").encode("utf-8"))
     zeros = ["0.0"] * values.shape[1]
     written = np.signbit(values) | (values != 0)
     for key, row, mask in zip(keys, values, written):
@@ -447,29 +447,28 @@ def _write_matrix(
         cols = np.flatnonzero(mask)
         for j, value in zip((cols + 2).tolist(), row[cols].tolist()):
             cells[j] = repr(value)
-        lines.append("\t".join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        out.write(("\t".join(cells) + "\n").encode("utf-8"))
 
 
 def write_content_matrix(
-    keys: list[tuple[str, str]], columns: list[str], values: np.ndarray
-) -> bytes:
+    keys: list[tuple[str, str]], columns: list[str], values: np.ndarray, out: BinaryIO
+) -> None:
     """Content feature table; the exact inverse of read_content_matrix."""
-    return _write_matrix(["host", "kind"], keys, columns, values)
+    _write_matrix(["host", "kind"], keys, columns, values, out)
 
 
-def write_struct_matrix(matrix: structural_mod.StructMatrix) -> bytes:
+def write_struct_matrix(matrix: structural_mod.StructMatrix, out: BinaryIO) -> None:
     """Structural feature table; the exact inverse of read_struct_matrix."""
-    return _write_matrix(["domain", "kind"], matrix.keys, matrix.columns, matrix.values)
+    _write_matrix(["domain", "kind"], matrix.keys, matrix.columns, matrix.values, out)
 
 
-def _read_matrix(data: bytes, what: str, key_header: list[str]):
+def _read_matrix(data: bytes, what: str, key_header: list[str], source):
     """(row keys, value columns, values) of a feature table whose first two
     columns are ``key_header`` and the rest finite floats; a bad row is a
     DataError that names its line."""
-    header, rows = _read_table(data, what)
+    header, rows = _read_table(data, what, source)
     if header[:2] != key_header:
-        raise DataError(f"unrecognized {what} header")
+        raise DataError(f"{source}: line 1: unrecognized {what} header")
     values = np.zeros((len(rows), len(header) - 2))
     for i, (lineno, cells) in enumerate(rows):
         try:
@@ -482,14 +481,14 @@ def _read_matrix(data: bytes, what: str, key_header: list[str]):
     return [(cells[0], cells[1]) for _, cells in rows], header[2:], values
 
 
-def read_content_matrix(data: bytes):
+def read_content_matrix(data: bytes, source="content matrix"):
     """Returns (keys, columns, values) from a content feature table."""
-    return _read_matrix(data, "content matrix", ["host", "kind"])
+    return _read_matrix(data, "content matrix", ["host", "kind"], source)
 
 
-def read_struct_matrix(data: bytes) -> structural_mod.StructMatrix:
+def read_struct_matrix(data: bytes, source="structural matrix") -> structural_mod.StructMatrix:
     """Structural feature table; the exact inverse of write_struct_matrix."""
-    keys, columns, values = _read_matrix(data, "structural matrix", ["domain", "kind"])
+    keys, columns, values = _read_matrix(data, "structural matrix", ["domain", "kind"], source)
     return structural_mod.StructMatrix([NodeKey(*key) for key in keys], columns, values)
 
 
@@ -538,7 +537,7 @@ def load_config(cls, path: str | Path | None):
     types = {f.name: f.type for f in fields(cls)}
     values = {}
     first_line: dict[str, int] = {}
-    lines = _read_utf8(path).splitlines() if path is not None else []
+    lines = _lines(_read_utf8(path)) if path is not None else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -679,7 +678,7 @@ def read_overrides(path: str | Path | None) -> dict[str, str] | None:
         return None
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(_read_utf8(path).splitlines(), 1):
+    for lineno, raw in enumerate(_lines(_read_utf8(path)), 1):
         line = raw.strip()
         if not line or line.startswith(("#", "!")):
             continue
@@ -795,7 +794,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     index = GraphIndex(graph)
 
     struct = structural_matrix(index, cfg)
-    (out / "structural.tsv").write_bytes(write_struct_matrix(struct))
+    with (out / "structural.tsv").open("wb") as table:
+        write_struct_matrix(struct, table)
 
     # From here on each per-document fact is a list indexed by row.
     eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
@@ -809,7 +809,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     train, test = split_keys(keys, cfg, labels)
     vocabulary, (columns, content_values, doc_terms) = content_features(eligible, train, cfg)
     (out / "vocabulary.tsv").write_bytes(content_mod.save_vocabulary(vocabulary))
-    (out / "content.tsv").write_bytes(write_content_matrix(keys, columns, content_values))
+    with (out / "content.tsv").open("wb") as table:
+        write_content_matrix(keys, columns, content_values, table)
     # X's rows are the training rows in training order, then the test rows,
     # so the forest trains on and scores X's row ranges in place.
     order = train + test

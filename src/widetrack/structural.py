@@ -38,7 +38,7 @@ class StructMatrix:
         try:
             return self.values[self._index[key]]
         except KeyError:
-            raise GraphError(f"no structural row for {key}") from None
+            raise GraphError(f"no structural row for node {key.domain} ({key.kind})") from None
 
 
 def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:

@@ -550,13 +550,50 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         if "\udcff" in text:
             assert f"line {lineno}: byte 0xff is not UTF-8" in err, (name, err)
 
-    # A scores file naming a document the graph lacks, or a second feature
-    # table of a kind, names the files it does not fit.
+    # A scores file naming a document the graph lacks, a second feature
+    # table of a kind, a file that lacks a row or holds a host another file
+    # needs, or a table or trees file with a header of another kind, names
+    # the files it does not fit.
     stray = tmp_path / "stray-scores.tsv"
     stray.write_text(scores_header + "px.t.net\tscript\tadtracker\t0.5\tfull\n")
     second = tmp_path / "second-content.tsv"
     second.write_text("host\tkind\ta\npx.t.net\tscript\t2.0\n")
+    wrong = {}
+    for name, text in [
+        ("header.tsv", "host\tkind\tverdict\tsource\n"),
+        ("trees.jsonl", '{"format": "widetrack-trees", "version": 2}\n'),
+        ("empty-trees.jsonl", ""),
+        ("no-label.tsv", labels_header),
+        ("no-score.tsv", scores_header),
+        ("other-structural.tsv", "domain\tkind\tb\nu.net\tscript\t2.0\n"),
+        ("hostless-content.tsv", "host\tkind\ta\na..b\tscript\t1.0\n"),
+        ("one-doc-graph.jsonl",
+         header + node + doc.replace("[]}", '[["https://px.t.net/x", 1]]}') % "script"),
+        ("no-floor.cfg", "min_in_degree = 0\n"),
+    ]:
+        wrong[name] = tmp_path / name
+        wrong[name].write_text(text)
     for argv, message in [
+        ([*content_cmd, str(wrong["header.tsv"])],
+         f"{wrong['header.tsv']}: line 1: unrecognized labels file header"),
+        ([*emit_cmd, str(wrong["header.tsv"])],
+         f"{wrong['header.tsv']}: line 1: unrecognized scores file header"),
+        ([*trees_cmd, str(wrong["trees.jsonl"])],
+         f"{wrong['trees.jsonl']}: line 1: unrecognized trees file header"),
+        ([*trees_cmd, str(wrong["empty-trees.jsonl"])],
+         f"{wrong['empty-trees.jsonl']}: empty trees file"),
+        ([*train_cmd[:2], str(wrong["no-label.tsv"]), *train_cmd[3:], *map(str, features)],
+         f"document px.t.net (script) has no label in {wrong['no-label.tsv']}"),
+        (["evaluate", "--graph", str(wrong["one-doc-graph.jsonl"]),
+          "--labels", str(wrong["no-label.tsv"]), "--config", str(wrong["no-floor.cfg"]),
+          "--scores", str(wrong["no-score.tsv"])],
+         f"document px.t.net (script) has no prediction in {wrong['no-score.tsv']}"),
+        ([*train_cmd, str(features[0]), str(wrong["other-structural.tsv"])],
+         f"{wrong['other-structural.tsv']}: no row for node t.net (script)"
+         f" of {features[0]}'s px.t.net"),
+        (["predict", "--model", str(model_file), "--out", out, "--features",
+          str(wrong["hostless-content.tsv"]), str(features[1])],
+         f"{wrong['hostless-content.tsv']}: hostname 'a..b' has an empty label"),
         ([*emit_cmd, str(stray)], f"{stray}: document px.t.net (script) is not in {graph}"),
         ([*train_cmd, str(features[0]), str(features[1]), str(second)],
          f"two content feature files: {features[0]} and {second}"),

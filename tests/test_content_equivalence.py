@@ -10,6 +10,7 @@ write zero cells as a constant. Each is held here to a reference kept
 below, on adversarial input.
 """
 
+import io
 import math
 import re
 from collections import Counter
@@ -189,13 +190,17 @@ _CELLS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 2.0, -3.0, 1e16, 0.1, 
 
 def _content_table(keys, columns, values):
     """The content writer and reader, as (table, values read back)."""
-    table = write_content_matrix(keys, columns, values)
+    out = io.BytesIO()
+    write_content_matrix(keys, columns, values, out)
+    table = out.getvalue()
     return table, read_content_matrix(table)[2]
 
 
 def _struct_table(keys, columns, values):
     """The structural writer and reader, as (table, values read back)."""
-    table = write_struct_matrix(StructMatrix([NodeKey(*key) for key in keys], columns, values))
+    out = io.BytesIO()
+    write_struct_matrix(StructMatrix([NodeKey(*key) for key in keys], columns, values), out)
+    table = out.getvalue()
     return table, read_struct_matrix(table).values
 
 

@@ -96,6 +96,20 @@ class TestParseRules:
         assert rs.rule_count == 0
         assert rs.skip_report["empty_pattern"] == 2
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x0c", "\x85", "\x1e"])
+    def test_only_a_newline_ends_a_rule(self, char):
+        """A line break that is not "\\n" is part of its rule: were it a line
+        end, "$script" would stand alone as an empty pattern that blocks
+        every script."""
+        rs = parse_rules(f"||ads.example^{char}$script")
+        assert [r.raw for r in rs.block_rules] == [f"||ads.example^{char}$script"]
+        assert not blocked(rs, "https://cdn.other.net/lib.js")
+
+    def test_crlf_lines_read_as_lf_lines(self):
+        rs = parse_rules("! list\r\n||a.com^\r\n@@||b.com^\r\n")
+        assert [r.raw for r in rs.block_rules + rs.exception_rules] == ["||a.com^", "@@||b.com^"]
+        assert rs.skip_report == Counter({"comment": 1})
+
 
 class TestMatching:
     def test_host_anchor_hits_host_and_subdomains(self):

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from widetrack.domains import registrable_domain
 from widetrack.ingest import (
-    NODE_KIND_VALUES,
+    NODE_KINDS,
     TREES_HEADER,
     DependencyTree,
     HarParseError,
-    InteractionKind,
     build_tree,
     classify_interaction,
     parse_har,
@@ -195,50 +194,62 @@ class TestWrongFieldTypes:
 
 
 def test_interaction_kind_variants():
-    from widetrack.ingest import NODE_KINDS
+    from widetrack.graph import BOUNCED, FIRST_PARTY
 
-    assert len(InteractionKind) == 5
-    assert len(NODE_KINDS) == 4
-    assert InteractionKind.BOUNCED not in NODE_KINDS
+    assert NODE_KINDS == ("script", "media", "iframe", "other")
+    assert BOUNCED not in NODE_KINDS and FIRST_PARTY not in NODE_KINDS
+
+
+def test_kind_tables_follow_node_kinds():
+    """The matcher's type options, the content kind codes and the corpus
+    generator's captures are all keyed by the one tuple of node kinds."""
+    from widetrack import synth
+    from widetrack.content import KIND_CODES
+    from widetrack.filters import KIND_TO_OPTION
+
+    assert set(KIND_TO_OPTION) == set(NODE_KINDS)
+    assert list(KIND_CODES.items()) == [(kind, code) for code, kind in enumerate(NODE_KINDS)]
+    for kind in NODE_KINDS:
+        assert classify_interaction(synth._RESOURCE_TYPES[kind], synth._MIMES[kind]) == kind
 
 
 class TestClassifyInteraction:
     @pytest.mark.parametrize(
         "rt,expected",
         [
-            ("script", InteractionKind.SCRIPT),
-            ("image", InteractionKind.MEDIA),
-            ("media", InteractionKind.MEDIA),
-            ("font", InteractionKind.MEDIA),
-            ("document", InteractionKind.IFRAME),
-            ("subdocument", InteractionKind.IFRAME),
-            ("xhr", InteractionKind.OTHER),
-            ("fetch", InteractionKind.OTHER),
-            ("stylesheet", InteractionKind.OTHER),
-            ("ping", InteractionKind.OTHER),
+            ("script", "script"),
+            ("image", "media"),
+            ("media", "media"),
+            ("font", "media"),
+            ("document", "iframe"),
+            ("subdocument", "iframe"),
+            ("xhr", "other"),
+            ("fetch", "other"),
+            ("stylesheet", "other"),
+            ("ping", "other"),
         ],
     )
     def test_resource_type_table(self, rt, expected):
-        assert classify_interaction(rt) is expected
+        assert classify_interaction(rt) == expected
 
     @pytest.mark.parametrize(
         "mime,expected",
         [
-            ("image/png", InteractionKind.MEDIA),
-            ("video/mp4", InteractionKind.MEDIA),
-            ("application/javascript", InteractionKind.SCRIPT),
-            ("text/html; charset=utf-8", InteractionKind.IFRAME),
-            ("application/json", InteractionKind.OTHER),
+            ("image/png", "media"),
+            ("video/mp4", "media"),
+            ("application/javascript", "script"),
+            ("text/html; charset=utf-8", "iframe"),
+            ("application/json", "other"),
         ],
     )
     def test_mime_fallback(self, mime, expected):
-        assert classify_interaction(None, mime) is expected
+        assert classify_interaction(None, mime) == expected
 
     def test_resource_type_beats_mime(self):
-        assert classify_interaction("script", "image/png") is InteractionKind.SCRIPT
+        assert classify_interaction("script", "image/png") == "script"
 
     def test_nothing_known_is_other(self):
-        assert classify_interaction(None, None) is InteractionKind.OTHER
+        assert classify_interaction(None, None) == "other"
 
 
 class TestBuildTree:
@@ -341,7 +352,7 @@ _tallies = st.dictionaries(_odd_text, st.integers(-3, 10**20), max_size=3)
 @st.composite
 def odd_trees(draw):
     urls = draw(st.lists(_odd_text, min_size=1, max_size=6, unique=True))
-    kinds = st.one_of(st.sampled_from(sorted(NODE_KIND_VALUES)), _odd_text)
+    kinds = st.one_of(st.sampled_from(sorted(NODE_KINDS)), _odd_text)
     edges = draw(st.dictionaries(
         st.tuples(st.sampled_from(urls), st.sampled_from(urls)), st.integers(-3, 10**20),
         max_size=8,

@@ -372,6 +372,22 @@ class TestFileFormats:
         ):
             read_labels_file(data)
 
+    def test_table_lines_end_at_newline_only(self):
+        """A cell holding a form feed or U+2028 stays in its row, which is
+        named by its own line, and CRLF tables read as LF ones."""
+        header = "host\tkind\tlabel\tsource"
+        for char in ("\x0c", "\u2028", "\x1c"):
+            data = f"{header}\npx.t.net\tscript\tbenign\tfilter{char}list\n".encode()
+            with pytest.raises(DataError) as err:
+                read_labels_file(data)
+            cell = f"filter{char}list"
+            assert str(err.value) == f"unknown label source {cell!r} for px.t.net on line 2"
+        lf = f"{header}\npx.t.net\tscript\tbenign\tfilterlist\n"
+        assert read_labels_file(lf.replace("\n", "\r\n").encode()) == read_labels_file(lf.encode())
+        content = "host\tkind\ta\r\npx.t.net\tscript\t1.5\r\n"
+        keys, columns, values = read_content_matrix(content.encode())
+        assert (keys, columns, values.tolist()) == ([("px.t.net", "script")], ["a"], [[1.5]])
+
     def test_labels_reject_garbage(self):
         with pytest.raises(DataError):
             read_labels_file(b"whatever\n")
@@ -419,9 +435,9 @@ class TestFileFormats:
         counts = [doc_token_counts(d) for d in docs]
         vocab = build_vocabulary(counts, k=10, rank_by="df")
         columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
-        keys, columns, values = read_content_matrix(
-            write_content_matrix([(d.host, d.kind) for d in docs], columns, values)
-        )
+        table = io.BytesIO()
+        write_content_matrix([(d.host, d.kind) for d in docs], columns, values, table)
+        keys, columns, values = read_content_matrix(table.getvalue())
         assert keys == [("cdn.good.org", "media"), ("px.t.net", "script")]
         assert len(columns) == 10 + 5
         assert values.shape == (2, 15)
@@ -434,7 +450,9 @@ class TestFileFormats:
         vocab = build_vocabulary(counts, k=10, rank_by="df")
         columns, values, _ = content_rows(docs, counts, vocab, clamp_idf=False)
         keys = [(d.host, d.kind) for d in docs]
-        read = read_content_matrix(write_content_matrix(keys, columns, values))
+        table = io.BytesIO()
+        write_content_matrix(keys, columns, values, table)
+        read = read_content_matrix(table.getvalue())
         assert read[0] == keys and read[1] == columns
         assert np.array_equal(read[2], values)
 
@@ -497,6 +515,14 @@ class TestRunAllWithOverrides:
         assert summary["reports"]["corrected_unbiased"]["corrected"] is True
         assert summary["reports"]["unbiased"]["corrected"] is False
         assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_overrides_lines_end_at_newline_only(tmp_path):
+    """A comment holding U+2028 or a form feed stays one comment line, and
+    CRLF line ends read as LF ones."""
+    path = tmp_path / "overrides.tsv"
+    path.write_text("# a\u2028b\r\n! c\x0cd\r\npx.t.net\tadtracker\r\n", newline="")
+    assert read_overrides(path) == {"px.t.net": "adtracker"}
 
 
 def test_parse_overrides(tmp_path):
@@ -638,6 +664,26 @@ class TestPipelineConfig:
         assert cfg.stratified is True
         assert cfg.vocab_size == 1000  # untouched default
         assert cfg.mtry is None
+
+    @pytest.mark.parametrize("char", ["\x0c", "\u2028", "\x0b"])
+    def test_lines_end_at_newline_only(self, tmp_path, char):
+        """A comment holding a form feed or U+2028 is one line, and the
+        lines after it keep their numbers."""
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# one{char}more\nn_trees = 5\nno_such_knob = 1\n")
+        with pytest.raises(DataError) as err:
+            load_config(PipelineConfig, path)
+        assert str(err.value) == "unknown config key 'no_such_knob' on config line 3"
+
+    def test_crlf_config_reads(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# forest\r\nn_trees = 5\r\nstratified = yes\r\n", newline="")
+        cfg = load_config(PipelineConfig, path)
+        assert (cfg.n_trees, cfg.stratified) == (5, True)
+        path.write_text("# forest\r\nn_trees = ten\r\n", newline="")
+        with pytest.raises(DataError) as err:
+            load_config(PipelineConfig, path)
+        assert str(err.value) == "bad value for n_trees on config line 2: 'ten'"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 
 import numpy as np
@@ -304,7 +305,9 @@ def test_generation_recovered_from_names():
 def test_matrix_file_round_trip():
     index = GraphIndex(chain_graph())
     m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95)
-    loaded = read_struct_matrix(write_struct_matrix(m))
+    table = io.BytesIO()
+    write_struct_matrix(m, table)
+    loaded = read_struct_matrix(table.getvalue())
     assert loaded.columns == m.columns
     assert loaded.keys == m.keys
     assert np.array_equal(loaded.values, m.values)
