@@ -28,13 +28,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args) -> PipelineConfig:
+    """The config file's PipelineConfig; what ``validate`` refuses names the file."""
     cfg = load_config(PipelineConfig, args.config)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except DataError as exc:
+        raise DataError(f"{args.config}: {exc}") from None
     return cfg
 
 
 def _load_index(path) -> GraphIndex:
-    return GraphIndex(load_graph(Path(path).read_bytes()))
+    return GraphIndex(load_graph(Path(path).read_bytes(), path))
 
 
 def _row_labels(path, keys):
@@ -172,7 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = forest_mod.load_model(Path(args.model).read_bytes())
+    model = forest_mod.load_model(Path(args.model).read_bytes(), args.model)
     keys, content_values, struct = _read_feature_files(args.features)
     X = pipeline_mod.assemble_all_vectors(keys, content_values, struct)
     scored = pipeline_mod.score_rows(model, X)
@@ -231,7 +235,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cfg = load_config(PipelineConfig, args.config)
+    cfg = _config(args)
     summary = pipeline_mod.run_all(cfg)
     for name, report in summary["reports"].items():
         print(f"{name}: accuracy {report['accuracy']:.4f}")
@@ -331,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ValueError covers HarParseError, GraphError and ForestError.
+    # ValueError covers HarParseError, GraphError, ForestError and DomainError.
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

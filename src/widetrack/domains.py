@@ -10,6 +10,8 @@ import functools
 import ipaddress
 from importlib import resources
 
+from .lines import read_lines
+
 
 class DomainError(ValueError):
     """Raised for hostnames we refuse to interpret (empty, all-dots, ...)."""
@@ -21,14 +23,11 @@ def _load_rules() -> dict[str, list[tuple[tuple[str, ...], bool]]]:
     Each rule is (labels, is_exception). "*" labels match exactly one
     hostname label, as in the upstream public-suffix format.
     """
-    text = (
-        resources.files("widetrack.data")
-        .joinpath("public_suffix_snapshot.dat")
-        .read_text(encoding="utf-8")
-    )
+    snapshot = resources.files("widetrack.data").joinpath("public_suffix_snapshot.dat")
+    with snapshot.open("rb") as raw:
+        lines = [line.strip() for _, line in read_lines(raw, snapshot.name, DomainError)]
     buckets: dict[str, list[tuple[tuple[str, ...], bool]]] = {}
-    for line in text.splitlines():
-        line = line.strip()
+    for line in lines:
         if not line or line.startswith("//"):
             continue
         is_exception = line.startswith("!")

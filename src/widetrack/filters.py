@@ -210,6 +210,8 @@ def _parse_line(line: str) -> Rule | str:
                         domains_pos.append(dom)
             else:
                 return "unsupported_option"
+    if not body.isprintable():
+        return "unprintable_pattern"  # url_host refuses every URL it could match
     if len(body) > 1 and body.startswith("/") and body.endswith("/"):
         return "regex_rule"  # ABP reads /.../ as a regular expression
 

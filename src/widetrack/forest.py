@@ -36,10 +36,13 @@ missed.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .lines import read_lines
 
 CLASSES = ("benign", "adtracker")  # the label of each class index
 
@@ -588,11 +591,10 @@ def save_model(model: ForestModel) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_model(data: bytes) -> ForestModel:
-    """Inverse of save_model; any defect raises ForestFormatError naming its line."""
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
+def load_model(data: bytes, source: str = "model file") -> ForestModel:
+    """Inverse of save_model, read by ``read_lines``; any defect raises
+    ForestFormatError naming ``source`` and its line."""
+    lines = [line for _, line in read_lines(io.BytesIO(data), source, ForestFormatError)]
     no = 0  # 1-based number of the line last read
 
     def take(key: str | None = None, n_values: int | None = None) -> list[str]:
@@ -600,10 +602,7 @@ def load_model(data: bytes) -> ForestModel:
         no += 1
         if no > len(lines):
             raise ForestFormatError("file ends early")
-        try:
-            cells = lines[no - 1].decode("utf-8").split("\t")
-        except UnicodeDecodeError as exc:
-            raise ForestFormatError(f"byte {lines[no - 1][exc.start]:#04x} is not UTF-8") from None
+        cells = lines[no - 1].split("\t")
         if key is not None and cells[0] != key:
             raise ForestFormatError(f"expected a {key!r} line, got {cells[0][:40]!r}")
         if n_values is not None and len(cells) - 1 != n_values:
@@ -684,5 +683,5 @@ def load_model(data: bytes) -> ForestModel:
             raise ForestFormatError("trailing line after the last tree")
     # ForestError included; OverflowError is a count past int64.
     except (ValueError, OverflowError) as exc:
-        raise ForestFormatError(f"line {no}: {exc}") from exc
+        raise ForestFormatError(f"{source}: line {no}: {exc}") from exc
     return ForestModel(trees=trees, feature_count=feature_count, params=params)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .domains import DomainError, registrable_domain
 from .ingest import NODE_KINDS, DependencyTree, url_host
+from .lines import read_lines
 
 FIRST_PARTY = "firstparty"
 BOUNCED = "bounced"  # an edge label only (see expand_edges), never a node kind
@@ -368,11 +369,13 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
 
 
 
-def load_graph(data: bytes) -> WideGraph:
-    """The graph in a ``save_graph`` file, read one line at a time.
+def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
+    """The graph in the ``save_graph`` file ``source``, read one line at a
+    time (``read_lines``).
 
-    A bad or repeated record, or a byte that is not UTF-8, raises
-    GraphFormatError naming its line. Besides types, the checks are: root
+    An empty file raises GraphFormatError naming ``source``; a bad or
+    repeated record, or a byte that is not UTF-8, raises one naming
+    ``source`` and the line. Besides types, the checks are: root
     and node domains are printable and their own registrable domains, node
     kinds are known, edges and documents name loaded nodes, a document is
     on its node's domain and kind, an edge runs into a third party from
@@ -381,18 +384,14 @@ def load_graph(data: bytes) -> WideGraph:
     counts are at least 1, edge and document sites are sorted, distinct
     root names, and a document lists at least one URL, each once, and each
     one ingest accepts (``url_host``) on the document's host. Key order,
-    spacing, record order, blank lines and CR line ends are not checked;
-    ``save_graph`` writes its own layout whatever was read. Nor are empty
-    sites, which ``contract_tree`` never writes but which load and re-save
-    as they are."""
+    spacing, record order and blank lines are not checked; ``save_graph``
+    writes its own layout whatever was read. Nor are empty sites, which
+    ``contract_tree`` never writes but which load and re-save as they
+    are."""
     graph = WideGraph()
     lineno = 0
-    try:
-        for lineno, raw in enumerate(io.BytesIO(data), 1):
-            try:
-                line = raw.rstrip(b"\r\n").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise GraphFormatError(f"byte {raw[exc.start]:#04x} is not UTF-8") from None
+    for lineno, line in read_lines(io.BytesIO(data), source, GraphFormatError):
+        try:
             if lineno == 1:
                 try:
                     header = json.loads(line)
@@ -424,12 +423,12 @@ def load_graph(data: bytes) -> WideGraph:
                 _load_doc(graph, rec)
             else:
                 raise GraphFormatError(f"unknown record type {kind!r}")
-    except GraphFormatError as exc:
-        raise GraphFormatError(f"{exc} on line {lineno}") from None
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise GraphFormatError(f"corrupt graph record on line {lineno}: {exc}") from exc
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{source}: line {lineno}: {exc}") from None
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise GraphFormatError(f"{source}: line {lineno}: corrupt graph record: {exc}") from exc
     if lineno == 0:
-        raise GraphFormatError("empty graph file")
+        raise GraphFormatError(f"{source}: empty graph file")
     return graph
 
 

@@ -12,6 +12,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .domains import DomainError, registrable_domain
+from .lines import read_lines
 
 
 class HarParseError(ValueError):
@@ -63,16 +64,8 @@ class DependencyTree:
     edges: dict[tuple[str, str], int]  # (initiator url, requested url) -> multiplicity
     diagnostics: Counter = field(default_factory=Counter)
     skipped: Counter = field(default_factory=Counter)
-    # url -> hostname of each node; not written by tree_line
-    hosts: dict[str, str] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.hosts is None:  # not from build_tree: split each node URL once
-            self.hosts = {}
-            for url in self.nodes:
-                self.hosts[url], reason = url_host(url)
-                if reason:
-                    raise ValueError(f"node url {url!r} is unusable: {reason}")
+    # url -> hostname of each node, read once per tree; not written by tree_line
+    hosts: dict[str, str] = field(kw_only=True, repr=False, compare=False)
 
     @classmethod
     def from_record(cls, rec: dict) -> "DependencyTree":
@@ -100,10 +93,15 @@ class DependencyTree:
         unknown = set(nodes.values()).difference(NODE_KINDS)
         if unknown:
             raise ValueError(f"unknown node kind {min(unknown)!r}")
-        host, _ = url_host(root_url)
-        if host is None or registrable_domain(host) != root_domain:
+        hosts = {url: url_host(url) for url in nodes}  # url -> (host, reason)
+        root_host, _ = hosts[root_url]
+        if root_host is None or registrable_domain(root_host) != root_domain:
             raise ValueError(f"root domain {root_domain!r} is not that of {root_url!r}")
-        return cls(root_url, root_domain, nodes, edges, diagnostics, skipped)
+        for url, (host, reason) in hosts.items():
+            if reason:
+                raise ValueError(f"node url {url!r} is unusable: {reason}")
+            hosts[url] = host
+        return cls(root_url, root_domain, nodes, edges, diagnostics, skipped, hosts=hosts)
 
 
 def url_host(url: str) -> tuple[str | None, str | None]:
@@ -359,11 +357,12 @@ def _tallies(counts: Counter) -> str:
 
 
 def read_trees(stream: BinaryIO, source: str = "trees file") -> Iterator[DependencyTree]:
-    """Yield the trees of the trees file ``source`` read one line at a time,
-    so only the tree being yielded is held. A bad header, a bad record or a
-    byte that is not UTF-8 raises HarParseError naming its line."""
-    lines = iter(stream)
-    first = next(lines, None)
+    """Yield the trees of the trees file ``source`` read one line at a time
+    (``read_lines``), so only the tree being yielded is held. An empty file
+    raises HarParseError naming ``source``; a bad header, a bad record or a
+    byte that is not UTF-8 raises one naming ``source`` and the line."""
+    lines = read_lines(stream, source, HarParseError)
+    _, first = next(lines, (1, None))
     if first is None:
         raise HarParseError(f"{source}: empty trees file")
     try:
@@ -376,16 +375,11 @@ def read_trees(stream: BinaryIO, source: str = "trees file") -> Iterator[Depende
         or header.get("version") != 1
     ):
         raise HarParseError(f"{source}: line 1: unrecognized trees file header")
-    for lineno, raw in enumerate(lines, 2):
-        line = raw.rstrip(b"\r\n")
+    for lineno, line in lines:
         if not line:
             continue
         try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise HarParseError(f"byte {line[exc.start]:#04x} is not UTF-8 on line {lineno}") from None
-        try:
-            tree = DependencyTree.from_record(json.loads(text))
+            tree = DependencyTree.from_record(json.loads(line))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise HarParseError(f"bad trees record on line {lineno}: {exc!r}") from exc
+            raise HarParseError(f"{source}: line {lineno}: bad trees record: {exc!r}") from exc
         yield tree

@@ -4,6 +4,7 @@ biased/unbiased/corrected metrics, reports, and candidate-rule emission.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -43,6 +44,7 @@ from .graph import (
     save_graph,
 )
 from .ingest import TREES_HEADER, DependencyTree, build_tree, parse_har, tree_line
+from .lines import read_lines
 
 
 class DataError(Exception):
@@ -337,37 +339,18 @@ _LABELS_HEADER = ["host", "kind", "label", "source"]
 _SCORES_HEADER = ["host", "kind", "prediction", "score", "basis"]
 
 
-def _decode(data: bytes, source) -> str:
-    """``data`` as UTF-8; a byte that is not raises DataError naming
-    ``source`` and the byte's line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        byte = data[exc.start]
-        raise DataError(f"{source}: line {lineno}: byte {byte:#04x} is not UTF-8") from None
-
-
-def _lines(text: str) -> list[str]:
-    """``text`` split at "\\n", less each line's final "\\r"; ``splitlines``
-    would also split at a form feed, U+2028 and the like."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return [line.removesuffix("\r") for line in lines]
-
-
 def _read_table(data: bytes, what: str, source) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(line number, cells)] of each non-empty row) of the
     TSV table ``source``; an empty one has no header cells. A byte that is
     not UTF-8, a row whose column count differs from the header's, or a row
     whose first two cells (its key) repeat an earlier row's, is a DataError
     that names its line."""
-    lines = _lines(_decode(data, source))
-    header = lines[0].split("\t") if lines else []
+    lines = read_lines(io.BytesIO(data), source, DataError)
+    _, first = next(lines, (1, None))
+    header = first.split("\t") if first is not None else []
     rows = []
     first_line: dict[tuple[str, ...], int] = {}
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines:
         if not line:
             continue
         cells = line.split("\t")
@@ -522,9 +505,9 @@ _CONVERTERS = {
 }
 
 
-def _read_utf8(path: str | Path) -> str:
-    """A text file's contents, decoded by ``_decode``."""
-    return _decode(Path(path).read_bytes(), path)
+def _file_lines(path: str | Path):
+    """The numbered lines (``read_lines``) of the text file at ``path``."""
+    return read_lines(io.BytesIO(Path(path).read_bytes()), path, DataError)
 
 
 def load_config(cls, path: str | Path | None):
@@ -537,8 +520,7 @@ def load_config(cls, path: str | Path | None):
     types = {f.name: f.type for f in fields(cls)}
     values = {}
     first_line: dict[str, int] = {}
-    lines = _lines(_read_utf8(path)) if path is not None else []
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in _file_lines(path) if path is not None else ():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -666,7 +648,7 @@ def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.
 
 def read_rules(paths) -> RuleSet:
     """One rule set from the concatenated filter-list files."""
-    return parse_rules("\n".join(_read_utf8(p) for p in paths))
+    return parse_rules("\n".join(line for p in paths for _, line in _file_lines(p)))
 
 
 def read_overrides(path: str | Path | None) -> dict[str, str] | None:
@@ -678,7 +660,7 @@ def read_overrides(path: str | Path | None) -> dict[str, str] | None:
         return None
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(_lines(_read_utf8(path)), 1):
+    for lineno, raw in _file_lines(path):
         line = raw.strip()
         if not line or line.startswith(("#", "!")):
             continue

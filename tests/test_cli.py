@@ -177,16 +177,16 @@ _DEEP = "[" * 200_000 + "\n"
          "error: deep.har: JSON nested too deeply"),
         (["graph", "build", "--trees", "{dir}/deep.har", "--out", "{dir}/graph.jsonl"],
          '{"format": "widetrack-trees", "version": 1}\n',
-         "error: bad trees record on line 2: RecursionError("),
+         "error: {dir}/deep.har: line 2: bad trees record: RecursionError("),
         (["graph", "stats", "--graph", "{dir}/deep.har"], '{"format": "widegraph", "version": 1}\n',
-         "error: corrupt graph record on line 2: maximum recursion depth exceeded"),
+         "error: {dir}/deep.har: line 2: corrupt graph record: maximum recursion depth exceeded"),
     ],
 )
 def test_deeply_nested_json_names_its_file_or_line(tmp_path, capsys, reader, header, message):
     (tmp_path / "deep.har").write_text(header + _DEEP)
     assert main([arg.format(dir=tmp_path) for arg in reader]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1
+    assert err.startswith(message.format(dir=tmp_path)) and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.har"]
 
 
@@ -224,7 +224,7 @@ def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys
     capsys.readouterr()
     assert main(["graph", "build", "--trees", str(trees), "--out", str(graph)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad trees record on line 2: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {trees}: line 2: bad trees record: ") and err.count("\n") == 1
     assert "www.site000.com" in err
     assert not graph.exists()
 
@@ -703,18 +703,18 @@ def test_wrong_typed_graph_names_exit_two(corpus_dir, tmp_path, capsys, record, 
 
 
 # A config line each command that takes --config refuses before any stage,
-# and run-all's stderr message for it.
+# and run-all's stderr message for it; {cfg} is the config file.
 BAD_VALUES = {
-    "weight_by": ("weight_by = site", "unknown weighting 'site'"),
-    "vocab_rank": ("vocab_rank = idf", "unknown ranking 'idf'"),
-    "train_frac": ("train_frac = 1.0", "train fraction must be in (0, 1)"),
-    "prune_threshold": ("prune_threshold = 0", "prune threshold must be in (0, 1]"),
-    "refex_depth": ("refex_depth = -1", "refex depth must be >= 0"),
-    "vocab_size": ("vocab_size = -5", "vocabulary size must be >= 0, got -5"),
-    "n_trees": ("n_trees = 0", "n_trees must be >= 1"),
-    "max_depth": ("max_depth = -1", "max_depth must be >= 0"),
-    "mtry": ("mtry = 0", "mtry must be >= 1, got 0"),
-    "forest_seed": ("forest_seed = -1", "forest seed must be >= 0, got -1"),
+    "weight_by": ("weight_by = site", "{cfg}: unknown weighting 'site'"),
+    "vocab_rank": ("vocab_rank = idf", "{cfg}: unknown ranking 'idf'"),
+    "train_frac": ("train_frac = 1.0", "{cfg}: train fraction must be in (0, 1)"),
+    "prune_threshold": ("prune_threshold = 0", "{cfg}: prune threshold must be in (0, 1]"),
+    "refex_depth": ("refex_depth = -1", "{cfg}: refex depth must be >= 0"),
+    "vocab_size": ("vocab_size = -5", "{cfg}: vocabulary size must be >= 0, got -5"),
+    "n_trees": ("n_trees = 0", "{cfg}: n_trees must be >= 1"),
+    "max_depth": ("max_depth = -1", "{cfg}: max_depth must be >= 0"),
+    "mtry": ("mtry = 0", "{cfg}: mtry must be >= 1, got 0"),
+    "forest_seed": ("forest_seed = -1", "{cfg}: forest seed must be >= 0, got -1"),
 }
 # Files run-all reads before it ingests anything; {tmp} is the test's tmp_path.
 MISSING_FILES = {
@@ -744,7 +744,7 @@ def test_bad_config_value_fails_before_any_stage(corpus_dir, tmp_path, capsys, l
         f"har_dir = {corpus_dir / 'har'}\nout_dir = {out_dir}\n{line.format(tmp=tmp_path)}\n"
     )
     assert main(["run-all", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path, cfg=cfg)}\n"
     assert list(out_dir.iterdir()) == []
 
 
@@ -781,7 +781,7 @@ def test_staged_commands_refuse_what_run_all_refuses(tmp_path, capsys, command, 
     cfg.write_text(line.format(tmp=tmp_path) + "\n")
     argv = [arg.format(tmp=tmp_path) for arg in STAGED_WITH_CONFIG[command]]
     assert main([*argv, "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path, cfg=cfg)}\n"
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -100,10 +100,30 @@ class TestParseRules:
     def test_only_a_newline_ends_a_rule(self, char):
         """A line break that is not "\\n" is part of its rule: were it a line
         end, "$script" would stand alone as an empty pattern that blocks
-        every script."""
+        every script. The one rule it is part of is skipped: its pattern is
+        not printable, and no URL ingest accepts is."""
         rs = parse_rules(f"||ads.example^{char}$script")
-        assert [r.raw for r in rs.block_rules] == [f"||ads.example^{char}$script"]
+        assert rs.rule_count == 0
+        assert rs.skip_report == Counter({"unprintable_pattern": 1})
         assert not blocked(rs, "https://cdn.other.net/lib.js")
+
+    @pytest.mark.parametrize("char", ["\u2028", "\t", "\xa0"])
+    def test_unprintable_pattern_skipped_and_counted(self, char):
+        """No URL ingest accepts holds such a character, so the rule could
+        never match; its options keep today's handling: a dead domain= entry
+        just never matches."""
+        rs = parse_rules(
+            f"||ads{char}.example^\n@@||ok.example/{char}x$script\n"
+            f"||t.net^$domain=a{char}.com|news.com\n||ff.example^\x0c"
+        )
+        assert rs.skip_report == Counter({"unprintable_pattern": 2})
+        assert [r.raw for r in rs.block_rules] == [
+            f"||t.net^$domain=a{char}.com|news.com", "||ff.example^",
+        ]
+        assert rs.block_rules[0].domains_pos == (f"a{char}.com", "news.com")
+        assert blocked(rs, "https://px.t.net/p.js", page="news.com")
+        assert not blocked(rs, "https://px.t.net/p.js", page="other.com")
+        assert blocked(rs, "https://ff.example/x.js")
 
     def test_crlf_lines_read_as_lf_lines(self):
         rs = parse_rules("! list\r\n||a.com^\r\n@@||b.com^\r\n")

@@ -241,13 +241,15 @@ class TestDeterminism:
 
     def test_corrupt_model_rejected(self):
         data = small_model()
-        with pytest.raises(ForestFormatError, match=r"^line \d+: "):
+        with pytest.raises(ForestFormatError, match=r"^model file: line \d+: "):
             load_model(data[: len(data) // 2])
-        with pytest.raises(ForestFormatError, match="^line 1: unrecognized model version"):
-            load_model(b"widetrack-forest\tv999\n")
-        with pytest.raises(ForestFormatError, match="^line 1: expected a 'widetrack-forest'"):
-            load_model(b"hello\n")
-        with pytest.raises(ForestFormatError, match="^line 1: file ends early"):
+        for data, reason in [
+            (b"widetrack-forest\tv999\n", "unrecognized model version"),
+            (b"hello\n", "expected a 'widetrack-forest'"),
+        ]:
+            with pytest.raises(ForestFormatError, match=f"^model file: line 1: {reason}"):
+                load_model(data)
+        with pytest.raises(ForestFormatError, match="^model file: line 1: file ends early"):
             load_model(b"")
 
     @pytest.mark.parametrize(
@@ -284,7 +286,7 @@ class TestDeterminism:
         lines = small_model().decode().splitlines()
         edited = edit(lines)
         lineno = lineno or len(edited)
-        with pytest.raises(ForestFormatError, match=f"^line {lineno}: .*{words}"):
+        with pytest.raises(ForestFormatError, match=f"^model file: line {lineno}: .*{words}"):
             load_model(("\n".join(edited) + "\n").encode())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -293,14 +295,15 @@ class TestDeterminism:
         at = next(i for i, line in enumerate(lines) if line.startswith("n\t"))
         cells = lines[at].split("\t")
         lines[at] = "\t".join([*cells[:2], value, *cells[3:]])
-        with pytest.raises(ForestFormatError, match=f"^line {at + 1}: non-finite threshold"):
+        pattern = f"^model file: line {at + 1}: non-finite threshold"
+        with pytest.raises(ForestFormatError, match=pattern):
             load_model(("\n".join(lines) + "\n").encode())
 
     def test_every_cut_before_the_last_line_names_a_line(self):
         data = small_model()
         last_line_start = data.rstrip(b"\n").rindex(b"\n") + 1
         for cut in range(last_line_start):
-            with pytest.raises(ForestFormatError, match=r"^line \d+: "):
+            with pytest.raises(ForestFormatError, match=r"^model file: line \d+: "):
                 load_model(data[:cut])
 
     @pytest.mark.parametrize(
@@ -315,7 +318,7 @@ class TestDeterminism:
         lines = save_model(one_tree_model()).decode().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("l\t"))
         lines[at] = leaf
-        with pytest.raises(ForestFormatError, match=f"^line {at + 1}: .*{words}"):
+        with pytest.raises(ForestFormatError, match=f"^model file: line {at + 1}: .*{words}"):
             load_model(("\n".join(lines) + "\n").encode())
 
     def test_counts_off_the_childrens_sum_name_the_parents_line(self):
@@ -337,7 +340,8 @@ class TestDeterminism:
         c0, c1 = tree.counts[last]
         leaf[first - 1 + last] = f"l\t{c0}\t{c1 + 1}"
         for edited, lineno in ((root, first), (leaf, first + parent)):
-            with pytest.raises(ForestFormatError, match=f"^line {lineno}: .*sum of the children"):
+            pattern = f"^model file: line {lineno}: .*sum of the children"
+            with pytest.raises(ForestFormatError, match=pattern):
                 load_model(("\n".join(edited) + "\n").encode())
 
     def test_every_dropped_or_repeated_node_line_names_a_line(self):
@@ -350,12 +354,12 @@ class TestDeterminism:
         edits = [lines[:i] + lines[i + 1:] for i in nodes]
         edits += [lines[:i + 1] + lines[i:] for i in nodes]
         for edited in edits:
-            with pytest.raises(ForestFormatError, match=r"^line \d+: "):
+            with pytest.raises(ForestFormatError, match=r"^model file: line \d+: "):
                 load_model(("\n".join(edited) + "\n").encode())
 
     def test_non_utf8_byte_names_its_line(self):
         data = small_model()
-        with pytest.raises(ForestFormatError, match="^line 3: "):
+        with pytest.raises(ForestFormatError, match="^model file: line 3: "):
             load_model(data.replace(b"feature_count", b"feature\xffcount"))
 
 

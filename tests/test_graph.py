@@ -27,21 +27,14 @@ from widetrack.graph import (
     save_graph,
     stats,
 )
-from widetrack.ingest import DependencyTree
+from hand_trees import hand_tree
 
 
 def tree(root_domain, nodes, edges, root_url=None):
     root_url = root_url or f"https://www.{root_domain}/"
     all_nodes = {root_url: "iframe"}
     all_nodes.update(nodes)
-    return DependencyTree(
-        root_url=root_url,
-        root_domain=root_domain,
-        nodes=all_nodes,
-        edges=dict(edges),
-        diagnostics=Counter(),
-        skipped=Counter(),
-    )
+    return hand_tree(root_url, root_domain, all_nodes, dict(edges))
 
 
 def site_graph(*trees):
@@ -416,14 +409,15 @@ class TestSerialization:
         g, _ = TestCoverage().three_root_fixture()
         lines = saved(g).splitlines()
         copy = next(line for line in lines if json.loads(line).get("t") == record)
-        with pytest.raises(GraphFormatError, match=f"^repeated {what} .* on line {len(lines) + 1}$"):
+        pattern = f"^graph file: line {len(lines) + 1}: repeated {what} "
+        with pytest.raises(GraphFormatError, match=pattern):
             load_graph(b"\n".join(lines + [copy]) + b"\n")
 
     def test_byte_that_is_not_utf8_names_its_line(self):
         g, _ = TestCoverage().three_root_fixture()
         lines = saved(g).splitlines()
         lines[4] = lines[4].replace(b'"t"', b'"t\xff"')
-        with pytest.raises(GraphFormatError, match="^byte 0xff is not UTF-8 on line 5$"):
+        with pytest.raises(GraphFormatError, match="^graph file: line 5: byte 0xff is not UTF-8$"):
             load_graph(b"\n".join(lines) + b"\n")
 
     def test_edge_to_unknown_node_rejected(self):
@@ -446,7 +440,7 @@ class TestSerialization:
             '{"h": "px.a.com", "k": "script", "p": ["a.com", "script"], "sites": [], "t": "doc", '
             '"urls": [["https://px.a.com/ok.js", 1], [%s, 1]]}' % json.dumps(url),
         ]
-        with pytest.raises(GraphFormatError, match="on line 3"):
+        with pytest.raises(GraphFormatError, match="^graph file: line 3: "):
             load_graph("\n".join(lines).encode() + b"\n")
         ok = lines[2].replace(json.dumps(url), '"https://PX.a.com:8080/y.js"')
         assert load_graph("\n".join(lines[:2] + [ok]).encode() + b"\n").documents()[0].urls
@@ -460,7 +454,7 @@ class TestSerialization:
             '{"h": "px.a.com", "k": "script", "p": ["b.com", "script"], "sites": [], "t": "doc", '
             '"urls": [["https://px.a.com/x.js", 1]]}',
         ]
-        with pytest.raises(GraphFormatError, match="px.a.com.* on line 4"):
+        with pytest.raises(GraphFormatError, match="^graph file: line 4: .*px.a.com"):
             load_graph("\n".join(lines).encode() + b"\n")
         ok = lines[3].replace('"b.com"', '"a.com"')
         assert load_graph("\n".join(lines[:3] + [ok]).encode() + b"\n").documents()[0].urls
@@ -726,7 +720,7 @@ def test_hand_written_graph_loads_and_re_saves_byte_for_byte():
     ],
 )
 def test_record_contract_tree_never_writes_names_its_line(at, old, new, message):
-    with pytest.raises(GraphFormatError, match=f"^{message} on line {at + 1}$"):
+    with pytest.raises(GraphFormatError, match=f"^graph file: line {at + 1}: {message}$"):
         load_graph(_with(at, old, new))
 
 
@@ -819,7 +813,7 @@ def test_graph_load_graph_accepts_re_saves_to_a_fixed_point(data):
     try:
         graph = load_graph(data)
     except GraphFormatError as exc:
-        assert re.search(r" on line \d+(:|$)", str(exc)), exc
+        assert re.match(r"graph file: line \d+: ", str(exc)), exc
         return
     once = saved(graph)
     assert once == reference_saved(graph)

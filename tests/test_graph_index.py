@@ -24,9 +24,9 @@ from widetrack.graph import (
     load_graph,
     save_graph,
 )
-from widetrack.ingest import DependencyTree
 from widetrack.pipeline import coverage_ccdf, filter_eligible
 from widetrack.structural import build_base_matrix
+from hand_trees import hand_tree
 
 
 def scan_in_degree(graph, key):
@@ -204,13 +204,8 @@ def capture(root, edges):
     page = f"https://www.{root}/"
     nodes = {page: "iframe"}
     nodes.update((dst, kind) for _, dst, kind in edges)
-    return DependencyTree(
-        root_url=page,
-        root_domain=root,
-        nodes=nodes,
-        edges={(page if src is None else src, dst): 1 for src, dst, _ in edges},
-        diagnostics=Counter(),
-        skipped=Counter(),
+    return hand_tree(
+        page, root, nodes, {(page if src is None else src, dst): 1 for src, dst, _ in edges}
     )
 
 

@@ -1,5 +1,4 @@
 import io
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from widetrack.graph import (
     WideGraph,
     contract_tree,
 )
-from widetrack.ingest import DependencyTree
 from widetrack.pipeline import (
     DataError,
     PipelineConfig,
@@ -31,6 +29,7 @@ from widetrack.structural import (
     prune_correlated,
     refex_expand,
 )
+from hand_trees import hand_tree
 
 
 def manual_graph(node_keys, edges, roots=()):
@@ -48,13 +47,8 @@ def chain_graph():
     """r -> A -> B, expanded: r->A, A->B, r->B (bounced)."""
     root = "https://www.r.com/"
     a, b = "https://x.a.net/a.js", "https://x.b.net/b.js"
-    t = DependencyTree(
-        root_url=root,
-        root_domain="r.com",
-        nodes={root: "iframe", a: "script", b: "script"},
-        edges={(root, a): 1, (a, b): 1},
-        diagnostics=Counter(),
-        skipped=Counter(),
+    t = hand_tree(
+        root, "r.com", {root: "iframe", a: "script", b: "script"}, {(root, a): 1, (a, b): 1}
     )
     g = WideGraph()
     contract_tree(g, t)
