@@ -11,15 +11,17 @@ changing the result. Training relies on that twice over:
   at value 0. The keyword block is mostly zeros, so a node costs the
   nonzeros of its candidate columns, not its rows times its columns, and
   only the cells of its own rows reach the label and value reads.
-- ``_grow_group`` grows ``_GROUP_TREES`` trees in lockstep. Each step pops
-  every tree's pending leaves, appending them in pre-order, up to its next
-  node that may split; takes that node's features from its own tree's
-  generator (``_feature_sets`` draws many steps' sets at once); scores all
-  of those nodes in one segmented numpy pass (``_best_splits``); and routes
-  the rows of every split node in one gather. Steps follow scored nodes, not
-  all nodes. A child's class counts come from its parent's split, so the
-  labels are summed once per tree, at the root, and a child that will be a
-  leaf keeps no row array.
+- ``_grow_group`` grows a group of trees in lockstep: as many as keep
+  trees x (n + 1) cells within ``_GROUP_CELLS``, so every tree at a few
+  hundred rows. Its frontier is arrays: each tree's stack of pending nodes
+  that may split is a row of one int array, and their bootstrap rows lie in
+  one pool. A step pops every live tree's next such node in pre-order,
+  scores them all in one segmented numpy pass (``_best_splits``), routes
+  the rows of every node that splits in one gather and pushes the children
+  that may split. A child's class counts come from its parent's split, so
+  the labels are summed once per tree, at the root. Nodes are numbered as
+  they are made; their places in pre-order are worked out once the group
+  is grown, one step's batch at a time.
 
 Neither changes a split. Each tree draws in the same order, every boundary
 is scored with the same Gini expression, term for term, and ties go to the
@@ -113,10 +115,11 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
     return 1.0 - np.divide(c0 * c0 + c1 * c1, n * n, out=np.ones(len(n)), where=n > 0)
 
 
-# Trees grown together in lockstep. Every tree of a group keeps its
-# pre-order stack of node row lists alive, and a step's multiplicity matrix
-# is 64 x (n + 1) int64, about 5 MB at n = 10k rows; 64 trees bound both.
-_GROUP_TREES = 64
+# Trees grown in one lockstep group: as many as keep trees x (n + 1) within
+# this many cells (a step's multiplicity matrix holds n + 1 counts per tree,
+# its row pool n rows), 64 trees at n = 10k rows.
+_GROUP_CELLS = 64 * 10001
+_DRAW_TREES = 64  # generators per _feature_sets call, and the most trees a refill's k fits
 # Column entries scored in one numpy pass, (tree, row) pairs walked in one
 # scoring block, and features drawn ahead in one refill. A pass keeps about
 # a dozen temporaries of 8 bytes per entry, so 16k entries (plus at most one
@@ -170,68 +173,80 @@ def _threshold(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where((mid < hi) & np.isfinite(mid), mid, lo)
 
 
-def _best_splits(cols: _Columns, nodes: list) -> list:
-    """Lowest weighted-Gini (impurity, feature, threshold, left rows, left
-    class-1 rows) of each node, or None where no candidate split lowers the
-    node's Gini. The left counts are bootstrap rows, repeats included.
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[i] .. start[i] + size[i] - 1 of every range, end to end."""
+    index = np.repeat(start - (np.cumsum(size) - size), size)
+    index += np.arange(len(index))
+    return index
 
-    ``nodes`` holds (bootstrap rows, class-1 count, sorted candidate
-    features) per node. A node scores column f from its row multiplicities
-    over f's nonzero cells; all of its zero cells form one group at value 0.
-    The (node, feature) segments lie end to end, node by node and each
-    node's features ascending, and are scored in passes of about
-    ``_PASS_ENTRIES`` entries. Every boundary between two distinct values
-    present at the node is scored with the per-node expression, and a node
-    keeps the first minimum it meets (a later pass wins only by a strict
-    improvement): the lowest feature, then the lowest threshold.
+
+def _best_splits(cols: _Columns, rows, sizes, class1, feats: np.ndarray) -> tuple:
+    """Lowest weighted-Gini split of each node, as arrays (split, impurity,
+    feature, threshold, left rows, left class-1 rows): split is False where
+    no candidate lowers the node's Gini, and the left counts are bootstrap
+    rows, repeats included. ``rows`` holds the nodes' bootstrap rows end to
+    end, ``sizes`` and ``class1`` count them, and row j of ``feats`` holds
+    node j's sorted candidate features.
+
+    A node scores column f from its row multiplicities over f's nonzero
+    cells; all of its zero cells form one group at value 0. The (node,
+    feature) segments lie end to end, node by node and each node's features
+    ascending, and are scored in passes of about ``_PASS_ENTRIES`` entries.
+    Every boundary between two distinct values present at the node is
+    scored with the per-node expression, and a node keeps the first minimum
+    it meets (a later pass wins only by a strict improvement): the lowest
+    feature, then the lowest threshold.
     """
-    n1 = cols.n + 1
-    sizes = np.array([len(idx) for idx, _, _ in nodes])
-    class1 = np.array([c1 for _, c1, _ in nodes])
-    mult = np.bincount(
-        np.concatenate([idx for idx, _, _ in nodes])
-        + np.repeat(np.arange(len(nodes)) * n1, sizes),
-        minlength=len(nodes) * n1,
-    )
-    seg_node = np.repeat(np.arange(len(nodes)), [len(f) for _, _, f in nodes])
-    seg_feat = np.concatenate([f for _, _, f in nodes])
-    seg_len = cols.start[seg_feat + 1] - cols.start[seg_feat]
+    m, n1 = len(sizes), cols.n + 1
+    key = np.repeat(np.arange(m) * n1, sizes)
+    key += rows
+    del rows  # the grower keeps no reference: its rows go here
+    # A node's multiplicities sum to at most n: the narrowest int holding n.
+    mult = np.bincount(key, minlength=m * n1).astype(np.min_scalar_type(-cols.n))
+    del key
+    # Each (node, feature) segment's node, feature and column entries.
+    seg_node = np.repeat(np.arange(m), feats.shape[1])
+    seg_feat = feats.ravel()
+    seg_start = cols.start[seg_feat]
+    seg_len = cols.start[seg_feat + 1] - seg_start
     cuts = np.flatnonzero(np.diff((np.cumsum(seg_len) - 1) // _PASS_ENTRIES)) + 1
-    best = np.full(len(nodes), np.inf)
-    best_feat = np.zeros(len(nodes), dtype=np.int64)
-    best_thr = np.zeros(len(nodes))
-    best_left = np.zeros((len(nodes), 2), dtype=np.int64)
-    for a, b in zip([0, *cuts], [*cuts, len(seg_feat)]):
-        feat, node, length = seg_feat[a:b], seg_node[a:b], seg_len[a:b]
-        first = np.cumsum(length) - length
-        entry = np.arange(first[-1] + length[-1]) + np.repeat(cols.start[feat] - first, length)
-        # Each entry weighs its row's multiplicity at the segment's node. Only
-        # the entries of the node's rows go on, plus each segment's zero slot
-        # (row n, weight 0 so far), which takes what the nonzeros leave.
-        w = mult[np.repeat(node * n1, length) + cols.rows[entry]]
-        zero = first + cols.zero_at[feat] - cols.start[feat]
-        present = w > 0
-        present[zero] = True
-        kept = np.flatnonzero(present)
-        head, zero = np.searchsorted(kept, first), np.searchsorted(kept, zero)
+    best = np.full(m, np.inf)
+    best_feat = np.zeros(m, dtype=np.int64)
+    best_thr = np.zeros(m)
+    best_left = np.zeros((m, 2), dtype=np.int64)
+
+    def score(a, b):
+        """Scores segments a:b into the best arrays; a function, so that
+        its arrays go before the next pass's are made."""
+        node, length = seg_node[a:b], seg_len[a:b]
+        first = length.cumsum() - length
+        entry = _ranges(seg_start[a:b], length)
+        # Each entry weighs its row's multiplicity at the segment's node, and a
+        # zero slot (row n, weight 0 so far) what the nonzeros leave. Only
+        # weights > 0 go on; each segment keeps one, for each row has a cell.
+        w = mult[(node * n1).repeat(length) + cols.rows[entry]]
+        zero = first + cols.zero_at[seg_feat[a:b]] - seg_start[a:b]
+        w[zero] = sizes[node] - np.add.reduceat(w, first)
+        kept = (w > 0).nonzero()[0]
+        head = kept.searchsorted(first)
+        has_zero = w[zero] > 0
+        zero = kept.searchsorted(zero[has_zero])
         entry, w = entry[kept], w[kept]
-        w1 = w * cols.labels[entry]
-        w[zero] = sizes[node] - np.add.reduceat(w, head)
-        w1[zero] = class1[node] - np.add.reduceat(w1, head)
-        seg = np.repeat(np.arange(b - a), np.diff(np.append(head, len(kept))))
         x = cols.values[entry]
-        keep = w > 0  # a zero slot is dropped where the node has no zero cell
-        seg, w, w1, x = seg[keep], w[keep], w1[keep], x[keep]
+        w1 = w * cols.labels[entry]
+        del kept, entry
+        w1[zero] = (class1[node] - np.add.reduceat(w1, head))[has_zero]
+        seg = np.arange(b - a).repeat(np.diff(head, append=len(w)))
         # A boundary lies between neighbours of one segment with distinct values.
-        pos = np.flatnonzero((seg[:-1] == seg[1:]) & (x[:-1] < x[1:]))
+        pos = ((seg[:-1] == seg[1:]) & (x[:-1] < x[1:])).nonzero()[0]
         if not len(pos):
-            continue
+            return
         # Left-side counts: running sums less the sums before the segment.
-        cw, cw1 = np.cumsum(w), np.cumsum(w1)
-        head = np.searchsorted(seg, np.arange(b - a))  # every segment keeps an entry
+        cw, cw1 = w.cumsum(dtype=np.int64), w1.cumsum()
         s = seg[pos]
         left_n = cw[pos] - (cw[head] - w[head])[s]
         left_1 = cw1[pos] - (cw1[head] - w1[head])[s]
+        del cw, cw1
         ln, l1 = left_n.astype(np.float64), left_1.astype(np.float64)
         at = node[s]
         n, c1 = sizes[at], class1[at]
@@ -242,23 +257,23 @@ def _best_splits(cols: _Columns, nodes: list) -> list:
         gl = 1.0 - (l0 * l0 + l1 * l1) / (ln * ln)
         gr = 1.0 - (r0 * r0 + r1 * r1) / (rn * rn)
         weighted = (ln * gl + rn * gr) / n
-        group = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+        # A node's first minimum: its first hit at or after its group's head.
+        new = np.concatenate(([True], at[1:] != at[:-1]))
+        group = new.nonzero()[0]
         low = np.minimum.reduceat(weighted, group)
-        hit = np.flatnonzero(weighted == np.repeat(low, np.diff(np.append(group, len(at)))))
-        hit = hit[np.concatenate(([True], at[hit][1:] != at[hit][:-1]))]  # first minima
-        better = low < best[at[hit]]
-        who, hit = at[hit][better], hit[better]
+        hit = (weighted == low[new.cumsum() - 1]).nonzero()[0]
+        hit = hit[hit.searchsorted(group)]
+        better = low < best[at[group]]
+        who, hit = at[group][better], hit[better]
         best[who] = low[better]
-        best_feat[who] = feat[s[hit]]
+        best_feat[who] = seg_feat[a:b][s[hit]]
         best_thr[who] = _threshold(x[pos[hit]], x[pos[hit] + 1])
         best_left[who, 0], best_left[who, 1] = left_n[hit], left_1[hit]
-    parent = _gini_rows(np.column_stack((sizes - class1, class1)))
-    return [
-        None
-        if best[j] >= parent[j] - 1e-12  # no improving split
-        else (float(best[j]), int(best_feat[j]), float(best_thr[j]), *best_left[j].tolist())
-        for j in range(len(nodes))
-    ]
+
+    for a, b in zip([0, *cuts], [*cuts, len(seg_feat)]):
+        score(a, b)
+    split = best < _gini_rows(np.column_stack((sizes - class1, class1))) - 1e-12
+    return split, best, best_feat, best_thr, best_left[:, 0], best_left[:, 1]
 
 
 def _feature_sets(rngs: list[np.random.Generator], k: int, d: int, mtry: int) -> np.ndarray:
@@ -290,6 +305,15 @@ def _feature_sets(rngs: list[np.random.Generator], k: int, d: int, mtry: int) ->
     return np.sort(v, axis=1).reshape(len(rngs), k, mtry)
 
 
+def _compact(pool: np.ndarray, stack: np.ndarray, top: np.ndarray) -> int:
+    """Moves every pending node's rows to the front of ``pool``; returns their end."""
+    pending = np.arange(stack.shape[1]) < top[:, None]
+    size = stack[pending, 2]
+    pool[:size.sum()] = pool[_ranges(stack[pending, 1], size)]
+    stack[pending, 1] = np.cumsum(size) - size
+    return size.sum()
+
+
 def _grow_group(
     X: np.ndarray,
     y: np.ndarray,
@@ -301,95 +325,100 @@ def _grow_group(
 ) -> list[Tree]:
     """One tree per bootstrap sample, grown in lockstep.
 
-    Each step pops every tree's pending leaves, appending them in pre-order,
-    up to its next node that may split; takes that node's features from its
-    own tree's generator; scores the step's nodes in one ``_best_splits``
-    call; and routes the rows of every split node in one gather. Each live
-    tree takes one feature set per step, drawn ahead by ``_feature_sets``:
-    a refill draws k sets per live tree, k = ``_PASS_ENTRIES`` // (group
-    size * mtry) however few trees are left, so a tree draws at most k - 1
-    sets past its last node. Nothing else reads a tree's generator after its
-    bootstrap, so those draws are harmless.
-    A child's class counts come from its parent's split, and only a child
-    that may split keeps its bootstrap rows. Each tree meets the same nodes,
-    draws and splits as it would grown alone.
+    ``stack[t]`` holds tree t's pending nodes that may split, as (node, pool
+    start, rows, class-1 rows, depth). A tree's pending nodes hold disjoint
+    rows, so the pool's live rows never exceed n per tree; it is compacted
+    when it fills. Each tree takes one feature set per step, drawn ahead: a
+    refill draws k sets per live tree, k = ``_PASS_ENTRIES`` // (min(group
+    size, ``_DRAW_TREES``) * mtry), however few trees are left. A tree thus
+    draws at most k - 1 sets past its last node, which nothing reads.
     """
-    d = X.shape[1]
+    n, d = X.shape
+    trees = len(samples)
     max_depth = math.inf if params.max_depth is None else params.max_depth
 
     def may_split(depth, c0, c1):
-        return c0 > 0 and c1 > 0 and c0 + c1 >= params.min_samples_split and depth < max_depth
+        return (c0 > 0) & (c1 > 0) & (c0 + c1 >= params.min_samples_split) & (depth < max_depth)
 
-    # feature, threshold, right, counts: one entry per node, pre-order
-    built = [([], [], [], []) for _ in samples]
-    # Explicit pre-order stacks of (rows, depth, parent, c0, c1); rows is None
-    # for a node that will be a leaf, and parent is -1 but for a right child.
-    stacks = []
-    for sample in samples:
-        c1 = int(y[sample].sum())
-        c0 = len(sample) - c1
-        stacks.append([(sample if may_split(0, c0, c1) else None, 0, -1, c0, c1)])
-    k = max(1, _PASS_ENTRIES // (len(samples) * mtry))
-    drawn, used = {}, k  # each live tree's k sets drawn ahead; used of them
-    while True:
-        scored = []
-        for t, stack in enumerate(stacks):
-            feature, threshold, right, counts = built[t]
-            while stack:
-                idx, depth, parent, c0, c1 = stack.pop()
-                node = len(feature)
-                if parent >= 0:
-                    right[parent] = node
-                counts.append((c0, c1))
-                feature.append(-1)
-                threshold.append(0.0)
-                right.append(-1)
-                if idx is not None:
-                    scored.append((t, node, depth, idx, c1))
-                    break
-        if not scored:
-            break
+    pool = np.concatenate(samples)
+    c1 = np.count_nonzero(y.astype(bool)[pool].reshape(trees, n), axis=1)
+    counts = [np.column_stack((n - c1, c1))]  # class counts, a batch per step
+    splits = []  # (node, feature, threshold, left child) per step; right at + 1
+    stack = np.zeros((trees, 8, 5), dtype=np.int64)
+    root = np.arange(trees)
+    stack[:, 0, :4] = np.column_stack((root, root * n, np.full(trees, n), c1))
+    top = may_split(0, n - c1, c1).astype(np.int64)
+    end, n_nodes = len(pool), trees
+    k = max(1, _PASS_ENTRIES // (min(trees, _DRAW_TREES) * mtry))
+    drawn, used = np.zeros((trees, k, mtry), dtype=np.int32), k
+    while len(live := np.flatnonzero(top)):
+        top[live] -= 1
+        node, start, size, class1, depth = stack[live, top[live]].T
         if used == k:  # every live tree has taken all its sets
-            live, used = [s[0] for s in scored], 0
-            drawn = dict(zip(live, _feature_sets([rngs[t] for t in live], k, d, mtry)))
-        found = _best_splits(cols, [(idx, c1, drawn[t][used]) for t, _, _, idx, c1 in scored])
-        used += 1
-        splits = [(s, f) for s, f in zip(scored, found) if f is not None]
-        if not splits:
-            continue
-        # One gather routes the rows of every node that splits. Each node's
-        # rows keep their order on either side, so its children's rows are
-        # its next ln lefts and its next n - ln rights.
-        sizes = [len(s[3]) for s, _ in splits]
-        rows = np.concatenate([s[3] for s, _ in splits])
-        feats, thrs = (np.repeat([f[i] for _, f in splits], sizes) for i in (1, 2))
-        go_left = X[rows, feats] <= thrs
-        lefts, rights = rows[go_left], rows[~go_left]
-        lo = ro = 0
-        for (t, node, depth, idx, c1), (_, f, thr, ln, l1) in splits:
-            built[t][0][node] = f
-            built[t][1][node] = thr
-            r1, rn = c1 - l1, len(idx) - ln
-            left_counts, right_counts = (ln - l1, l1), (rn - r1, r1)
-            rows_left = lefts[lo:lo + ln] if may_split(depth + 1, *left_counts) else None
-            # A copy: a right child waits on the stack, holding only its rows.
-            rows_right = rights[ro:ro + rn].copy() if may_split(depth + 1, *right_counts) else None
-            lo, ro = lo + ln, ro + rn
-            # Push right first so the left child is popped next, as node + 1.
-            stacks[t] += (
-                (rows_right, depth + 1, node, *right_counts),
-                (rows_left, depth + 1, -1, *left_counts),
-            )
-        del rows, feats, thrs, go_left, rights  # not held through the next step's scan
-
-    return [
-        Tree(
-            feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=np.float64),
-            right=np.array(right, dtype=np.int32),
-            counts=np.array(counts, dtype=np.int64),
+            for a in range(0, len(live), _DRAW_TREES):
+                chunk = live[a:a + _DRAW_TREES]
+                drawn[chunk] = _feature_sets([rngs[t] for t in chunk], k, d, mtry)
+            used = 0
+        split, _, feat, thr, ln, l1 = _best_splits(
+            cols, pool[_ranges(start, size)], size, class1, drawn[live, used]
         )
-        for feature, threshold, right, counts in built
+        used += 1
+        if not split.any():
+            continue
+        live, node, start, size, class1, depth, feat, thr, ln, l1 = (
+            v[split] for v in (live, node, start, size, class1, depth, feat, thr, ln, l1)
+        )
+        # One gather routes the rows of every node that splits, through X's
+        # flat cells row * d + feature; each node's rows keep their order.
+        index = _ranges(start, size)
+        rows = pool[index]
+        np.multiply(rows, d, out=index, dtype=np.int64)
+        index += feat.astype(np.int32).repeat(size)
+        go_left = X.take(index)
+        del index
+        go_left = go_left <= np.repeat(thr, size)
+        child = n_nodes + 2 * np.arange(len(node))
+        n_nodes += 2 * len(node)
+        splits.append((node, feat, thr, child))
+        rn, r1 = size - ln, class1 - l1
+        counts.append(np.column_stack((ln - l1, l1, rn - r1, r1)).reshape(-1, 2))
+        may_left, may_right = may_split(depth + 1, ln - l1, l1), may_split(depth + 1, rn - r1, r1)
+        lefts = rows[go_left & np.repeat(may_left, size)]
+        rights = rows[~go_left & np.repeat(may_right, size)]
+        del rows, go_left  # not held through the next step's scan
+        if end + len(lefts) + len(rights) > len(pool):
+            end = _compact(pool, stack, top)
+        if top.max() + 2 > stack.shape[1]:
+            stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
+        # Right children first, so that each tree pops its left child next.
+        for kid, kid_n, kid_1, may, moved in (
+            (child + 1, rn, r1, may_right, rights),
+            (child, ln, l1, may_left, lefts),
+        ):
+            t, pushed = live[may], np.column_stack((kid, kid, kid_n, kid_1, depth + 1))[may]
+            pushed[:, 1] = end + np.cumsum(pushed[:, 2]) - pushed[:, 2]
+            stack[t, top[t]] = pushed
+            top[t] += 1
+            pool[end:end + len(moved)] = moved
+            end += len(moved)
+
+    size = np.ones(n_nodes, dtype=np.int64)  # of each node's subtree
+    for node, _, _, child in reversed(splits):
+        size[node] += size[child] + size[child + 1]
+    ends = np.cumsum(size[:trees])
+    at = np.zeros(n_nodes, dtype=np.int64)  # place in the trees' pre-orders, end to end
+    at[:trees] = ends - size[:trees]
+    feature, threshold, right = np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
+    for node, feat, thr, child in splits:
+        at[child] = at[node] + 1
+        at[child + 1] = at[child] + size[child]
+        feature[at[node]], threshold[at[node]], right[at[node]] = feat, thr, at[child + 1]
+    ordered = np.empty((n_nodes, 2), dtype=np.int64)
+    ordered[at] = np.concatenate(counts)
+    return [
+        Tree(feature[a:b].astype(np.int32), threshold[a:b],
+             np.where(right[a:b] < 0, -1, right[a:b] - a).astype(np.int32), ordered[a:b])
+        for a, b in zip(ends - size[:trees], ends)
     ]
 
 
@@ -414,7 +443,7 @@ def _validate_training_data(X: np.ndarray, y: np.ndarray):
 
 def train(X, y, params: ForestParams) -> ForestModel:
     params.validate()
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64, order="C")  # routing reads X's flat cells
     y = np.asarray(y)
     _validate_training_data(X, y)
     y = y.astype(np.int64)
@@ -424,12 +453,13 @@ def train(X, y, params: ForestParams) -> ForestModel:
     cols = _presort(X, y)
     trees: list[Tree] = []
     in_bag: list[np.ndarray] = []
-    for first in range(0, params.n_trees, _GROUP_TREES):
+    group = max(1, _GROUP_CELLS // (n + 1))
+    for first in range(0, params.n_trees, group):
         rngs = [
             np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(t,)))
-            for t in range(first, min(first + _GROUP_TREES, params.n_trees))
+            for t in range(first, min(first + group, params.n_trees))
         ]
-        samples = [rng.integers(0, n, size=n) for rng in rngs]
+        samples = [rng.integers(0, n, size=n).astype(np.int32) for rng in rngs]
         trees += _grow_group(X, y, cols, samples, rngs, params, mtry)
         in_bag += samples
     return ForestModel(

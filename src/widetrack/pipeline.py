@@ -344,7 +344,7 @@ def _read_table(data: bytes, what: str, source) -> tuple[list[str], list[tuple[i
     TSV table ``source``; an empty one has no header cells. A byte that is
     not UTF-8, a row whose column count differs from the header's, or a row
     whose first two cells (its key) repeat an earlier row's, is a DataError
-    that names its line."""
+    that names ``source`` and its line."""
     lines = read_lines(io.BytesIO(data), source, DataError)
     _, first = next(lines, (1, None))
     header = first.split("\t") if first is not None else []
@@ -356,11 +356,12 @@ def _read_table(data: bytes, what: str, source) -> tuple[list[str], list[tuple[i
         cells = line.split("\t")
         if len(cells) != len(header):
             raise DataError(
-                f"bad {what} row on line {lineno}: {len(cells)} columns, expected {len(header)}"
+                f"{source}: line {lineno}: bad {what} row: {len(cells)} columns, "
+                f"expected {len(header)}"
             )
-        earlier = first_line.setdefault(tuple(cells[:2]), lineno)
-        if earlier != lineno:
-            raise DataError(f"{what} row on line {lineno} repeats the key of line {earlier}")
+        seen = first_line.setdefault(tuple(cells[:2]), lineno)
+        if seen != lineno:
+            raise DataError(f"{source}: line {lineno}: {what} row repeats the key of line {seen}")
         rows.append((lineno, cells))
     return header, rows
 
@@ -379,9 +380,9 @@ def read_labels_file(data: bytes, source="labels file") -> dict[tuple[str, str],
     out = {}
     for lineno, (host, kind, label, origin) in rows:
         if label not in CLASSES:
-            raise DataError(f"unknown label {label!r} for {host} on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: unknown label {label!r} for {host}")
         if origin != "filterlist":
-            raise DataError(f"unknown label source {origin!r} for {host} on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: unknown label source {origin!r} for {host}")
         out[(host, kind)] = Label(label)
     return out
 
@@ -402,16 +403,16 @@ def read_scores_file(data: bytes, source="scores file") -> dict[tuple[str, str],
     out = {}
     for lineno, (host, kind, pred, score, basis) in rows:
         if pred not in CLASSES:
-            raise DataError(f"unknown prediction {pred!r} for {host} on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: unknown prediction {pred!r} for {host}")
         try:
             value = float(score)
         except ValueError:
             value = math.nan
         # A score is a vote fraction; NaN fails both comparisons.
         if not 0.0 <= value <= 1.0:
-            raise DataError(f"bad score {score!r} for {host} on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: bad score {score!r} for {host}")
         if basis not in ("full", "oob"):
-            raise DataError(f"unknown basis {basis!r} for {host} on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: unknown basis {basis!r} for {host}")
         out[(host, kind)] = (CLASSES.index(pred), value)
     return out
 
@@ -448,7 +449,7 @@ def write_struct_matrix(matrix: structural_mod.StructMatrix, out: BinaryIO) -> N
 def _read_matrix(data: bytes, what: str, key_header: list[str], source):
     """(row keys, value columns, values) of a feature table whose first two
     columns are ``key_header`` and the rest finite floats; a bad row is a
-    DataError that names its line."""
+    DataError that names ``source`` and its line."""
     header, rows = _read_table(data, what, source)
     if header[:2] != key_header:
         raise DataError(f"{source}: line 1: unrecognized {what} header")
@@ -460,7 +461,7 @@ def _read_matrix(data: bytes, what: str, key_header: list[str], source):
         except ValueError:
             finite = False
         if not finite:
-            raise DataError(f"bad {what} value on line {lineno}")
+            raise DataError(f"{source}: line {lineno}: bad {what} value")
     return [(cells[0], cells[1]) for _, cells in rows], header[2:], values
 
 
@@ -514,8 +515,8 @@ def load_config(cls, path: str | Path | None):
     """Build dataclass ``cls`` from ``key = value`` lines ('#' comments);
     a key the file leaves out, or every key when ``path`` is None, keeps
     its field default. Each value is converted by its field's annotation;
-    one that does not convert is a DataError naming its key and line, and
-    so is an unknown key, or a key set twice (naming both lines).
+    one that does not convert is a DataError naming the file, the line and
+    its key, and so is an unknown key, or a key set twice (naming both lines).
     """
     types = {f.name: f.type for f in fields(cls)}
     values = {}
@@ -525,19 +526,17 @@ def load_config(cls, path: str | Path | None):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"bad config line {lineno}: {raw!r}")
+            raise DataError(f"{path}: line {lineno}: bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
-            raise DataError(f"unknown config key {key!r} on config line {lineno}")
+            raise DataError(f"{path}: line {lineno}: unknown config key {key!r}")
         earlier = first_line.setdefault(key, lineno)
         if earlier != lineno:
-            raise DataError(f"config key {key} on line {lineno} repeats line {earlier}")
+            raise DataError(f"{path}: line {lineno}: config key {key} repeats line {earlier}")
         try:
             values[key] = _CONVERTERS[types[key]](value)
         except ValueError:
-            raise DataError(
-                f"bad value for {key} on config line {lineno}: {value!r}"
-            ) from None
+            raise DataError(f"{path}: line {lineno}: bad value for {key}: {value!r}") from None
     return cls(**values)
 
 

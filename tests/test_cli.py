@@ -103,14 +103,14 @@ def test_synth_unknown_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("stratified = ture", "error: bad value for stratified on config line 3: 'ture'\n"),
-        ("n_trees = ten", "error: bad value for n_trees on config line 3: 'ten'\n"),
+        ("stratified = ture", "error: {cfg}: line 3: bad value for stratified: 'ture'\n"),
+        ("n_trees = ten", "error: {cfg}: line 3: bad value for n_trees: 'ten'\n"),
         # a knob that no longer exists is not silently accepted
         ("directed_neighbors = true",
-         "error: unknown config key 'directed_neighbors' on config line 3\n"),
+         "error: {cfg}: line 3: unknown config key 'directed_neighbors'\n"),
         # a pasted-in block does not silently override an earlier setting
         ("out_dir = elsewhere",
-         "error: config key out_dir on line 3 repeats line 2\n"),
+         "error: {cfg}: line 3: config key out_dir repeats line 2\n"),
     ],
     ids=["misspelled_bool", "bad_int", "removed_knob", "repeated_key"],
 )
@@ -119,7 +119,7 @@ def test_bad_config_value_exits_two(tmp_path, capsys, line, message):
     out_dir = tmp_path / "out"
     cfg.write_text(f"har_dir = {tmp_path / 'har'}\nout_dir = {out_dir}\n{line}\n")
     assert main(["run-all", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.format(cfg=cfg)
     assert not out_dir.exists()
 
 
@@ -843,7 +843,8 @@ def test_repeated_graph_record_or_table_key_exits_two(corpus_dir, tmp_path, caps
         err = capsys.readouterr().err
         assert f"line {len(lines) + 1}" in err and len(err.splitlines()) == 1, (name, err)
         if name != "graph.jsonl":
-            assert err.endswith("repeats the key of line 2\n"), err
+            assert err.startswith(f"error: {path}: line {len(lines) + 1}: "), err
+            assert err.endswith(" row repeats the key of line 2\n"), err
 
 
 def test_url_with_a_character_that_is_not_printable_is_skipped(corpus_dir, tmp_path, capsys):

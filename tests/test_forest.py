@@ -744,9 +744,23 @@ def _feature_importance_per_tree(model):
 
 
 def batched(X, y, nodes):
-    """One ``_best_splits`` call over (idx, feats) nodes of one matrix."""
+    """One ``_best_splits`` call over (idx, feats) nodes of one matrix: each
+    node's (impurity, feature, threshold, left rows, left class-1 rows), or
+    None. A shorter feature set is padded with copies of its last feature,
+    which never beat the first copy under the first-minimum rule."""
     cols = forest._presort(X, y)
-    return forest._best_splits(cols, [(idx, int(y[idx].sum()), feats) for idx, feats in nodes])
+    width = max(len(feats) for _, feats in nodes)
+    split, *found = forest._best_splits(
+        cols,
+        np.concatenate([idx for idx, _ in nodes]),
+        np.array([len(idx) for idx, _ in nodes]),
+        np.array([int(y[idx].sum()) for idx, _ in nodes]),
+        np.array([np.pad(feats, (0, width - len(feats)), mode="edge") for _, feats in nodes]),
+    )
+    return [
+        (float(impurity), int(f), float(thr), int(ln), int(l1)) if ok else None
+        for ok, impurity, f, thr, ln, l1 in zip(split, *found)
+    ]
 
 
 def sparse_tfidf(rng, n, d, density=0.08):
@@ -909,10 +923,10 @@ class TestSplitSearch:
     def test_forest_bytes_equal_the_loop_oracle_forest(self, monkeypatch):
         # Groups of 3 trees and 40-entry passes: 12 trees take four groups,
         # and most nodes' segments straddle a pass boundary.
-        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
-        monkeypatch.setattr(forest, "_PASS_ENTRIES", 40)
         rng = np.random.default_rng(17)
         X = sparse_tfidf(rng, 80, 60)
+        monkeypatch.setattr(forest, "_GROUP_CELLS", 3 * (len(X) + 1))
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", 40)
         y = (X[:, :5].sum(axis=1) + rng.normal(0, 0.3, size=80) > 0.4).astype(int)
         params = ForestParams(n_trees=12, seed=3)
         assert save_model(train(X, y, params)) == save_model(train_loop(X, y, params))
@@ -942,7 +956,7 @@ class TestLockstepGrower:
             {"max_depth": 3},
             {"min_samples_split": 5},
             {"mtry": "d"},
-            {"n_trees": forest._GROUP_TREES * 2 + 5},
+            {"n_trees": forest._DRAW_TREES * 2 + 5},  # a partial chunk of draws
         ],
         ids=["default", "max_depth", "min_samples_split", "mtry_d", "partial_group"],
     )
@@ -981,9 +995,9 @@ class TestLockstepGrower:
         # Groups of 3: with seed 33 the first group holds a depth-6 tree, a
         # depth-2 tree and a single-class bootstrap whose root never draws.
         # A budget of 2 refills every step, over a shrinking set of live trees.
-        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
-        monkeypatch.setattr(forest, "_PASS_ENTRIES", budget)
         X = np.random.default_rng(9).normal(size=(24, 4)).round(2)
+        monkeypatch.setattr(forest, "_GROUP_CELLS", 3 * (len(X) + 1))
+        monkeypatch.setattr(forest, "_PASS_ENTRIES", budget)
         y = np.isin(np.arange(24), [3, 11, 17]).astype(int)
         params = ForestParams(n_trees=5, mtry=1, seed=33)
         model = train(X, y, params)
@@ -1006,27 +1020,86 @@ class TestLockstepGrower:
             refills.add(k)
             return feature_sets(rngs, k, d, mtry)
 
-        def counted_splits(cols, nodes):
-            scored[0] += len(nodes)
-            return best_splits(cols, nodes)
+        def counted_splits(cols, rows, sizes, class1, feats):
+            scored[0] += len(sizes)
+            return best_splits(cols, rows, sizes, class1, feats)
 
         monkeypatch.setattr(forest, "_feature_sets", counted_sets)
         monkeypatch.setattr(forest, "_best_splits", counted_splits)
         X, y = _matrix("sparse_tfidf")
         params = ForestParams(n_trees=6, seed=5)
         model = train(X, y, params)
-        k = max(1, budget // (params.n_trees * params.resolve_mtry(X.shape[1])))
+        group = min(params.n_trees, forest._DRAW_TREES)
+        k = max(1, budget // (group * params.resolve_mtry(X.shape[1])))
         assert refills == {k}
         assert scored[0] <= drawn[0] <= scored[0] + params.n_trees * (k - 1)
         # Scored: each node holding both classes (every split node, too).
         assert scored[0] == sum((tree.counts > 0).all(axis=1).sum() for tree in model.trees)
 
+    @pytest.mark.parametrize("kind", ["sparse_tfidf", "dense_real", "mixed_sign"])
+    @pytest.mark.parametrize("trees", [1, 3, 7], ids=["one_tree", "three_trees", "all_trees"])
+    def test_equals_the_tree_by_tree_forest_under_every_group_budget(
+        self, monkeypatch, kind, trees
+    ):
+        # Seven trees in groups of 1, of 3 (the last one partial) or all in
+        # one. A group's row pool holds n rows per tree, so under the small
+        # budgets it fills and is compacted several times.
+        X, y = _matrix(kind)
+        monkeypatch.setattr(forest, "_GROUP_CELLS", trees * (len(X) + 1))
+        groups, compactions = [], [0]
+        grow_group, compact = forest._grow_group, forest._compact
+
+        def counted_group(X, y, cols, samples, *rest):
+            groups.append(len(samples))
+            return grow_group(X, y, cols, samples, *rest)
+
+        def counted_compact(pool, stack, top):
+            compactions[0] += 1
+            return compact(pool, stack, top)
+
+        monkeypatch.setattr(forest, "_grow_group", counted_group)
+        monkeypatch.setattr(forest, "_compact", counted_compact)
+        params = ForestParams(n_trees=7, seed=5)
+        assert save_model(train(X, y, params)) == save_model(train_loop(X, y, params))
+        assert groups == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[trees]
+        if trees < 7:
+            assert compactions[0] >= 3
+
+    def test_steps_and_draws_stay_within_their_bounds(self, monkeypatch):
+        # 133 trees under a budget of 100 trees' cells: groups of 100 and 33.
+        # No step scores more nodes than its group holds trees, no draw
+        # takes more than 64 generators, and a refill draws the k sets of a
+        # group of at most 64 trees.
+        X, y = _matrix("sparse_tfidf")
+        monkeypatch.setattr(forest, "_GROUP_CELLS", 101 * (len(X) + 1) - 1)
+        steps, draws = [], []
+        feature_sets, best_splits = forest._feature_sets, forest._best_splits
+
+        def counted_sets(rngs, k, d, mtry):
+            draws.append((len(rngs), k))
+            return feature_sets(rngs, k, d, mtry)
+
+        def counted_splits(cols, rows, sizes, class1, feats):
+            steps.append(len(sizes))
+            return best_splits(cols, rows, sizes, class1, feats)
+
+        monkeypatch.setattr(forest, "_feature_sets", counted_sets)
+        monkeypatch.setattr(forest, "_best_splits", counted_splits)
+        params = ForestParams(n_trees=2 * forest._DRAW_TREES + 5, seed=5)
+        model = train(X, y, params)
+        assert save_model(model) == save_model(train_loop(X, y, params))
+        assert forest._DRAW_TREES < max(steps) <= 100
+        assert max(n for n, _ in draws) == forest._DRAW_TREES == 64
+        mtry = params.resolve_mtry(X.shape[1])
+        refills = {max(1, forest._PASS_ENTRIES // (min(g, 64) * mtry)) for g in (100, 33)}
+        assert {k for _, k in draws} == refills == {32, 62}
+
     def test_tail_shuffle_draws(self, monkeypatch):
         # mtry > d // 50 with d > 10000, where numpy's choice would shuffle
         # the tail of arange(d): the forest still draws Floyd's sets.
-        monkeypatch.setattr(forest, "_GROUP_TREES", 3)
         rng = np.random.default_rng(8)
         X = sparse_tfidf(rng, 14, 10050, density=0.01)
+        monkeypatch.setattr(forest, "_GROUP_CELLS", 3 * (len(X) + 1))
         y = np.arange(14) % 2
         params = ForestParams(n_trees=4, mtry=250, seed=2)
         model = train(X, y, params)

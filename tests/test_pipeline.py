@@ -368,7 +368,7 @@ class TestFileFormats:
         """Every label is the lists' verdict; no writer gives another source."""
         data = f"host\tkind\tlabel\tsource\npx.t.net\tscript\tbenign\t{source}\n".encode()
         with pytest.raises(
-            DataError, match=f"^unknown label source '{source}' for px.t.net on line 2$"
+            DataError, match=f"^labels file: line 2: unknown label source '{source}' for px.t.net$"
         ):
             read_labels_file(data)
 
@@ -381,7 +381,9 @@ class TestFileFormats:
             with pytest.raises(DataError) as err:
                 read_labels_file(data)
             cell = f"filter{char}list"
-            assert str(err.value) == f"unknown label source {cell!r} for px.t.net on line 2"
+            assert str(err.value) == (
+                f"labels file: line 2: unknown label source {cell!r} for px.t.net"
+            )
         lf = f"{header}\npx.t.net\tscript\tbenign\tfilterlist\n"
         assert read_labels_file(lf.replace("\n", "\r\n").encode()) == read_labels_file(lf.encode())
         content = "host\tkind\ta\r\npx.t.net\tscript\t1.5\r\n"
@@ -400,13 +402,19 @@ class TestFileFormats:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cells_name_their_line(self, cell):
         content = f"host\tkind\ta\tb\npx.t.net\tscript\t1.0\t2.0\nq.t.net\tscript\t0.5\t{cell}\n"
-        with pytest.raises(DataError, match="^bad content matrix value on line 3$"):
+        with pytest.raises(
+            DataError, match="^content matrix: line 3: bad content matrix value$"
+        ):
             read_content_matrix(content.encode())
         struct = f"domain\tkind\ta\nt.net\tscript\t{cell}\n"
-        with pytest.raises(DataError, match="^bad structural matrix value on line 2$"):
+        with pytest.raises(
+            DataError, match="^structural matrix: line 2: bad structural matrix value$"
+        ):
             read_struct_matrix(struct.encode())
         scores = f"host\tkind\tprediction\tscore\tbasis\npx.t.net\tscript\tadtracker\t{cell}\tfull\n"
-        with pytest.raises(DataError, match=f"^bad score '{cell}' for px.t.net on line 2$"):
+        with pytest.raises(
+            DataError, match=f"^scores file: line 2: bad score '{cell}' for px.t.net$"
+        ):
             read_scores_file(scores.encode())
 
     @pytest.mark.parametrize(
@@ -425,7 +433,14 @@ class TestFileFormats:
         replace it; the same host under another kind is a different key."""
         other_kind = row.replace("script", "media")
         read(f"{header}\n{row}\n{other_kind}\n".encode())
-        with pytest.raises(DataError, match="on line 5 repeats the key of line 2$"):
+        what = {
+            read_labels_file: "labels file",
+            read_scores_file: "scores file",
+            read_content_matrix: "content matrix",
+            read_struct_matrix: "structural matrix",
+        }[read]
+        message = f"^{what}: line 5: {what} row repeats the key of line 2$"
+        with pytest.raises(DataError, match=message):
             read(f"{header}\n{row}\n{other_kind}\n\n{row.replace('1.0', '5.0')}\n".encode())
 
     def test_content_matrix_round_trip(self):
@@ -673,7 +688,7 @@ class TestPipelineConfig:
         path.write_text(f"# one{char}more\nn_trees = 5\nno_such_knob = 1\n")
         with pytest.raises(DataError) as err:
             load_config(PipelineConfig, path)
-        assert str(err.value) == "unknown config key 'no_such_knob' on config line 3"
+        assert str(err.value) == f"{path}: line 3: unknown config key 'no_such_knob'"
 
     def test_crlf_config_reads(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -683,7 +698,7 @@ class TestPipelineConfig:
         path.write_text("# forest\r\nn_trees = ten\r\n", newline="")
         with pytest.raises(DataError) as err:
             load_config(PipelineConfig, path)
-        assert str(err.value) == "bad value for n_trees on config line 2: 'ten'"
+        assert str(err.value) == f"{path}: line 2: bad value for n_trees: 'ten'"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -696,7 +711,7 @@ class TestPipelineConfig:
         path.write_text("# forest\nn_trees = 5\nno_such_knob = 1\n")
         with pytest.raises(DataError) as err:
             load_config(PipelineConfig, path)
-        assert str(err.value) == "unknown config key 'no_such_knob' on config line 3"
+        assert str(err.value) == f"{path}: line 3: unknown config key 'no_such_knob'"
 
     @pytest.mark.parametrize(
         "cls, key", [(PipelineConfig, "n_trees"), (EcosystemConfig, "n_sites")]
@@ -708,7 +723,7 @@ class TestPipelineConfig:
         path.write_text(f"# sizes\n{key} = 30\n\n{key} = 5\n")
         with pytest.raises(DataError) as err:
             load_config(cls, path)
-        assert str(err.value) == f"config key {key} on line 4 repeats line 2"
+        assert str(err.value) == f"{path}: line 4: config key {key} repeats line 2"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -721,7 +736,7 @@ class TestPipelineConfig:
         path.write_text("# forest\nforest_seed = 3\nn_trees = ten\n")
         with pytest.raises(DataError) as err:
             load_config(PipelineConfig, path)
-        assert str(err.value) == "bad value for n_trees on config line 3: 'ten'"
+        assert str(err.value) == f"{path}: line 3: bad value for n_trees: 'ten'"
 
     @pytest.mark.parametrize(
         "word, value",
@@ -737,7 +752,8 @@ class TestPipelineConfig:
     def test_misspelled_boolean_rejected(self, tmp_path, word):
         path = tmp_path / "run.cfg"
         path.write_text(f"stratified = {word}\n")
-        with pytest.raises(DataError, match="bad value for stratified on config line 1"):
+        message = f"^{re.escape(str(path))}: line 1: bad value for stratified: "
+        with pytest.raises(DataError, match=message):
             load_config(PipelineConfig, path)
 
 
