@@ -17,11 +17,11 @@ changing the result. Training relies on that twice over:
   that may split is a row of one int array, and their bootstrap rows lie in
   one pool. A step pops every live tree's next such node in pre-order,
   scores them all in one segmented numpy pass (``_best_splits``), routes
-  the rows of every node that splits in one gather and pushes the children
-  that may split. A child's class counts come from its parent's split, so
-  the labels are summed once per tree, at the root. Nodes are numbered as
-  they are made; their places in pre-order are worked out once the group
-  is grown, one step's batch at a time.
+  the rows of every node that splits, a chunk of whole nodes at a time,
+  and pushes the children that may split. A child's class counts come
+  from its parent's split, so the labels are summed once per tree, at the
+  root. Nodes are numbered as they are made; their places in pre-order
+  are worked out once the group is grown, one step's batch at a time.
 
 Neither changes a split. Each tree draws in the same order, every boundary
 is scored with the same Gini expression, term for term, and ties go to the
@@ -117,15 +117,16 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 
 # Trees grown in one lockstep group: as many as keep trees x (n + 1) within
 # this many cells (a step's multiplicity matrix holds n + 1 counts per tree,
-# its row pool n rows), 64 trees at n = 10k rows.
+# counted in 8 bytes before it is narrowed, and its row pool n rows), 64
+# trees at n = 10k rows.
 _GROUP_CELLS = 64 * 10001
 _DRAW_TREES = 64  # generators per _feature_sets call, and the most trees a refill's k fits
 # Column entries scored in one numpy pass, (tree, row) pairs walked in one
-# scoring block, and features drawn ahead in one refill. A pass keeps about
-# a dozen temporaries of 8 bytes per entry, so 16k entries (plus at most one
-# column past the budget) bound its temporaries at about 1.5 MB. A scoring
-# block's or a refill's temporaries are a few arrays of 8 bytes per pair or
-# feature, so the same budget bounds them too.
+# scoring block or routed in one chunk of a step, and features drawn ahead
+# in one refill. A pass keeps about a dozen temporaries of 8 bytes per entry,
+# so 16k entries (plus at most one column or node past the budget) bound its
+# temporaries at about 1.5 MB. The others keep a few arrays of 8 bytes per
+# pair or feature, so the same budget bounds them too.
 _PASS_ENTRIES = 16384
 
 
@@ -201,8 +202,9 @@ def _best_splits(cols: _Columns, rows, sizes, class1, feats: np.ndarray) -> tupl
     key = np.repeat(np.arange(m) * n1, sizes)
     key += rows
     del rows  # the grower keeps no reference: its rows go here
-    # A node's multiplicities sum to at most n: the narrowest int holding n.
-    mult = np.bincount(key, minlength=m * n1).astype(np.min_scalar_type(-cols.n))
+    # A node's multiplicities sum to at most n: the narrowest signed int
+    # holding +n (min_scalar_type(-n) alone gives int8 at n = 128).
+    mult = np.bincount(key, minlength=m * n1).astype(np.min_scalar_type(-(cols.n + 1)))
     del key
     # Each (node, feature) segment's node, feature and column entries.
     seg_node = np.repeat(np.arange(m), feats.shape[1])
@@ -368,15 +370,14 @@ def _grow_group(
         live, node, start, size, class1, depth, feat, thr, ln, l1 = (
             v[split] for v in (live, node, start, size, class1, depth, feat, thr, ln, l1)
         )
-        # One gather routes the rows of every node that splits, through X's
-        # flat cells row * d + feature; each node's rows keep their order.
-        index = _ranges(start, size)
-        rows = pool[index]
-        np.multiply(rows, d, out=index, dtype=np.int64)
-        index += feat.astype(np.int32).repeat(size)
-        go_left = X.take(index)
-        del index
-        go_left = go_left <= np.repeat(thr, size)
+        # The split nodes' rows, each node's in order, are routed through X's
+        # flat cells row * d + feature, in whole-node chunks of ~_PASS_ENTRIES.
+        rows, ends = pool[_ranges(start, size)], np.cumsum(size)
+        go_left = np.empty(len(rows), dtype=bool)
+        cuts = [0, *(np.flatnonzero(np.diff((ends - 1) // _PASS_ENTRIES)) + 1), len(size)]
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            a, b, at = ends[p] - size[p], ends[q - 1], np.arange(p, q).repeat(size[p:q])
+            go_left[a:b] = X.take(rows[a:b] * np.int64(d) + feat[at]) <= thr[at]
         child = n_nodes + 2 * np.arange(len(node))
         n_nodes += 2 * len(node)
         splits.append((node, feat, thr, child))

@@ -958,7 +958,7 @@ class TestLockstepGrower:
             {"mtry": "d"},
             {"n_trees": forest._DRAW_TREES * 2 + 5},  # a partial chunk of draws
         ],
-        ids=["default", "max_depth", "min_samples_split", "mtry_d", "partial_group"],
+        ids=["default", "max_depth", "min_samples_split", "mtry_d", "draw_chunk"],
     )
     def test_equals_the_tree_by_tree_forest(self, kind, knobs):
         X, y = _matrix(kind)
@@ -971,6 +971,17 @@ class TestLockstepGrower:
         assert len(model.in_bag) == params.n_trees
         for sample, expected in zip(model.in_bag, reference.in_bag):
             assert np.array_equal(sample, expected)
+
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_a_root_of_every_row_count_fits_the_multiplicity_type(self, n):
+        # The root's all-zero last column puts every bootstrap row, n of them,
+        # on its zero slot; at n = 128 that weight does not fit an int8.
+        rng = np.random.default_rng(17)
+        X = sparse_tfidf(rng, n, 20)
+        X[:, -1] = 0.0
+        y = (X[:, :5].sum(axis=1) + rng.normal(0, 0.3, size=n) > 0.2).astype(int)
+        params = ForestParams(n_trees=2, seed=5, mtry=20)
+        assert save_model(train(X, y, params)) == save_model(train_loop(X, y, params))
 
     @pytest.mark.parametrize(
         "knobs",
