@@ -13,15 +13,16 @@ rule with none is keyed by a left-bounded run: one that a non-token
 character, "^" or an anchored start precedes, so in any URL it matches it
 begins a token. Only rules with neither form the fallback bucket. A URL's
 candidates are the fallback bucket, the rules keyed by one of its tokens
-and the rules keyed by a prefix of one. The index takes each rule's runs
-as it is built.
+and the rules keyed by a prefix of one, each prefix key filed under its
+first few characters. The index takes each rule's runs as it is built.
 
 One pass reads a document: its URLs, its kind and the sites it was seen
 on, each site one context. Options come before regexes. A candidate's
 options are checked once per document into a mask of the site contexts
-they pass in, and its regex runs only when that mask adds a context the
-URL is not yet blocked (or excepted) in. A rule's regex source is built
-and compiled on first use.
+they pass in, read off a table of the sites' dot-suffixes, and its regex
+runs only when that mask adds a context the URL is not yet blocked (or
+excepted) in. A rule's regex source is built and compiled on first use.
+A label records whether any block rule hit, exceptions aside.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import re
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .domains import registrable_domain
 from .forest import CLASSES
-from .graph import SubdomainDocument
+from .graph import SubdomainDocument, collector_paused
 
 BENIGN, ADTRACKER = CLASSES
 
@@ -49,9 +51,12 @@ TYPE_OPTIONS = frozenset(KIND_TO_OPTION.values())
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
 _TOKEN_RE = re.compile(r"[a-z0-9%]+")
 _REGEX_OF = {"*": ".*", "^": _SEPARATOR_RE}
+# A cosmetic or scriptlet separator: "#", an optional "@", one of "", "?",
+# "$", "$?" or "%", and "#"; every one is skipped, never read as a URL rule.
+_COSMETIC_RE = re.compile(r"#@?(?:\$\??|\?|%)?#")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Rule:
     raw: str
     body: str  # lower-cased pattern, anchors and options stripped
@@ -74,6 +79,10 @@ class Rule:
 
 def _rarest(keys: tuple[str, ...], freq: Counter) -> str:
     """Fewest rules in the list, then the longer key, then the smaller."""
+    counts = list(map(freq.__getitem__, keys))
+    fewest = min(counts)
+    if counts.count(fewest) == 1:
+        return keys[counts.index(fewest)]
     return min(keys, key=lambda k: (freq[k], -len(k), k))
 
 
@@ -92,27 +101,34 @@ class _RuleIndex:
         by_prefix: defaultdict[str, list[int]] = defaultdict(list)
         self.fallback: list[int] = []
         for i, (tokens, prefixes) in enumerate(runs):
-            if tokens:
-                by_token[_rarest(tokens, token_freq)].append(i)
-            elif prefixes:
-                by_prefix[_rarest(prefixes, prefix_freq)].append(i)
+            keys, table, freq = (
+                (tokens, by_token, token_freq) if tokens else (prefixes, by_prefix, prefix_freq)
+            )
+            if keys:  # a single key needs no ranking
+                table[keys[0] if len(keys) == 1 else _rarest(keys, freq)].append(i)
             else:
                 self.fallback.append(i)
         self.by_token = dict(by_token)
         self.by_prefix = dict(by_prefix)
-        self.prefix_lengths = sorted({len(p) for p in by_prefix})
+        # Each prefix key is also filed under its first head_length characters.
+        self.head_length = min(map(len, by_prefix), default=0)
+        by_head: defaultdict[str, list[str]] = defaultdict(list)
+        for p in by_prefix:
+            by_head[p[:self.head_length]].append(p)
+        self.by_head = dict(by_head)
 
     def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
         """The rules a URL with these tokens can match, each once, in list order."""
         ids = list(self.fallback)
-        for t in url_tokens:
-            ids.extend(self.by_token.get(t, ()))
-            for n in self.prefix_lengths:
-                if n > len(t):
-                    break
-                ids.extend(self.by_prefix.get(t[:n], ()))
+        for t in self.by_token.keys() & url_tokens:
+            ids.extend(self.by_token[t])
+        by_head, n = self.by_head, self.head_length
+        for t in [t for t in url_tokens if t[:n] in by_head] if by_head else ():
+            for p in by_head[t[:n]]:
+                if t.startswith(p):
+                    ids.extend(self.by_prefix[p])
         # Two tokens can share a prefix key.
-        return [self.rules[i] for i in sorted(set(ids))]
+        return [self.rules[i] for i in sorted(set(ids))] if ids else []
 
 
 @dataclass
@@ -138,6 +154,9 @@ class RuleSet:
 @dataclass(frozen=True)
 class Label:
     label: str  # ADTRACKER or BENIGN
+    # Whether a block rule hits some URL in some context, exceptions aside
+    # (always so for an AdTracker); None when the label was read from a file.
+    block_matched: bool | None = None
 
 
 def _pattern_to_regex(
@@ -166,20 +185,20 @@ def _token_runs(
     """
     complete: dict[str, None] = {}
     left_bounded: dict[str, None] = {}
+    last = len(body)
     for m in _TOKEN_RE.finditer(body):
         start, end = m.span()
-        left = body[start - 1] != "*" if start else start_bounded
-        right = body[end] != "*" if end < len(body) else end_bounded
-        if left:
+        if body[start - 1] != "*" if start else start_bounded:
+            right = body[end] != "*" if end < last else end_bounded
             (complete if right else left_bounded)[m.group()] = None
     return tuple(complete), tuple(left_bounded)
 
 
 def _parse_line(line: str) -> Rule | str:
     """One rule or a skip reason."""
-    if line.startswith("!") or line.startswith("[Adblock"):
+    if line.startswith(("!", "[Adblock")):
         return "comment"
-    if "##" in line or "#@#" in line or "#?#" in line:
+    if "#" in line and _COSMETIC_RE.search(line):
         return "element_hiding"
 
     body = line
@@ -187,29 +206,31 @@ def _parse_line(line: str) -> Rule | str:
     if is_exception:
         body = body[2:]
 
-    type_options: set[str] = set()
+    type_options, domains_pos, domains_neg = frozenset(), (), ()
     third_party: bool | None = None
-    domains_pos: list[str] = []
-    domains_neg: list[str] = []
     if "$" in body:
+        if "$$" in body or "$@$" in body:
+            return "element_hiding"  # an HTML filter
         body, opts_text = body.rsplit("$", 1)
-        for opt in opts_text.split(","):
-            opt = opt.strip().lower()
+        types, pos, neg = set(), [], []
+        for opt in opts_text.lower().split(","):
+            opt = opt.strip()
             if opt == "third-party":
                 third_party = True
             elif opt == "~third-party":
                 third_party = False
             elif opt in TYPE_OPTIONS:
-                type_options.add(opt)
+                types.add(opt)
             elif opt.startswith("domain="):
                 for dom in opt[len("domain="):].split("|"):
                     dom = dom.strip()
                     if dom.startswith("~"):
-                        domains_neg.append(dom[1:])
+                        neg.append(dom[1:])
                     elif dom:
-                        domains_pos.append(dom)
+                        pos.append(dom)
             else:
                 return "unsupported_option"
+        type_options, domains_pos, domains_neg = frozenset(types), tuple(pos), tuple(neg)
     if not body.isprintable():
         return "unprintable_pattern"  # url_host refuses every URL it could match
     if len(body) > 1 and body.startswith("/") and body.endswith("/"):
@@ -233,13 +254,15 @@ def _parse_line(line: str) -> Rule | str:
         body=body.lower(),
         anchors=(hostname_anchor, start_anchor, end_anchor),
         is_exception=is_exception,
-        type_options=frozenset(type_options),
+        type_options=type_options,
         third_party=third_party,
-        domains_pos=tuple(domains_pos),
-        domains_neg=tuple(domains_neg),
+        domains_pos=domains_pos,
+        domains_neg=domains_neg,
     )
 
 
+# Parsing makes no reference cycles, so the collector's sweeps would find nothing.
+@collector_paused()
 def parse_rules(text: str) -> RuleSet:
     """Parse filter-list text; every non-empty line is parsed or tallied.
     Lines end at "\\n" only: a form feed or U+2028, say, is part of a rule,
@@ -261,35 +284,51 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(block_rules=block, exception_rules=exceptions, skip_report=skipped)
 
 
-def _domain_covers(page_domain: str, rule_domain: str) -> bool:
-    return page_domain == rule_domain or page_domain.endswith("." + rule_domain)
+class _Contexts:
+    """A document's site contexts, bit i for its i-th site in sorted order."""
+
+    def __init__(self, document: SubdomainDocument):
+        self.host, self.sites = document.host, sorted(document.sites)
+        self.full = (1 << len(self.sites)) - 1
+        self.option = KIND_TO_OPTION.get(document.kind)
+
+    @cached_property
+    def table(self) -> tuple[dict[str, int], int]:
+        """Each dot-suffix of a site, the site too, to the bits of the sites it
+        covers; and the bits of the sites equal to the URLs' registrable domain."""
+        covers: dict[str, int] = {}
+        url_domain, same = registrable_domain(self.host), 0
+        for i, site in enumerate(self.sites):
+            same |= (site == url_domain) << i
+            suffix, dot = site, True
+            while dot:
+                covers[suffix] = covers.get(suffix, 0) | 1 << i
+                _, dot, suffix = suffix.partition(".")
+        return covers, same
+
+    def mask(self, r: Rule) -> int:
+        """Bit i is set when the rule's options pass on the i-th site's page."""
+        if r.type_options and self.option not in r.type_options:
+            return 0
+        if r.third_party is None and not (r.domains_pos or r.domains_neg):
+            return self.full
+        covers, same = self.table
+        m = self.full if r.third_party is None else self.full & ~same if r.third_party else same
+        if r.domains_pos:
+            m &= reduce(or_, [covers.get(d, 0) for d in r.domains_pos])
+        for d in r.domains_neg:
+            m &= ~covers.get(d, 0)
+        return m
 
 
-def _context_mask(rule: Rule, url_domain: str, option: str | None, sites: list[str]) -> int:
-    """Bit i is set when the rule's options pass for a URL on ``url_domain``
-    loaded as type ``option`` on the page of ``sites[i]``."""
-    if rule.type_options and option not in rule.type_options:
-        return 0
-    if rule.third_party is None and not (rule.domains_pos or rule.domains_neg):
-        return (1 << len(sites)) - 1
-    return sum(
-        1 << i
-        for i, page in enumerate(sites)
-        if (rule.third_party is None or (url_domain != page) == rule.third_party)
-        and not any(_domain_covers(page, d) for d in rule.domains_neg)
-        and (not rule.domains_pos or any(_domain_covers(page, d) for d in rule.domains_pos))
-    )
-
-
-def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> bool:
+def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> tuple[bool, bool]:
     """Whether some URL of ``document`` is blocked in the context of some
     site it was seen on: a block rule matches it there and, when
-    ``exceptions``, no exception rule does. URLs go in sorted order; a
-    rule's context mask is taken at most once a call; exception
-    candidates are fetched only for a URL some block rule hits."""
-    url_domain = registrable_domain(document.host)
-    option = KIND_TO_OPTION.get(document.kind)
-    sites = sorted(document.sites)
+    ``exceptions``, no exception rule does; and whether a block rule
+    matches some URL in some context. URLs go in sorted order; a rule's
+    context mask is taken at most once a call; exception candidates are
+    fetched only for a URL some block rule hits."""
+    contexts = _Contexts(document)
     masks: dict[int, int] = {}
 
     def hits(index: _RuleIndex, url_lower: str, tokens: frozenset[str], wanted: int) -> int:
@@ -298,31 +337,33 @@ def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> b
         for r in index.candidates(tokens):
             m = masks.get(id(r))
             if m is None:
-                m = masks[id(r)] = _context_mask(r, url_domain, option, sites)
+                m = masks[id(r)] = contexts.mask(r)
             if m & wanted & ~held and r.regex.search(url_lower):
                 held |= m & wanted
                 if held == wanted:
                     break
         return held
 
-    full = (1 << len(sites)) - 1
+    matched = False
     for url in sorted(document.urls):
         url_lower = url.lower()
         tokens = frozenset(_TOKEN_RE.findall(url_lower))
-        blocked = hits(rules.block_index, url_lower, tokens, full)
-        if blocked and (
-            not exceptions or blocked & ~hits(rules.exception_index, url_lower, tokens, blocked)
-        ):
-            return True
-    return False
+        blocked = hits(rules.block_index, url_lower, tokens, contexts.full)
+        if blocked:
+            matched = True
+            if not exceptions or blocked & ~hits(rules.exception_index, url_lower, tokens, blocked):
+                return True, True
+    return False, matched
 
 
 def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
-    """AdTracker iff any URL is blocked in any contributing site's context.
+    """AdTracker iff any URL is blocked in any contributing site's context;
+    the label records whether any block rule hit, exceptions aside.
 
     Every URL of a document is on its host, as the graph builds and loads it.
     """
-    return Label(ADTRACKER if _blocked(rules, document, exceptions=True) else BENIGN)
+    blocked, matched = _blocked(rules, document, exceptions=True)
+    return Label(ADTRACKER if blocked else BENIGN, matched)
 
 
 def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
@@ -331,4 +372,4 @@ def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
     Exceptions are ignored: this asks if the lists already cover the host,
     not whether the final verdict is blocked.
     """
-    return _blocked(rules, document, exceptions=False)
+    return _blocked(rules, document, exceptions=False)[0]

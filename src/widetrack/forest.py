@@ -116,9 +116,8 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
 
 
 # Trees grown in one lockstep group: as many as keep trees x (n + 1) within
-# this many cells (a step's multiplicity matrix holds n + 1 counts per tree,
-# counted in 8 bytes before it is narrowed, and its row pool n rows), 64
-# trees at n = 10k rows.
+# this many cells (a step's multiplicity matrix holds n + 1 narrow counts per
+# tree, and its row pool n rows), 64 trees at n = 10k rows.
 _GROUP_CELLS = 64 * 10001
 _DRAW_TREES = 64  # generators per _feature_sets call, and the most trees a refill's k fits
 # Column entries scored in one numpy pass, (tree, row) pairs walked in one
@@ -175,9 +174,11 @@ def _threshold(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The indices start[i] .. start[i] + size[i] - 1 of every range, end to end."""
+    """The indices start[i] .. start[i] + size[i] - 1 of every range, end to end;
+    the offsets within each range are added in passes of ``_PASS_ENTRIES``."""
     index = np.repeat(start - (np.cumsum(size) - size), size)
-    index += np.arange(len(index))
+    for a in range(0, len(index), _PASS_ENTRIES):
+        index[a:a + _PASS_ENTRIES] += np.arange(a, min(a + _PASS_ENTRIES, len(index)))
     return index
 
 
@@ -199,13 +200,18 @@ def _best_splits(cols: _Columns, rows, sizes, class1, feats: np.ndarray) -> tupl
     feature, then the lowest threshold.
     """
     m, n1 = len(sizes), cols.n + 1
-    key = np.repeat(np.arange(m) * n1, sizes)
-    key += rows
-    del rows  # the grower keeps no reference: its rows go here
     # A node's multiplicities sum to at most n: the narrowest signed int
-    # holding +n (min_scalar_type(-n) alone gives int8 at n = 128).
-    mult = np.bincount(key, minlength=m * n1).astype(np.min_scalar_type(-(cols.n + 1)))
-    del key
+    # holding +n (min_scalar_type(-n) alone gives int8 at n = 128). They are
+    # counted into it in chunks of whole nodes of about _PASS_ENTRIES cells.
+    mult = np.empty(m * n1, dtype=np.min_scalar_type(-n1))
+    step, ends = max(1, _PASS_ENTRIES // n1), np.cumsum(sizes)
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        key = np.repeat(np.arange(b - a) * n1, sizes[a:b])
+        key += rows[ends[a] - sizes[a]:ends[b - 1]]
+        mult[a * n1:b * n1] = np.bincount(key, minlength=(b - a) * n1)
+        del key  # not held through the scoring passes
+    del rows  # the grower keeps no reference: its rows go here
     # Each (node, feature) segment's node, feature and column entries.
     seg_node = np.repeat(np.arange(m), feats.shape[1])
     seg_feat = feats.ravel()
@@ -403,6 +409,7 @@ def _grow_group(
             pool[end:end + len(moved)] = moved
             end += len(moved)
 
+    del pool, stack, drawn  # the trees are assembled in what they free
     size = np.ones(n_nodes, dtype=np.int64)  # of each node's subtree
     for node, _, _, child in reversed(splits):
         size[node] += size[child] + size[child + 1]
@@ -414,8 +421,11 @@ def _grow_group(
         at[child] = at[node] + 1
         at[child + 1] = at[child] + size[child]
         feature[at[node]], threshold[at[node]], right[at[node]] = feat, thr, at[child + 1]
-    ordered = np.empty((n_nodes, 2), dtype=np.int64)
-    ordered[at] = np.concatenate(counts)
+    # A step's batch of class counts is of the nodes it numbered, in order.
+    ordered, first = np.empty((n_nodes, 2), dtype=np.int64), 0
+    for batch in counts:
+        ordered[at[first:first + len(batch)]] = batch
+        first += len(batch)
     return [
         Tree(feature[a:b].astype(np.int32), threshold[a:b],
              np.where(right[a:b] < 0, -1, right[a:b] - a).astype(np.int32), ordered[a:b])

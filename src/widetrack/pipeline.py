@@ -241,15 +241,18 @@ def emit_candidate_rules(
     """Block-rule lines for predicted AdTrackers the lists do not yet hit.
 
     ``scored`` holds each document's (prediction, score, ...) and
-    ``labels``, when given, its label. A document the lists label AdTracker
-    is block-matched by definition, so only the others are matched again.
+    ``labels``, when given, its label from ``label_document``: the pass
+    that labelled a document recorded whether a block rule hit it, so only
+    a document without that fact is matched again.
     """
     selected = []
     for doc, (pred, score, *_), label in zip(docs, scored, labels or [None] * len(docs)):
         if pred != 1:
             continue
-        listed = label is not None and label.label == ADTRACKER
-        if listed or document_block_matched(rules, doc):
+        matched = None if label is None else label.block_matched
+        if matched is None:
+            matched = document_block_matched(rules, doc)
+        if matched:
             continue
         selected.append((score, doc.host, *coverage(index, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))

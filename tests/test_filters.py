@@ -11,6 +11,7 @@ from widetrack.filters import (
     ADTRACKER,
     BENIGN,
     RuleSet,
+    _Contexts,
     document_block_matched,
     label_document,
     parse_rules,
@@ -56,6 +57,44 @@ class TestParseRules:
         rs = parse_rules("example.com##.banner\nexample.com#@#.ad\nx.com#?#.y")
         assert rs.rule_count == 0
         assert rs.skip_report["element_hiding"] == 3
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            # every cosmetic, scriptlet and HTML-filter separator
+            ("example.com##.banner", "element_hiding"),
+            ("example.com#@#.ad", "element_hiding"),
+            ("x.com#?#.y:has(.ad)", "element_hiding"),
+            ("example.com#@?#.ad", "element_hiding"),
+            ("example.com#$#body { overflow: auto }", "element_hiding"),
+            ("example.com#@$#body { overflow: auto }", "element_hiding"),
+            ("example.com#$?#.ad { remove: true; }", "element_hiding"),
+            ("example.com#@$?#.ad { remove: true; }", "element_hiding"),
+            ("example.org#%#window.__gaq = undefined;", "element_hiding"),
+            ("example.com#@%#x", "element_hiding"),
+            ("example.com$$script[data-src=\"ads.js\"]", "element_hiding"),
+            ("example.com$@$script", "element_hiding"),
+            ("##.ad-banner", "element_hiding"),
+            ("! comment", "comment"),
+            ("[Adblock Plus 2.0]", "comment"),
+            ("||ads.example.com^$popup", "unsupported_option"),
+            ("/banner[0-9]+/", "regex_rule"),
+            ("|", "empty_pattern"),
+            ("||ads\t.example^", "unprintable_pattern"),
+            # a "#" that is no separator is part of a URL pattern
+            ("||ads.example.com/#top", None),
+            ("||ads.example.com/#!/x#y", None),
+            ("||ads.example.com^$script", None),
+        ],
+    )
+    def test_skip_reason_of_each_line(self, line, reason):
+        rs = parse_rules(line)
+        if reason is None:
+            assert [r.raw for r in rs.block_rules] == [line]
+            assert not rs.skip_report
+        else:
+            assert rs.rule_count == 0
+            assert rs.skip_report == Counter({reason: 1})
 
     def test_unsupported_option_skips_whole_rule(self):
         rs = parse_rules("||ads.example.com^$popup\n||b.com^$script,redirect=x")
@@ -417,6 +456,80 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
             assert blocked(alone, url) == expected, (rule.raw, url)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(rule_lines, max_size=8),
+    url_list=st.lists(urls, min_size=1, max_size=4),
+    sites=st.lists(st.sampled_from(_SITES), min_size=1, max_size=3, unique=True),
+    kind=st.sampled_from(["script", "media", "iframe", "other"]),
+)
+def test_label_pass_records_the_block_match(lines, url_list, sites, kind):
+    """The label pass's block-hit fact is document_block_matched's verdict,
+    so candidate emission can take it instead of matching again."""
+    rs = parse_rules("\n".join(lines))
+    url_list = url_list + [u for line in lines for u in _embeddings(line)]
+    by_host = {}
+    for url in url_list:
+        host = urlsplit(url).hostname
+        if host:
+            by_host.setdefault(host, []).append(url)
+    for host, host_urls in by_host.items():
+        d = doc(host, kind, host_urls, sites=sites)
+        label = label_document(rs, d)
+        assert label.block_matched == document_block_matched(rs, d), host
+        assert label.block_matched or label.label == BENIGN
+
+
+# --- option masks: the per-site loop the package ran before its site table ---
+
+
+def reference_mask(rule, url_domain, option, sites):
+    """Bit i is set when the rule's options pass for a URL on ``url_domain``
+    loaded as type ``option`` on the page of ``sites[i]``: each site's
+    options checked one by one."""
+    if rule.type_options and option not in rule.type_options:
+        return 0
+    if rule.third_party is None and not (rule.domains_pos or rule.domains_neg):
+        return (1 << len(sites)) - 1
+    return sum(
+        1 << i
+        for i, page in enumerate(sites)
+        if (rule.third_party is None or (url_domain != page) == rule.third_party)
+        and not any(_covers(page, d) for d in rule.domains_neg)
+        and (not rule.domains_pos or any(_covers(page, d) for d in rule.domains_pos))
+    )
+
+
+# Nested subdomains of one another, the URLs' registrable domain (ab.com
+# for every host below), a site under another site's name, and a trailing dot.
+_MASK_SITES = ["ab.com", "a.ab.com", "b.a.ab.com", "b0.org", "ab.com.b0.org", "ab.com."]
+_MASK_DOMAINS = ["ab.com", "a.ab.com", "com", "b0.org", "org", "b.ab.com", "", "ab", "com."]
+_mask_options = st.one_of(
+    st.sampled_from(["third-party", "~third-party", "script", "image", "subdocument"]),
+    st.lists(
+        st.tuples(st.booleans(), st.sampled_from(_MASK_DOMAINS)), min_size=1, max_size=3
+    ).map(lambda ds: "domain=" + "|".join(("~" if neg else "") + d for neg, d in ds)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    options=st.lists(st.lists(_mask_options, max_size=3), min_size=1, max_size=6),
+    sites=st.lists(st.sampled_from(_MASK_SITES), min_size=1, max_size=6, unique=True),
+    host=st.sampled_from(["ab.com", "px.ab.com", "x.b.a.ab.com"]),
+    kind=st.sampled_from(["script", "media", "iframe", "other"]),
+)
+def test_site_table_masks_equal_the_per_site_loop(options, sites, host, kind):
+    lines = ["||ab.com^" + ("$" + ",".join(o) if o else "") for o in options]
+    lines += ["$domain=~", "$domain=~ab.com|~b0.org", "@@||ab.com^$~third-party,domain=com"]
+    rs = parse_rules("\n".join(lines))
+    contexts = _Contexts(doc(host, kind, [f"https://{host}/"], sites=sites))
+    option = _LINEAR_TYPE_OPTION[kind]
+    for rule in rs.block_rules + rs.exception_rules:
+        expected = reference_mask(rule, registrable_domain(host), option, sorted(sites))
+        assert contexts.mask(rule) == expected, (rule.raw, sites)
+
+
 def _bucket(index, i):
     """Where rule ``i`` of an index's list is keyed."""
     for kind, table in (("token", index.by_token), ("prefix", index.by_prefix)):
@@ -452,7 +565,9 @@ def test_rule_bucket(line, bucket):
 def test_prefix_key_is_the_rarest_left_bounded_run():
     index = parse_rules("/ad*.js\n/b*.js\n/c*.js\n/*x.js").block_index
     assert index.by_prefix == {"ad": [0], "b": [1], "c": [2], "js": [3]}
-    assert index.prefix_lengths == [1, 2]
+    # Each key is filed under its first character, the shortest key's length.
+    assert index.head_length == 1
+    assert index.by_head == {"a": ["ad"], "b": ["b"], "c": ["c"], "j": ["js"]}
     # A token selects the rules keyed by its prefixes, each once, in order.
     assert [r.raw for r in index.candidates(["xb", "adx", "ad", "js1"])] == ["/ad*.js", "/*x.js"]
     assert [r.raw for r in index.candidates(["cab"])] == ["/c*.js"]

@@ -313,6 +313,9 @@ class TestEmitCandidateRules:
 
 class TestEmitWithRunAllLabels:
     def test_list_labelled_trackers_are_not_matched_again(self, tmp_path, monkeypatch):
+        """Run-all's label pass already read every document against the block
+        rules, so its emission matches none again; emission without labels
+        matches every predicted tracker."""
         from widetrack import pipeline
         from widetrack.synth import EcosystemConfig, generate
 
@@ -323,9 +326,13 @@ class TestEmitWithRunAllLabels:
         rules = tmp_path / "withheld-rules.txt"
         rules.write_text("".join(r + "\n" for r in corpus.truth_rules if r[2:-1] not in withheld))
         emit, block_matched = pipeline.emit_candidate_rules, pipeline.document_block_matched
-        seen = []
+        seen, matched = [], []
         monkeypatch.setattr(
             pipeline, "emit_candidate_rules", lambda *args: seen.append(args) or emit(*args)
+        )
+        monkeypatch.setattr(
+            pipeline, "document_block_matched",
+            lambda r, d: matched.append((d.host, d.kind)) or block_matched(r, d),
         )
         pipeline.run_all(
             PipelineConfig(
@@ -333,19 +340,14 @@ class TestEmitWithRunAllLabels:
                 n_trees=20,
             )
         )
+        assert matched == []
         (index, docs, scored, ruleset, labels), = seen
-        matched = []
-        monkeypatch.setattr(
-            pipeline, "document_block_matched",
-            lambda r, d: matched.append((d.host, d.kind)) or block_matched(r, d),
-        )
         text = emit(index, docs, scored, ruleset, labels)
         assert text == (tmp_path / "out" / "candidate-rules.txt").read_text()
+        assert matched == []
         listed = {(d.host, d.kind) for d, lab in zip(docs, labels) if lab.label == ADTRACKER}
         predicted = {(d.host, d.kind) for d, (pred, _, _) in zip(docs, scored) if pred == 1}
         assert predicted & listed and predicted - listed
-        assert sorted(matched) == sorted(predicted - listed)
-        matched.clear()
         assert emit(index, docs, scored, ruleset) == text
         assert sorted(matched) == sorted(predicted)
         assert "||" in text
