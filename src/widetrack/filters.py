@@ -17,11 +17,12 @@ and the rules keyed by a prefix of one, each prefix key filed under its
 first few characters. The index takes each rule's runs as it is built.
 
 One pass reads a document: its URLs, its kind and the sites it was seen
-on, each site one context. Options come before regexes. A candidate's
+on, each site one context. Options come before URL tests. A candidate's
 options are checked once per document into a mask of the site contexts
-they pass in, read off a table of the sites' dot-suffixes, and its regex
-runs only when that mask adds a context the URL is not yet blocked (or
-excepted) in. A rule's regex source is built and compiled on first use.
+they pass in, read off a table of the sites' dot-suffixes, and it tests
+the URL only when that mask adds a context the URL is not yet blocked (or
+excepted) in. A rule's test is built on first use: a string scan when its
+body is literal (no "*", "^" only last), else its regex, compiled then.
 A label records whether any block rule hit, exceptions aside.
 """
 
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 
 from .domains import registrable_domain
@@ -49,6 +50,8 @@ KIND_TO_OPTION = {
 TYPE_OPTIONS = frozenset(KIND_TO_OPTION.values())
 
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
+_NOT_SEPARATORS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_.%-")
+_AUTHORITY_RE = re.compile(r"https?://([^/?#]*)")
 _TOKEN_RE = re.compile(r"[a-z0-9%]+")
 _REGEX_OF = {"*": ".*", "^": _SEPARATOR_RE}
 # A cosmetic or scriptlet separator: "#", an optional "@", one of "", "?",
@@ -75,6 +78,18 @@ class Rule:
     @cached_property
     def regex(self) -> re.Pattern:
         return re.compile(self.pattern)
+
+    @cached_property
+    def check(self) -> Callable[[str], object]:
+        """The rule's test of a lower-cased URL, true where ``regex.search``
+        finds a match: a string scan when the body is literal (no "*", "^"
+        only last), else the search itself. The URL must be printable, as
+        ``url_host`` and ``load_graph`` require: "$" also matches before a
+        final "\\n", which the scan does not."""
+        body = self.body
+        if "*" in body or "^" in body[:-1]:
+            return self.regex.search
+        return partial(_scan, body.removesuffix("^"), body.endswith("^"), *self.anchors)
 
 
 def _rarest(keys: tuple[str, ...], freq: Counter) -> str:
@@ -171,6 +186,29 @@ def _pattern_to_regex(
     return rx + "$" if end_anchor else rx
 
 
+def _scan(lit: str, sep: bool, host: bool, start: bool, end: bool, url: str) -> bool:
+    """Whether ``url`` holds ``lit`` where the anchors let it start, then a
+    separator (a character outside [a-z0-9_.%-], or the end) when ``sep``."""
+    n = len(url)
+    lo, hi = 0, 0 if start else n
+    if host:  # at the authority's start or just after a "." in it
+        m = _AUTHORITY_RE.match(url)
+        if m is None:
+            return False
+        lo, hi = m.span(1)
+    i = url.find(lit, lo)
+    while 0 <= i <= hi:
+        e = i + len(lit)
+        if (i == lo or not host or url[i - 1] == ".") and (
+            e == n
+            or not (sep or end)
+            or sep and url[e] not in _NOT_SEPARATORS and (not end or e + 1 == n)
+        ):
+            return True
+        i = url.find(lit, i + 1)
+    return False
+
+
 def _token_runs(
     body: str, start_bounded: bool, end_bounded: bool
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -183,6 +221,13 @@ def _token_runs(
     whole token, and a run bounded on the left as the start of a token:
     ``^`` cannot match the end of the URL with the run still to come.
     """
+    if "*" not in body:  # only a run at an unanchored edge is unbounded
+        runs = _TOKEN_RE.findall(body)
+        if runs and not start_bounded and body.startswith(runs[0]):
+            del runs[0]
+        if runs and not end_bounded and body.endswith(runs[-1]):
+            return tuple(dict.fromkeys(runs[:-1])), (runs[-1],)
+        return tuple(dict.fromkeys(runs)), ()
     complete: dict[str, None] = {}
     left_bounded: dict[str, None] = {}
     last = len(body)
@@ -338,7 +383,7 @@ def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> t
             m = masks.get(id(r))
             if m is None:
                 m = masks[id(r)] = contexts.mask(r)
-            if m & wanted & ~held and r.regex.search(url_lower):
+            if m & wanted & ~held and r.check(url_lower):
                 held |= m & wanted
                 if held == wanted:
                     break

@@ -4,14 +4,17 @@ from dataclasses import replace
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from widetrack.domains import registrable_domain
 from widetrack.filters import (
     ADTRACKER,
     BENIGN,
+    Rule,
     RuleSet,
     _Contexts,
+    _TOKEN_RE,
+    _token_runs,
     document_block_matched,
     label_document,
     parse_rules,
@@ -530,6 +533,82 @@ def test_site_table_masks_equal_the_per_site_loop(options, sites, host, kind):
         assert contexts.mask(rule) == expected, (rule.raw, sites)
 
 
+# --- literal bodies: the string scan each stands in for its regex with ---
+
+# Hosts with userinfo, ports, ".." and a "." before "/", "#" or "?" in the
+# authority, schemes the "||" anchor refuses ("http:/x", "ftp://") and an
+# empty host; "%", "_" and non-ASCII after a literal.
+_SCAN_URLS = [
+    "https://t.net/", "http://t.net", "https://px.t.net:8080/a?b", "https://t.net@x.com/",
+    "https://x.com@t.net/", "https://a..t.net/", "https://t.net./x", "https://x.t.net#.t.net/",
+    "https://x?.t.net", "https://a#b.t.net/", "http:/t.net/", "ftp://t.net/", "https:///t.net/",
+    "https://", "t.net", "https://t.net%2f", "https://t.net_x/", "https://t.neté/", "https://t.nets/",
+    "https://t.net-x/", "https://x/t.net/", "https://x/a.t.net", "https://t.net/t.net",
+    "https://t.net/?x=t.net^", "https://xt.net/", "",
+]
+_SCAN_BODIES = ["t.net", "t.net/", "/t.net", "net/?", "t.", ".", "-x", "t.net:8080", ""]
+
+
+@pytest.mark.parametrize("prefix", ["", "|", "||"])
+@pytest.mark.parametrize("sep", ["", "^"])
+@pytest.mark.parametrize("end", ["", "|"])
+def test_literal_scan_of_each_anchor_agrees_with_the_regex(prefix, sep, end):
+    for body in _SCAN_BODIES:
+        rs = parse_rules(f"{prefix}{body}{sep}{end}$script")
+        (rule,) = rs.block_rules
+        # An empty body leaves "|" and "||" to read as a start or host anchor.
+        assert rule.anchors == (prefix == "||", prefix == "|", end == "|") or not body
+        for url in _SCAN_URLS:
+            expected = re.search(rule.pattern, url) is not None
+            assert bool(rule.check(url)) == expected, (rule.raw, url)
+        assert "regex" not in rule.__dict__, rule.raw
+
+
+_LITERAL_PIECES = ["a", "t", "0", ".", "/", "?", "-", "%", "_", ":", "=", "@", "é"]
+_SCAN_PIECES = _SCAN_URLS + [
+    "a", "t", ".", "..", "./", "/", "?", "#", "-", "_", "%", ":80", "@", "é", "ß", "http://",
+    "https://", "ftp://", "http:/", "^", " ", "A",
+]
+_printable = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=3).filter(
+    str.isprintable
+)
+_scan_texts = st.lists(st.sampled_from(_SCAN_PIECES) | _printable, max_size=6).map("".join)
+# Text before a literal: a scheme or none, then what ends right before it.
+_befores = st.tuples(
+    st.sampled_from(["", "http://", "https://", "ftp://", "http:/", "https:///"]),
+    _scan_texts,
+    st.sampled_from(["", ".", "..", "@", "#.", "?.", "/", "/.", ":80.", "t.net@"]),
+).map("".join)
+# Text after a literal, from a character "^" does or does not match.
+_afters = st.tuples(
+    st.sampled_from(["", "_", "%", "-", ".", "a", "0", "/", "?", "#", "é", ":", "@", "^"]),
+    _scan_texts,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    prefix=st.sampled_from(["", "|", "||"]),
+    body=st.lists(st.sampled_from(_LITERAL_PIECES), max_size=5).map("".join),
+    sep=st.sampled_from(["", "^"]),
+    end=st.sampled_from(["", "|"]),
+    befores=st.lists(_befores, min_size=1, max_size=4),
+    afters=st.lists(_afters, min_size=1, max_size=4),
+)
+def test_literal_scan_agrees_with_the_regex(prefix, body, sep, end, befores, afters):
+    """A literal rule's check is ``re.search`` of its pattern on printable
+    strings: alone, and around the literal, which the scan must place."""
+    rs = parse_rules(f"{prefix}{body}{sep}{end}$script")
+    assume(rs.block_rules)  # "/a/" reads as a regex rule
+    (rule,) = rs.block_rules
+    lit = rule.body.removesuffix("^")
+    assert "*" not in lit and "^" not in lit
+    texts = befores + afters + [b + lit + a for b in befores for a in afters]
+    for text in texts:
+        assert bool(rule.check(text)) == (re.search(rule.pattern, text) is not None), text
+    assert "regex" not in rule.__dict__
+
+
 def _bucket(index, i):
     """Where rule ``i`` of an index's list is keyed."""
     for kind, table in (("token", index.by_token), ("prefix", index.by_prefix)):
@@ -562,6 +641,28 @@ def test_rule_bucket(line, bucket):
     assert _bucket(index, 0) == bucket
 
 
+def reference_token_runs(body, start_bounded, end_bounded):
+    """_token_runs as one loop over every run's span: the package now takes
+    a body without "*" from one findall."""
+    complete, left_bounded, last = {}, {}, len(body)
+    for m in _TOKEN_RE.finditer(body):
+        start, end = m.span()
+        if body[start - 1] != "*" if start else start_bounded:
+            right = body[end] != "*" if end < last else end_bounded
+            (complete if right else left_bounded)[m.group()] = None
+    return tuple(complete), tuple(left_bounded)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=rule_lines)
+def test_token_runs_equal_the_per_run_loop(line):
+    for rule in (rs := parse_rules(line)).block_rules + rs.exception_rules:
+        for start_bounded in (False, True):
+            for end_bounded in (False, True):
+                got = _token_runs(rule.body, start_bounded, end_bounded)
+                assert got == reference_token_runs(rule.body, start_bounded, end_bounded)
+
+
 def test_prefix_key_is_the_rarest_left_bounded_run():
     index = parse_rules("/ad*.js\n/b*.js\n/c*.js\n/*x.js").block_index
     assert index.by_prefix == {"ad": [0], "b": [1], "c": [2], "js": [3]}
@@ -573,26 +674,27 @@ def test_prefix_key_is_the_rarest_left_bounded_run():
     assert [r.raw for r in index.candidates(["cab"])] == ["/c*.js"]
 
 
-class _CountingRegex:
-    """Stands in for a rule's compiled regex and counts its searches."""
+class _CountingCheck:
+    """Stands in for a rule's check, a string scan or a regex search, and
+    counts its calls; the real check is built on each call."""
 
-    def __init__(self, pattern, counter):
-        self.pattern = pattern
+    def __init__(self, rule, counter):
+        self.rule = rule
         self.counter = counter
 
-    def search(self, text):
+    def __call__(self, text):
         self.counter[self] += 1
-        return re.search(self.pattern, text)
+        return Rule.check.func(self.rule)(text)
 
 
 def _searches_per_url(text, url_list):
-    """Per URL: (regex searches run by label_document and
+    """Per URL: (rule checks run by label_document and
     document_block_matched on the URL's one-URL document, their verdicts).
-    No call may search a rule's regex twice."""
+    No call may check a rule twice."""
     rs = parse_rules(text)
     counter = Counter()
     for rule in rs.block_rules + rs.exception_rules:
-        rule.__dict__["regex"] = _CountingRegex(rule.pattern, counter)
+        rule.__dict__["check"] = _CountingCheck(rule, counter)
     out = []
     for url in url_list:
         d = url_document(url, "news.com", "script")
@@ -663,9 +765,25 @@ def test_rules_whose_options_pass_nowhere_are_never_searched():
         assert sum(re.search(rule.pattern, u.lower()) is not None for u in _SMALL_URLS) == 2
     without = _searches_per_url(_SMALL_LIST, _SMALL_URLS)
     assert _searches_per_url(_SMALL_LIST + "\n" + decoys, _SMALL_URLS) == without
-    # Nor is one compiled, though the small list blocks both URLs.
+    # Nor is a check or a regex built for one, though the small list blocks both URLs.
     rs = parse_rules(_SMALL_LIST + "\n" + decoys)
     for url in _SMALL_URLS:
         label_document(rs, doc(urlsplit(url).hostname, "script", [url]))
+    unvisited = [r for r in rs.block_rules + rs.exception_rules if "unvisited" in r.raw]
+    assert not any("check" in r.__dict__ or "regex" in r.__dict__ for r in unvisited)
+
+
+def test_host_anchored_rules_are_checked_without_a_regex():
+    rs = parse_rules(
+        "||px.t.net^\n||ads.shop.io^$script\n@@||sync.t.net^\n"
+        "||t.net^$third-party\n||good.org^$domain=news.com\n@@||px.t.net^$image"
+    )
+    labels = [
+        label_document(rs, doc(urlsplit(url).hostname, "script", [url])).label
+        for url in _SMALL_URLS
+    ]
+    assert labels.count(ADTRACKER) == 5 and labels.count(BENIGN) == 2
     rules = rs.block_rules + rs.exception_rules
-    assert not any("regex" in r.__dict__ for r in rules if "unvisited" in r.raw)
+    # The "$image" exception's options pass in no context of a script.
+    assert [r.raw for r in rules if "check" not in r.__dict__] == ["@@||px.t.net^$image"]
+    assert not any("regex" in r.__dict__ for r in rules)
