@@ -12,6 +12,7 @@ stderr line, and a failure names the file or a line.
 """
 
 import io
+import json
 import re
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -190,3 +191,55 @@ def test_mutated_input_exits_cleanly_naming_its_file_or_line(run, capsys, kind, 
     assert err.count("\n") <= 1, err
     if code:
         assert str(mutated) in err or re.search(r"\bline \d+", err), err
+
+
+# What a graph record's value may be swapped for: a value of another JSON
+# type, or an integer at or past the ends of the ones the writer writes.
+_OTHER_TYPES = ["x", [], ["x", 1], None, 1.5, True, False, {"t": "edge"}]
+_ODD_INTEGERS = [-1, 0, 2**63, 10**20]
+
+
+@st.composite
+def graph_record_mutations(draw, data):
+    """The graph file ``data`` with one record changed at the JSON level: a
+    value, at any depth, swapped for one of another type; a key dropped;
+    or an edge's ``m`` or a document URL's count set to an odd integer.
+    The record is re-encoded as ``save_graph`` lays it out."""
+    lines = data.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    rec = json.loads(lines[at])
+    op = draw(st.sampled_from(["type", "drop", "integer"]))
+    if op == "integer" and rec.get("t") in ("edge", "doc"):
+        value = draw(st.sampled_from(_ODD_INTEGERS))
+        if rec["t"] == "edge":
+            rec["m"] = value
+        else:
+            rec["urls"][draw(st.integers(0, len(rec["urls"]) - 1))][1] = value
+    elif op == "drop":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    else:
+        parent, key = rec, draw(st.sampled_from(sorted(rec)))
+        # Go down into a list value as far as the draws say.
+        while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+            parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+        old = parent[key]
+        parent[key] = draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
+    lines[at] = (json.dumps(rec, sort_keys=True) + "\n").encode()
+    return b"".join(lines)
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_graph_record_mutations_exit_cleanly_naming_the_file_and_line(run, capsys, data):
+    work, files = run
+    mutated = work / "json-mutated-graph.jsonl"
+    mutated.write_bytes(data.draw(graph_record_mutations(files["graph"].read_bytes())))
+    capsys.readouterr()
+    code = main(["graph", "stats", "--graph", str(mutated)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1, err
+    if code:
+        assert re.match(rf"{re.escape(str(mutated))}: line \d+: ", err.removeprefix("error: ")), err
