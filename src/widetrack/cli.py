@@ -15,7 +15,7 @@ from . import forest as forest_mod
 from . import pipeline as pipeline_mod
 from .domains import DomainError, registrable_domain
 from .filters import ADTRACKER, label_document
-from .graph import GraphIndex, build_widegraph, load_graph, save_graph, stats
+from .graph import WideGraph, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
 from .pipeline import DataError, PipelineConfig, load_config
 from .synth import EcosystemConfig, generate
@@ -37,8 +37,8 @@ def _config(args) -> PipelineConfig:
     return cfg
 
 
-def _load_index(path) -> GraphIndex:
-    return GraphIndex(load_graph(Path(path).read_bytes(), path))
+def _load_graph(path) -> WideGraph:
+    return load_graph(Path(path).read_bytes(), path)
 
 
 def _row_labels(path, keys):
@@ -100,7 +100,7 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    st = stats(_load_index(args.graph))
+    st = stats(_load_graph(args.graph))
     for key, value in st.items():
         if not isinstance(value, (dict, list)):
             print(f"{key}: {value}")
@@ -118,22 +118,22 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_features_structural(args) -> int:
     cfg = _config(args)
-    matrix = pipeline_mod.structural_matrix(_load_index(args.graph), cfg)
+    matrix = pipeline_mod.structural_matrix(_load_graph(args.graph), cfg)
     with Path(args.out).open("wb") as out:
         pipeline_mod.write_struct_matrix(matrix, out)
     print(f"structural matrix: {len(matrix.keys)} nodes x {len(matrix.columns)} features")
     return 0
 
 
-def _eligible(index, cfg):
+def _eligible(graph, cfg):
     """The graph's eligible documents and their row keys."""
-    eligible, _ = pipeline_mod.filter_eligible(index, cfg.min_in_degree)
+    eligible, _ = pipeline_mod.filter_eligible(graph, cfg.min_in_degree)
     return eligible, list(map(pipeline_mod.doc_key, eligible))
 
 
 def cmd_features_content(args) -> int:
     cfg = _config(args)
-    eligible, keys = _eligible(_load_index(args.graph), cfg)
+    eligible, keys = _eligible(_load_graph(args.graph), cfg)
     labels = _row_labels(args.labels, keys) if args.labels else None
     train, _ = pipeline_mod.split_keys(keys, cfg, labels)
     vocabulary, (columns, values, _) = pipeline_mod.content_features(eligible, train, cfg)
@@ -150,7 +150,7 @@ def cmd_features_content(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config(args)
-    eligible, keys = _eligible(_load_index(args.graph), cfg)
+    eligible, keys = _eligible(_load_graph(args.graph), cfg)
     ruleset = pipeline_mod.read_rules(args.rules)
     labels = [label_document(ruleset, d) for d in eligible]
     Path(args.out).write_bytes(pipeline_mod.write_labels_file(keys, labels))
@@ -188,9 +188,9 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
     overrides = pipeline_mod.read_overrides(cfg.overrides_file)
-    index = _load_index(args.graph)
-    pipeline_mod.check_override_hosts(overrides, cfg.overrides_file, index.graph)
-    eligible, keys = _eligible(index, cfg)
+    graph = _load_graph(args.graph)
+    pipeline_mod.check_override_hosts(overrides, cfg.overrides_file, graph)
+    eligible, keys = _eligible(graph, cfg)
     scores = pipeline_mod.read_scores_file(Path(args.scores).read_bytes(), args.scores)
     predictions = [
         pred for pred, _ in pipeline_mod.aligned(keys, scores, f"prediction in {args.scores}")
@@ -208,16 +208,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_emit_rules(args) -> int:
-    index = _load_index(args.graph)
+    graph = _load_graph(args.graph)
     predictions = pipeline_mod.read_scores_file(Path(args.scores).read_bytes(), args.scores)
     ruleset = pipeline_mod.read_rules(args.rules)
-    docs = index.graph.docs
+    docs = graph.docs
     keys = sorted(predictions)
     for host, kind in keys:
         if (host, kind) not in docs:
             raise DataError(f"{args.scores}: document {host} ({kind}) is not in {args.graph}")
     scored = [predictions[key] for key in keys]
-    text = pipeline_mod.emit_candidate_rules(index, [docs[k] for k in keys], scored, ruleset)
+    text = pipeline_mod.emit_candidate_rules(graph, [docs[k] for k in keys], scored, ruleset)
     Path(args.out).write_text(text, encoding="utf-8")
     n_rules = sum(1 for line in text.splitlines() if line.startswith("||"))
     print(f"emitted {n_rules} candidate rules")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import gc
 import io
 import json
-from bisect import bisect_left
+import sys
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _esc
-from typing import BinaryIO, Iterable, NamedTuple
+from operator import attrgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .lines import read_lines
 
 FIRST_PARTY = "firstparty"
 BOUNCED = "bounced"  # an edge label only (see expand_edges), never a node kind
+# Every edge label, sorted, so that label codes sort as the labels do.
+LABELS = tuple(sorted((*NODE_KINDS, BOUNCED)))
+_LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
 
 
 class GraphError(ValueError):
@@ -45,24 +49,6 @@ class NodeKey(NamedTuple):
         return self.kind == FIRST_PARTY
 
 
-class EdgeData:
-    """A merged edge's multiplicity and the sorted, distinct names of the
-    roots whose captures contributed it."""
-
-    __slots__ = ("multiplicity", "sites")
-
-    def __init__(self, multiplicity: int = 0, sites: Iterable[str] = ()):
-        self.multiplicity = multiplicity
-        self.sites: list[str] = []
-        for site in sites:
-            self.add_site(site)
-
-    def add_site(self, site: str) -> None:
-        i = bisect_left(self.sites, site)
-        if i == len(self.sites) or self.sites[i] != site:
-            self.sites.insert(i, site)
-
-
 @dataclass
 class SubdomainDocument:
     host: str
@@ -72,40 +58,130 @@ class SubdomainDocument:
     parent: NodeKey
 
 
+# What a WideGraph derives from its rows when one of these is first read.
+_MERGED = (
+    "keys", "ids", "edges", "site_ptr", "site_ids", "site_names",
+    "in_degree", "out_degree", "n_direct_roots", "n_indirect_roots", "neighbors",
+)
+
+
 class WideGraph:
+    """The merged graph of many sites' trees.
+
+    ``nodes`` maps each node key to itself, the one key object its documents
+    share. ``add_edge`` is the one way an edge enters a graph: it appends a
+    row. The first read of a ``_MERGED`` name merges the rows by one sort;
+    from then on no node or edge can be added. Node ids follow NodeKey
+    order (``keys``, ``ids``). ``edges`` holds one record per distinct
+    (src, dst, label) in ``graph.jsonl`` order: node ids, a code into
+    LABELS, and the multiplicity as a Python int. Edge i's sites are
+    ``site_names[site_ids[site_ptr[i]:site_ptr[i + 1]]]``. By node id:
+    distinct in- and out-edges, the numbers of first parties with a
+    non-Bounced / any edge into the node, and a third party's neighbour
+    ids, direction ignored, ascending.
+    """
+
     def __init__(self):
         self.roots: set[str] = set()
-        # Each key maps to itself: the one key object that every edge and
-        # document of the node shares.
         self.nodes: dict[NodeKey, NodeKey] = {}
-        self.edges: dict[tuple[NodeKey, NodeKey, str], EdgeData] = {}
         self.docs: dict[tuple[str, str], SubdomainDocument] = {}  # by (host, kind)
+        # Five entries a row: src, dst, label code, mult, site.
+        self._rows: list | None = []
+
+    def add_node(self, key: NodeKey) -> NodeKey:
+        """The graph's own object for node ``key``, adding the node if new."""
+        if self._rows is None:
+            raise GraphError("the graph was read; no node or edge can be added to it")
+        return self.nodes.setdefault(key, key)
+
+    def add_edge(
+        self, src: NodeKey, dst: NodeKey, label: str, mult: int, sites: Iterable[str] = ()
+    ) -> None:
+        """Add ``mult`` to edge (src, dst, label), adding the edge, and its
+        ends as nodes, if new, and add ``sites`` to the edge's sites. A row
+        holds no string a caller made: the label is coded, sites interned."""
+        src, dst, code = self.add_node(src), self.add_node(dst), _LABEL_CODES[label]
+        for site in [*map(sys.intern, sites)] or [None]:
+            self._rows.extend((src, dst, code, mult, site))
+            mult = 0
+
+    def __getattr__(self, name):
+        if name not in _MERGED:
+            raise AttributeError(name)
+        self._merge()
+        return self.__dict__[name]
+
+    def _merge(self) -> None:
+        """Sort the rows into ``edges`` and derive the per-node reads."""
+        src, dst, row_label, mults, sites = (self._rows[i::5] for i in range(5))
+        self._rows = None
+        self.keys = keys = sorted(self.nodes)
+        self.ids = ids = {key: i for i, key in enumerate(keys)}
+        n, rows = len(keys), len(src)
+        pairs = np.fromiter(map(ids.__getitem__, src), np.int64, rows) * n
+        pairs += np.fromiter(map(ids.__getitem__, dst), np.int64, rows)
+        pairs = pairs * len(LABELS) + np.array(row_label, dtype=np.int64)
+        codes, edge_of_row = np.unique(pairs, return_inverse=True)
+        pair, label = np.divmod(codes, len(LABELS))
+        e_src, e_dst = np.divmod(pair, n)
+        mult = np.zeros(len(codes), dtype=object)
+        np.add.at(mult, edge_of_row, np.array(mults, dtype=object))
+        self.edges = np.rec.fromarrays([e_src, e_dst, label, mult], names="src,dst,label,mult")
+        self.site_names = names = sorted(set(sites) - {None})
+        site_of = dict(zip(names, range(len(names))))
+        site = np.fromiter(map(site_of.get, sites, repeat(-1)), np.int64, rows)
+        listed = site >= 0
+        self.site_ptr, self.site_ids = _grouped(
+            edge_of_row[listed], site[listed], len(codes), len(names)
+        )
+
+        self.in_degree = np.bincount(e_dst, minlength=n)
+        self.out_degree = np.bincount(e_src, minlength=n)
+        first_party = np.array([key.is_first_party() for key in keys], dtype=bool)
+        root = first_party[e_src]
+        direct = root & (label != _LABEL_CODES[BOUNCED])
+        self.n_direct_roots = np.diff(_grouped(e_dst[direct], e_src[direct], n, n)[0])
+        self.n_indirect_roots = np.diff(_grouped(e_dst[root], e_src[root], n, n)[0])
+        ends, others = np.concatenate([e_src, e_dst]), np.concatenate([e_dst, e_src])
+        third = ~first_party[ends]
+        neighbor_ptr, neighbor_ids = _grouped(ends[third], others[third], n, n)
+        self.neighbors = np.split(neighbor_ids, neighbor_ptr[1:-1])
+
+    def edge_records(self) -> Iterator[tuple[NodeKey, NodeKey, str, int, list[str]]]:
+        """Each edge as (source, target, label, multiplicity, sites), in
+        ``graph.jsonl`` order."""
+        keys, names = self.keys, self.site_names
+        ptr, site_ids = self.site_ptr.tolist(), self.site_ids.tolist()
+        for i, (src, dst, label, mult) in enumerate(self.edges.tolist()):
+            sites = [names[j] for j in site_ids[ptr[i]:ptr[i + 1]]]
+            yield keys[src], keys[dst], LABELS[label], mult, sites
 
     def third_party_keys(self) -> list[NodeKey]:
-        return sorted(k for k in self.nodes if not k.is_first_party())
+        return [key for key in self.keys if not key.is_first_party()]
 
     def documents(self) -> list[SubdomainDocument]:
         """Every document, by parent node, then host."""
         return sorted(self.docs.values(), key=attrgetter("parent", "host"))
 
+    def _facts(self) -> tuple:
+        """What graph equality compares: roots, nodes, edges and documents."""
+        docs = {key: (doc.parent, doc.urls, doc.sites) for key, doc in self.docs.items()}
+        return self.roots, self.keys, list(self.edge_records()), docs
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WideGraph):
             return NotImplemented
-        if self.roots != other.roots or set(self.nodes) != set(other.nodes):
-            return False
-        if set(self.edges) != set(other.edges):
-            return False
-        for key, data in self.edges.items():
-            o = other.edges[key]
-            if data.multiplicity != o.multiplicity or data.sites != o.sites:
-                return False
-        if self.docs.keys() != other.docs.keys():
-            return False
-        for key, doc in self.docs.items():
-            o = other.docs[key]
-            if doc.parent != o.parent or doc.urls != o.urls or doc.sites != o.sites:
-                return False
-        return True
+        return self._facts() == other._facts()
+
+
+def _grouped(rows: np.ndarray, values: np.ndarray, n_rows: int, n_values: int) -> tuple:
+    """(offsets, values) of a CSR table: the distinct ``values`` paired with
+    each of ``n_rows`` rows, ascending; both arrays are below their counts."""
+    codes = np.sort(rows * n_values + values)
+    distinct = np.ones(len(codes), dtype=bool)
+    distinct[1:] = codes[1:] != codes[:-1]
+    row, value = np.divmod(codes[distinct], n_values)
+    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows))]), value
 
 
 def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
@@ -120,8 +196,7 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     """
     root = tree.root_domain
     graph.roots.add(root)
-    fp = NodeKey(root, FIRST_PARTY)
-    fp = graph.nodes.setdefault(fp, fp)
+    fp = graph.add_node(NodeKey(root, FIRST_PARTY))
 
     request_count = dict.fromkeys(tree.nodes, 0)
     for (_, dst), mult in tree.edges.items():
@@ -147,24 +222,21 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
             edges[edge] = edges.get(edge, 0) + mult
 
     expand_edges(fp, edges)
-    for edge, mult in edges.items():
-        data = graph.edges.get(edge) or graph.edges.setdefault(edge, EdgeData())
-        data.multiplicity += mult
-        data.add_site(root)
+    for (src, dst, label), mult in edges.items():
+        graph.add_edge(src, dst, label, mult, (root,))
     return diagnostics
 
 
 def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple:
     """(node key, URL counts) of the ``kind`` URLs on ``host`` in the site of
     first party ``fp``, filing their document; the counts are None in ``fp``.
-    The key is the node's own, so every edge shares one key object per node."""
+    The key is the node's own, so contraction compares node keys by identity."""
     doc = graph.docs.get((host, kind))
     if doc is None:
         domain = registrable_domain(host)
         if domain == fp.domain:
             return fp, None
-        key = NodeKey(domain, kind)
-        key = graph.nodes.setdefault(key, key)
+        key = graph.add_node(NodeKey(domain, kind))
         doc = graph.docs[host, kind] = SubdomainDocument(host, kind, Counter(), set(), key)
     if doc.parent.domain == fp.domain:  # filed by another site, first party in this one
         return fp, None
@@ -218,60 +290,28 @@ def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
     with collector_paused():
         for tree in trees:
             contract_tree(graph, tree)
+        graph._merge()
     return graph
 
 
-class GraphIndex:
-    """Everything the per-node reads need, counted from ``graph.edges``.
-
-    Degrees count each distinct (src, dst, label) edge once, ignoring
-    multiplicity; neighbour sets, kept for third-party nodes only, ignore
-    direction. Direct and indirect root counts are the numbers of first
-    parties with a non-Bounced / any edge into a node. ``src``/``dst`` are
-    the edges' endpoint ids into ``ids``. Build it once per graph and pass
-    it to every consumer.
-    """
-
-    def __init__(self, graph: WideGraph):
-        self.graph = graph
-        self.ids = {key: i for i, key in enumerate(graph.nodes)}
-        self.in_degree = Counter(dst for _, dst, _ in graph.edges)
-        self.out_degree = Counter(src for src, _, _ in graph.edges)
-        self.neighbors = {key: set() for key in graph.nodes if not key.is_first_party()}
-        for src, dst, _ in graph.edges:
-            if src in self.neighbors:
-                self.neighbors[src].add(dst)
-            if dst in self.neighbors:
-                self.neighbors[dst].add(src)
-        # (first party, node, whether the edge is not Bounced), once each
-        fp_edges = {(s, d, label != BOUNCED) for s, d, label in graph.edges if s.is_first_party()}
-        self.n_direct_roots = Counter(d for _, d, real in fp_edges if real)
-        self.n_indirect_roots = Counter(d for _, d in {(s, d) for s, d, _ in fp_edges})
-        self.src = np.array([self.ids[s] for s, _, _ in graph.edges], dtype=np.intp)
-        self.dst = np.array([self.ids[d] for _, d, _ in graph.edges], dtype=np.intp)
-
-    def degree(self, key: NodeKey) -> int:
-        """Distinct in- plus out-edges, multiplicity ignored."""
-        return self.in_degree[key] + self.out_degree[key]
-
-
-def coverage_counts(index: GraphIndex, key: NodeKey) -> tuple[int, int, int]:
+def coverage_counts(graph: WideGraph, key: NodeKey) -> tuple[int, int, int]:
     """(direct roots, indirect roots, total roots) for a third-party node."""
-    if key not in index.graph.nodes:
+    if key not in graph.nodes:
         raise GraphError(f"unknown node {key}")
     if key.is_first_party():
         raise GraphError("coverage is undefined for first-party nodes")
-    return index.n_direct_roots[key], index.n_indirect_roots[key], len(index.graph.roots)
+    i = graph.ids[key]
+    return int(graph.n_direct_roots[i]), int(graph.n_indirect_roots[i]), len(graph.roots)
 
 
-def coverage(index: GraphIndex, key: NodeKey) -> tuple[float, float]:
+def coverage(graph: WideGraph, key: NodeKey) -> tuple[float, float]:
     """Fractions of first parties linking to the node directly / at all.
 
     Indirect coverage reads the per-site Bounced edges added at expansion
     time; merged-graph multi-hop paths would mix edges from different sites
     and overcount.
     """
-    d, i, n = coverage_counts(index, key)
+    d, i, n = coverage_counts(graph, key)
     if n == 0:
         return 0.0, 0.0
     return d / n, i / n
@@ -280,42 +320,44 @@ def coverage(index: GraphIndex, key: NodeKey) -> tuple[float, float]:
 def average_path_length(graph: WideGraph) -> float:
     """Mean shortest-path length from first parties to reachable third
     parties, over real (non-Bounced) edges; 0.0 when nothing is reachable."""
-    adjacency: dict[NodeKey, list[NodeKey]] = {}
-    for (src, dst, label) in graph.edges:
-        if label != BOUNCED:
-            adjacency.setdefault(src, []).append(dst)
+    keys, e = graph.keys, graph.edges
+    real = e.label != _LABEL_CODES[BOUNCED]
+    out_ptr, targets = _grouped(e.src[real], e.dst[real], len(keys), len(keys))
+    out_ptr, targets = out_ptr.tolist(), targets.tolist()
     total = pairs = 0
     for root in graph.roots:
-        fp = NodeKey(root, FIRST_PARTY)
+        fp = graph.ids.get(NodeKey(root, FIRST_PARTY))
+        if fp is None:
+            continue
         dist = {fp: 0}
         queue = deque([fp])
         while queue:
             node = queue.popleft()
-            for nxt in adjacency.get(node, ()):
+            for nxt in targets[out_ptr[node]:out_ptr[node + 1]]:
                 if nxt not in dist:
                     dist[nxt] = dist[node] + 1
                     queue.append(nxt)
         for node, d in dist.items():
-            if not node.is_first_party():
+            if not keys[node].is_first_party():
                 total += d
                 pairs += 1
     return total / pairs if pairs else 0.0
 
 
-def stats(index: GraphIndex) -> dict:
-    graph = index.graph
-    label_counts: Counter = Counter(label for (_, _, label) in graph.edges)
+def stats(graph: WideGraph) -> dict:
+    e = graph.edges
+    label_counts = np.bincount(e.label, minlength=len(LABELS)).tolist()
     third = graph.third_party_keys()
     rows = []
     for key in third:
-        direct, indirect = coverage(index, key)
+        direct, indirect = coverage(graph, key)
         rows.append(
             {
                 "domain": key.domain,
                 "kind": key.kind,
                 "direct": direct,
                 "indirect": indirect,
-                "in_degree": index.in_degree[key],
+                "in_degree": int(graph.in_degree[graph.ids[key]]),
             }
         )
     rows.sort(key=lambda r: (-r["direct"], -r["indirect"], r["domain"], r["kind"]))
@@ -323,9 +365,9 @@ def stats(index: GraphIndex) -> dict:
         "roots": len(graph.roots),
         "nodes": len(graph.nodes),
         "third_party_nodes": len(third),
-        "edges": len(graph.edges),
-        "edge_multiplicity_total": sum(e.multiplicity for e in graph.edges.values()),
-        "edges_by_label": dict(sorted(label_counts.items())),
+        "edges": len(e),
+        "edge_multiplicity_total": sum(e.mult.tolist()),
+        "edges_by_label": {label: n for label, n in zip(LABELS, label_counts) if n},
         "documents": len(graph.docs),
         "avg_path_length": average_path_length(graph),
         "top_coverage": rows[:20],
@@ -355,18 +397,14 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
         domain, kind = _esc(key.domain), _esc(key.kind)
         pairs[key] = f"[{domain}, {kind}]"
         out.write((_NODE % (domain, kind)).encode())
-    for edge in sorted(graph.edges):
-        src, dst, label = edge
-        data = graph.edges[edge]
-        sites = ", ".join(map(_esc, data.sites))
-        line = _EDGE % (_esc(label), data.multiplicity, pairs[src], sites, pairs[dst])
-        out.write(line.encode())
+    for src, dst, label, mult, sites in graph.edge_records():
+        sites = ", ".join(map(_esc, sites))
+        out.write((_EDGE % (_esc(label), mult, pairs[src], sites, pairs[dst])).encode())
     for doc in graph.documents():
         sites = ", ".join(map(_esc, sorted(doc.sites)))
         urls = ", ".join([f"[{_esc(url)}, {n:d}]" for url, n in sorted(doc.urls.items())])
         line = _DOC % (_esc(doc.host), _esc(doc.kind), pairs[doc.parent], sites, urls)
         out.write(line.encode())
-
 
 
 def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
@@ -389,6 +427,7 @@ def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
     ``contract_tree`` never writes but which load and re-save as they
     are."""
     graph = WideGraph()
+    edges: set[tuple[NodeKey, NodeKey, str]] = set()  # each loaded (src, dst, label)
     lineno = 0
     for lineno, line in read_lines(io.BytesIO(data), source, GraphFormatError):
         try:
@@ -416,9 +455,9 @@ def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
                 key = NodeKey(rec["d"], rec["k"])
                 if key in graph.nodes:
                     raise GraphFormatError(f"repeated node {tuple(key)}")
-                graph.nodes[key] = key
+                graph.add_node(key)
             elif kind == "edge":
-                _load_edge(graph, rec)
+                _load_edge(graph, rec, edges)
             elif kind == "doc":
                 _load_doc(graph, rec)
             else:
@@ -432,8 +471,9 @@ def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
     return graph
 
 
-def _load_edge(graph: WideGraph, rec: dict) -> None:
-    """File one edge record in ``graph``."""
+def _load_edge(graph: WideGraph, rec: dict, edges: set) -> None:
+    """Add one edge record to ``graph``; ``edges`` holds the (src, dst,
+    label) of each edge added before."""
     src = graph.nodes.get(NodeKey(*rec["s"]))
     dst = graph.nodes.get(NodeKey(*rec["x"]))
     if src is None or dst is None:
@@ -450,7 +490,7 @@ def _load_edge(graph: WideGraph, rec: dict) -> None:
     if src is dst:
         raise GraphFormatError(f"self-loop edge on {tuple(src)}")
     edge = (src, dst, label)
-    if edge in graph.edges:
+    if edge in edges:
         raise GraphFormatError(f"repeated edge {tuple(src)} -> {tuple(dst)}")
     mult, sites = rec["m"], rec["sites"]
     if type(mult) is not int or type(sites) is not list or not all(type(s) is str for s in sites):
@@ -458,7 +498,8 @@ def _load_edge(graph: WideGraph, rec: dict) -> None:
     if mult < 1:
         raise GraphFormatError(f"edge multiplicity {mult} is below 1")
     _check_sites(graph, "edge", sites)
-    graph.edges[edge] = EdgeData(mult, sites)
+    edges.add(edge)
+    graph.add_edge(src, dst, label, mult, sites)
 
 
 def _load_doc(graph: WideGraph, rec: dict) -> None:

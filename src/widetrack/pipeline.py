@@ -33,7 +33,6 @@ from .filters import (
 )
 from .forest import CLASSES, ForestParams
 from .graph import (
-    GraphIndex,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -56,13 +55,13 @@ doc_key = attrgetter("host", "kind")
 
 
 def filter_eligible(
-    index: GraphIndex, min_in_degree: int
+    graph: WideGraph, min_in_degree: int
 ) -> tuple[list[SubdomainDocument], dict]:
     """Documents whose parent node has at least ``min_in_degree`` distinct
     in-edges, plus a (total, removed, kept) report. The kept documents, in
     ``doc_key`` order, are the rows of every per-document list and file."""
-    docs = index.graph.docs
-    kept = [docs[k] for k in sorted(docs) if index.in_degree[docs[k].parent] >= min_in_degree]
+    docs, ids, in_degree = graph.docs, graph.ids, graph.in_degree.tolist()
+    kept = [docs[k] for k in sorted(docs) if in_degree[ids[docs[k].parent]] >= min_in_degree]
     report = {"total": len(docs), "kept": len(kept), "removed": len(docs) - len(kept)}
     return kept, report
 
@@ -232,7 +231,7 @@ def reports_text(reports: dict[str, MetricsReport]) -> str:
 
 
 def emit_candidate_rules(
-    index: GraphIndex,
+    graph: WideGraph,
     docs: list[SubdomainDocument],
     scored: list[tuple],
     rules: RuleSet,
@@ -254,7 +253,7 @@ def emit_candidate_rules(
             matched = document_block_matched(rules, doc)
         if matched:
             continue
-        selected.append((score, doc.host, *coverage(index, doc.parent)))
+        selected.append((score, doc.host, *coverage(graph, doc.parent)))
     selected.sort(key=lambda s: (-s[0], s[1]))
     lines = [
         "! widetrack candidate rules",
@@ -283,7 +282,7 @@ def coverage_ccdf(values: list[float]) -> list[dict]:
 
 
 def analysis_tables(
-    index: GraphIndex,
+    graph: WideGraph,
     docs: list[SubdomainDocument],
     labels: list[Label],
     vocabulary: content_mod.Vocabulary,
@@ -297,7 +296,8 @@ def analysis_tables(
     vocabulary's first ``_TOP_TERMS`` terms.
     """
     classes = [label.label for label in labels]
-    degrees = [index.degree(doc.parent) for doc in docs]
+    degree, ids = (graph.in_degree + graph.out_degree).tolist(), graph.ids
+    degrees = [degree[ids[doc.parent]] for doc in docs]
 
     def bucket_name(lo, hi):
         return f"{lo}+" if hi is None else (f"{lo}" if lo == hi else f"{lo}-{hi}")
@@ -314,8 +314,8 @@ def analysis_tables(
             }
         )
 
-    n_roots = len(index.graph.roots)
-    direct = [coverage_counts(index, doc.parent)[0] / n_roots for doc in docs]
+    n_roots = len(graph.roots)
+    direct = [coverage_counts(graph, doc.parent)[0] / n_roots for doc in docs]
     ccdf = {
         cls: coverage_ccdf([v for v, c in zip(direct, classes) if c == cls])
         for cls in CLASSES
@@ -637,12 +637,12 @@ def replaced_when_done(path: str | Path) -> Iterator[BinaryIO]:
         part.unlink(missing_ok=True)
 
 
-def structural_matrix(index: GraphIndex, cfg: PipelineConfig) -> structural_mod.StructMatrix:
+def structural_matrix(graph: WideGraph, cfg: PipelineConfig) -> structural_mod.StructMatrix:
     """Base features of every third-party node plus ``cfg.refex_depth``
     levels of pruned neighbourhood aggregates."""
     return structural_mod.refex_expand(
-        structural_mod.build_base_matrix(index),
-        index,
+        structural_mod.build_base_matrix(graph),
+        graph,
         depth=cfg.refex_depth,
         threshold=cfg.prune_threshold,
     )
@@ -775,14 +775,13 @@ def run_all(cfg: PipelineConfig) -> dict:
     check_override_hosts(overrides, cfg.overrides_file, graph)
     with (out / "graph.jsonl").open("wb") as graph_out:
         save_graph(graph, graph_out)
-    index = GraphIndex(graph)
 
-    struct = structural_matrix(index, cfg)
+    struct = structural_matrix(graph, cfg)
     with (out / "structural.tsv").open("wb") as table:
         write_struct_matrix(struct, table)
 
     # From here on each per-document fact is a list indexed by row.
-    eligible, elig_report = filter_eligible(index, cfg.min_in_degree)
+    eligible, elig_report = filter_eligible(graph, cfg.min_in_degree)
     if len(eligible) < 2:
         raise DataError("fewer than 2 eligible documents; nothing to learn from")
     keys = list(map(doc_key, eligible))
@@ -811,7 +810,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     predictions = [pred for pred, _, _ in scored]
     reports = evaluate_all(eligible, labels, predictions, test, cfg, overrides)
 
-    candidates = emit_candidate_rules(index, eligible, scored, ruleset, labels)
+    candidates = emit_candidate_rules(graph, eligible, scored, ruleset, labels)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
 
     names = content_mod.feature_names(vocabulary, struct.columns)
@@ -831,7 +830,7 @@ def run_all(cfg: PipelineConfig) -> dict:
         "label_counts": dict(Counter(lab.label for lab in labels).most_common()),
         "reports": {name: rep.to_dict() for name, rep in reports.items()},
         "feature_importance": importance,
-        "analysis": analysis_tables(index, eligible, labels, vocabulary, doc_terms),
+        "analysis": analysis_tables(graph, eligible, labels, vocabulary, doc_terms),
     }
     (out / "report.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8"

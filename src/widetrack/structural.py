@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, GraphIndex, NodeKey, coverage
+from .graph import GraphError, NodeKey, WideGraph, coverage
 
 class BaseFeatureRow(NamedTuple):
     degree: int
@@ -41,23 +41,19 @@ class StructMatrix:
             raise GraphError(f"no structural row for node {key.domain} ({key.kind})") from None
 
 
-def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:
+def base_features(graph: WideGraph, key: NodeKey) -> BaseFeatureRow:
     """Degrees, egonet edge counts, and coverages for one third-party node.
 
     The egonet is the node plus all neighbors ignoring direction; ego_inter
     counts directed edges inside it, ego_out those crossing its boundary.
     """
-    if key not in index.graph.nodes:
-        raise GraphError(f"unknown node {key}")
-    if key.is_first_party():
-        raise GraphError("structural features are defined for third parties only")
-    in_deg = index.in_degree[key]
-    out_deg = index.out_degree[key]
-    ego = np.zeros(len(index.ids), dtype=bool)
-    ego[[index.ids[n] for n in index.neighbors[key]]] = True
-    ego[index.ids[key]] = True
-    src_in, dst_in = ego[index.src], ego[index.dst]
-    direct, indirect = coverage(index, key)
+    direct, indirect = coverage(graph, key)  # a GraphError for any other node
+    i = graph.ids[key]
+    in_deg, out_deg = int(graph.in_degree[i]), int(graph.out_degree[i])
+    ego = np.zeros(len(graph.keys), dtype=bool)
+    ego[graph.neighbors[i]] = True
+    ego[i] = True
+    src_in, dst_in = ego[graph.edges.src], ego[graph.edges.dst]
     return BaseFeatureRow(
         degree=in_deg + out_deg,
         in_degree=in_deg,
@@ -69,9 +65,9 @@ def base_features(index: GraphIndex, key: NodeKey) -> BaseFeatureRow:
     )
 
 
-def build_base_matrix(index: GraphIndex) -> StructMatrix:
-    keys = index.graph.third_party_keys()
-    rows = [np.array(base_features(index, key), dtype=float) for key in keys]
+def build_base_matrix(graph: WideGraph) -> StructMatrix:
+    keys = graph.third_party_keys()
+    rows = [np.array(base_features(graph, key), dtype=float) for key in keys]
     values = np.vstack(rows) if rows else np.zeros((0, len(BASE_COLUMNS)))
     return StructMatrix(keys=keys, columns=list(BASE_COLUMNS), values=values)
 
@@ -114,15 +110,16 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
     )
 
 
-def expand_level(matrix: StructMatrix, index: GraphIndex, generation: int) -> StructMatrix:
+def expand_level(matrix: StructMatrix, graph: WideGraph, generation: int) -> StructMatrix:
     """Append mean/sum neighbor aggregates of the previous level's columns;
     an older column's aggregates were appended by an earlier level."""
-    row_set = set(matrix.keys)
+    keys, rows = graph.keys, matrix._index
     prev = [c for c, name in enumerate(matrix.columns) if generation_of(name) == generation - 1]
     means = np.zeros((len(matrix.keys), len(prev)))
     sums = np.zeros_like(means)
     for r, key in enumerate(matrix.keys):
-        hood = [matrix._index[n] for n in sorted(index.neighbors[key] & row_set)]
+        neighbors = map(keys.__getitem__, graph.neighbors[graph.ids[key]].tolist())
+        hood = [rows[n] for n in neighbors if n in rows]
         if hood:
             # Reduce the whole block, then select: a column subset can sum
             # differently in the last bit.
@@ -138,7 +135,7 @@ def expand_level(matrix: StructMatrix, index: GraphIndex, generation: int) -> St
 
 
 def refex_expand(
-    matrix: StructMatrix, index: GraphIndex, depth: int, threshold: float
+    matrix: StructMatrix, graph: WideGraph, depth: int, threshold: float
 ) -> StructMatrix:
     """Recursively aggregate features over neighborhoods, pruning per level.
 
@@ -147,7 +144,7 @@ def refex_expand(
     adjacency is already captured by the coverage columns.
     """
     for level in range(1, depth + 1):
-        matrix = expand_level(matrix, index, generation=level)
+        matrix = expand_level(matrix, graph, generation=level)
         matrix = prune_correlated(matrix, threshold)
     return matrix
 

@@ -1,8 +1,8 @@
 """Seeded synthetic web ecosystems emitted as HAR corpora with ground truth.
 
 The generator tracks its own truth graph (nodes, edges, documents) directly
-from its embedding decisions, never through the construction pipeline, so
-it can serve as an independent oracle for graph building, coverage, and
+from its embedding decisions, never through the construction pipeline: it
+shares only the graph's storage (``add_node``, ``add_edge``), so it can serve as an independent oracle for graph building, coverage, and
 labeling. Tracker services spray query-heavy URLs across many sites and
 load each other per the bounce probability; benign services serve plain
 asset URLs on few sites. Every service is additionally pinned to three
@@ -22,7 +22,6 @@ from .filters import ADTRACKER, BENIGN
 from .graph import (
     BOUNCED,
     FIRST_PARTY,
-    EdgeData,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -201,20 +200,12 @@ def _har_entry(url: str, kind: str, ts: int, initiator: dict | None) -> dict:
 
 
 def _touch_doc(truth: WideGraph, svc: _Service, url: str, site: str):
-    key = truth.nodes.setdefault(svc.key, svc.key)
+    key = truth.add_node(svc.key)
     doc = truth.docs.setdefault(
         (svc.host, svc.kind), SubdomainDocument(svc.host, svc.kind, Counter(), set(), key)
     )
     doc.urls[url] += 1
     doc.sites.add(site)
-
-
-def _truth_edge(
-    truth: WideGraph, src: NodeKey, dst: NodeKey, label: str, mult: int, site: str
-):
-    data = truth.edges.setdefault((src, dst, label), EdgeData())
-    data.multiplicity += mult
-    data.add_site(site)
 
 
 def generate(config: EcosystemConfig) -> SynthCorpus:
@@ -234,7 +225,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
         page_url = f"https://www.{site}/"
         fp = NodeKey(site, FIRST_PARTY)
         truth.roots.add(site)
-        truth.nodes.setdefault(fp, fp)
+        truth.add_node(fp)
 
         direct_records: list[tuple[_Service, list[str]]] = []
         for svc in services:
@@ -302,7 +293,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
         direct_keys = set()
         for svc, urls in direct_records:
             direct_keys.add(svc.key)
-            _truth_edge(truth, fp, svc.key, svc.kind, len(urls), site)
+            truth.add_edge(fp, svc.key, svc.kind, len(urls), (site,))
             for url in urls:
                 _touch_doc(truth, svc, url, site)
         reached = set(direct_keys)
@@ -310,10 +301,10 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
         for loader, _, target, target_url in loads:
             reached.add(target.key)
             load_pairs.add((loader.key, target.key))
-            _truth_edge(truth, loader.key, target.key, target.kind, 1, site)
+            truth.add_edge(loader.key, target.key, target.kind, 1, (site,))
             _touch_doc(truth, target, target_url, site)
         for key in sorted(reached - direct_keys):
-            _truth_edge(truth, fp, key, BOUNCED, 1, site)
+            truth.add_edge(fp, key, BOUNCED, 1, (site,))
         plans[site] = SitePlan(
             direct=frozenset(direct_keys), loads=frozenset(load_pairs)
         )

@@ -19,8 +19,6 @@ from widetrack.content import build_vocabulary, content_rows, doc_token_counts
 from widetrack.filters import ADTRACKER, RuleSet, _pattern_to_regex, label_document, parse_rules
 from widetrack.forest import ForestParams, _walk, predict, save_model, train
 from widetrack.graph import (
-    EdgeData,
-    GraphIndex,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -59,6 +57,10 @@ def brute_force_coverage(corpus, key):
     return direct, indirect, len(corpus.site_plans)
 
 
+def edge_triples(graph):
+    return {(src, dst, label) for src, dst, label, _, _ in graph.edge_records()}
+
+
 def test_criterion_1_graph_oracle_equivalence():
     start = time.perf_counter()
     for seed in range(50):
@@ -78,12 +80,11 @@ def test_criterion_1_graph_oracle_equivalence():
         truth = corpus.truth_graph
         assert set(graph.nodes) == set(truth.nodes)
         assert graph.roots == truth.roots
-        assert set(graph.edges) == set(truth.edges)
+        assert edge_triples(graph) == edge_triples(truth)
         assert graph == truth  # multiplicities, site sets, documents
 
-        index = GraphIndex(graph)
         for key in graph.third_party_keys():
-            d, i, n = coverage_counts(index, key)
+            d, i, n = coverage_counts(graph, key)
             bd, bi, bn = brute_force_coverage(corpus, key)
             assert Fraction(d, n) == Fraction(bd, bn)
             assert Fraction(i, n) == Fraction(bi, bn)
@@ -384,12 +385,11 @@ def test_criterion_8_feature_separation_directions(e2e):
     coverages = {"adtracker": [], "benign": []}
     degrees = {"adtracker": [], "benign": []}
     degree_of = Counter()
-    for src, dst, _ in graph.edges:
+    for src, dst, _ in edge_triples(graph):
         degree_of[src] += 1
         degree_of[dst] += 1
-    index = GraphIndex(graph)
     for doc in docs:
-        d, _, n = coverage_counts(index, doc.parent)
+        d, _, n = coverage_counts(graph, doc.parent)
         label = labels[(doc.host, doc.kind)]
         coverages[label].append(d / n)
         degrees[label].append(degree_of[doc.parent])
@@ -423,11 +423,9 @@ def graph_with_in_degrees(degree_by_domain):
     for i in range(max_deg):
         root = f"s{i}.com"
         g.roots.add(root)
-        fp = NodeKey(root, "firstparty")
-        g.nodes[fp] = fp
+        g.add_node(NodeKey(root, "firstparty"))
     for domain, deg in degree_by_domain.items():
-        key = NodeKey(domain, "script")
-        g.nodes[key] = key
+        key = g.add_node(NodeKey(domain, "script"))
         host = f"px.{domain}"
         g.docs[host, "script"] = SubdomainDocument(
             host, "script", Counter({f"https://{host}/x": 1}),
@@ -435,13 +433,13 @@ def graph_with_in_degrees(degree_by_domain):
         )
         for i in range(deg):
             fp = NodeKey(f"s{i}.com", "firstparty")
-            g.edges[(fp, key, "script")] = EdgeData(1, {f"s{i}.com"})
+            g.add_edge(fp, key, "script", 1, [f"s{i}.com"])
     return g
 
 
 def test_criterion_7_eligibility_boundary(e2e):
     g = graph_with_in_degrees({"two.net": 2, "three.net": 3, "ten.net": 10})
-    kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
+    kept, report = filter_eligible(g, PipelineConfig().min_in_degree)
     hosts = {doc.host for doc in kept}
     assert "px.two.net" not in hosts
     assert "px.three.net" in hosts and "px.ten.net" in hosts

@@ -13,8 +13,6 @@ from widetrack.graph import (
     FIRST_PARTY,
     GraphError,
     GraphFormatError,
-    EdgeData,
-    GraphIndex,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -41,6 +39,11 @@ def site_graph(*trees):
     return build_widegraph(trees)
 
 
+def edge_data(g):
+    """Each edge's (multiplicity, sites), by (source, target, label)."""
+    return {(src, dst, label): (mult, sites) for src, dst, label, mult, sites in g.edge_records()}
+
+
 def saved(g):
     out = io.BytesIO()
     save_graph(g, out)
@@ -62,7 +65,7 @@ class TestContractTree:
         assert contract_tree(g, t) == Counter({"edge_to_firstparty_dropped": 2})
         assert g.roots == {"site.com"}
         assert set(g.nodes) == {FP}
-        assert g.edges == {}
+        assert len(g.edges) == 0
         assert g.documents() == []
 
     def test_script_fanout_rekeys_to_domain_kind(self):
@@ -87,7 +90,7 @@ class TestContractTree:
             NodeKey("d6.com", "script"),
             NodeKey("d4.com", "other"),
         }
-        real = {edge: e.multiplicity for edge, e in g.edges.items() if edge[2] != BOUNCED}
+        real = {edge: mult for edge, (mult, _) in edge_data(g).items() if edge[2] != BOUNCED}
         assert real == {
             (FP, NodeKey("d5.com", "script"), "script"): 1,
             (NodeKey("d5.com", "script"), NodeKey("d3.com", "script"), "script"): 1,
@@ -95,7 +98,7 @@ class TestContractTree:
             (NodeKey("d5.com", "script"), NodeKey("d6.com", "script"), "script"): 1,
             (NodeKey("d4.com", "script"), NodeKey("d4.com", "other"), "other"): 1,
         }
-        assert all(e.sites == ["site.com"] for e in g.edges.values())
+        assert all(sites == ["site.com"] for _, sites in edge_data(g).values())
 
     def test_edge_into_first_party_dropped_with_diagnostic(self):
         root = "https://www.site.com/"
@@ -108,7 +111,7 @@ class TestContractTree:
         )
         g = WideGraph()
         diagnostics = contract_tree(g, t)
-        assert all(not dst.is_first_party() for (_, dst, _) in g.edges)
+        assert all(not dst.is_first_party() for (_, dst, _) in edge_data(g))
         assert diagnostics == Counter({"edge_to_firstparty_dropped": 1})
 
     def test_same_key_edge_becomes_self_edge_and_drops(self):
@@ -118,7 +121,7 @@ class TestContractTree:
         g = WideGraph()
         diagnostics = contract_tree(g, t)
         assert diagnostics == Counter({"contracted_self_edge_dropped": 1})
-        assert (NodeKey("t.net", "script"), NodeKey("t.net", "script"), "script") not in g.edges
+        assert (NodeKey("t.net", "script"), NodeKey("t.net", "script"), "script") not in edge_data(g)
 
     def test_documents_group_urls_by_host_and_kind(self):
         root = "https://www.site.com/"
@@ -175,9 +178,9 @@ class TestExpandEdges:
         g = WideGraph()
         contract_tree(g, t)
         fp = NodeKey("latercera.com", FIRST_PARTY)
-        bounced = g.edges[(fp, NodeKey("adledge.com", "script"), BOUNCED)]
-        assert (bounced.multiplicity, bounced.sites) == (1, ["latercera.com"])
-        assert (fp, NodeKey("doubleclick.net", "script"), BOUNCED) not in g.edges
+        edges = edge_data(g)
+        assert edges[(fp, NodeKey("adledge.com", "script"), BOUNCED)] == (1, ["latercera.com"])
+        assert (fp, NodeKey("doubleclick.net", "script"), BOUNCED) not in edges
 
 
 class TestMerge:
@@ -221,12 +224,11 @@ class TestMerge:
         )
         g = site_graph(t1, t2)
         ka, kb = NodeKey("a.net", "script"), NodeKey("b.net", "script")
-        assert (ka, kb, "script") in g.edges and (kb, ka, "script") in g.edges
+        assert (ka, kb, "script") in edge_data(g) and (kb, ka, "script") in edge_data(g)
         # downstream algorithms must terminate on the 2-cycle
-        index = GraphIndex(g)
-        stats(index)
-        assert coverage(index, ka) == (0.5, 1.0)
-        assert coverage(index, kb) == (0.5, 1.0)
+        stats(g)
+        assert coverage(g, ka) == (0.5, 1.0)
+        assert coverage(g, kb) == (0.5, 1.0)
 
     def test_remerging_same_root_is_additive(self):
         url = "https://a.t.net/x.js"
@@ -234,7 +236,7 @@ class TestMerge:
         g = site_graph(t, t)
         assert g.roots == {"one.com"}
         key = NodeKey("t.net", "script")
-        assert g.edges[(NodeKey("one.com", FIRST_PARTY), key, "script")].multiplicity == 2
+        assert edge_data(g)[(NodeKey("one.com", FIRST_PARTY), key, "script")][0] == 2
 
     def test_merge_order_insensitive(self):
         trees = []
@@ -281,7 +283,7 @@ class TestCoverage:
     def test_direct_and_indirect_fractions(self):
         g, trees = self.three_root_fixture()
         key = NodeKey("target.net", "script")
-        d, i, n = coverage_counts(GraphIndex(g), key)
+        d, i, n = coverage_counts(g, key)
 
         # brute-force oracle: per-site reachability over the raw trees
         direct_sites = indirect_sites = 0
@@ -304,7 +306,7 @@ class TestCoverage:
                 direct_sites += 1
         assert Fraction(d, n) == Fraction(direct_sites, 3) == Fraction(1, 3)
         assert Fraction(i, n) == Fraction(indirect_sites, 3) == Fraction(2, 3)
-        assert coverage(GraphIndex(g), key) == (1 / 3, 2 / 3)
+        assert coverage(g, key) == (1 / 3, 2 / 3)
 
     def test_everywhere_direct_is_full_coverage(self):
         url = "https://px.t.net/x.js"
@@ -313,21 +315,19 @@ class TestCoverage:
             for i in range(4)
         ]
         g = site_graph(*trees)
-        assert coverage(GraphIndex(g), NodeKey("t.net", "script")) == (1.0, 1.0)
+        assert coverage(g, NodeKey("t.net", "script")) == (1.0, 1.0)
 
     def test_unknown_and_first_party_nodes_rejected(self):
         g, _ = self.three_root_fixture()
-        index = GraphIndex(g)
         with pytest.raises(GraphError):
-            coverage(index, NodeKey("nowhere.net", "script"))
+            coverage(g, NodeKey("nowhere.net", "script"))
         with pytest.raises(GraphError):
-            coverage(index, NodeKey("r1.com", FIRST_PARTY))
+            coverage(g, NodeKey("r1.com", FIRST_PARTY))
 
     def test_indirect_at_least_direct_everywhere(self):
         g, _ = self.three_root_fixture()
-        index = GraphIndex(g)
         for key in g.third_party_keys():
-            d, i = coverage(index, key)
+            d, i = coverage(g, key)
             assert 0.0 <= d <= i <= 1.0
 
 
@@ -338,7 +338,7 @@ class TestInvariants:
 
     def test_first_party_nodes_have_no_in_edges(self):
         g = self.build()
-        for (src, dst, label) in g.edges:
+        for (src, dst, label) in edge_data(g):
             assert not dst.is_first_party()
             if label == BOUNCED:
                 assert src.is_first_party()
@@ -488,8 +488,7 @@ def test_a_host_filed_as_third_party_is_first_party_on_its_own_site():
     }
 
 
-def _target_edge(g):
-    return g.edges[(NodeKey("r1.com", FIRST_PARTY), NodeKey("target.net", "script"), "script")]
+_TARGET_EDGE = (NodeKey("r1.com", FIRST_PARTY), NodeKey("target.net", "script"), "script")
 
 
 def _target_doc(g):
@@ -499,13 +498,9 @@ def _target_doc(g):
 # Each changes one fact of the three-root graph, in place.
 _ONE_FACT_CHANGED = {
     "extra_root": lambda g: g.roots.add("r4.com"),
-    "extra_node_with_no_documents": lambda g: g.nodes.setdefault(
-        NodeKey("extra.net", "script"), NodeKey("extra.net", "script")
-    ),
-    "edge_multiplicity": lambda g: setattr(
-        _target_edge(g), "multiplicity", _target_edge(g).multiplicity + 1
-    ),
-    "edge_sites": lambda g: _target_edge(g).add_site("r3.com"),
+    "extra_node_with_no_documents": lambda g: g.add_node(NodeKey("extra.net", "script")),
+    "edge_multiplicity": lambda g: g.add_edge(*_TARGET_EDGE, 1),
+    "edge_sites": lambda g: g.add_edge(*_TARGET_EDGE, 0, ["r3.com"]),
     "document_url_count": lambda g: _target_doc(g).urls.update(["https://px.target.net/t.js"]),
     "document_sites": lambda g: _target_doc(g).sites.add("r3.com"),
     "dropped_document": lambda g: g.docs.pop(("x.noise.net", "media")),
@@ -515,15 +510,26 @@ _ONE_FACT_CHANGED = {
 @pytest.mark.parametrize("change", _ONE_FACT_CHANGED.values(), ids=_ONE_FACT_CHANGED)
 def test_graphs_that_differ_in_one_fact_are_unequal(change):
     g, trees = TestCoverage().three_root_fixture()
-    changed = build_widegraph(trees)
-    assert changed == g
+    assert build_widegraph(trees) == g
+    changed = WideGraph()
+    for t in trees:
+        contract_tree(changed, t)
     change(changed)
     assert changed != g and g != changed
 
 
+def test_a_read_graph_takes_no_new_node_or_edge():
+    """Node ids are fixed once a graph is read, here when its build ends."""
+    g, _ = TestCoverage().three_root_fixture()
+    with pytest.raises(GraphError, match="^the graph was read; no node or edge can be added"):
+        g.add_edge(*_TARGET_EDGE, 1)
+    with pytest.raises(GraphError, match="^the graph was read; no node or edge can be added"):
+        g.add_node(NodeKey("extra.net", "script"))
+
+
 def test_stats_shape():
     g, _ = TestCoverage().three_root_fixture()
-    st = stats(GraphIndex(g))
+    st = stats(g)
     assert st["roots"] == 3
     assert st["third_party_nodes"] == len(g.third_party_keys())
     assert st["edges_by_label"].get(BOUNCED, 0) >= 1
@@ -561,11 +567,10 @@ def reference_saved(graph):
     records = [{"format": "widegraph", "version": 1}]
     records += [{"t": "root", "d": domain} for domain in sorted(graph.roots)]
     records += [{"t": "node", "d": key.domain, "k": key.kind} for key in sorted(graph.nodes)]
-    for (src, dst, label) in sorted(graph.edges):
-        data = graph.edges[(src, dst, label)]
+    for (src, dst, label, mult, sites) in sorted(graph.edge_records()):
         records.append({
             "t": "edge", "s": [src.domain, src.kind], "x": [dst.domain, dst.kind],
-            "l": label, "m": data.multiplicity, "sites": data.sites,
+            "l": label, "m": mult, "sites": sites,
         })
     for doc in graph.documents():
         records.append({
@@ -592,7 +597,7 @@ def odd_graphs(draw):
         min_size=1, max_size=5, unique=True,
     ))
     for key in keys:
-        g.nodes[key] = key
+        g.add_node(key)
     for key in keys:
         if key.is_first_party():
             continue
@@ -607,7 +612,7 @@ def odd_graphs(draw):
         max_size=6, unique=True,
     ))
     for edge in edges:
-        g.edges[edge] = EdgeData(draw(st.integers(-3, 10**20)), draw(st.lists(_odd_text, max_size=3)))
+        g.add_edge(*edge, draw(st.integers(-3, 10**20)), draw(st.lists(_odd_text, max_size=3)))
     return g
 
 

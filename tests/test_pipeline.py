@@ -8,8 +8,6 @@ import pytest
 
 from widetrack.filters import ADTRACKER, BENIGN, Label, parse_rules
 from widetrack.graph import (
-    EdgeData,
-    GraphIndex,
     NodeKey,
     SubdomainDocument,
     WideGraph,
@@ -57,11 +55,9 @@ def graph_with_in_degrees(degree_by_domain):
     for i in range(max_deg):
         root = f"s{i}.com"
         g.roots.add(root)
-        fp = NodeKey(root, "firstparty")
-        g.nodes[fp] = fp
+        g.add_node(NodeKey(root, "firstparty"))
     for domain, deg in degree_by_domain.items():
-        key = NodeKey(domain, "script")
-        g.nodes[key] = key
+        key = g.add_node(NodeKey(domain, "script"))
         host = f"px.{domain}"
         g.docs[host, "script"] = SubdomainDocument(
             host, "script", Counter({f"https://{host}/x": 1}),
@@ -69,13 +65,13 @@ def graph_with_in_degrees(degree_by_domain):
         )
         for i in range(deg):
             fp = NodeKey(f"s{i}.com", "firstparty")
-            g.edges[(fp, key, "script")] = EdgeData(1, {f"s{i}.com"})
+            g.add_edge(fp, key, "script", 1, [f"s{i}.com"])
     return g
 
 
 def test_override_host_needs_a_graph_document_not_an_eligible_one():
     g = graph_with_in_degrees({"low.net": 2, "high.net": 3})
-    kept, _ = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
+    kept, _ = filter_eligible(g, PipelineConfig().min_in_degree)
     assert [d.host for d in kept] == ["px.high.net"]
     check_override_hosts({"px.low.net": ADTRACKER, "px.high.net": BENIGN}, "o.tsv", g)
     check_override_hosts(None, None, g)
@@ -86,19 +82,19 @@ def test_override_host_needs_a_graph_document_not_an_eligible_one():
 class TestFilterEligible:
     def test_boundary_at_three(self):
         g = graph_with_in_degrees({"low.net": 2, "edge.net": 3, "high.net": 7})
-        kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
+        kept, report = filter_eligible(g, PipelineConfig().min_in_degree)
         hosts = {d.host for d in kept}
         assert hosts == {"px.edge.net", "px.high.net"}
         assert report == {"total": 3, "kept": 2, "removed": 1}
 
     def test_total_is_kept_plus_removed(self):
         g = graph_with_in_degrees({f"d{i}.net": i + 1 for i in range(6)})
-        kept, report = filter_eligible(GraphIndex(g), PipelineConfig().min_in_degree)
+        kept, report = filter_eligible(g, PipelineConfig().min_in_degree)
         assert report["total"] == report["kept"] + report["removed"]
 
     def test_threshold_configurable(self):
         g = graph_with_in_degrees({"low.net": 2, "edge.net": 3})
-        kept, _ = filter_eligible(GraphIndex(g), min_in_degree=1)
+        kept, _ = filter_eligible(g, min_in_degree=1)
         assert len(kept) == 2
 
 
@@ -267,26 +263,24 @@ class TestEmitCandidateRules:
     def graph_for(self, docs):
         g = WideGraph()
         g.roots.add("s0.com")
-        fp = NodeKey("s0.com", "firstparty")
-        g.nodes[fp] = fp
+        fp = g.add_node(NodeKey("s0.com", "firstparty"))
         for doc in docs:
-            g.nodes[doc.parent] = doc.parent
             g.docs[doc.host, doc.kind] = doc
-            g.edges[(fp, doc.parent, doc.kind)] = EdgeData(1, {"s0.com"})
+            g.add_edge(fp, doc.parent, doc.kind, 1, ["s0.com"])
         return g
 
     def test_already_blocked_host_not_emitted(self):
         doc = make_doc("px.known.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.known.net^")
-        text = emit_candidate_rules(GraphIndex(g), [doc], [(1, 0.99)], rules)
+        text = emit_candidate_rules(g, [doc], [(1, 0.99)], rules)
         assert "||px.known.net^" not in text.splitlines()
 
     def test_unblocked_predicted_tracker_emitted(self):
         doc = make_doc("data.sparkflow.net")
         g = self.graph_for([doc])
         rules = parse_rules("||px.other.net^")
-        lines = emit_candidate_rules(GraphIndex(g), [doc], [(1, 0.87)], rules).splitlines()
+        lines = emit_candidate_rules(g, [doc], [(1, 0.87)], rules).splitlines()
         assert "||data.sparkflow.net^" in lines
         comment = lines[lines.index("||data.sparkflow.net^") - 1]
         assert "score=0.8700" in comment and "direct_coverage=" in comment
@@ -294,19 +288,19 @@ class TestEmitCandidateRules:
     def test_benign_predictions_not_emitted(self):
         doc = make_doc("cdn.good.org")
         g = self.graph_for([doc])
-        text = emit_candidate_rules(GraphIndex(g), [doc], [(0, 0.2)], parse_rules(""))
+        text = emit_candidate_rules(g, [doc], [(0, 0.2)], parse_rules(""))
         assert "cdn.good.org" not in text
 
     def test_empty_predictions_still_header(self):
         g = self.graph_for([])
-        text = emit_candidate_rules(GraphIndex(g), [], [], parse_rules(""))
+        text = emit_candidate_rules(g, [], [], parse_rules(""))
         assert text.startswith("!")
         assert "0 candidate(s)" in text
 
     def test_sorted_by_score_descending(self):
         d1, d2 = make_doc("a.one.net"), make_doc("b.two.net")
         g = self.graph_for([d1, d2])
-        text = emit_candidate_rules(GraphIndex(g), [d1, d2], [(1, 0.6), (1, 0.9)], parse_rules(""))
+        text = emit_candidate_rules(g, [d1, d2], [(1, 0.6), (1, 0.9)], parse_rules(""))
         rules = [l for l in text.splitlines() if l.startswith("||")]
         assert rules == ["||b.two.net^", "||a.one.net^"]
 
@@ -489,7 +483,7 @@ class TestAnalysisTables:
         vocab = build_vocabulary(counts, k=10, rank_by="df")
         _, _, doc_terms = content_rows(docs, counts, vocab, clamp_idf=False)
         tables = analysis_tables(
-            GraphIndex(g), docs, [label[d.host] for d in docs], vocab, doc_terms
+            g, docs, [label[d.host] for d in docs], vocab, doc_terms
         )
         assert sum(b["adtracker"] + b["benign"] for b in tables["degree_buckets"]) == 3
         assert set(tables["direct_coverage_ccdf"]) == {ADTRACKER, BENIGN}

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from widetrack.graph import (
-    EdgeData,
     GraphError,
-    GraphIndex,
     NodeKey,
     WideGraph,
     contract_tree,
@@ -37,9 +35,9 @@ def manual_graph(node_keys, edges, roots=()):
     g = WideGraph()
     g.roots.update(roots)
     for key in node_keys:
-        g.nodes[key] = key
+        g.add_node(key)
     for (src, dst, label) in edges:
-        g.edges[(src, dst, label)] = EdgeData(1, set(roots) or {"x"})
+        g.add_edge(src, dst, label, 1, set(roots) or {"x"})
     return g
 
 
@@ -58,7 +56,7 @@ def chain_graph():
 class TestBaseFeatures:
     def test_chain_middle_node(self):
         g = chain_graph()
-        row = base_features(GraphIndex(g), NodeKey("a.net", "script"))
+        row = base_features(g, NodeKey("a.net", "script"))
         assert (row.in_degree, row.out_degree, row.degree) == (1, 1, 2)
         # egonet {r, A, B} contains all three edges after expansion
         assert row.ego_inter == 3
@@ -71,7 +69,7 @@ class TestBaseFeatures:
             [a, b, c],
             [(a, b, "script"), (b, c, "script"), (a, c, "script")],
         )
-        row = base_features(GraphIndex(g), b)
+        row = base_features(g, b)
         assert (row.in_degree, row.out_degree, row.degree) == (1, 1, 2)
         assert row.ego_inter == 3
         assert row.ego_out == 0
@@ -80,28 +78,29 @@ class TestBaseFeatures:
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
         # c hangs off b; from a's egonet {a, b} the edge b->c leaves it
         g = manual_graph([a, b, c], [(a, b, "script"), (b, c, "script")])
-        row = base_features(GraphIndex(g), a)
+        row = base_features(g, a)
         assert row.ego_inter == 1
         assert row.ego_out == 1
 
     def test_isolated_node_is_all_zero(self):
         a = NodeKey("a.net", "script")
         g = manual_graph([a], [])
-        row = base_features(GraphIndex(g), a)
+        row = base_features(g, a)
         assert list(row) == [0, 0, 0, 0, 0, 0.0, 0.0]
 
     def test_unknown_and_first_party_rejected(self):
         g = chain_graph()
         with pytest.raises(GraphError):
-            base_features(GraphIndex(g), NodeKey("ghost.net", "script"))
+            base_features(g, NodeKey("ghost.net", "script"))
         with pytest.raises(GraphError):
-            base_features(GraphIndex(g), NodeKey("r.com", "firstparty"))
+            base_features(g, NodeKey("r.com", "firstparty"))
 
     def test_degrees_ignore_multiplicity(self):
         a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
         g = manual_graph([a, b], [(a, b, "script")])
-        g.edges[(a, b, "script")].multiplicity = 99
-        assert base_features(GraphIndex(g), b).in_degree == 1
+        g.add_edge(a, b, "script", 98)
+        assert [mult for _, _, _, mult, _ in g.edge_records()] == [99]
+        assert base_features(g, b).in_degree == 1
 
 
 class TestPruneCorrelated:
@@ -172,25 +171,25 @@ class TestPruneCorrelated:
 
 class TestRefexExpand:
     def test_depth_zero_is_identity(self):
-        index = GraphIndex(chain_graph())
-        base = build_base_matrix(index)
-        out = refex_expand(base, index, depth=0, threshold=0.95)
+        graph = chain_graph()
+        base = build_base_matrix(graph)
+        out = refex_expand(base, graph, depth=0, threshold=0.95)
         assert out.columns == base.columns
         assert np.array_equal(out.values, base.values)
 
     def test_one_level_triples_columns_before_pruning(self):
-        index = GraphIndex(chain_graph())
-        base = build_base_matrix(index)
-        expanded = expand_level(base, index, generation=1)
+        graph = chain_graph()
+        base = build_base_matrix(graph)
+        expanded = expand_level(base, graph, generation=1)
         assert len(expanded.columns) == 3 * len(BASE_COLUMNS)
         assert expanded.columns[: len(BASE_COLUMNS)] == list(BASE_COLUMNS)
         assert [generation_of(c) for c in expanded.columns].count(1) == 2 * len(BASE_COLUMNS)
 
     def test_neighbor_aggregates_ignore_direction(self):
         a, b, c = (NodeKey(d, "script") for d in ("a.net", "b.net", "c.net"))
-        index = GraphIndex(manual_graph([a, b, c], [(a, b, "script"), (c, b, "script")]))
-        base = build_base_matrix(index)
-        expanded = expand_level(base, index, generation=1)
+        graph = manual_graph([a, b, c], [(a, b, "script"), (c, b, "script")])
+        base = build_base_matrix(graph)
+        expanded = expand_level(base, graph, generation=1)
         col = expanded.columns.index("sum(out_degree)")
         row_b = expanded.keys.index(b)
         # b's neighbors a and c each have out-degree 1, direction ignored
@@ -198,8 +197,8 @@ class TestRefexExpand:
 
     def test_no_neighbors_aggregate_to_zero(self):
         a, b = NodeKey("a.net", "script"), NodeKey("b.net", "script")
-        index = GraphIndex(manual_graph([a, b], []))
-        expanded = expand_level(build_base_matrix(index), index, generation=1)
+        graph = manual_graph([a, b], [])
+        expanded = expand_level(build_base_matrix(graph), graph, generation=1)
         assert np.all(expanded.values[:, len(BASE_COLUMNS):] == 0.0)
 
     def test_regular_graph_recursion_adds_nothing(self):
@@ -209,16 +208,16 @@ class TestRefexExpand:
         n = 8
         keys = [NodeKey(f"n{j}.net", "script") for j in range(n)]
         edges = [(keys[j], keys[(j + 1) % n], "script") for j in range(n)]
-        index = GraphIndex(manual_graph(keys, edges))
-        base = build_base_matrix(index)
+        graph = manual_graph(keys, edges)
+        base = build_base_matrix(graph)
         base_pruned = prune_correlated(base, 0.95)
-        out = refex_expand(base, index, depth=2, threshold=0.95)
+        out = refex_expand(base, graph, depth=2, threshold=0.95)
         assert out.columns == base_pruned.columns
 
     def test_deterministic(self):
-        index = GraphIndex(chain_graph())
-        m1 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95)
-        m2 = refex_expand(build_base_matrix(index), index, depth=2, threshold=0.95)
+        graph = chain_graph()
+        m1 = refex_expand(build_base_matrix(graph), graph, depth=2, threshold=0.95)
+        m2 = refex_expand(build_base_matrix(graph), graph, depth=2, threshold=0.95)
         assert m1.columns == m2.columns
         assert np.array_equal(m1.values, m2.values)
 
@@ -227,12 +226,12 @@ class TestRefexExpand:
             PipelineConfig(refex_depth=-1).validate()
 
 
-def all_columns_refex(index, depth, threshold):
+def all_columns_refex(graph, depth, threshold):
     """The earlier grower, kept as an oracle: each level aggregates every
     current column and stamps each aggregate with the level, so level 2
     rebuilds copies of the level-1 names that pruning then drops.
     Returns (columns, values)."""
-    base = build_base_matrix(index)
+    base = build_base_matrix(graph)
     keys, columns, values = base.keys, list(base.columns), base.values
     generations = [0] * len(columns)
     row_of = {key: i for i, key in enumerate(keys)}
@@ -240,7 +239,8 @@ def all_columns_refex(index, depth, threshold):
         n_rows, n_cols = values.shape
         means, sums = np.zeros((n_rows, n_cols)), np.zeros((n_rows, n_cols))
         for r, key in enumerate(keys):
-            hood = [row_of[n] for n in sorted(index.neighbors[key] & set(keys))]
+            neighbors = {graph.keys[i] for i in graph.neighbors[graph.ids[key]]}
+            hood = [row_of[n] for n in sorted(neighbors & set(keys))]
             if hood:
                 sums[r] = values[hood, :].sum(axis=0)
                 means[r] = values[hood, :].mean(axis=0)
@@ -262,28 +262,28 @@ def all_columns_refex(index, depth, threshold):
 
 
 @pytest.fixture(scope="module")
-def synth_indexes():
+def synth_graphs():
     return [
-        GraphIndex(generate(EcosystemConfig(n_sites=n, seed=seed)).truth_graph)
+        generate(EcosystemConfig(n_sites=n, seed=seed)).truth_graph
         for n, seed in ((40, 7), (60, 11))
     ]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.95, 0.99])
-def test_refex_matches_all_columns_grower(synth_indexes, depth, threshold):
-    for index in synth_indexes:
-        got = refex_expand(build_base_matrix(index), index, depth, threshold)
-        columns, values = all_columns_refex(index, depth, threshold)
+def test_refex_matches_all_columns_grower(synth_graphs, depth, threshold):
+    for graph in synth_graphs:
+        got = refex_expand(build_base_matrix(graph), graph, depth, threshold)
+        columns, values = all_columns_refex(graph, depth, threshold)
         assert got.columns == columns
         assert got.values.tobytes() == values.tobytes()
 
 
-def test_refex_at_threshold_one_appends_each_name_once(synth_indexes):
-    for index in synth_indexes:
-        matrix = build_base_matrix(index)
+def test_refex_at_threshold_one_appends_each_name_once(synth_graphs):
+    for graph in synth_graphs:
+        matrix = build_base_matrix(graph)
         for level in range(1, 4):
-            expanded = expand_level(matrix, index, generation=level)
+            expanded = expand_level(matrix, graph, generation=level)
             new = expanded.columns[len(matrix.columns):]
             assert new and all(generation_of(c) == level for c in new)
             matrix = prune_correlated(expanded, 1.0)
@@ -297,8 +297,8 @@ def test_generation_recovered_from_names():
 
 
 def test_matrix_file_round_trip():
-    index = GraphIndex(chain_graph())
-    m = refex_expand(build_base_matrix(index), index, depth=1, threshold=0.95)
+    graph = chain_graph()
+    m = refex_expand(build_base_matrix(graph), graph, depth=1, threshold=0.95)
     table = io.BytesIO()
     write_struct_matrix(m, table)
     loaded = read_struct_matrix(table.getvalue())

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from widetrack.graph import GraphIndex, build_widegraph, coverage, save_graph
+from widetrack.graph import build_widegraph, coverage, save_graph
 from widetrack.ingest import build_tree, parse_har
 from widetrack.synth import EcosystemConfig, SynthCorpus, generate
 
@@ -71,10 +71,9 @@ def test_truth_graph_matches_pipeline_graph():
 def test_trackers_have_higher_direct_coverage():
     corpus = generate(EcosystemConfig(n_sites=60, n_trackers=10, n_benign=8, seed=5))
     g = corpus.truth_graph
-    index = GraphIndex(g)
     tracker_cov, benign_cov = [], []
     for (host, kind), label in corpus.truth_labels.items():
-        direct, _ = coverage(index, g.docs[host, kind].parent)
+        direct, _ = coverage(g, g.docs[host, kind].parent)
         (tracker_cov if label == "adtracker" else benign_cov).append(direct)
     mean = lambda xs: sum(xs) / len(xs)
     assert mean(tracker_cov) > mean(benign_cov)
@@ -84,7 +83,7 @@ def test_every_service_is_eligible_by_construction():
     from widetrack.pipeline import PipelineConfig, filter_eligible
 
     corpus = generate(small_config(tracker_embed_prob=0.0, benign_embed_prob=0.0))
-    kept, report = filter_eligible(GraphIndex(corpus.truth_graph), PipelineConfig().min_in_degree)
+    kept, report = filter_eligible(corpus.truth_graph, PipelineConfig().min_in_degree)
     # anchor embedding guarantees 3 distinct first parties per service
     assert report["removed"] == 0
     assert report["kept"] == len(corpus.truth_labels)
