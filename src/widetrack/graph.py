@@ -149,12 +149,15 @@ class WideGraph:
 
     def edge_records(self) -> Iterator[tuple[NodeKey, NodeKey, str, int, list[str]]]:
         """Each edge as (source, target, label, multiplicity, sites), in
-        ``graph.jsonl`` order."""
+        ``graph.jsonl`` order, read from the arrays a block at a time."""
         keys, names = self.keys, self.site_names
-        ptr, site_ids = self.site_ptr.tolist(), self.site_ids.tolist()
-        for i, (src, dst, label, mult) in enumerate(self.edges.tolist()):
-            sites = [names[j] for j in site_ids[ptr[i]:ptr[i + 1]]]
-            yield keys[src], keys[dst], LABELS[label], mult, sites
+        for start in range(0, len(self.edges), 4096):
+            block = self.edges[start:start + 4096].tolist()
+            ptr = self.site_ptr[start:start + len(block) + 1].tolist()
+            site_ids = self.site_ids[ptr[0]:ptr[-1]].tolist()
+            for i, (src, dst, label, mult) in enumerate(block):
+                sites = site_ids[ptr[i] - ptr[0]:ptr[i + 1] - ptr[0]]
+                yield keys[src], keys[dst], LABELS[label], mult, [names[j] for j in sites]
 
     def third_party_keys(self) -> list[NodeKey]:
         return [key for key in self.keys if not key.is_first_party()]

@@ -113,14 +113,16 @@ def prune_correlated(matrix: StructMatrix, threshold: float) -> StructMatrix:
 def expand_level(matrix: StructMatrix, graph: WideGraph, generation: int) -> StructMatrix:
     """Append mean/sum neighbor aggregates of the previous level's columns;
     an older column's aggregates were appended by an earlier level."""
-    keys, rows = graph.keys, matrix._index
+    ids = [graph.ids[key] for key in matrix.keys]
+    row_of = np.full(len(graph.keys), -1)  # each node's matrix row, -1 for none
+    row_of[ids] = np.arange(len(ids))
     prev = [c for c, name in enumerate(matrix.columns) if generation_of(name) == generation - 1]
     means = np.zeros((len(matrix.keys), len(prev)))
     sums = np.zeros_like(means)
-    for r, key in enumerate(matrix.keys):
-        neighbors = map(keys.__getitem__, graph.neighbors[graph.ids[key]].tolist())
-        hood = [rows[n] for n in neighbors if n in rows]
-        if hood:
+    for r, i in enumerate(ids):
+        hood = row_of[graph.neighbors[i]]
+        hood = hood[hood >= 0]
+        if len(hood):
             # Reduce the whole block, then select: a column subset can sum
             # differently in the last bit.
             block = matrix.values[hood, :]
