@@ -179,7 +179,8 @@ class WideGraph:
 
 def _grouped(rows: np.ndarray, values: np.ndarray, n_rows: int, n_values: int) -> tuple:
     """(offsets, values) of a CSR table: the distinct ``values`` paired with
-    each of ``n_rows`` rows, ascending; both arrays are below their counts."""
+    each of ``n_rows`` rows, ascending. Each row is below ``n_rows`` and
+    each value below ``n_values``."""
     codes = np.sort(rows * n_values + values)
     distinct = np.ones(len(codes), dtype=bool)
     distinct[1:] = codes[1:] != codes[:-1]

@@ -121,7 +121,8 @@ class TestContractTree:
         g = WideGraph()
         diagnostics = contract_tree(g, t)
         assert diagnostics == Counter({"contracted_self_edge_dropped": 1})
-        assert (NodeKey("t.net", "script"), NodeKey("t.net", "script"), "script") not in edge_data(g)
+        t_net = NodeKey("t.net", "script")
+        assert (t_net, t_net, "script") not in edge_data(g)
 
     def test_documents_group_urls_by_host_and_kind(self):
         root = "https://www.site.com/"

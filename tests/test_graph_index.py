@@ -18,9 +18,9 @@ from widetrack.graph import (
     NodeKey,
     SubdomainDocument,
     WideGraph,
+    build_widegraph,
     contract_tree,
     coverage_counts,
-    build_widegraph,
     load_graph,
     save_graph,
 )
@@ -32,6 +32,12 @@ from hand_trees import hand_tree
 def edge_triples(graph):
     """Every edge's (source, target, label), in graph-file order."""
     return [(src, dst, label) for src, dst, label, _, _ in graph.edge_records()]
+
+
+def saved(graph):
+    out = io.BytesIO()
+    save_graph(graph, out)
+    return out.getvalue()
 
 
 def scan_in_degree(graph, key):
@@ -197,7 +203,10 @@ def reference_sets(graph):
 
 def neighbor_sets(graph):
     """Each third-party node's neighbours, as a set of keys."""
-    return {key: {graph.keys[i] for i in graph.neighbors[graph.ids[key]]} for key in graph.third_party_keys()}
+    return {
+        key: {graph.keys[i] for i in graph.neighbors[graph.ids[key]]}
+        for key in graph.third_party_keys()
+    }
 
 
 def assert_counts_equal_sets(graph):
@@ -271,8 +280,6 @@ def hand_captures(draw):
     nodes, edges = {page: "iframe"}, {}
     for i in draw(st.lists(st.integers(0, len(POOL) - 1), max_size=6, unique=True)):
         url, kind = POOL[i]
-        if url in nodes:  # the root's own page host
-            continue
         edges[draw(st.sampled_from(sorted(nodes))), url] = draw(st.integers(1, 3))
         nodes[url] = kind
     return hand_tree(page, root, nodes, edges)
@@ -302,12 +309,6 @@ def test_edge_sites_stay_sorted_and_unique_across_non_adjacent_captures():
     out = io.BytesIO()
     save_graph(g, out)
     assert load_graph(out.getvalue()) == g
-
-
-def saved(graph):
-    out = io.BytesIO()
-    save_graph(graph, out)
-    return out.getvalue()
 
 
 def assert_one_key_object_per_node(graph):
