@@ -17,7 +17,7 @@ from .domains import DomainError, registrable_domain
 from .filters import ADTRACKER, label_document
 from .graph import WideGraph, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
-from .pipeline import DataError, PipelineConfig, load_config
+from .pipeline import DataError, PipelineConfig, collector_paused, load_config
 from .synth import EcosystemConfig, generate
 
 
@@ -27,12 +27,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _config(args) -> PipelineConfig:
-    """The config file's PipelineConfig; what ``validate`` refuses names the file."""
-    cfg = load_config(PipelineConfig, args.config)
+def _config(args, cls=PipelineConfig):
+    """The config file's ``cls``; what ``validate`` refuses names the file."""
+    cfg = load_config(cls, args.config)
     try:
         cfg.validate()
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         raise DataError(f"{args.config}: {exc}") from None
     return cfg
 
@@ -225,7 +225,7 @@ def cmd_emit_rules(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    corpus = generate(load_config(EcosystemConfig, args.config))
+    corpus = generate(_config(args, EcosystemConfig))
     paths = corpus.write(args.out_dir)
     print(
         f"generated {len(corpus.har_files)} HAR files under {paths['har_dir']}, "
@@ -334,7 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     # ValueError covers HarParseError, GraphError, ForestError and DomainError.
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

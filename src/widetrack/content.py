@@ -110,14 +110,6 @@ def idf(term: str, vocabulary: Vocabulary, clamp_idf: bool) -> float:
     return value
 
 
-class _LogOnePlus(dict):
-    """f -> log(1 + f), each computed on first use."""
-
-    def __missing__(self, f: int) -> float:
-        value = self[f] = math.log(1 + f)
-        return value
-
-
 def engineered(document: SubdomainDocument) -> list[float]:
     """[mean URL length, "&" count, "=" count, "?" count, kind code]."""
     if not document.urls:
@@ -156,12 +148,11 @@ def content_rows(
     k = len(vocabulary.terms)
     index = vocabulary.index
     idfs = np.array([idf(t, vocabulary, clamp_idf) for t in vocabulary.terms])
-    log_tf = _LogOnePlus()
     for i, (doc, tokens) in enumerate(zip(documents, token_counts)):
         present = tokens.keys() & index.keys()
         if present:
             cols = list(map(index.__getitem__, present))
-            tf = list(map(log_tf.__getitem__, map(tokens.__getitem__, present)))
+            tf = [math.log(1 + tokens[t]) for t in present]
             values[i, cols] = np.array(tf) * idfs[cols]
         values[i, k:] = engineered(doc)
         terms.append(frozenset(present))

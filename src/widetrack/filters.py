@@ -37,7 +37,7 @@ from operator import or_
 
 from .domains import registrable_domain
 from .forest import CLASSES
-from .graph import SubdomainDocument, collector_paused
+from .graph import SubdomainDocument
 
 BENIGN, ADTRACKER = CLASSES
 
@@ -306,8 +306,6 @@ def _parse_line(line: str) -> Rule | str:
     )
 
 
-# Parsing makes no reference cycles, so the collector's sweeps would find nothing.
-@collector_paused()
 def parse_rules(text: str) -> RuleSet:
     """Parse filter-list text; every non-empty line is parsed or tallied.
     Lines end at "\\n" only: a form feed or U+2028, say, is part of a rule,

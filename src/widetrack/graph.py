@@ -8,12 +8,10 @@ its parent third-party node.
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import sys
 from collections import Counter, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _esc
@@ -270,31 +268,12 @@ def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) ->
         edges.setdefault((fp, node, BOUNCED), 1)
 
 
-@contextmanager
-def collector_paused():
-    """Pause the cyclic garbage collector for the block, then set it back as
-    the caller had it. Also a decorator: each call pauses it anew."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def build_widegraph(trees: Iterable[DependencyTree]) -> WideGraph:
-    """The wide graph of every tree, contracted in as each one arrives.
-
-    The cyclic garbage collector is paused while ``trees`` is drawn and
-    contracted: reading and contracting make many containers but no
-    reference cycles, so its sweeps find nothing.
-    """
+    """The wide graph of every tree, contracted in as each one arrives."""
     graph = WideGraph()
-    with collector_paused():
-        for tree in trees:
-            contract_tree(graph, tree)
-        graph._merge()
+    for tree in trees:
+        contract_tree(graph, tree)
+    graph._merge()
     return graph
 
 

@@ -4,6 +4,7 @@ biased/unbiased/corrected metrics, reports, and candidate-rule emission.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -37,7 +38,6 @@ from .graph import (
     SubdomainDocument,
     WideGraph,
     build_widegraph,
-    collector_paused,
     coverage,
     coverage_counts,
     save_graph,
@@ -756,9 +756,23 @@ def score_rows(
     ]
 
 
-# The cyclic collector is paused for the whole run: the only reference
-# cycles a run makes are json.dumps' few encoder closures, so its sweeps
-# free next to nothing.
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, then set it back as
+    the caller had it. Also a decorator: each call pauses it anew.
+
+    The entry points (``cli.main`` and ``run_all``) pause it for the whole
+    command: the only reference cycles a run makes are json.dumps' few
+    encoder closures, so its sweeps free next to nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @collector_paused()
 def run_all(cfg: PipelineConfig) -> dict:
     """Full run: ingest -> graph -> features -> label -> train -> report."""

@@ -1,8 +1,10 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
+from widetrack import cli
 from widetrack.cli import main
 from widetrack.forest import ForestParams, save_model, train
 from widetrack.synth import EcosystemConfig, generate
@@ -98,6 +100,59 @@ def test_synth_unknown_key_exits_two(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
     assert "n_site" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_synth_bad_value_names_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_sites = 0\n")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: n_sites must be >= 1\n"
+    assert not (tmp_path / "c").exists()
+
+
+# Each subcommand's function in widetrack.cli and arguments it parses.
+SUBCOMMANDS = {
+    "cmd_ingest": ["ingest", "--har-dir", "h", "--out", "t"],
+    "cmd_graph_build": ["graph", "build", "--trees", "t", "--out", "g"],
+    "cmd_graph_stats": ["graph", "stats", "--graph", "g"],
+    "cmd_features_structural": ["features", "structural", "--graph", "g", "--out", "s"],
+    "cmd_features_content": ["features", "content", "--graph", "g", "--out", "c"],
+    "cmd_label": ["label", "--graph", "g", "--rules", "r", "--out", "l"],
+    "cmd_train": ["train", "--features", "c", "s", "--labels", "l", "--out", "m"],
+    "cmd_predict": ["predict", "--model", "m", "--features", "c", "s", "--out", "p"],
+    "cmd_evaluate": ["evaluate", "--graph", "g", "--scores", "p", "--labels", "l"],
+    "cmd_emit_rules": ["emit-rules", "--graph", "g", "--scores", "p", "--rules", "r", "--out", "o"],
+    "cmd_synth": ["synth", "--out-dir", "o"],
+    "cmd_run_all": ["run-all", "--config", "c"],
+}
+
+
+def test_subcommand_table_names_every_command():
+    assert sorted(SUBCOMMANDS) == sorted(n for n in vars(cli) if n.startswith("cmd_"))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("code", [0, 2])
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_every_subcommand_runs_with_the_collector_paused(monkeypatch, name, code, enabled):
+    """cli.main pauses the cyclic collector around each subcommand and puts
+    back the caller's setting, on success and on a data error."""
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if code:
+            raise cli.DataError("bad input")
+        return 0
+
+    monkeypatch.setattr(cli, name, command)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(SUBCOMMANDS[name]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 @pytest.mark.parametrize(

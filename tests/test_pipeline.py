@@ -798,8 +798,9 @@ class TestFeatureMatrixInPlace:
 
 
 class TestCollectorPause:
-    """build_widegraph and run_all pause the cyclic collector while they
-    run, and put back the caller's setting."""
+    """The entry points, cli.main and run_all, pause the cyclic collector
+    while they run and put back the caller's setting; the library functions
+    under them leave it as the caller set it."""
 
     @pytest.fixture
     def har_dir(self, tmp_path):
@@ -814,6 +815,14 @@ class TestCollectorPause:
         from widetrack.pipeline import IngestTally, ingest_har_dir
 
         return build_widegraph(ingest_har_dir(har_dir, io.BytesIO(), IngestTally()))
+
+    @staticmethod
+    def ingest(har_dir):
+        """``widetrack ingest`` on ``har_dir``: its exit code."""
+        from widetrack.cli import main
+
+        trees = har_dir.parent / "trees.jsonl"
+        return main(["ingest", "--har-dir", str(har_dir), "--out", str(trees)])
 
     def test_ingest_contraction_and_save_leave_no_cyclic_garbage(self, har_dir):
         from widetrack.graph import save_graph
@@ -835,23 +844,62 @@ class TestCollectorPause:
             pipeline, "build_tree", lambda record: seen.append(gc.isenabled()) or build_tree(record)
         )
         assert gc.isenabled()
-        self.build(har_dir)
+        assert self.ingest(har_dir) == 0
         assert seen == [False] * 12
         assert gc.isenabled()
 
-    def test_collector_is_back_on_after_a_bad_capture(self, har_dir):
+    def test_collector_is_back_on_after_a_bad_capture(self, har_dir, capsys):
         (har_dir / "zz.har").write_bytes(b'{"log": {"entries": []}}')
-        with pytest.raises(DataError, match="zz.har"):
-            self.build(har_dir)
+        assert self.ingest(har_dir) == 2
+        assert "zz.har" in capsys.readouterr().err
         assert gc.isenabled()
 
     def test_collector_stays_off_when_the_caller_turned_it_off(self, har_dir):
         gc.disable()
         try:
-            self.build(har_dir)
+            assert self.ingest(har_dir) == 0
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_library_functions_leave_the_collector_as_the_caller_set_it(
+        self, har_dir, monkeypatch, enabled
+    ):
+        from widetrack import filters, graph, pipeline
+
+        seen = []
+        for module, name in ((graph, "contract_tree"), (filters, "_parse_line")):
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _f=getattr(module, name): seen.append(gc.isenabled()) or _f(*args),
+            )
+        (gc.enable if enabled else gc.disable)()
+        try:
+            self.build(har_dir)
+            assert gc.isenabled() is enabled
+            pipeline.parse_rules("||ads.example^\n||px.example^$script\n")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [enabled] * 14
+
+    def test_graph_stats_loads_the_graph_with_the_collector_off(self, har_dir, monkeypatch):
+        from widetrack import cli
+        from widetrack.graph import save_graph
+
+        graph = har_dir.parent / "graph.jsonl"
+        with graph.open("wb") as out:
+            save_graph(self.build(har_dir), out)
+        seen = []
+        load_graph = cli.load_graph
+        monkeypatch.setattr(
+            cli, "load_graph", lambda *args: seen.append(gc.isenabled()) or load_graph(*args)
+        )
+        assert gc.isenabled()
+        assert cli.main(["graph", "stats", "--graph", str(graph)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
 
     def test_collector_is_off_through_run_all_and_back_on_after(self, tmp_path, monkeypatch):
         from widetrack import forest, pipeline
