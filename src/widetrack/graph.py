@@ -13,10 +13,10 @@ import json
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _esc
-from operator import attrgetter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,24 +67,25 @@ class WideGraph:
     """The merged graph of many sites' trees.
 
     ``nodes`` maps each node key to itself, the one key object its documents
-    share. ``add_edge`` is the one way an edge enters a graph: it appends a
-    row. The first read of a ``_MERGED`` name merges the rows by one sort;
-    from then on no node or edge can be added. Node ids follow NodeKey
-    order (``keys``, ``ids``). ``edges`` holds one record per distinct
-    (src, dst, label) in ``graph.jsonl`` order: node ids, a code into
-    LABELS, and the multiplicity as a Python int. Edge i's sites are
+    share. ``_add_edges`` is the one row writer: ``add_edge`` adds one edge
+    through it, contraction a capture's edges as one batch. The first read
+    of a ``_MERGED`` name merges the rows by one sort; from then on no node
+    or edge can be added. Node ids follow NodeKey order (``keys``, ``ids``).
+    ``edges`` holds one record per distinct (src, dst, label) in
+    ``graph.jsonl`` order: node ids, a code into LABELS, and the
+    multiplicity as a Python int. Edge i's sites are
     ``site_names[site_ids[site_ptr[i]:site_ptr[i + 1]]]``. By node id:
     distinct in- and out-edges, the numbers of first parties with a
-    non-Bounced / any edge into the node, and a third party's neighbour
-    ids, direction ignored, ascending.
+    non-Bounced / any edge into the node, and a third party's neighbour ids,
+    direction ignored, ascending.
     """
 
     def __init__(self):
         self.roots: set[str] = set()
         self.nodes: dict[NodeKey, NodeKey] = {}
         self.docs: dict[tuple[str, str], SubdomainDocument] = {}  # by (host, kind)
-        # Five entries a row: src, dst, label code, mult, site.
-        self._rows: list | None = []
+        # Five columns, one entry a row: src, dst, label code, mult, site.
+        self._rows: tuple[list, ...] | None = ([], [], [], [], [])
 
     def add_node(self, key: NodeKey) -> NodeKey:
         """The graph's own object for node ``key``, adding the node if new."""
@@ -96,12 +97,22 @@ class WideGraph:
         self, src: NodeKey, dst: NodeKey, label: str, mult: int, sites: Iterable[str] = ()
     ) -> None:
         """Add ``mult`` to edge (src, dst, label), adding the edge, and its
-        ends as nodes, if new, and add ``sites`` to the edge's sites. A row
-        holds no string a caller made: the label is coded, sites interned."""
+        ends as nodes, if new, and add ``sites`` to the edge's sites."""
         src, dst, code = self.add_node(src), self.add_node(dst), _LABEL_CODES[label]
-        for site in [*map(sys.intern, sites)] or [None]:
-            self._rows.extend((src, dst, code, mult, site))
-            mult = 0
+        self._add_edges((src,), (dst,), (code,), (mult,), sites)
+
+    def _add_edges(self, srcs, dsts, codes, mults, sites: Iterable[str]) -> None:
+        """Append rows for edges with the same ``sites``, given as columns of the
+        graph's own node keys, label codes and multiplicities: a row per edge and
+        site (or one, with no site), the multiplicity on the first, sites interned."""
+        src, dst, code, mult, site = self._rows
+        for name in [*map(sys.intern, sites)] or [None]:
+            src += srcs
+            dst += dsts
+            code += codes
+            mult += mults
+            site += [name] * len(codes)
+            mults = [0] * len(codes)
 
     def __getattr__(self, name):
         if name not in _MERGED:
@@ -111,7 +122,7 @@ class WideGraph:
 
     def _merge(self) -> None:
         """Sort the rows into ``edges`` and derive the per-node reads."""
-        src, dst, row_label, mults, sites = (self._rows[i::5] for i in range(5))
+        src, dst, row_label, mults, sites = self._rows
         self._rows = None
         self.keys = keys = sorted(self.nodes)
         self.ids = ids = {key: i for i, key in enumerate(keys)}
@@ -146,16 +157,20 @@ class WideGraph:
         self.neighbors = np.split(neighbor_ids, neighbor_ptr[1:-1])
 
     def edge_records(self) -> Iterator[tuple[NodeKey, NodeKey, str, int, list[str]]]:
-        """Each edge as (source, target, label, multiplicity, sites), in
-        ``graph.jsonl`` order, read from the arrays a block at a time."""
-        keys, names = self.keys, self.site_names
+        """Each edge as (source, target, label, multiplicity, sites), in file order."""
+        return chain.from_iterable(self._edge_blocks(self.keys, LABELS, self.site_names))
+
+    def _edge_blocks(self, keys: list, labels: Sequence, names: list) -> Iterator[Iterator]:
+        """Each block of edges in file order, as (source, target, label, mult,
+        sites) rows looked up by id or code in ``keys``, ``labels``, ``names``."""
         for start in range(0, len(self.edges), 4096):
-            block = self.edges[start:start + 4096].tolist()
-            ptr = self.site_ptr[start:start + len(block) + 1].tolist()
-            site_ids = self.site_ids[ptr[0]:ptr[-1]].tolist()
-            for i, (src, dst, label, mult) in enumerate(block):
-                sites = site_ids[ptr[i] - ptr[0]:ptr[i + 1] - ptr[0]]
-                yield keys[src], keys[dst], LABELS[label], mult, [names[j] for j in sites]
+            block = self.edges[start:start + 4096]
+            ptr = self.site_ptr[start:start + len(block) + 1]
+            sites = [*map(names.__getitem__, self.site_ids[ptr[0]:ptr[-1]].tolist())]
+            ptr = (ptr - ptr[0]).tolist()
+            src, dst, label, mult = (block[name].tolist() for name in block.dtype.names)
+            node, cut = keys.__getitem__, map(sites.__getitem__, map(slice, ptr[:-1], ptr[1:]))
+            yield zip(map(node, src), map(node, dst), map(labels.__getitem__, label), mult, cut)
 
     def third_party_keys(self) -> list[NodeKey]:
         return [key for key in self.keys if not key.is_first_party()]
@@ -190,42 +205,43 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
     """Path contraction of one site's tree straight into the graph.
 
     First-party URLs collapse into the site's super-node and third-party
-    URLs key to (domain, kind) nodes; each URL joins its (host, kind)
-    document. Edges into the first party and edges that become self-loops
-    after re-keying are dropped and tallied in the returned diagnostics.
-    The site's own edges are expanded, then fused into the graph: edge
-    multiplicities add and their contributing-site lists union.
+    URLs key to (domain, kind) nodes; each distinct (host, kind) is filed
+    once, as one document, where its URLs add their request counts (their
+    in-edges' multiplicities, or 1). Edges into the first party and edges
+    that become self-loops after re-keying are dropped and tallied in the
+    returned diagnostics. The site's edges are expanded, then added as one batch.
     """
     root = tree.root_domain
     graph.roots.add(root)
     fp = graph.add_node(NodeKey(root, FIRST_PARTY))
 
-    request_count = dict.fromkeys(tree.nodes, 0)
-    for (_, dst), mult in tree.edges.items():
-        request_count[dst] += mult
-
-    # Every node key below is the node's own object, so keys compare by identity.
-    key_of: dict[str, NodeKey] = {}
-    for url, kind in tree.nodes.items():
-        key_of[url], urls = _file_document(graph, fp, tree.hosts[url], kind)
-        if urls is not None:  # each URL is one node
-            urls[url] = urls.get(url, 0) + (request_count[url] or 1)
+    pairs = list(zip(map(tree.hosts.__getitem__, tree.nodes), tree.nodes.values()))
+    filed = {pair: _file_document(graph, fp, *pair) for pair in dict.fromkeys(pairs)}
+    # url -> (node key, URL counts); keys are the graph's own, so compare by identity
+    filed_as = dict(zip(tree.nodes, map(filed.__getitem__, pairs)))
+    for url in filterfalse(set(map(itemgetter(1), tree.edges)).__contains__, tree.nodes):
+        _, urls = filed_as[url]  # requested by no edge
+        if urls is not None:
+            urls[url] = urls.get(url, 0) + 1
 
     diagnostics: Counter = Counter()
     edges: dict[tuple[NodeKey, NodeKey, str], int] = {}
     for (src_url, dst_url), mult in tree.edges.items():
-        src, dst = key_of[src_url], key_of[dst_url]
-        if dst is fp:
+        dst, urls = filed_as[dst_url]
+        if urls is None:  # dst is fp
             diagnostics["edge_to_firstparty_dropped"] += mult
-        elif src is dst:
+            continue
+        urls[dst_url] = urls.get(dst_url, 0) + mult
+        src = filed_as[src_url][0]
+        if src is dst:
             diagnostics["contracted_self_edge_dropped"] += mult
         else:
             edge = (src, dst, dst.kind)
             edges[edge] = edges.get(edge, 0) + mult
 
     expand_edges(fp, edges)
-    for (src, dst, label), mult in edges.items():
-        graph.add_edge(src, dst, label, mult, (root,))
+    src, dst, label = zip(*edges) if edges else ((), (), ())
+    graph._add_edges(src, dst, [*map(_LABEL_CODES.__getitem__, label)], edges.values(), (root,))
     return diagnostics
 
 
@@ -248,21 +264,23 @@ def _file_document(graph: WideGraph, fp: NodeKey, host: str, kind: str) -> tuple
 
 def expand_edges(fp: NodeKey, edges: dict[tuple[NodeKey, NodeKey, str], int]) -> None:
     """Add to one site's contracted edges, in place, one Bounced edge from
-    its first party ``fp`` per third party reachable only indirectly."""
-    adjacency: dict[NodeKey, set[NodeKey]] = {}
+    its first party ``fp`` per third party reachable only indirectly. The
+    search starts from ``fp``'s targets and follows third parties' edges."""
+    adjacency: dict[NodeKey, list[NodeKey]] = {}
     direct: set[NodeKey] = set()
     for (src, dst, label) in edges:
-        adjacency.setdefault(src, set()).add(dst)
-        if src == fp and label != BOUNCED:
+        if src != fp:
+            adjacency.setdefault(src, []).append(dst)
+        elif label != BOUNCED:
             direct.add(dst)
+    seen = {dst for src, dst, _ in edges if src == fp}
 
-    queue = deque([fp])
-    seen = {fp}
-    while queue:
-        for nxt in adjacency.get(queue.popleft(), ()):
+    stack = list(seen) if adjacency else []
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                stack.append(nxt)
 
     for node in seen - direct - {fp}:
         edges.setdefault((fp, node, BOUNCED), 1)
@@ -370,24 +388,23 @@ _DOC = '{"h": %s, "k": %s, "p": %s, "sites": [%s], "t": "doc", "urls": [%s]}\n'
 
 
 def save_graph(graph: WideGraph, out: BinaryIO) -> None:
-    """Write line-delimited records, deterministically ordered, to ``out``,
-    one line at a time, escaping each node key once."""
+    """Write line-delimited records, deterministically ordered, to ``out``.
+    Edge lines come straight from the edge arrays and the site table, a
+    block at a time; each node key, label and site name is escaped once."""
     out.write(_HEADER.encode() + b"\n")
     for domain in sorted(graph.roots):
         out.write((_ROOT % _esc(domain)).encode())
-    pairs: dict[NodeKey, str] = {}
-    for key in sorted(graph.nodes):
-        domain, kind = _esc(key.domain), _esc(key.kind)
-        pairs[key] = f"[{domain}, {kind}]"
-        out.write((_NODE % (domain, kind)).encode())
-    for src, dst, label, mult, sites in graph.edge_records():
-        sites = ", ".join(map(_esc, sites))
-        out.write((_EDGE % (_esc(label), mult, pairs[src], sites, pairs[dst])).encode())
+    escaped = [(_esc(key.domain), _esc(key.kind)) for key in graph.keys]
+    out.write("".join(map(_NODE.__mod__, escaped)).encode())
+    pairs = ["[%s, %s]" % pair for pair in escaped]  # by node id
+    for block in graph._edge_blocks(pairs, [*map(_esc, LABELS)], [*map(_esc, graph.site_names)]):
+        lines = [_EDGE % (lab, m, src, ", ".join(sites), dst) for src, dst, lab, m, sites in block]
+        out.write("".join(lines).encode())
     for doc in graph.documents():
         sites = ", ".join(map(_esc, sorted(doc.sites)))
         urls = ", ".join([f"[{_esc(url)}, {n:d}]" for url, n in sorted(doc.urls.items())])
-        line = _DOC % (_esc(doc.host), _esc(doc.kind), pairs[doc.parent], sites, urls)
-        out.write(line.encode())
+        parent = pairs[graph.ids[doc.parent]]
+        out.write((_DOC % (_esc(doc.host), _esc(doc.kind), parent, sites, urls)).encode())
 
 
 def load_graph(data: bytes, source: str = "graph file") -> WideGraph:

@@ -71,9 +71,10 @@ class DependencyTree:
     def from_record(cls, rec: dict) -> "DependencyTree":
         """The tree of a ``tree_line`` record as ``json.loads`` reads it;
         KeyError, TypeError or ValueError on a record with a missing key, a
-        field of the wrong type, a dangling edge, a root URL that is not a
-        node, a node kind other than script/media/iframe/other, a node URL
-        with no usable host or a root domain that is not its root URL's."""
+        field of the wrong type, an edge multiplicity below 1, a dangling
+        edge, a root URL that is not a node, a node kind other than
+        script/media/iframe/other, a node URL with no usable host or a root
+        domain that is not its root URL's."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
@@ -86,6 +87,8 @@ class DependencyTree:
         tallies = [*edges.values(), *diagnostics.values(), *skipped.values()]
         if not all(type(c) is int for c in tallies):
             raise TypeError("multiplicities and tallies must be integers")
+        if min(edges.values(), default=1) < 1:
+            raise ValueError(f"edge multiplicity {min(edges.values())} is below 1")
         if any(u not in nodes for edge in edges for u in edge):
             raise ValueError("edge endpoint is not a node")
         if root_url not in nodes:

@@ -284,6 +284,26 @@ def test_root_domain_other_than_the_root_urls_stops_graph_build(tmp_path, capsys
     assert not graph.exists()
 
 
+@pytest.mark.parametrize("mult", [0, -2])
+def test_edge_multiplicity_below_one_stops_graph_build(tmp_path, capsys, mult):
+    """A trees record with an edge multiplicity below 1 is refused where it
+    is read, naming its file and line, and no graph is written for
+    load_graph to refuse later."""
+    generate(EcosystemConfig(n_sites=3, seed=7)).write(tmp_path / "corpus")
+    trees, graph = tmp_path / "trees.jsonl", tmp_path / "graph.jsonl"
+    assert main(["ingest", "--har-dir", str(tmp_path / "corpus" / "har"), "--out", str(trees)]) == 0
+    header, first, second, *rest = trees.read_bytes().splitlines(keepends=True)
+    rec = json.loads(second)
+    rec["edges"][-1][2] = mult
+    trees.write_bytes(b"".join([header, first, json.dumps(rec).encode() + b"\n", *rest]))
+    capsys.readouterr()
+    assert main(["graph", "build", "--trees", str(trees), "--out", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trees}: line 3: bad trees record: ") and err.count("\n") == 1
+    assert f"edge multiplicity {mult} is below 1" in err
+    assert not graph.exists()
+
+
 # Every artifact the staged chain writes as run-all does. scores.tsv is not
 # among them: predict scores every row with the full forest, while run-all
 # scores its training rows out-of-bag. emit-rules reads run-all's scores.tsv,

@@ -6,8 +6,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from widetrack.domains import registrable_domain
 from widetrack.graph import (
     BOUNCED,
     FIRST_PARTY,
@@ -557,6 +558,112 @@ def test_average_path_length_ignores_bounced_shortcuts():
     assert average_path_length(g) == pytest.approx((1 + 2 + 3) / 3)
 
 
+# ------------------------------------- contraction against the per-URL reference
+
+
+def reference_contract_tree(graph, tree):
+    """``contract_tree`` one URL and one edge at a time: each URL filed with
+    its own lookup, its request count summed first, each edge added alone."""
+    root = tree.root_domain
+    graph.roots.add(root)
+    fp = graph.add_node(NodeKey(root, FIRST_PARTY))
+    request_count = dict.fromkeys(tree.nodes, 0)
+    for (_, dst), mult in tree.edges.items():
+        request_count[dst] += mult
+    key_of = {}
+    for url, kind in tree.nodes.items():
+        host = tree.hosts[url]
+        doc = graph.docs.get((host, kind))
+        if doc is None and registrable_domain(host) != root:
+            key = graph.add_node(NodeKey(registrable_domain(host), kind))
+            doc = graph.docs[host, kind] = SubdomainDocument(host, kind, Counter(), set(), key)
+        if doc is None or doc.parent.domain == root:
+            key_of[url] = fp
+            continue
+        doc.sites.add(root)
+        doc.urls[url] += request_count[url] or 1
+        key_of[url] = doc.parent
+    diagnostics = Counter()
+    edges = {}
+    for (src_url, dst_url), mult in tree.edges.items():
+        src, dst = key_of[src_url], key_of[dst_url]
+        if dst == fp:
+            diagnostics["edge_to_firstparty_dropped"] += mult
+        elif src == dst:
+            diagnostics["contracted_self_edge_dropped"] += mult
+        else:
+            edges[src, dst, dst.kind] = edges.get((src, dst, dst.kind), 0) + mult
+    reference_expand_edges(fp, edges)
+    for (src, dst, label), mult in edges.items():
+        graph.add_edge(src, dst, label, mult, [root])
+    return diagnostics
+
+
+def reference_expand_edges(fp, edges):
+    """``expand_edges`` by a search from ``fp`` over every edge."""
+    adjacency, direct = {}, set()
+    for (src, dst, label) in edges:
+        adjacency.setdefault(src, set()).add(dst)
+        if src == fp and label != BOUNCED:
+            direct.add(dst)
+    seen, stack = {fp}, [fp]
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    for node in seen - direct - {fp}:
+        edges.setdefault((fp, node, BOUNCED), 1)
+
+
+# Every host is on a site's own domain or on c.net, so a host filed as a
+# third party by one site is first party on another.
+_SITE_DOMAINS = ("a.com", "b.com")
+_HOSTS = ("www.a.com", "x.a.com", "x.b.com", "x.c.net", "y.c.net")
+
+
+@st.composite
+def captures(draw):
+    """Trees over a few hosts, with any edges between their URLs."""
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        root = draw(st.sampled_from(_SITE_DOMAINS))
+        url = st.builds("https://{}/{}".format, st.sampled_from(_HOSTS), st.sampled_from("12"))
+        nodes = draw(st.dictionaries(url, st.sampled_from(_KINDS), max_size=6))
+        urls = sorted({f"https://www.{root}/", *nodes})
+        pair = st.tuples(st.sampled_from(urls), st.sampled_from(urls))
+        trees.append(tree(root, nodes, draw(st.dictionaries(pair, st.integers(1, 3), max_size=10))))
+    return trees
+
+
+_A, _B = "https://www.a.com/", "https://www.b.com/"
+_CX1, _CX2, _CY, _BX = (
+    "https://x.c.net/1", "https://x.c.net/2", "https://y.c.net/1", "https://x.b.com/1"
+)
+# a.com, twice: two URLs of one (host, kind), an edge into the first party,
+# one that contracts to a self-loop, a chain, and a cycle the root cannot
+# reach. Then b.com, where a.com's third party x.b.com is first party.
+_A_TREE = tree(
+    "a.com",
+    {_CX1: "script", _CX2: "script", _BX: "script", _CY: "media", "https://x.a.com/1": "media"},
+    {(_A, _CX1): 1, (_A, _CX2): 2, (_CX1, _CX2): 1, (_CX1, "https://x.a.com/1"): 3,
+     (_CX2, _BX): 1, (_BX, _CY): 1, (_CY, _BX): 2},
+)
+_CYCLE_TREE = tree("a.com", {_BX: "media", _CY: "media"}, {(_BX, _CY): 1, (_CY, _BX): 1})
+_B_TREE = tree("b.com", {_BX: "script", _CX1: "script"}, {(_B, _BX): 1, (_BX, _CX1): 2})
+
+
+@settings(max_examples=100, deadline=None)
+@given(captures())
+@example([_A_TREE, _A_TREE, _CYCLE_TREE, _B_TREE])
+def test_contraction_equals_the_per_url_per_edge_reference(trees):
+    expected, graph = WideGraph(), WideGraph()
+    assert [contract_tree(graph, t) for t in trees] == [
+        reference_contract_tree(expected, t) for t in trees
+    ]
+    assert saved(build_widegraph(trees)) == saved(graph) == saved(expected)
+
+
 # ------------------------------------------------ the graph file, record by record
 
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -626,6 +733,25 @@ def test_save_graph_equals_per_record_sorted_json(graph):
 def test_save_graph_on_a_built_graph_equals_per_record_sorted_json():
     g, _ = TestCoverage().three_root_fixture()
     assert saved(g) == reference_saved(g)
+
+
+def test_edges_read_and_save_right_across_blocks():
+    """Edges are read and written a block of 4096 at a time. Over 9,000
+    edges, each with its own multiplicity and 0 to 3 sites, every edge
+    record and edge line holds the edge's own figures, in file order."""
+    g, expected = WideGraph(), {}
+    roots = ["r0.com", "r1.com", "r2.com"]
+    g.roots.update(roots)
+    keys = [NodeKey(f"t{i:02d}.net", "script") for i in range(100)]
+    for i in range(9000):
+        edge = (keys[i // 90], keys[(i // 90 + 1 + i % 90) % 100], "script")
+        expected[edge] = (i % 7 + 1, roots[:i % 4])
+        g.add_edge(*edge, *expected[edge])
+    assert edge_data(g) == expected
+    records = [json.loads(line) for line in saved(g).splitlines() if b'"t": "edge"' in line]
+    in_file = [(NodeKey(*r["s"]), NodeKey(*r["x"]), r["l"]) for r in records]
+    assert in_file == sorted(expected)
+    assert [(r["m"], r["sites"]) for r in records] == [expected[edge] for edge in in_file]
 
 
 # A small graph every record of which is one contract_tree can write: two

@@ -491,6 +491,9 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec.update(edges=[["a", "b"]]),
         lambda rec: rec.update(edges=[[PAGE, "https://elsewhere.org/", 1]]),
         lambda rec: rec.update(diagnostics={"self_edge_dropped": "x"}),
+        # contraction would write it, and load_graph refuse it
+        lambda rec: rec.update(edges=[[src, dst, 0] for src, dst, _ in rec["edges"]]),
+        lambda rec: rec.update(edges=[*rec["edges"][:-1], [*rec["edges"][-1][:2], -2]]),
         lambda rec: rec["nodes"].append(["http:///x.js", "script"]),  # no host
         lambda rec: rec["nodes"].append(["http://[::1/x", "script"]),  # urlsplit raises
         lambda rec: rec["nodes"].append(["https://a..b/x.js", "script"]),  # no domain
