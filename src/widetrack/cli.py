@@ -15,7 +15,7 @@ from . import forest as forest_mod
 from . import pipeline as pipeline_mod
 from .domains import DomainError, registrable_domain
 from .filters import ADTRACKER, label_document
-from .graph import WideGraph, build_widegraph, load_graph, save_graph, stats
+from .graph import NodeKey, WideGraph, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
 from .pipeline import DataError, PipelineConfig, collector_paused, load_config
 from .synth import EcosystemConfig, generate
@@ -48,10 +48,10 @@ def _row_labels(path, keys):
 
 
 def _read_feature_files(paths):
-    """Read one content and one structural table: (document keys, content
-    values, structural matrix), for ``assemble_all_vectors`` to join as
-    run-all does. A second table of a kind, or a content row whose node has
-    no structural row, is a DataError naming the files."""
+    """Read one content and one structural table: (document keys, their
+    nodes, content values, structural matrix), for ``assemble_all_vectors``
+    to join as run-all does. A second table of a kind, or a content row
+    whose node has no structural row, is a DataError naming the files."""
     parts = {}  # kind -> (path, table)
     for path in paths:
         data = Path(path).read_bytes()
@@ -68,17 +68,18 @@ def _read_feature_files(paths):
         raise DataError("need one content and one structural feature file")
     content_path, (keys, _, values) = parts["content"]
     struct_path, struct = parts["structural"]
-    nodes = set(struct.keys)
+    known, nodes = set(struct.keys), []
     for host, kind in keys:
         try:
             domain = registrable_domain(host)
         except DomainError as exc:
             raise DataError(f"{content_path}: {exc}") from None
-        if (domain, kind) not in nodes:
+        if (domain, kind) not in known:
             raise DataError(
                 f"{struct_path}: no row for node {domain} ({kind}) of {content_path}'s {host}"
             )
-    return keys, values, struct
+        nodes.append(NodeKey(domain, kind))
+    return keys, nodes, values, struct
 
 
 def cmd_ingest(args) -> int:
@@ -164,11 +165,11 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    keys, content_values, struct = _read_feature_files(args.features)
+    keys, nodes, content_values, struct = _read_feature_files(args.features)
     labels = _row_labels(args.labels, keys)
     train, _ = pipeline_mod.split_keys(keys, cfg, labels)
     # As in run-all, X's rows are the training rows in training order.
-    X = pipeline_mod.assemble_all_vectors(keys, content_values, struct, train)
+    X = pipeline_mod.assemble_all_vectors(nodes, content_values, struct, train)
     model = pipeline_mod.train_forest(X, [labels[i] for i in train], cfg)
     Path(args.out).write_bytes(forest_mod.save_model(model))
     print(f"trained {cfg.n_trees} trees on {len(train)} documents ({X.shape[1]} features)")
@@ -177,8 +178,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = forest_mod.load_model(Path(args.model).read_bytes(), args.model)
-    keys, content_values, struct = _read_feature_files(args.features)
-    X = pipeline_mod.assemble_all_vectors(keys, content_values, struct)
+    keys, nodes, content_values, struct = _read_feature_files(args.features)
+    X = pipeline_mod.assemble_all_vectors(nodes, content_values, struct)
     scored = pipeline_mod.score_rows(model, X)
     Path(args.out).write_bytes(pipeline_mod.write_scores_file(keys, scored))
     print(f"scored {len(scored)} documents")

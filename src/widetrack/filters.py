@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from operator import or_
 
-from .domains import registrable_domain
 from .forest import CLASSES
 from .graph import SubdomainDocument
 
@@ -331,18 +330,19 @@ class _Contexts:
     """A document's site contexts, bit i for its i-th site in sorted order."""
 
     def __init__(self, document: SubdomainDocument):
-        self.host, self.sites = document.host, sorted(document.sites)
+        self.domain, self.sites = document.parent.domain, sorted(document.sites)
         self.full = (1 << len(self.sites)) - 1
         self.option = KIND_TO_OPTION.get(document.kind)
 
     @cached_property
     def table(self) -> tuple[dict[str, int], int]:
         """Each dot-suffix of a site, the site too, to the bits of the sites it
-        covers; and the bits of the sites equal to the URLs' registrable domain."""
+        covers; and the bits of the sites equal to the document's node domain,
+        the URLs' registrable domain."""
         covers: dict[str, int] = {}
-        url_domain, same = registrable_domain(self.host), 0
+        same = 0
         for i, site in enumerate(self.sites):
-            same |= (site == url_domain) << i
+            same |= (site == self.domain) << i
             suffix, dot = site, True
             while dot:
                 covers[suffix] = covers.get(suffix, 0) | 1 << i
@@ -364,13 +364,16 @@ class _Contexts:
         return m
 
 
-def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> tuple[bool, bool]:
-    """Whether some URL of ``document`` is blocked in the context of some
-    site it was seen on: a block rule matches it there and, when
-    ``exceptions``, no exception rule does; and whether a block rule
-    matches some URL in some context. URLs go in sorted order; a rule's
+def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
+    """AdTracker iff some URL of ``document`` is blocked in the context of
+    some site it was seen on: a block rule matches it there and no exception
+    rule does. The label records whether a block rule matches some URL in
+    some context, exceptions aside. URLs go in sorted order; a rule's
     context mask is taken at most once a call; exception candidates are
-    fetched only for a URL some block rule hits."""
+    fetched only for a URL some block rule hits.
+
+    Every URL of a document is on its host, as the graph builds and loads it.
+    """
     contexts = _Contexts(document)
     masks: dict[int, int] = {}
 
@@ -394,25 +397,13 @@ def _blocked(rules: RuleSet, document: SubdomainDocument, exceptions: bool) -> t
         blocked = hits(rules.block_index, url_lower, tokens, contexts.full)
         if blocked:
             matched = True
-            if not exceptions or blocked & ~hits(rules.exception_index, url_lower, tokens, blocked):
-                return True, True
-    return False, matched
-
-
-def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
-    """AdTracker iff any URL is blocked in any contributing site's context;
-    the label records whether any block rule hit, exceptions aside.
-
-    Every URL of a document is on its host, as the graph builds and loads it.
-    """
-    blocked, matched = _blocked(rules, document, exceptions=True)
-    return Label(ADTRACKER if blocked else BENIGN, matched)
+            if blocked & ~hits(rules.exception_index, url_lower, tokens, blocked):
+                return Label(ADTRACKER, True)
+    return Label(BENIGN, matched)
 
 
 def document_block_matched(rules: RuleSet, document: SubdomainDocument) -> bool:
-    """Whether any document URL hits a block rule in any context.
-
-    Exceptions are ignored: this asks if the lists already cover the host,
-    not whether the final verdict is blocked.
-    """
-    return _blocked(rules, document, exceptions=False)[0]
+    """Whether any document URL hits a block rule in any context, exceptions
+    aside: the label pass's ``block_matched``. This asks if the lists
+    already cover the host, not whether the final verdict is blocked."""
+    return label_document(rules, document).block_matched

@@ -71,12 +71,14 @@ class DependencyTree:
     def from_record(cls, rec: dict) -> "DependencyTree":
         """The tree of a ``tree_line`` record as ``json.loads`` reads it;
         KeyError, TypeError or ValueError on a record with a missing key, a
-        field of the wrong type, an edge multiplicity below 1, a dangling
-        edge, a root URL that is not a node, a node kind other than
-        script/media/iframe/other, a node URL with no usable host or a root
-        domain that is not its root URL's."""
+        field of the wrong type, a node URL or edge listed twice, an edge
+        multiplicity below 1, a dangling edge, a root URL that is not a node,
+        a node kind other than script/media/iframe/other, a node URL with no
+        usable host or a root domain that is not its root URL's."""
         nodes = {u: k for u, k in rec["nodes"]}
         edges = {(s, d): m for s, d, m in rec["edges"]}
+        if len(nodes) < len(rec["nodes"]) or len(edges) < len(rec["edges"]):
+            raise ValueError("repeated node url or edge")
         diagnostics = Counter(dict(rec.get("diagnostics", {})))
         skipped = Counter(dict(rec.get("skipped", {})))
         root_url, root_domain = rec["root_url"], rec["root_domain"]

@@ -22,7 +22,6 @@ import numpy as np
 from . import content as content_mod
 from . import forest as forest_mod
 from . import structural as structural_mod
-from .domains import registrable_domain
 from .filters import (
     ADTRACKER,
     BENIGN,
@@ -703,23 +702,23 @@ def content_features(
 
 
 def assemble_all_vectors(
-    keys: list[tuple[str, str]],
+    nodes: list[NodeKey],
     content_values: np.ndarray,
     struct_matrix: structural_mod.StructMatrix,
     rows: list[int] | None = None,
 ) -> np.ndarray:
-    """Join content rows (host-keyed) with their parent node's structural
-    row, laid out [keywords | engineered | structural]: one row per index
-    of ``rows`` into ``keys`` and ``content_values``, in that order, or one
-    per key in ``keys`` order. Rows are filled one by one, so no other
-    matrix-sized array is made."""
-    rows = range(len(keys)) if rows is None else rows
+    """Join each content row with the structural row of its node in
+    ``nodes``, laid out [keywords | engineered | structural]: one row per
+    index of ``rows`` into ``nodes`` and ``content_values``, in that order,
+    or one per node in ``nodes`` order. Rows are filled one by one, so no
+    other matrix-sized array is made."""
+    rows = range(len(nodes)) if rows is None else rows
     width = content_values.shape[1]
+    struct_row = dict(zip(struct_matrix.keys, struct_matrix.values))
     matrix = np.empty((len(rows), width + len(struct_matrix.columns)))
     for out, i in zip(matrix, rows):
-        host, kind = keys[i]
         out[:width] = content_values[i]
-        out[width:] = struct_matrix.row(NodeKey(registrable_domain(host), kind))
+        out[width:] = struct_row[nodes[i]]
     return matrix
 
 
@@ -811,7 +810,7 @@ def run_all(cfg: PipelineConfig) -> dict:
     # X's rows are the training rows in training order, then the test rows,
     # so the forest trains on and scores X's row ranges in place.
     order = train + test
-    X = assemble_all_vectors(keys, content_values, struct, order)
+    X = assemble_all_vectors([d.parent for d in eligible], content_values, struct, order)
     del content_values  # X now holds the only copy
 
     model = train_forest(X[:len(train)], [labels[i] for i in train], cfg)

@@ -4,12 +4,12 @@ neighbor aggregates with correlation pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, NodeKey, WideGraph, coverage
+from .graph import NodeKey, WideGraph, coverage
 
 class BaseFeatureRow(NamedTuple):
     degree: int
@@ -29,16 +29,6 @@ class StructMatrix:
     keys: list[NodeKey]
     columns: list[str]
     values: np.ndarray  # shape (len(keys), len(columns))
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {key: i for i, key in enumerate(self.keys)}
-
-    def row(self, key: NodeKey) -> np.ndarray:
-        try:
-            return self.values[self._index[key]]
-        except KeyError:
-            raise GraphError(f"no structural row for node {key.domain} ({key.kind})") from None
 
 
 def base_features(graph: WideGraph, key: NodeKey) -> BaseFeatureRow:

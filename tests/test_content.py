@@ -200,7 +200,7 @@ def assemble_vector(document, vocabulary, struct_row):
         columns=[f"s{i}" for i in range(len(struct_row))],
         values=np.array([struct_row], dtype=float),
     )
-    return assemble_all_vectors([(document.host, document.kind)], values, struct)[0]
+    return assemble_all_vectors([document.parent], values, struct)[0]
 
 
 class TestAssemble:

@@ -37,7 +37,7 @@ def doc(host, kind, urls, sites=("news.com",)):
         kind=kind,
         urls=Counter(urls),
         sites=set(sites),
-        parent=NodeKey(".".join(host.split(".")[-2:]), kind),
+        parent=NodeKey(registrable_domain(host), kind),
     )
 
 
@@ -467,8 +467,9 @@ def test_indexed_verdicts_equal_the_linear_matcher(lines, url_list, sites, kind)
     kind=st.sampled_from(["script", "media", "iframe", "other"]),
 )
 def test_label_pass_records_the_block_match(lines, url_list, sites, kind):
-    """The label pass's block-hit fact is document_block_matched's verdict,
-    so candidate emission can take it instead of matching again."""
+    """The label pass's block-hit fact is the linear matcher's verdict on
+    whether a block rule hits, exceptions aside, so candidate emission can
+    take it instead of matching again."""
     rs = parse_rules("\n".join(lines))
     url_list = url_list + [u for line in lines for u in _embeddings(line)]
     by_host = {}
@@ -479,7 +480,7 @@ def test_label_pass_records_the_block_match(lines, url_list, sites, kind):
     for host, host_urls in by_host.items():
         d = doc(host, kind, host_urls, sites=sites)
         label = label_document(rs, d)
-        assert label.block_matched == document_block_matched(rs, d), host
+        assert label.block_matched == linear_block_matched(rs, d), host
         assert label.block_matched or label.label == BENIGN
 
 

@@ -506,6 +506,10 @@ def test_trees_file_rejects_garbage():
         lambda rec: rec.update(root_url="ftp://" + rec["root_domain"] + "/"),
         # the root URL is a node
         lambda rec: rec.update(root_url=rec["root_url"] + "elsewhere.html"),
+        # a repeated node URL or edge, as load_graph refuses in a graph file
+        lambda rec: rec["nodes"].append(rec["nodes"][-1]),
+        lambda rec: rec["nodes"].append([rec["nodes"][-1][0], "other"]),
+        lambda rec: rec["edges"].append([*rec["edges"][-1][:2], 5]),
     ],
 )
 def test_trees_file_bad_record_names_the_line(change):

@@ -10,7 +10,9 @@ file or field the relation lets change:
   whose lines are the base run's in another order;
 - shuffling each capture's ``log.entries`` changes no artifact;
 - doubling and shuffling the rule list changes only ``report.json``'s
-  ``rules.parsed``, which doubles.
+  ``rules.parsed``, which doubles;
+- splitting the rule list across two rules files, with CRLF line ends in
+  them and in the config file, changes no artifact.
 """
 
 import json
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from widetrack.pipeline import PipelineConfig, run_all
+from widetrack.pipeline import PipelineConfig, load_config, run_all
 from widetrack.synth import EcosystemConfig, generate
 
 N_SITES = 40
@@ -34,18 +36,26 @@ ARTIFACTS = (
 CORPUS = generate(EcosystemConfig(n_sites=N_SITES, seed=7))
 
 
-def run(har_files, rules):
+def run(har_files, rules, cut=None, newline="\n"):
     """Every artifact of run-all over ``har_files`` ((name, bytes) pairs)
-    and the rule lines ``rules``, by name."""
+    and the rule lines ``rules``, by name. The rules go in one file, or in
+    two split before ``rules[cut]``; run-all reads its config from a file.
+    ``newline`` ends every line of the rules and config files."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         har_dir = work / "har"
         har_dir.mkdir()
         for name, data in har_files:
             (har_dir / name).write_bytes(data)
-        (work / "rules.txt").write_text("\n".join(rules) + "\n", encoding="utf-8")
+        parts = [rules] if cut is None else [rules[:cut], rules[cut:]]
+        rule_files = [work / f"rules{i}.txt" for i in range(len(parts))]
+        for path, part in zip(rule_files, parts):
+            path.write_bytes("".join(line + newline for line in part).encode())
         out = work / "out"
-        run_all(PipelineConfig(har_dir=har_dir, rules_files=[work / "rules.txt"], out_dir=out))
+        config = [f"har_dir = {har_dir}", f"out_dir = {out}"]
+        config.append("rules_files = " + " ".join(map(str, rule_files)))
+        (work / "run.cfg").write_bytes("".join(line + newline for line in config).encode())
+        run_all(load_config(PipelineConfig, work / "run.cfg"))
         assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS)
         return {name: (out / name).read_bytes() for name in ARTIFACTS}
 
@@ -98,3 +108,9 @@ def test_doubled_and_shuffled_rules_change_only_the_parsed_rule_count(base, rule
     assert base["report.json"].count(field) == 1
     doubled = base["report.json"].replace(field, b'"parsed": %d' % (2 * parsed))
     assert other["report.json"] == doubled
+
+
+@_SETTINGS
+@given(st.integers(0, len(CORPUS.truth_rules)))
+def test_rules_split_across_two_crlf_files_change_no_artifact(base, cut):
+    assert_same_except(base, run(CORPUS.har_files, CORPUS.truth_rules, cut, newline="\r\n"))
