@@ -8,14 +8,19 @@ load each other per the bounce probability; benign services serve plain
 asset URLs on few sites. Every service is additionally pinned to three
 deterministic anchor sites so no document falls under the eligibility
 floor by bad luck.
+
+Each HAR is written from fixed templates that give ``json.dumps``' bytes
+(sorted keys, compact separators), and each hex value is one 1024-bit draw
+that reads the same Mersenne words, in the same order, as 16 ``choices``
+draws; tests/test_synth.py pins the digests of the corpora written.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
 
 from .filters import ADTRACKER, BENIGN
@@ -47,6 +52,17 @@ _MIMES = {
     "other": "application/json",
     "stylesheet": "text/css",
 }
+
+# A HAR as json.dumps(sort_keys=True, separators=(",", ":")) writes it: keys
+# in sorted order, strings escaped by _esc. An entry's first field is its
+# _INITIATOR, or nothing for the page itself.
+_HAR = '{"log":{"creator":{"name":"widetrack-synth","version":"1"},"entries":[%s],"version":"1.2"}}'
+_ENTRY = (
+    '{%s"_resourceType":"%s","request":{"method":"GET","url":%s},'
+    '"response":{"content":{"mimeType":"%s"},"status":200},'
+    '"startedDateTime":"2024-01-01T00:00:00.%06dZ"}'
+)
+_INITIATOR = '"_initiator":{"type":"%s","url":%s},'
 
 # Shared path/word pool; palettes drawn from it keep most vocabulary terms
 # in several documents, so no single document owns an identifying keyword.
@@ -82,10 +98,7 @@ class _Service:
     tracker: bool
     palette: tuple[str, ...]
     anchors: frozenset[int]
-
-    @property
-    def key(self) -> NodeKey:
-        return NodeKey(self.domain, self.kind)
+    key: NodeKey
 
 
 @dataclass(frozen=True)
@@ -106,8 +119,15 @@ class SynthCorpus:
     site_plans: dict[str, SitePlan] = field(default_factory=dict)
 
     def write(self, out_dir: str | Path) -> dict[str, Path]:
+        """Write the corpus under ``out_dir``. Refuses, before writing
+        anything, a ``har/`` holding a capture this corpus does not write,
+        which a run over the directory would read but the truth graph lacks."""
         out = Path(out_dir)
         har_dir = out / "har"
+        names = {name for name, _ in self.har_files}
+        stray = sorted(p.name for p in har_dir.glob("*.har") if p.name not in names)
+        if stray:
+            raise ValueError(f"{har_dir} holds {stray[0]}, a capture this corpus does not write")
         har_dir.mkdir(parents=True, exist_ok=True)
         for name, data in self.har_files:
             (har_dir / name).write_bytes(data)
@@ -154,14 +174,18 @@ def _make_services(config: EcosystemConfig, rng: random.Random) -> list[_Service
                 tracker=tracker,
                 palette=tuple(rng.sample(_WORD_POOL, 30)),
                 anchors=frozenset((idx * 7 + k) % config.n_sites for k in range(3)),
+                key=NodeKey(domain, kind),
             )
         )
     return services
 
 
 def _fresh_value(rng: random.Random, counter: list[int]) -> str:
+    """A serial plus the 16 hex digits ``rng.choices("0123456789abcdef", k=16)``
+    draws: its 16 ``random()`` calls read the 32 words one 1024-bit draw
+    reads, and digit j is the top 4 bits of word 2j."""
     counter[0] += 1
-    return f"{counter[0]:06d}" + "".join(rng.choices("0123456789abcdef", k=16))
+    return f"{counter[0]:06d}" + rng.getrandbits(1024).to_bytes(128, "little")[3::8].hex()[::2]
 
 
 def _service_url(
@@ -187,23 +211,12 @@ def _service_url(
     return f"https://{svc.host}/{w}/{w2}/{w3}.{ext}"
 
 
-def _har_entry(url: str, kind: str, ts: int, initiator: dict | None) -> dict:
-    entry = {
-        "startedDateTime": f"2024-01-01T00:00:00.{ts:06d}Z",
-        "request": {"method": "GET", "url": url},
-        "response": {"status": 200, "content": {"mimeType": _MIMES[kind]}},
-        "_resourceType": _RESOURCE_TYPES[kind],
-    }
-    if initiator is not None:
-        entry["_initiator"] = initiator
-    return entry
-
-
 def _touch_doc(truth: WideGraph, svc: _Service, url: str, site: str):
-    key = truth.add_node(svc.key)
-    doc = truth.docs.setdefault(
-        (svc.host, svc.kind), SubdomainDocument(svc.host, svc.kind, Counter(), set(), key)
-    )
+    doc = truth.docs.get((svc.host, svc.kind))
+    if doc is None:
+        doc = truth.docs[svc.host, svc.kind] = SubdomainDocument(
+            svc.host, svc.kind, Counter(), set(), truth.add_node(svc.key)
+        )
     doc.urls[url] += 1
     doc.sites.add(site)
 
@@ -214,7 +227,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
     rng = random.Random(config.seed)
     counter = [0]
     services = _make_services(config, rng)
-    trackers = [s for s in services if s.tracker]
+    trackers = [s for s in services if s.tracker]  # trackers[j].index == j
     sites = [f"site{i:03d}.com" for i in range(config.n_sites)]
 
     truth = WideGraph()
@@ -243,7 +256,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
                 continue
             if rng.random() >= config.bounce_prob:
                 continue
-            candidates = [t for t in trackers if t.index != loader.index]
+            candidates = trackers[: loader.index] + trackers[loader.index + 1 :]
             if not candidates:
                 continue
             for target in rng.sample(candidates, min(rng.randint(1, 2), len(candidates))):
@@ -251,43 +264,28 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
         # Occasional second hop: a bounced script tracker loads one more.
         for loader, _, target, turl in list(loads):
             if target.kind == "script" and rng.random() < config.bounce_prob * 0.5:
-                candidates = [t for t in trackers if t.index != target.index]
+                candidates = trackers[: target.index] + trackers[target.index + 1 :]
                 if candidates:
                     nxt = rng.choice(candidates)
                     loads.append((target, turl, nxt, _service_url(nxt, site, rng, counter)))
 
-        # --- HAR assembly ---
-        ts = 0
-        entries = [_har_entry(page_url, "iframe", ts, None)]
-        for url, kind in (
-            (f"https://www.{site}/assets/site.css", "stylesheet"),
-            (f"https://static.{site}/logo.png", "media"),
-        ):
-            ts += 1
-            entries.append(_har_entry(url, kind, ts, {"type": "parser", "url": page_url}))
-        for svc, urls in direct_records:
-            for url in urls:
-                ts += 1
-                entries.append(
-                    _har_entry(url, svc.kind, ts, {"type": "parser", "url": page_url})
-                )
-        for loader, loader_url, target, target_url in loads:
-            ts += 1
-            entries.append(
-                _har_entry(
-                    target_url, target.kind, ts, {"type": "script", "url": loader_url}
-                )
-            )
-        har = {
-            "log": {
-                "version": "1.2",
-                "creator": {"name": "widetrack-synth", "version": "1"},
-                "entries": entries,
-            }
-        }
-        har_files.append(
-            (f"{site}.har", json.dumps(har, sort_keys=True, separators=(",", ":")).encode())
+        # --- HAR assembly: (url, kind, initiator) per entry, page first ---
+        parser = _INITIATOR % ("parser", _esc(page_url))
+        requests = [
+            (page_url, "iframe", ""),
+            (f"https://www.{site}/assets/site.css", "stylesheet", parser),
+            (f"https://static.{site}/logo.png", "media", parser),
+        ]
+        requests += [(url, svc.kind, parser) for svc, urls in direct_records for url in urls]
+        requests += [
+            (target_url, target.kind, _INITIATOR % ("script", _esc(loader_url)))
+            for _, loader_url, target, target_url in loads
+        ]
+        entries = ",".join(
+            _ENTRY % (initiator, _RESOURCE_TYPES[kind], _esc(url), _MIMES[kind], ts)
+            for ts, (url, kind, initiator) in enumerate(requests)
         )
+        har_files.append((f"{site}.har", (_HAR % entries).encode()))
 
         # --- truth bookkeeping, straight from the decisions above ---
         direct_keys = set()

@@ -94,6 +94,23 @@ def test_synth_command(tmp_path):
     assert (out / "truth-rules.txt").exists()
 
 
+def test_synth_refuses_captures_it_would_not_write(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    out = tmp_path / "corpus"
+    args = ["synth", "--config", str(cfg), "--out-dir", str(out)]
+    cfg.write_text("n_sites = 5\nn_trackers = 2\nn_benign = 2\nseed = 9\n")
+    assert main(args) == 0
+    assert main(args) == 0  # the same corpus again
+    written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    cfg.write_text("n_sites = 3\nn_trackers = 2\nn_benign = 2\nseed = 9\n")
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out / 'har'} holds site003.com.har, a capture this corpus does not write\n"
+    )
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+
 def test_synth_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_site = 4\n")

@@ -1,10 +1,14 @@
+import hashlib
 import io
+import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widetrack.graph import build_widegraph, coverage, save_graph
 from widetrack.ingest import build_tree, parse_har
-from widetrack.synth import EcosystemConfig, SynthCorpus, generate
+from widetrack.synth import EcosystemConfig, SynthCorpus, _fresh_value, generate
 
 
 def small_config(**overrides):
@@ -108,3 +112,86 @@ def test_config_validation():
         EcosystemConfig(n_sites=0).validate()
     with pytest.raises(ValueError):
         EcosystemConfig(bounce_prob=1.5).validate()
+
+
+# The sha256 of every file ``SynthCorpus.write`` writes. "har/*.har" is the
+# digest of the HAR manifest, one "<sha256>  <name>" line per file in name
+# order (``cd har && sha256sum *.har | sha256sum``). The 40-site corpus is the
+# one tests/test_golden.py runs; the small one bounces every script tracker,
+# so the second-hop branch runs. A change that alters a corpus on purpose
+# updates its digests here and names the change.
+CORPUS_DIGESTS = {
+    "golden": (
+        EcosystemConfig(n_sites=40, seed=7),
+        {
+            "har/*.har": "54c9da5e1894da260eac6da9a704a59159d339e408682925b7da078e9c623281",
+            "truth-graph.jsonl": "01b840760423d13ffba77fc91e064f40141f46b06bf6463ce397936498cfdcad",
+            "truth-labels.tsv": "d90e8395ff0844866ca16e8da3ec5b5dcab5b6284ec298e44927d74d40721801",
+            "truth-rules.txt": "492f97a55c4be99b35d2e442a62093e0314a451afa7b3efa6e19f3a57615c6ad",
+        },
+    ),
+    "bounce": (
+        small_config(bounce_prob=1.0),
+        {
+            "har/*.har": "780e5bec0fa26bb3963ef00ae7267942742e7d4cf714874ef87c53f75ea7f537",
+            "truth-graph.jsonl": "85812e1aa69d4f9fcce5ba8de4ebd79e2742cf9ffbf5c8ac4541d68b3c0f62b1",
+            "truth-labels.tsv": "be91823e015bf8c383717170fc35eadc62e998d21e19fc900a2c97fc861308c2",
+            "truth-rules.txt": "555cbbc91b60d9621cb7da50b9e5615cf299c815b22eeef50afaee5a839fc7d8",
+        },
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_written_corpus_matches_committed_digests(name, tmp_path):
+    config, expected = CORPUS_DIGESTS[name]
+    corpus = generate(config)
+    paths = corpus.write(tmp_path)
+    manifest = "".join(
+        f"{sha256(f.read_bytes())}  {f.name}\n"
+        for f in sorted(paths["har_dir"].glob("*.har"))
+    )
+    got = {"har/*.har": sha256(manifest.encode())}
+    for key in ("graph", "labels", "rules"):
+        got[paths[key].name] = sha256(paths[key].read_bytes())
+    assert got == expected
+    # Both corpora take the second-hop branch: only a second hop's loader
+    # can be a service the site does not embed directly.
+    assert any(
+        loader not in plan.direct
+        for plan in corpus.site_plans.values()
+        for loader, _ in plan.loads
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    ops=st.lists(st.sampled_from(("hex", "random", "choice")), max_size=40),
+)
+def test_fresh_value_draws_as_choices(seed, ops):
+    """One draw per hex value reads the Mersenne words 16 ``choices`` read."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    counter = [0]
+    for op in ops:
+        if op == "hex":
+            expected = f"{counter[0] + 1:06d}" + "".join(ref.choices("0123456789abcdef", k=16))
+            assert _fresh_value(rng, counter) == expected
+        elif op == "random":
+            assert rng.random() == ref.random()
+        else:
+            assert rng.choice(("a", "b", "c")) == ref.choice(("a", "b", "c"))
+        assert rng.getstate() == ref.getstate()
+
+
+def test_har_bytes_are_sorted_compact_json():
+    corpus = generate(small_config(bounce_prob=1.0))
+    initiated = set()
+    for _, data in corpus.har_files:
+        assert data == json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
+        initiated.update("_initiator" in e for e in json.loads(data)["log"]["entries"])
+    assert initiated == {True, False}
