@@ -18,7 +18,7 @@ from .filters import ADTRACKER, label_document
 from .graph import NodeKey, WideGraph, build_widegraph, load_graph, save_graph, stats
 from .ingest import read_trees
 from .pipeline import DataError, PipelineConfig, collector_paused, load_config
-from .synth import EcosystemConfig, generate
+from .synth import EcosystemConfig, stream
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,10 +226,17 @@ def cmd_emit_rules(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    corpus = generate(_config(args, EcosystemConfig))
-    paths = corpus.write(args.out_dir)
+    corpus, captures = stream(_config(args, EcosystemConfig))
+    written = []
+
+    def counted():
+        for name, data in captures:
+            yield name, data
+            written.append(name)  # the writer asks for the next once this one is written
+
+    paths = corpus.write(args.out_dir, counted())
     print(
-        f"generated {len(corpus.har_files)} HAR files under {paths['har_dir']}, "
+        f"generated {len(written)} HAR files under {paths['har_dir']}, "
         f"{len(corpus.truth_rules)} truth rules"
     )
     return 0

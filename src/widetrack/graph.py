@@ -67,12 +67,12 @@ class WideGraph:
     """The merged graph of many sites' trees.
 
     ``nodes`` maps each node key to itself, the one key object its documents
-    share. ``_add_edges`` is the one row writer: ``add_edge`` adds one edge
-    through it, contraction a capture's edges as one batch. The first read
-    of a ``_MERGED`` name merges the rows by one sort; from then on no node
-    or edge can be added. Node ids follow NodeKey order (``keys``, ``ids``).
-    ``edges`` holds one record per distinct (src, dst, label) in
-    ``graph.jsonl`` order: node ids, a code into LABELS, and the
+    share. ``add_edges`` is the one row writer: ``add_edge`` adds one edge
+    through it, contraction and the generator a site's edges as one batch.
+    The first read of a ``_MERGED`` name merges the rows by one sort; from
+    then on no node or edge can be added. Node ids follow NodeKey order
+    (``keys``, ``ids``). ``edges`` holds one record per distinct (src, dst,
+    label) in ``graph.jsonl`` order: node ids, a code into LABELS, and the
     multiplicity as a Python int. Edge i's sites are
     ``site_names[site_ids[site_ptr[i]:site_ptr[i + 1]]]``. By node id:
     distinct in- and out-edges, the numbers of first parties with a
@@ -98,14 +98,14 @@ class WideGraph:
     ) -> None:
         """Add ``mult`` to edge (src, dst, label), adding the edge, and its
         ends as nodes, if new, and add ``sites`` to the edge's sites."""
-        src, dst, code = self.add_node(src), self.add_node(dst), _LABEL_CODES[label]
-        self._add_edges((src,), (dst,), (code,), (mult,), sites)
+        self.add_edges((self.add_node(src),), (self.add_node(dst),), (label,), (mult,), sites)
 
-    def _add_edges(self, srcs, dsts, codes, mults, sites: Iterable[str]) -> None:
+    def add_edges(self, srcs, dsts, labels, mults, sites: Iterable[str]) -> None:
         """Append rows for edges with the same ``sites``, given as columns of the
-        graph's own node keys, label codes and multiplicities: a row per edge and
+        graph's own node keys, labels and multiplicities: a row per edge and
         site (or one, with no site), the multiplicity on the first, sites interned."""
         src, dst, code, mult, site = self._rows
+        codes = [*map(_LABEL_CODES.__getitem__, labels)]
         for name in [*map(sys.intern, sites)] or [None]:
             src += srcs
             dst += dsts
@@ -241,7 +241,7 @@ def contract_tree(graph: WideGraph, tree: DependencyTree) -> Counter:
 
     expand_edges(fp, edges)
     src, dst, label = zip(*edges) if edges else ((), (), ())
-    graph._add_edges(src, dst, [*map(_LABEL_CODES.__getitem__, label)], edges.values(), (root,))
+    graph.add_edges(src, dst, label, edges.values(), (root,))
     return diagnostics
 
 

@@ -2,12 +2,19 @@
 
 The generator tracks its own truth graph (nodes, edges, documents) directly
 from its embedding decisions, never through the construction pipeline: it
-shares only the graph's storage (``add_node``, ``add_edge``), so it can serve as an independent oracle for graph building, coverage, and
-labeling. Tracker services spray query-heavy URLs across many sites and
-load each other per the bounce probability; benign services serve plain
-asset URLs on few sites. Every service is additionally pinned to three
+shares only the graph's storage (``add_node`` and the batch row writer
+``add_edges``), so it can serve as an independent oracle for graph
+building, coverage, and labeling. Tracker services spray query-heavy URLs
+across many sites and load each other per the bounce probability; benign
+services serve plain asset URLs on few sites. Every service is additionally pinned to three
 deterministic anchor sites so no document falls under the eligibility
 floor by bad luck.
+
+It works one site at a time: each step files the site's truth, its edges
+in one batch, and yields the site's capture; each document's URLs are
+counted in one ``Counter.update`` after the last site. ``generate``
+collects every capture; ``stream`` hands them out as they are made, for
+``SynthCorpus.write`` to write one at a time.
 
 Each HAR is written from fixed templates that give ``json.dumps``' bytes
 (sorted keys, compact separators), and each hex value is one 1024-bit draw
@@ -22,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _esc
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .filters import ADTRACKER, BENIGN
 from .graph import (
@@ -32,6 +40,7 @@ from .graph import (
     WideGraph,
     save_graph,
 )
+from .pipeline import replaced_when_done
 
 _TRACKER_KINDS = ("script", "script", "other", "media")
 _TRACKER_PREFIXES = ("px", "sync", "beacon", "events")
@@ -87,6 +96,8 @@ class EcosystemConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if self.seed < 0:  # random.Random(-n) draws as Random(n)
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,19 +129,25 @@ class SynthCorpus:
     truth_rules: list[str]
     site_plans: dict[str, SitePlan] = field(default_factory=dict)
 
-    def write(self, out_dir: str | Path) -> dict[str, Path]:
-        """Write the corpus under ``out_dir``. Refuses, before writing
-        anything, a ``har/`` holding a capture this corpus does not write,
-        which a run over the directory would read but the truth graph lacks."""
+    def write(
+        self, out_dir: str | Path, captures: Iterable[tuple[str, bytes]] | None = None
+    ) -> dict[str, Path]:
+        """Write the corpus under ``out_dir``: each of ``captures`` (by
+        default ``har_files``) into ``har/`` as it comes, through a ``.part``
+        file renamed once whole, then the truth files, which ``stream``'s
+        captures finish filing. Refuses, before writing anything, a ``har/``
+        holding a capture this corpus does not write, which a run over the
+        directory would read but the truth graph lacks."""
         out = Path(out_dir)
         har_dir = out / "har"
-        names = {name for name, _ in self.har_files}
+        names = {f"{site}.har" for site in _site_names(self.config)}
         stray = sorted(p.name for p in har_dir.glob("*.har") if p.name not in names)
         if stray:
             raise ValueError(f"{har_dir} holds {stray[0]}, a capture this corpus does not write")
         har_dir.mkdir(parents=True, exist_ok=True)
-        for name, data in self.har_files:
-            (har_dir / name).write_bytes(data)
+        for name, data in self.har_files if captures is None else captures:
+            with replaced_when_done(har_dir / name) as har:
+                har.write(data)
         labels_path = out / "truth-labels.tsv"
         labels_path.write_text(
             "".join(
@@ -180,12 +197,14 @@ def _make_services(config: EcosystemConfig, rng: random.Random) -> list[_Service
     return services
 
 
-def _fresh_value(rng: random.Random, counter: list[int]) -> str:
-    """A serial plus the 16 hex digits ``rng.choices("0123456789abcdef", k=16)``
-    draws: its 16 ``random()`` calls read the 32 words one 1024-bit draw
-    reads, and digit j is the top 4 bits of word 2j."""
-    counter[0] += 1
-    return f"{counter[0]:06d}" + rng.getrandbits(1024).to_bytes(128, "little")[3::8].hex()[::2]
+def _fresh_values(rng: random.Random, counter: list[int]) -> tuple[str, str]:
+    """Two values, each a serial plus the 16 hex digits
+    ``rng.choices("0123456789abcdef", k=16)`` draws: the 32 ``random()``
+    calls of two such draws read the 64 words one 2048-bit draw reads, and
+    digit j is the top 4 bits of word 2j."""
+    n = counter[0] = counter[0] + 2
+    digits = rng.getrandbits(2048).to_bytes(256, "little")[3::8].hex()[::2]
+    return f"{n - 1:06d}{digits[:16]}", f"{n:06d}{digits[16:]}"
 
 
 def _service_url(
@@ -194,8 +213,7 @@ def _service_url(
     w = rng.choice(svc.palette)
     w2 = rng.choice(svc.palette)
     if svc.tracker:
-        v1 = _fresh_value(rng, counter)
-        v2 = _fresh_value(rng, counter)
+        v1, v2 = _fresh_values(rng, counter)
         if svc.kind == "script":
             return f"https://{svc.host}/{w}/{w2}.js?id={v1}&uid={v2}&ref={site}"
         if svc.kind == "media":
@@ -211,30 +229,79 @@ def _service_url(
     return f"https://{svc.host}/{w}/{w2}/{w3}.{ext}"
 
 
-def _touch_doc(truth: WideGraph, svc: _Service, url: str, site: str):
-    doc = truth.docs.get((svc.host, svc.kind))
-    if doc is None:
-        doc = truth.docs[svc.host, svc.kind] = SubdomainDocument(
-            svc.host, svc.kind, Counter(), set(), truth.add_node(svc.key)
-        )
-    doc.urls[url] += 1
-    doc.sites.add(site)
+def _site_names(config: EcosystemConfig) -> list[str]:
+    return [f"site{i:03d}.com" for i in range(config.n_sites)]
+
+
+def _file_site(
+    truth: WideGraph,
+    fp: NodeKey,
+    site: str,
+    direct_records: list[tuple[_Service, list[str]]],
+    loads: list[tuple[_Service, str, _Service, str]],
+    filed: list[tuple[SubdomainDocument, list[str]] | None],
+) -> SitePlan:
+    """File one site's truth straight from its decisions: its services'
+    documents, then its direct, loaded and Bounced edges in one batch.
+    ``filed`` holds, by service index, the service's document and its URLs
+    so far, which ``_captures`` counts in one ``Counter.update`` after the
+    last site. Filing a document adds its service's node, so every key the
+    batch names is the graph's own."""
+    for svc, urls in direct_records + [(target, (url,)) for _, _, target, url in loads]:
+        entry = filed[svc.index]
+        if entry is None:
+            doc = truth.docs[svc.host, svc.kind] = SubdomainDocument(
+                svc.host, svc.kind, Counter(), set(), truth.add_node(svc.key)
+            )
+            entry = filed[svc.index] = (doc, [])
+        entry[0].sites.add(site)
+        entry[1].extend(urls)
+    direct = [svc.key for svc, _ in direct_records]
+    edges = [(fp, svc.key, svc.kind, len(urls)) for svc, urls in direct_records]
+    edges += [(loader.key, target.key, target.kind, 1) for loader, _, target, _ in loads]
+    bounced = {target.key for _, _, target, _ in loads} - set(direct)
+    edges += [(fp, key, BOUNCED, 1) for key in sorted(bounced)]
+    if edges:  # a site that embeds no service stays a root with no edges
+        truth.add_edges(*zip(*edges), (site,))
+    return SitePlan(
+        direct=frozenset(direct),
+        loads=frozenset((loader.key, target.key) for loader, _, target, _ in loads),
+    )
 
 
 def generate(config: EcosystemConfig) -> SynthCorpus:
     """Emit one HAR per site plus truth labels, rules, and graph."""
+    corpus, captures = stream(config)
+    corpus.har_files.extend(captures)
+    return corpus
+
+
+def stream(config: EcosystemConfig) -> tuple[SynthCorpus, Iterator[tuple[str, bytes]]]:
+    """The corpus of ``config`` with no captures, and an iterator of its
+    captures, one a site. The corpus's truth is whole once the iterator is
+    spent; ``generate`` draws the same values in the same order."""
     config.validate()
     rng = random.Random(config.seed)
-    counter = [0]
     services = _make_services(config, rng)
+    labels = {
+        (svc.host, svc.kind): ADTRACKER if svc.tracker else BENIGN for svc in services
+    }
+    rules = sorted(f"||{svc.host}^" for svc in services if svc.tracker)
+    corpus = SynthCorpus(config, [], WideGraph(), labels, rules)
+    return corpus, _captures(corpus, services, rng)
+
+
+def _captures(
+    corpus: SynthCorpus, services: list[_Service], rng: random.Random
+) -> Iterator[tuple[str, bytes]]:
+    """Each site's ``(name, bytes)`` capture, its truth filed in ``corpus``
+    before it is yielded; the documents' URL counts follow the last site."""
+    config, truth = corpus.config, corpus.truth_graph
+    counter = [0]
     trackers = [s for s in services if s.tracker]  # trackers[j].index == j
-    sites = [f"site{i:03d}.com" for i in range(config.n_sites)]
+    filed: list[tuple[SubdomainDocument, list[str]] | None] = [None] * len(services)
 
-    truth = WideGraph()
-    har_files: list[tuple[str, bytes]] = []
-    plans: dict[str, SitePlan] = {}
-
-    for i, site in enumerate(sites):
+    for i, site in enumerate(_site_names(config)):
         page_url = f"https://www.{site}/"
         fp = NodeKey(site, FIRST_PARTY)
         truth.roots.add(site)
@@ -285,37 +352,7 @@ def generate(config: EcosystemConfig) -> SynthCorpus:
             _ENTRY % (initiator, _RESOURCE_TYPES[kind], _esc(url), _MIMES[kind], ts)
             for ts, (url, kind, initiator) in enumerate(requests)
         )
-        har_files.append((f"{site}.har", (_HAR % entries).encode()))
-
-        # --- truth bookkeeping, straight from the decisions above ---
-        direct_keys = set()
-        for svc, urls in direct_records:
-            direct_keys.add(svc.key)
-            truth.add_edge(fp, svc.key, svc.kind, len(urls), (site,))
-            for url in urls:
-                _touch_doc(truth, svc, url, site)
-        reached = set(direct_keys)
-        load_pairs = set()
-        for loader, _, target, target_url in loads:
-            reached.add(target.key)
-            load_pairs.add((loader.key, target.key))
-            truth.add_edge(loader.key, target.key, target.kind, 1, (site,))
-            _touch_doc(truth, target, target_url, site)
-        for key in sorted(reached - direct_keys):
-            truth.add_edge(fp, key, BOUNCED, 1, (site,))
-        plans[site] = SitePlan(
-            direct=frozenset(direct_keys), loads=frozenset(load_pairs)
-        )
-
-    labels = {
-        (svc.host, svc.kind): ADTRACKER if svc.tracker else BENIGN for svc in services
-    }
-    rules = sorted(f"||{svc.host}^" for svc in trackers)
-    return SynthCorpus(
-        config=config,
-        har_files=har_files,
-        truth_graph=truth,
-        truth_labels=labels,
-        truth_rules=rules,
-        site_plans=plans,
-    )
+        corpus.site_plans[site] = _file_site(truth, fp, site, direct_records, loads, filed)
+        yield f"{site}.har", (_HAR % entries).encode()
+    for doc, urls in filter(None, filed):
+        doc.urls.update(urls)

@@ -1,10 +1,11 @@
 import gc
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from widetrack import cli
+from widetrack import cli, synth
 from widetrack.cli import main
 from widetrack.forest import ForestParams, save_model, train
 from widetrack.synth import EcosystemConfig, generate
@@ -109,6 +110,37 @@ def test_synth_refuses_captures_it_would_not_write(tmp_path, capsys):
         f"error: {out / 'har'} holds site003.com.har, a capture this corpus does not write\n"
     )
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+
+
+def test_interrupted_synth_leaves_no_partial_capture(tmp_path, capsys, monkeypatch):
+    """A capture that fails half-written leaves neither its .part file nor
+    a partial HAR; the captures before it are whole, and no truth file is
+    written."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_sites = 4\nn_trackers = 2\nn_benign = 2\nseed = 9\n")
+    out = tmp_path / "corpus"
+    replaced_when_done = synth.replaced_when_done
+    opened = []
+
+    @contextmanager
+    def fails_after_the_first(path):
+        with replaced_when_done(path) as har:
+            opened.append(path)
+            if len(opened) > 1:
+                har.write(b'{"log":')
+                har.flush()
+                assert path.with_name(path.name + ".part").exists()
+                raise OSError(f"no space left writing {path.name}")
+            yield har
+
+    monkeypatch.setattr(synth, "replaced_when_done", fails_after_the_first)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no space left writing site001.com.har\n"
+    corpus = generate(EcosystemConfig(n_sites=4, n_trackers=2, n_benign=2, seed=9))
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "har", "har/site000.com.har",
+    ]
+    assert (out / "har" / "site000.com.har").read_bytes() == corpus.har_files[0][1]
 
 
 def test_synth_unknown_key_exits_two(tmp_path, capsys):

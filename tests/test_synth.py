@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from widetrack.cli import main
 from widetrack.graph import build_widegraph, coverage, save_graph
 from widetrack.ingest import build_tree, parse_har
-from widetrack.synth import EcosystemConfig, SynthCorpus, _fresh_value, generate
+from widetrack.synth import EcosystemConfig, SynthCorpus, _fresh_values, generate
 
 
 def small_config(**overrides):
@@ -112,13 +114,17 @@ def test_config_validation():
         EcosystemConfig(n_sites=0).validate()
     with pytest.raises(ValueError):
         EcosystemConfig(bounce_prob=1.5).validate()
+    # random.Random(-7) draws as Random(7), so a negative seed would repeat a corpus.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        EcosystemConfig(seed=-7).validate()
 
 
 # The sha256 of every file ``SynthCorpus.write`` writes. "har/*.har" is the
 # digest of the HAR manifest, one "<sha256>  <name>" line per file in name
 # order (``cd har && sha256sum *.har | sha256sum``). The 40-site corpus is the
 # one tests/test_golden.py runs; the small one bounces every script tracker,
-# so the second-hop branch runs. A change that alters a corpus on purpose
+# so the second-hop branch runs. Each is written by ``SynthCorpus.write`` and
+# by the ``synth`` command, which streams its captures. A change that alters a corpus on purpose
 # updates its digests here and names the change.
 CORPUS_DIGESTS = {
     "golden": (
@@ -146,19 +152,28 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("writer", ["write", "synth"])
 @pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
-def test_written_corpus_matches_committed_digests(name, tmp_path):
+def test_written_corpus_matches_committed_digests(name, writer, tmp_path):
     config, expected = CORPUS_DIGESTS[name]
     corpus = generate(config)
-    paths = corpus.write(tmp_path)
+    out = tmp_path / "corpus"
+    if writer == "write":
+        corpus.write(out)
+    else:
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(
+            "".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(config).items())
+        )
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 0
     manifest = "".join(
-        f"{sha256(f.read_bytes())}  {f.name}\n"
-        for f in sorted(paths["har_dir"].glob("*.har"))
+        f"{sha256(f.read_bytes())}  {f.name}\n" for f in sorted((out / "har").iterdir())
     )
     got = {"har/*.har": sha256(manifest.encode())}
-    for key in ("graph", "labels", "rules"):
-        got[paths[key].name] = sha256(paths[key].read_bytes())
+    truth_files = ["truth-graph.jsonl", "truth-labels.tsv", "truth-rules.txt"]
+    got.update((file, sha256((out / file).read_bytes())) for file in truth_files)
     assert got == expected
+    assert sorted(p.name for p in out.iterdir()) == ["har", *truth_files]
     # Both corpora take the second-hop branch: only a second hop's loader
     # can be a service the site does not embed directly.
     assert any(
@@ -174,13 +189,17 @@ def test_written_corpus_matches_committed_digests(name, tmp_path):
     ops=st.lists(st.sampled_from(("hex", "random", "choice")), max_size=40),
 )
 def test_fresh_value_draws_as_choices(seed, ops):
-    """One draw per hex value reads the Mersenne words 16 ``choices`` read."""
+    """One draw per pair of hex values reads the Mersenne words two
+    16-digit ``choices`` read."""
     rng, ref = random.Random(seed), random.Random(seed)
     counter = [0]
     for op in ops:
         if op == "hex":
-            expected = f"{counter[0] + 1:06d}" + "".join(ref.choices("0123456789abcdef", k=16))
-            assert _fresh_value(rng, counter) == expected
+            expected = tuple(
+                f"{counter[0] + k:06d}" + "".join(ref.choices("0123456789abcdef", k=16))
+                for k in (1, 2)
+            )
+            assert _fresh_values(rng, counter) == expected
         elif op == "random":
             assert rng.random() == ref.random()
         else:
