@@ -218,7 +218,10 @@ def cmd_emit_rules(args) -> int:
         if (host, kind) not in docs:
             raise DataError(f"{args.scores}: document {host} ({kind}) is not in {args.graph}")
     scored = [predictions[key] for key in keys]
-    text = pipeline_mod.emit_candidate_rules(graph, [docs[k] for k in keys], scored, ruleset)
+    emitted = [docs[key] for key in keys]
+    block_matched = pipeline_mod.document_block_matched  # no label pass ran here
+    hits = [pred == 1 and block_matched(ruleset, d) for d, (pred, _) in zip(emitted, scored)]
+    text = pipeline_mod.emit_candidate_rules(graph, emitted, scored, hits)
     Path(args.out).write_text(text, encoding="utf-8")
     n_rules = sum(1 for line in text.splitlines() if line.startswith("||"))
     print(f"emitted {n_rules} candidate rules")
@@ -227,16 +230,9 @@ def cmd_emit_rules(args) -> int:
 
 def cmd_synth(args) -> int:
     corpus, captures = stream(_config(args, EcosystemConfig))
-    written = []
-
-    def counted():
-        for name, data in captures:
-            yield name, data
-            written.append(name)  # the writer asks for the next once this one is written
-
-    paths = corpus.write(args.out_dir, counted())
+    paths = corpus.write(args.out_dir, captures)
     print(
-        f"generated {len(written)} HAR files under {paths['har_dir']}, "
+        f"generated {corpus.config.n_sites} HAR files under {paths['har_dir']}, "
         f"{len(corpus.truth_rules)} truth rules"
     )
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domains import DomainError, registrable_domain
 from .ingest import NODE_KINDS, DependencyTree, url_host
-from .lines import read_lines
+from .lines import read_records
 
 FIRST_PARTY = "firstparty"
 BOUNCED = "bounced"  # an edge label only (see expand_edges), never a node kind
@@ -408,12 +408,12 @@ def save_graph(graph: WideGraph, out: BinaryIO) -> None:
 
 
 def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
-    """The graph in the ``save_graph`` file ``source``, read one line at a
-    time (``read_lines``).
+    """The graph in the ``save_graph`` file ``source``, read one record at
+    a time (``read_records``).
 
-    An empty file raises GraphFormatError naming ``source``; a bad or
-    repeated record, or a byte that is not UTF-8, raises one naming
-    ``source`` and the line. Besides types, the checks are: root
+    An empty file raises GraphFormatError naming ``source``; a bad header,
+    a bad or repeated record, or a byte that is not UTF-8, raises one
+    naming ``source`` and the line. Besides types, the checks are: root
     and node domains are printable and their own registrable domains, node
     kinds are known, edges and documents name loaded nodes, a document is
     on its node's domain and kind, an edge runs into a third party from
@@ -428,20 +428,8 @@ def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
     are."""
     graph = WideGraph()
     edges: set[tuple[NodeKey, NodeKey, str]] = set()  # each loaded (src, dst, label)
-    lineno = 0
-    for lineno, line in read_lines(io.BytesIO(data), source, GraphFormatError):
+    for lineno, rec in read_records(io.BytesIO(data), source, GraphFormatError, _FORMAT, "graph"):
         try:
-            if lineno == 1:
-                try:
-                    header = json.loads(line)
-                except (json.JSONDecodeError, RecursionError):
-                    raise GraphFormatError("bad graph header") from None
-                if header != _FORMAT:
-                    raise GraphFormatError(f"unsupported graph format {header!r}")
-                continue
-            if not line:
-                continue
-            rec = json.loads(line)
             kind = rec["t"]
             if kind in ("root", "node"):
                 _check_domain(kind, rec["d"])
@@ -465,9 +453,7 @@ def load_graph(data: bytes, source: str = "graph file") -> WideGraph:
         except GraphFormatError as exc:
             raise GraphFormatError(f"{source}: line {lineno}: {exc}") from None
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise GraphFormatError(f"{source}: line {lineno}: corrupt graph record: {exc}") from exc
-    if lineno == 0:
-        raise GraphFormatError(f"{source}: empty graph file")
+            raise GraphFormatError(f"{source}: line {lineno}: bad graph record: {exc!r}") from exc
     return graph
 
 

@@ -12,7 +12,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .domains import DomainError, registrable_domain
-from .lines import read_lines
+from .lines import read_records
 
 
 class HarParseError(ValueError):
@@ -329,7 +329,8 @@ def build_tree(record: SessionRecord) -> DependencyTree:
 
 
 # A trees file is this version header, then one ``tree_line`` per tree.
-TREES_HEADER = b'{"format": "widetrack-trees", "version": 1}\n'
+TREES_FORMAT = {"format": "widetrack-trees", "version": 1}
+TREES_HEADER = json.dumps(TREES_FORMAT).encode() + b"\n"
 
 
 # A trees line is its record as JSONEncoder(sort_keys=True) writes it: this
@@ -362,29 +363,14 @@ def _tallies(counts: Counter) -> str:
 
 
 def read_trees(stream: BinaryIO, source: str = "trees file") -> Iterator[DependencyTree]:
-    """Yield the trees of the trees file ``source`` read one line at a time
-    (``read_lines``), so only the tree being yielded is held. An empty file
-    raises HarParseError naming ``source``; a bad header, a bad record or a
-    byte that is not UTF-8 raises one naming ``source`` and the line."""
-    lines = read_lines(stream, source, HarParseError)
-    _, first = next(lines, (1, None))
-    if first is None:
-        raise HarParseError(f"{source}: empty trees file")
-    try:
-        header = json.loads(first)
-    except (ValueError, RecursionError):
-        header = None
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != "widetrack-trees"
-        or header.get("version") != 1
-    ):
-        raise HarParseError(f"{source}: line 1: unrecognized trees file header")
-    for lineno, line in lines:
-        if not line:
-            continue
+    """Yield the trees of the trees file ``source`` read one record at a
+    time (``read_records``), so only the tree being yielded is held. An
+    empty file raises HarParseError naming ``source``; a bad header, a bad
+    record or a byte that is not UTF-8 raises one naming ``source`` and the
+    line."""
+    for lineno, rec in read_records(stream, source, HarParseError, TREES_FORMAT, "trees"):
         try:
-            tree = DependencyTree.from_record(json.loads(line))
+            tree = DependencyTree.from_record(rec)
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise HarParseError(f"{source}: line {lineno}: bad trees record: {exc!r}") from exc
         yield tree

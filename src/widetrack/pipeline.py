@@ -27,7 +27,7 @@ from .filters import (
     BENIGN,
     Label,
     RuleSet,
-    document_block_matched,
+    document_block_matched,  # called by staged emit-rules through this binding
     label_document,
     parse_rules,
 )
@@ -233,26 +233,19 @@ def emit_candidate_rules(
     graph: WideGraph,
     docs: list[SubdomainDocument],
     scored: list[tuple],
-    rules: RuleSet,
-    labels: list[Label] | None = None,
+    list_hits: list[bool],
 ) -> str:
     """Block-rule lines for predicted AdTrackers the lists do not yet hit.
 
     ``scored`` holds each document's (prediction, score, ...) and
-    ``labels``, when given, its label from ``label_document``: the pass
-    that labelled a document recorded whether a block rule hit it, so only
-    a document without that fact is matched again.
+    ``list_hits`` whether a block rule of the lists hits it, as the label
+    pass records it (``Label.block_matched``).
     """
-    selected = []
-    for doc, (pred, score, *_), label in zip(docs, scored, labels or [None] * len(docs)):
-        if pred != 1:
-            continue
-        matched = None if label is None else label.block_matched
-        if matched is None:
-            matched = document_block_matched(rules, doc)
-        if matched:
-            continue
-        selected.append((score, doc.host, *coverage(graph, doc.parent)))
+    selected = [
+        (score, doc.host, *coverage(graph, doc.parent))
+        for doc, (pred, score, *_), hit in zip(docs, scored, list_hits)
+        if pred == 1 and not hit
+    ]
     selected.sort(key=lambda s: (-s[0], s[1]))
     lines = [
         "! widetrack candidate rules",
@@ -577,6 +570,8 @@ class PipelineConfig:
             (0.0 < self.prune_threshold <= 1.0, "prune threshold must be in (0, 1]"),
             (self.refex_depth >= 0, "refex depth must be >= 0"),
             (self.vocab_size >= 0, f"vocabulary size must be >= 0, got {self.vocab_size}"),
+            # random.Random(-n) shuffles as Random(n)
+            (self.split_seed >= 0, f"split seed must be >= 0, got {self.split_seed}"),
         ]
         for ok, message in checks:
             if not ok:
@@ -823,7 +818,8 @@ def run_all(cfg: PipelineConfig) -> dict:
     predictions = [pred for pred, _, _ in scored]
     reports = evaluate_all(eligible, labels, predictions, test, cfg, overrides)
 
-    candidates = emit_candidate_rules(graph, eligible, scored, ruleset, labels)
+    hits = [label.block_matched for label in labels]  # the label pass's list hits
+    candidates = emit_candidate_rules(graph, eligible, scored, hits)
     (out / "candidate-rules.txt").write_text(candidates, encoding="utf-8")
 
     names = content_mod.feature_names(vocabulary, struct.columns)

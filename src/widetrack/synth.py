@@ -133,11 +133,12 @@ class SynthCorpus:
         self, out_dir: str | Path, captures: Iterable[tuple[str, bytes]] | None = None
     ) -> dict[str, Path]:
         """Write the corpus under ``out_dir``: each of ``captures`` (by
-        default ``har_files``) into ``har/`` as it comes, through a ``.part``
-        file renamed once whole, then the truth files, which ``stream``'s
-        captures finish filing. Refuses, before writing anything, a ``har/``
-        holding a capture this corpus does not write, which a run over the
-        directory would read but the truth graph lacks."""
+        default ``har_files``) into ``har/`` as it comes, then the truth
+        files, which ``stream``'s captures finish filing. Each file goes
+        through a ``.part`` file renamed once whole. Refuses, before writing
+        anything, a ``har/`` holding a capture this corpus does not write,
+        which a run over the directory would read but the truth graph
+        lacks."""
         out = Path(out_dir)
         har_dir = out / "har"
         names = {f"{site}.har" for site in _site_names(self.config)}
@@ -148,25 +149,20 @@ class SynthCorpus:
         for name, data in self.har_files if captures is None else captures:
             with replaced_when_done(har_dir / name) as har:
                 har.write(data)
-        labels_path = out / "truth-labels.tsv"
-        labels_path.write_text(
-            "".join(
-                f"{host}\t{kind}\t{label}\n"
-                for (host, kind), label in sorted(self.truth_labels.items())
-            ),
-            encoding="utf-8",
-        )
-        rules_path = out / "truth-rules.txt"
-        rules_path.write_text("".join(r + "\n" for r in self.truth_rules), encoding="utf-8")
-        graph_path = out / "truth-graph.jsonl"
-        with graph_path.open("wb") as graph_out:
-            save_graph(self.truth_graph, graph_out)
-        return {
+        paths = {
             "har_dir": har_dir,
-            "labels": labels_path,
-            "rules": rules_path,
-            "graph": graph_path,
+            "labels": out / "truth-labels.tsv",
+            "rules": out / "truth-rules.txt",
+            "graph": out / "truth-graph.jsonl",
         }
+        labels = sorted(self.truth_labels.items())
+        with replaced_when_done(paths["labels"]) as table:
+            table.write("".join(f"{h}\t{k}\t{label}\n" for (h, k), label in labels).encode())
+        with replaced_when_done(paths["rules"]) as rules:
+            rules.write("".join(r + "\n" for r in self.truth_rules).encode())
+        with replaced_when_done(paths["graph"]) as graph:
+            save_graph(self.truth_graph, graph)
+        return paths
 
 
 def _make_services(config: EcosystemConfig, rng: random.Random) -> list[_Service]:

@@ -143,6 +143,30 @@ def test_interrupted_synth_leaves_no_partial_capture(tmp_path, capsys, monkeypat
     assert (out / "har" / "site000.com.har").read_bytes() == corpus.har_files[0][1]
 
 
+def test_synth_truth_file_failing_half_written_leaves_no_partial_file(
+    tmp_path, capsys, monkeypatch
+):
+    """A truth file that fails half-written leaves neither itself nor its
+    .part file; the captures and the truth files before it are whole."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_sites = 4\nn_trackers = 2\nn_benign = 2\nseed = 9\n")
+    out = tmp_path / "corpus"
+
+    def fails_half_written(graph, stream):
+        stream.write(b'{"format"')
+        raise OSError("no space left writing the truth graph")
+
+    monkeypatch.setattr(synth, "save_graph", fails_half_written)
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no space left writing the truth graph\n"
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "har", *(f"har/site00{i}.com.har" for i in range(4)),
+        "truth-labels.tsv", "truth-rules.txt",
+    ]
+    corpus = generate(EcosystemConfig(n_sites=4, n_trackers=2, n_benign=2, seed=9))
+    assert (out / "truth-rules.txt").read_text() == "".join(r + "\n" for r in corpus.truth_rules)
+
+
 def test_synth_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_site = 4\n")
@@ -283,7 +307,7 @@ _DEEP = "[" * 200_000 + "\n"
          '{"format": "widetrack-trees", "version": 1}\n',
          "error: {dir}/deep.har: line 2: bad trees record: RecursionError("),
         (["graph", "stats", "--graph", "{dir}/deep.har"], '{"format": "widegraph", "version": 1}\n',
-         "error: {dir}/deep.har: line 2: corrupt graph record: maximum recursion depth exceeded"),
+         "error: {dir}/deep.har: line 2: bad graph record: RecursionError("),
     ],
 )
 def test_deeply_nested_json_names_its_file_or_line(tmp_path, capsys, reader, header, message):
@@ -721,6 +745,7 @@ def test_data_error_exits_two(corpus_dir, tmp_path, capsys):
         ([*emit_cmd, str(stray)], f"{stray}: document px.t.net (script) is not in {graph}"),
         ([*train_cmd, str(features[0]), str(features[1]), str(second)],
          f"two content feature files: {features[0]} and {second}"),
+        ([*train_cmd, str(features[0])], "need one content and one structural feature file"),
         (["predict", "--model", str(model_file), "--out", out, "--features", str(features[1]),
           str(features[0]), str(features[1])],
          f"two structural feature files: {features[1]} and {features[1]}"),
@@ -839,6 +864,7 @@ BAD_VALUES = {
     "max_depth": ("max_depth = -1", "{cfg}: max_depth must be >= 0"),
     "mtry": ("mtry = 0", "{cfg}: mtry must be >= 1, got 0"),
     "forest_seed": ("forest_seed = -1", "{cfg}: forest seed must be >= 0, got -1"),
+    "split_seed": ("split_seed = -13", "{cfg}: split seed must be >= 0, got -13"),
 }
 # Files run-all reads before it ingests anything; {tmp} is the test's tmp_path.
 MISSING_FILES = {
@@ -910,9 +936,30 @@ def test_staged_commands_refuse_what_run_all_refuses(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        # the corpus's rows have 398 features
+        ("mtry = 100000", "mtry must be in [1, 398], got 100000"),
+        ("min_in_degree = 1000", "fewer than 2 eligible documents; nothing to learn from"),
+    ],
+)
+def test_value_the_corpus_rules_out_exits_two(corpus_dir, tmp_path, capsys, line, message):
+    """A value the config check cannot refuse without the corpus stops
+    run-all where the corpus shows it unusable."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"har_dir = {corpus_dir / 'har'}\nrules_files = {corpus_dir / 'truth-rules.txt'}\n"
+        f"out_dir = {tmp_path / 'out'}\nn_trees = 5\n{line}\n"
+    )
+    assert main(["run-all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "model.txt").exists()
+
+
+@pytest.mark.parametrize(
     "line",
     ["max_depth = 0", "mtry = 1", "forest_seed = 0", "n_trees = 1", "refex_depth = 0",
-     "vocab_size = 0", "prune_threshold = 1.0"],
+     "vocab_size = 0", "prune_threshold = 1.0", "split_seed = 0"],
 )
 def test_smallest_accepted_value_runs(corpus_dir, tmp_path, line):
     """The edge of each rule is legal: run-all takes it to the end."""

@@ -394,12 +394,18 @@ class TestSerialization:
         data = saved(g)
         # truncate mid-record so a line stops being valid JSON
         cut = data.index(b'"t": "edge"') + 5
-        with pytest.raises(GraphFormatError):
+        lineno = data[:cut].count(b"\n") + 1
+        bad = rf"^graph file: line {lineno}: bad graph record: JSONDecodeError\("
+        with pytest.raises(GraphFormatError, match=bad):
             load_graph(data[:cut])
-        with pytest.raises(GraphFormatError):
-            load_graph(b"not a graph at all\n")
-        with pytest.raises(GraphFormatError):
+        unrecognized = "^graph file: line 1: unrecognized graph file header$"
+        for header in [b"not a graph at all", b'{"format": "widegraph", "version": 1, "x": 0}']:
+            with pytest.raises(GraphFormatError, match=unrecognized):
+                load_graph(header + data[data.index(b"\n"):])
+        with pytest.raises(GraphFormatError, match="unknown record type 'wedge'$"):
             load_graph(data.replace(b'"t": "edge"', b'"t": "wedge"', 1))
+        with pytest.raises(GraphFormatError, match="^graph file: empty graph file$"):
+            load_graph(b"")
 
     @pytest.mark.parametrize(
         "record, what", [("root", "root"), ("node", "node"), ("edge", "edge"), ("doc", "document")]

@@ -127,6 +127,19 @@ class TestParseHar:
         with pytest.raises(HarParseError):
             parse_har(b'{"log": {}}')
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"log": {"entries": []}}\xff', "not valid UTF-8 (byte 24)"),
+            (b'{"log": {"entries": {}}}', "log.entries is not a list"),
+            (b'{"log": {"entries": "[]"}}', "log.entries is not a list"),
+        ],
+    )
+    def test_unreadable_document_names_its_fault(self, data, message):
+        with pytest.raises(HarParseError) as err:
+            parse_har(data)
+        assert str(err.value) == message
+
     def test_redirect_target_initiated_by_hop(self):
         target = "https://cdn.tracker.net/after-redirect.js"
         data = json.dumps(
@@ -306,6 +319,17 @@ class TestBuildTree:
         assert all(dst != PAGE for (_, dst) in tree.edges)
         assert tree.diagnostics["edge_to_root_dropped"] == 1
 
+    def test_self_initiated_entry_attaches_to_root_and_is_counted(self):
+        data = har_bytes(
+            [
+                entry(PAGE, rt="document"),
+                entry(SCRIPT, rt="script", initiator={"type": "script", "url": SCRIPT}),
+            ]
+        )
+        tree = build_tree(parse_har(data))
+        assert tree.edges == {(PAGE, SCRIPT): 1}
+        assert tree.diagnostics == {"self_edge_dropped": 1}
+
     def test_conservation_of_entries(self):
         record = parse_har(
             har_bytes(
@@ -478,8 +502,17 @@ def test_trees_file_streams_one_record_at_a_time():
 
 
 def test_trees_file_rejects_garbage():
-    with pytest.raises(HarParseError):
-        list(read_trees(io.BytesIO(b'{"format": "something-else", "version": 9}\n')))
+    """Only the header the writer writes opens a trees file: not another
+    format, and not that header with a key more."""
+    records = trees_file([build_tree(parse_har(chain_fixture()))])[len(TREES_HEADER):]
+    unrecognized = "^trees file: line 1: unrecognized trees file header$"
+    for header in [
+        b'{"format": "something-else", "version": 9}\n',
+        b'{"format": "widetrack-trees", "version": 1, "extra": 0}\n',
+        b"not json\n",
+    ]:
+        with pytest.raises(HarParseError, match=unrecognized):
+            list(read_trees(io.BytesIO(header + records)))
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """``read_lines``, the one reader that turns a line-based input into
-numbered text lines."""
+numbered text lines, and ``read_records``, the one reader of versioned
+JSON-lines files."""
 
 import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widetrack.lines import read_lines
+from widetrack.lines import read_lines, read_records
 
 
 class Refused(ValueError):
@@ -70,3 +71,36 @@ def test_reads_as_a_split_at_newline_less_one_final_cr(texts, final_newline):
         assert read[end] == [(n, c.removesuffix("\r")) for n, c in enumerate(chunks, 1)]
     if not any(t.endswith("\r") for t in texts):
         assert read["\r\n"] == read["\n"]
+
+
+HEADER = {"format": "f", "version": 1}
+
+
+def records_of(data):
+    return list(read_records(io.BytesIO(data), "dir/f.jsonl", Refused, HEADER, "f"))
+
+
+def test_records_follow_the_header_and_blank_lines_are_skipped():
+    data = b'{"version": 1, "format": "f"}\r\n[1]\n\n{"a": null}\n'
+    assert records_of(data) == [(2, [1]), (4, {"a": None})]
+    assert records_of(b'{"format": "f", "version": 1}') == []
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"", "dir/f.jsonl: empty f file"),
+        (b"\n[1]\n", "dir/f.jsonl: line 1: unrecognized f file header"),
+        (b'{"format": "f", "version": 2}\n', "dir/f.jsonl: line 1: unrecognized f file header"),
+        (b'{"format": "f", "version": 1, "x": 0}\n',
+         "dir/f.jsonl: line 1: unrecognized f file header"),
+        (b'{"format": "f", "version": 1}\n\n{"a": \n',
+         "dir/f.jsonl: line 3: bad f record: JSONDecodeError("),
+        (b'{"format": "f", "version": 1}\n' + b"[" * 200_000 + b"\n",
+         "dir/f.jsonl: line 2: bad f record: RecursionError("),
+    ],
+)
+def test_a_bad_file_raises_the_callers_class_naming_file_and_line(data, message):
+    with pytest.raises(Refused) as err:
+        records_of(data)
+    assert str(err.value).startswith(message)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from widetrack.filters import ADTRACKER, BENIGN, Label, parse_rules
+from widetrack.filters import ADTRACKER, BENIGN, Label, document_block_matched, parse_rules
 from widetrack.graph import (
     NodeKey,
     SubdomainDocument,
@@ -272,15 +272,17 @@ class TestEmitCandidateRules:
     def test_already_blocked_host_not_emitted(self):
         doc = make_doc("px.known.net")
         g = self.graph_for([doc])
-        rules = parse_rules("||px.known.net^")
-        text = emit_candidate_rules(g, [doc], [(1, 0.99)], rules)
+        hits = [document_block_matched(parse_rules("||px.known.net^"), doc)]
+        assert hits == [True]
+        text = emit_candidate_rules(g, [doc], [(1, 0.99)], hits)
         assert "||px.known.net^" not in text.splitlines()
 
     def test_unblocked_predicted_tracker_emitted(self):
         doc = make_doc("data.sparkflow.net")
         g = self.graph_for([doc])
-        rules = parse_rules("||px.other.net^")
-        lines = emit_candidate_rules(g, [doc], [(1, 0.87)], rules).splitlines()
+        hits = [document_block_matched(parse_rules("||px.other.net^"), doc)]
+        assert hits == [False]
+        lines = emit_candidate_rules(g, [doc], [(1, 0.87)], hits).splitlines()
         assert "||data.sparkflow.net^" in lines
         comment = lines[lines.index("||data.sparkflow.net^") - 1]
         assert "score=0.8700" in comment and "direct_coverage=" in comment
@@ -288,19 +290,19 @@ class TestEmitCandidateRules:
     def test_benign_predictions_not_emitted(self):
         doc = make_doc("cdn.good.org")
         g = self.graph_for([doc])
-        text = emit_candidate_rules(g, [doc], [(0, 0.2)], parse_rules(""))
+        text = emit_candidate_rules(g, [doc], [(0, 0.2)], [False])
         assert "cdn.good.org" not in text
 
     def test_empty_predictions_still_header(self):
         g = self.graph_for([])
-        text = emit_candidate_rules(g, [], [], parse_rules(""))
+        text = emit_candidate_rules(g, [], [], [])
         assert text.startswith("!")
         assert "0 candidate(s)" in text
 
     def test_sorted_by_score_descending(self):
         d1, d2 = make_doc("a.one.net"), make_doc("b.two.net")
         g = self.graph_for([d1, d2])
-        text = emit_candidate_rules(g, [d1, d2], [(1, 0.6), (1, 0.9)], parse_rules(""))
+        text = emit_candidate_rules(g, [d1, d2], [(1, 0.6), (1, 0.9)], [False, False])
         rules = [l for l in text.splitlines() if l.startswith("||")]
         assert rules == ["||b.two.net^", "||a.one.net^"]
 
@@ -308,8 +310,9 @@ class TestEmitCandidateRules:
 class TestEmitWithRunAllLabels:
     def test_list_labelled_trackers_are_not_matched_again(self, tmp_path, monkeypatch):
         """Run-all's label pass already read every document against the block
-        rules, so its emission matches none again; emission without labels
-        matches every predicted tracker."""
+        rules, so its emission takes each row's list hit from the labels and
+        matches none again; staged emit-rules, which has no labels, asks the
+        lists about each predicted tracker and emits the same rules."""
         from widetrack import pipeline
         from widetrack.synth import EcosystemConfig, generate
 
@@ -335,14 +338,19 @@ class TestEmitWithRunAllLabels:
             )
         )
         assert matched == []
-        (index, docs, scored, ruleset, labels), = seen
-        text = emit(index, docs, scored, ruleset, labels)
+        (index, docs, scored, hits), = seen
+        text = emit(index, docs, scored, hits)
         assert text == (tmp_path / "out" / "candidate-rules.txt").read_text()
         assert matched == []
-        listed = {(d.host, d.kind) for d, lab in zip(docs, labels) if lab.label == ADTRACKER}
+        listed = {(d.host, d.kind) for d, hit in zip(docs, hits) if hit}
         predicted = {(d.host, d.kind) for d, (pred, _, _) in zip(docs, scored) if pred == 1}
         assert predicted & listed and predicted - listed
-        assert emit(index, docs, scored, ruleset) == text
+        ruleset = pipeline.read_rules([rules])
+        staged = [
+            pred == 1 and pipeline.document_block_matched(ruleset, d)
+            for d, (pred, _, _) in zip(docs, scored)
+        ]
+        assert emit(index, docs, scored, staged) == text
         assert sorted(matched) == sorted(predicted)
         assert "||" in text
 
