@@ -6,15 +6,15 @@ options that map onto our four interaction kinds plus third-party and
 domain= restrictions. Everything else is skipped loudly; a partially
 honored rule would silently corrupt labels.
 
-Matching is token-indexed; rules fall into three buckets. A rule's
-complete tokens are the [a-z0-9%] runs of its pattern that every URL it
-matches holds as whole runs, so a rule with one is keyed by a token. A
-rule with none is keyed by a left-bounded run: one that a non-token
-character, "^" or an anchored start precedes, so in any URL it matches it
-begins a token. Only rules with neither form the fallback bucket. A URL's
-candidates are the fallback bucket, the rules keyed by one of its tokens
-and the rules keyed by a prefix of one, each prefix key filed under its
-first few characters. The index takes each rule's runs as it is built.
+Matching is token-indexed; rules fall into four buckets. A rule whose
+domain= entries are all positive is filed under each of those domains.
+Of the rest, a rule's complete tokens are the [a-z0-9%] runs of its
+pattern that every URL it matches holds as whole runs, so a rule with one
+is keyed by a token; one with none is keyed by a left-bounded run, which
+a non-token character, "^" or an anchored start precedes, so in any URL it
+matches it begins a token; the others form the fallback bucket. A URL's
+candidates are the fallback, the rules keyed by one of its tokens or by a
+prefix of one, and those filed under a dot-suffix of one of its sites.
 
 One pass reads a document: its URLs, its kind and the sites it was seen
 on, each site one context. Options come before URL tests. A candidate's
@@ -101,20 +101,29 @@ def _rarest(keys: tuple[str, ...], freq: Counter) -> str:
 
 
 class _RuleIndex:
-    """One rule list in three buckets: a rule is keyed by its rarest
+    """One rule list in four buckets: a rule whose domain= entries are all
+    positive is filed under each domain; another is keyed by its rarest
     complete token, else by its rarest left-bounded run, which any URL it
-    matches holds as a token prefix; rules with neither form the fallback
-    bucket every URL tests."""
+    matches holds as a token prefix; rules with neither form the fallback."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        runs = [_token_runs(r.body, r.anchors[0] or r.anchors[1], r.anchors[2]) for r in rules]
+        filed = [() if r.domains_neg else r.domains_pos for r in rules]
+        runs = [
+            ((), ()) if domains else _token_runs(r.body, r.anchors[0] or r.anchors[1], r.anchors[2])
+            for r, domains in zip(rules, filed)
+        ]
         token_freq = Counter(t for tokens, _ in runs for t in tokens)
         prefix_freq = Counter(p for tokens, prefixes in runs if not tokens for p in prefixes)
         by_token: defaultdict[str, list[int]] = defaultdict(list)
         by_prefix: defaultdict[str, list[int]] = defaultdict(list)
+        by_domain: defaultdict[str, list[int]] = defaultdict(list)
         self.fallback: list[int] = []
         for i, (tokens, prefixes) in enumerate(runs):
+            for domain in filed[i]:
+                by_domain[domain].append(i)
+            if filed[i]:
+                continue
             keys, table, freq = (
                 (tokens, by_token, token_freq) if tokens else (prefixes, by_prefix, prefix_freq)
             )
@@ -124,6 +133,7 @@ class _RuleIndex:
                 self.fallback.append(i)
         self.by_token = dict(by_token)
         self.by_prefix = dict(by_prefix)
+        self.by_domain = dict(by_domain)
         # Each prefix key is also filed under its first head_length characters.
         self.head_length = min(map(len, by_prefix), default=0)
         by_head: defaultdict[str, list[str]] = defaultdict(list)
@@ -131,9 +141,18 @@ class _RuleIndex:
             by_head[p[:self.head_length]].append(p)
         self.by_head = dict(by_head)
 
-    def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
-        """The rules a URL with these tokens can match, each once, in list order."""
-        ids = list(self.fallback)
+    def sited(self, contexts: _Contexts) -> list[int]:
+        """The ids filed under a dot-suffix of one of the contexts' sites; the
+        site table is built only when some rule is filed by domain."""
+        by_domain = self.by_domain
+        if not by_domain:
+            return []
+        return [i for d in by_domain.keys() & contexts.table[0].keys() for i in by_domain[d]]
+
+    def candidates(self, url_tokens: Iterable[str], sited: Iterable[int] = ()) -> list[Rule]:
+        """The rules a URL with these tokens can match, each once, in list
+        order; ``sited`` are the ids filed under the page's site suffixes."""
+        ids = [*self.fallback, *sited]
         for t in self.by_token.keys() & url_tokens:
             ids.extend(self.by_token[t])
         by_head, n = self.by_head, self.head_length
@@ -238,8 +257,9 @@ def _token_runs(
     return tuple(complete), tuple(left_bounded)
 
 
-def _parse_line(line: str) -> Rule | str:
-    """One rule or a skip reason."""
+def _parse_line(line: str, shared: dict) -> Rule | str:
+    """One rule or a skip reason; equal anchors and type options are taken
+    from ``shared``, so the rules of one list hold each container once."""
     if line.startswith(("!", "[Adblock")):
         return "comment"
     if "#" in line and _COSMETIC_RE.search(line):
@@ -293,12 +313,13 @@ def _parse_line(line: str) -> Rule | str:
     if not body and not (type_options or third_party is not None or domains_pos):
         return "empty_pattern"
 
+    anchors = (hostname_anchor, start_anchor, end_anchor)
     return Rule(
         raw=line,
         body=body.lower(),
-        anchors=(hostname_anchor, start_anchor, end_anchor),
+        anchors=shared.setdefault(anchors, anchors),
         is_exception=is_exception,
-        type_options=type_options,
+        type_options=shared.setdefault(type_options, type_options),
         third_party=third_party,
         domains_pos=domains_pos,
         domains_neg=domains_neg,
@@ -312,11 +333,12 @@ def parse_rules(text: str) -> RuleSet:
     block: list[Rule] = []
     exceptions: list[Rule] = []
     skipped: Counter = Counter()
+    shared: dict = {}
     for raw_line in text.split("\n"):
         line = raw_line.strip()
         if not line:
             continue
-        parsed = _parse_line(line)
+        parsed = _parse_line(line, shared)
         if isinstance(parsed, str):
             skipped[parsed] += 1
         elif parsed.is_exception:
@@ -376,11 +398,15 @@ def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
     """
     contexts = _Contexts(document)
     masks: dict[int, int] = {}
+    block_sited = rules.block_index.sited(contexts)
+    exception_sited = rules.exception_index.sited(contexts)
 
-    def hits(index: _RuleIndex, url_lower: str, tokens: frozenset[str], wanted: int) -> int:
+    def hits(
+        index: _RuleIndex, sited: list[int], url_lower: str, tokens: frozenset[str], wanted: int
+    ) -> int:
         """The wanted context bits in which some rule of ``index`` hits."""
         held = 0
-        for r in index.candidates(tokens):
+        for r in index.candidates(tokens, sited):
             m = masks.get(id(r))
             if m is None:
                 m = masks[id(r)] = contexts.mask(r)
@@ -394,10 +420,10 @@ def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
     for url in sorted(document.urls):
         url_lower = url.lower()
         tokens = frozenset(_TOKEN_RE.findall(url_lower))
-        blocked = hits(rules.block_index, url_lower, tokens, contexts.full)
+        blocked = hits(rules.block_index, block_sited, url_lower, tokens, contexts.full)
         if blocked:
             matched = True
-            if blocked & ~hits(rules.exception_index, url_lower, tokens, blocked):
+            if blocked & ~hits(rules.exception_index, exception_sited, url_lower, tokens, blocked):
                 return Label(ADTRACKER, True)
     return Label(BENIGN, matched)
 

@@ -417,15 +417,17 @@ def _write_matrix(key_header, keys, columns: list[str], values: np.ndarray, out:
     inverse of ``_read_matrix``.
 
     A zero cell is written as ``0.0``, which is its ``repr``; only the
-    nonzero and negative-zero cells go through ``repr``."""
+    nonzero and negative-zero cells go through ``repr``, each distinct
+    value once (``-0.0`` is the one zero among them)."""
     out.write(("\t".join([*key_header, *columns]) + "\n").encode("utf-8"))
     zeros = ["0.0"] * values.shape[1]
     written = np.signbit(values) | (values != 0)
+    text: dict[float, str] = {}
     for key, row, mask in zip(keys, values, written):
         cells = [*key, *zeros]
         cols = np.flatnonzero(mask)
         for j, value in zip((cols + 2).tolist(), row[cols].tolist()):
-            cells[j] = repr(value)
+            cells[j] = text.get(value) or text.setdefault(value, repr(value))
         out.write(("\t".join(cells) + "\n").encode("utf-8"))
 
 

@@ -225,6 +225,24 @@ def test_write_content_matrix_equals_repr_of_every_cell(n_rows, n_cols, table_pa
         assert read_back.tobytes() == values.tobytes()
 
 
+def test_repeated_values_and_signed_zeros_write_as_repr_of_every_cell():
+    """The writer formats each distinct value once; repeated values, and
+    ``-0.0`` cells beside ``0.0`` cells, must each still read as their own
+    ``repr``."""
+    values = np.array(
+        [[0.1, -0.0, 0.0, 0.1, 1 / 3], [-0.0, 1 / 3, 0.1, 0.0, -0.0], [0.0, 0.0, -0.1, -0.0, 0.1]]
+    )
+    keys = [(f"h{i}.t.net", "script") for i in range(len(values))]
+    columns = [f"kw:c{j}" for j in range(values.shape[1])]
+    for key_header, write_and_read in (
+        (["host", "kind"], _content_table), (["domain", "kind"], _struct_table)
+    ):
+        table, read_back = write_and_read(keys, columns, values)
+        assert table == reference_table(key_header, keys, columns, values)
+        assert table.count(b"\t-0.0") == 4
+        assert read_back.tobytes() == values.tobytes()
+
+
 def test_vocabulary_from_hand_built_counts_keeps_the_tied_terms_lexicographically():
     doc_counts = [{"b": 1, "a": 1, "c": 5}, {"b": 1, "d": 1}, {"a": 1}]
     assert build_vocabulary(doc_counts, 2, "df").terms == ["a", "b"]

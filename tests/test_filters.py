@@ -10,6 +10,7 @@ from widetrack.domains import registrable_domain
 from widetrack.filters import (
     ADTRACKER,
     BENIGN,
+    Label,
     Rule,
     RuleSet,
     _Contexts,
@@ -788,3 +789,57 @@ def test_host_anchored_rules_are_checked_without_a_regex():
     # The "$image" exception's options pass in no context of a script.
     assert [r.raw for r in rules if "check" not in r.__dict__] == ["@@||px.t.net^$image"]
     assert not any("regex" in r.__dict__ for r in rules)
+
+
+def test_positive_domain_rules_are_drawn_only_on_their_domains(monkeypatch):
+    """A rule whose domain= entries are all positive is filed under its
+    domains, not its tokens: a document seen on none of them never masks or
+    checks it, and one seen on a subdomain of one of them does both."""
+    rs = parse_rules("/collect?$domain=shop.io|news.org\n@@||px.t.net^$domain=shop.io")
+    assert rs.block_index.by_domain == {"shop.io": [0], "news.org": [0]}
+    assert rs.exception_index.by_domain == {"shop.io": [0]}
+    assert _bucket(rs.block_index, 0) == _bucket(rs.exception_index, 0) == ()
+    masked, checked = Counter(), Counter()
+    mask = _Contexts.mask
+    monkeypatch.setattr(
+        _Contexts, "mask", lambda self, r: masked.update([r.raw]) or mask(self, r)
+    )
+    for rule in rs.block_rules + rs.exception_rules:
+        rule.__dict__["check"] = _CountingCheck(rule, checked)
+    url = "https://px.t.net/collect?uid=1"
+    for sites, label, drawn in [
+        (["news.com", "a.io", "org"], BENIGN, []),
+        (["news.com", "www.news.org"], ADTRACKER, ["/collect?$domain=shop.io|news.org"]),
+        (["m.shop.io"], BENIGN, [r.raw for r in rs.block_rules + rs.exception_rules]),
+    ]:
+        masked.clear()
+        checked.clear()
+        d = doc("px.t.net", "script", [url], sites=sites)
+        assert label_document(rs, d) == Label(label, bool(drawn))
+        assert label == linear_label(rs, d) and bool(drawn) == linear_block_matched(rs, d)
+        assert sorted(masked) == sorted(drawn) and masked.total() == len(drawn), sites
+        assert sorted(c.rule.raw for c in checked) == sorted(drawn), sites
+        assert checked.total() == len(drawn), sites
+
+
+def test_one_parse_shares_equal_option_containers():
+    """Rules with equal anchors hold one tuple, rules with equal type
+    options one frozenset, option-less rules the one empty frozenset; the
+    table that shares them lives for one parse_rules call."""
+    from widetrack import filters
+
+    text = "||a.net^\n||b.net^$script\n/x$script\n/y$image,script\n@@|https://c.\n/z\n@@/w"
+    tables = {k: len(v) for k, v in vars(filters).items() if isinstance(v, (dict, set, list))}
+    for _ in range(2):
+        rs = parse_rules(text)
+        by_raw = {r.raw: r for r in rs.block_rules + rs.exception_rules}
+        assert by_raw["||a.net^"].anchors is by_raw["||b.net^$script"].anchors
+        assert by_raw["/x$script"].anchors is by_raw["/z"].anchors is by_raw["@@/w"].anchors
+        assert by_raw["||b.net^$script"].type_options is by_raw["/x$script"].type_options
+        assert by_raw["/y$image,script"].type_options == {"image", "script"}
+        assert by_raw["||a.net^"].type_options is by_raw["/z"].type_options
+        assert by_raw["/z"].type_options is by_raw["@@|https://c."].type_options
+        assert by_raw["@@/w"].type_options == frozenset()
+        assert len({id(r.anchors) for r in by_raw.values()}) == 3
+        assert len({id(r.type_options) for r in by_raw.values()}) == 3
+    assert {k: len(v) for k, v in vars(filters).items() if isinstance(v, (dict, set, list))} == tables
