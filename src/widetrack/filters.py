@@ -6,15 +6,14 @@ options that map onto our four interaction kinds plus third-party and
 domain= restrictions. Everything else is skipped loudly; a partially
 honored rule would silently corrupt labels.
 
-Matching is token-indexed; rules fall into four buckets. A rule whose
-domain= entries are all positive is filed under each of those domains.
-Of the rest, a rule's complete tokens are the [a-z0-9%] runs of its
-pattern that every URL it matches holds as whole runs, so a rule with one
-is keyed by a token; one with none is keyed by a left-bounded run, which
-a non-token character, "^" or an anchored start precedes, so in any URL it
-matches it begins a token; the others form the fallback bucket. A URL's
-candidates are the fallback, the rules keyed by one of its tokens or by a
-prefix of one, and those filed under a dot-suffix of one of its sites.
+Matching is token-indexed. A rule's complete tokens are the [a-z0-9%]
+runs of its pattern that every URL it matches holds as whole runs; its
+left-bounded runs are those a non-token character, "^" or an anchored
+start precedes, so in any URL it matches each begins a token. A rule is
+keyed by a complete token, else by a left-bounded run, else falls back. A
+URL's candidates are the fallback and the rules keyed by one of its tokens
+or by a prefix of one; a token-keyed rule whose domain= entries are all
+positive is one only on a page seen under a dot-suffix of one of them.
 
 One pass reads a document: its URLs, its kind and the sites it was seen
 on, each site one context. Options come before URL tests. A candidate's
@@ -33,6 +32,7 @@ from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
+from itertools import chain, combinations, product
 from operator import or_
 
 from .forest import CLASSES
@@ -47,6 +47,9 @@ KIND_TO_OPTION = {
     "other": "xmlhttprequest",
 }
 TYPE_OPTIONS = frozenset(KIND_TO_OPTION.values())
+_ANCHORS = {a: a for a in product((False, True), repeat=3)}  # one object each, rules share it
+_TYPE_SETS = {s: s for s in map(frozenset, chain.from_iterable(
+    combinations(TYPE_OPTIONS, n) for n in range(len(TYPE_OPTIONS) + 1)))}
 
 _SEPARATOR_RE = r"(?:[^a-z0-9_.%-]|$)"
 _NOT_SEPARATORS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_.%-")
@@ -101,39 +104,35 @@ def _rarest(keys: tuple[str, ...], freq: Counter) -> str:
 
 
 class _RuleIndex:
-    """One rule list in four buckets: a rule whose domain= entries are all
-    positive is filed under each domain; another is keyed by its rarest
-    complete token, else by its rarest left-bounded run, which any URL it
-    matches holds as a token prefix; rules with neither form the fallback."""
+    """One rule list in three buckets: a rule is keyed by its rarest complete
+    token, else its rarest left-bounded run, else falls back; a token-keyed rule
+    whose domain= entries are all positive is filed by key, then by domain."""
 
     def __init__(self, rules: list[Rule]):
         self.rules = rules
-        filed = [() if r.domains_neg else r.domains_pos for r in rules]
-        runs = [
-            ((), ()) if domains else _token_runs(r.body, r.anchors[0] or r.anchors[1], r.anchors[2])
-            for r, domains in zip(rules, filed)
-        ]
+        runs = [_token_runs(r.body, r.anchors[0] or r.anchors[1], r.anchors[2]) for r in rules]
         token_freq = Counter(t for tokens, _ in runs for t in tokens)
         prefix_freq = Counter(p for tokens, prefixes in runs if not tokens for p in prefixes)
         by_token: defaultdict[str, list[int]] = defaultdict(list)
         by_prefix: defaultdict[str, list[int]] = defaultdict(list)
-        by_domain: defaultdict[str, list[int]] = defaultdict(list)
+        by_site: defaultdict[str, dict[str, list[int]]] = defaultdict(partial(defaultdict, list))
         self.fallback: list[int] = []
         for i, (tokens, prefixes) in enumerate(runs):
-            for domain in filed[i]:
-                by_domain[domain].append(i)
-            if filed[i]:
-                continue
             keys, table, freq = (
                 (tokens, by_token, token_freq) if tokens else (prefixes, by_prefix, prefix_freq)
             )
             if keys:  # a single key needs no ranking
-                table[keys[0] if len(keys) == 1 else _rarest(keys, freq)].append(i)
+                key = keys[0] if len(keys) == 1 else _rarest(keys, freq)
+                if tokens and rules[i].domains_pos and not rules[i].domains_neg:
+                    for domain in rules[i].domains_pos:
+                        by_site[key][domain].append(i)
+                else:
+                    table[key].append(i)
             else:
                 self.fallback.append(i)
+        self.by_site = dict(by_site)
         self.by_token = dict(by_token)
         self.by_prefix = dict(by_prefix)
-        self.by_domain = dict(by_domain)
         # Each prefix key is also filed under its first head_length characters.
         self.head_length = min(map(len, by_prefix), default=0)
         by_head: defaultdict[str, list[str]] = defaultdict(list)
@@ -141,18 +140,20 @@ class _RuleIndex:
             by_head[p[:self.head_length]].append(p)
         self.by_head = dict(by_head)
 
-    def sited(self, contexts: _Contexts) -> list[int]:
-        """The ids filed under a dot-suffix of one of the contexts' sites; the
-        site table is built only when some rule is filed by domain."""
-        by_domain = self.by_domain
-        if not by_domain:
-            return []
-        return [i for d in by_domain.keys() & contexts.table[0].keys() for i in by_domain[d]]
+    def drawn(self, contexts: _Contexts) -> Callable[[frozenset[str]], list[Rule]]:
+        """``candidates``, then in list order the rules filed under a URL token
+        and a dot-suffix of the page's sites; no site table unless some are."""
+        if not self.by_site:
+            return self.candidates
+        by_site, covers = self.by_site, contexts.table[0].keys()
+        return lambda url_tokens: self.candidates(url_tokens) + [self.rules[i] for i in sorted({
+            i for t in by_site.keys() & url_tokens for d in by_site[t].keys() & covers
+            for i in by_site[t][d]
+        })]
 
-    def candidates(self, url_tokens: Iterable[str], sited: Iterable[int] = ()) -> list[Rule]:
-        """The rules a URL with these tokens can match, each once, in list
-        order; ``sited`` are the ids filed under the page's site suffixes."""
-        ids = [*self.fallback, *sited]
+    def candidates(self, url_tokens: Iterable[str]) -> list[Rule]:
+        """The rules a URL with these tokens can match, each once, in list order."""
+        ids = list(self.fallback)
         for t in self.by_token.keys() & url_tokens:
             ids.extend(self.by_token[t])
         by_head, n = self.by_head, self.head_length
@@ -257,9 +258,8 @@ def _token_runs(
     return tuple(complete), tuple(left_bounded)
 
 
-def _parse_line(line: str, shared: dict) -> Rule | str:
-    """One rule or a skip reason; equal anchors and type options are taken
-    from ``shared``, so the rules of one list hold each container once."""
+def _parse_line(line: str) -> Rule | str:
+    """One rule or a skip reason."""
     if line.startswith(("!", "[Adblock")):
         return "comment"
     if "#" in line and _COSMETIC_RE.search(line):
@@ -313,13 +313,12 @@ def _parse_line(line: str, shared: dict) -> Rule | str:
     if not body and not (type_options or third_party is not None or domains_pos):
         return "empty_pattern"
 
-    anchors = (hostname_anchor, start_anchor, end_anchor)
     return Rule(
         raw=line,
         body=body.lower(),
-        anchors=shared.setdefault(anchors, anchors),
+        anchors=_ANCHORS[hostname_anchor, start_anchor, end_anchor],
         is_exception=is_exception,
-        type_options=shared.setdefault(type_options, type_options),
+        type_options=_TYPE_SETS[type_options],
         third_party=third_party,
         domains_pos=domains_pos,
         domains_neg=domains_neg,
@@ -333,12 +332,11 @@ def parse_rules(text: str) -> RuleSet:
     block: list[Rule] = []
     exceptions: list[Rule] = []
     skipped: Counter = Counter()
-    shared: dict = {}
     for raw_line in text.split("\n"):
         line = raw_line.strip()
         if not line:
             continue
-        parsed = _parse_line(line, shared)
+        parsed = _parse_line(line)
         if isinstance(parsed, str):
             skipped[parsed] += 1
         elif parsed.is_exception:
@@ -398,15 +396,14 @@ def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
     """
     contexts = _Contexts(document)
     masks: dict[int, int] = {}
-    block_sited = rules.block_index.sited(contexts)
-    exception_sited = rules.exception_index.sited(contexts)
+    block, exception = rules.block_index.candidates, rules.exception_index.candidates
+    if rules.block_index.by_site or rules.exception_index.by_site:
+        block, exception = rules.block_index.drawn(contexts), rules.exception_index.drawn(contexts)
 
-    def hits(
-        index: _RuleIndex, sited: list[int], url_lower: str, tokens: frozenset[str], wanted: int
-    ) -> int:
-        """The wanted context bits in which some rule of ``index`` hits."""
+    def hits(candidates: Callable, url_lower: str, tokens: frozenset[str], wanted: int) -> int:
+        """The wanted context bits in which one of the candidates hits."""
         held = 0
-        for r in index.candidates(tokens, sited):
+        for r in candidates(tokens):
             m = masks.get(id(r))
             if m is None:
                 m = masks[id(r)] = contexts.mask(r)
@@ -420,10 +417,10 @@ def label_document(rules: RuleSet, document: SubdomainDocument) -> Label:
     for url in sorted(document.urls):
         url_lower = url.lower()
         tokens = frozenset(_TOKEN_RE.findall(url_lower))
-        blocked = hits(rules.block_index, block_sited, url_lower, tokens, contexts.full)
+        blocked = hits(block, url_lower, tokens, contexts.full)
         if blocked:
             matched = True
-            if blocked & ~hits(rules.exception_index, exception_sited, url_lower, tokens, blocked):
+            if blocked & ~hits(exception, url_lower, tokens, blocked):
                 return Label(ADTRACKER, True)
     return Label(BENIGN, matched)
 

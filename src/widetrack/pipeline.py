@@ -417,8 +417,7 @@ def _write_matrix(key_header, keys, columns: list[str], values: np.ndarray, out:
     inverse of ``_read_matrix``.
 
     A zero cell is written as ``0.0``, which is its ``repr``; only the
-    nonzero and negative-zero cells go through ``repr``, each distinct
-    value once (``-0.0`` is the one zero among them)."""
+    nonzero and negative-zero cells go through ``repr``."""
     out.write(("\t".join([*key_header, *columns]) + "\n").encode("utf-8"))
     zeros = ["0.0"] * values.shape[1]
     written = np.signbit(values) | (values != 0)

@@ -792,13 +792,17 @@ def test_host_anchored_rules_are_checked_without_a_regex():
 
 
 def test_positive_domain_rules_are_drawn_only_on_their_domains(monkeypatch):
-    """A rule whose domain= entries are all positive is filed under its
-    domains, not its tokens: a document seen on none of them never masks or
-    checks it, and one seen on a subdomain of one of them does both."""
-    rs = parse_rules("/collect?$domain=shop.io|news.org\n@@||px.t.net^$domain=shop.io")
-    assert rs.block_index.by_domain == {"shop.io": [0], "news.org": [0]}
-    assert rs.exception_index.by_domain == {"shop.io": [0]}
+    """A token-keyed rule whose domain= entries are all positive is filed
+    under its key and then under each domain: a document seen on none of
+    them never masks or checks it, and on a subdomain of one of them it is
+    masked and checked for the URLs that hold its key, and for no other."""
+    text = "/collect?$domain=shop.io|news.org\n/ad*.js$domain=shop.io\n@@||px.t.net^$domain=shop.io"
+    rs = parse_rules(text)
+    assert rs.block_index.by_site == {"collect": {"shop.io": [0], "news.org": [0]}}
+    assert rs.exception_index.by_site == {"net": {"shop.io": [0]}}
     assert _bucket(rs.block_index, 0) == _bucket(rs.exception_index, 0) == ()
+    # A rule with no complete token keeps its prefix key.
+    assert _bucket(rs.block_index, 1) == ("prefix", "ad")
     masked, checked = Counter(), Counter()
     mask = _Contexts.mask
     monkeypatch.setattr(
@@ -806,26 +810,31 @@ def test_positive_domain_rules_are_drawn_only_on_their_domains(monkeypatch):
     )
     for rule in rs.block_rules + rs.exception_rules:
         rule.__dict__["check"] = _CountingCheck(rule, checked)
-    url = "https://px.t.net/collect?uid=1"
-    for sites, label, drawn in [
-        (["news.com", "a.io", "org"], BENIGN, []),
-        (["news.com", "www.news.org"], ADTRACKER, ["/collect?$domain=shop.io|news.org"]),
-        (["m.shop.io"], BENIGN, [r.raw for r in rs.block_rules + rs.exception_rules]),
+    collect, script, image = (
+        f"https://px.t.net/{path}" for path in ("collect?uid=1", "adx.js", "img.gif")
+    )
+    block, ad, exception = (r.raw for r in rs.block_rules + rs.exception_rules)
+    for sites, url, label, drawn in [
+        (["news.com", "a.io", "org"], collect, BENIGN, []),
+        (["news.com", "www.news.org"], collect, ADTRACKER, [block]),
+        (["m.shop.io"], collect, BENIGN, [block, exception]),
+        (["m.shop.io"], script, BENIGN, [ad, exception]),
+        (["m.shop.io"], image, BENIGN, []),
     ]:
         masked.clear()
         checked.clear()
         d = doc("px.t.net", "script", [url], sites=sites)
         assert label_document(rs, d) == Label(label, bool(drawn))
         assert label == linear_label(rs, d) and bool(drawn) == linear_block_matched(rs, d)
-        assert sorted(masked) == sorted(drawn) and masked.total() == len(drawn), sites
-        assert sorted(c.rule.raw for c in checked) == sorted(drawn), sites
-        assert checked.total() == len(drawn), sites
+        assert sorted(masked) == sorted(drawn) and masked.total() == len(drawn), (sites, url)
+        assert sorted(c.rule.raw for c in checked) == sorted(drawn), (sites, url)
+        assert checked.total() == len(drawn), (sites, url)
 
 
 def test_one_parse_shares_equal_option_containers():
     """Rules with equal anchors hold one tuple, rules with equal type
     options one frozenset, option-less rules the one empty frozenset; the
-    table that shares them lives for one parse_rules call."""
+    shared objects come from fixed tables that parsing does not grow."""
     from widetrack import filters
 
     text = "||a.net^\n||b.net^$script\n/x$script\n/y$image,script\n@@|https://c.\n/z\n@@/w"
